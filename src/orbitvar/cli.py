@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    if args.command != "ps-check" and not alg.is_valid() and args.command != "validate":
+    if args.command not in ("ps-check", "validate") and not alg.is_valid():
         print("error: algebra fails validation; run the validate command", file=sys.stderr)
         return 2
 

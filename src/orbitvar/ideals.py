@@ -300,12 +300,12 @@ def _lie_order_complement(alg: WeightedLieAlgebra, base: tuple[int, ...]) -> tup
         progressed = False
         for cand in sorted(remaining, key=lambda i: weight_sort_key(alg.weights[i])):
             inside = set(base) | set(chosen) | {cand}
-            ok = True
-            for other in inside:
-                vec = alg.pair_bracket(cand, other)
-                for k, c in enumerate(vec):
-                    if c != 0 and k not in inside:
-                        ok = False
+            ok = all(
+                k in inside
+                for i, j, terms in alg.brackets
+                if cand in (i, j) and i in inside and j in inside
+                for k, _ in terms
+            )
             if ok:
                 chosen.append(cand)
                 remaining.remove(cand)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -76,11 +76,19 @@ def weight_sort_key(w: Weight):
 
 @dataclass(frozen=True)
 class WeightedLieAlgebra:
+    """r = t + a with structure constants on the a-basis.
+
+    `brackets` is the sparse structure-constant table: a tuple of entries
+    `(i, j, ((k, c), ...))`, each meaning `[a_i, a_j] = sum of c * a_k`.
+    Entries have `i < j` and are sorted by `(i, j)`; their terms are
+    sorted by `k` and have `c != 0`; a pair whose bracket is zero has no
+    entry.  `[a_j, a_i]` is read off by antisymmetry.
+    """
+
     t_dim: int
     a_basis: tuple[str, ...]
     weights: tuple[Weight, ...]  # aligned with a_basis
-    # brackets[(i, j)] for i < j (a-basis indices) -> coeff vector on a_basis
-    brackets: dict = field(hash=False)
+    brackets: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
 
     # -- construction -------------------------------------------------
 
@@ -91,24 +99,25 @@ class WeightedLieAlgebra:
         weights: dict[str, Sequence],
         brackets: Iterable[tuple[str, str, dict[str, Fraction]]] = (),
     ) -> "WeightedLieAlgebra":
+        """Brackets may name a pair in either order; when a pair is given
+        more than once the last value wins."""
         names = tuple(a_basis)
         idx = {nm: i for i, nm in enumerate(names)}
         ws = tuple(
             Weight(tuple(Fraction(c) for c in weights[nm])) for nm in names
         )
-        table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for left, right, val in brackets:
             i, j = idx[left], idx[right]
             if i == j:
                 raise AlgebraError("bracket of a basis vector with itself")
-            vec = [Fraction(0)] * len(names)
-            for nm, c in val.items():
-                vec[idx[nm]] = Fraction(c)
+            sign = 1
             if i > j:
-                i, j = j, i
-                vec = [-c for c in vec]
-            table[(i, j)] = tuple(vec)
-        return WeightedLieAlgebra(t_dim, names, ws, table)
+                i, j, sign = j, i, -1
+            terms = ((idx[nm], sign * Fraction(c)) for nm, c in val.items())
+            table[(i, j)] = tuple(sorted((k, c) for k, c in terms if c != 0))
+        entries = tuple((i, j, terms) for (i, j), terms in sorted(table.items()) if terms)
+        return WeightedLieAlgebra(t_dim, names, ws, entries)
 
     @staticmethod
     def from_json(data: dict) -> "WeightedLieAlgebra":
@@ -133,15 +142,15 @@ class WeightedLieAlgebra:
         return WeightedLieAlgebra.build(t_dim, a_basis, weights, brackets)
 
     def to_json(self) -> dict:
-        br = []
-        for (i, j), vec in sorted(self.brackets.items()):
-            val = [
-                {"basis": self.a_basis[k], "coeff": str(c)}
-                for k, c in enumerate(vec)
-                if c != 0
-            ]
-            if val:
-                br.append({"left": self.a_basis[i], "right": self.a_basis[j], "value": val})
+        names = self.a_basis
+        br = [
+            {
+                "left": names[i],
+                "right": names[j],
+                "value": [{"basis": names[k], "coeff": str(c)} for k, c in terms],
+            }
+            for i, j, terms in self.brackets
+        ]
         return {
             "t_dim": self.t_dim,
             "a_basis": list(self.a_basis),
@@ -186,39 +195,26 @@ class WeightedLieAlgebra:
 
     def pair_bracket(self, i: int, j: int) -> tuple[Fraction, ...]:
         """[a_i, a_j] as a coefficient vector on the a-basis."""
-        if i == j:
-            return tuple(Fraction(0) for _ in range(self.n))
-        if i < j:
-            return self.brackets.get((i, j), tuple(Fraction(0) for _ in range(self.n)))
-        vec = self.brackets.get((j, i))
-        if vec is None:
-            return tuple(Fraction(0) for _ in range(self.n))
-        return tuple(-c for c in vec)
+        return self.a_part(self.bracket(self.weight_vector(i), self.weight_vector(j)))
 
     def bracket(self, x: Sequence, y: Sequence):
         """Lie bracket of two elements of r = t + a; entries may be
         Fractions or sympy expressions (bilinear either way)."""
-        d, n = self.t_dim, self.n
-        out = [0] * (d + n)
+        d = self.t_dim
+        out = [Fraction(0)] * self.dim
         # [t, a^w] = w(t) a^w
-        for k in range(n):
-            w = self.weights[k]
-            tx = sum(w.coords[i] * x[i] for i in range(d))
-            ty = sum(w.coords[i] * y[i] for i in range(d))
-            out[d + k] = out[d + k] + tx * y[d + k] - ty * x[d + k]
-        # [a_i, a_j]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                ci = x[d + i]
-                cj = y[d + j]
-                vec = self.pair_bracket(i, j)
-                for k in range(n):
-                    if vec[k] != 0:
-                        out[d + k] = out[d + k] + ci * cj * vec[k]
-        zero = Fraction(0)
-        return tuple(e + zero if isinstance(e, (int, Fraction)) else sympy.expand(e) for e in out)
+        tx, ty = x[:d], y[:d]
+        for k, w in enumerate(self.weights):
+            xk, yk = x[d + k], y[d + k]
+            if xk != 0 or yk != 0:
+                out[d + k] = w(tx) * yk - w(ty) * xk
+        # [a_i, a_j] and [a_j, a_i] = -[a_i, a_j]
+        for i, j, terms in self.brackets:
+            c = x[d + i] * y[d + j] - x[d + j] * y[d + i]
+            if c != 0:
+                for k, ck in terms:
+                    out[d + k] += c * ck
+        return tuple(e if isinstance(e, Fraction) else sympy.expand(e) for e in out)
 
     def ad(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ad x in the ordered basis (columns act on basis vectors)."""
@@ -284,10 +280,8 @@ class WeightedLieAlgebra:
 
     def centralizer_in_a(self, subset: Sequence[int]) -> bool:
         """True when the weight spaces indexed by subset pairwise commute."""
-        return all(
-            all(c == 0 for c in self.pair_bracket(i, j))
-            for i, j in itertools.combinations(subset, 2)
-        )
+        inside = set(subset)
+        return not any(i in inside and j in inside for i, j, _ in self.brackets)
 
     def restrict(self, subset: Sequence[int]) -> tuple["WeightedLieAlgebra", bool]:
         """Sub-structure carried by a complete weight subset L: the nilpotent
@@ -308,18 +302,14 @@ class WeightedLieAlgebra:
         weights = {
             self.a_basis[i]: [self.weights[i].coords[j] for j in keep] for i in subset
         }
-        pos = {i: k for k, i in enumerate(subset)}
+        inside = set(subset)
         brs = []
-        for i, j in itertools.combinations(subset, 2):
-            vec = self.pair_bracket(i, j)
-            val = {}
-            for k, c in enumerate(vec):
-                if c != 0:
-                    if k not in pos:
-                        raise AlgebraError("complete subset is not bracket-closed")
-                    val[self.a_basis[k]] = c
-            if val:
-                brs.append((self.a_basis[i], self.a_basis[j], val))
+        for i, j, terms in self.brackets:
+            if i not in inside or j not in inside:
+                continue
+            if any(k not in inside for k, _ in terms):
+                raise AlgebraError("complete subset is not bracket-closed")
+            brs.append((self.a_basis[i], self.a_basis[j], {self.a_basis[k]: c for k, c in terms}))
         return WeightedLieAlgebra.build(len(keep), names, weights, brs), False
 
     # -- centralizers, regularity, Jordan -------------------------------
@@ -390,15 +380,17 @@ class WeightedLieAlgebra:
                 "no two weights proportional" if not prop else f"proportional pair {prop}",
             )
         )
-        grading_ok = True
+        off = [
+            (i, j, k)
+            for i, j, terms in self.brackets
+            for k, _ in terms
+            if self.weights[k] != self.weights[i] + self.weights[j]
+        ]
         detail = "brackets respect the weight grading"
-        for (i, j), vec in self.brackets.items():
-            tgt = self.weights[i] + self.weights[j]
-            for k, c in enumerate(vec):
-                if c != 0 and self.weights[k] != tgt:
-                    grading_ok = False
-                    detail = f"[{self.a_basis[i]},{self.a_basis[j]}] hits {self.a_basis[k]} off-grade"
-        checks.append(("grading", grading_ok, detail))
+        if off:
+            i, j, k = off[-1]
+            detail = f"[{self.a_basis[i]},{self.a_basis[j]}] hits {self.a_basis[k]} off-grade"
+        checks.append(("grading", not off, detail))
         jac_ok, jac_detail = self._jacobi()
         checks.append(("jacobi", jac_ok, jac_detail))
         nil_ok = self._nilpotent()

@@ -75,7 +75,7 @@ class Subspace:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self.basis == other.basis and self.alg is other.alg
+        return isinstance(other, Subspace) and self.basis == other.basis and self.alg == other.alg
 
     def __hash__(self):
         return hash(self.basis)

@@ -59,6 +59,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "fixed-points", "--input", str(p))
         assert code == 2 and "validation" in err
 
+    def test_validate_runs_validation_once(self, capsys, monkeypatch):
+        from orbitvar.liealg import WeightedLieAlgebra
+
+        calls = []
+        original = WeightedLieAlgebra.validate
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(WeightedLieAlgebra, "validate", counting)
+        code, _, _ = run(capsys, "validate", "--builtin", "borel-nilradical-A2")
+        assert code == 0 and len(calls) == 1
+
     def test_malformed_json(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

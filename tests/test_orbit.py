@@ -115,6 +115,14 @@ class TestSubspacePredicates:
         assert is_ideal(A2, span(A2, [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]))
         assert not is_ideal(A2, span(A2, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]))
 
+    def test_equality_compares_algebras_by_value(self):
+        rows = [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]
+        first = models.builtin("borel-nilradical-A2")
+        second = models.builtin("borel-nilradical-A2")
+        assert first is not second
+        assert span(first, rows) == span(second, rows)
+        assert span(first, rows) != span(models.heisenberg_3(), rows)
+
 
 def brute_force_torus_fixed(alg):
     """Independent enumeration: graded d-dimensional candidates z + a_S
