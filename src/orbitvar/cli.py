@@ -1,7 +1,9 @@
 """Command-line entry point: load an algebra, run verification
 commands, emit a deterministic report.
 
-Exit codes: 0 no refutation, 1 refutation found, 2 input error.
+Exit codes: 0 no refutation, 1 refutation found, 2 input error or a
+`suite` stage that raised instead of reporting (the report is still
+written).
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from fractions import Fraction
 from . import ideals, models, orbit
 from . import report as rep
 from .liealg import AlgebraError, WeightedLieAlgebra
+
+STAGE_PREFIX = "stage-"  # names the suite check recorded for a stage that raised
 
 COMMANDS = (
     "validate",
@@ -234,7 +238,7 @@ def cmd_suite(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
             sub = fn(alg, seed)
         except Exception as e:  # propagate module errors as report entries
             out.add(
-                fn.__name__.replace("cmd_", "stage-"),
+                fn.__name__.replace("cmd_", STAGE_PREFIX),
                 rep.UNKNOWN,
                 "stage raised instead of reporting",
                 details={"error": f"{type(e).__name__}: {e}"},
@@ -289,6 +293,8 @@ def main(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if any(c.name.startswith(STAGE_PREFIX) for c in report.checks):
+        return 2
     return 1 if report.has_refutation() else 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -20,11 +20,11 @@ import sympy
 from .linalg import (
     Matrix,
     in_row_space,
+    nilpotent_terms,
     nullspace,
     rank,
     row_space_basis,
     rref,
-    solve,
 )
 
 
@@ -83,12 +83,21 @@ class WeightedLieAlgebra:
     Entries have `i < j` and are sorted by `(i, j)`; their terms are
     sorted by `k` and have `c != 0`; a pair whose bracket is zero has no
     entry.  `[a_j, a_i]` is read off by antisymmetry.
+
+    `_memo` holds data derived from the fields, each computed once per
+    instance through `derived`: the center, the adjoint matrices of the
+    weight vectors and the terms of their exponentials, the row selection
+    of the Jordan solve, and the fixed points of `orbit`.  The fields are
+    immutable and every memoised value is immutable, so a memoised value
+    never goes stale; the memo takes no part in `==`, `hash`, `repr`,
+    `to_json` or `fingerprint`.
     """
 
     t_dim: int
     a_basis: tuple[str, ...]
     weights: tuple[Weight, ...]  # aligned with a_basis
     brackets: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     # -- construction -------------------------------------------------
 
@@ -162,6 +171,16 @@ class WeightedLieAlgebra:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
+    def derived(self, key, compute: Callable[[], object]):
+        """The value of `compute()`, computed on the first call with this
+        key and kept for the life of the instance.  `compute` must depend
+        only on the algebra and return an immutable value."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
+
     # -- basic structure ----------------------------------------------
 
     @property
@@ -222,7 +241,11 @@ class WeightedLieAlgebra:
         return Matrix.from_rows([[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     def ad_weight_vector(self, i: int) -> Matrix:
-        return self.ad(self.weight_vector(i))
+        return self.derived(("ad", i), lambda: self.ad(self.weight_vector(i)))
+
+    def ad_exp_terms(self, i: int) -> tuple[Matrix, ...]:
+        """The terms (ad x_i)^k / k! of exp(ad x_i), for `exp_nilpotent`."""
+        return self.derived(("ad-exp", i), lambda: nilpotent_terms(self.ad_weight_vector(i)))
 
     # -- torus-side computations ----------------------------------------
 
@@ -241,9 +264,13 @@ class WeightedLieAlgebra:
     def center(self) -> "CenterData":
         """Center of r: torus directions annihilated by every weight.
         (Conditions on the grading force the center into the torus.)"""
-        basis = self.torus_kernel(self.weights)
-        d_sharp = rank(self.weight_matrix())
-        return CenterData(basis=basis, dim=basis.rows, weight_rank=d_sharp)
+
+        def compute():
+            basis = self.torus_kernel(self.weights)
+            d_sharp = rank(self.weight_matrix())
+            return CenterData(basis=basis, dim=basis.rows, weight_rank=d_sharp)
+
+        return self.derived("center", compute)
 
     def lambda_of(self, s: Sequence[Fraction]) -> tuple[int, ...]:
         """Indices of weights vanishing on the torus element s."""
@@ -328,24 +355,32 @@ class WeightedLieAlgebra:
         pulled back through the (faithful) adjoint.  Requires zero center."""
         if self.center().dim != 0:
             raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
-        adx = self.ad(x)
-        s_mat = _semisimple_part(adx)
-        # vec(ad y) = vec(S): solve for coordinates of y
-        m = self.dim
-        cols = []
-        for j in range(m):
-            adj = self.ad(self.basis_vector(j))
-            cols.append([adj[a, b] for a in range(m) for b in range(m)])
-        big = Matrix.from_rows([[cols[j][r] for j in range(m)] for r in range(m * m)])
-        target = [s_mat[a, b] for a in range(m) for b in range(m)]
-        sol = solve(big, target)
-        if sol is None:
+        s_mat = _semisimple_part(self.ad(x))
+        # ad y = S is the m^2 x m system vec(ad y) = vec(S); ad is
+        # injective, so m of its rows determine y, and the check that
+        # ad y equals S over all m^2 entries stands in for the rest
+        entries, inverse = self.derived("jordan-rows", self._jordan_rows)
+        s = inverse.apply([s_mat[a, b] for a, b in entries])
+        if self.ad(s) != s_mat:
             raise AlgebraError("semisimple part is not in the image of ad")
-        s = tuple(sol)
         n = tuple(a - b for a, b in zip(x, s))
         if any(c != 0 for c in self.bracket(s, n)):
             raise AlgebraError("jordan parts fail to commute")
         return s, n
+
+    def _jordan_rows(self) -> tuple[tuple[tuple[int, int], ...], Matrix]:
+        """Entries (a, b) at which the matrices ad e_j (j < m) are linearly
+        independent, and the inverse of the m x m matrix of those entries
+        (row r, column j: entry r of ad e_j)."""
+        m = self.dim
+        ads = [self.ad(self.basis_vector(j)) for j in range(m)]
+        vec_ads = Matrix.from_rows([[adj[a, b] for a in range(m) for b in range(m)] for adj in ads])
+        _, piv = rref(vec_ads)
+        if len(piv) != m:  # only a zero weight, which validate rejects, gets here
+            raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
+        entries = tuple(divmod(p, m) for p in piv)
+        square = Matrix.from_rows([[adj[a, b] for adj in ads] for a, b in entries])
+        return entries, _mat_inverse(square)
 
     # -- validation -----------------------------------------------------
 

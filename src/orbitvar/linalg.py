@@ -241,8 +241,9 @@ def det(m: Matrix):
     return go(0, tuple(range(n)))
 
 
-def exp_nilpotent(m: Matrix, z) -> Matrix:
-    """exp(z*m) for nilpotent m; z a Fraction or a sympy symbol."""
+def nilpotent_terms(m: Matrix) -> tuple[Matrix, ...]:
+    """The terms m^k / k! of exp(m) for nilpotent m, from k = 0 up to the
+    last nonzero power."""
     n = m.rows
     if m.cols != n:
         raise LinAlgError("not square")
@@ -251,10 +252,17 @@ def exp_nilpotent(m: Matrix, z) -> Matrix:
     for k in range(1, n + 1):
         power = power @ m
         if power.is_zero():
-            break
+            return tuple(terms)
         terms.append(power.scale(Fraction(1, math.factorial(k))))
-    else:
-        raise NotNilpotentError("matrix is not nilpotent")
+    raise NotNilpotentError("matrix is not nilpotent")
+
+
+def exp_nilpotent(m: Matrix, z, terms: tuple[Matrix, ...] | None = None) -> Matrix:
+    """exp(z*m) for nilpotent m; z a Fraction or a sympy symbol.  `terms`,
+    when given, must be `nilpotent_terms(m)`, kept by a caller that
+    exponentiates the same m again."""
+    if terms is None:
+        terms = nilpotent_terms(m)
     acc = terms[0]
     zk = 1
     for k in range(1, len(terms)):

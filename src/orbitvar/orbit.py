@@ -28,6 +28,7 @@ from .linalg import (
     plucker,
     plucker_limit,
     plucker_to_basis,
+    rank,
     reduce_mod_rowspace,
     row_space_basis,
     rref,
@@ -67,9 +68,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot columns of the rref basis: each row's first nonzero entry."""
+        return tuple(next(j for j, e in enumerate(row) if e != 0) for row in self.basis.entries)
+
     def contains(self, v: Sequence[Fraction]) -> bool:
-        _, piv = rref(self.basis)
-        return in_row_space(v, self.basis, piv)
+        return in_row_space(v, self.basis, self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))
@@ -153,17 +158,14 @@ def full_space(alg: WeightedLieAlgebra) -> Subspace:
 def act(alg: WeightedLieAlgebra, word, v: Subspace):
     """Apply the product of exp(z_i ad x_{alpha_i}) left-to-right to V.
     Scalars may be Fractions; None means the shared formal parameter z."""
-    from .linalg import exp_nilpotent
-
     g = Matrix.identity(alg.dim)
     formal = False
     for widx, scalar in word:
-        adx = alg.ad_weight_vector(widx)
         if scalar is None:
             formal = True
-            g = g @ exp_nilpotent(adx, Z)
+            g = g @ _exp_matrix(alg, widx, Z)
         else:
-            g = g @ exp_nilpotent(adx, Fraction(scalar))
+            g = g @ _exp_matrix(alg, widx, Fraction(scalar))
     rows = [g.apply(v.basis.row(i)) for i in range(v.dim)]
     if formal:
         return CurveSubspace(alg, Matrix.from_rows(rows))
@@ -232,15 +234,18 @@ def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> t
     return Subspace.from_rows(alg, rows), z_v
 
 
-def torus_fixed_points(alg: WeightedLieAlgebra) -> list[FixedPointRecord]:
+def torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     """All torus-fixed points of the closure: independent abelian weight
-    subsets S, each giving z_V + a_S with a verified witness-curve limit."""
+    subsets S, each giving z_V + a_S with a verified witness-curve limit.
+    Enumerated once per algebra."""
+    return alg.derived("torus-fixed-points", lambda: _enumerate_torus_fixed_points(alg))
+
+
+def _enumerate_torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     out = []
     for size in range(alg.n + 1):
         for subset in itertools.combinations(range(alg.n), size):
             ws = [alg.weights[i] for i in subset]
-            from .linalg import rank
-
             if ws and rank(alg.weight_matrix(ws)) != len(ws):
                 continue
             if not alg.centralizer_in_a(subset):
@@ -258,12 +263,16 @@ def torus_fixed_points(alg: WeightedLieAlgebra) -> list[FixedPointRecord]:
                     subspace=v, r_v_set=subset, z_v=z_v, fixed_under="torus", witness=witness
                 )
             )
-    return out
+    return tuple(out)
 
 
-def group_fixed_points(alg: WeightedLieAlgebra) -> list[FixedPointRecord]:
+def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     """Torus-fixed points that are ideals with central part equal to the
-    center of the whole algebra."""
+    center of the whole algebra.  Enumerated once per algebra."""
+    return alg.derived("group-fixed-points", lambda: _select_group_fixed_points(alg))
+
+
+def _select_group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     z = alg.center()
     out = []
     for recd in torus_fixed_points(alg):
@@ -285,7 +294,7 @@ def group_fixed_points(alg: WeightedLieAlgebra) -> list[FixedPointRecord]:
                 witness=recd.witness,
             )
         )
-    return out
+    return tuple(out)
 
 
 def normalizer(alg: WeightedLieAlgebra, v: Subspace) -> Subspace:
@@ -468,10 +477,12 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
     return applied
 
 
-def _exp_matrix(alg: WeightedLieAlgebra, widx: int, scalar: Fraction) -> Matrix:
+def _exp_matrix(alg: WeightedLieAlgebra, widx: int, z) -> Matrix:
+    """exp(z ad x_widx) from the algebra's memoised exponential terms;
+    z a Fraction or the formal parameter Z."""
     from .linalg import exp_nilpotent
 
-    return exp_nilpotent(alg.ad_weight_vector(widx), Fraction(scalar))
+    return exp_nilpotent(alg.ad_weight_vector(widx), z, alg.ad_exp_terms(widx))
 
 
 # -- property (P) consequences ----------------------------------------

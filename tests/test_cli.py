@@ -73,6 +73,26 @@ class TestExitCodes:
         code, _, _ = run(capsys, "validate", "--builtin", "borel-nilradical-A2")
         assert code == 0 and len(calls) == 1
 
+    def test_suite_stage_that_raised_exits_two(self, capsys, tmp_path):
+        from orbitvar.cli import cmd_suite
+        from orbitvar.liealg import WeightedLieAlgebra
+
+        # heisenberg-3 with a third torus direction that every weight kills:
+        # the center has dimension 1, so boundary, chart and nilcone raise
+        alg = WeightedLieAlgebra.build(
+            3, ["p", "q", "c"], {"p": [1, 0, 0], "q": [0, 1, 0], "c": [1, 1, 0]}, [("p", "q", {"c": 1})]
+        )
+        p = tmp_path / "central.json"
+        p.write_text(json.dumps(alg.to_json()))
+        dest = tmp_path / "report.json"
+        code, _, _ = run(capsys, "suite", "--input", str(p), "--output", str(dest))
+        assert code == 2
+        data = json.loads(dest.read_text())
+        assert data["summary"]["worst"] == "unknown"
+        stages = {c["name"] for c in data["checks"] if c["name"].startswith("stage-")}
+        assert stages == {"stage-boundary", "stage-chart", "stage-nilcone"}
+        assert dest.read_text() == cmd_suite(alg, 0).render_json()
+
     def test_malformed_json(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

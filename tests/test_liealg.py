@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitvar import models
+from orbitvar import cli, models, orbit
 from orbitvar.liealg import (
     AlgebraError,
     CenterNotTrivialError,
@@ -323,3 +323,40 @@ class TestBracket:
                 w(t[:2]) * c for c in A2.weight_vector(i)
             )
             assert got == expect
+
+
+class TestMemo:
+    """Derived data is memoised per instance and never shows outside it."""
+
+    @pytest.mark.parametrize("name", ["borel-nilradical-A2", "heisenberg-3", "abelian:2"])
+    def test_filled_memo_is_invisible(self, name):
+        alg, fresh = models.builtin(name), models.builtin(name)
+        alg.center()
+        orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], 2))
+        orbit.multipoint_membership(alg, [alg.weight_vector(0)])
+        orbit.group_fixed_points(alg)
+        assert alg._memo and not fresh._memo
+        assert alg == fresh and hash(alg) == hash(fresh) and repr(alg) == repr(fresh)
+        assert alg.to_json() == fresh.to_json()
+        assert alg.fingerprint() == fresh.fingerprint()
+        assert not fresh._memo
+        assert cli.cmd_fixed_points(alg, 0).render_json() == cli.cmd_fixed_points(fresh, 0).render_json()
+
+    def test_repeat_calls_return_the_same_object(self):
+        alg = models.borel_nilradical_a2()
+        torus = orbit.torus_fixed_points(alg)
+        assert isinstance(torus, tuple) and orbit.torus_fixed_points(alg) is torus
+        group = orbit.group_fixed_points(alg)
+        assert isinstance(group, tuple) and orbit.group_fixed_points(alg) is group
+        assert alg.center() is alg.center()
+        assert alg.ad_weight_vector(1) is alg.ad_weight_vector(1)
+        assert alg.ad_exp_terms(1) is alg.ad_exp_terms(1)
+
+    def test_equal_instances_do_not_share_state(self):
+        first = models.borel_nilradical_a2()
+        second = WeightedLieAlgebra.from_json(first.to_json())
+        orbit.torus_fixed_points(first)
+        assert first == second and first._memo is not second._memo
+        assert not second._memo
+        assert orbit.torus_fixed_points(second) is not orbit.torus_fixed_points(first)
+        assert orbit.torus_fixed_points(second) == orbit.torus_fixed_points(first)

@@ -153,7 +153,7 @@ def elements(dim):
 
 
 class TestSparseTable:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(spec=ALGEBRAS, data=st.data())
     def test_matches_dense_reference(self, spec, data):
         alg = WeightedLieAlgebra.build(*spec)
@@ -174,7 +174,7 @@ class TestSparseTable:
         again = WeightedLieAlgebra.from_json(alg.to_json())
         assert again == alg and hash(again) == hash(alg)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(spec=ALGEBRAS, data=st.data())
     def test_sympy_entries_match_dense_reference(self, spec, data):
         alg = WeightedLieAlgebra.build(*spec)

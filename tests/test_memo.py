@@ -1,0 +1,172 @@
+"""Per-algebra data memoised on `WeightedLieAlgebra` against uncached
+references kept here: the fixed-point enumerations, the Jordan solve and
+the terms of the adjoint exponentials, on generated graded algebras."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_liealg_sparse import RATIONALS, central_extensions, elements, root_subset_algebras
+
+from orbitvar import orbit
+from orbitvar.liealg import AlgebraError, CenterNotTrivialError, WeightedLieAlgebra, _semisimple_part
+from orbitvar.linalg import Matrix, exp_nilpotent, rank, solve
+
+# A4's full root set has 2^10 weight subsets and takes minutes to
+# enumerate; closed subsets of up to five roots keep an example short
+SMALL = st.one_of(root_subset_algebras(), central_extensions()).filter(lambda spec: len(spec[1]) <= 5)
+ANY = st.one_of(root_subset_algebras(), central_extensions())
+# a root subset whose weights span the torus has zero center
+FAITHFUL = root_subset_algebras().filter(lambda spec: WeightedLieAlgebra.build(*spec).center().dim == 0)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return "value", fn(*args)
+    except (AlgebraError, orbit.OrbitError) as e:
+        return "raised", type(e), str(e)
+
+
+# -- uncached references ------------------------------------------------
+
+
+def reference_act(alg, word):
+    """exp(z_1 ad x_1) ... exp(z_k ad x_k) t, each factor from a fresh ad."""
+    g = Matrix.identity(alg.dim)
+    for i, z in word:
+        g = g @ exp_nilpotent(alg.ad(alg.weight_vector(i)), z)
+    t = orbit.torus_subspace(alg)
+    return Matrix.from_rows([g.apply(t.basis.row(r)) for r in range(t.dim)])
+
+
+def reference_torus_fixed_points(alg):
+    out = []
+    for size in range(alg.n + 1):
+        for subset in itertools.combinations(range(alg.n), size):
+            ws = [alg.weights[i] for i in subset]
+            if ws and rank(alg.weight_matrix(ws)) != len(ws) or not alg.centralizer_in_a(subset):
+                continue
+            v, z_v = orbit._fixed_point_subspace(alg, subset)
+            word = [(i, orbit.Z) for i in orbit._ordered(alg, subset)]
+            witness = orbit.CurveSubspace(alg, reference_act(alg, word))
+            if subset and witness.limit() != v:
+                raise orbit.OrbitError("witness curve limit mismatch")
+            out.append(orbit.FixedPointRecord(v, subset, z_v, "torus", witness))
+    return tuple(out)
+
+
+def reference_group_fixed_points(alg, torus_records):
+    z = alg.torus_kernel(alg.weights)
+    out = []
+    for recd in torus_records:
+        if recd.z_v.dim != z.rows:
+            continue
+        if not all(recd.z_v.contains(list(row) + [Fraction(0)] * alg.n) for row in z.entries):
+            continue
+        if orbit.is_ideal(alg, recd.subspace):
+            out.append(orbit.FixedPointRecord(recd.subspace, recd.r_v_set, recd.z_v, "group", recd.witness))
+    return tuple(out)
+
+
+def reference_jordan(alg, x):
+    """The Jordan solve over the full m^2 x m system vec(ad y) = vec(S)."""
+    if alg.torus_kernel(alg.weights).rows != 0:
+        raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
+    s_mat = _semisimple_part(alg.ad(x))
+    m = alg.dim
+    ads = [alg.ad(alg.basis_vector(j)) for j in range(m)]
+    big = Matrix.from_rows([[adj[a, b] for adj in ads] for a in range(m) for b in range(m)])
+    sol = solve(big, [s_mat[a, b] for a in range(m) for b in range(m)])
+    if sol is None:
+        raise AlgebraError("semisimple part is not in the image of ad")
+    s = tuple(sol)
+    n = tuple(a - b for a, b in zip(x, s))
+    if any(c != 0 for c in alg.bracket(s, n)):
+        raise AlgebraError("jordan parts fail to commute")
+    return s, n
+
+
+# -- memoised against reference -----------------------------------------
+
+
+class TestFixedPoints:
+    @settings(max_examples=15)
+    @given(spec=SMALL)
+    def test_match_uncached_reference(self, spec):
+        alg = WeightedLieAlgebra.build(*spec)
+        # fill the other memo entries first, as a query stream would
+        alg.center()
+        orbit.act(alg, [(0, None), (alg.n - 1, Fraction(2))], orbit.torus_subspace(alg))
+        want = outcome(reference_torus_fixed_points, alg)
+        torus = outcome(orbit.torus_fixed_points, alg)
+        assert torus == want
+        if want[0] == "value":
+            assert orbit.torus_fixed_points(alg) is torus[1]
+            group = orbit.group_fixed_points(alg)
+            assert group == reference_group_fixed_points(alg, want[1])
+            assert orbit.group_fixed_points(alg) is group
+
+
+class TestJordan:
+    @settings(max_examples=25)
+    @given(spec=FAITHFUL, data=st.data())
+    def test_matches_full_system_solve(self, spec, data):
+        alg = WeightedLieAlgebra.build(*spec)
+        for _ in range(2):
+            x = tuple(data.draw(elements(alg.dim)))
+            assert outcome(alg.jordan_decompose, x) == outcome(reference_jordan, alg, x)
+
+    def test_semisimple_part_outside_the_image_raises_on_both(self):
+        # A3 with [x12, x3] doubled: Jacobi fails on (x1, x2, x3), so ad is
+        # no homomorphism and the semisimple part of ad x can miss its image
+        alg = WeightedLieAlgebra.build(
+            3,
+            ["x1", "x2", "x3", "x12", "x23", "x123"],
+            {"x1": [1, 0, 0], "x2": [0, 1, 0], "x3": [0, 0, 1], "x12": [1, 1, 0], "x23": [0, 1, 1], "x123": [1, 1, 1]},
+            [("x1", "x2", {"x12": 1}), ("x2", "x3", {"x23": 1}), ("x1", "x23", {"x123": 1}), ("x12", "x3", {"x123": 2})],
+        )
+        x = tuple(Fraction(c) for c in (1, 0, 1, 0, 1, 1, 0, 0, 0))
+        got = outcome(alg.jordan_decompose, x)
+        assert got == outcome(reference_jordan, alg, x)
+        assert got == ("raised", AlgebraError, "semisimple part is not in the image of ad")
+
+    @settings(max_examples=10)
+    @given(spec=central_extensions(), data=st.data())
+    def test_nonzero_center_raises_on_both(self, spec, data):
+        alg = WeightedLieAlgebra.build(*spec)
+        x = tuple(data.draw(elements(alg.dim)))
+        got = outcome(alg.jordan_decompose, x)
+        assert got == outcome(reference_jordan, alg, x)
+        assert got[:2] == ("raised", CenterNotTrivialError)
+
+
+class TestExpTerms:
+    @settings(max_examples=30)
+    @given(spec=ANY, data=st.data())
+    def test_cached_terms_match_fresh_exponential(self, spec, data):
+        alg = WeightedLieAlgebra.build(*spec)
+        word = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, alg.n - 1), st.one_of(st.none(), RATIONALS)),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        factors = [(i, orbit.Z if z is None else z) for i, z in word]
+        for i, z in factors:
+            assert exp_nilpotent(alg.ad_weight_vector(i), z, alg.ad_exp_terms(i)) == exp_nilpotent(
+                alg.ad(alg.weight_vector(i)), z
+            )
+            assert alg.ad_exp_terms(i) is alg.ad_exp_terms(i)
+        got = orbit.act(alg, word, orbit.torus_subspace(alg))
+        want = reference_act(alg, factors)
+        if any(z is None for _, z in word):
+            assert got.basis == want
+        else:
+            assert got == orbit.Subspace.from_rows(alg, want.entries)

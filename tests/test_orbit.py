@@ -10,7 +10,7 @@ import pytest
 
 from orbitvar import models
 from orbitvar.liealg import Weight, WeightedLieAlgebra
-from orbitvar.linalg import rank, Matrix
+from orbitvar.linalg import rank, rref, Matrix
 from orbitvar import report as rep
 from orbitvar.orbit import (
     BadSliceError,
@@ -122,6 +122,29 @@ class TestSubspacePredicates:
         assert first is not second
         assert span(first, rows) == span(second, rows)
         assert span(first, rows) != span(models.heisenberg_3(), rows)
+
+
+class TestSubspaceBasesAreRref:
+    """`Subspace.contains` reads the pivots off the basis, so every way the
+    package builds a Subspace must leave its basis in rref."""
+
+    def test_every_construction(self):
+        rng = random.Random(0)
+        built = []
+        for alg in (A2, A3, models.heisenberg_3()):
+            for _ in range(5):
+                rows = [[Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)] for _ in range(rng.randint(1, alg.dim))]
+                built.append(Subspace.from_rows(alg, rows))
+            v = theta_alpha(alg, alg.weights[0], None)  # plucker_to_basis
+            built += [v, normalizer(alg, v)]  # nullspace
+            for pt in (alg.basis_vector(0), tuple(Fraction(rng.randint(-3, 3)) for _ in range(alg.dim))):
+                built.append(Subspace(alg, alg.centralizer(pt)))
+            built.append(intersect(torus_subspace(alg), a_subspace(alg)))  # the zero space
+            built += [r.z_v for r in torus_fixed_points(alg)]
+        assert any(s.dim == 0 for s in built)
+        for s in built:
+            rr, piv = rref(s.basis)
+            assert rr == s.basis and s.pivots == piv
 
 
 def brute_force_torus_fixed(alg):
