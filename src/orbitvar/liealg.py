@@ -117,6 +117,8 @@ class WeightedLieAlgebra:
         )
         table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for left, right, val in brackets:
+            if not {left, right, *val} <= idx.keys():
+                raise AlgebraError(f"bracket [{left}, {right}] names an element outside the a-basis")
             i, j = idx[left], idx[right]
             if i == j:
                 raise AlgebraError("bracket of a basis vector with itself")
@@ -130,25 +132,30 @@ class WeightedLieAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "WeightedLieAlgebra":
+        def exact(v) -> Fraction:  # a JSON float was rounded to binary before it got here
+            if isinstance(v, float):
+                raise ValueError(f"{v!r} is a JSON float; give rationals as strings or integers")
+            return Fraction(v)
+
         try:
             t_dim = int(data["t_dim"])
             a_basis = list(data["a_basis"])
-            weights = {k: [Fraction(s) for s in v] for k, v in data["weights"].items()}
+            weights = {k: [exact(s) for s in v] for k, v in data["weights"].items()}
             brackets = [
                 (
                     b["left"],
                     b["right"],
-                    {term["basis"]: Fraction(term["coeff"]) for term in b["value"]},
+                    {term["basis"]: exact(term["coeff"]) for term in b["value"]},
                 )
                 for b in data.get("brackets", [])
             ]
+            if set(weights) != set(a_basis):
+                raise AlgebraError("weights must be given for exactly the a-basis")
+            if any(len(v) != t_dim for v in weights.values()):
+                raise AlgebraError("weight length must equal t_dim")
+            return WeightedLieAlgebra.build(t_dim, a_basis, weights, brackets)
         except (KeyError, TypeError, ValueError) as e:
             raise AlgebraError(f"malformed algebra description: {e}") from e
-        if set(weights) != set(a_basis):
-            raise AlgebraError("weights must be given for exactly the a-basis")
-        if any(len(v) != t_dim for v in weights.values()):
-            raise AlgebraError("weight length must equal t_dim")
-        return WeightedLieAlgebra.build(t_dim, a_basis, weights, brackets)
 
     def to_json(self) -> dict:
         names = self.a_basis

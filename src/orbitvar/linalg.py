@@ -1,11 +1,7 @@
-"""Exact linear algebra over the rationals and over polynomial rings.
-
-Matrices carry either fractions.Fraction entries (points) or sympy
-expressions in a curve parameter (one-parameter families).  All
-elimination is done over Fraction; polynomial matrices only get
-multiplied and have minors taken, so no division in the polynomial
-ring is ever needed.
-"""
+"""Exact linear algebra over the rationals: matrices hold fractions.Fraction
+entries only, and `orbit` keeps a curve in z as one matrix per power of z.
+The Plücker functions stay as API and as the reference that tests check
+curve limits against; `plucker_limit` alone reads polynomial coordinates."""
 
 from __future__ import annotations
 
@@ -34,19 +30,13 @@ class RankDeficientError(LinAlgError):
     pass
 
 
-def _norm(e):
-    """Canonicalize an entry: Fractions pass through, sympy gets expanded."""
+def _norm(e) -> Fraction:
+    """An entry as a Fraction; Fractions and ints are the only entries."""
     if isinstance(e, Fraction):
         return e
     if isinstance(e, int):
         return Fraction(e)
-    return sympy.expand(e)
-
-
-def _is_zero(e) -> bool:
-    if isinstance(e, Fraction):
-        return e == 0
-    return sympy.expand(e) == 0
+    raise TypeError(f"matrix entries are Fractions or ints, not {type(e).__name__}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +111,14 @@ class Matrix:
         return Matrix.from_rows([self.col(j) for j in range(self.cols)])
 
     def is_zero(self) -> bool:
-        return all(_is_zero(e) for row in self.entries for e in row)
+        return all(e == 0 for row in self.entries for e in row)
 
     def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product."""
+        """Matrix-vector product, over the nonzero coordinates of v."""
         if len(v) != self.cols:
             raise LinAlgError("shape mismatch")
-        return tuple(
-            _norm(sum((self.entries[i][j] * v[j] for j in range(self.cols)), Fraction(0)))
-            for i in range(self.rows)
-        )
+        support = [(j, x) for j, x in enumerate(v) if x != 0]
+        return tuple(sum((row[j] * x for j, x in support), Fraction(0)) for row in self.entries)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -210,8 +198,8 @@ def in_row_space(v: Sequence, basis: Matrix, pivots: tuple[int, ...]) -> bool:
 
 
 def det(m: Matrix):
-    """Determinant by expansion over column subsets; no division, so it
-    works for polynomial entries too."""
+    """Determinant by expansion over column subsets, memoised on the
+    columns left at each row."""
     if m.rows != m.cols:
         raise LinAlgError("not square")
     n = m.rows
@@ -226,15 +214,13 @@ def det(m: Matrix):
         key = cols
         if key in memo:
             return memo[key]
-        acc = None
+        acc = Fraction(0)
         for k, c in enumerate(cols):
             e = m[i, c]
-            if _is_zero(e):
+            if e == 0:
                 continue
             sub = go(i + 1, cols[:k] + cols[k + 1 :])
-            term = e * sub if k % 2 == 0 else -e * sub
-            acc = term if acc is None else acc + term
-        acc = Fraction(0) if acc is None else _norm(acc)
+            acc += e * sub if k % 2 == 0 else -e * sub
         memo[key] = acc
         return acc
 
@@ -257,10 +243,10 @@ def nilpotent_terms(m: Matrix) -> tuple[Matrix, ...]:
     raise NotNilpotentError("matrix is not nilpotent")
 
 
-def exp_nilpotent(m: Matrix, z, terms: tuple[Matrix, ...] | None = None) -> Matrix:
-    """exp(z*m) for nilpotent m; z a Fraction or a sympy symbol.  `terms`,
-    when given, must be `nilpotent_terms(m)`, kept by a caller that
-    exponentiates the same m again."""
+def exp_nilpotent(m: Matrix, z: Fraction, terms: tuple[Matrix, ...] | None = None) -> Matrix:
+    """exp(z*m) for nilpotent m; z a Fraction.  `terms`, when given, must
+    be `nilpotent_terms(m)`, kept by a caller that exponentiates the same
+    m again."""
     if terms is None:
         terms = nilpotent_terms(m)
     acc = terms[0]
@@ -297,7 +283,7 @@ class PluckerVector:
         return c if sign == 1 else -c
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.coords)
+        return all(c == 0 for c in self.coords)
 
 
 def _perm_sign(t: Sequence[int]) -> int:
@@ -317,7 +303,7 @@ def plucker(basis: Matrix) -> PluckerVector:
     for cols in index_subsets(n, d):
         sub = Matrix.from_rows([[basis[i, c] for c in cols] for i in range(d)])
         coords.append(det(sub))
-    if all(_is_zero(c) for c in coords):
+    if all(c == 0 for c in coords):
         raise RankDeficientError("basis matrix does not have full row rank")
     return PluckerVector(n, d, tuple(coords))
 

@@ -1,9 +1,9 @@
 """Orbit-closure geometry in the Grassmannian Gr(r, d).
 
 The group generated by the exponentials of ad a moves the torus t
-around; this module computes that action exactly, takes curve limits in
-Plücker coordinates, enumerates fixed points, and certifies (or
-refutes) membership of subspaces and point tuples in the closure.
+around; this module computes that action exactly, takes curve limits by
+row reduction, enumerates fixed points, and certifies (or refutes)
+membership of subspaces and point tuples in the closure.
 """
 
 from __future__ import annotations
@@ -24,15 +24,16 @@ from .liealg import (
 )
 from .linalg import (
     Matrix,
+    RankDeficientError,
+    exp_nilpotent,
     in_row_space,
-    plucker,
-    plucker_limit,
-    plucker_to_basis,
+    nullspace,
     rank,
     reduce_mod_rowspace,
     row_space_basis,
     rref,
 )
+from .linalg import plucker_limit  # noqa: F401  perfbench/test_perfbench.py::test_tracer_restores_every_wrapped_function patches it
 from . import report as rep
 
 
@@ -50,9 +51,6 @@ class PreconditionFailedError(OrbitError):
 
 class BadSliceError(OrbitError):
     pass
-
-
-Z = sympy.Symbol("z")
 
 
 @dataclass(frozen=True)
@@ -94,31 +92,50 @@ class Subspace:
 
 @dataclass(frozen=True)
 class CurveSubspace:
+    """The curve z -> span of the d rows of sum_k z^k coeffs[k]: coeffs[k]
+    is the d x dim matrix of the z^k coefficients, the last one nonzero."""
+
     alg: WeightedLieAlgebra
-    basis: Matrix  # entries are polynomials in Z
+    coeffs: tuple[Matrix, ...]
 
     def limit(self) -> Subspace:
-        p = plucker_limit(plucker(self.basis), Z)
-        return Subspace(self.alg, plucker_to_basis(p))
+        """The limit as z -> infinity by row reduction (Wolovich's row-reduced
+        form; Beckermann, Labahn and Villard, 2006).  While the leading rows
+        (top coefficients) of the basis rows are dependent, the row h of
+        highest degree D in a dependency sum_i a_i lead_i = 0 becomes
+        sum_i a_i z^(D - deg_i) row_i.  As a_h is a nonzero constant, that
+        is invertible at every z != 0, so the span there and the limit stay;
+        the new row has degree below D, so the total degree drops and the
+        loop ends.  Then row_i / z^deg_i tends to lead_i, and the span to
+        theirs.  A row that vanishes shows the rows dependent."""
+        rows = [list(row) for row in zip(*(m.entries for m in self.coeffs))]
+        while True:
+            for row in rows:
+                while row and not any(row[-1]):
+                    row.pop()
+            if not all(rows):
+                raise RankDeficientError("the basis rows of the curve are dependent")
+            lead = Matrix.from_rows([row[-1] for row in rows])
+            deps = nullspace(lead.transpose())
+            if not deps.rows:
+                return Subspace(self.alg, row_space_basis(lead))
+            support = [i for i, c in enumerate(deps.row(0)) if c != 0]
+            h = max(support, key=lambda i: len(rows[i]))
+            new = [[Fraction(0)] * lead.cols for _ in rows[h]]
+            for i in support:
+                for k, coef in enumerate(rows[i], len(new) - len(rows[i])):
+                    new[k] = [x + deps[0, i] * y for x, y in zip(new[k], coef)]
+            rows[h] = new
 
     def at(self, z_value: Fraction) -> Subspace:
-        zr = sympy.Rational(z_value.numerator, z_value.denominator)
-        rows = []
-        for row in self.basis.entries:
-            out = []
-            for e in row:
-                v = sympy.expand(e).subs(Z, zr) if not isinstance(e, Fraction) else e
-                out.append(
-                    v if isinstance(v, Fraction) else Fraction(int(sympy.numer(v)), int(sympy.denom(v)))
-                )
-            rows.append(out)
-        return Subspace.from_rows(self.alg, rows)
+        point = sum((m.scale(z_value**k) for k, m in enumerate(self.coeffs) if k), self.coeffs[0])
+        return Subspace(self.alg, row_space_basis(point))
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.basis.rows,
-            "basis": [[str(e) for e in row] for row in self.basis.entries],
-        }
+        z = sympy.Symbol("z")
+        rows = zip(*(m.entries for m in self.coeffs))  # per basis row, its coefficient rows
+        basis = [[str(sympy.Add(*(c * z**k for k, c in enumerate(cs)))) for cs in zip(*row)] for row in rows]
+        return {"dim": len(basis), "basis": basis}
 
 
 @dataclass(frozen=True)
@@ -157,19 +174,23 @@ def full_space(alg: WeightedLieAlgebra) -> Subspace:
 
 def act(alg: WeightedLieAlgebra, word, v: Subspace):
     """Apply the product of exp(z_i ad x_{alpha_i}) left-to-right to V.
-    Scalars may be Fractions; None means the shared formal parameter z."""
-    g = Matrix.identity(alg.dim)
-    formal = False
-    for widx, scalar in word:
-        if scalar is None:
-            formal = True
-            g = g @ _exp_matrix(alg, widx, Z)
-        else:
-            g = g @ _exp_matrix(alg, widx, Fraction(scalar))
-    rows = [g.apply(v.basis.row(i)) for i in range(v.dim)]
-    if formal:
-        return CurveSubspace(alg, Matrix.from_rows(rows))
-    return Subspace.from_rows(alg, rows)
+    Scalars may be Fractions; None means the shared formal parameter z,
+    and a word with one gives a CurveSubspace.  Each factor is a polynomial
+    in z with matrix coefficients (one for a scalar), applied to the rows."""
+    coeffs = [v.basis]
+    for widx, scalar in reversed(word):
+        factor = alg.ad_exp_terms(widx)
+        if scalar is not None:
+            factor = (exp_nilpotent(alg.ad_weight_vector(widx), Fraction(scalar), factor),)
+        out = [Matrix.zero(v.dim, alg.dim)] * (len(factor) + len(coeffs) - 1)
+        for (a, g), (b, m) in itertools.product(enumerate(factor), enumerate(coeffs)):
+            out[a + b] = out[a + b] + Matrix.from_rows([g.apply(row) for row in m.entries])
+        coeffs = out
+    if all(scalar is not None for _, scalar in word):
+        return Subspace(alg, row_space_basis(coeffs[0]))
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs.pop()
+    return CurveSubspace(alg, tuple(coeffs))
 
 
 def weight_index(alg: WeightedLieAlgebra, alpha: Weight) -> int:
@@ -182,15 +203,12 @@ def weight_index(alg: WeightedLieAlgebra, alpha: Weight) -> int:
 def theta_alpha(alg: WeightedLieAlgebra, alpha: Weight, z) -> Subspace:
     """The curve z -> exp(z ad x_alpha)(t); z = None means the limit point
     at infinity, which is t_alpha + a^alpha."""
-    i = weight_index(alg, alpha)
-    t = torus_subspace(alg)
-    if z is None:
-        return act(alg, [(i, None)], t).limit()
-    return act(alg, [(i, Fraction(z))], t)
+    curve = theta_curve(alg, alpha)
+    return curve.limit() if z is None else curve.at(Fraction(z))
 
 
 def theta_curve(alg: WeightedLieAlgebra, alpha: Weight) -> CurveSubspace:
-    return act(alg, [(weight_index(alg, alpha), None)], torus_subspace(alg))
+    return witness_curve(alg, (weight_index(alg, alpha),))
 
 
 def is_commutative_subalgebra(alg: WeightedLieAlgebra, v: Subspace) -> bool:
@@ -234,6 +252,14 @@ def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> t
     return Subspace.from_rows(alg, rows), z_v
 
 
+def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspace:
+    """exp(z ad x_i) ... exp(z ad x_j) t over `subset` in factor order."""
+    t = torus_subspace(alg)
+    if not subset:
+        return CurveSubspace(alg, (t.basis,))
+    return act(alg, [(i, None) for i in _ordered(alg, subset)], t)
+
+
 def torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     """All torus-fixed points of the closure: independent abelian weight
     subsets S, each giving z_V + a_S with a verified witness-curve limit.
@@ -251,13 +277,9 @@ def _enumerate_torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRe
             if not alg.centralizer_in_a(subset):
                 continue
             v, z_v = _fixed_point_subspace(alg, subset)
-            word = [(i, None) for i in _ordered(alg, subset)]
-            witness = act(alg, word, torus_subspace(alg))
-            if isinstance(witness, Subspace):  # empty word
-                witness = CurveSubspace(alg, witness.basis)
-            if subset:
-                if witness.limit() != v:
-                    raise OrbitError("witness curve limit mismatch")
+            witness = witness_curve(alg, subset)
+            if witness.limit() != v:
+                raise OrbitError("witness curve limit mismatch")
             out.append(
                 FixedPointRecord(
                     subspace=v, r_v_set=subset, z_v=z_v, fixed_under="torus", witness=witness
@@ -312,16 +334,12 @@ def normalizer(alg: WeightedLieAlgebra, v: Subspace) -> Subspace:
     if not cols[0]:
         return full_space(alg)
     m = Matrix.from_rows([[cols[k][r] for k in range(alg.dim)] for r in range(len(cols[0]))])
-    from .linalg import nullspace
-
     return Subspace(alg, nullspace(m))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace(a.alg, Matrix.zero(0, a.basis.cols))
-    from .linalg import nullspace
-
     stacked = Matrix.from_rows(
         [
             [a.basis[i, c] for i in range(a.dim)] + [-b.basis[j, c] for j in range(b.dim)]
@@ -467,7 +485,7 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
             return None
         # E(z) t = t - z w(t) x, so E(zc) clears the column and the
         # inverse factor E(-zc) belongs to the certificate word
-        g = _exp_matrix(alg, k, zc)
+        g = exp_nilpotent(alg.ad_weight_vector(k), zc, alg.ad_exp_terms(k))
         rows = [list(g.apply(r)) for r in rows]
         applied.append((k, -zc))
     if any(any(r[alg.t_dim + j] != 0 for j in range(alg.n)) for r in rows):
@@ -475,14 +493,6 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
     # exp(-z_m)...exp(-z_1) V = t, so V = exp(z_1)...exp(z_m) t: the word
     # keeps the peel order with the signs already flipped back
     return applied
-
-
-def _exp_matrix(alg: WeightedLieAlgebra, widx: int, z) -> Matrix:
-    """exp(z ad x_widx) from the algebra's memoised exponential terms;
-    z a Fraction or the formal parameter Z."""
-    from .linalg import exp_nilpotent
-
-    return exp_nilpotent(alg.ad_weight_vector(widx), z, alg.ad_exp_terms(widx))
 
 
 # -- property (P) consequences ----------------------------------------
@@ -521,12 +531,8 @@ def property_P_consequences(
             i for i in range(alg.n) if v.contains(alg.weight_vector(i))
         )
         if all(i in lam for i in subset):
-            word = [(i, None) for i in _ordered(alg, subset)]
-            witness = act(alg, word, torus_subspace(alg))
-            if isinstance(witness, Subspace):
-                witness = CurveSubspace(alg, witness.basis)
-            lim = witness.limit() if subset else torus_subspace(alg)
-            if lim == v:
+            witness = witness_curve(alg, subset)
+            if witness.limit() == v:
                 out.add(
                     "witness-curve",
                     rep.PROVEN,

@@ -107,6 +107,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", "--input", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bracket, message",
+        [
+            ({"left": "x", "right": "y", "value": []}, "outside the a-basis"),
+            ({"left": "x", "right": "x2", "value": [{"basis": "y", "coeff": "1"}]}, "outside the a-basis"),
+            ({"left": ["x"], "right": "x2", "value": []}, "unhashable"),
+        ],
+        ids=["pair", "value", "list"],
+    )
+    def test_bracket_naming_an_unknown_basis_element(self, capsys, tmp_path, bracket, message):
+        data = {"t_dim": 1, "a_basis": ["x", "x2"], "weights": {"x": ["1"], "x2": ["2"]}, "brackets": [bracket]}
+        p = tmp_path / "unknown.json"
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, "validate", "--input", str(p))
+        assert code == 2 and message in err
+
+    @pytest.mark.parametrize("where", ["weight", "coeff"])
+    def test_float_number_refused(self, capsys, tmp_path, where):
+        data = models.borel_nilradical_a2().to_json()
+        if where == "weight":
+            data["weights"]["xa"][0] = 0.1
+        else:
+            data["brackets"][0]["value"][0]["coeff"] = 0.1
+        p = tmp_path / "float.json"
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, "validate", "--input", str(p))
+        assert code == 2 and "float" in err
+
 
 class TestRendering:
     def test_json_is_sorted_and_parseable(self, capsys):

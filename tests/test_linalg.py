@@ -117,10 +117,15 @@ class TestDet:
             sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(m[i, j])))
             assert sympy.Rational(str(det(m))) == sm.det(method="berkowitz")
 
-    def test_polynomial_entries(self):
-        z = sympy.Symbol("z")
-        m = Matrix.from_rows([[1, z], [z, 1]])
-        assert sympy.expand(det(m) - (1 - z**2)) == 0
+
+class TestEntries:
+    def test_ints_become_fractions(self):
+        m = Matrix.from_rows([[1, Fraction(1, 2)]])
+        assert all(isinstance(e, Fraction) for e in m.row(0))
+
+    def test_symbolic_entry_refused(self):
+        with pytest.raises(TypeError):
+            Matrix.from_rows([[sympy.Symbol("z")]])
 
 
 class TestExpNilpotent:

@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from test_liealg_sparse import RATIONALS, central_extensions, elements, root_sub
 
 from orbitvar import orbit
 from orbitvar.liealg import AlgebraError, CenterNotTrivialError, WeightedLieAlgebra, _semisimple_part
-from orbitvar.linalg import Matrix, exp_nilpotent, rank, solve
+from orbitvar.linalg import Matrix, exp_nilpotent, nilpotent_terms, rank, solve
 
 # A4's full root set has 2^10 weight subsets and takes minutes to
 # enumerate; closed subsets of up to five roots keep an example short
@@ -36,13 +37,53 @@ def outcome(fn, *args):
 # -- uncached references ------------------------------------------------
 
 
+Z = sympy.Symbol("z")
+
+
+def to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m[i, j].numerator, m[i, j].denominator))
+
+
+def to_fraction(e):
+    return Fraction(int(sympy.numer(e)), int(sympy.denom(e)))
+
+
+def fraction_rows(m):
+    return [[to_fraction(e) for e in m.row(r)] for r in range(m.rows)]
+
+
+def sympy_exp_nilpotent(m, z):
+    """exp(z m) for a nilpotent sympy matrix m, summed until a power vanishes."""
+    acc = term = sympy.eye(m.rows)
+    for k in range(1, m.rows + 1):
+        term = (term * m * z / k).expand()
+        if term.is_zero_matrix:
+            break
+        acc = acc + term
+    return acc
+
+
 def reference_act(alg, word):
-    """exp(z_1 ad x_1) ... exp(z_k ad x_k) t, each factor from a fresh ad."""
-    g = Matrix.identity(alg.dim)
+    """exp(z_1 ad x_1) ... exp(z_k ad x_k) t as a sympy.Matrix whose rows
+    span the result, each factor from a fresh ad; z_i None is the symbol z."""
+    g = sympy.eye(alg.dim)
     for i, z in word:
-        g = g @ exp_nilpotent(alg.ad(alg.weight_vector(i)), z)
-    t = orbit.torus_subspace(alg)
-    return Matrix.from_rows([g.apply(t.basis.row(r)) for r in range(t.dim)])
+        zi = Z if z is None else sympy.Rational(z.numerator, z.denominator)
+        g = g * sympy_exp_nilpotent(to_sympy(alg.ad(alg.weight_vector(i))), zi)
+    t = to_sympy(orbit.torus_subspace(alg).basis)
+    return (t * g.T).expand()
+
+
+def sympy_curve(alg, m):
+    """The CurveSubspace whose coefficient matrices are those of the
+    polynomial matrix m in Z, up to its degree."""
+    polys = [[sympy.Poly(e, Z) for e in m.row(r)] for r in range(m.rows)]
+    top = max((p.degree() for row in polys for p in row if not p.is_zero), default=0)
+    coeffs = tuple(
+        Matrix.from_rows([[to_fraction(p.coeff_monomial(Z**k)) for p in row] for row in polys])
+        for k in range(top + 1)
+    )
+    return orbit.CurveSubspace(alg, coeffs)
 
 
 def reference_torus_fixed_points(alg):
@@ -53,8 +94,8 @@ def reference_torus_fixed_points(alg):
             if ws and rank(alg.weight_matrix(ws)) != len(ws) or not alg.centralizer_in_a(subset):
                 continue
             v, z_v = orbit._fixed_point_subspace(alg, subset)
-            word = [(i, orbit.Z) for i in orbit._ordered(alg, subset)]
-            witness = orbit.CurveSubspace(alg, reference_act(alg, word))
+            word = [(i, None) for i in orbit._ordered(alg, subset)]
+            witness = sympy_curve(alg, reference_act(alg, word))
             if subset and witness.limit() != v:
                 raise orbit.OrbitError("witness curve limit mismatch")
             out.append(orbit.FixedPointRecord(v, subset, z_v, "torus", witness))
@@ -158,15 +199,15 @@ class TestExpTerms:
                 max_size=3,
             )
         )
-        factors = [(i, orbit.Z if z is None else z) for i, z in word]
-        for i, z in factors:
-            assert exp_nilpotent(alg.ad_weight_vector(i), z, alg.ad_exp_terms(i)) == exp_nilpotent(
-                alg.ad(alg.weight_vector(i)), z
-            )
+        for i, z in word:
+            fresh = alg.ad(alg.weight_vector(i))
+            assert alg.ad_exp_terms(i) == nilpotent_terms(fresh)
+            if z is not None:
+                assert exp_nilpotent(alg.ad_weight_vector(i), z, alg.ad_exp_terms(i)) == exp_nilpotent(fresh, z)
             assert alg.ad_exp_terms(i) is alg.ad_exp_terms(i)
         got = orbit.act(alg, word, orbit.torus_subspace(alg))
-        want = reference_act(alg, factors)
+        want = reference_act(alg, word)
         if any(z is None for _, z in word):
-            assert got.basis == want
+            assert got == sympy_curve(alg, want)
         else:
-            assert got == orbit.Subspace.from_rows(alg, want.entries)
+            assert got == orbit.Subspace.from_rows(alg, fraction_rows(want))

@@ -135,8 +135,10 @@ class TestSubspaceBasesAreRref:
             for _ in range(5):
                 rows = [[Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)] for _ in range(rng.randint(1, alg.dim))]
                 built.append(Subspace.from_rows(alg, rows))
-            v = theta_alpha(alg, alg.weights[0], None)  # plucker_to_basis
+            v = theta_alpha(alg, alg.weights[0], None)  # CurveSubspace.limit
             built += [v, normalizer(alg, v)]  # nullspace
+            built.append(act(alg, [(0, Fraction(2))], torus_subspace(alg)))  # act on a scalar word
+            built.append(theta_alpha(alg, alg.weights[0], Fraction(2)))  # CurveSubspace.at
             for pt in (alg.basis_vector(0), tuple(Fraction(rng.randint(-3, 3)) for _ in range(alg.dim))):
                 built.append(Subspace(alg, alg.centralizer(pt)))
             built.append(intersect(torus_subspace(alg), a_subspace(alg)))  # the zero space
@@ -145,6 +147,22 @@ class TestSubspaceBasesAreRref:
         for s in built:
             rr, piv = rref(s.basis)
             assert rr == s.basis and s.pivots == piv
+
+
+class TestSympyAtTheReportEdge:
+    """Curves are exact coefficient matrices; sympy renders them in
+    `CurveSubspace.to_json` and nowhere else in `orbit` and `linalg`."""
+
+    def test_geometry_runs_without_sympy(self, monkeypatch):
+        from orbitvar import linalg, orbit
+
+        monkeypatch.setattr(orbit, "sympy", None)
+        monkeypatch.setattr(linalg, "sympy", None)
+        alg = models.builtin("borel-nilradical-A3")
+        assert len(torus_fixed_points(alg)) == len(brute_force_torus_fixed(alg))
+        assert [c.orbit_dim for c in boundary_components(alg)] == [alg.n - 1] * alg.n
+        assert membership(alg, torus_subspace(alg)).kind == "orbit"
+        assert membership(alg, theta_alpha(alg, alg.weights[0], None)).kind == "limit"
 
 
 def brute_force_torus_fixed(alg):
