@@ -5,7 +5,6 @@ constructions on top are local."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,10 +20,6 @@ class IdealError(Exception):
 
 
 class UnitIdealError(IdealError):
-    pass
-
-
-class DivisionFailureError(IdealError):
     pass
 
 
@@ -80,7 +75,9 @@ class Ideal:
             if all(g == 0 for g in gens):
                 self._gb = None
                 return None
-            self._gb = sympy.groebner(gens, *syms, order=self.ring.order)
+            # over QQ, so that a polynomial with rational coefficients can be
+            # reduced by integer generators
+            self._gb = sympy.groebner(gens, *syms, order=self.ring.order, domain=sympy.QQ)
         return self._gb
 
     def basis(self) -> tuple:
@@ -133,48 +130,94 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
 
 
 def ideal_quotient(ideal: Ideal, f) -> Ideal:
-    """(I : f) via the tag-variable intersection I ∩ (f), then exact
-    division of each intersection generator by f."""
+    """(I : f) as a homogeneous colon by a new variable (Bayer–Stillman,
+    *A criterion for detecting m-regularity*, 1987).
+
+    Let R be the ring of I, y a new variable and K = I + (y - f) in R[y].
+    The map R[y] -> R, y -> f, is onto with kernel (y - f) inside K, so
+    it carries K onto I, and it carries K : y onto I : f: if g y is in K
+    then g(f) f is in K ∩ R = I, and g in I : f gives g y = g f + g (y - f)
+    in K.  The images of generators of K : y therefore generate I : f.
+
+    Let J be the ideal generated by the basis of I and y - f, each
+    homogenized by a further variable h.  J dehomogenizes (h = 1) to K,
+    and every homogeneous G with G(h=1) in K has some h^k G in J
+    (Cox–Little–O'Shea, *Ideals, Varieties, and Algorithms*, §8.4).  So
+    K : y is the dehomogenization of J : y: if G y is in J then G(h=1) y
+    is in K, and if g y is in K then h^k g^h y is in J for some k, and
+    h^k g^h, which dehomogenizes to g, is in J : y.  For homogeneous G
+    in grevlex with y the last variable, y divides the leading term of G
+    only if it divides every term of G.  So the elements of a grevlex
+    basis of J with y last, each divided once by y where y divides it,
+    form a Gröbner basis of J : y (Eisenbud, *Commutative Algebra*,
+    Prop. 15.12).
+
+    The basis of I is used rather than its generators: in
+    `regular_sequence_check` it is cached already, so the Gröbner basis
+    of J is the only one computed, and it is a better start for that
+    Buchberger run (on the A3 chart at base point (3,4,5) it takes about
+    half the time it takes from the generators)."""
     f = sympy.expand(sympy.sympify(f))
     if f == 0:
         raise IdealError("quotient by zero")
-    tag = sympy.Symbol("_q")
-    names = ("_q",) + ideal.ring.variables
-    big = Ideal.make(
-        PolyRing(names, "lex"),
-        [tag * g for g in ideal.generators] + [(1 - tag) * f],
-    )
-    inter = eliminate(big, ("_q",))
-    syms = ideal.ring.symbols
+    xs = ideal.ring.symbols
+    if not f.free_symbols <= set(xs):
+        raise IdealError(f"{f} uses foreign variables")
+    y, h = sympy.Dummy("y"), sympy.Dummy("h")
+    homogenized = [sympy.Poly(g, *xs, y).homogenize(h).as_expr() for g in ideal.basis() + (y - f,)]
+    colon = sympy.groebner(homogenized, *xs, h, y, order="grevlex", domain=sympy.QQ)
     out = []
-    for g in inter.generators:
-        q, r = sympy.div(g, f, *syms)
-        if sympy.expand(r) != 0:
-            raise DivisionFailureError("intersection generator not divisible")
-        out.append(sympy.expand(q))
+    for p in colon.polys:
+        g = p.as_expr()
+        if all(m[-1] > 0 for m in p.monoms()):
+            g = sympy.expand(g / y)
+        out.append(g.subs({h: 1, y: f}))
     return Ideal.make(ideal.ring, out)
 
 
+def _min_cover_size(supports) -> int:
+    """Size of a smallest set of variables that meets every support, by
+    branch and bound."""
+    best = len(frozenset().union(*supports))  # every variable that occurs
+
+    def search(unmet, size):
+        nonlocal best
+        if not unmet:
+            best = size
+        elif size + 1 < best:
+            # every cover contains a variable of the smallest unmet support
+            for v in sorted(min(unmet, key=len)):
+                search([s for s in unmet if v not in s], size + 1)
+
+    search(supports, 0)
+    return best
+
+
 def hilbert_dimension(ideal: Ideal) -> int:
-    """Krull dimension of ring/I: the largest variable subset meeting no
-    leading monomial of the Gröbner basis."""
+    """Krull dimension of ring/I.
+
+    A set S of variables is independent modulo I when no leading
+    monomial of a Gröbner basis of I has its support inside S, and the
+    dimension is the size of the largest independent set
+    (Kredel–Weispfenning, *Computing dimension and independent sets for
+    polynomial ideals*, 1988).  S is independent exactly when its
+    complement meets every leading-monomial support, so the dimension
+    is the number of variables minus the size of a smallest set of
+    variables meeting every support.  That set is found by branch and
+    bound: branch on the variables of an unmet support with the fewest
+    variables, since every cover contains one of them, and prune a
+    branch once it cannot beat the smallest cover found so far."""
     gb = ideal.groebner()
-    syms = ideal.ring.symbols
+    nvars = len(ideal.ring.variables)
     if gb is None:
-        return len(syms)
+        return nvars
     if ideal.is_unit():
         raise UnitIdealError("the ideal is the whole ring")
     supports = []
     for p in gb.polys:
         exps = p.monoms(order=ideal.ring.order)[0]
-        supports.append(frozenset(syms[i] for i, e in enumerate(exps) if e > 0))
-    nvars = len(syms)
-    for size in range(nvars, -1, -1):
-        for subset in itertools.combinations(syms, size):
-            ss = set(subset)
-            if all(not (sup <= ss) for sup in supports):
-                return size
-    return 0
+        supports.append(frozenset(i for i, e in enumerate(exps) if e > 0))
+    return nvars - _min_cover_size(supports)
 
 
 def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
@@ -232,7 +275,7 @@ def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
     ideal extended by its predecessors, via (J : f) = J.  This is a
     global check on the chart, which implies the local statement."""
     out = rep.VerificationReport("regular-sequence", "ideal")
-    current = Ideal.make(ideal.ring, ideal.generators)
+    current = ideal
     if current.is_unit():
         raise UnitIdealError("base ideal is the whole ring")
     for i, f in enumerate(seq, start=1):

@@ -51,6 +51,12 @@ class TestIdealBasics:
         assert not i.contains(x + y)
         assert i.normal_form(x**2) == y
 
+    def test_rational_coefficients_against_integer_generators(self):
+        i = Ideal.make(ring3(), [x * y])
+        assert not i.contains(x / 2)
+        assert i.contains(x * y / 2)
+        assert i.normal_form(x / 2 + x * y) == x / 2
+
     def test_zero_ideal(self):
         i = Ideal.make(ring3(), [])
         assert i.normal_form(x * y) == x * y
@@ -101,6 +107,10 @@ class TestQuotient:
         q = ideal_quotient(i, x)
         assert q.contains(x)
         assert not q.contains(1)
+
+    def test_foreign_divisor_rejected(self):
+        with pytest.raises(IdealError):
+            ideal_quotient(Ideal.make(ring3(), [x * y]), t)
 
     def test_nonzerodivisor_gives_same_ideal(self):
         i = Ideal.make(ring3(), [x * y - z**2])
