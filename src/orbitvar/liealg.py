@@ -86,8 +86,9 @@ class WeightedLieAlgebra:
 
     `_memo` holds data derived from the fields, each computed once per
     instance through `derived`: the center, the adjoint matrices of the
-    weight vectors and the terms of their exponentials, the row selection
-    of the Jordan solve, and the fixed points of `orbit`.  The fields are
+    weight vectors and the terms of their exponentials, the Jacobi and
+    nilpotency verdicts that `validate` reports and `jordan_decompose`
+    requires, and the fixed points of `orbit`.  The fields are
     immutable and every memoised value is immutable, so a memoised value
     never goes stale; the memo takes no part in `==`, `hash`, `repr`,
     `to_json` or `fingerprint`.
@@ -358,36 +359,81 @@ class WeightedLieAlgebra:
         return self.centralizer(x).rows == self.t_dim
 
     def jordan_decompose(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
-        """Jordan decomposition x = s + n inside r, computed on ad x and
-        pulled back through the (faithful) adjoint.  Requires zero center."""
+        """Jordan decomposition x = s + n inside r: ad s semisimple, ad n
+        nilpotent, [s, n] = 0.  Requires zero center, the Jacobi identity
+        and a nilpotent a.
+
+        Method: conjugate x inside r to x_t + n_0, with x_t its torus part
+        and n_0 on the weights that vanish at x_t (de Graaf, *Lie Algebras:
+        Theory and Algorithms*, 2000, the Jordan decomposition in a
+        solvable algebra with a split torus).  Let lambda_i = w_i(x_t) and
+        r the a-part of the current element v.  ad x_t is diagonal on the
+        weight basis, so u = sum over lambda_i != 0 of (r_i / lambda_i) a_i
+        solves [u, x_t] = -r on the nonvanishing weights; v is replaced by
+        exp(ad u) v, summed as sum (ad u)^k v / k! through `bracket`.  This
+        repeats until no a-part is left on a nonvanishing weight, giving
+        g x = x_t + n_0 with g = exp(ad u_K) ... exp(ad u_1).  Then
+        s = exp(-ad u_1) ... exp(-ad u_K) x_t and n = x - s.
+
+        Termination: let C^1 = a and C^{k+1} = [a, C^k].  Each C^k is
+        ad t-stable, so it is the sum of its intersections with the weight
+        spaces, and the part of an element of C^k on the nonvanishing
+        weights lies in C^k.  If that part of r lies in C^k, so does u, and
+        exp(ad u) v = x_t + (r - r_J) + ([u, r] + (ad u)^2 v / 2 + ...),
+        where r_J is the nonvanishing part of r.  r - r_J sits on the
+        vanishing weights and the bracket terms lie in C^{k+1}, so the next
+        nonvanishing part lies in C^{k+1}; the torus part stays x_t.  a is
+        nilpotent, so C^{n+1} = 0 and at most n passes do work.  The loops
+        are bounded all the same (n + 1 passes, dim + 1 terms per
+        exponential) and raise `AlgebraError` past their bound.
+
+        Correctness: by Jacobi, ad u is a derivation and exp(ad u) is an
+        automorphism of r.  So ad s is conjugate to the diagonal ad x_t and
+        is semisimple.  n = g^-1 n_0 lies in the ideal a, where ad n is
+        nilpotent because ad a maps r into a and C^k into C^{k+1}; and
+        [s, n] = g^-1 [x_t, n_0] = 0.  The Jordan decomposition of ad x is
+        unique, and ad is injective when the center is zero, so (s, n) is
+        the only such pair.  The exact check [s, n] = 0 re-verifies it.
+        """
         if self.center().dim != 0:
             raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
-        s_mat = _semisimple_part(self.ad(x))
-        # ad y = S is the m^2 x m system vec(ad y) = vec(S); ad is
-        # injective, so m of its rows determine y, and the check that
-        # ad y equals S over all m^2 entries stands in for the rest
-        entries, inverse = self.derived("jordan-rows", self._jordan_rows)
-        s = inverse.apply([s_mat[a, b] for a, b in entries])
-        if self.ad(s) != s_mat:
-            raise AlgebraError("semisimple part is not in the image of ad")
+        jac_ok, jac_detail = self.derived("jacobi", self._jacobi)
+        if not jac_ok:
+            raise AlgebraError(f"jordan decomposition needs the jacobi identity: {jac_detail}")
+        if not self.derived("nilpotent", self._nilpotent):
+            raise AlgebraError("jordan decomposition needs a nilpotent a")
+        d = self.t_dim
+        xt = self.torus_part(x)
+        lam = [w(xt) for w in self.weights]
+        v = tuple(x)
+        us = []
+        for _ in range(self.n + 1):
+            u = (Fraction(0),) * d + tuple(c / l if l else Fraction(0) for c, l in zip(v[d:], lam))
+            if not any(u):
+                break
+            us.append(u)
+            v = self._exp_ad(u, v)
+        else:
+            raise AlgebraError(f"jordan conjugation did not settle in {self.n + 1} passes")
+        s = xt + (Fraction(0),) * self.n
+        for u in reversed(us):
+            s = self._exp_ad(tuple(-c for c in u), s)
         n = tuple(a - b for a, b in zip(x, s))
         if any(c != 0 for c in self.bracket(s, n)):
             raise AlgebraError("jordan parts fail to commute")
         return s, n
 
-    def _jordan_rows(self) -> tuple[tuple[tuple[int, int], ...], Matrix]:
-        """Entries (a, b) at which the matrices ad e_j (j < m) are linearly
-        independent, and the inverse of the m x m matrix of those entries
-        (row r, column j: entry r of ad e_j)."""
-        m = self.dim
-        ads = [self.ad(self.basis_vector(j)) for j in range(m)]
-        vec_ads = Matrix.from_rows([[adj[a, b] for a in range(m) for b in range(m)] for adj in ads])
-        _, piv = rref(vec_ads)
-        if len(piv) != m:  # only a zero weight, which validate rejects, gets here
-            raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
-        entries = tuple(divmod(p, m) for p in piv)
-        square = Matrix.from_rows([[adj[a, b] for adj in ads] for a, b in entries])
-        return entries, _mat_inverse(square)
+    def _exp_ad(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
+        """exp(ad u) v, summed as (ad u)^k v / k! until a term vanishes."""
+        out = tuple(v)
+        term = out
+        for k in range(1, self.dim + 1):
+            term = self.bracket(u, term)
+            if not any(term):
+                return out
+            term = tuple(c / k for c in term)
+            out = tuple(a + b for a, b in zip(out, term))
+        raise AlgebraError(f"exp(ad u) did not end within {self.dim + 1} terms")
 
     # -- validation -----------------------------------------------------
 
@@ -422,20 +468,15 @@ class WeightedLieAlgebra:
                 "no two weights proportional" if not prop else f"proportional pair {prop}",
             )
         )
-        off = [
-            (i, j, k)
-            for i, j, terms in self.brackets
-            for k, _ in terms
-            if self.weights[k] != self.weights[i] + self.weights[j]
-        ]
+        off = self._off_grade()
         detail = "brackets respect the weight grading"
         if off:
             i, j, k = off[-1]
             detail = f"[{self.a_basis[i]},{self.a_basis[j]}] hits {self.a_basis[k]} off-grade"
         checks.append(("grading", not off, detail))
-        jac_ok, jac_detail = self._jacobi()
+        jac_ok, jac_detail = self.derived("jacobi", self._jacobi)
         checks.append(("jacobi", jac_ok, jac_detail))
-        nil_ok = self._nilpotent()
+        nil_ok = self.derived("nilpotent", self._nilpotent)
         checks.append(
             ("nilpotency", nil_ok, "lower central series of a terminates" if nil_ok else "a is not nilpotent")
         )
@@ -449,15 +490,52 @@ class WeightedLieAlgebra:
         )
         return checks
 
+    def _off_grade(self) -> list[tuple[int, int, int]]:
+        """(i, j, k) for every term c a_k of [a_i, a_j] with w_k != w_i + w_j."""
+        return [
+            (i, j, k)
+            for i, j, terms in self.brackets
+            for k, _ in terms
+            if self.weights[k] != self.weights[i] + self.weights[j]
+        ]
+
     def _jacobi(self) -> tuple[bool, str]:
-        vs = [self.basis_vector(k) for k in range(self.dim)]
+        """The Jacobi identity on basis triples, failing on the first triple
+        in `combinations` order.
+
+        For a torus element t the Jacobi sum of (t, a_i, a_j) is
+        sum_k c_ij^k (w_k - w_i - w_j)(t) a_k, and with two or three torus
+        elements it is 0.  So when the brackets respect the grading only
+        triples inside a can fail; they are summed from the sparse table.
+        The torus comes first in the basis, so the first failing a-triple is
+        the first failing triple of the full loop, which runs when the
+        grading fails."""
         names = self.basis_names()
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            s1 = self.bracket(vs[i], self.bracket(vs[j], vs[k]))
-            s2 = self.bracket(vs[j], self.bracket(vs[k], vs[i]))
-            s3 = self.bracket(vs[k], self.bracket(vs[i], vs[j]))
-            if any(a + b + c != 0 for a, b, c in zip(s1, s2, s3)):
-                return False, f"jacobi fails on ({names[i]},{names[j]},{names[k]})"
+        if self._off_grade():
+            vs = [self.basis_vector(k) for k in range(self.dim)]
+            for i, j, k in itertools.combinations(range(self.dim), 3):
+                s1 = self.bracket(vs[i], self.bracket(vs[j], vs[k]))
+                s2 = self.bracket(vs[j], self.bracket(vs[k], vs[i]))
+                s3 = self.bracket(vs[k], self.bracket(vs[i], vs[j]))
+                if any(a + b + c != 0 for a, b, c in zip(s1, s2, s3)):
+                    return False, f"jacobi fails on ({names[i]},{names[j]},{names[k]})"
+            return True, "jacobi identity holds on all basis triples"
+        table = {(i, j): terms for i, j, terms in self.brackets}
+
+        def pair(i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+            if i < j:
+                return table.get((i, j), ())
+            return tuple((k, -c) for k, c in table.get((j, i), ()))
+
+        d = self.t_dim
+        for i, j, k in itertools.combinations(range(self.n), 3):
+            total: dict[int, Fraction] = {}
+            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, c in pair(q, r):
+                    for l, cl in pair(p, m):
+                        total[l] = total.get(l, 0) + c * cl
+            if any(total.values()):
+                return False, f"jacobi fails on ({names[d + i]},{names[d + j]},{names[d + k]})"
         return True, "jacobi identity holds on all basis triples"
 
     def _nilpotent(self) -> bool:
@@ -483,46 +561,6 @@ class CenterData:
     basis: Matrix
     dim: int
     weight_rank: int
-
-
-def _semisimple_part(m: Matrix) -> Matrix:
-    """Semisimple part of a rational matrix via Newton iteration on the
-    squarefree part of its characteristic polynomial."""
-    x = sympy.Symbol("x")
-    sm = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in m.entries])
-    f = sm.charpoly(x)
-    g = sympy.Poly(sympy.quo(f.as_expr(), sympy.gcd(f.as_expr(), sympy.diff(f.as_expr(), x)), x), x)
-    coeffs = [Fraction(int(sympy.numer(c)), int(sympy.denom(c))) for c in g.all_coeffs()]
-    dcoeffs = [
-        Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-        for c in g.diff().all_coeffs()
-    ]
-    s = m
-    for _ in range(m.rows + 2):
-        gs = _poly_at(coeffs, s)
-        if gs.is_zero():
-            return s
-        dgs = _poly_at(dcoeffs, s)
-        s = s - _mat_inverse(dgs) @ gs
-    raise AlgebraError("newton iteration for the semisimple part did not converge")
-
-
-def _poly_at(coeffs: list[Fraction], m: Matrix) -> Matrix:
-    acc = Matrix.zero(m.rows, m.cols)
-    for c in coeffs:
-        acc = acc @ m + Matrix.identity(m.rows).scale(c)
-    return acc
-
-
-def _mat_inverse(m: Matrix) -> Matrix:
-    n = m.rows
-    aug = Matrix.from_rows(
-        [list(m.row(i)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    )
-    rr, piv = rref(aug)
-    if piv[:n] != tuple(range(n)):
-        raise AlgebraError("singular matrix")
-    return Matrix.from_rows([[rr[i, n + j] for j in range(n)] for i in range(n)])
 
 
 # -- condition-(4) verifier -------------------------------------------

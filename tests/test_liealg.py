@@ -234,6 +234,66 @@ class TestJordan:
         with pytest.raises(CenterNotTrivialError):
             alg.jordan_decompose(F(1, 0, 1))
 
+    def test_element_that_needs_several_passes(self):
+        # x3 vanishes at the torus part (1, 2, 0); the first pass clears x1
+        # and x2 but leaves terms on x23 and x123, which later passes clear
+        x = F(1, 2, 0, 1, 1, 1, 0, 0, 0)
+        s, n = A3.jordan_decompose(x)
+        assert s == (F(1, 2, 0, 1, 1, 0, 0) + (Fraction(1, 2), Fraction(-1, 6)))
+        assert n == (F(0, 0, 0, 0, 0, 1, 0) + (Fraction(-1, 2), Fraction(1, 6)))
+        assert not any(A3.bracket(s, n))
+
+    def test_pure_torus_element_is_its_own_semisimple_part(self):
+        x = F(1, -2, 5, 0, 0, 0, 0, 0, 0)
+        assert A3.jordan_decompose(x) == (x, A3.zero())
+
+    def test_zero_torus_part_is_nilpotent(self):
+        x = F(0, 0, 0, 1, -2, 3, Fraction(1, 2), 5, -6)
+        assert A3.jordan_decompose(x) == (A3.zero(), x)
+
+    def test_sl2_borel(self):
+        alg = models.sl2_borel()
+        assert alg.jordan_decompose(F(2, 3)) == (F(2, 3), F(0, 0))
+        assert alg.jordan_decompose(F(0, 3)) == (F(0, 0), F(0, 3))
+
+    def test_non_jacobi_algebra_raises(self):
+        alg = WeightedLieAlgebra.build(
+            3,
+            ["x1", "x2", "x3", "x12", "x23", "x123"],
+            {"x1": [1, 0, 0], "x2": [0, 1, 0], "x3": [0, 0, 1], "x12": [1, 1, 0], "x23": [0, 1, 1], "x123": [1, 1, 1]},
+            [("x1", "x2", {"x12": 1}), ("x2", "x3", {"x23": 1}), ("x1", "x23", {"x123": 1}), ("x12", "x3", {"x123": 0})],
+        )
+        with pytest.raises(AlgebraError, match=r"^jordan decomposition needs the jacobi identity: jacobi fails on \(x1,x2,x3\)$"):
+            alg.jordan_decompose(F(1, 2, 3, 1, 1, 1, 0, 0, 0))
+
+    def test_non_nilpotent_algebra_raises(self):
+        # [h, e] = e with h of weight 0: Jacobi holds and the center is zero,
+        # but ad h is semisimple, so h cannot be a nilpotent part
+        alg = WeightedLieAlgebra.build(1, ["h", "e"], {"h": [0], "e": [1]}, [("h", "e", {"e": 1})])
+        assert alg._jacobi()[0] and alg.center().dim == 0
+        with pytest.raises(AlgebraError, match="^jordan decomposition needs a nilpotent a$"):
+            alg.jordan_decompose(F(0, 1, 0))
+
+
+class TestJordanWithoutSympy:
+    """The Jordan decomposition and the routes that use it run on Fraction
+    arithmetic alone."""
+
+    def test_jordan_biggest_torus_and_membership(self, monkeypatch):
+        from orbitvar import liealg
+
+        monkeypatch.setattr(liealg, "sympy", None)
+        monkeypatch.setattr(orbit, "sympy", None)
+        alg = models.builtin("borel-nilradical-A3")
+        x = F(1, 2, 0, 1, 1, 1, 0, 0, 0)
+        s, n = alg.jordan_decompose(x)
+        assert tuple(a + b for a, b in zip(s, n)) == x and not any(alg.bracket(s, n))
+        assert orbit.biggest_torus(alg, orbit.torus_subspace(alg)) == ()
+        assert orbit.biggest_torus(alg, orbit.theta_alpha(alg, alg.weights[0], 2)) == ()
+        assert orbit.biggest_torus(alg, orbit.theta_alpha(alg, alg.weights[0], None)) == (0,)
+        assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], 2)).kind == "orbit"
+        assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], None)).kind == "limit"
+
 
 class TestCondition4:
     def test_identity_family_on_sl2_borel(self):

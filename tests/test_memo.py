@@ -1,6 +1,9 @@
-"""Per-algebra data memoised on `WeightedLieAlgebra` against uncached
-references kept here: the fixed-point enumerations, the Jordan solve and
-the terms of the adjoint exponentials, on generated graded algebras."""
+"""Per-algebra data memoised on `WeightedLieAlgebra`, and the routes that
+use it, against uncached references kept here: the fixed-point
+enumerations, the Jordan decomposition (against the semisimple part of
+ad x by Newton iteration and the full solve for its preimage), the Jacobi
+verdict (against the loop over every basis triple) and the terms of the
+adjoint exponentials, on generated graded algebras."""
 
 import itertools
 from fractions import Fraction
@@ -12,11 +15,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_liealg_sparse import RATIONALS, central_extensions, elements, root_subset_algebras
+from test_liealg_sparse import NONZERO, RATIONALS, central_extensions, elements, root_subset_algebras
 
 from orbitvar import orbit
-from orbitvar.liealg import AlgebraError, CenterNotTrivialError, WeightedLieAlgebra, _semisimple_part
-from orbitvar.linalg import Matrix, exp_nilpotent, nilpotent_terms, rank, solve
+from orbitvar.liealg import AlgebraError, CenterNotTrivialError, WeightedLieAlgebra
+from orbitvar.linalg import Matrix, exp_nilpotent, nilpotent_terms, rank, rref, solve
 
 # A4's full root set has 2^10 weight subsets and takes minutes to
 # enumerate; closed subsets of up to five roots keep an example short
@@ -32,6 +35,40 @@ def outcome(fn, *args):
         return "value", fn(*args)
     except (AlgebraError, orbit.OrbitError) as e:
         return "raised", type(e), str(e)
+
+
+@st.composite
+def rescaled_root_subsets(draw):
+    """A closed set of positive roots e_ij of A_m (m = 2..4) in the basis
+    b_ij = s_ij E_ij of matrix units, s_ij random nonzero: a Lie algebra
+    whose constants [b_ij, b_jk] = (s_ij s_jk / s_ik) b_ik vary."""
+    m, names, weights, _ = draw(root_subset_algebras())
+    root = {nm: (int(nm[1]), int(nm[2])) for nm in names}
+    name = {r: nm for nm, r in root.items()}
+    scale = {nm: draw(NONZERO) for nm in names}
+    brackets = [
+        (left, right, {name[(i, k)]: scale[left] * scale[right] / scale[name[(i, k)]]})
+        for left, (i, j) in root.items()
+        for right, (jj, k) in root.items()
+        if j == jj
+    ]
+    return m, names, weights, brackets
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """A generated algebra, sometimes with one bracket doubled, which keeps
+    the grading and may break Jacobi, or replaced by a random term, which
+    may break the grading and then breaks Jacobi on a torus triple."""
+    d, names, weights, brackets = draw(st.one_of(root_subset_algebras(), rescaled_root_subsets(), central_extensions()))
+    change = draw(st.sampled_from(["none", "double", "random"]))
+    if change == "double" and brackets:
+        left, right, value = draw(st.sampled_from(brackets))
+        brackets = brackets + [(left, right, {k: 2 * c for k, c in value.items()})]
+    if change == "random" and len(names) > 1:
+        left, right = draw(st.permutations(names))[:2]
+        brackets = brackets + [(left, right, {draw(st.sampled_from(names)): draw(NONZERO)})]
+    return d, names, weights, brackets
 
 
 # -- uncached references ------------------------------------------------
@@ -115,6 +152,46 @@ def reference_group_fixed_points(alg, torus_records):
     return tuple(out)
 
 
+def _semisimple_part(m: Matrix) -> Matrix:
+    """Semisimple part of a rational matrix via Newton iteration on the
+    squarefree part of its characteristic polynomial."""
+    x = sympy.Symbol("x")
+    sm = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in m.entries])
+    f = sm.charpoly(x)
+    g = sympy.Poly(sympy.quo(f.as_expr(), sympy.gcd(f.as_expr(), sympy.diff(f.as_expr(), x)), x), x)
+    coeffs = [Fraction(int(sympy.numer(c)), int(sympy.denom(c))) for c in g.all_coeffs()]
+    dcoeffs = [
+        Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+        for c in g.diff().all_coeffs()
+    ]
+    s = m
+    for _ in range(m.rows + 2):
+        gs = _poly_at(coeffs, s)
+        if gs.is_zero():
+            return s
+        dgs = _poly_at(dcoeffs, s)
+        s = s - _mat_inverse(dgs) @ gs
+    raise AlgebraError("newton iteration for the semisimple part did not converge")
+
+
+def _poly_at(coeffs: list[Fraction], m: Matrix) -> Matrix:
+    acc = Matrix.zero(m.rows, m.cols)
+    for c in coeffs:
+        acc = acc @ m + Matrix.identity(m.rows).scale(c)
+    return acc
+
+
+def _mat_inverse(m: Matrix) -> Matrix:
+    n = m.rows
+    aug = Matrix.from_rows(
+        [list(m.row(i)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
+    )
+    rr, piv = rref(aug)
+    if piv[:n] != tuple(range(n)):
+        raise AlgebraError("singular matrix")
+    return Matrix.from_rows([[rr[i, n + j] for j in range(n)] for i in range(n)])
+
+
 def reference_jordan(alg, x):
     """The Jordan solve over the full m^2 x m system vec(ad y) = vec(S)."""
     if alg.torus_kernel(alg.weights).rows != 0:
@@ -154,14 +231,46 @@ class TestFixedPoints:
             assert orbit.group_fixed_points(alg) is group
 
 
+def reference_jacobi(alg):
+    """The Jacobi identity through `bracket` on every basis triple, torus
+    elements included."""
+    vs = [alg.basis_vector(k) for k in range(alg.dim)]
+    names = alg.basis_names()
+    for i, j, k in itertools.combinations(range(alg.dim), 3):
+        s1 = alg.bracket(vs[i], alg.bracket(vs[j], vs[k]))
+        s2 = alg.bracket(vs[j], alg.bracket(vs[k], vs[i]))
+        s3 = alg.bracket(vs[k], alg.bracket(vs[i], vs[j]))
+        if any(a + b + c != 0 for a, b, c in zip(s1, s2, s3)):
+            return False, f"jacobi fails on ({names[i]},{names[j]},{names[k]})"
+    return True, "jacobi identity holds on all basis triples"
+
+
 class TestJordan:
     @settings(max_examples=25)
     @given(spec=FAITHFUL, data=st.data())
     def test_matches_full_system_solve(self, spec, data):
+        # the conjugation method needs Jacobi; on an algebra without it the
+        # reference may still return a pair, so only the guard is compared
+        alg = WeightedLieAlgebra.build(*spec)
+        jacobi_ok, jacobi_detail = alg._jacobi()
+        for _ in range(2):
+            x = tuple(data.draw(elements(alg.dim)))
+            got = outcome(alg.jordan_decompose, x)
+            if jacobi_ok:
+                assert got == outcome(reference_jordan, alg, x)
+                assert got[0] == "value"
+            else:
+                assert got == ("raised", AlgebraError, f"jordan decomposition needs the jacobi identity: {jacobi_detail}")
+
+    @settings(max_examples=20)
+    @given(spec=rescaled_root_subsets(), data=st.data())
+    def test_matches_full_system_solve_on_lie_algebras(self, spec, data):
         alg = WeightedLieAlgebra.build(*spec)
         for _ in range(2):
             x = tuple(data.draw(elements(alg.dim)))
-            assert outcome(alg.jordan_decompose, x) == outcome(reference_jordan, alg, x)
+            got = outcome(alg.jordan_decompose, x)
+            assert got == outcome(reference_jordan, alg, x)
+            assert got[0] == "value" or alg.center().dim
 
     def test_semisimple_part_outside_the_image_raises_on_both(self):
         # A3 with [x12, x3] doubled: Jacobi fails on (x1, x2, x3), so ad is
@@ -173,9 +282,12 @@ class TestJordan:
             [("x1", "x2", {"x12": 1}), ("x2", "x3", {"x23": 1}), ("x1", "x23", {"x123": 1}), ("x12", "x3", {"x123": 2})],
         )
         x = tuple(Fraction(c) for c in (1, 0, 1, 0, 1, 1, 0, 0, 0))
-        got = outcome(alg.jordan_decompose, x)
-        assert got == outcome(reference_jordan, alg, x)
-        assert got == ("raised", AlgebraError, "semisimple part is not in the image of ad")
+        assert outcome(reference_jordan, alg, x) == ("raised", AlgebraError, "semisimple part is not in the image of ad")
+        assert outcome(alg.jordan_decompose, x) == (
+            "raised",
+            AlgebraError,
+            "jordan decomposition needs the jacobi identity: jacobi fails on (x1,x2,x3)",
+        )
 
     @settings(max_examples=10)
     @given(spec=central_extensions(), data=st.data())
@@ -185,6 +297,18 @@ class TestJordan:
         got = outcome(alg.jordan_decompose, x)
         assert got == outcome(reference_jordan, alg, x)
         assert got[:2] == ("raised", CenterNotTrivialError)
+
+
+class TestJacobi:
+    @settings(max_examples=50)
+    @given(spec=perturbed_algebras())
+    def test_matches_full_loop(self, spec):
+        alg = WeightedLieAlgebra.build(*spec)
+        want = reference_jacobi(alg)
+        assert alg._jacobi() == want
+        checks = {name: (ok, detail) for name, ok, detail in alg.validate()}
+        assert checks["jacobi"] == want
+        assert alg.derived("jacobi", alg._jacobi) is alg.derived("jacobi", alg._jacobi)
 
 
 class TestExpTerms:
