@@ -506,36 +506,19 @@ class WeightedLieAlgebra:
         For a torus element t the Jacobi sum of (t, a_i, a_j) is
         sum_k c_ij^k (w_k - w_i - w_j)(t) a_k, and with two or three torus
         elements it is 0.  So when the brackets respect the grading only
-        triples inside a can fail; they are summed from the sparse table.
-        The torus comes first in the basis, so the first failing a-triple is
-        the first failing triple of the full loop, which runs when the
-        grading fails."""
+        triples inside a can fail, and the loop starts past the torus.  The
+        torus comes first in the basis, so the first failing triple is the
+        one the loop over all triples finds; that loop runs when the grading
+        fails."""
+        vs = [self.basis_vector(k) for k in range(self.dim)]
         names = self.basis_names()
-        if self._off_grade():
-            vs = [self.basis_vector(k) for k in range(self.dim)]
-            for i, j, k in itertools.combinations(range(self.dim), 3):
-                s1 = self.bracket(vs[i], self.bracket(vs[j], vs[k]))
-                s2 = self.bracket(vs[j], self.bracket(vs[k], vs[i]))
-                s3 = self.bracket(vs[k], self.bracket(vs[i], vs[j]))
-                if any(a + b + c != 0 for a, b, c in zip(s1, s2, s3)):
-                    return False, f"jacobi fails on ({names[i]},{names[j]},{names[k]})"
-            return True, "jacobi identity holds on all basis triples"
-        table = {(i, j): terms for i, j, terms in self.brackets}
-
-        def pair(i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-            if i < j:
-                return table.get((i, j), ())
-            return tuple((k, -c) for k, c in table.get((j, i), ()))
-
-        d = self.t_dim
-        for i, j, k in itertools.combinations(range(self.n), 3):
-            total: dict[int, Fraction] = {}
-            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, c in pair(q, r):
-                    for l, cl in pair(p, m):
-                        total[l] = total.get(l, 0) + c * cl
-            if any(total.values()):
-                return False, f"jacobi fails on ({names[d + i]},{names[d + j]},{names[d + k]})"
+        start = 0 if self._off_grade() else self.t_dim
+        for i, j, k in itertools.combinations(range(start, self.dim), 3):
+            s1 = self.bracket(vs[i], self.bracket(vs[j], vs[k]))
+            s2 = self.bracket(vs[j], self.bracket(vs[k], vs[i]))
+            s3 = self.bracket(vs[k], self.bracket(vs[i], vs[j]))
+            if any(a + b + c != 0 for a, b, c in zip(s1, s2, s3)):
+                return False, f"jacobi fails on ({names[i]},{names[j]},{names[k]})"
         return True, "jacobi identity holds on all basis triples"
 
     def _nilpotent(self) -> bool:
