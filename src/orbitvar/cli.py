@@ -103,8 +103,9 @@ def cmd_property_p(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport
     refuted = 0
     proven = 0
     checked = 0
+    complete = alg.complete_subsets()
     for recd in orbit.torus_fixed_points(alg):
-        for lam in alg.complete_subsets():
+        for lam in complete:
             if not set(recd.r_v_set) <= set(lam):
                 continue
             s = _generic_kernel_element(alg, lam)

@@ -1,14 +1,21 @@
 """Exact commutative algebra: Gröbner bases, elimination, ideal
 quotients, Krull dimension, and the determinantal and chart ideals the
-verification suite needs.  sympy supplies the Gröbner kernel; the
-constructions on top are local."""
+verification suite needs.  The Gröbner kernel is `_groebner`, a
+Buchberger loop with the Gebauer–Möller criteria on sympy's sparse
+polynomial rings over QQ; sympy parses, expands and does the ring
+arithmetic."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import sympy
+from sympy.polys.polyutils import dict_from_expr
+from sympy.polys.rings import ring as sparse_ring
 
 from .liealg import Weight, WeightedLieAlgebra, weight_sort_key
 from .linalg import Matrix, solve
@@ -42,19 +49,223 @@ class PolyRing:
         if self.order not in ("grevlex", "lex"):
             raise IdealError(f"unsupported order {self.order}")
 
-    @property
+    @functools.cached_property
     def symbols(self) -> tuple:
         return sympy.symbols(self.variables)
 
+    @functools.cached_property
+    def poly_ring(self):
+        """sympy's sparse ring over QQ in these variables and order."""
+        return sparse_ring(self.symbols, sympy.QQ, self.order)[0]
+
     def parse(self, s: str):
         return sympy.sympify(s, dict(zip(self.variables, self.symbols)))
+
+
+def _to_ring(ring, expr):
+    """expr as an element of a sparse ring.  A symbol outside the ring
+    ends up in a coefficient and fails there with CoercionFailed."""
+    terms, _ = dict_from_expr(expr, gens=ring.symbols)
+    return ring({m: sympy.QQ.from_sympy(c) for m, c in terms.items()})
+
+
+# -- the Gröbner kernel ------------------------------------------------
+
+
+class _Keys(dict):
+    """Memo of monomial -> key for one kernel call.  The key sorts
+    monomials from the largest down, so that a min-heap pops the leading
+    monomial first: the negation of sympy's lex or grevlex key."""
+
+    _DESCENDING = {
+        "lex": lambda m: tuple([-e for e in m]),
+        "grevlex": lambda m: (-sum(m), m[::-1]),
+    }
+
+    def __init__(self, ring):
+        super().__init__()
+        self.key = self._DESCENDING[ring.order.alias]
+
+    def __missing__(self, m):
+        k = self[m] = self.key(m)
+        return k
+
+
+def _reduce(p, divisors, ring, keys: _Keys):
+    """The remainder of p on division by divisors, a list of (leading
+    monomial, monic element) pairs, as a dict, with its leading monomial
+    (None when the remainder is 0).
+
+    The dividend's monomials wait in a heap of their keys, so its
+    leading term is the top of the heap and no step takes a max over
+    all its terms.  A monomial that cancels stays in the heap and is
+    skipped when popped; it cannot come back once popped, because every
+    term a reduction step adds is smaller than the term it removes."""
+    mul, div = ring.monomial_mul, ring.monomial_div
+    p = dict(p)
+    heap = [(keys[m], m) for m in p]
+    heapify(heap)
+    rem, lead = {}, None
+    while heap:
+        m = heappop(heap)[1]
+        c = p.pop(m, None)
+        if c is None:
+            continue
+        for lm, g in divisors:
+            q = div(m, lm)
+            if q is not None:
+                break
+        else:
+            rem[m] = c
+            if lead is None:
+                lead = m
+            continue
+        for mg, cg in g.items():
+            if mg != lm:  # the leading term cancels the popped one
+                mm = mul(mg, q)
+                old = p.get(mm)
+                if old is None:
+                    p[mm] = -c * cg
+                    heappush(heap, (keys[mm], mm))
+                else:
+                    new = old - c * cg
+                    if new:
+                        p[mm] = new
+                    else:
+                        del p[mm]
+    return rem, lead
+
+
+def _groebner(polys, ring) -> list:
+    """The reduced Gröbner basis of the ideal generated by polys, elements
+    of the sparse ring `ring` over QQ, as (leading monomial, monic
+    element) pairs, largest leading monomial first: the basis and the
+    order sympy's `groebner` returns.
+
+    This is sympy's improved Buchberger algorithm (Becker–Weispfenning,
+    *Gröbner Bases*, 1993, p. 232) with the pair criteria of Gebauer–
+    Möller (*On an installation of Buchberger's algorithm*, 1988) and
+    the normal selection strategy.  Each element's leading monomial is
+    computed once and kept beside it; the critical pairs wait in a heap
+    keyed once by the order key of their lcm, and a pair the update has
+    dropped is skipped when popped; the division is `_reduce`.
+
+    It returns the same list as sympy's `groebner` because the reduced
+    Gröbner basis of an ideal for a term order is unique (Becker–
+    Weispfenning, Thm. 5.43): when no pair is left, the kept elements
+    form a Gröbner basis; interreducing them, dropping those that reduce
+    to 0 and keeping the rest monic gives a reduced Gröbner basis, which
+    is therefore that unique one.  Listing it by leading monomial,
+    largest first, fixes the order.  When a remainder is a nonzero
+    constant the ideal is the whole ring and its reduced basis is 1."""
+    zero = ring.domain.zero
+    mul, div, lcm = ring.monomial_mul, ring.monomial_div, ring.monomial_lcm
+    order, const = ring.order, ring.zero_monom
+    keys = _Keys(ring)
+    unit = [(const, ring.one)]
+
+    def monic(terms, lm):
+        c = terms[lm]
+        return ring.dtype(terms if c == 1 else {m: v / c for m, v in terms.items()})
+
+    # the inputs, monic and interreduced as sympy does ([BW] p. 203)
+    new = []
+    for p in polys:
+        if p:
+            lm = min(p, key=keys.__getitem__)  # the smallest key is the largest monomial
+            new.append((lm, monic(p, lm)))
+    while True:
+        f, new = new, []
+        for i, (_, p) in enumerate(f):
+            r, lm = _reduce(p, f[:i], ring, keys)
+            if lm is not None:
+                new.append((lm, monic(r, lm)))
+        if new == f:
+            break
+    if any(lm == const for lm, _ in f):
+        return unit
+
+    lms, elems = [lm for lm, _ in f], [p for _, p in f]
+    basis: set[int] = set()
+    pairs: dict[tuple[int, int], tuple] = {}  # pending pair -> lcm
+    queue: list = []  # (order key of the lcm, i, j), stale once out of pairs
+
+    def update(ih):
+        """Gebauer–Möller update of basis and pairs by the new element ih
+        ([BW] p. 230)."""
+        mh = lms[ih]
+        lcms = {ig: lcm(mh, lms[ig]) for ig in basis}
+        candidates = sorted(basis)
+        kept = []
+        while candidates:
+            ig = candidates.pop()
+            mhg = lcms[ig]
+            if mul(mh, lms[ig]) == mhg or not any(
+                div(mhg, lcms[ip]) is not None for ip in itertools.chain(candidates, kept)
+            ):
+                kept.append(ig)
+        for pair, m12 in list(pairs.items()):
+            if (
+                div(m12, mh) is not None
+                and lcm(lms[pair[0]], mh) != m12
+                and lcm(lms[pair[1]], mh) != m12
+            ):
+                del pairs[pair]
+        for ig in kept:
+            mhg = lcms[ig]
+            if mul(mh, lms[ig]) != mhg:
+                pairs[ih, ig] = mhg
+                heappush(queue, (order(mhg), ih, ig))
+        basis.difference_update([ig for ig in basis if div(lms[ig], mh) is not None])
+        basis.add(ih)
+
+    for ih in sorted(range(len(f)), key=lambda i: keys[lms[i]], reverse=True):
+        update(ih)
+
+    divisors = None
+    while queue:
+        _, i, j = heappop(queue)
+        m = pairs.pop((i, j), None)
+        if m is None:
+            continue
+        # the S-polynomial; the leading terms cancel
+        qi, qj = div(m, lms[i]), div(m, lms[j])
+        s = {mul(mi, qi): c for mi, c in elems[i].items()}
+        for mj, c in elems[j].items():
+            mm = mul(mj, qj)
+            v = s.get(mm, zero) - c
+            if v:
+                s[mm] = v
+            else:
+                del s[mm]
+        if divisors is None:
+            # smallest leading monomial first ([Cox] p. 111)
+            divisors = [(lms[g], elems[g]) for g in sorted(basis, key=lambda g: keys[lms[g]], reverse=True)]
+        r, lm = _reduce(s, divisors, ring, keys)
+        if lm is not None:
+            if lm == const:
+                return unit
+            lms.append(lm)
+            elems.append(monic(r, lm))
+            update(len(elems) - 1)
+            divisors = None
+
+    # interreduce; an input whose leading monomial another element's
+    # divides reduces to 0 here and is dropped
+    reduced = []
+    for ig in basis:
+        r, lm = _reduce(elems[ig], [(lms[g], elems[g]) for g in basis if g != ig], ring, keys)
+        if lm is not None:
+            reduced.append((lm, ring.dtype(r)))
+    reduced.sort(key=lambda t: keys[t[0]])
+    return reduced
 
 
 @dataclass
 class Ideal:
     ring: PolyRing
     generators: tuple
-    _gb: object = field(default=None, repr=False, compare=False)
+    _gb: tuple | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def make(ring: PolyRing, gens) -> "Ideal":
@@ -68,30 +279,29 @@ class Ideal:
                 expanded.append(e)
         return Ideal(ring, tuple(expanded))
 
-    def groebner(self):
+    def groebner(self) -> tuple:
+        """The reduced Gröbner basis, computed once: (leading monomial,
+        monic element of `ring.poly_ring`) pairs, largest leading
+        monomial first, and empty for the zero ideal."""
         if self._gb is None:
-            syms = self.ring.symbols
-            gens = list(self.generators) or [sympy.Integer(0)]
-            if all(g == 0 for g in gens):
-                self._gb = None
-                return None
-            # over QQ, so that a polynomial with rational coefficients can be
-            # reduced by integer generators
-            self._gb = sympy.groebner(gens, *syms, order=self.ring.order, domain=sympy.QQ)
+            r = self.ring.poly_ring
+            self._gb = tuple(_groebner([_to_ring(r, g) for g in self.generators], r))
         return self._gb
 
     def basis(self) -> tuple:
-        gb = self.groebner()
-        if gb is None:
-            return ()
-        return tuple(gb.exprs)
+        return tuple(g.as_expr() for _, g in self.groebner())
 
     def normal_form(self, f):
+        """The remainder of f on division by the reduced basis, which is
+        the same for every division order because the basis is a Gröbner
+        basis."""
         f = sympy.expand(sympy.sympify(f))
         gb = self.groebner()
-        if gb is None:
+        if not gb:
             return f
-        return sympy.expand(gb.reduce(f)[1])
+        r = self.ring.poly_ring
+        rem, _ = _reduce(_to_ring(r, f), gb, r, _Keys(r))
+        return r.dtype(rem).as_expr()
 
     def contains(self, f) -> bool:
         return self.normal_form(f) == 0
@@ -101,9 +311,7 @@ class Ideal:
 
     def is_unit(self) -> bool:
         gb = self.groebner()
-        if gb is None:
-            return False
-        return list(gb.exprs) == [sympy.Integer(1)]
+        return len(gb) == 1 and not any(gb[0][0])
 
     def to_json(self) -> dict:
         return {
@@ -115,18 +323,24 @@ class Ideal:
 
 def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     """I intersected with the subring omitting drop_vars, via a lex basis
-    with the dropped block ordered first."""
+    with the dropped block ordered first.  In that order a basis element
+    is free of the dropped variables exactly when its leading monomial
+    is, since every term with one of them is larger than every term
+    without."""
     drop = tuple(drop_vars)
     keep = tuple(v for v in ideal.ring.variables if v not in drop)
     if not drop:
         return Ideal.make(PolyRing(keep, ideal.ring.order), ideal.generators)
     if not ideal.generators:
         return Ideal.make(PolyRing(keep, ideal.ring.order), ())
-    ordered = sympy.symbols(drop + keep)
-    gb = sympy.groebner(list(ideal.generators), *ordered, order="lex")
-    drop_syms = set(sympy.symbols(drop))
-    kept = [g for g in gb.exprs if not (g.free_symbols & drop_syms)]
+    r = PolyRing(drop + keep, "lex").poly_ring
+    gb = _groebner([_to_ring(r, g) for g in ideal.generators], r)
+    kept = [g.as_expr() for lm, g in gb if not any(lm[: len(drop)])]
     return Ideal.make(PolyRing(keep, ideal.ring.order), kept)
+
+
+# the two variables the homogeneous colon of `ideal_quotient` adds
+_H, _Y = sympy.Dummy("h"), sympy.Dummy("y")
 
 
 def ideal_quotient(ideal: Ideal, f) -> Ideal:
@@ -163,15 +377,30 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
     xs = ideal.ring.symbols
     if not f.free_symbols <= set(xs):
         raise IdealError(f"{f} uses foreign variables")
-    y, h = sympy.Dummy("y"), sympy.Dummy("h")
-    homogenized = [sympy.Poly(g, *xs, y).homogenize(h).as_expr() for g in ideal.basis() + (y - f,)]
-    colon = sympy.groebner(homogenized, *xs, h, y, order="grevlex", domain=sympy.QQ)
-    out = []
-    for p in colon.polys:
-        g = p.as_expr()
-        if all(m[-1] > 0 for m in p.monoms()):
-            g = sympy.expand(g / y)
-        out.append(g.subs({h: 1, y: f}))
+    r, n = ideal.ring.poly_ring, len(xs)
+    f = _to_ring(r, f)
+    # the basis of I and y - f, as exponent vectors in xs and y
+    elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
+    elems.append({(0,) * n + (1,): sympy.QQ.one, **{m + (0,): -c for m, c in f.items()}})
+    s = sparse_ring(xs + (_H, _Y), sympy.QQ, "grevlex")[0]
+    homogenized = []
+    for e in elems:
+        d = max(sum(m) for m in e)
+        homogenized.append(s({m[:n] + (d - sum(m), m[n]): c for m, c in e.items()}))
+    out, powers = [], [r.one]
+    for _, p in _groebner(homogenized, s):
+        shift = 1 if all(m[-1] > 0 for m in p) else 0
+        # h -> 1, y -> f; p is homogeneous, so within one power of y the
+        # x exponents fix the h exponent
+        by_power: dict[int, dict] = {}
+        for m, c in p.items():
+            by_power.setdefault(m[-1] - shift, {})[m[:n]] = c
+        g = r.zero
+        for e, terms in by_power.items():
+            while len(powers) <= e:
+                powers.append(powers[-1] * f)
+            g += r(terms) * powers[e]
+        out.append(g.as_expr())
     return Ideal.make(ideal.ring, out)
 
 
@@ -209,14 +438,11 @@ def hilbert_dimension(ideal: Ideal) -> int:
     branch once it cannot beat the smallest cover found so far."""
     gb = ideal.groebner()
     nvars = len(ideal.ring.variables)
-    if gb is None:
+    if not gb:
         return nvars
     if ideal.is_unit():
         raise UnitIdealError("the ideal is the whole ring")
-    supports = []
-    for p in gb.polys:
-        exps = p.monoms(order=ideal.ring.order)[0]
-        supports.append(frozenset(i for i, e in enumerate(exps) if e > 0))
+    supports = [frozenset(i for i, e in enumerate(lm) if e > 0) for lm, _ in gb]
     return nvars - _min_cover_size(supports)
 
 
@@ -273,7 +499,11 @@ def primality_crosscheck_P(s: int) -> rep.VerificationReport:
 def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
     """Check each f_i is a non-zerodivisor and a non-unit modulo the
     ideal extended by its predecessors, via (J : f) = J.  This is a
-    global check on the chart, which implies the local statement."""
+    global check on the chart, which implies the local statement.
+
+    Only (J : f) ⊆ J is checked: J ⊆ (J : f) holds for every ideal J,
+    since g in J gives g f in J, so it needs no Gröbner basis of the
+    quotient."""
     out = rep.VerificationReport("regular-sequence", "ideal")
     current = ideal
     if current.is_unit():
@@ -290,7 +520,7 @@ def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
             )
             return out
         quot = ideal_quotient(current, f)
-        if not (current.contains_ideal(quot) and quot.contains_ideal(current)):
+        if not current.contains_ideal(quot):
             out.add(
                 f"step-{i}",
                 rep.REFUTED,

@@ -1,0 +1,138 @@
+"""The in-repo Gröbner kernel against sympy's `groebner`, kept here as
+the reference: the reduced basis must be identical, list order
+included, on generated ideals and on every chart ideal of the builtins,
+and `Ideal.normal_form` must equal the remainder of sympy's
+`GroebnerBasis.reduce`."""
+
+import itertools
+
+import pytest
+import sympy
+from sympy.polys.polyerrors import CoercionFailed
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitvar import models
+from orbitvar.ideals import Ideal, PolyRing, _groebner, _to_ring, chart_ideal
+from orbitvar.orbit import group_fixed_points
+
+
+def reference_basis(ideal: Ideal) -> list:
+    """sympy's reduced basis over QQ, as exponent -> coefficient dicts."""
+    if not ideal.generators:
+        return []
+    gb = sympy.groebner(ideal.generators, *ideal.ring.symbols, order=ideal.ring.order, domain=sympy.QQ)
+    return [p.rep.to_dict() for p in gb.polys]
+
+
+def assert_same_basis(ideal: Ideal):
+    gb = ideal.groebner()
+    assert [dict(g) for _, g in gb] == reference_basis(ideal)
+    # the cached leading monomials are the leading monomials
+    order = ideal.ring.poly_ring.order
+    assert [lm for lm, _ in gb] == [max(g, key=order) for _, g in gb]
+
+
+# -- generated ideals ---------------------------------------------------
+
+COEFFS = st.builds(sympy.Rational, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def ideals(draw):
+    """Up to four generators in 2-5 variables, of degree at most 3 in up
+    to three variables and at most 2 in more, with rational
+    coefficients; homogeneous or not, in grevlex or lex."""
+    n = draw(st.integers(2, 5))
+    syms = sympy.symbols(f"x0:{n}")
+    homogeneous = draw(st.booleans())
+    top = 3 if n <= 3 else 2
+    monomials = [e for e in itertools.product(range(top + 1), repeat=n) if sum(e) <= top]
+
+    def polynomial():
+        if homogeneous:
+            d = draw(st.integers(1, top))
+            pool = [e for e in monomials if sum(e) == d]
+        else:
+            pool = monomials
+        exps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        return sympy.Add(*(draw(COEFFS) * sympy.Mul(*(s**k for s, k in zip(syms, e))) for e in exps))
+
+    gens = [polynomial() for _ in range(draw(st.integers(0, 4)))]
+    order = draw(st.sampled_from(("grevlex", "lex")))
+    return Ideal.make(PolyRing(tuple(map(str, syms)), order), gens)
+
+
+@settings(max_examples=300)
+@given(ideals())
+def test_reduced_basis_matches_sympy(ideal):
+    assert_same_basis(ideal)
+
+
+@settings(max_examples=200)
+@given(ideals(), st.data())
+def test_normal_form_matches_sympy_reduce(ideal, data):
+    syms = ideal.ring.symbols
+    terms = data.draw(
+        st.lists(st.tuples(COEFFS, st.lists(st.integers(0, 3), min_size=len(syms), max_size=len(syms))), max_size=5)
+    )
+    f = sympy.Add(*(c * sympy.Mul(*(s**k for s, k in zip(syms, e))) for c, e in terms))
+    if not ideal.generators:
+        assert ideal.normal_form(f) == sympy.expand(f)
+        return
+    gb = sympy.groebner(ideal.generators, *syms, order=ideal.ring.order, domain=sympy.QQ)
+    assert ideal.normal_form(f) == sympy.expand(gb.reduce(f)[1])
+
+
+@pytest.mark.parametrize("order", ("grevlex", "lex"))
+@pytest.mark.parametrize(
+    "gens",
+    ([], [0], [1], [sympy.Rational(2, 3)], ["x - 1", "x"], ["x*y - 1", "y**2 - x", "x**2 - y"], ["x*y", "x + y"]),
+    ids=("no-generators", "zero", "one", "constant", "unit", "unit-by-pairs", "non-minimal-input"),
+)
+def test_zero_unit_and_small_ideals(order, gens):
+    ideal = Ideal.make(PolyRing(("x", "y", "z"), order), gens)
+    assert_same_basis(ideal)
+
+
+def test_kernel_takes_sparse_ring_elements():
+    ring = PolyRing(("x", "y"), "lex").poly_ring
+    polys = [_to_ring(ring, sympy.sympify(g)) for g in ("x**2 - y", "x*y - 1")]
+    gb = _groebner(polys + [ring.zero], ring)
+    ref = sympy.groebner(["x**2 - y", "x*y - 1"], *ring.symbols, order="lex", domain=sympy.QQ)
+    assert [g.as_expr() for _, g in gb] == list(ref.exprs)
+
+
+# -- foreign variables ------------------------------------------------------
+
+
+@pytest.mark.parametrize("f, coeff", (("w*x**2", "w"), ("x**2 + w", "w"), ("w/2", "w/2")))
+def test_normal_form_with_a_foreign_variable_fails_in_coercion(f, coeff):
+    ideal = Ideal.make(PolyRing(("x", "y")), ["x**2 - y"])
+    with pytest.raises(CoercionFailed, match=f"^expected `Rational` object, got {coeff}$"):
+        ideal.normal_form(sympy.sympify(f))
+
+
+def test_normal_form_in_the_zero_ideal_returns_a_foreign_variable_unchanged():
+    ideal = Ideal.make(PolyRing(("x", "y")), [])
+    w, x = sympy.symbols("w x")
+    assert ideal.normal_form(w * x) == w * x
+
+
+# -- the chart ideals of the builtins ----------------------------------------
+
+
+def chart_cases():
+    for name in ("sl2-borel", "borel-nilradical-A2", "heisenberg-3", "abelian:2", "abelian:3", "borel-nilradical-A3"):
+        alg = models.builtin(name)
+        for recd in group_fixed_points(alg):
+            yield pytest.param(name, recd.r_v_set, id=f"{name}-{'-'.join(map(str, recd.r_v_set))}")
+
+
+@pytest.mark.parametrize("name, base", chart_cases())
+def test_chart_ideal_basis_matches_sympy(name, base):
+    alg = models.builtin(name)
+    recd = next(r for r in group_fixed_points(alg) if r.r_v_set == base)
+    assert_same_basis(chart_ideal(alg, recd.subspace).ideal)

@@ -24,11 +24,12 @@ RING_NAMES = ("x", "y", "z")
 
 def reference_dimension(ideal: Ideal) -> int:
     """The size of the largest variable subset that contains no
-    leading-monomial support, searched from the largest size down."""
-    gb = ideal.groebner()
+    leading-monomial support, searched from the largest size down, with
+    the leading monomials from sympy's own Gröbner basis."""
     syms = ideal.ring.symbols
-    if gb is None:
+    if not ideal.generators:
         return len(syms)
+    gb = sympy.groebner(ideal.generators, *syms, order=ideal.ring.order, domain=sympy.QQ)
     supports = []
     for p in gb.polys:
         exps = p.monoms(order=ideal.ring.order)[0]
