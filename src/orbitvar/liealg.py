@@ -20,7 +20,6 @@ import sympy
 from .linalg import (
     Matrix,
     in_row_space,
-    nilpotent_terms,
     nullspace,
     rank,
     row_space_basis,
@@ -85,13 +84,12 @@ class WeightedLieAlgebra:
     entry.  `[a_j, a_i]` is read off by antisymmetry.
 
     `_memo` holds data derived from the fields, each computed once per
-    instance through `derived`: the center, the adjoint matrices of the
-    weight vectors and the terms of their exponentials, the Jacobi and
-    nilpotency verdicts that `validate` reports and `jordan_decompose`
-    requires, and the fixed points of `orbit`.  The fields are
-    immutable and every memoised value is immutable, so a memoised value
-    never goes stale; the memo takes no part in `==`, `hash`, `repr`,
-    `to_json` or `fingerprint`.
+    instance through `derived`: the center, the sparse adjoint table
+    (`ad_table`), the Jacobi and nilpotency verdicts that `validate`
+    reports and `jordan_decompose` requires, and the fixed points of
+    `orbit`.  The fields are immutable and every memoised value is
+    immutable, so a memoised value never goes stale; the memo takes no
+    part in `==`, `hash`, `repr`, `to_json` or `fingerprint`.
     """
 
     t_dim: int
@@ -229,12 +227,17 @@ class WeightedLieAlgebra:
         Fractions or sympy expressions (bilinear either way)."""
         d = self.t_dim
         out = [Fraction(0)] * self.dim
-        # [t, a^w] = w(t) a^w
+        # [t, a^w] = w(t) a^w, evaluated only where both factors are nonzero
         tx, ty = x[:d], y[:d]
-        for k, w in enumerate(self.weights):
-            xk, yk = x[d + k], y[d + k]
-            if xk != 0 or yk != 0:
-                out[d + k] = w(tx) * yk - w(ty) * xk
+        x_on_t = any(c != 0 for c in tx)
+        y_on_t = any(c != 0 for c in ty)
+        if x_on_t or y_on_t:
+            for k, w in enumerate(self.weights):
+                xk, yk = x[d + k], y[d + k]
+                if x_on_t and yk != 0:
+                    out[d + k] += w(tx) * yk
+                if y_on_t and xk != 0:
+                    out[d + k] -= w(ty) * xk
         # [a_i, a_j] and [a_j, a_i] = -[a_i, a_j]
         for i, j, terms in self.brackets:
             c = x[d + i] * y[d + j] - x[d + j] * y[d + i]
@@ -243,17 +246,63 @@ class WeightedLieAlgebra:
                     out[d + k] += c * ck
         return tuple(e if isinstance(e, Fraction) else sympy.expand(e) for e in out)
 
+    def ad_table(self) -> tuple:
+        """ad e for every basis vector e of r, as sparse columns, built once:
+        `ad_table()[e][j]` is the tuple of pairs (k, c), c != 0, with
+        [e, e_j] = sum of c * e_k.  For a torus vector t_p the pairs are
+        a_k -> w_k[p] a_k; for a_i they are t_p -> -w_i[p] a_i and the
+        table entries, read with antisymmetry."""
+
+        def compute():
+            d = self.t_dim
+            cols: list[list[list]] = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+            for k, w in enumerate(self.weights):
+                for p, c in enumerate(w.coords):
+                    if c != 0:
+                        cols[p][d + k].append((d + k, c))
+                        cols[d + k][p].append((d + k, -c))
+            for i, j, terms in self.brackets:
+                cols[d + i][d + j] += [(d + k, c) for k, c in terms]
+                cols[d + j][d + i] += [(d + k, -c) for k, c in terms]
+            return tuple(tuple(tuple(col) for col in op) for op in cols)
+
+        return self.derived("ad-table", compute)
+
+    def ad_apply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
+        """[u, v] for Fraction entries, summed from `ad_table` over the
+        nonzero coordinates of u and v."""
+        out = [Fraction(0)] * self.dim
+        support = [(j, c) for j, c in enumerate(v) if c != 0]
+        for ue, op in zip(u, self.ad_table()):
+            if ue != 0:
+                for j, c in support:
+                    for k, a in op[j]:
+                        out[k] += a * ue * c
+        return tuple(out)
+
+    def exp_ad_terms(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[tuple, ...]:
+        """The terms (ad u)^k v / k! of exp(ad u) v, from k = 0 up to the
+        last nonzero one.  ad u is nilpotent for u in a on an algebra that
+        passes `validate`, so at most dim terms are nonzero; a chain that
+        has not ended by then raises `AlgebraError`."""
+        terms = [tuple(v)]
+        for k in range(1, self.dim + 1):
+            term = self.ad_apply(u, terms[-1])
+            if not any(term):
+                return tuple(terms)
+            terms.append(tuple(c / k for c in term))
+        raise AlgebraError(f"exp(ad u) did not end within {self.dim} terms")
+
     def ad(self, x: Sequence[Fraction]) -> Matrix:
-        """Matrix of ad x in the ordered basis (columns act on basis vectors)."""
-        cols = [self.bracket(x, self.basis_vector(k)) for k in range(self.dim)]
-        return Matrix.from_rows([[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
-
-    def ad_weight_vector(self, i: int) -> Matrix:
-        return self.derived(("ad", i), lambda: self.ad(self.weight_vector(i)))
-
-    def ad_exp_terms(self, i: int) -> tuple[Matrix, ...]:
-        """The terms (ad x_i)^k / k! of exp(ad x_i), for `exp_nilpotent`."""
-        return self.derived(("ad-exp", i), lambda: nilpotent_terms(self.ad_weight_vector(i)))
+        """Matrix of ad x in the ordered basis (columns act on basis vectors),
+        summed from `ad_table` over the nonzero coordinates of x."""
+        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for op, xe in zip(self.ad_table(), x):
+            if xe != 0:
+                for j, col in enumerate(op):
+                    for k, c in col:
+                        rows[k][j] += xe * c
+        return Matrix.from_rows(rows)
 
     # -- torus-side computations ----------------------------------------
 
@@ -355,8 +404,9 @@ class WeightedLieAlgebra:
 
     def regular_test(self, x: Sequence[Fraction]) -> bool:
         """x is regular when its centralizer has the minimal dimension,
-        which equals the torus dimension."""
-        return self.centralizer(x).rows == self.t_dim
+        which equals the torus dimension: by rank-nullity, when ad x has
+        rank dim - t_dim."""
+        return rank(self.ad(x)) == self.dim - self.t_dim
 
     def jordan_decompose(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
         """Jordan decomposition x = s + n inside r: ad s semisimple, ad n
@@ -370,9 +420,9 @@ class WeightedLieAlgebra:
         r the a-part of the current element v.  ad x_t is diagonal on the
         weight basis, so u = sum over lambda_i != 0 of (r_i / lambda_i) a_i
         solves [u, x_t] = -r on the nonvanishing weights; v is replaced by
-        exp(ad u) v, summed as sum (ad u)^k v / k! through `bracket`.  This
-        repeats until no a-part is left on a nonvanishing weight, giving
-        g x = x_t + n_0 with g = exp(ad u_K) ... exp(ad u_1).  Then
+        exp(ad u) v, summed from `exp_ad_terms`.  This repeats until no
+        a-part is left on a nonvanishing weight, giving g x = x_t + n_0
+        with g = exp(ad u_K) ... exp(ad u_1).  Then
         s = exp(-ad u_1) ... exp(-ad u_K) x_t and n = x - s.
 
         Termination: let C^1 = a and C^{k+1} = [a, C^k].  Each C^k is
@@ -384,7 +434,7 @@ class WeightedLieAlgebra:
         vanishing weights and the bracket terms lie in C^{k+1}, so the next
         nonvanishing part lies in C^{k+1}; the torus part stays x_t.  a is
         nilpotent, so C^{n+1} = 0 and at most n passes do work.  The loops
-        are bounded all the same (n + 1 passes, dim + 1 terms per
+        are bounded all the same (n + 1 passes, dim terms per
         exponential) and raise `AlgebraError` past their bound.
 
         Correctness: by Jacobi, ad u is a derivation and exp(ad u) is an
@@ -412,28 +462,16 @@ class WeightedLieAlgebra:
             if not any(u):
                 break
             us.append(u)
-            v = self._exp_ad(u, v)
+            v = _vector_sum(self.exp_ad_terms(u, v))
         else:
             raise AlgebraError(f"jordan conjugation did not settle in {self.n + 1} passes")
         s = xt + (Fraction(0),) * self.n
         for u in reversed(us):
-            s = self._exp_ad(tuple(-c for c in u), s)
+            s = _vector_sum(self.exp_ad_terms(tuple(-c for c in u), s))
         n = tuple(a - b for a, b in zip(x, s))
         if any(c != 0 for c in self.bracket(s, n)):
             raise AlgebraError("jordan parts fail to commute")
         return s, n
-
-    def _exp_ad(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-        """exp(ad u) v, summed as (ad u)^k v / k! until a term vanishes."""
-        out = tuple(v)
-        term = out
-        for k in range(1, self.dim + 1):
-            term = self.bracket(u, term)
-            if not any(term):
-                return out
-            term = tuple(c / k for c in term)
-            out = tuple(a + b for a, b in zip(out, term))
-        raise AlgebraError(f"exp(ad u) did not end within {self.dim + 1} terms")
 
     # -- validation -----------------------------------------------------
 
@@ -501,7 +539,8 @@ class WeightedLieAlgebra:
 
     def _jacobi(self) -> tuple[bool, str]:
         """The Jacobi identity on basis triples, failing on the first triple
-        in `combinations` order.
+        in `combinations` order.  Each double bracket [e_i, [e_j, e_k]] is
+        summed from `ad_table`.
 
         For a torus element t the Jacobi sum of (t, a_i, a_j) is
         sum_k c_ij^k (w_k - w_i - w_j)(t) a_k, and with two or three torus
@@ -510,33 +549,39 @@ class WeightedLieAlgebra:
         torus comes first in the basis, so the first failing triple is the
         one the loop over all triples finds; that loop runs when the grading
         fails."""
-        vs = [self.basis_vector(k) for k in range(self.dim)]
+        ad = self.ad_table()
         names = self.basis_names()
         start = 0 if self._off_grade() else self.t_dim
         for i, j, k in itertools.combinations(range(start, self.dim), 3):
-            s1 = self.bracket(vs[i], self.bracket(vs[j], vs[k]))
-            s2 = self.bracket(vs[j], self.bracket(vs[k], vs[i]))
-            s3 = self.bracket(vs[k], self.bracket(vs[i], vs[j]))
-            if any(a + b + c != 0 for a, b, c in zip(s1, s2, s3)):
+            total: dict[int, Fraction] = {}
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, c in ad[y][z]:
+                    for p, e in ad[x][m]:
+                        total[p] = total.get(p, 0) + c * e
+            if any(total.values()):
                 return False, f"jacobi fails on ({names[i]},{names[j]},{names[k]})"
         return True, "jacobi identity holds on all basis triples"
 
     def _nilpotent(self) -> bool:
+        """a is nilpotent when its lower central series C^1 = a,
+        C^{k+1} = [a, C^k] reaches 0 within n + 1 steps; each C^{k+1} is
+        spanned by [a_i, v] over the a-basis and a basis of C^k."""
         span = row_space_basis(
             Matrix.from_rows([self.weight_vector(i) for i in range(self.n)])
         ) if self.n else Matrix.zero(0, self.dim)
         for _ in range(self.n + 1):
             if span.rows == 0:
                 return True
-            nxt = []
-            for i in range(self.n):
-                for r in range(span.rows):
-                    nxt.append(self.bracket(self.weight_vector(i), span.row(r)))
-            span = row_space_basis(Matrix.from_rows(nxt)) if nxt else Matrix.zero(0, self.dim)
+            nxt = [self.ad_apply(self.weight_vector(i), v) for i in range(self.n) for v in span.entries]
+            span = row_space_basis(Matrix.from_rows(nxt))
         return False
 
     def is_valid(self) -> bool:
         return all(ok for _, ok, _ in self.validate())
+
+
+def _vector_sum(vectors: Sequence[tuple]) -> tuple:
+    return tuple(sum(cs, Fraction(0)) for cs in zip(*vectors))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals: matrices hold fractions.Fraction
 entries only, and `orbit` keeps a curve in z as one matrix per power of z.
 The Plücker functions stay as API and as the reference that tests check
-curve limits against; `plucker_limit` alone reads polynomial coordinates."""
+curve limits against; `plucker_limit` alone reads polynomial coordinates.
+`exp_nilpotent` and `nilpotent_terms` likewise stay only as API and as
+the dense reference for the sparse adjoint exponential of `liealg`;
+nothing else in the package calls them."""
 
 from __future__ import annotations
 

@@ -25,7 +25,6 @@ from .liealg import (
 from .linalg import (
     Matrix,
     RankDeficientError,
-    exp_nilpotent,
     in_row_space,
     nullspace,
     rank,
@@ -175,22 +174,45 @@ def full_space(alg: WeightedLieAlgebra) -> Subspace:
 def act(alg: WeightedLieAlgebra, word, v: Subspace):
     """Apply the product of exp(z_i ad x_{alpha_i}) left-to-right to V.
     Scalars may be Fractions; None means the shared formal parameter z,
-    and a word with one gives a CurveSubspace.  Each factor is a polynomial
-    in z with matrix coefficients (one for a scalar), applied to the rows."""
-    coeffs = [v.basis]
+    and a word with one gives a CurveSubspace.  Each basis row is kept as
+    its z^k coefficient vectors (one for a scalar word), and each factor
+    is applied to them one row at a time (`_exp_row`)."""
+    polys = [[row] for row in v.basis.entries]
     for widx, scalar in reversed(word):
-        factor = alg.ad_exp_terms(widx)
-        if scalar is not None:
-            factor = (exp_nilpotent(alg.ad_weight_vector(widx), Fraction(scalar), factor),)
-        out = [Matrix.zero(v.dim, alg.dim)] * (len(factor) + len(coeffs) - 1)
-        for (a, g), (b, m) in itertools.product(enumerate(factor), enumerate(coeffs)):
-            out[a + b] = out[a + b] + Matrix.from_rows([g.apply(row) for row in m.entries])
-        coeffs = out
+        polys = [_exp_row(alg, widx, scalar, p) for p in polys]
+    top = max((len(p) for p in polys), default=1)
+    zero = alg.zero()
+    coeffs = tuple(
+        Matrix(v.dim, alg.dim, tuple(p[k] if k < len(p) else zero for p in polys)) for k in range(top)
+    )
     if all(scalar is not None for _, scalar in word):
         return Subspace(alg, row_space_basis(coeffs[0]))
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs.pop()
-    return CurveSubspace(alg, tuple(coeffs))
+    return CurveSubspace(alg, coeffs)
+
+
+def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> list[tuple]:
+    """exp(z ad x_widx) applied to the row sum_b z^b poly[b]: each poly[b]
+    becomes its chain sum_k (ad x_widx)^k poly[b] / k!.  For a scalar z
+    the chain is summed with the powers of z; for None its term k is added
+    to the z^(b+k) coefficient, and trailing zero coefficients are dropped."""
+    xw = alg.weight_vector(widx)
+    chains = [alg.exp_ad_terms(xw, p) for p in poly]
+    if scalar is not None:
+        z = Fraction(scalar)
+        out = []
+        for chain in chains:
+            acc = chain[-1]
+            for term in reversed(chain[:-1]):
+                acc = tuple(t + z * a for t, a in zip(term, acc))
+            out.append(acc)
+        return out
+    out = [alg.zero()] * max(b + len(chain) for b, chain in enumerate(chains))
+    for b, chain in enumerate(chains):
+        for k, term in enumerate(chain):
+            out[b + k] = tuple(c + t for c, t in zip(out[b + k], term))
+    while len(out) > 1 and not any(out[-1]):
+        out.pop()
+    return out
 
 
 def weight_index(alg: WeightedLieAlgebra, alpha: Weight) -> int:
@@ -481,8 +503,7 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
             return None
         # E(z) t = t - z w(t) x, so E(zc) clears the column and the
         # inverse factor E(-zc) belongs to the certificate word
-        g = exp_nilpotent(alg.ad_weight_vector(k), zc, alg.ad_exp_terms(k))
-        rows = [list(g.apply(r)) for r in rows]
+        rows = [list(_exp_row(alg, k, zc, [tuple(r)])[0]) for r in rows]
         applied.append((k, -zc))
     if any(any(r[alg.t_dim + j] != 0 for j in range(alg.n)) for r in rows):
         return None
@@ -587,8 +608,9 @@ def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence[Fra
         if any(c != 0 for c in alg.bracket(a, b)):
             return "refuted", MultiPoint(pts, None)
     for p in pts:
-        if alg.regular_test(p):
-            cent = Subspace(alg, alg.centralizer(p))
+        basis = alg.centralizer(p)
+        if basis.rows == alg.t_dim:  # p is regular
+            cent = Subspace(alg, basis)
             if all(cent.contains(q) for q in pts):
                 return "proven", MultiPoint(pts, cent)
             return "refuted", MultiPoint(pts, None)

@@ -409,8 +409,8 @@ class TestMemo:
         group = orbit.group_fixed_points(alg)
         assert isinstance(group, tuple) and orbit.group_fixed_points(alg) is group
         assert alg.center() is alg.center()
-        assert alg.ad_weight_vector(1) is alg.ad_weight_vector(1)
-        assert alg.ad_exp_terms(1) is alg.ad_exp_terms(1)
+        table = alg.ad_table()
+        assert isinstance(table, tuple) and alg.ad_table() is table
 
     def test_equal_instances_do_not_share_state(self):
         first = models.borel_nilradical_a2()

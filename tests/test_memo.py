@@ -2,8 +2,10 @@
 use it, against uncached references kept here: the fixed-point
 enumerations, the Jordan decomposition (against the semisimple part of
 ad x by Newton iteration and the full solve for its preimage), the Jacobi
-verdict (against the loop over every basis triple) and the terms of the
-adjoint exponentials, on generated graded algebras."""
+verdict (against the loop over every basis triple), the sparse adjoint
+table (against the dense adjoint and its powers), the nilpotency verdict
+(against the lower central series through `bracket`) and the action
+(against sympy matrix exponentials), on generated graded algebras."""
 
 import itertools
 from fractions import Fraction
@@ -15,11 +17,28 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_liealg_sparse import NONZERO, RATIONALS, central_extensions, elements, root_subset_algebras
+from test_liealg_sparse import (
+    NONZERO,
+    RATIONALS,
+    DenseReference,
+    central_extensions,
+    elements,
+    root_subset_algebras,
+)
 
 from orbitvar import orbit
 from orbitvar.liealg import AlgebraError, CenterNotTrivialError, WeightedLieAlgebra
-from orbitvar.linalg import Matrix, exp_nilpotent, nilpotent_terms, rank, rref, solve
+from orbitvar.linalg import (
+    Matrix,
+    NotNilpotentError,
+    exp_nilpotent,
+    nilpotent_terms,
+    nullspace,
+    rank,
+    row_space_basis,
+    rref,
+    solve,
+)
 
 # A4's full root set has 2^10 weight subsets and takes minutes to
 # enumerate; closed subsets of up to five roots keep an example short
@@ -77,6 +96,12 @@ def perturbed_algebras(draw):
 Z = sympy.Symbol("z")
 
 
+def bracket_ad(alg, x):
+    """The matrix of ad x with column k the bracket of x with basis vector k."""
+    cols = [alg.bracket(x, alg.basis_vector(k)) for k in range(alg.dim)]
+    return Matrix.from_rows([[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)])
+
+
 def to_sympy(m):
     return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m[i, j].numerator, m[i, j].denominator))
 
@@ -106,7 +131,7 @@ def reference_act(alg, word):
     g = sympy.eye(alg.dim)
     for i, z in word:
         zi = Z if z is None else sympy.Rational(z.numerator, z.denominator)
-        g = g * sympy_exp_nilpotent(to_sympy(alg.ad(alg.weight_vector(i))), zi)
+        g = g * sympy_exp_nilpotent(to_sympy(bracket_ad(alg, alg.weight_vector(i))), zi)
     t = to_sympy(orbit.torus_subspace(alg).basis)
     return (t * g.T).expand()
 
@@ -196,9 +221,9 @@ def reference_jordan(alg, x):
     """The Jordan solve over the full m^2 x m system vec(ad y) = vec(S)."""
     if alg.torus_kernel(alg.weights).rows != 0:
         raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
-    s_mat = _semisimple_part(alg.ad(x))
+    s_mat = _semisimple_part(bracket_ad(alg, x))
     m = alg.dim
-    ads = [alg.ad(alg.basis_vector(j)) for j in range(m)]
+    ads = [bracket_ad(alg, alg.basis_vector(j)) for j in range(m)]
     big = Matrix.from_rows([[adj[a, b] for adj in ads] for a in range(m) for b in range(m)])
     sol = solve(big, [s_mat[a, b] for a in range(m) for b in range(m)])
     if sol is None:
@@ -311,6 +336,63 @@ class TestJacobi:
         assert alg.derived("jacobi", alg._jacobi) is alg.derived("jacobi", alg._jacobi)
 
 
+def reference_nilpotent(alg):
+    """The lower central series of a through `bracket`, n + 1 steps."""
+    span = row_space_basis(Matrix.from_rows([alg.weight_vector(i) for i in range(alg.n)]))
+    for _ in range(alg.n + 1):
+        if span.rows == 0:
+            return True
+        nxt = [alg.bracket(alg.weight_vector(i), v) for i in range(alg.n) for v in span.entries]
+        span = row_space_basis(Matrix.from_rows(nxt))
+    return False
+
+
+def dense_chain(m, v):
+    """The terms m^k v / k! of exp(m) v from `nilpotent_terms`, up to the
+    last nonzero one."""
+    terms = [t.apply(v) for t in nilpotent_terms(m)]
+    while len(terms) > 1 and not any(terms[-1]):
+        terms.pop()
+    return tuple(terms)
+
+
+def sum_chain(terms, z):
+    """sum_k z^k terms[k], the chain summed at a scalar."""
+    return tuple(sum((z**k * t[c] for k, t in enumerate(terms)), Fraction(0)) for c in range(len(terms[0])))
+
+
+class TestAdTable:
+    @settings(max_examples=50)
+    @given(spec=perturbed_algebras(), data=st.data())
+    def test_matches_dense_adjoint(self, spec, data):
+        alg = WeightedLieAlgebra.build(*spec)
+        ref = DenseReference(*spec)
+        x = tuple(data.draw(elements(alg.dim)))
+        assert alg.ad(x) == ref.ad(x)
+        assert alg.regular_test(x) == (nullspace(ref.ad(x)).rows == alg.t_dim)
+        v = tuple(data.draw(elements(alg.dim)))
+        units = [alg.basis_vector(j) for j in range(alg.dim)]
+        for u in (x, *data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=3, unique=True))):
+            m = ref.ad(u)
+            try:
+                want = dense_chain(m, v)
+            except NotNilpotentError:
+                # then the chain of some basis vector does not end
+                assert any(outcome(alg.exp_ad_terms, u, b)[0] == "raised" for b in units)
+                continue
+            assert alg.exp_ad_terms(u, v) == want
+        assert alg.ad_table() is alg.ad_table()
+
+    @settings(max_examples=50)
+    @given(spec=perturbed_algebras())
+    def test_nilpotency_matches_bracket_loop(self, spec):
+        alg = WeightedLieAlgebra.build(*spec)
+        want = reference_nilpotent(alg)
+        assert alg._nilpotent() == want
+        checks = {name: ok for name, ok, _ in alg.validate()}
+        assert checks["nilpotency"] == want
+
+
 class TestExpTerms:
     @settings(max_examples=30)
     @given(spec=ANY, data=st.data())
@@ -323,12 +405,15 @@ class TestExpTerms:
                 max_size=3,
             )
         )
+        table = alg.ad_table()
         for i, z in word:
-            fresh = alg.ad(alg.weight_vector(i))
-            assert alg.ad_exp_terms(i) == nilpotent_terms(fresh)
-            if z is not None:
-                assert exp_nilpotent(alg.ad_weight_vector(i), z, alg.ad_exp_terms(i)) == exp_nilpotent(fresh, z)
-            assert alg.ad_exp_terms(i) is alg.ad_exp_terms(i)
+            x = alg.weight_vector(i)
+            fresh = bracket_ad(alg, x)
+            for v in orbit.torus_subspace(alg).basis.entries:
+                assert alg.exp_ad_terms(x, v) == dense_chain(fresh, v)
+                if z is not None:
+                    assert sum_chain(alg.exp_ad_terms(x, v), z) == exp_nilpotent(fresh, z).apply(v)
+            assert alg.ad_table() is table
         got = orbit.act(alg, word, orbit.torus_subspace(alg))
         want = reference_act(alg, word)
         if any(z is None for _, z in word):

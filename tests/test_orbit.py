@@ -99,6 +99,14 @@ class TestActAndTheta:
         assert isinstance(c, CurveSubspace)
         assert c.limit() == span(A2, [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]])
 
+    def test_curve_drops_a_top_coefficient_that_cancels(self):
+        # on h = t1 + t2, where a(h) = b(h) = 1, the z^2 terms
+        # [x_a, [x_b, h]] and [x_b, [x_a, h]] of exp(z ad x_a) exp(z ad x_b)
+        # exp(z ad x_a) h cancel, so the curve has degree 1
+        v = span(A2, [[1, 1, 0, 0, 0]])
+        c = act(A2, [(0, None), (1, None), (0, None)], v)
+        assert c.coeffs == (v.basis, Matrix.from_rows([F(0, 0, -2, -1, 0)]))
+
 
 class TestSubspacePredicates:
     def test_commutativity(self):
