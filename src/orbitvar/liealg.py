@@ -86,8 +86,8 @@ class WeightedLieAlgebra:
     `_memo` holds data derived from the fields, each computed once per
     instance through `derived`: the center, the sparse adjoint table
     (`ad_table`), the Jacobi and nilpotency verdicts that `validate`
-    reports and `jordan_decompose` requires, and the fixed points of
-    `orbit`.  The fields are immutable and every memoised value is
+    reports and `jordan_decompose` requires, and the fixed points and
+    the per-subset witness curves and limits of `orbit`.  The fields are immutable and every memoised value is
     immutable, so a memoised value never goes stale; the memo takes no
     part in `==`, `hash`, `repr`, `to_json` or `fingerprint`.
     """

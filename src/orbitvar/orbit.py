@@ -225,8 +225,9 @@ def weight_index(alg: WeightedLieAlgebra, alpha: Weight) -> int:
 def theta_alpha(alg: WeightedLieAlgebra, alpha: Weight, z) -> Subspace:
     """The curve z -> exp(z ad x_alpha)(t); z = None means the limit point
     at infinity, which is t_alpha + a^alpha."""
-    curve = theta_curve(alg, alpha)
-    return curve.limit() if z is None else curve.at(Fraction(z))
+    if z is None:
+        return witness_limit(alg, (weight_index(alg, alpha),))
+    return theta_curve(alg, alpha).at(Fraction(z))
 
 
 def theta_curve(alg: WeightedLieAlgebra, alpha: Weight) -> CurveSubspace:
@@ -275,11 +276,27 @@ def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> t
 
 
 def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspace:
-    """exp(z ad x_i) ... exp(z ad x_j) t over `subset` in factor order."""
-    t = torus_subspace(alg)
-    if not subset:
-        return CurveSubspace(alg, (t.basis,))
-    return act(alg, [(i, None) for i in _ordered(alg, subset)], t)
+    """exp(z ad x_i) ... exp(z ad x_j) t over `subset` in factor order.
+    Built once per weight subset per algebra: the fixed-point
+    enumeration, the theta curves and property (P) share it."""
+
+    def compute():
+        t = torus_subspace(alg)
+        if not subset:
+            return CurveSubspace(alg, (t.basis,))
+        return act(alg, [(i, None) for i in _ordered(alg, subset)], t)
+
+    return alg.derived(("witness-curve", tuple(sorted(subset))), compute)
+
+
+def witness_limit(alg: WeightedLieAlgebra, subset: Sequence[int]) -> Subspace:
+    """The limit of `witness_curve(alg, subset)` at infinity, taken once
+    per weight subset per algebra.  Each caller compares it with the
+    subspace it certifies before reporting, so memoising it keeps every
+    certificate checked; a limit that raises (`RankDeficientError`) is
+    not kept and raises again on the next call."""
+    key = ("witness-limit", tuple(sorted(subset)))
+    return alg.derived(key, lambda: witness_curve(alg, subset).limit())
 
 
 def torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
@@ -299,12 +316,15 @@ def _enumerate_torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRe
             if not alg.centralizer_in_a(subset):
                 continue
             v, z_v = _fixed_point_subspace(alg, subset)
-            witness = witness_curve(alg, subset)
-            if witness.limit() != v:
+            if witness_limit(alg, subset) != v:
                 raise OrbitError("witness curve limit mismatch")
             out.append(
                 FixedPointRecord(
-                    subspace=v, r_v_set=subset, z_v=z_v, fixed_under="torus", witness=witness
+                    subspace=v,
+                    r_v_set=subset,
+                    z_v=z_v,
+                    fixed_under="torus",
+                    witness=witness_curve(alg, subset),
                 )
             )
     return tuple(out)
@@ -516,10 +536,74 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
 
 
 def centralizer_of_torus_element(alg: WeightedLieAlgebra, s: Sequence[Fraction]) -> Subspace:
-    rows = [alg.basis_vector(i) for i in range(alg.t_dim)]
-    for i in alg.lambda_of(s):
-        rows.append(alg.weight_vector(i))
-    return Subspace.from_rows(alg, rows)
+    return torus_element_data(alg, s).centralizer
+
+
+@dataclass(frozen=True)
+class TorusElementData:
+    """What property (P) reads off a torus element s: `lam`, the weights
+    vanishing on s; `centralizer`, its centralizer t + a_lam; and
+    `center`, the center t_lam of that centralizer as vectors of r."""
+
+    lam: tuple[int, ...]
+    centralizer: Subspace
+    center: tuple[tuple, ...]
+
+
+def torus_element_data(alg: WeightedLieAlgebra, s: Sequence[Fraction]) -> TorusElementData:
+    lam = alg.lambda_of(s)
+    rows = [alg.basis_vector(i) for i in range(alg.t_dim)] + [alg.weight_vector(i) for i in lam]
+    pad = (Fraction(0),) * alg.n
+    center = alg.torus_kernel([alg.weights[i] for i in lam]).entries
+    return TorusElementData(lam, Subspace.from_rows(alg, rows), tuple(row + pad for row in center))
+
+
+def graded_subset(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...] | None:
+    """The weights whose vectors a torus-stable V contains; None when V is
+    not torus-stable."""
+    if not is_torus_stable(alg, v):
+        return None
+    return tuple(i for i in range(alg.n) if v.contains(alg.weight_vector(i)))
+
+
+def property_P_checks(
+    alg: WeightedLieAlgebra, data: TorusElementData, v: Subspace, graded: tuple[int, ...] | None
+) -> list[rep.Check]:
+    """The verdicts behind `property_P_consequences`, for V against the
+    data of s and with `graded = graded_subset(alg, v)`.  A proven
+    witness-curve check carries its `CurveSubspace` as the witness, not
+    rendered."""
+    if not data.centralizer.contains_subspace(v):
+        raise PreconditionFailedError("V is not inside the centralizer of s")
+    ok = all(v.contains(r) for r in data.center)
+    checks = [
+        rep.Check(
+            "center-containment",
+            rep.PROVEN if ok else rep.REFUTED,
+            "the center of the centralizer of s lies inside V",
+            details={"lambda": [alg.weights[i].as_strings() for i in data.lam]},
+        )
+    ]
+    if not ok:
+        return checks
+    if graded is not None and set(graded) <= set(data.lam) and witness_limit(alg, graded) == v:
+        checks.append(
+            rep.Check(
+                "witness-curve",
+                rep.PROVEN,
+                "a curve inside the centralizer of s degenerates to V",
+                witness=witness_curve(alg, graded),
+            )
+        )
+    else:
+        checks.append(
+            rep.Check(
+                "witness-curve",
+                rep.CONSEQUENCE_CHECKED,
+                "no constructive witness; necessary conditions hold",
+            )
+        )
+    return checks
 
 
 def property_P_consequences(
@@ -527,41 +611,19 @@ def property_P_consequences(
 ) -> rep.VerificationReport:
     """Check what membership in the closure of the s-centralizer orbit
     of t implies for V: center containment, and a witness curve through
-    the centralizer when V is graded."""
+    the centralizer when V is graded.
+
+    A graded V holding exactly the weight vectors of S is witnessed by
+    `witness_curve(alg, S)`, whose limit is taken once per algebra
+    (`witness_limit`) and compared with V here before the check is
+    proven.  For a torus-fixed point z_V + a_S that is the curve and
+    limit its enumeration verified, so sharing them keeps the
+    certificate checked without rebuilding it."""
+    data = torus_element_data(alg, s)
     out = rep.VerificationReport("property-p", alg.fingerprint())
-    cent = centralizer_of_torus_element(alg, s)
-    if not cent.contains_subspace(v):
-        raise PreconditionFailedError("V is not inside the centralizer of s")
-    lam = alg.lambda_of(s)
-    center_rows = list(alg.torus_kernel([alg.weights[i] for i in lam]).entries)
-    ok = all(v.contains(list(r) + [Fraction(0)] * alg.n) for r in center_rows)
-    out.add(
-        "center-containment",
-        rep.PROVEN if ok else rep.REFUTED,
-        "the center of the centralizer of s lies inside V",
-        details={"lambda": [alg.weights[i].as_strings() for i in lam]},
-    )
-    if not ok:
-        return out
-    if is_torus_stable(alg, v):
-        subset = tuple(
-            i for i in range(alg.n) if v.contains(alg.weight_vector(i))
-        )
-        if all(i in lam for i in subset):
-            witness = witness_curve(alg, subset)
-            if witness.limit() == v:
-                out.add(
-                    "witness-curve",
-                    rep.PROVEN,
-                    "a curve inside the centralizer of s degenerates to V",
-                    witness=witness.to_json()["basis"],
-                )
-                return out
-    out.add(
-        "witness-curve",
-        rep.CONSEQUENCE_CHECKED,
-        "no constructive witness; necessary conditions hold",
-    )
+    for c in property_P_checks(alg, data, v, graded_subset(alg, v)):
+        witness = None if c.witness is None else c.witness.to_json()["basis"]
+        out.add(c.name, c.verdict, c.claim, witness, c.details)
     return out
 
 
