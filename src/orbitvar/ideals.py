@@ -2,8 +2,16 @@
 quotients, Krull dimension, and the determinantal and chart ideals the
 verification suite needs.  The Gröbner kernel is `_groebner`, a
 Buchberger loop with the Gebauer–Möller criteria on sympy's sparse
-polynomial rings over QQ; sympy parses, expands and does the ring
-arithmetic."""
+polynomial rings over QQ.
+
+Every polynomial is an element of such a ring (`PolyRing.poly_ring`)
+from where it is built to the kernel: the chart and determinantal
+ideals are built by ring arithmetic, and `Ideal` stores ring elements.
+sympy expressions appear only at the edges: strings and expressions
+given to `Ideal.make`, `Ideal.normal_form`, `ideal_quotient` and
+`regular_sequence_check` are parsed and expanded once, and
+`Ideal.generators`, `u_function` and the report details render ring
+elements with `as_expr()`."""
 
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ from heapq import heapify, heappop, heappush
 
 import sympy
 from sympy.polys.polyutils import dict_from_expr
-from sympy.polys.rings import ring as sparse_ring
+from sympy.polys.rings import PolyElement, ring as sparse_ring
 
 from .liealg import Weight, WeightedLieAlgebra, weight_sort_key
 from .linalg import Matrix, solve
@@ -261,53 +269,72 @@ def _groebner(polys, ring) -> list:
     return reduced
 
 
+def _parse(ring: PolyRing, g):
+    """g as an element of `ring.poly_ring`.  A string or an expression is
+    expanded and must use no variable outside the ring; an element of
+    another sparse ring is moved into this one."""
+    if isinstance(g, PolyElement):
+        return g.set_ring(ring.poly_ring)
+    e = sympy.expand(sympy.sympify(g))
+    if not e.free_symbols <= set(ring.symbols):
+        raise IdealError(f"generator {g} uses foreign variables")
+    return _to_ring(ring.poly_ring, e)
+
+
 @dataclass
 class Ideal:
+    """An ideal of `ring`, kept as its nonzero generators `polys`,
+    elements of `ring.poly_ring`, in the order they were given."""
+
     ring: PolyRing
-    generators: tuple
+    polys: tuple
     _gb: tuple | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def make(ring: PolyRing, gens) -> "Ideal":
-        syms = set(ring.symbols)
-        expanded = []
-        for g in gens:
-            e = sympy.expand(sympy.sympify(g))
-            if not e.free_symbols <= syms:
-                raise IdealError(f"generator {g} uses foreign variables")
-            if e != 0:
-                expanded.append(e)
-        return Ideal(ring, tuple(expanded))
+        """The ideal generated by gens: strings, sympy expressions or
+        sparse-ring elements, with the zeros dropped."""
+        polys = (_parse(ring, g) for g in gens)
+        return Ideal(ring, tuple(p for p in polys if p))
+
+    @functools.cached_property
+    def generators(self) -> tuple:
+        """`polys` as sympy expressions, for reports."""
+        return tuple(p.as_expr() for p in self.polys)
 
     def groebner(self) -> tuple:
         """The reduced Gröbner basis, computed once: (leading monomial,
         monic element of `ring.poly_ring`) pairs, largest leading
         monomial first, and empty for the zero ideal."""
         if self._gb is None:
-            r = self.ring.poly_ring
-            self._gb = tuple(_groebner([_to_ring(r, g) for g in self.generators], r))
+            self._gb = tuple(_groebner(self.polys, self.ring.poly_ring))
         return self._gb
 
     def basis(self) -> tuple:
         return tuple(g.as_expr() for _, g in self.groebner())
 
+    def _remainder(self, p) -> dict:
+        """The remainder of the ring element p on division by the reduced
+        basis, which is the same for every division order because the
+        basis is a Gröbner basis."""
+        r = self.ring.poly_ring
+        return _reduce(p, self.groebner(), r, _Keys(r))[0]
+
     def normal_form(self, f):
-        """The remainder of f on division by the reduced basis, which is
-        the same for every division order because the basis is a Gröbner
-        basis."""
+        """The remainder of the expression f, as an expression."""
         f = sympy.expand(sympy.sympify(f))
-        gb = self.groebner()
-        if not gb:
+        if not self.groebner():
             return f
         r = self.ring.poly_ring
-        rem, _ = _reduce(_to_ring(r, f), gb, r, _Keys(r))
-        return r.dtype(rem).as_expr()
+        return r.dtype(self._remainder(_to_ring(r, f))).as_expr()
 
     def contains(self, f) -> bool:
+        if isinstance(f, PolyElement):
+            return not self._remainder(f.set_ring(self.ring.poly_ring))
         return self.normal_form(f) == 0
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.generators)
+        return all(self.contains(p) for p in other.polys)
 
     def is_unit(self) -> bool:
         gb = self.groebner()
@@ -328,15 +355,21 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     is, since every term with one of them is larger than every term
     without."""
     drop = tuple(drop_vars)
-    keep = tuple(v for v in ideal.ring.variables if v not in drop)
+    names = ideal.ring.variables
+    keep = tuple(v for v in names if v not in drop)
+    out = PolyRing(keep, ideal.ring.order)
     if not drop:
-        return Ideal.make(PolyRing(keep, ideal.ring.order), ideal.generators)
-    if not ideal.generators:
-        return Ideal.make(PolyRing(keep, ideal.ring.order), ())
+        return Ideal(out, ideal.polys)
+    # exponent vectors permuted into the lex ring, the dropped block first
     r = PolyRing(drop + keep, "lex").poly_ring
-    gb = _groebner([_to_ring(r, g) for g in ideal.generators], r)
-    kept = [g.as_expr() for lm, g in gb if not any(lm[: len(drop)])]
-    return Ideal.make(PolyRing(keep, ideal.ring.order), kept)
+    where = [names.index(v) if v in names else None for v in drop + keep]
+    polys = [
+        r.dtype({tuple(0 if i is None else m[i] for i in where): c for m, c in p.items()})
+        for p in ideal.polys
+    ]
+    k, s = len(drop), out.poly_ring
+    kept = (s.dtype({m[k:]: c for m, c in g.items()}) for lm, g in _groebner(polys, r) if not any(lm[:k]))
+    return Ideal(out, tuple(kept))
 
 
 # the two variables the homogeneous colon of `ideal_quotient` adds
@@ -370,15 +403,15 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
     `regular_sequence_check` it is cached already, so the Gröbner basis
     of J is the only one computed, and it is a better start for that
     Buchberger run (on the A3 chart at base point (3,4,5) it takes about
-    half the time it takes from the generators)."""
-    f = sympy.expand(sympy.sympify(f))
-    if f == 0:
+    half the time it takes from the generators).
+
+    f may be a string, an expression or a ring element; the quotient's
+    generators are ring elements."""
+    f = _parse(ideal.ring, f)
+    if not f:
         raise IdealError("quotient by zero")
     xs = ideal.ring.symbols
-    if not f.free_symbols <= set(xs):
-        raise IdealError(f"{f} uses foreign variables")
     r, n = ideal.ring.poly_ring, len(xs)
-    f = _to_ring(r, f)
     # the basis of I and y - f, as exponent vectors in xs and y
     elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
     elems.append({(0,) * n + (1,): sympy.QQ.one, **{m + (0,): -c for m, c in f.items()}})
@@ -400,7 +433,7 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
             while len(powers) <= e:
                 powers.append(powers[-1] * f)
             g += r(terms) * powers[e]
-        out.append(g.as_expr())
+        out.append(g)
     return Ideal.make(ideal.ring, out)
 
 
@@ -453,8 +486,7 @@ def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
         raise IdealError("s must be at least 1")
     names = tuple(f"u{i}" for i in range(1, s + 1)) + tuple(f"T{i}" for i in range(1, s + 1))
     ring = PolyRing(names, "grevlex")
-    u = sympy.symbols(names[:s])
-    t = sympy.symbols(names[s:])
+    u, t = ring.poly_ring.gens[:s], ring.poly_ring.gens[s:]
     p = Ideal.make(
         ring,
         [u[j] * t[k] - u[k] * t[j] for j in range(s) for k in range(j + 1, s)],
@@ -475,14 +507,10 @@ def primality_crosscheck_P(s: int) -> rep.VerificationReport:
     if s == 1:
         out.add("kernel-equality", rep.PROVEN, "the one-variable case is the zero ideal")
         return out
-    names = ("lam",) + p.ring.variables
-    ring = PolyRing(names, "lex")
-    lam = sympy.Symbol("lam")
-    u = sympy.symbols(p.ring.variables[:s])
-    t = sympy.symbols(p.ring.variables[s:])
+    ring = PolyRing(("lam",) + p.ring.variables, "lex")
+    lam, u, t = ring.poly_ring.gens[0], ring.poly_ring.gens[1 : s + 1], ring.poly_ring.gens[s + 1 :]
     graph = Ideal.make(ring, [t[i] - lam * u[i] for i in range(s)])
-    kernel = eliminate(graph, ("lam",))
-    kernel = Ideal.make(p.ring, kernel.generators)
+    kernel = Ideal.make(p.ring, eliminate(graph, ("lam",)).polys)
     inc1 = p.contains_ideal(kernel)
     inc2 = kernel.contains_ideal(p)
     ok = inc1 and inc2
@@ -503,37 +531,26 @@ def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
 
     Only (J : f) ⊆ J is checked: J ⊆ (J : f) holds for every ideal J,
     since g in J gives g f in J, so it needs no Gröbner basis of the
-    quotient."""
+    quotient.  An f equal to 0 is a zerodivisor, since J is not the
+    whole ring.  The elements may be strings, expressions or ring
+    elements; each is converted once."""
     out = rep.VerificationReport("regular-sequence", "ideal")
     current = ideal
     if current.is_unit():
         raise UnitIdealError("base ideal is the whole ring")
     for i, f in enumerate(seq, start=1):
-        f = sympy.expand(sympy.sympify(f))
-        extended = Ideal.make(ideal.ring, list(current.generators) + [f])
+        f = _parse(ideal.ring, f)
+        details = {"index": i, "element": str(f.as_expr())}
+        extended = Ideal.make(ideal.ring, current.polys + (f,))
         if extended.is_unit():
+            out.add(f"step-{i}", rep.REFUTED, "sequence element is a unit modulo its predecessors", details=details)
+            return out
+        if not f or not current.contains_ideal(ideal_quotient(current, f)):
             out.add(
-                f"step-{i}",
-                rep.REFUTED,
-                "sequence element is a unit modulo its predecessors",
-                details={"index": i, "element": str(f)},
+                f"step-{i}", rep.REFUTED, "sequence element is a zerodivisor modulo its predecessors", details=details
             )
             return out
-        quot = ideal_quotient(current, f)
-        if not current.contains_ideal(quot):
-            out.add(
-                f"step-{i}",
-                rep.REFUTED,
-                "sequence element is a zerodivisor modulo its predecessors",
-                details={"index": i, "element": str(f)},
-            )
-            return out
-        out.add(
-            f"step-{i}",
-            rep.PROVEN,
-            "non-unit with trivial quotient: regular at this step",
-            details={"index": i, "element": str(f)},
-        )
+        out.add(f"step-{i}", rep.PROVEN, "non-unit with trivial quotient: regular at this step", details=details)
         current = extended
     return out
 
@@ -562,6 +579,14 @@ class ChartIdeal:
 
     def a_sym(self, i: int, j: int):
         return sympy.Symbol(f"a{i}_{j}")
+
+    def z(self, i: int, j: int):
+        """z_{i,j} as an element of the chart's ring."""
+        return self.ideal.ring.poly_ring.gens[(i - 1) * self.d + j - 1]
+
+    def a(self, i: int, j: int):
+        """a_{i,j} as an element of the chart's ring."""
+        return self.ideal.ring.poly_ring.gens[self.d * self.d + (i - 1) * self.m + j - 1]
 
 
 def _lie_order_complement(alg: WeightedLieAlgebra, base: tuple[int, ...]) -> tuple[int, ...]:
@@ -620,50 +645,53 @@ def chart_ideal(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
         f"a{i}_{j}" for i in range(1, d + 1) for j in range(1, m + 1)
     )
     ring = PolyRing(names, "grevlex")
-    zsym = {(i, j): sympy.Symbol(f"z{i}_{j}") for i in range(1, d + 1) for j in range(1, d + 1)}
-    asym = {(i, j): sympy.Symbol(f"a{i}_{j}") for i in range(1, d + 1) for j in range(1, m + 1)}
+    r = ring.poly_ring
+    # the graph basis: row i is the base weight vector plus
+    # sum_j z_{i,j} (dual vector j) plus sum_j a_{i,j} (complement vector j),
+    # as coordinate -> ring element
     rows = []
-    for i in range(1, d + 1):
-        vec = [sympy.Integer(0)] * alg.dim
-        vi = alg.weight_vector(base[i - 1])
-        for k in range(alg.dim):
-            vec[k] = vec[k] + vi[k]
-        for j in range(1, d + 1):
-            for k in range(d):
-                vec[k] = vec[k] + zsym[(i, j)] * sympy.Rational(
-                    duals[j - 1][k].numerator, duals[j - 1][k].denominator
-                )
-        for j in range(1, m + 1):
-            col = alg.t_dim + comp[j - 1]
-            vec[col] = vec[col] + asym[(i, j)]
-        rows.append(vec)
+    for i in range(d):
+        row = {d + base[i]: r.one}
+        for k in range(d):
+            row[k] = sum((r.gens[i * d + j] * duals[j][k] for j in range(d) if duals[j][k]), r.zero)
+        for j in range(m):
+            row[d + comp[j]] = r.gens[d * d + i * m + j]
+        rows.append({k: v for k, v in row.items() if v})
+    # the components of [row i, row j], i < j, from the adjoint table
+    table = alg.ad_table()
     gens = []
     for i in range(d):
         for j in range(i + 1, d):
-            br = alg.bracket(rows[i], rows[j])
-            for comp_val in br:
-                e = sympy.expand(comp_val)
-                if e != 0:
-                    gens.append(e)
-    ideal = Ideal.make(ring, gens)
-    chart = ChartIdeal(alg, base, comp, tuple(tuple(dv) for dv in duals), ideal)
+            br: dict[int, object] = {}
+            for e, x in rows[i].items():
+                for f, y in rows[j].items():
+                    if table[e][f]:
+                        xy = x * y
+                        for k, c in table[e][f]:
+                            br[k] = br.get(k, r.zero) + xy * c
+            gens += [br[k] for k in sorted(br) if br[k]]
     # the origin is the base point itself and must satisfy everything
-    zero = {s: 0 for s in ring.symbols}
-    if any(sympy.expand(g).subs(zero) != 0 for g in ideal.generators):
+    if any(r.zero_monom in g for g in gens):
         raise IdealError("chart generators do not vanish at the base point")
-    return chart
+    return ChartIdeal(alg, base, comp, tuple(tuple(dv) for dv in duals), Ideal(ring, tuple(gens)))
+
+
+def _u_form(chart: ChartIdeal, i: int, gamma: Weight):
+    """The linear form sum_j z_{i,j} gamma(t_j) over the dual torus basis,
+    as an element of the chart's ring."""
+    if not (1 <= i <= chart.d):
+        raise IdealError("row index out of range")
+    out = chart.ideal.ring.poly_ring.zero
+    for j in range(1, chart.d + 1):
+        val = gamma(chart.dual_basis[j - 1][: chart.alg.t_dim])
+        if val != 0:
+            out += chart.z(i, j) * val
+    return out
 
 
 def u_function(chart: ChartIdeal, i: int, gamma: Weight):
     """The linear form sum_j z_{i,j} gamma(t_j) over the dual torus basis."""
-    if not (1 <= i <= chart.d):
-        raise IdealError("row index out of range")
-    acc = sympy.Integer(0)
-    for j in range(1, chart.d + 1):
-        val = gamma(chart.dual_basis[j - 1][: chart.alg.t_dim])
-        if val != 0:
-            acc = acc + chart.z_sym(i, j) * sympy.Rational(val.numerator, val.denominator)
-    return sympy.expand(acc)
+    return _u_form(chart, i, gamma).as_expr()
 
 
 def i_gamma(chart: ChartIdeal, gamma: Weight) -> tuple[int, ...]:
@@ -682,13 +710,11 @@ def verify_chart_relation(chart: ChartIdeal) -> rep.VerificationReport:
     if chart.m < 1:
         raise IdealError("chart has no complement weights")
     gm = chart.alg.weights[chart.complement[-1]]
+    u = {i: _u_form(chart, i, gm) for i in range(1, chart.d + 1)}
     ok = True
     for i in range(1, chart.d + 1):
         for j in range(1, chart.d + 1):
-            expr = u_function(chart, i, gm) * chart.a_sym(j, chart.m) - u_function(
-                chart, j, gm
-            ) * chart.a_sym(i, chart.m)
-            if not chart.ideal.contains(expr):
+            if not chart.ideal.contains(u[i] * chart.a(j, chart.m) - u[j] * chart.a(i, chart.m)):
                 ok = False
     out.add(
         "chart-relation",
@@ -705,17 +731,18 @@ def nilcone_dimension(chart: ChartIdeal, subset=None) -> int:
     if subset is None:
         subset = tuple(range(1, d + 1))
     subset = tuple(subset)
-    cnames = tuple(f"c{k}" for k in range(1, d + 1))
-    names = chart.ideal.ring.variables + cnames
-    ring = PolyRing(names, "grevlex")
-    csym = sympy.symbols(cnames)
-    gens = list(chart.ideal.generators)
+    ring = PolyRing(chart.ideal.ring.variables + tuple(f"c{k}" for k in range(1, d + 1)), "grevlex")
+    s = ring.poly_ring
+    c = s.gens[-d:]
+
+    def pad(p):  # p with exponent 0 on the c variables
+        return s.dtype({m + (0,) * d: v for m, v in p.items()})
+
+    gens = [pad(p) for p in chart.ideal.polys]
     # fiber point sum_k c_k w_k: its i-th dual-basis torus coordinate is
     # sum_k c_k z_{k,i}
     for i in subset:
-        gens.append(
-            sympy.expand(sum(csym[k - 1] * chart.z_sym(k, i) for k in range(1, d + 1)))
-        )
+        gens.append(sum((c[k - 1] * pad(chart.z(k, i)) for k in range(1, d + 1)), s.zero))
     return hilbert_dimension(Ideal.make(ring, gens))
 
 
@@ -726,8 +753,5 @@ def chart_dimension(chart: ChartIdeal) -> int:
 def nilpotent_locus_dimension(chart: ChartIdeal) -> int:
     """Dimension of the set of chart points whose subspace sits entirely
     inside the nilpotent part (all torus coefficients zero)."""
-    gens = list(chart.ideal.generators)
-    for i in range(1, chart.d + 1):
-        for j in range(1, chart.d + 1):
-            gens.append(chart.z_sym(i, j))
-    return hilbert_dimension(Ideal.make(chart.ideal.ring, gens))
+    zs = [chart.z(i, j) for i in range(1, chart.d + 1) for j in range(1, chart.d + 1)]
+    return hilbert_dimension(Ideal.make(chart.ideal.ring, chart.ideal.polys + tuple(zs)))
