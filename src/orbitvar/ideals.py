@@ -11,17 +11,42 @@ sympy expressions appear only at the edges: strings and expressions
 given to `Ideal.make`, `Ideal.normal_form`, `ideal_quotient` and
 `regular_sequence_check` are parsed and expanded once, and
 `Ideal.generators`, `u_function` and the report details render ring
-elements with `as_expr()`."""
+elements with `as_expr()`.
+
+No report prints a Gröbner basis, and the questions the reports ask
+(membership, the unit ideal, the dimension, regularity) have the same
+answer for every term order.  So an `Ideal` answers them from one basis
+in the order where it is cheapest: weighted grevlex for a positive
+integer grading in which every generator is homogeneous (`_grading`,
+found exactly, all ones when the total degree is one).  For such an
+ideal every S-polynomial and every remainder is homogeneous, and the
+weighted order follows the ideal's own degrees; the A3 chart ideal at
+base point (3,4,5), not homogeneous in the total degree, has a reduced
+basis of 19 elements there against 57 in grevlex.  `Ideal.groebner`,
+`basis` and `normal_form` give order-dependent output and stay in the
+ring's own order, grevlex or lex; `eliminate` stays in lex.
+
+A sequence element f, homogeneous of degree δ > 0 with the ideal J, is
+regular on R/J exactly when the Hilbert-series numerators satisfy
+N(J + f) = (1 - t^δ) N(J) (`_is_regular`, with the proof).  Each
+numerator is read off the leading monomials of a basis already
+computed (Bayer–Stillman, *Computation of Hilbert functions*, 1992;
+Bigatti, *Computation of Hilbert–Poincaré series*, 1997), so no colon
+ideal is computed; the colon of `ideal_quotient` is the fallback for
+ideals with no positive grading."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 import sympy
+from sympy.polys.orderings import MonomialOrder
 from sympy.polys.polyutils import dict_from_expr
 from sympy.polys.rings import PolyElement, ring as sparse_ring
 
@@ -80,10 +105,44 @@ def _to_ring(ring, expr):
 # -- the Gröbner kernel ------------------------------------------------
 
 
+def _degree(weights, m) -> int:
+    return sum(map(operator.mul, weights, m))
+
+
+class _WeightedGrevlex(MonomialOrder):
+    """Graded reverse lexicographic order by the weighted degree
+    `weights · m`: sympy's grevlex key with the weighted degree in place
+    of the total degree.  A term order when every weight is positive."""
+
+    alias = "wgrevlex"
+    is_global = True
+
+    def __init__(self, weights: tuple[int, ...]):
+        self.weights = weights
+
+    def __call__(self, m):
+        return (_degree(self.weights, m), tuple(reversed([-e for e in m])))
+
+    def __eq__(self, other):
+        return isinstance(other, _WeightedGrevlex) and self.weights == other.weights
+
+    def __hash__(self):
+        return hash((_WeightedGrevlex, self.weights))
+
+
+class _Supports(dict):
+    """Memo of monomial -> its variables, as a bitmask."""
+
+    def __missing__(self, m):
+        s = self[m] = sum(1 << i for i, e in enumerate(m) if e)
+        return s
+
+
 class _Keys(dict):
-    """Memo of monomial -> key for one kernel call.  The key sorts
-    monomials from the largest down, so that a min-heap pops the leading
-    monomial first: the negation of sympy's lex or grevlex key."""
+    """Memo of monomial -> key for one kernel call, with a memo of
+    supports beside it.  The key sorts monomials from the largest down,
+    so that a min-heap pops the leading monomial first: the negation of
+    sympy's lex, grevlex or weighted grevlex key."""
 
     _DESCENDING = {
         "lex": lambda m: tuple([-e for e in m]),
@@ -92,7 +151,12 @@ class _Keys(dict):
 
     def __init__(self, ring):
         super().__init__()
-        self.key = self._DESCENDING[ring.order.alias]
+        self.supports = _Supports()
+        order = ring.order
+        if isinstance(order, _WeightedGrevlex):
+            self.key = lambda m: (-_degree(order.weights, m), m[::-1])
+        else:
+            self.key = self._DESCENDING[order.alias]
 
     def __missing__(self, m):
         k = self[m] = self.key(m)
@@ -108,8 +172,11 @@ def _reduce(p, divisors, ring, keys: _Keys):
     leading term is the top of the heap and no step takes a max over
     all its terms.  A monomial that cancels stays in the heap and is
     skipped when popped; it cannot come back once popped, because every
-    term a reduction step adds is smaller than the term it removes."""
-    mul, div = ring.monomial_mul, ring.monomial_div
+    term a reduction step adds is smaller than the term it removes.  A
+    leading monomial is tried as a divisor only when its support lies
+    inside the popped monomial's, since most of them divide nothing."""
+    mul, div, supports = ring.monomial_mul, ring.monomial_div, keys.supports
+    divisors = [(supports[lm], lm, g) for lm, g in divisors]
     p = dict(p)
     heap = [(keys[m], m) for m in p]
     heapify(heap)
@@ -119,10 +186,12 @@ def _reduce(p, divisors, ring, keys: _Keys):
         c = p.pop(m, None)
         if c is None:
             continue
-        for lm, g in divisors:
-            q = div(m, lm)
-            if q is not None:
-                break
+        outside = ~supports[m]
+        for support, lm, g in divisors:
+            if not support & outside:
+                q = div(m, lm)
+                if q is not None:
+                    break
         else:
             rem[m] = c
             if lead is None:
@@ -269,6 +338,166 @@ def _groebner(polys, ring) -> list:
     return reduced
 
 
+# -- positive gradings and Hilbert series --------------------------------
+
+
+def _clear(u: list, v: list, j: int) -> tuple[list, int]:
+    """v[j] u - u[j] v, which is 0 in column j, divided by the gcd g of
+    its entries, and g (1 for the zero vector).  With v[j] > 0 the result
+    is u scaled by a positive factor and reduced by v: row operations in
+    integers, where Fraction arithmetic would dominate."""
+    w = [v[j] * a - u[j] * b for a, b in zip(u, v)]
+    g = math.gcd(*w) or 1
+    return [e // g for e in w], g
+
+
+def _integer_rref(vectors) -> dict:
+    """Pivot column -> row of a reduced row echelon basis of the span of
+    the integer vectors, each row scaled to coprime integers with a
+    positive pivot: fraction-free Gauss–Jordan elimination."""
+    rows: dict[int, list] = {}
+    for v in vectors:
+        v = list(v)
+        for j, row in rows.items():
+            if v[j]:
+                v = _clear(v, row, j)[0]
+        pivot = next((j for j, e in enumerate(v) if e), None)
+        if pivot is None:
+            continue
+        g = math.gcd(*v) * (1 if v[pivot] > 0 else -1)
+        v = [e // g for e in v]
+        for j, row in rows.items():
+            if row[pivot]:
+                rows[j] = _clear(row, v, pivot)[0]
+        rows[pivot] = v
+    return rows
+
+
+def _grading(polys, nvars: int) -> tuple[int, ...] | None:
+    """A positive integer weight vector for which every element of polys
+    is homogeneous, or None when there is none.
+
+    The all-ones vector is tried first.  Otherwise the vectors that make
+    every element homogeneous are those orthogonal to the differences of
+    the exponent vectors within each element.  Let R be the reduced row
+    echelon form of the differences, with pivot columns p_i and free
+    columns f.  A vector w is orthogonal to them exactly when
+    w[p_i] = -sum_f R[i][f] w[f] / R[i][p_i], so a positive w exists
+    exactly when the linear program
+
+        minimise sum_f c_f  subject to  c >= 1 and A c >= b,
+
+    with A[i][f] = -R[i][f] and b_i = R[i][p_i] > 0, is feasible, and
+    w[f] = c_f.  With c = 1 + x it reads: minimise sum(x) subject to
+    x >= 0 and A x >= beta, beta = b - A·1.  Its dual, maximise beta·y
+    subject to y >= 0 and A^T y <= 1, is feasible at y = 0, so the
+    simplex method starts from the slack basis with no first phase.
+    Bland's rule makes it terminate, and the arithmetic is exact.  An
+    unbounded dual means an infeasible primal, so no positive grading;
+    at the optimum the primal x is the negated objective row under the
+    slack columns (Chvátal, *Linear Programming*, 1983, ch. 5).  The
+    vector is scaled to coprime integers and checked against every
+    element before it is returned."""
+    if all(len({sum(m) for m in p}) == 1 for p in polys):
+        return (1,) * nvars
+    diffs = set()
+    for p in polys:
+        it = iter(p)
+        m0 = next(it)
+        diffs.update(tuple(a - b for a, b in zip(m, m0)) for m in it)
+    rref = _integer_rref(sorted(diffs))
+    free = [j for j in range(nvars) if j not in rref]
+    if not free:
+        return None
+    a = [[-row[f] for f in free] for row in rref.values()]
+    beta = [row[j] - sum(ai) for (j, row), ai in zip(rref.items(), a)]
+    k, q = len(free), len(a)
+    # the dual's tableau, one row per x_f over (y, slacks, right-hand
+    # side); each row is kept in integers up to a positive factor, which
+    # changes neither a sign nor a ratio test, and the objective row is
+    # cost / scale
+    table = [[ai[f] for ai in a] + [int(f == s) for s in range(k)] + [1] for f in range(k)]
+    cost, scale = beta + [0] * (k + 1), Fraction(1)
+    basic = [q + f for f in range(k)]
+    while True:
+        enter = next((j for j in range(q + k) if cost[j] > 0), None)
+        if enter is None:
+            break
+        ratios = [(Fraction(t[-1], t[enter]), basic[i], i) for i, t in enumerate(table) if t[enter] > 0]
+        if not ratios:
+            return None
+        r = min(ratios)[2]
+        pivot_row = table[r]
+        for i, t in enumerate(table):
+            if i != r and t[enter]:
+                table[i] = _clear(t, pivot_row, enter)[0]
+        cost, g = _clear(cost, pivot_row, enter)
+        scale *= Fraction(pivot_row[enter], g)
+        basic[r] = enter
+    w = [Fraction(0)] * nvars
+    for f, j in enumerate(free):
+        w[j] = 1 - cost[q + f] / scale
+    for j, row in rref.items():
+        w[j] = -sum(row[f] * w[f] for f in free) / row[j]
+    common = math.lcm(*(e.denominator for e in w))
+    ints = [int(e * common) for e in w]
+    g = math.gcd(*ints)
+    w = tuple(e // g for e in ints)
+    if min(w) < 1 or any(len({_degree(w, m) for m in p}) != 1 for p in polys):
+        return None
+    return w
+
+
+def _minimal(monomials) -> list:
+    """The minimal generators of the monomial ideal generated by
+    monomials: a divisor never has the larger total degree."""
+    out: list = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
+            out.append(m)
+    return out
+
+
+def _times_one_minus(poly: dict, d: int) -> dict:
+    """poly · (1 - t^d), for a polynomial kept as degree -> coefficient."""
+    out = dict(poly)
+    for e, c in poly.items():
+        out[e + d] = out.get(e + d, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _hilbert_numerator(gens, weights) -> dict:
+    """The numerator N of the Hilbert series N(t) / prod_i (1 - t^w_i) of
+    R/I, where I is the monomial ideal minimally generated by gens and
+    x_i has degree w_i, as degree -> nonzero coefficient.
+
+    The pivot recursion (Bigatti, *Computation of Hilbert–Poincaré
+    series*, 1997): for a variable x_j the exact sequence
+    0 -> (R/(I : x_j))(-w_j) -> R/I -> R/(I + (x_j)) -> 0 gives
+    N(I) = N(I + (x_j)) + t^w_j N(I : x_j).  The pivot is a variable in
+    the most generators.  When no variable is in two of them, the
+    generators are a regular sequence and N(I) = prod_m (1 - t^deg m);
+    a generator 1 makes that product 0, the series of the zero ring."""
+    count = [0] * len(weights)
+    for m in gens:
+        for j, e in enumerate(m):
+            if e:
+                count[j] += 1
+    if max(count, default=0) <= 1:
+        out = {0: 1}
+        for m in gens:
+            out = _times_one_minus(out, _degree(weights, m))
+        return out
+    j = count.index(max(count))
+    unit = tuple(int(i == j) for i in range(len(weights)))
+    plus = [m for m in gens if not m[j]] + [unit]
+    colon = _minimal([m[:j] + (m[j] - 1,) + m[j + 1 :] if m[j] else m for m in gens])
+    out = _hilbert_numerator(plus, weights)
+    for e, c in _hilbert_numerator(colon, weights).items():
+        out[e + weights[j]] = out.get(e + weights[j], 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def _parse(ring: PolyRing, g):
     """g as an element of `ring.poly_ring`.  A string or an expression is
     expanded and must use no variable outside the ring; an element of
@@ -303,9 +532,9 @@ class Ideal:
         return tuple(p.as_expr() for p in self.polys)
 
     def groebner(self) -> tuple:
-        """The reduced Gröbner basis, computed once: (leading monomial,
-        monic element of `ring.poly_ring`) pairs, largest leading
-        monomial first, and empty for the zero ideal."""
+        """The reduced Gröbner basis for `ring.order`, computed once:
+        (leading monomial, monic element of `ring.poly_ring`) pairs,
+        largest leading monomial first, and empty for the zero ideal."""
         if self._gb is None:
             self._gb = tuple(_groebner(self.polys, self.ring.poly_ring))
         return self._gb
@@ -313,31 +542,59 @@ class Ideal:
     def basis(self) -> tuple:
         return tuple(g.as_expr() for _, g in self.groebner())
 
-    def _remainder(self, p) -> dict:
-        """The remainder of the ring element p on division by the reduced
-        basis, which is the same for every division order because the
-        basis is a Gröbner basis."""
-        r = self.ring.poly_ring
-        return _reduce(p, self.groebner(), r, _Keys(r))[0]
+    @functools.cached_property
+    def grading(self) -> tuple[int, ...] | None:
+        """A positive integer weight vector for which every generator is
+        homogeneous, all ones when the total degree is one, and None when
+        there is none (`_grading`)."""
+        return _grading(self.polys, len(self.ring.variables))
+
+    @functools.cached_property
+    def _order_free(self) -> tuple:
+        """(sparse ring, reduced Gröbner basis) for the questions whose
+        answer is the same in every term order: membership, the unit
+        ideal and the dimension.  The order is weighted grevlex by
+        `grading`; without a grading, or in the standard one, the basis
+        is `groebner()` itself and nothing is computed twice."""
+        w = self.grading
+        if w is None or all(e == 1 for e in w):
+            return self.ring.poly_ring, self.groebner()
+        ring = sparse_ring(self.ring.symbols, sympy.QQ, _WeightedGrevlex(w))[0]
+        return ring, tuple(_groebner(self.polys, ring))
+
+    def order_free_basis(self) -> tuple:
+        """The basis of `_order_free`, as (leading monomial, element)
+        pairs."""
+        return self._order_free[1]
 
     def normal_form(self, f):
-        """The remainder of the expression f, as an expression."""
+        """The remainder of the expression f on division by `groebner()`,
+        as an expression."""
         f = sympy.expand(sympy.sympify(f))
         if not self.groebner():
             return f
         r = self.ring.poly_ring
-        return r.dtype(self._remainder(_to_ring(r, f))).as_expr()
+        return r.dtype(_reduce(_to_ring(r, f), self.groebner(), r, _Keys(r))[0]).as_expr()
 
     def contains(self, f) -> bool:
+        """Whether f, an expression or a ring element, lies in the ideal:
+        its remainder on division by a Gröbner basis, for any order, is
+        0."""
         if isinstance(f, PolyElement):
-            return not self._remainder(f.set_ring(self.ring.poly_ring))
-        return self.normal_form(f) == 0
+            p = f.set_ring(self.ring.poly_ring)
+        else:
+            f = sympy.expand(sympy.sympify(f))
+            if not self.polys:  # unconverted, as `normal_form` leaves it
+                return f == 0
+            p = _to_ring(self.ring.poly_ring, f)
+        ring, gb = self._order_free
+        return not _reduce(p, gb, ring, _Keys(ring))[0]
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(p) for p in other.polys)
 
     def is_unit(self) -> bool:
-        gb = self.groebner()
+        gb = self.order_free_basis()
         return len(gb) == 1 and not any(gb[0][0])
 
     def to_json(self) -> dict:
@@ -399,11 +656,13 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
     form a Gröbner basis of J : y (Eisenbud, *Commutative Algebra*,
     Prop. 15.12).
 
-    The basis of I is used rather than its generators: in
-    `regular_sequence_check` it is cached already, so the Gröbner basis
-    of J is the only one computed, and it is a better start for that
-    Buchberger run (on the A3 chart at base point (3,4,5) it takes about
-    half the time it takes from the generators).
+    The basis of I is used rather than its generators: when
+    `regular_sequence_check` falls back to a colon, I too has no
+    positive grading as a rule, and then its `is_unit` has cached that
+    basis already, so the Gröbner basis of J is the only one computed.
+    It is also a better start for that Buchberger run (on the A3 chart
+    at base point (3,4,5) it takes about half the time it takes from
+    the generators).
 
     f may be a string, an expression or a ring element; the quotient's
     generators are ring elements."""
@@ -468,12 +727,16 @@ def hilbert_dimension(ideal: Ideal) -> int:
     variables meeting every support.  That set is found by branch and
     bound: branch on the variables of an unmet support with the fewest
     variables, since every cover contains one of them, and prune a
-    branch once it cannot beat the smallest cover found so far."""
-    gb = ideal.groebner()
+    branch once it cannot beat the smallest cover found so far.
+
+    The leading monomials are read from `Ideal.order_free_basis`; any
+    other object with a `ring` and a `groebner()` of (leading monomial,
+    element) pairs is read from that basis."""
+    gb = ideal.order_free_basis() if isinstance(ideal, Ideal) else ideal.groebner()
     nvars = len(ideal.ring.variables)
     if not gb:
         return nvars
-    if ideal.is_unit():
+    if len(gb) == 1 and not any(gb[0][0]):
         raise UnitIdealError("the ideal is the whole ring")
     supports = [frozenset(i for i, e in enumerate(lm) if e > 0) for lm, _ in gb]
     return nvars - _min_cover_size(supports)
@@ -524,16 +787,43 @@ def primality_crosscheck_P(s: int) -> rep.VerificationReport:
     return out
 
 
+def _is_regular(ideal: Ideal, extended: Ideal, f) -> bool:
+    """Whether the ring element f is a non-zerodivisor modulo ideal, given
+    extended = ideal + (f), which is not the whole ring.
+
+    When extended has a positive grading w, ideal and f are homogeneous
+    for it, with deg f = δ > 0, and the exact sequence of graded modules
+    0 -> ((J : f)/J)(-δ) -> (R/J)(-δ) -> R/J -> R/(J + f) -> 0, the middle
+    map multiplication by f, gives
+        HS(R/(J + f)) = (1 - t^δ) HS(R/J) + t^δ HS((J : f)/J).
+    A graded module with finite-dimensional pieces is 0 exactly when its
+    Hilbert series is, so f is regular exactly when the numerators over
+    prod_i (1 - t^w_i) satisfy N(J + f) = (1 - t^δ) N(J).  For a
+    w-homogeneous ideal and any term order, the standard monomials of
+    each degree are a basis of that degree of the quotient (Macaulay), so
+    HS(R/J) = HS(R/in J), read from the leading monomials of the bases
+    already computed for `is_unit`, in whatever order each was computed
+    (Bayer–Stillman, *Computation of Hilbert functions*, 1992).
+
+    Without a positive grading the colon is computed: f is regular
+    exactly when (J : f) ⊆ J, since J ⊆ (J : f) always holds."""
+    w = extended.grading
+    if w is None:
+        return ideal.contains_ideal(ideal_quotient(ideal, f))
+    delta = _degree(w, next(iter(f)))
+    before = _hilbert_numerator([lm for lm, _ in ideal.order_free_basis()], w)
+    after = _hilbert_numerator([lm for lm, _ in extended.order_free_basis()], w)
+    return after == _times_one_minus(before, delta)
+
+
 def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
     """Check each f_i is a non-zerodivisor and a non-unit modulo the
-    ideal extended by its predecessors, via (J : f) = J.  This is a
+    ideal extended by its predecessors (`_is_regular`).  This is a
     global check on the chart, which implies the local statement.
 
-    Only (J : f) ⊆ J is checked: J ⊆ (J : f) holds for every ideal J,
-    since g in J gives g f in J, so it needs no Gröbner basis of the
-    quotient.  An f equal to 0 is a zerodivisor, since J is not the
-    whole ring.  The elements may be strings, expressions or ring
-    elements; each is converted once."""
+    An f equal to 0 is a zerodivisor, since J is not the whole ring.
+    The elements may be strings, expressions or ring elements; each is
+    converted once."""
     out = rep.VerificationReport("regular-sequence", "ideal")
     current = ideal
     if current.is_unit():
@@ -545,7 +835,7 @@ def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
         if extended.is_unit():
             out.add(f"step-{i}", rep.REFUTED, "sequence element is a unit modulo its predecessors", details=details)
             return out
-        if not f or not current.contains_ideal(ideal_quotient(current, f)):
+        if not f or not _is_regular(current, extended, f):
             out.add(
                 f"step-{i}", rep.REFUTED, "sequence element is a zerodivisor modulo its predecessors", details=details
             )
@@ -581,12 +871,24 @@ class ChartIdeal:
         return sympy.Symbol(f"a{i}_{j}")
 
     def z(self, i: int, j: int):
-        """z_{i,j} as an element of the chart's ring."""
+        """z_{i,j} as an element of the chart's ring, for i, j in 1..d."""
+        _check_index("z", i, self.d)
+        _check_index("z", j, self.d)
         return self.ideal.ring.poly_ring.gens[(i - 1) * self.d + j - 1]
 
     def a(self, i: int, j: int):
-        """a_{i,j} as an element of the chart's ring."""
+        """a_{i,j} as an element of the chart's ring, for i in 1..d and j
+        in 1..m."""
+        _check_index("a", i, self.d)
+        _check_index("a", j, self.m)
         return self.ideal.ring.poly_ring.gens[self.d * self.d + (i - 1) * self.m + j - 1]
+
+
+def _check_index(name: str, i: int, top: int):
+    """Refuse an index outside 1..top, which would otherwise wrap or pick
+    a variable of another block."""
+    if not 1 <= i <= top:
+        raise IdealError(f"{name} index {i} outside 1..{top}")
 
 
 def _lie_order_complement(alg: WeightedLieAlgebra, base: tuple[int, ...]) -> tuple[int, ...]:
