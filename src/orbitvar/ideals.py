@@ -341,14 +341,16 @@ def _groebner(polys, ring) -> list:
 # -- positive gradings and Hilbert series --------------------------------
 
 
-def _clear(u: list, v: list, j: int) -> tuple[list, int]:
-    """v[j] u - u[j] v, which is 0 in column j, divided by the gcd g of
-    its entries, and g (1 for the zero vector).  With v[j] > 0 the result
-    is u scaled by a positive factor and reduced by v: row operations in
-    integers, where Fraction arithmetic would dominate."""
+def _clear(u: list, v: list, j: int) -> list:
+    """v[j] u - u[j] v, which is 0 in column j, divided by the gcd of its
+    entries.  With v[j] > 0 it is u reduced by v and scaled by a positive
+    factor: a row operation in integers, which keeps every sign and every
+    ratio.  Over `Fraction` (`linalg.rref` and a normalised tableau) the
+    grading of the A3 (3,4,5) chart ideal took 18–27 ms against 1–2 ms
+    in integers."""
     w = [v[j] * a - u[j] * b for a, b in zip(u, v)]
     g = math.gcd(*w) or 1
-    return [e // g for e in w], g
+    return [e // g for e in w]
 
 
 def _integer_rref(vectors) -> dict:
@@ -360,7 +362,7 @@ def _integer_rref(vectors) -> dict:
         v = list(v)
         for j, row in rows.items():
             if v[j]:
-                v = _clear(v, row, j)[0]
+                v = _clear(v, row, j)
         pivot = next((j for j, e in enumerate(v) if e), None)
         if pivot is None:
             continue
@@ -368,7 +370,7 @@ def _integer_rref(vectors) -> dict:
         v = [e // g for e in v]
         for j, row in rows.items():
             if row[pivot]:
-                rows[j] = _clear(row, v, pivot)[0]
+                rows[j] = _clear(row, v, pivot)
         rows[pivot] = v
     return rows
 
@@ -413,30 +415,27 @@ def _grading(polys, nvars: int) -> tuple[int, ...] | None:
     beta = [row[j] - sum(ai) for (j, row), ai in zip(rref.items(), a)]
     k, q = len(free), len(a)
     # the dual's tableau, one row per x_f over (y, slacks, right-hand
-    # side); each row is kept in integers up to a positive factor, which
-    # changes neither a sign nor a ratio test, and the objective row is
-    # cost / scale
-    table = [[ai[f] for ai in a] + [int(f == s) for s in range(k)] + [1] for f in range(k)]
-    cost, scale = beta + [0] * (k + 1), Fraction(1)
+    # side, 0), and the objective row over the same columns with a last
+    # entry 1; each row is kept in integers up to a positive factor,
+    # which the objective row's last entry records
+    table = [[ai[f] for ai in a] + [int(f == s) for s in range(k)] + [1, 0] for f in range(k)]
+    cost = beta + [0] * (k + 1) + [1]
     basic = [q + f for f in range(k)]
     while True:
         enter = next((j for j in range(q + k) if cost[j] > 0), None)
         if enter is None:
             break
-        ratios = [(Fraction(t[-1], t[enter]), basic[i], i) for i, t in enumerate(table) if t[enter] > 0]
+        ratios = [(Fraction(t[-2], t[enter]), basic[i], i) for i, t in enumerate(table) if t[enter] > 0]
         if not ratios:
             return None
         r = min(ratios)[2]
-        pivot_row = table[r]
-        for i, t in enumerate(table):
-            if i != r and t[enter]:
-                table[i] = _clear(t, pivot_row, enter)[0]
-        cost, g = _clear(cost, pivot_row, enter)
-        scale *= Fraction(pivot_row[enter], g)
+        table = [t if i == r or not t[enter] else _clear(t, table[r], enter) for i, t in enumerate(table)]
+        cost = _clear(cost, table[r], enter)
         basic[r] = enter
+    # w[f] = 1 + x_f = 1 - cost[q + f] / cost[-1], times cost[-1]
     w = [Fraction(0)] * nvars
     for f, j in enumerate(free):
-        w[j] = 1 - cost[q + f] / scale
+        w[j] = Fraction(cost[-1] - cost[q + f])
     for j, row in rref.items():
         w[j] = -sum(row[f] * w[f] for f in free) / row[j]
     common = math.lcm(*(e.denominator for e in w))
@@ -550,22 +549,18 @@ class Ideal:
         return _grading(self.polys, len(self.ring.variables))
 
     @functools.cached_property
-    def _order_free(self) -> tuple:
-        """(sparse ring, reduced Gröbner basis) for the questions whose
-        answer is the same in every term order: membership, the unit
-        ideal and the dimension.  The order is weighted grevlex by
-        `grading`; without a grading, or in the standard one, the basis
-        is `groebner()` itself and nothing is computed twice."""
+    def order_free_basis(self) -> tuple:
+        """A reduced Gröbner basis, as (leading monomial, element) pairs,
+        for the questions whose answer is the same in every term order:
+        membership, the unit ideal and the dimension.  The order is
+        weighted grevlex by `grading`, and the elements belong to a ring
+        in that order; without a grading, or in the standard one, the
+        basis is `groebner()` itself and nothing is computed twice."""
         w = self.grading
         if w is None or all(e == 1 for e in w):
-            return self.ring.poly_ring, self.groebner()
+            return self.groebner()
         ring = sparse_ring(self.ring.symbols, sympy.QQ, _WeightedGrevlex(w))[0]
-        return ring, tuple(_groebner(self.polys, ring))
-
-    def order_free_basis(self) -> tuple:
-        """The basis of `_order_free`, as (leading monomial, element)
-        pairs."""
-        return self._order_free[1]
+        return tuple(_groebner(self.polys, ring))
 
     def normal_form(self, f):
         """The remainder of the expression f on division by `groebner()`,
@@ -587,14 +582,17 @@ class Ideal:
             if not self.polys:  # unconverted, as `normal_form` leaves it
                 return f == 0
             p = _to_ring(self.ring.poly_ring, f)
-        ring, gb = self._order_free
+        gb = self.order_free_basis
+        if not gb:
+            return not p
+        ring = gb[0][1].ring
         return not _reduce(p, gb, ring, _Keys(ring))[0]
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(p) for p in other.polys)
 
     def is_unit(self) -> bool:
-        gb = self.order_free_basis()
+        gb = self.order_free_basis
         return len(gb) == 1 and not any(gb[0][0])
 
     def to_json(self) -> dict:
@@ -732,7 +730,7 @@ def hilbert_dimension(ideal: Ideal) -> int:
     The leading monomials are read from `Ideal.order_free_basis`; any
     other object with a `ring` and a `groebner()` of (leading monomial,
     element) pairs is read from that basis."""
-    gb = ideal.order_free_basis() if isinstance(ideal, Ideal) else ideal.groebner()
+    gb = ideal.order_free_basis if hasattr(ideal, "order_free_basis") else ideal.groebner()
     nvars = len(ideal.ring.variables)
     if not gb:
         return nvars
@@ -811,8 +809,8 @@ def _is_regular(ideal: Ideal, extended: Ideal, f) -> bool:
     if w is None:
         return ideal.contains_ideal(ideal_quotient(ideal, f))
     delta = _degree(w, next(iter(f)))
-    before = _hilbert_numerator([lm for lm, _ in ideal.order_free_basis()], w)
-    after = _hilbert_numerator([lm for lm, _ in extended.order_free_basis()], w)
+    before = _hilbert_numerator([lm for lm, _ in ideal.order_free_basis], w)
+    after = _hilbert_numerator([lm for lm, _ in extended.order_free_basis], w)
     return after == _times_one_minus(before, delta)
 
 

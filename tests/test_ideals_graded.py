@@ -138,7 +138,7 @@ def test_weighted_route_matches_grevlex(case, data):
         assert hilbert_dimension(ideal) == hilbert_dimension(grevlex_view(ideal))
     # Macaulay: the initial ideals of both orders have one Hilbert series
     for weights in {w, grading}:
-        assert _hilbert_numerator([lm for lm, _ in ideal.order_free_basis()], weights) == _hilbert_numerator(
+        assert _hilbert_numerator([lm for lm, _ in ideal.order_free_basis], weights) == _hilbert_numerator(
             [lm for lm, _ in ideal.groebner()], weights
         )
     # an element of the ideal, the same plus a homogeneous polynomial,
@@ -217,6 +217,18 @@ def test_gradings():
     assert grading([]) == (1, 1, 1)
 
 
+def test_zero_ideal_membership():
+    ring = PolyRing(("x", "y"))
+    x_, y_ = ring.poly_ring.gens
+    for gens in ([], ["0"]):
+        zero = Ideal.make(ring, gens)
+        assert zero.order_free_basis == ()
+        assert zero.contains(ring.poly_ring(0)) and zero.contains("0")
+        assert not zero.contains(x_ * y_) and not zero.contains("x*y")
+        assert zero.contains_ideal(zero) and not zero.contains_ideal(Ideal.make(ring, [x_]))
+        assert hilbert_dimension(zero) == 2
+
+
 @pytest.mark.parametrize(
     "gens, weights, numerator",
     (
@@ -271,7 +283,7 @@ def test_a3_345_chart_takes_the_weighted_basis():
     ideal = chart_ideal(alg, recd.subspace).ideal
     # z1_*, z2_* -> 2, z3_* -> 3, a1_*, a2_* -> 1, a3_* -> 2
     assert ideal.grading == (2,) * 6 + (3,) * 3 + (1,) * 6 + (2,) * 3
-    assert len(ideal.order_free_basis()) == 19
+    assert len(ideal.order_free_basis) == 19
     assert len(ideal.groebner()) == 57
     assert hilbert_dimension(ideal) == hilbert_dimension(grevlex_view(ideal)) == 6
 
@@ -282,7 +294,7 @@ def test_standard_grading_reuses_the_grevlex_basis(name):
     for recd in orbit.group_fixed_points(alg):
         ideal = chart_ideal(alg, recd.subspace).ideal
         assert ideal.grading == (1,) * len(ideal.ring.variables)
-        assert ideal.order_free_basis() is ideal.groebner()
+        assert ideal.order_free_basis is ideal.groebner()
 
 
 # -- chart indices ---------------------------------------------------------
