@@ -9,27 +9,14 @@ written).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from fractions import Fraction
 
 from . import ideals, models, orbit
 from . import report as rep
 from .liealg import AlgebraError, WeightedLieAlgebra
 
 STAGE_PREFIX = "stage-"  # names the suite check recorded for a stage that raised
-
-COMMANDS = (
-    "validate",
-    "fixed-points",
-    "boundary",
-    "property-p",
-    "chart",
-    "nilcone",
-    "ps-check",
-    "suite",
-)
 
 
 class InputError(Exception):
@@ -102,24 +89,22 @@ def cmd_boundary(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
 def cmd_property_p(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
     """Property (P) consequences for every torus-fixed V = z_V + a_S and
     every complete weight set L containing S, with s a torus element whose
-    vanishing weights are exactly L.  Only verdict counts leave the loop:
-    each pair's checks come from `orbit.property_P_checks`, with the data
-    of s computed once per L and the graded subset once per V, so no
-    sub-report is built and no witness curve is rendered."""
+    vanishing weights are exactly L; what the checks read of s depends on
+    L alone (`orbit.torus_element_data`), so no s is searched for.  Only
+    verdict counts leave the loop: each pair's checks come from
+    `orbit.property_P_checks`, with the data computed once per L and the
+    graded subset once per V, so no sub-report is built and no witness
+    curve is rendered."""
     out = rep.VerificationReport("property-p", alg.fingerprint(), seed=seed)
     refuted = 0
     proven = 0
     checked = 0
-    complete = alg.complete_subsets()
     points = [
         (recd.subspace, set(recd.r_v_set), orbit.graded_subset(alg, recd.subspace))
         for recd in orbit.torus_fixed_points(alg)
     ]
-    for lam in complete:
-        s = _generic_kernel_element(alg, lam)
-        if s is None:
-            continue
-        data = orbit.torus_element_data(alg, s)
+    for lam in alg.complete_subsets():
+        data = orbit.torus_element_data(alg, lam)
         inside = set(lam)
         for v, support, graded in points:
             if not support <= inside:
@@ -139,23 +124,6 @@ def cmd_property_p(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport
         details={"proven": proven, "consequence_checked": checked, "refuted": refuted},
     )
     return out
-
-
-def _generic_kernel_element(alg: WeightedLieAlgebra, lam) -> tuple | None:
-    """Torus element whose vanishing weights are exactly the complete set."""
-    ker = alg.torus_kernel([alg.weights[i] for i in lam])
-    if ker.rows == 0:
-        s = alg.zero()
-        return s if tuple(alg.lambda_of(s)) == tuple(lam) else None
-    for coefs in itertools.product(range(-3, 4), repeat=ker.rows):
-        t = [
-            sum((Fraction(coefs[r]) * ker[r, c] for r in range(ker.rows)), Fraction(0))
-            for c in range(alg.t_dim)
-        ]
-        s = tuple(t) + tuple(Fraction(0) for _ in range(alg.n))
-        if tuple(alg.lambda_of(s)) == tuple(lam):
-            return s
-    return None
 
 
 def cmd_chart(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
@@ -277,7 +245,7 @@ def main(argv=None) -> int:
         prog="orbitvar",
         description="exact verification toolkit for torus-orbit closures in the Grassmannian",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(RUNNERS))
     parser.add_argument("--input", help="path to an algebra JSON file")
     parser.add_argument(
         "--builtin", help="builtin algebra name: " + ", ".join(models.BUILTIN_NAMES)

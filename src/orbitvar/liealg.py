@@ -223,8 +223,8 @@ class WeightedLieAlgebra:
         return self.a_part(self.bracket(self.weight_vector(i), self.weight_vector(j)))
 
     def bracket(self, x: Sequence, y: Sequence):
-        """Lie bracket of two elements of r = t + a; entries may be
-        Fractions or sympy expressions (bilinear either way)."""
+        """Lie bracket of two elements of r = t + a, bilinear in Fraction or
+        sympy entries; sympy entries are returned unexpanded."""
         d = self.t_dim
         out = [Fraction(0)] * self.dim
         # [t, a^w] = w(t) a^w, evaluated only where both factors are nonzero
@@ -244,7 +244,7 @@ class WeightedLieAlgebra:
             if c != 0:
                 for k, ck in terms:
                     out[d + k] += c * ck
-        return tuple(e if isinstance(e, Fraction) else sympy.expand(e) for e in out)
+        return tuple(out)
 
     def ad_table(self) -> tuple:
         """ad e for every basis vector e of r, as sparse columns, built once:
@@ -336,31 +336,30 @@ class WeightedLieAlgebra:
             raise AlgebraError("lambda_of expects a torus element")
         return tuple(i for i, w in enumerate(self.weights) if w(ts) == 0)
 
-    def is_complete(self, subset: Sequence[int]) -> bool:
-        """A weight subset L is complete when every weight vanishing on
-        the common kernel t_L already belongs to L."""
-        sub = [self.weights[i] for i in subset]
-        ker = self.torus_kernel(sub)
-        closure = {
+    def closure(self, subset: Sequence[int]) -> tuple[int, ...]:
+        """Indices of the weights vanishing on the kernel t_subset."""
+        ker = self.torus_kernel([self.weights[i] for i in subset])
+        return tuple(
             i
             for i, w in enumerate(self.weights)
             if all(w(ker.row(r)) == 0 for r in range(ker.rows))
-        }
-        return closure == set(subset)
+        )
+
+    def is_complete(self, subset: Sequence[int]) -> bool:
+        """A weight subset L is complete when every weight vanishing on
+        the common kernel t_L already belongs to L."""
+        return set(self.closure(subset)) == set(subset)
 
     def complete_subsets(self) -> list[tuple[int, ...]]:
-        """All complete weight subsets, deduplicated, sorted."""
-        seen = set()
-        for size in range(self.n + 1):
-            for s in itertools.combinations(range(self.n), size):
-                ker = self.torus_kernel([self.weights[i] for i in s])
-                closure = tuple(
-                    i
-                    for i, w in enumerate(self.weights)
-                    if all(w(ker.row(r)) == 0 for r in range(ker.rows))
-                )
-                seen.add(closure)
-        return sorted(seen)
+        """All complete weight subsets, sorted: the closures cl(S), or flats
+        (Orlik and Terao, *Arrangements of Hyperplanes*, 1992).  S and cl(S)
+        have one kernel, so cl(S + {i}) = cl(cl(S) + {i}): closing each new
+        flat with one more weight, from cl(()), reaches every cl(S)."""
+        flats = new = {self.closure(())}
+        while new:
+            new = {self.closure(f + (i,)) for f in new for i in range(self.n) if i not in f} - flats
+            flats |= new
+        return sorted(flats)
 
     def centralizer_in_a(self, subset: Sequence[int]) -> bool:
         """True when the weight spaces indexed by subset pairwise commute."""
@@ -374,14 +373,10 @@ class WeightedLieAlgebra:
         subset = tuple(sorted(subset))
         if not self.is_complete(subset):
             raise AlgebraError("restrict requires a complete weight subset")
-        ker = self.torus_kernel([self.weights[i] for i in subset])
-        _, piv = rref(ker)
-        keep = [j for j in range(self.t_dim) if j not in piv]
         if not subset:
-            return (
-                WeightedLieAlgebra.build(0, [], {}, []),
-                True,
-            )
+            return WeightedLieAlgebra.build(0, [], {}, []), True
+        _, piv = rref(self.torus_kernel([self.weights[i] for i in subset]))
+        keep = [j for j in range(self.t_dim) if j not in piv]
         names = [self.a_basis[i] for i in subset]
         weights = {
             self.a_basis[i]: [self.weights[i].coords[j] for j in keep] for i in subset

@@ -307,26 +307,22 @@ def torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
 
 
 def _enumerate_torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
-    out = []
-    for size in range(alg.n + 1):
-        for subset in itertools.combinations(range(alg.n), size):
-            ws = [alg.weights[i] for i in subset]
-            if ws and rank(alg.weight_matrix(ws)) != len(ws):
-                continue
-            if not alg.centralizer_in_a(subset):
-                continue
-            v, z_v = _fixed_point_subspace(alg, subset)
-            if witness_limit(alg, subset) != v:
-                raise OrbitError("witness curve limit mismatch")
-            out.append(
-                FixedPointRecord(
-                    subspace=v,
-                    r_v_set=subset,
-                    z_v=z_v,
-                    fixed_under="torus",
-                    witness=witness_curve(alg, subset),
-                )
-            )
+    """Grows the subsets from () breadth first, extending each only by a
+    larger index whose weight vector commutes with it and whose weight
+    keeps it independent.  Both properties pass to subsets, so every such
+    subset is reached from its prefix; the prefixes come in lexicographic
+    order, so the subsets come in (size, lexicographic) order."""
+    subsets, out = [()], []
+    for subset in subsets:  # grows while it is walked
+        v, z_v = _fixed_point_subspace(alg, subset)
+        if witness_limit(alg, subset) != v:
+            raise OrbitError("witness curve limit mismatch")
+        out.append(FixedPointRecord(v, subset, z_v, "torus", witness_curve(alg, subset)))
+        for j in range(subset[-1] + 1 if subset else 0, alg.n):
+            wider = subset + (j,)
+            ws = [alg.weights[i] for i in wider]
+            if alg.centralizer_in_a(wider) and rank(alg.weight_matrix(ws)) == len(ws):
+                subsets.append(wider)
     return tuple(out)
 
 
@@ -536,7 +532,7 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
 
 
 def centralizer_of_torus_element(alg: WeightedLieAlgebra, s: Sequence[Fraction]) -> Subspace:
-    return torus_element_data(alg, s).centralizer
+    return torus_element_data(alg, alg.lambda_of(s)).centralizer
 
 
 @dataclass(frozen=True)
@@ -550,8 +546,11 @@ class TorusElementData:
     center: tuple[tuple, ...]
 
 
-def torus_element_data(alg: WeightedLieAlgebra, s: Sequence[Fraction]) -> TorusElementData:
-    lam = alg.lambda_of(s)
+def torus_element_data(alg: WeightedLieAlgebra, lam: tuple[int, ...]) -> TorusElementData:
+    """The data of any torus element s vanishing on exactly the weights
+    `lam`.  For a complete lam such an s exists over Q: the other weights
+    are nonzero forms on t_lam, and finitely many hyperplanes do not
+    cover it."""
     rows = [alg.basis_vector(i) for i in range(alg.t_dim)] + [alg.weight_vector(i) for i in lam]
     pad = (Fraction(0),) * alg.n
     center = alg.torus_kernel([alg.weights[i] for i in lam]).entries
@@ -619,7 +618,7 @@ def property_P_consequences(
     proven.  For a torus-fixed point z_V + a_S that is the curve and
     limit its enumeration verified, so sharing them keeps the
     certificate checked without rebuilding it."""
-    data = torus_element_data(alg, s)
+    data = torus_element_data(alg, alg.lambda_of(s))
     out = rep.VerificationReport("property-p", alg.fingerprint())
     for c in property_P_checks(alg, data, v, graded_subset(alg, v)):
         witness = None if c.witness is None else c.witness.to_json()["basis"]

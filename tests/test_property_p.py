@@ -1,8 +1,10 @@
 """Property (P) from the fixed-point records: `cli.cmd_property_p` and
 `orbit.property_P_consequences` against the per-pair versions kept here,
 which rebuild every witness curve and take its limit without the
-per-subset memo; the witness curve and its limit built once per weight
-subset; and a generic torus element found for every complete subset."""
+per-subset memo and search for a generic torus element per complete
+subset; the witness curve and its limit built once per weight subset;
+and the search finding a generic torus element for every complete
+subset, which `cmd_property_p` relies on without searching."""
 
 import itertools
 import random
@@ -77,6 +79,25 @@ def reference_witness_curve(alg, subset):
     return orbit.act(alg, [(i, None) for i in orbit._ordered(alg, subset)], t)
 
 
+def generic_kernel_element(alg, lam):
+    """A torus element whose vanishing weights are exactly the complete
+    set, searched for over small coefficient tuples on its kernel; None
+    when the search misses."""
+    ker = alg.torus_kernel([alg.weights[i] for i in lam])
+    if ker.rows == 0:
+        s = alg.zero()
+        return s if tuple(alg.lambda_of(s)) == tuple(lam) else None
+    for coefs in itertools.product(range(-3, 4), repeat=ker.rows):
+        t = [
+            sum((Fraction(coefs[r]) * ker[r, c] for r in range(ker.rows)), Fraction(0))
+            for c in range(alg.t_dim)
+        ]
+        s = tuple(t) + tuple(Fraction(0) for _ in range(alg.n))
+        if tuple(alg.lambda_of(s)) == tuple(lam):
+            return s
+    return None
+
+
 def reference_property_P_consequences(alg, s, v):
     out = rep.VerificationReport("property-p", alg.fingerprint())
     cent = orbit.centralizer_of_torus_element(alg, s)
@@ -123,7 +144,7 @@ def reference_cmd_property_p(alg, seed):
         for lam in complete:
             if not set(recd.r_v_set) <= set(lam):
                 continue
-            s = cli._generic_kernel_element(alg, lam)
+            s = generic_kernel_element(alg, lam)
             if s is None:
                 continue
             sub = reference_property_P_consequences(alg, s, recd.subspace)
@@ -222,9 +243,19 @@ class TestGenericKernelElement:
         # a miss would drop its pairs from the property-p counts unseen
         alg = KERNEL_CASES[name]()
         for lam in alg.complete_subsets():
-            s = cli._generic_kernel_element(alg, lam)
+            s = generic_kernel_element(alg, lam)
             assert s is not None, lam
             assert alg.lambda_of(s) == lam
+
+    @settings(max_examples=30)
+    @given(spec=SMALL)
+    def test_found_on_generated_algebras(self, spec):
+        # on t_L each of the at most five weights outside L vanishes on at
+        # most 7^(k-1) of the 7^k coefficient tuples, so some tuple is left
+        alg = WeightedLieAlgebra.build(*spec)
+        for lam in alg.complete_subsets():
+            s = generic_kernel_element(alg, lam)
+            assert s is not None and alg.lambda_of(s) == lam
 
 
 # -- the sub-report -------------------------------------------------------
@@ -248,7 +279,7 @@ def property_p_inputs(draw):
     alg = WeightedLieAlgebra.build(*spec)
     small = st.integers(-2, 2).map(Fraction)
     lam = draw(st.sampled_from(alg.complete_subsets()))
-    s = cli._generic_kernel_element(alg, lam)
+    s = generic_kernel_element(alg, lam)
     if s is None or draw(st.booleans()):
         s = tuple(draw(st.lists(small, min_size=alg.t_dim, max_size=alg.t_dim))) + (Fraction(0),) * alg.n
     lam = alg.lambda_of(s)
