@@ -90,26 +90,24 @@ def cmd_property_p(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport
     """Property (P) consequences for every torus-fixed V = z_V + a_S and
     every complete weight set L containing S, with s a torus element whose
     vanishing weights are exactly L; what the checks read of s depends on
-    L alone (`orbit.torus_element_data`), so no s is searched for.  Only
-    verdict counts leave the loop: each pair's checks come from
-    `orbit.property_P_checks`, with the data computed once per L and the
-    graded subset once per V, so no sub-report is built and no witness
+    L alone (`orbit.torus_element_data`), so no s is searched for.  V is
+    torus-stable and V meets a in a_S, so `orbit.graded_subset` of V is S:
+    the checks take S from the record.  Only verdict counts leave the
+    loop: each pair's checks come from `orbit.property_P_checks`, with the
+    data computed once per L, so no sub-report is built and no witness
     curve is rendered."""
     out = rep.VerificationReport("property-p", alg.fingerprint(), seed=seed)
     refuted = 0
     proven = 0
     checked = 0
-    points = [
-        (recd.subspace, set(recd.r_v_set), orbit.graded_subset(alg, recd.subspace))
-        for recd in orbit.torus_fixed_points(alg)
-    ]
+    records = orbit.torus_fixed_points(alg)
     for lam in alg.complete_subsets():
         data = orbit.torus_element_data(alg, lam)
         inside = set(lam)
-        for v, support, graded in points:
-            if not support <= inside:
+        for recd in records:
+            if not inside.issuperset(recd.r_v_set):
                 continue
-            for c in orbit.property_P_checks(alg, data, v, graded):
+            for c in orbit.property_P_checks(alg, data, recd.subspace, recd.r_v_set):
                 if c.verdict == rep.REFUTED:
                     refuted += 1
                 elif c.verdict == rep.PROVEN:

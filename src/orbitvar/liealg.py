@@ -81,15 +81,20 @@ class WeightedLieAlgebra:
     `(i, j, ((k, c), ...))`, each meaning `[a_i, a_j] = sum of c * a_k`.
     Entries have `i < j` and are sorted by `(i, j)`; their terms are
     sorted by `k` and have `c != 0`; a pair whose bracket is zero has no
-    entry.  `[a_j, a_i]` is read off by antisymmetry.
+    entry.  `[a_j, a_i]` is read off by antisymmetry.  `ad_table` turns
+    the weights and this table into sparse adjoint columns once, and it
+    is the one reader of the structure constants that the arithmetic
+    uses: `bracket`, `ad`, `exp_ad_terms`, the Jacobi check and the
+    nilpotency check all sum from it.
 
     `_memo` holds data derived from the fields, each computed once per
     instance through `derived`: the center, the sparse adjoint table
     (`ad_table`), the Jacobi and nilpotency verdicts that `validate`
     reports and `jordan_decompose` requires, and the fixed points and
-    the per-subset witness curves and limits of `orbit`.  The fields are immutable and every memoised value is
-    immutable, so a memoised value never goes stale; the memo takes no
-    part in `==`, `hash`, `repr`, `to_json` or `fingerprint`.
+    the per-subset witness curves and limits of `orbit`.  The fields are
+    immutable and every memoised value is immutable, so a memoised value
+    never goes stale; the memo takes no part in `==`, `hash`, `repr`,
+    `to_json` or `fingerprint`.
     """
 
     t_dim: int
@@ -224,26 +229,15 @@ class WeightedLieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence):
         """Lie bracket of two elements of r = t + a, bilinear in Fraction or
-        sympy entries; sympy entries are returned unexpanded."""
-        d = self.t_dim
+        sympy entries, summed from `ad_table` over the nonzero coordinates
+        of x and y; sympy entries are returned unexpanded."""
         out = [Fraction(0)] * self.dim
-        # [t, a^w] = w(t) a^w, evaluated only where both factors are nonzero
-        tx, ty = x[:d], y[:d]
-        x_on_t = any(c != 0 for c in tx)
-        y_on_t = any(c != 0 for c in ty)
-        if x_on_t or y_on_t:
-            for k, w in enumerate(self.weights):
-                xk, yk = x[d + k], y[d + k]
-                if x_on_t and yk != 0:
-                    out[d + k] += w(tx) * yk
-                if y_on_t and xk != 0:
-                    out[d + k] -= w(ty) * xk
-        # [a_i, a_j] and [a_j, a_i] = -[a_i, a_j]
-        for i, j, terms in self.brackets:
-            c = x[d + i] * y[d + j] - x[d + j] * y[d + i]
-            if c != 0:
-                for k, ck in terms:
-                    out[d + k] += c * ck
+        support = [(j, c) for j, c in enumerate(y) if c != 0]
+        for xe, op in zip(x, self.ad_table()):
+            if xe != 0:
+                for j, c in support:
+                    for k, a in op[j]:
+                        out[k] += a * xe * c
         return tuple(out)
 
     def ad_table(self) -> tuple:
@@ -268,18 +262,6 @@ class WeightedLieAlgebra:
 
         return self.derived("ad-table", compute)
 
-    def ad_apply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-        """[u, v] for Fraction entries, summed from `ad_table` over the
-        nonzero coordinates of u and v."""
-        out = [Fraction(0)] * self.dim
-        support = [(j, c) for j, c in enumerate(v) if c != 0]
-        for ue, op in zip(u, self.ad_table()):
-            if ue != 0:
-                for j, c in support:
-                    for k, a in op[j]:
-                        out[k] += a * ue * c
-        return tuple(out)
-
     def exp_ad_terms(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[tuple, ...]:
         """The terms (ad u)^k v / k! of exp(ad u) v, from k = 0 up to the
         last nonzero one.  ad u is nilpotent for u in a on an algebra that
@@ -287,7 +269,7 @@ class WeightedLieAlgebra:
         has not ended by then raises `AlgebraError`."""
         terms = [tuple(v)]
         for k in range(1, self.dim + 1):
-            term = self.ad_apply(u, terms[-1])
+            term = self.bracket(u, terms[-1])
             if not any(term):
                 return tuple(terms)
             terms.append(tuple(c / k for c in term))
@@ -567,7 +549,7 @@ class WeightedLieAlgebra:
         for _ in range(self.n + 1):
             if span.rows == 0:
                 return True
-            nxt = [self.ad_apply(self.weight_vector(i), v) for i in range(self.n) for v in span.entries]
+            nxt = [self.bracket(self.weight_vector(i), v) for i in range(self.n) for v in span.entries]
             span = row_space_basis(Matrix.from_rows(nxt))
         return False
 

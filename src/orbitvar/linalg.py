@@ -88,9 +88,6 @@ class Matrix:
             ]
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(Fraction(-1))
-
     def scale(self, c) -> "Matrix":
         return Matrix.from_rows(
             [[c * self.entries[i][j] for j in range(self.cols)] for i in range(self.rows)]

@@ -30,7 +30,7 @@ from .linalg import (
     rank,
     reduce_mod_rowspace,
     row_space_basis,
-    rref,
+    rref,  # noqa: F401  perfbench/test_perfbench.py::test_tracer_restores_every_wrapped_function patches it
 )
 from .linalg import plucker_limit  # noqa: F401  perfbench/test_perfbench.py::test_tracer_restores_every_wrapped_function patches it
 from . import report as rep
@@ -57,9 +57,13 @@ class Subspace:
     alg: WeightedLieAlgebra
     basis: Matrix  # canonical rref rows
 
+    def __post_init__(self):
+        if self.basis.cols != self.alg.dim:
+            raise DimensionMismatchError(f"{self.basis.cols} columns != dim {self.alg.dim}")
+
     @staticmethod
     def from_rows(alg: WeightedLieAlgebra, rows: Sequence[Sequence]) -> "Subspace":
-        return Subspace(alg, row_space_basis(Matrix.from_rows(rows)))
+        return Subspace(alg, row_space_basis(Matrix.from_rows(rows)) if rows else Matrix.zero(0, alg.dim))
 
     @property
     def dim(self) -> int:
@@ -243,22 +247,19 @@ def is_commutative_subalgebra(alg: WeightedLieAlgebra, v: Subspace) -> bool:
     return True
 
 
+def _stable_under(alg: WeightedLieAlgebra, v: Subspace, count: int) -> bool:
+    """True when [e_k, V] lies in V for the first `count` basis vectors e_k."""
+    return all(
+        v.contains(alg.bracket(alg.basis_vector(k), row)) for k in range(count) for row in v.basis.entries
+    )
+
+
 def is_torus_stable(alg: WeightedLieAlgebra, v: Subspace) -> bool:
-    for i in range(alg.t_dim):
-        t = alg.basis_vector(i)
-        for r in range(v.dim):
-            if not v.contains(alg.bracket(t, v.basis.row(r))):
-                return False
-    return True
+    return _stable_under(alg, v, alg.t_dim)
 
 
 def is_ideal(alg: WeightedLieAlgebra, v: Subspace) -> bool:
-    for k in range(alg.dim):
-        e = alg.basis_vector(k)
-        for r in range(v.dim):
-            if not v.contains(alg.bracket(e, v.basis.row(r))):
-                return False
-    return True
+    return _stable_under(alg, v, alg.dim)
 
 
 def _ordered(alg: WeightedLieAlgebra, indices: Sequence[int]) -> list[int]:
@@ -268,11 +269,9 @@ def _ordered(alg: WeightedLieAlgebra, indices: Sequence[int]) -> list[int]:
 
 def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> tuple[Subspace, Subspace]:
     ker = alg.torus_kernel([alg.weights[i] for i in subset])
-    rows = [list(ker.row(r)) + [Fraction(0)] * alg.n for r in range(ker.rows)]
-    rows += [alg.weight_vector(i) for i in subset]
-    z_rows = [list(ker.row(r)) + [Fraction(0)] * alg.n for r in range(ker.rows)]
-    z_v = Subspace.from_rows(alg, z_rows) if z_rows else Subspace(alg, Matrix.zero(0, alg.dim))
-    return Subspace.from_rows(alg, rows), z_v
+    z_rows = [row + (Fraction(0),) * alg.n for row in ker.entries]
+    rows = z_rows + [alg.weight_vector(i) for i in subset]
+    return Subspace.from_rows(alg, rows), Subspace.from_rows(alg, z_rows)
 
 
 def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspace:
@@ -358,15 +357,15 @@ def _select_group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecor
 
 
 def normalizer(alg: WeightedLieAlgebra, v: Subspace) -> Subspace:
-    """{y : [y, V] included in V} by solving the linear residue system."""
-    basis, piv = rref(v.basis)
-    rows = []
+    """{y : [y, V] included in V} by solving the linear residue system;
+    residues are reduced against V's basis, which is already in rref."""
+    piv = v.pivots
     nonpiv = [c for c in range(alg.dim) if c not in piv]
     cols = []
     for k in range(alg.dim):
         resid = []
-        for r in range(v.dim):
-            red = reduce_mod_rowspace(alg.bracket(alg.basis_vector(k), v.basis.row(r)), basis, piv)
+        for row in v.basis.entries:
+            red = reduce_mod_rowspace(alg.bracket(alg.basis_vector(k), row), v.basis, piv)
             resid.extend(red[c] for c in nonpiv)
         cols.append(resid)
     if not cols[0]:
@@ -393,8 +392,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
             for c in range(a.basis.cols)
         ]
         rows.append(vec)
-    if not rows:
-        return Subspace(a.alg, Matrix.zero(0, a.basis.cols))
     return Subspace.from_rows(a.alg, rows)
 
 
@@ -423,7 +420,7 @@ def boundary_components(alg: WeightedLieAlgebra) -> list[BoundaryComponent]:
         raise PreconditionFailedError("boundary components need a trivial center")
     out = []
     for i in _ordered(alg, range(alg.n)):
-        v_alpha = theta_alpha(alg, alg.weights[i], None)
+        v_alpha = witness_limit(alg, (i,))
         norm = normalizer(alg, v_alpha)
         stab = intersect(norm, a_subspace(alg))
         out.append(BoundaryComponent(i, v_alpha, alg.n - stab.dim))
@@ -569,7 +566,8 @@ def property_P_checks(
     alg: WeightedLieAlgebra, data: TorusElementData, v: Subspace, graded: tuple[int, ...] | None
 ) -> list[rep.Check]:
     """The verdicts behind `property_P_consequences`, for V against the
-    data of s and with `graded = graded_subset(alg, v)`.  A proven
+    data of s and with `graded = graded_subset(alg, v)`, which is the
+    `r_v_set` of a torus-fixed record.  A proven
     witness-curve check carries its `CurveSubspace` as the witness, not
     rendered."""
     if not data.centralizer.contains_subspace(v):
@@ -665,6 +663,8 @@ def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence[Fra
     pts = tuple(tuple(Fraction(c) for c in p) for p in points)
     if not pts:
         raise OrbitError("need at least one point")
+    if any(len(p) != alg.dim for p in pts):
+        raise DimensionMismatchError(f"every point needs {alg.dim} coordinates")
     for a, b in itertools.combinations(pts, 2):
         if any(c != 0 for c in alg.bracket(a, b)):
             return "refuted", MultiPoint(pts, None)
@@ -714,23 +714,20 @@ def verify_pair_relation(
     rng = random.Random(seed)
     d = alg.t_dim
 
-    def check_slice(pt):
+    def base_point(pt):
+        if pt is None:
+            return _t_alpha_prime_sample(alg, aidx, rng)
+        pt = tuple(Fraction(c) for c in pt)
+        if len(pt) != alg.dim:
+            raise DimensionMismatchError(f"base point has {len(pt)} coordinates, not {alg.dim}")
         tpart = alg.torus_part(pt)
         if alpha(tpart) != 0 or any(
             alg.weights[j](tpart) == 0 for j in range(alg.n) if j != aidx
         ):
             raise BadSliceError("base point is not in the punctured kernel of alpha")
+        return pt
 
-    if x0 is None:
-        x0 = _t_alpha_prime_sample(alg, aidx, rng)
-    else:
-        x0 = tuple(Fraction(c) for c in x0)
-        check_slice(x0)
-    if y0 is None:
-        y0 = _t_alpha_prime_sample(alg, aidx, rng)
-    else:
-        y0 = tuple(Fraction(c) for c in y0)
-        check_slice(y0)
+    x0, y0 = base_point(x0), base_point(y0)
 
     # h with alpha(h) = 1
     pivot = next(i for i, c in enumerate(alpha.coords) if c != 0)

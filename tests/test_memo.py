@@ -195,7 +195,7 @@ def _semisimple_part(m: Matrix) -> Matrix:
         if gs.is_zero():
             return s
         dgs = _poly_at(dcoeffs, s)
-        s = s - _mat_inverse(dgs) @ gs
+        s = s + (_mat_inverse(dgs) @ gs).scale(Fraction(-1))
     raise AlgebraError("newton iteration for the semisimple part did not converge")
 
 

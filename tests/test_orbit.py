@@ -309,6 +309,16 @@ class TestMembership:
         with pytest.raises(DimensionMismatchError):
             membership(A2, span(A2, [[1, 0, 0, 0, 0]]))
 
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_wrong_width_subspace_refused(self, width):
+        # a basis with other than dim columns is refused where it is built,
+        # before membership or biggest_torus can read it
+        rows = [[int(c == r) for c in range(width)] for r in range(2)]
+        with pytest.raises(DimensionMismatchError):
+            span(A2, rows)
+        with pytest.raises(DimensionMismatchError):
+            Subspace(A2, Matrix.from_rows(rows))
+
     def test_certified_flag(self):
         assert membership(A2, torus_subspace(A2)).certified
         assert not membership(
@@ -389,6 +399,12 @@ class TestMultipoint:
         assert verdict == "proven"
         assert all(mp.witness.contains(p) for p in mp.points)
 
+    @pytest.mark.parametrize("bad", [F(1, 2, 0, 0), F(1, 2, 0, 0, 0, 7), F(0, 0, 1)])
+    def test_wrong_width_point_refused(self, bad):
+        for pts in ([bad], [F(1, 1, 0, 0, 0), bad], [bad, F(0, 0, 0, 0, 1)]):
+            with pytest.raises(DimensionMismatchError):
+                multipoint_membership(A2, pts)
+
     def test_permutation_invariance(self):
         pts = [F(1, 1, 0, 0, 0), F(0, 0, 0, 0, 1)]
         v1, _ = multipoint_membership(A2, pts)
@@ -407,6 +423,14 @@ class TestPairRelation:
     def test_bad_base_point_rejected(self):
         with pytest.raises(BadSliceError):
             verify_pair_relation(A2, ALPHA, samples=5, x0=F(1, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [F(0, 1, 0, 0), F(0, 1, 0, 0, 0, 7)])
+    def test_wrong_width_base_point_refused(self, bad):
+        # (0, 1) is in the punctured kernel of alpha, so only the width is wrong
+        with pytest.raises(DimensionMismatchError):
+            verify_pair_relation(A2, ALPHA, samples=5, x0=bad)
+        with pytest.raises(DimensionMismatchError):
+            verify_pair_relation(A2, ALPHA, samples=5, y0=bad)
 
     def test_seed_determinism(self):
         a = verify_pair_relation(A2, BETA, samples=10, seed=7)

@@ -2,9 +2,11 @@
 `orbit.property_P_consequences` against the per-pair versions kept here,
 which rebuild every witness curve and take its limit without the
 per-subset memo and search for a generic torus element per complete
-subset; the witness curve and its limit built once per weight subset;
-and the search finding a generic torus element for every complete
-subset, which `cmd_property_p` relies on without searching."""
+subset; the weight set S each torus-fixed record carries, which
+`cmd_property_p` reads in place of `graded_subset`; the witness curve
+and its limit built once per weight subset; and the search finding a
+generic torus element for every complete subset, which
+`cmd_property_p` relies on without searching."""
 
 import itertools
 import random
@@ -178,6 +180,12 @@ def rebuild(alg):
     return WeightedLieAlgebra.from_json(alg.to_json())
 
 
+def assert_records_carry_graded_subset(alg):
+    """`cmd_property_p` takes S from each record in place of graded_subset."""
+    for recd in orbit.torus_fixed_points(alg):
+        assert orbit.graded_subset(alg, recd.subspace) == recd.r_v_set
+
+
 # -- the CLI report -------------------------------------------------------
 
 
@@ -185,13 +193,16 @@ class TestCmdPropertyP:
     @pytest.mark.parametrize("name", BUILTINS)
     def test_builtins_match_per_pair_reference(self, name):
         want = reference_cmd_property_p(models.builtin(name), 3).render_json()
-        assert cli.cmd_property_p(models.builtin(name), 3).render_json() == want
+        alg = models.builtin(name)
+        assert cli.cmd_property_p(alg, 3).render_json() == want
+        assert_records_carry_graded_subset(alg)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_central_extensions_match_per_pair_reference(self, variant):
         alg = heisenberg_central_extension(variant)
         want = reference_cmd_property_p(rebuild(alg), 0).render_json()
         assert cli.cmd_property_p(alg, 0).render_json() == want
+        assert_records_carry_graded_subset(alg)
 
     @settings(max_examples=15)
     @given(spec=SMALL)
@@ -199,6 +210,8 @@ class TestCmdPropertyP:
         alg = WeightedLieAlgebra.build(*spec)
         want = outcome(reference_cmd_property_p, WeightedLieAlgebra.build(*spec), 1)
         assert outcome(cli.cmd_property_p, alg, 1) == want
+        if want[0] == "value":
+            assert_records_carry_graded_subset(alg)
 
     def test_each_witness_is_built_and_limited_once(self, monkeypatch):
         """On A3 every witness curve comes from the fixed-point enumeration:
