@@ -206,12 +206,15 @@ class WeightedLieAlgebra:
         return [f"t{i+1}" for i in range(self.t_dim)] + list(self.a_basis)
 
     def zero(self) -> tuple:
-        return tuple(Fraction(0) for _ in range(self.dim))
+        return self.derived("zero", lambda: (Fraction(0),) * self.dim)
 
     def basis_vector(self, k: int) -> tuple:
-        v = [Fraction(0)] * self.dim
-        v[k] = Fraction(1)
-        return tuple(v)
+        def compute():
+            v = [Fraction(0)] * self.dim
+            v[k] = Fraction(1)
+            return tuple(v)
+
+        return self.derived(("basis-vector", k), compute)
 
     def torus_part(self, x: Sequence[Fraction]) -> tuple:
         return tuple(x[: self.t_dim])
@@ -232,9 +235,9 @@ class WeightedLieAlgebra:
         sympy entries, summed from `ad_table` over the nonzero coordinates
         of x and y; sympy entries are returned unexpanded."""
         out = [Fraction(0)] * self.dim
-        support = [(j, c) for j, c in enumerate(y) if c != 0]
+        support = [(j, c) for j, c in enumerate(y) if c]
         for xe, op in zip(x, self.ad_table()):
-            if xe != 0:
+            if xe:
                 for j, c in support:
                     for k, a in op[j]:
                         out[k] += a * xe * c
@@ -272,7 +275,7 @@ class WeightedLieAlgebra:
             term = self.bracket(u, terms[-1])
             if not any(term):
                 return tuple(terms)
-            terms.append(tuple(c / k for c in term))
+            terms.append(tuple(c / k if c else c for c in term))
         raise AlgebraError(f"exp(ad u) did not end within {self.dim} terms")
 
     def ad(self, x: Sequence[Fraction]) -> Matrix:
@@ -558,7 +561,14 @@ class WeightedLieAlgebra:
 
 
 def _vector_sum(vectors: Sequence[tuple]) -> tuple:
-    return tuple(sum(cs, Fraction(0)) for cs in zip(*vectors))
+    """Coordinatewise sum of equally long vectors, adding only the nonzero
+    entries."""
+    out = [Fraction(0)] * len(vectors[0])
+    for v in vectors:
+        for j, c in enumerate(v):
+            if c:
+                out[j] += c
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ The Plücker functions stay as API and as the reference that tests check
 curve limits against; `plucker_limit` alone reads polynomial coordinates.
 `exp_nilpotent` and `nilpotent_terms` likewise stay only as API and as
 the dense reference for the sparse adjoint exponential of `liealg`;
-nothing else in the package calls them."""
+nothing else in the package calls them.  The row-reduction kernels
+(`rref`, `reduce_mod_rowspace`) do arithmetic only on nonzero entries:
+rows are sparse, and a zero is skipped by a truth test instead of being
+multiplied or added."""
 
 from __future__ import annotations
 
@@ -122,7 +125,13 @@ class Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form over Fraction. Returns (rref, pivot columns)."""
+    """Reduced row echelon form over Fraction. Returns (rref, pivot columns).
+    The pivot row is scaled only when its pivot is not 1, and it is
+    subtracted from another row only over its own nonzero columns, all at
+    the pivot column or later.  A matrix built directly with int entries
+    is turned to Fractions first, so every entry returned is a Fraction."""
+    if set(map(type, itertools.chain.from_iterable(m.entries))) - {Fraction}:
+        m = Matrix.from_rows(m.entries)
     rows = [list(r) for r in m.entries]
     nr, nc = m.rows, m.cols
     pivots = []
@@ -130,25 +139,32 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     for c in range(nc):
         if r == nr:
             break
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
+        prow = rows[r]
+        if prow[c] != 1:
+            inv = Fraction(1) / prow[c]
+            for j in range(c, nc):
+                if prow[j]:
+                    prow[j] *= inv
+        support = [(j, prow[j]) for j in range(c, nc) if prow[j]]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                row = rows[i]
+                for j, b in support:
+                    row[j] -= f * b
         pivots.append(c)
         r += 1
-    return Matrix.from_rows(rows) if rows else m, tuple(pivots)
+    return Matrix(nr, nc, tuple(map(tuple, rows))), tuple(pivots)
 
 
 def row_space_basis(m: Matrix) -> Matrix:
     """Canonical basis (nonzero rref rows) of the row space."""
     rr, piv = rref(m)
-    return Matrix.from_rows([rr.row(i) for i in range(len(piv))]) if piv else Matrix.zero(0, m.cols)
+    return Matrix(len(piv), m.cols, rr.entries[: len(piv)])
 
 
 def rank(m: Matrix) -> int:
@@ -183,18 +199,21 @@ def solve(a: Matrix, b: Sequence) -> tuple | None:
 
 
 def reduce_mod_rowspace(v: Sequence, basis: Matrix, pivots: tuple[int, ...]) -> tuple:
-    """Residue of v after clearing pivot coordinates against an rref basis."""
+    """Residue of v after clearing pivot coordinates against an rref basis;
+    each basis row is subtracted over its nonzero entries, which start at
+    its pivot."""
     w = list(v)
-    for r, p in enumerate(pivots):
-        if w[p] != 0:
-            f = w[p]
-            row = basis.row(r)
-            w = [a - f * b for a, b in zip(w, row)]
+    for row, p in zip(basis.entries, pivots):
+        f = w[p]
+        if f:
+            for j in range(p, len(w)):
+                if row[j]:
+                    w[j] -= f * row[j]
     return tuple(w)
 
 
 def in_row_space(v: Sequence, basis: Matrix, pivots: tuple[int, ...]) -> bool:
-    return all(e == 0 for e in reduce_mod_rowspace(v, basis, pivots))
+    return not any(reduce_mod_rowspace(v, basis, pivots))
 
 
 def det(m: Matrix):

@@ -8,6 +8,7 @@ membership of subspaces and point tuples in the closure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -52,14 +53,36 @@ class BadSliceError(OrbitError):
     pass
 
 
+class NonCanonicalBasisError(OrbitError):
+    """A `Subspace` basis that is not the nonzero rows of an rref."""
+
+
 @dataclass(frozen=True)
 class Subspace:
+    """A subspace of r, held as its canonical basis: the nonzero rows of
+    its reduced row echelon form.  `contains`, `pivots`, `dim` and `==`
+    read that basis directly, so it must already be canonical; a basis
+    with a zero row, pivots that do not increase, a pivot entry other
+    than 1 or another nonzero entry in a pivot column is refused with
+    `NonCanonicalBasisError`.  `Subspace.from_rows` builds one from
+    arbitrary rows."""
+
     alg: WeightedLieAlgebra
     basis: Matrix  # canonical rref rows
 
     def __post_init__(self):
         if self.basis.cols != self.alg.dim:
             raise DimensionMismatchError(f"{self.basis.cols} columns != dim {self.alg.dim}")
+        piv, rows = self.pivots, self.basis.entries
+        if None in piv:
+            raise NonCanonicalBasisError("a basis row is zero")
+        if any(a >= b for a, b in zip(piv, piv[1:])):
+            raise NonCanonicalBasisError(f"pivot columns {piv} do not increase")
+        # a later row is zero before its own, later pivot, so only the
+        # rows above can break a pivot column
+        for i, p in enumerate(piv):
+            if rows[i][p] != 1 or any(rows[k][p] for k in range(i)):
+                raise NonCanonicalBasisError(f"pivot column {p} is not a unit column")
 
     @staticmethod
     def from_rows(alg: WeightedLieAlgebra, rows: Sequence[Sequence]) -> "Subspace":
@@ -69,10 +92,11 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
+    @functools.cached_property
     def pivots(self) -> tuple[int, ...]:
-        """Pivot columns of the rref basis: each row's first nonzero entry."""
-        return tuple(next(j for j, e in enumerate(row) if e != 0) for row in self.basis.entries)
+        """Pivot columns of the rref basis: each row's first nonzero entry,
+        found once per instance."""
+        return tuple(next((j for j, e in enumerate(row) if e), None) for row in self.basis.entries)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return in_row_space(v, self.basis, self.pivots)
@@ -126,8 +150,11 @@ class CurveSubspace:
             h = max(support, key=lambda i: len(rows[i]))
             new = [[Fraction(0)] * lead.cols for _ in rows[h]]
             for i in support:
-                for k, coef in enumerate(rows[i], len(new) - len(rows[i])):
-                    new[k] = [x + deps[0, i] * y for x, y in zip(new[k], coef)]
+                f = deps[0, i]
+                for acc, coef in zip(new[len(new) - len(rows[i]) :], rows[i]):
+                    for j, y in enumerate(coef):
+                        if y:
+                            acc[j] += f * y
             rows[h] = new
 
     def at(self, z_value: Fraction) -> Subspace:
@@ -198,25 +225,29 @@ def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> l
     """exp(z ad x_widx) applied to the row sum_b z^b poly[b]: each poly[b]
     becomes its chain sum_k (ad x_widx)^k poly[b] / k!.  For a scalar z
     the chain is summed with the powers of z; for None its term k is added
-    to the z^(b+k) coefficient, and trailing zero coefficients are dropped."""
+    to the z^(b+k) coefficient, and trailing zero coefficients are dropped.
+    Only nonzero entries are multiplied or added."""
     xw = alg.weight_vector(widx)
-    chains = [alg.exp_ad_terms(xw, p) for p in poly]
     if scalar is not None:
         z = Fraction(scalar)
         out = []
-        for chain in chains:
+        for p in poly:
+            chain = alg.exp_ad_terms(xw, p)
             acc = chain[-1]
             for term in reversed(chain[:-1]):
-                acc = tuple(t + z * a for t, a in zip(term, acc))
+                acc = tuple((t + z * a if t else z * a) if a else t for t, a in zip(term, acc))
             out.append(acc)
         return out
-    out = [alg.zero()] * max(b + len(chain) for b, chain in enumerate(chains))
+    chains = [alg.exp_ad_terms(xw, p) for p in poly]
+    out = [list(alg.zero()) for _ in range(max(b + len(chain) for b, chain in enumerate(chains)))]
     for b, chain in enumerate(chains):
-        for k, term in enumerate(chain):
-            out[b + k] = tuple(c + t for c, t in zip(out[b + k], term))
+        for acc, term in zip(out[b:], chain):
+            for j, c in enumerate(term):
+                if c:
+                    acc[j] += c
     while len(out) > 1 and not any(out[-1]):
         out.pop()
-    return out
+    return [tuple(acc) for acc in out]
 
 
 def weight_index(alg: WeightedLieAlgebra, alpha: Weight) -> int:
@@ -386,11 +417,12 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     ker = nullspace(stacked)
     rows = []
     for r in range(ker.rows):
-        coefs = ker.row(r)[: a.dim]
-        vec = [
-            sum((coefs[i] * a.basis[i, c] for i in range(a.dim)), Fraction(0))
-            for c in range(a.basis.cols)
-        ]
+        vec = [Fraction(0)] * a.basis.cols
+        for f, row in zip(ker.row(r)[: a.dim], a.basis.entries):
+            if f:
+                for j, e in enumerate(row):
+                    if e:
+                        vec[j] += f * e
         rows.append(vec)
     return Subspace.from_rows(a.alg, rows)
 

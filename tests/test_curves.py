@@ -1,10 +1,12 @@
 """Curves as coefficient matrices: `act`, `CurveSubspace.limit`, `at` and
 `to_json` against sympy references (products of `exp(z ad x)` as
 `sympy.Matrix`, limits through Plücker minors), on generated graded
-algebras with random formal, scalar and mixed words, and on bases that
-move a fixed subspace."""
+algebras with random formal, scalar and mixed words, on the builtins, A4
+and the central extensions of heisenberg-3 with their witness curves,
+and on bases that move a fixed subspace."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,10 +18,19 @@ from hypothesis import strategies as st
 
 from test_liealg_sparse import RATIONALS
 from test_memo import SMALL, Z, fraction_rows, reference_act, sympy_curve
+from test_property_p import BUILTINS, VARIANTS, borel_nilradical_a4, heisenberg_central_extension
 
 from orbitvar import models, orbit
 from orbitvar.liealg import WeightedLieAlgebra
 from orbitvar.linalg import Matrix, PluckerVector, RankDeficientError, plucker_limit, plucker_to_basis
+
+
+# the named algebras the sympy references also run on
+CASES = {
+    **{name: lambda name=name: models.builtin(name) for name in BUILTINS},
+    **{f"heisenberg-3-central-v{v}": lambda v=v: heisenberg_central_extension(v) for v in VARIANTS},
+    "borel-nilradical-A4": lambda: borel_nilradical_a4(0),
+}
 
 
 def words(alg):
@@ -91,6 +102,39 @@ class TestCurvesMatchSympyReference:
         word = data.draw(words(alg).filter(lambda w: any(z is None for _, z in w)))
         got = orbit.act(alg, word, orbit.torus_subspace(alg))
         assert got.limit() == reference_limit(alg, reference_act(alg, word))
+
+
+class TestNamedAlgebrasMatchSympyReference:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_act_and_limit(self, name):
+        alg = CASES[name]()
+        rng = random.Random(name)
+        t = orbit.torus_subspace(alg)
+        for _ in range(4):
+            word = [
+                (rng.randrange(alg.n), rng.choice([None, Fraction(rng.randint(-3, 3), rng.randint(1, 3))]))
+                for _ in range(rng.randint(1, 3))
+            ]
+            got, want = orbit.act(alg, word, t), reference_act(alg, word)
+            if all(z is not None for _, z in word):
+                assert got == orbit.Subspace.from_rows(alg, fraction_rows(want))
+                continue
+            assert got == sympy_curve(alg, want)
+            assert got.limit() == reference_limit(alg, want)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_witness_limits(self, name):
+        alg = CASES[name]()
+        subsets = [
+            s
+            for size in range(min(alg.n, 2) + 1)
+            for s in itertools.combinations(range(alg.n), size)
+            if alg.centralizer_in_a(s)
+        ]
+        # A4's Plücker minors are slow in sympy: a sample of its subsets
+        for s in random.Random(name).sample(subsets, min(len(subsets), 8)):
+            want = reference_act(alg, [(i, None) for i in orbit._ordered(alg, s)])
+            assert orbit.witness_curve(alg, s).limit() == reference_limit(alg, want)
 
 
 def curve(alg, *coeffs):

@@ -16,6 +16,7 @@ from orbitvar.orbit import (
     BadSliceError,
     CurveSubspace,
     DimensionMismatchError,
+    NonCanonicalBasisError,
     PreconditionFailedError,
     Subspace,
     act,
@@ -155,6 +156,39 @@ class TestSubspaceBasesAreRref:
         for s in built:
             rr, piv = rref(s.basis)
             assert rr == s.basis and s.pivots == piv
+
+
+class TestNonCanonicalBasisRefused:
+    """A basis handed to `Subspace` directly must already be canonical;
+    `Subspace.from_rows` is the way in for arbitrary rows."""
+
+    def refused(self, rows):
+        with pytest.raises(NonCanonicalBasisError):
+            Subspace(A2, Matrix.from_rows(rows))
+        return span(A2, rows)
+
+    def test_pivots_out_of_order(self):
+        v = self.refused([[0, 1, 0, 0, 0], [1, 1, 0, 0, 0]])
+        assert v.contains(F(1, 0, 0, 0, 0))
+        assert v == span(A2, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+
+    def test_repeated_row(self):
+        assert self.refused([[1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]).dim == 1
+
+    def test_zero_row(self):
+        assert self.refused([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]]).dim == 1
+
+    def test_pivot_other_than_one(self):
+        assert self.refused([[2, 0, 0, 0, 0]]).basis.row(0) == F(1, 0, 0, 0, 0)
+
+    def test_nonzero_above_a_pivot(self):
+        v = self.refused([[1, 3, 0, 0, 0], [0, 1, 0, 0, 0]])
+        assert v.pivots == (0, 1) and v.contains(F(1, 0, 0, 0, 0))
+
+    def test_canonical_bases_pass(self):
+        for rows in ([[1, 0, 2, 0, 0], [0, 1, 3, 0, 0]], [[0, 0, 1, 0, Fraction(1, 2)]]):
+            assert Subspace(A2, Matrix.from_rows(rows)) == span(A2, rows)
+        assert Subspace(A2, Matrix.zero(0, A2.dim)).dim == 0
 
 
 class TestSympyAtTheReportEdge:

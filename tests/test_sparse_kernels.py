@@ -1,0 +1,267 @@
+"""The exact kernels that skip zero entries, on sparse random Fraction
+matrices: `rref`, `reduce_mod_rowspace`, `_vector_sum` and `intersect`
+against the dense loops kept here, `exp_ad_terms` and both branches of
+`orbit._exp_row` against the dense adjoint chains of `test_memo`.  (`act`
+and `CurveSubspace.limit` are pinned to sympy in `test_curves`.)  Also
+pinned: every entry `rref`, `nullspace` and `solve` return is a
+Fraction, and on A3 no kernel multiplies by a zero Fraction."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_liealg_sparse import ALGEBRAS, RATIONALS, DenseReference
+from test_memo import dense_chain, sum_chain
+
+from orbitvar import liealg, models, orbit
+from orbitvar.liealg import WeightedLieAlgebra
+from orbitvar.linalg import Matrix, nullspace, reduce_mod_rowspace, rref, solve
+
+# -- dense references ---------------------------------------------------
+
+
+def dense_rref(m):
+    """The row reduction that updates every column of every row."""
+    rows = [[Fraction(e) for e in r] for r in m.entries]
+    nr, nc = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix.from_rows(rows) if rows else m, tuple(pivots)
+
+
+def dense_reduce_mod_rowspace(v, basis, pivots):
+    w = list(v)
+    for r, p in enumerate(pivots):
+        if w[p] != 0:
+            f = w[p]
+            w = [a - f * b for a, b in zip(w, basis.row(r))]
+    return tuple(w)
+
+
+def dense_vector_sum(vectors):
+    return tuple(sum(cs, Fraction(0)) for cs in zip(*vectors))
+
+
+def dense_intersect(a, b):
+    """`orbit.intersect` with every coefficient times every entry."""
+    if a.dim == 0 or b.dim == 0:
+        return orbit.Subspace(a.alg, Matrix.zero(0, a.basis.cols))
+    stacked = Matrix.from_rows(
+        [
+            [a.basis[i, c] for i in range(a.dim)] + [-b.basis[j, c] for j in range(b.dim)]
+            for c in range(a.basis.cols)
+        ]
+    )
+    ker = nullspace(stacked)
+    rows = []
+    for r in range(ker.rows):
+        coefs = ker.row(r)[: a.dim]
+        rows.append(
+            [sum((coefs[i] * a.basis[i, c] for i in range(a.dim)), Fraction(0)) for c in range(a.basis.cols)]
+        )
+    return orbit.Subspace.from_rows(a.alg, rows)
+
+
+# -- strategies ---------------------------------------------------------
+
+# mostly zeros, so rows are as sparse as the geometry path's
+SPARSE_ENTRY = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), RATIONALS)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=6, max_cols=7):
+    """Sparse Fraction matrices, 0 x n included, some rows forced to zero
+    and sometimes every entry zero."""
+    nr, nc = draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))
+    if draw(st.integers(0, 9)) == 0:
+        return Matrix.zero(nr, nc)
+    rows = [draw(st.lists(SPARSE_ENTRY, min_size=nc, max_size=nc)) for _ in range(nr)]
+    for i in range(nr):
+        if draw(st.integers(0, 5)) == 0:
+            rows[i] = [Fraction(0)] * nc
+        elif draw(st.booleans()):
+            rows[i] = [draw(st.sampled_from([2, -3, Fraction(1, 2)])) * e for e in rows[i]]
+    return Matrix(nr, nc, tuple(map(tuple, rows)))
+
+
+def sparse_vectors(n):
+    return st.lists(SPARSE_ENTRY, min_size=n, max_size=n).map(tuple)
+
+
+# -- differential tests ---------------------------------------------------
+
+
+class TestRowReduction:
+    @settings(max_examples=300)
+    @given(sparse_matrices())
+    def test_rref_matches_dense(self, m):
+        got = rref(m)
+        assert got == dense_rref(m)
+        assert all(type(e) is Fraction for row in got[0].entries for e in row)
+        assert got[0].rows == m.rows and got[0].cols == m.cols
+
+    def test_rref_of_empty_and_zero_matrices(self):
+        for m in (Matrix(0, 4, ()), Matrix.zero(3, 4)):
+            assert rref(m) == dense_rref(m) == (m, ())
+
+    def test_rref_with_pivots_other_than_one(self):
+        m = Matrix.from_rows([[0, 3, 6, 0], [2, 0, 0, 4], [0, 0, Fraction(1, 2), 5]])
+        assert rref(m) == dense_rref(m)
+        assert rref(m)[1] == (0, 1, 2)
+
+    @settings(max_examples=300)
+    @given(sparse_matrices(), st.data())
+    def test_reduce_mod_rowspace_matches_dense(self, m, data):
+        basis, piv = rref(m)
+        basis = Matrix(len(piv), m.cols, basis.entries[: len(piv)])
+        v = data.draw(sparse_vectors(m.cols))
+        assert reduce_mod_rowspace(v, basis, piv) == dense_reduce_mod_rowspace(v, basis, piv)
+
+
+class TestChains:
+    @settings(max_examples=100)
+    @given(ALGEBRAS, st.data())
+    def test_exp_ad_terms_matches_dense_adjoint(self, spec, data):
+        alg, ref = WeightedLieAlgebra.build(*spec), DenseReference(*spec)
+        u = (Fraction(0),) * alg.t_dim + data.draw(sparse_vectors(alg.n))
+        v = data.draw(sparse_vectors(alg.dim))
+        for x in (u, *(alg.weight_vector(k) for k in range(alg.n))):
+            assert alg.exp_ad_terms(x, v) == dense_chain(ref.ad(x), v)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(sparse_vectors(n), min_size=1, max_size=5)))
+    def test_vector_sum_matches_dense(self, vectors):
+        got = liealg._vector_sum(vectors)
+        assert got == dense_vector_sum(vectors)
+        assert all(type(e) is Fraction for e in got)
+
+    @settings(max_examples=100)
+    @given(ALGEBRAS, st.data())
+    def test_exp_row_matches_dense_adjoint_on_both_branches(self, spec, data):
+        """At a scalar z the row is sum_b z^b exp(z ad x) poly[b]; for None
+        its coefficients give that polynomial in z, checked at more
+        points than its degree."""
+        alg, ref = WeightedLieAlgebra.build(*spec), DenseReference(*spec)
+        widx = data.draw(st.integers(0, alg.n - 1))
+        poly = data.draw(st.lists(sparse_vectors(alg.dim), min_size=1, max_size=3))
+        chains = [dense_chain(ref.ad(alg.weight_vector(widx)), p) for p in poly]
+
+        def at(z):
+            return dense_vector_sum([tuple(z**b * c for c in sum_chain(ch, z)) for b, ch in enumerate(chains)])
+
+        z = data.draw(RATIONALS)
+        assert orbit._exp_row(alg, widx, z, poly) == [sum_chain(ch, z) for ch in chains]
+        formal = orbit._exp_row(alg, widx, None, poly)
+        assert len(formal) == 1 or any(formal[-1])
+        for z in range(max(b + len(ch) for b, ch in enumerate(chains))):
+            assert sum_chain(formal, z) == at(z)
+
+
+class TestIntersect:
+    @settings(max_examples=100)
+    @given(st.sampled_from(["borel-nilradical-A2", "heisenberg-3", "borel-nilradical-A3"]), st.data())
+    def test_matches_dense(self, name, data):
+        alg = models.builtin(name)
+        a, b = (
+            orbit.Subspace.from_rows(alg, data.draw(st.lists(sparse_vectors(alg.dim), max_size=alg.dim)))
+            for _ in range(2)
+        )
+        both = orbit.intersect(a, b)
+        assert both == dense_intersect(a, b)
+        assert a.contains_subspace(both) and b.contains_subspace(both)
+        total = orbit.Subspace.from_rows(alg, list(a.basis.entries + b.basis.entries))
+        assert both.dim == a.dim + b.dim - total.dim
+
+
+# -- exactness ------------------------------------------------------------
+
+
+class TestIntEntriesComeBackAsFractions:
+    """A Matrix built with its constructor can hold ints; `from_rows`
+    turns them to Fractions, and the kernels must too."""
+
+    MATRICES = (
+        Matrix(2, 3, ((2, 4, 0), (1, 0, 3))),
+        Matrix(2, 2, ((1, 0), (0, 1))),  # already reduced: no arithmetic touches it
+        Matrix(3, 3, ((0, 0, 0), (0, 1, 5), (0, 2, 10))),
+    )
+
+    @pytest.mark.parametrize("m", MATRICES)
+    def test_rref_nullspace_and_solve(self, m):
+        rr, _ = rref(m)
+        ker = nullspace(m)
+        x = solve(m, [0] * m.rows)
+        for e in (*itertools.chain.from_iterable(rr.entries), *itertools.chain.from_iterable(ker.entries), *x):
+            assert type(e) is Fraction
+
+    def test_float_entries_are_refused(self):
+        with pytest.raises(TypeError):
+            rref(Matrix(1, 2, ((1.5, 0),)))
+
+
+# -- no multiplication by zero ---------------------------------------------
+
+
+def test_no_kernel_multiplies_by_a_zero_fraction(monkeypatch):
+    """Counts every Fraction product in A3 row reductions, actions, limits,
+    exp(ad) chains and residues; a dense loop would multiply zeros."""
+    alg = models.borel_nilradical_a3()
+    rng = random.Random(0)
+
+    def point():
+        return tuple(Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3)) for _ in range(alg.dim))
+
+    matrices = [alg.ad(point()) for _ in range(10)] + [Matrix.from_rows([point() for _ in range(4)]) for _ in range(10)]
+    bases = [rref(m) for m in matrices]
+    words = [
+        [(rng.randrange(alg.n), rng.choice([None, Fraction(rng.randint(1, 3), rng.randint(1, 3))])) for _ in range(3)]
+        for _ in range(10)
+    ]
+    t = orbit.torus_subspace(alg)
+    products = {"all": 0, "zero": 0}
+    real_mul, real_rmul = Fraction.__mul__, Fraction.__rmul__
+
+    def counted(real):
+        def mul(a, b):
+            products["all"] += 1
+            products["zero"] += not a or not b
+            return real(a, b)
+
+        return mul
+
+    monkeypatch.setattr(Fraction, "__mul__", counted(real_mul))
+    monkeypatch.setattr(Fraction, "__rmul__", counted(real_rmul))
+    for m in matrices:
+        rref(m)
+    for word in words:
+        moved = orbit.act(alg, word, t)
+        if isinstance(moved, orbit.CurveSubspace):
+            moved.limit()
+    for _ in range(10):
+        u = (Fraction(0),) * alg.t_dim + point()[alg.t_dim :]
+        alg.exp_ad_terms(u, point())
+    for rr, piv in bases:
+        reduce_mod_rowspace(point(), rr, piv)
+    assert products["all"] > 100
+    assert products["zero"] == 0
