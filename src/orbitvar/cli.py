@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import ideals, models, orbit
+from . import models, orbit
 from . import report as rep
 from .liealg import AlgebraError, WeightedLieAlgebra
 
@@ -125,6 +125,8 @@ def cmd_property_p(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport
 
 
 def cmd_chart(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
+    from . import ideals  # sympy-backed; the geometry commands never import it
+
     out = rep.VerificationReport("chart", alg.fingerprint(), seed=seed)
     for recd in orbit.group_fixed_points(alg):
         chart = ideals.chart_ideal(alg, recd.subspace)
@@ -160,6 +162,8 @@ def cmd_chart(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
 
 
 def cmd_nilcone(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
+    from . import ideals  # sympy-backed; the geometry commands never import it
+
     out = rep.VerificationReport("nilcone", alg.fingerprint(), seed=seed)
     for recd in orbit.group_fixed_points(alg):
         chart = ideals.chart_ideal(alg, recd.subspace)
@@ -183,6 +187,8 @@ def cmd_nilcone(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
 
 
 def cmd_ps_check(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
+    from . import ideals  # sympy-backed; the geometry commands never import it
+
     out = rep.VerificationReport("ps-check", alg.fingerprint(), seed=seed)
     for s in (2, 3, 4):
         p, _, _ = ideals.determinantal_P(s)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-import sympy
-
 from .linalg import (
     Matrix,
     in_row_space,
@@ -593,11 +591,15 @@ class CentralizerMapFamily:
     def from_callables(
         alg: WeightedLieAlgebra, maps: Sequence[Callable[[Sequence], Sequence]]
     ) -> "CentralizerMapFamily":
+        import sympy
+
         syms = sympy.symbols(f"c1:{alg.dim + 1}")
         comps = tuple(tuple(sympy.expand(e) for e in f(syms)) for f in maps)
         return CentralizerMapFamily(alg, tuple(syms), comps)
 
     def evaluate(self, idx: int, x: Sequence[Fraction]) -> tuple:
+        import sympy
+
         subs = {s: sympy.Rational(c.numerator, c.denominator) for s, c in zip(self.symbols, x)}
         out = []
         for e in self.components[idx]:
@@ -612,6 +614,10 @@ def verify_condition4(
     """Check the centralizer-family requirement: each map commutes with its
     argument identically, and at sampled regular points the d values are
     independent and span the centralizer."""
+    import random
+
+    import sympy
+
     alg = family.alg
     if len(family.components) != alg.t_dim:
         return False, f"family has {len(family.components)} maps, expected {alg.t_dim}"
@@ -620,8 +626,6 @@ def verify_condition4(
         br = alg.bracket(x, list(comp))
         if any(sympy.expand(e) != 0 for e in br):
             return False, f"map {i + 1} does not commute with its argument"
-    import random
-
     rng = random.Random(seed)
     found = 0
     tried = 0

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 
 class LinAlgError(Exception):
     pass
@@ -346,9 +344,12 @@ def plucker_eq(p: PluckerVector, q: PluckerVector) -> bool:
     return normalize_plucker(p) == normalize_plucker(q)
 
 
-def plucker_limit(p: PluckerVector, z: sympy.Symbol) -> PluckerVector:
+def plucker_limit(p: PluckerVector, z) -> PluckerVector:
     """Limit point in the Grassmannian as z -> infinity: top-degree
-    coefficients of the polynomial coordinate vector, normalized."""
+    coefficients of the polynomial coordinate vector, normalized.  The
+    coordinates are sympy expressions in the sympy Symbol z."""
+    import sympy
+
     polys = [sympy.Poly(sympy.expand(c), z) for c in p.coords]
     if all(pp.is_zero for pp in polys):
         raise LinAlgError("zero curve")

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .liealg import (
     NotClosedUnderJordanError,
     Weight,
@@ -162,10 +160,33 @@ class CurveSubspace:
         return Subspace(self.alg, row_space_basis(point))
 
     def to_json(self) -> dict:
-        z = sympy.Symbol("z")
         rows = zip(*(m.entries for m in self.coeffs))  # per basis row, its coefficient rows
-        basis = [[str(sympy.Add(*(c * z**k for k, c in enumerate(cs)))) for cs in zip(*row)] for row in rows]
+        basis = [[_render_polynomial(cs) for cs in zip(*row)] for row in rows]
         return {"dim": len(basis), "basis": basis}
+
+
+def _render_polynomial(coeffs: Sequence[Fraction]) -> str:
+    """sum_k coeffs[k] z^k as `str(sympy.Add(...))` prints it: terms by
+    descending degree with the constant last, except that a positive
+    constant with one negative term comes first (`1 - z`, `10 - 5*z/12`),
+    as in sympy's `Expr.as_ordered_terms`."""
+    terms = [(k, c) for k, c in reversed(tuple(enumerate(coeffs))) if c]
+    if not terms:
+        return "0"
+    if len(terms) == 2 and terms[1][0] == 0 and terms[1][1] > 0 > terms[0][1]:
+        terms.reverse()
+    text = ""
+    for k, c in terms:
+        text += (" - " if c < 0 else " + ") if text else ("-" if c < 0 else "")
+        a = abs(c)
+        if k == 0:
+            text += str(a)
+            continue
+        power = "z" if k == 1 else f"z**{k}"
+        text += power if a.numerator == 1 else f"{a.numerator}*{power}"
+        if a.denominator != 1:
+            text += f"/{a.denominator}"
+    return text
 
 
 @dataclass(frozen=True)
@@ -194,12 +215,10 @@ class MultiPoint:
 
 
 def torus_subspace(alg: WeightedLieAlgebra) -> Subspace:
-    rows = [alg.basis_vector(i) for i in range(alg.t_dim)]
-    return Subspace.from_rows(alg, rows)
-
-
-def full_space(alg: WeightedLieAlgebra) -> Subspace:
-    return Subspace.from_rows(alg, [alg.basis_vector(i) for i in range(alg.dim)])
+    """t, spanned by the first t_dim basis vectors; built once per algebra."""
+    return alg.derived(
+        "torus-subspace", lambda: Subspace.from_rows(alg, [alg.basis_vector(i) for i in range(alg.t_dim)])
+    )
 
 
 def act(alg: WeightedLieAlgebra, word, v: Subspace):
@@ -211,14 +230,19 @@ def act(alg: WeightedLieAlgebra, word, v: Subspace):
     polys = [[row] for row in v.basis.entries]
     for widx, scalar in reversed(word):
         polys = [_exp_row(alg, widx, scalar, p) for p in polys]
+    if all(scalar is not None for _, scalar in word):
+        return Subspace(alg, row_space_basis(Matrix(v.dim, alg.dim, tuple(p[0] for p in polys))))
+    return _curve(alg, polys)
+
+
+def _curve(alg: WeightedLieAlgebra, polys: list[list[tuple]]) -> CurveSubspace:
+    """The curve whose basis row i is sum_k z^k polys[i][k]; shorter rows
+    are padded with zero coefficients."""
     top = max((len(p) for p in polys), default=1)
     zero = alg.zero()
-    coeffs = tuple(
-        Matrix(v.dim, alg.dim, tuple(p[k] if k < len(p) else zero for p in polys)) for k in range(top)
+    return CurveSubspace(
+        alg, tuple(Matrix(len(polys), alg.dim, tuple(p[k] if k < len(p) else zero for p in polys)) for k in range(top))
     )
-    if all(scalar is not None for _, scalar in word):
-        return Subspace(alg, row_space_basis(coeffs[0]))
-    return CurveSubspace(alg, coeffs)
 
 
 def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> list[tuple]:
@@ -306,15 +330,28 @@ def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> t
 
 
 def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspace:
-    """exp(z ad x_i) ... exp(z ad x_j) t over `subset` in factor order.
+    """exp(z ad x_i) ... exp(z ad x_j) t over a commuting `subset`.
     Built once per weight subset per algebra: the fixed-point
-    enumeration, the theta curves and property (P) share it."""
+    enumeration, the theta curves, `boundary`, property (P) and
+    membership share it, and every one of them passes a subset whose
+    weight vectors pairwise commute.
+
+    The curve of S is exp(z ad x_j) applied row by row (`_exp_row`) to
+    the memoised curve of S - {j}, j = max(S), so each curve costs one
+    factor.  That is the curve in any factor order: by Jacobi ad is a
+    map of Lie algebras, so [x_i, x_j] = 0 gives [ad x_i, ad x_j] = 0,
+    and the exponentials of commuting nilpotent maps commute.  So the
+    coefficient matrices are exactly those of `act` over `_ordered(S)`.
+    Precondition: the weight vectors of S pairwise commute and the
+    algebra satisfies Jacobi (the CLI validates it first); otherwise the
+    factors need not commute and the curve depends on their order."""
 
     def compute():
-        t = torus_subspace(alg)
         if not subset:
-            return CurveSubspace(alg, (t.basis,))
-        return act(alg, [(i, None) for i in _ordered(alg, subset)], t)
+            return CurveSubspace(alg, (torus_subspace(alg).basis,))
+        *rest, j = sorted(subset)
+        rows = zip(*(m.entries for m in witness_curve(alg, rest).coeffs))
+        return _curve(alg, [_exp_row(alg, j, None, list(row)) for row in rows])
 
     return alg.derived(("witness-curve", tuple(sorted(subset))), compute)
 
@@ -387,50 +424,6 @@ def _select_group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecor
     return tuple(out)
 
 
-def normalizer(alg: WeightedLieAlgebra, v: Subspace) -> Subspace:
-    """{y : [y, V] included in V} by solving the linear residue system;
-    residues are reduced against V's basis, which is already in rref."""
-    piv = v.pivots
-    nonpiv = [c for c in range(alg.dim) if c not in piv]
-    cols = []
-    for k in range(alg.dim):
-        resid = []
-        for row in v.basis.entries:
-            red = reduce_mod_rowspace(alg.bracket(alg.basis_vector(k), row), v.basis, piv)
-            resid.extend(red[c] for c in nonpiv)
-        cols.append(resid)
-    if not cols[0]:
-        return full_space(alg)
-    m = Matrix.from_rows([[cols[k][r] for k in range(alg.dim)] for r in range(len(cols[0]))])
-    return Subspace(alg, nullspace(m))
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    if a.dim == 0 or b.dim == 0:
-        return Subspace(a.alg, Matrix.zero(0, a.basis.cols))
-    stacked = Matrix.from_rows(
-        [
-            [a.basis[i, c] for i in range(a.dim)] + [-b.basis[j, c] for j in range(b.dim)]
-            for c in range(a.basis.cols)
-        ]
-    )
-    ker = nullspace(stacked)
-    rows = []
-    for r in range(ker.rows):
-        vec = [Fraction(0)] * a.basis.cols
-        for f, row in zip(ker.row(r)[: a.dim], a.basis.entries):
-            if f:
-                for j, e in enumerate(row):
-                    if e:
-                        vec[j] += f * e
-        rows.append(vec)
-    return Subspace.from_rows(a.alg, rows)
-
-
-def a_subspace(alg: WeightedLieAlgebra) -> Subspace:
-    return Subspace.from_rows(alg, [alg.weight_vector(i) for i in range(alg.n)])
-
-
 @dataclass(frozen=True)
 class BoundaryComponent:
     weight_idx: int
@@ -453,10 +446,21 @@ def boundary_components(alg: WeightedLieAlgebra) -> list[BoundaryComponent]:
     out = []
     for i in _ordered(alg, range(alg.n)):
         v_alpha = witness_limit(alg, (i,))
-        norm = normalizer(alg, v_alpha)
-        stab = intersect(norm, a_subspace(alg))
-        out.append(BoundaryComponent(i, v_alpha, alg.n - stab.dim))
+        out.append(BoundaryComponent(i, v_alpha, _orbit_dim(alg, v_alpha)))
     return out
+
+
+def _orbit_dim(alg: WeightedLieAlgebra, v: Subspace) -> int:
+    """n - dim(N(V) cap a), N(V) = {y : [y, V] in V}: the stabilizer of V
+    in a is the kernel of y -> ([y, row] mod V over the basis rows of V)
+    on a, so the orbit dimension is the rank of that map.  Its matrix has
+    one row per a-basis vector, the residues of its brackets side by side;
+    when V is all of r every residue is 0 and the rank is 0."""
+    rows = []
+    for k in range(alg.n):
+        x = alg.weight_vector(k)
+        rows.append([c for row in v.basis.entries for c in reduce_mod_rowspace(alg.bracket(x, row), v.basis, v.pivots)])
+    return rank(Matrix.from_rows(rows))
 
 
 # -- membership -------------------------------------------------------

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from test_orbit import run_without_sympy
+
 from orbitvar import cli, models, orbit
 from orbitvar.liealg import (
     AlgebraError,
@@ -277,22 +279,25 @@ class TestJordan:
 
 class TestJordanWithoutSympy:
     """The Jordan decomposition and the routes that use it run on Fraction
-    arithmetic alone."""
+    arithmetic alone: a fresh interpreter runs them and never imports
+    sympy."""
 
-    def test_jordan_biggest_torus_and_membership(self, monkeypatch):
-        from orbitvar import liealg
-
-        monkeypatch.setattr(liealg, "sympy", None)
-        monkeypatch.setattr(orbit, "sympy", None)
-        alg = models.builtin("borel-nilradical-A3")
-        x = F(1, 2, 0, 1, 1, 1, 0, 0, 0)
-        s, n = alg.jordan_decompose(x)
-        assert tuple(a + b for a, b in zip(s, n)) == x and not any(alg.bracket(s, n))
-        assert orbit.biggest_torus(alg, orbit.torus_subspace(alg)) == ()
-        assert orbit.biggest_torus(alg, orbit.theta_alpha(alg, alg.weights[0], 2)) == ()
-        assert orbit.biggest_torus(alg, orbit.theta_alpha(alg, alg.weights[0], None)) == (0,)
-        assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], 2)).kind == "orbit"
-        assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], None)).kind == "limit"
+    def test_jordan_biggest_torus_and_membership(self):
+        run_without_sympy(
+            """
+from fractions import Fraction
+from orbitvar import models, orbit
+alg = models.builtin("borel-nilradical-A3")
+x = tuple(map(Fraction, (1, 2, 0, 1, 1, 1, 0, 0, 0)))
+s, n = alg.jordan_decompose(x)
+assert tuple(a + b for a, b in zip(s, n)) == x and not any(alg.bracket(s, n))
+assert orbit.biggest_torus(alg, orbit.torus_subspace(alg)) == ()
+assert orbit.biggest_torus(alg, orbit.theta_alpha(alg, alg.weights[0], 2)) == ()
+assert orbit.biggest_torus(alg, orbit.theta_alpha(alg, alg.weights[0], None)) == (0,)
+assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], 2)).kind == "orbit"
+assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], None)).kind == "limit"
+"""
+        )
 
 
 class TestCondition4:

@@ -1,16 +1,23 @@
 """Orbit geometry in the Grassmannian: curves, limits, fixed points,
-normalizers, boundary components, membership certificates, property-(P)
-consequences, biggest tori, and multipoint membership."""
+boundary components, membership certificates, property-(P)
+consequences, biggest tori, and multipoint membership.  Also the
+reference normalizer and intersection that boundary orbit dimensions
+are checked against, and a fresh-interpreter check that the geometry
+commands and the membership routes never import sympy."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orbitvar
 from orbitvar import models
 from orbitvar.liealg import Weight, WeightedLieAlgebra
-from orbitvar.linalg import rank, rref, Matrix
+from orbitvar.linalg import nullspace, rank, reduce_mod_rowspace, rref, Matrix
 from orbitvar import report as rep
 from orbitvar.orbit import (
     BadSliceError,
@@ -20,19 +27,15 @@ from orbitvar.orbit import (
     PreconditionFailedError,
     Subspace,
     act,
-    a_subspace,
     biggest_torus,
     boundary_components,
     centralizer_of_torus_element,
-    full_space,
     group_fixed_points,
-    intersect,
     is_commutative_subalgebra,
     is_ideal,
     is_torus_stable,
     membership,
     multipoint_membership,
-    normalizer,
     property_P_consequences,
     theta_alpha,
     theta_curve,
@@ -52,6 +55,72 @@ def F(*cs):
 
 def span(alg, rows):
     return Subspace.from_rows(alg, [[Fraction(c) for c in r] for r in rows])
+
+
+# -- the reference boundary path ----------------------------------------
+
+
+def full_space(alg):
+    return Subspace.from_rows(alg, [alg.basis_vector(i) for i in range(alg.dim)])
+
+
+def a_subspace(alg):
+    return Subspace.from_rows(alg, [alg.weight_vector(i) for i in range(alg.n)])
+
+
+def normalizer(alg, v):
+    """{y : [y, V] included in V} by solving the linear residue system;
+    residues are reduced against V's basis, which is already in rref."""
+    piv = v.pivots
+    nonpiv = [c for c in range(alg.dim) if c not in piv]
+    cols = []
+    for k in range(alg.dim):
+        resid = []
+        for row in v.basis.entries:
+            red = reduce_mod_rowspace(alg.bracket(alg.basis_vector(k), row), v.basis, piv)
+            resid.extend(red[c] for c in nonpiv)
+        cols.append(resid)
+    if not cols[0]:
+        return full_space(alg)
+    m = Matrix.from_rows([[cols[k][r] for k in range(alg.dim)] for r in range(len(cols[0]))])
+    return Subspace(alg, nullspace(m))
+
+
+def intersect(a, b):
+    if a.dim == 0 or b.dim == 0:
+        return Subspace(a.alg, Matrix.zero(0, a.basis.cols))
+    stacked = Matrix.from_rows(
+        [
+            [a.basis[i, c] for i in range(a.dim)] + [-b.basis[j, c] for j in range(b.dim)]
+            for c in range(a.basis.cols)
+        ]
+    )
+    ker = nullspace(stacked)
+    rows = []
+    for r in range(ker.rows):
+        vec = [Fraction(0)] * a.basis.cols
+        for f, row in zip(ker.row(r)[: a.dim], a.basis.entries):
+            if f:
+                for j, e in enumerate(row):
+                    if e:
+                        vec[j] += f * e
+        rows.append(vec)
+    return Subspace.from_rows(a.alg, rows)
+
+
+def reference_orbit_dims(alg):
+    """n - dim(N(V_alpha) cap a) for each weight, in `boundary_components` order."""
+    return [alg.n - intersect(normalizer(alg, c.base_point), a_subspace(alg)).dim for c in boundary_components(alg)]
+
+
+def run_without_sympy(code):
+    """Run `code` in a fresh interpreter that imports this orbitvar, then
+    check that sympy was never imported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbitvar.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    check = "\nimport sys\nassert 'sympy' not in sys.modules, sorted(m for m in sys.modules if 'sympy' in m)[:3]\n"
+    done = subprocess.run([sys.executable, "-c", code + check], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 ALPHA = Weight(F(1, 0))
@@ -192,19 +261,28 @@ class TestNonCanonicalBasisRefused:
 
 
 class TestSympyAtTheReportEdge:
-    """Curves are exact coefficient matrices; sympy renders them in
-    `CurveSubspace.to_json` and nowhere else in `orbit` and `linalg`."""
+    """Curves are exact coefficient matrices and `CurveSubspace.to_json`
+    renders them itself, so sympy stays in `ideals` and the commands that
+    use it."""
 
-    def test_geometry_runs_without_sympy(self, monkeypatch):
-        from orbitvar import linalg, orbit
-
-        monkeypatch.setattr(orbit, "sympy", None)
-        monkeypatch.setattr(linalg, "sympy", None)
-        alg = models.builtin("borel-nilradical-A3")
-        assert len(torus_fixed_points(alg)) == len(brute_force_torus_fixed(alg))
-        assert [c.orbit_dim for c in boundary_components(alg)] == [alg.n - 1] * alg.n
-        assert membership(alg, torus_subspace(alg)).kind == "orbit"
-        assert membership(alg, theta_alpha(alg, alg.weights[0], None)).kind == "limit"
+    def test_geometry_runs_without_sympy(self, tmp_path):
+        run_without_sympy(
+            f"""
+from orbitvar import cli, models, orbit
+for name in ("borel-nilradical-A3", "heisenberg-3"):
+    for command in ("validate", "fixed-points", "boundary", "property-p"):
+        assert cli.main([command, "--builtin", name, "--output", {str(tmp_path / "report")!r}]) == 0
+alg = models.builtin("borel-nilradical-A3")
+t = orbit.torus_subspace(alg)
+assert orbit.membership(alg, t).kind == "orbit"
+assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], 2)).kind == "orbit"
+assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], None)).kind == "limit"
+assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], None)).to_json(alg)["witness_curve"]
+assert orbit.multipoint_membership(alg, [alg.weight_vector(0), alg.weight_vector(5)])[0] == "proven"
+assert orbit.biggest_torus(alg, t) == ()
+assert not orbit.verify_pair_relation(alg, alg.weights[0], samples=5).has_refutation()
+"""
+        )
 
 
 def brute_force_torus_fixed(alg):

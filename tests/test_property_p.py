@@ -215,15 +215,21 @@ class TestCmdPropertyP:
 
     def test_each_witness_is_built_and_limited_once(self, monkeypatch):
         """On A3 every witness curve comes from the fixed-point enumeration:
-        `act` builds it and `limit` takes its limit at most once per
-        enumerated weight subset, and no curve is rendered."""
+        it is built (`_curve`, one factor on its parent's curve, never
+        `act`) and `limit` takes its limit at most once per enumerated
+        weight subset, and no curve is rendered."""
         subsets = len(orbit.torus_fixed_points(models.builtin("borel-nilradical-A3")))
-        words, limits, renders = Counter(), Counter(), Counter()
-        act, limit, to_json = orbit.act, orbit.CurveSubspace.limit, orbit.CurveSubspace.to_json
+        words, built, limits, renders = Counter(), Counter(), Counter(), Counter()
+        act, build, limit, to_json = orbit.act, orbit._curve, orbit.CurveSubspace.limit, orbit.CurveSubspace.to_json
 
         def counted_act(alg, word, v):
             words[tuple(word)] += 1
             return act(alg, word, v)
+
+        def counted_curve(alg, polys):
+            out = build(alg, polys)
+            built[out.coeffs] += 1
+            return out
 
         def counted_limit(curve):
             limits[curve.coeffs] += 1
@@ -234,11 +240,13 @@ class TestCmdPropertyP:
             return to_json(curve)
 
         monkeypatch.setattr(orbit, "act", counted_act)
+        monkeypatch.setattr(orbit, "_curve", counted_curve)
         monkeypatch.setattr(orbit.CurveSubspace, "limit", counted_limit)
         monkeypatch.setattr(orbit.CurveSubspace, "to_json", counted_to_json)
         out = cli.cmd_property_p(models.builtin("borel-nilradical-A3"), 0)
         assert out.checks[0].details["proven"] > 0
-        assert 0 < sum(words.values()) <= subsets and set(words.values()) == {1}
+        assert not words
+        assert 0 < sum(built.values()) <= subsets and set(built.values()) == {1}
         assert 0 < sum(limits.values()) <= subsets and set(limits.values()) == {1}
         assert not renders
 

@@ -1,6 +1,6 @@
 """The exact kernels that skip zero entries, on sparse random Fraction
-matrices: `rref`, `reduce_mod_rowspace`, `_vector_sum` and `intersect`
-against the dense loops kept here, `exp_ad_terms` and both branches of
+matrices: `rref`, `reduce_mod_rowspace` and `_vector_sum` against the
+dense loops kept here, `exp_ad_terms` and both branches of
 `orbit._exp_row` against the dense adjoint chains of `test_memo`.  (`act`
 and `CurveSubspace.limit` are pinned to sympy in `test_curves`.)  Also
 pinned: every entry `rref`, `nullspace` and `solve` return is a
@@ -61,26 +61,6 @@ def dense_reduce_mod_rowspace(v, basis, pivots):
 
 def dense_vector_sum(vectors):
     return tuple(sum(cs, Fraction(0)) for cs in zip(*vectors))
-
-
-def dense_intersect(a, b):
-    """`orbit.intersect` with every coefficient times every entry."""
-    if a.dim == 0 or b.dim == 0:
-        return orbit.Subspace(a.alg, Matrix.zero(0, a.basis.cols))
-    stacked = Matrix.from_rows(
-        [
-            [a.basis[i, c] for i in range(a.dim)] + [-b.basis[j, c] for j in range(b.dim)]
-            for c in range(a.basis.cols)
-        ]
-    )
-    ker = nullspace(stacked)
-    rows = []
-    for r in range(ker.rows):
-        coefs = ker.row(r)[: a.dim]
-        rows.append(
-            [sum((coefs[i] * a.basis[i, c] for i in range(a.dim)), Fraction(0)) for c in range(a.basis.cols)]
-        )
-    return orbit.Subspace.from_rows(a.alg, rows)
 
 
 # -- strategies ---------------------------------------------------------
@@ -178,22 +158,6 @@ class TestChains:
             assert sum_chain(formal, z) == at(z)
 
 
-class TestIntersect:
-    @settings(max_examples=100)
-    @given(st.sampled_from(["borel-nilradical-A2", "heisenberg-3", "borel-nilradical-A3"]), st.data())
-    def test_matches_dense(self, name, data):
-        alg = models.builtin(name)
-        a, b = (
-            orbit.Subspace.from_rows(alg, data.draw(st.lists(sparse_vectors(alg.dim), max_size=alg.dim)))
-            for _ in range(2)
-        )
-        both = orbit.intersect(a, b)
-        assert both == dense_intersect(a, b)
-        assert a.contains_subspace(both) and b.contains_subspace(both)
-        total = orbit.Subspace.from_rows(alg, list(a.basis.entries + b.basis.entries))
-        assert both.dim == a.dim + b.dim - total.dim
-
-
 # -- exactness ------------------------------------------------------------
 
 
@@ -225,7 +189,8 @@ class TestIntEntriesComeBackAsFractions:
 
 def test_no_kernel_multiplies_by_a_zero_fraction(monkeypatch):
     """Counts every Fraction product in A3 row reductions, actions, limits,
-    exp(ad) chains and residues; a dense loop would multiply zeros."""
+    exp(ad) chains, residues, the fixed-point enumeration and the boundary
+    ranks; a dense loop would multiply zeros."""
     alg = models.borel_nilradical_a3()
     rng = random.Random(0)
 
@@ -263,5 +228,8 @@ def test_no_kernel_multiplies_by_a_zero_fraction(monkeypatch):
         alg.exp_ad_terms(u, point())
     for rr, piv in bases:
         reduce_mod_rowspace(point(), rr, piv)
+    fresh = models.borel_nilradical_a3()  # its curves grow along the fixed-point tree
+    orbit.torus_fixed_points(fresh)
+    orbit.boundary_components(fresh)
     assert products["all"] > 100
     assert products["zero"] == 0
