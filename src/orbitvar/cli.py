@@ -125,7 +125,7 @@ def cmd_property_p(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport
 
 
 def cmd_chart(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
-    from . import ideals  # sympy-backed; the geometry commands never import it
+    from . import ideals  # only the chart commands need the polynomial ring
 
     out = rep.VerificationReport("chart", alg.fingerprint(), seed=seed)
     for recd in orbit.group_fixed_points(alg):
@@ -162,7 +162,7 @@ def cmd_chart(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
 
 
 def cmd_nilcone(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
-    from . import ideals  # sympy-backed; the geometry commands never import it
+    from . import ideals  # only the chart commands need the polynomial ring
 
     out = rep.VerificationReport("nilcone", alg.fingerprint(), seed=seed)
     for recd in orbit.group_fixed_points(alg):
@@ -187,7 +187,7 @@ def cmd_nilcone(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
 
 
 def cmd_ps_check(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
-    from . import ideals  # sympy-backed; the geometry commands never import it
+    from . import ideals  # only the chart commands need the polynomial ring
 
     out = rep.VerificationReport("ps-check", alg.fingerprint(), seed=seed)
     for s in (2, 3, 4):

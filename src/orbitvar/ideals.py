@@ -1,17 +1,21 @@
 """Exact commutative algebra: Gröbner bases, elimination, ideal
 quotients, Krull dimension, and the determinantal and chart ideals the
-verification suite needs.  The Gröbner kernel is `_groebner`, a
-Buchberger loop with the Gebauer–Möller criteria on sympy's sparse
-polynomial rings over QQ.
+verification suite needs, on an in-repo polynomial ring over Q.
 
-Every polynomial is an element of such a ring (`PolyRing.poly_ring`)
-from where it is built to the kernel: the chart and determinantal
-ideals are built by ring arithmetic, and `Ideal` stores ring elements.
-sympy expressions appear only at the edges: strings and expressions
-given to `Ideal.make`, `Ideal.normal_form`, `ideal_quotient` and
-`regular_sequence_check` are parsed and expanded once, and
-`Ideal.generators`, `u_function` and the report details render ring
-elements with `as_expr()`.
+Every polynomial is a `Poly` of a `PolyRing` (exponent tuple -> nonzero
+`Fraction`) from where it is built to the kernel: the chart and
+determinantal ideals are built by ring arithmetic, and `Ideal` stores
+ring elements.  The Gröbner kernel (`_groebner`, `_reduce`) works on a
+second, packed form (`_Order`): each exponent vector is one int, and
+each polynomial is kept primitive with Python-int coefficients and
+reduced fraction-free; its results are turned back into monic `Poly`s
+over Q once, at the end.  A `Poly` renders itself as sympy prints its
+expression (`str`), so no report needs sympy.  sympy is imported only
+at the string and expression edge: `PolyRing.symbols` and `parse`, a
+string or an expression given to `Ideal.make`, `contains`,
+`ideal_quotient` or `regular_sequence_check`, `Ideal.normal_form`,
+`generators`, `basis()`, `Poly.as_expr()` and `ChartIdeal.z_sym` and
+`a_sym`.  The chart, nilcone and determinantal routes never reach it.
 
 No report prints a Gröbner basis, and the questions the reports ask
 (membership, the unit ideal, the dimension, regularity) have the same
@@ -45,13 +49,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-import sympy
-from sympy.polys.orderings import MonomialOrder
-from sympy.polys.polyutils import dict_from_expr
-from sympy.polys.rings import PolyElement, ring as sparse_ring
-
 from .liealg import Weight, WeightedLieAlgebra, weight_sort_key
 from .linalg import Matrix, solve
+from .orbit import group_fixed_points, render_sum
 from . import report as rep
 
 
@@ -73,6 +73,10 @@ class NotGroupFixedError(IdealError):
 
 @dataclass(frozen=True)
 class PolyRing:
+    """Q[variables] with a term order.  The ring builds its own elements:
+    `gens`, `zero`, `one`, and `ring(x)` for a number or a dict of
+    exponent tuple -> coefficient.  `poly_ring` is the ring itself."""
+
     variables: tuple[str, ...]
     order: str = "grevlex"  # grevlex | lex
 
@@ -82,248 +86,424 @@ class PolyRing:
         if self.order not in ("grevlex", "lex"):
             raise IdealError(f"unsupported order {self.order}")
 
+    @property
+    def poly_ring(self) -> "PolyRing":
+        return self
+
+    @functools.cached_property
+    def gens(self) -> tuple:
+        n = len(self.variables)
+        return tuple(Poly(self, {tuple(int(i == j) for i in range(n)): Fraction(1)}) for j in range(n))
+
+    @property
+    def zero(self) -> "Poly":
+        return Poly(self)
+
+    @property
+    def one(self) -> "Poly":
+        return self(1)
+
+    def __call__(self, x) -> "Poly":
+        if isinstance(x, dict):
+            return Poly(self, {m: Fraction(c) for m, c in x.items() if c})
+        x = Fraction(x)
+        return Poly(self, {(0,) * len(self.variables): x} if x else {})
+
+    @functools.cached_property
+    def _print_order(self) -> tuple[int, ...]:
+        """The variable indices by name: the order sympy prints them in."""
+        return tuple(sorted(range(len(self.variables)), key=self.variables.__getitem__))
+
     @functools.cached_property
     def symbols(self) -> tuple:
+        import sympy
+
         return sympy.symbols(self.variables)
 
-    @functools.cached_property
-    def poly_ring(self):
-        """sympy's sparse ring over QQ in these variables and order."""
-        return sparse_ring(self.symbols, sympy.QQ, self.order)[0]
-
     def parse(self, s: str):
+        import sympy
+
         return sympy.sympify(s, dict(zip(self.variables, self.symbols)))
 
 
-def _to_ring(ring, expr):
-    """expr as an element of a sparse ring.  A symbol outside the ring
-    ends up in a coefficient and fails there with CoercionFailed."""
-    terms, _ = dict_from_expr(expr, gens=ring.symbols)
-    return ring({m: sympy.QQ.from_sympy(c) for m, c in terms.items()})
+class Poly(dict):
+    """An element of `ring`: exponent tuple -> nonzero `Fraction`.  Ring
+    arithmetic with `Poly`s of the same variables, ints and `Fraction`s;
+    `str` is the text sympy prints for `as_expr()`."""
 
+    __slots__ = ("ring",)
+    __hash__ = None
 
-# -- the Gröbner kernel ------------------------------------------------
+    def __init__(self, ring: PolyRing, terms=()):
+        dict.__init__(self, terms)
+        self.ring = ring
 
+    def _coerce(self, other):
+        if isinstance(other, Poly):
+            if other.ring is not self.ring and other.ring.variables != self.ring.variables:
+                raise IdealError("elements of rings in different variables")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.ring(other)
+        return None
 
-def _degree(weights, m) -> int:
-    return sum(map(operator.mul, weights, m))
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = Poly(self.ring, self)
+        for m, c in other.items():
+            v = out.get(m, 0) + c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        return out
 
+    __radd__ = __add__
 
-class _WeightedGrevlex(MonomialOrder):
-    """Graded reverse lexicographic order by the weighted degree
-    `weights · m`: sympy's grevlex key with the weighted degree in place
-    of the total degree.  A term order when every weight is positive."""
+    def __neg__(self):
+        return Poly(self.ring, {m: -c for m, c in self.items()})
 
-    alias = "wgrevlex"
-    is_global = True
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + -other
 
-    def __init__(self, weights: tuple[int, ...]):
-        self.weights = weights
+    def __rsub__(self, other):
+        return -self + other
 
-    def __call__(self, m):
-        return (_degree(self.weights, m), tuple(reversed([-e for e in m])))
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Poly(self.ring, {m: c * other for m, c in self.items()} if other else {})
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out: dict = {}
+        for m, c in self.items():
+            for k, d in other.items():
+                mk = tuple(map(operator.add, m, k))
+                out[mk] = out.get(mk, 0) + c * d
+        return Poly(self.ring, {m: c for m, c in out.items() if c})
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, _WeightedGrevlex) and self.weights == other.weights
+        if isinstance(other, Poly):
+            return self.ring.variables == other.ring.variables and dict.__eq__(self, other)
+        if isinstance(other, (int, Fraction)):
+            return dict.__eq__(self, self.ring(other))
+        return NotImplemented
 
-    def __hash__(self):
-        return hash((_WeightedGrevlex, self.weights))
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __str__(self) -> str:
+        """sympy's text for `as_expr()`: the variables sorted by name, the
+        terms by lex on their exponents in that order, largest first, as
+        `Expr.as_ordered_terms` sorts them (`orbit.render_sum`)."""
+        names, order = self.ring.variables, self.ring._print_order
+        terms = sorted(self.items(), key=lambda t: [t[0][i] for i in order], reverse=True)
+        return render_sum(
+            [(tuple(names[i] if m[i] == 1 else f"{names[i]}**{m[i]}" for i in order if m[i]), c) for m, c in terms]
+        )
+
+    __repr__ = __str__
+
+    def as_expr(self):
+        import sympy
+
+        syms = self.ring.symbols
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, m) if e))
+                for m, c in self.items()
+            )
+        )
 
 
-class _Supports(dict):
-    """Memo of monomial -> its variables, as a bitmask."""
+def _to_ring(ring: PolyRing, expr) -> Poly:
+    """The expanded sympy expression expr as an element of ring.  A symbol
+    outside the ring ends up in a coefficient and fails there with
+    CoercionFailed."""
+    from sympy import QQ
+    from sympy.polys.polyutils import dict_from_expr
 
-    def __missing__(self, m):
-        s = self[m] = sum(1 << i for i, e in enumerate(m) if e)
-        return s
+    terms, _ = dict_from_expr(expr, gens=ring.symbols)
+    out = {}
+    for m, c in terms.items():
+        q = QQ.from_sympy(c)
+        if q:
+            out[m] = Fraction(int(q.numerator), int(q.denominator))
+    return Poly(ring, out)
 
 
-class _Keys(dict):
-    """Memo of monomial -> key for one kernel call, with a memo of
-    supports beside it.  The key sorts monomials from the largest down,
-    so that a min-heap pops the leading monomial first: the negation of
-    sympy's lex, grevlex or weighted grevlex key."""
+# -- the Gröbner kernel on packed monomials ------------------------------
 
-    _DESCENDING = {
-        "lex": lambda m: tuple([-e for e in m]),
-        "grevlex": lambda m: (-sum(m), m[::-1]),
-    }
+_BITS = 16  # per exponent field; its top bit is a guard, so exponents stay below 2**15
 
-    def __init__(self, ring):
-        super().__init__()
-        self.supports = _Supports()
-        order = ring.order
-        if isinstance(order, _WeightedGrevlex):
-            self.key = lambda m: (-_degree(order.weights, m), m[::-1])
+
+class _Order:
+    """Exponent vectors of `nvars` variables packed into one int each, so
+    that a larger int is a larger monomial in the term order: lex when
+    weights is None, else weighted grevlex by the weights.
+
+    Every field has _BITS bits, and an exponent at most `top`, which
+    leaves each field's top bit clear.  Lex stores e_0 in the highest
+    field down to e_(n-1) in the lowest.  Weighted grevlex stores the
+    weighted degree above all the fields and then `top - e_i` with
+    e_(n-1) highest: a larger degree wins, and at one degree the smaller
+    exponent in the last variable that differs does.  In both the packing
+    is affine, pack(e) = one + sum_i e_i coef_i, with one = pack(0), so
+
+    - a product is `a + b - one`, and a quotient `b - a + one`;
+    - a divides b exactly when `(b - a + one) & mask` is 0, mask holding
+      the top bit of each field: field i of b - a + one is
+      `top + a_i - b_i` (grevlex) or `b_i - a_i` (lex), so no field
+      borrows while every a_i <= b_i, and the lowest field with
+      a_i > b_i, which no field below it borrows from, has its top bit
+      set;
+    - a product whose exponent passes `top` sets a top bit the same way,
+      and the kernel refuses it with `ScaleExceededError` (`_too_large`).
+
+    These are the packed monomials of Monagan and Pearce, *Sparse
+    polynomial division using a heap* (J. Symbolic Comput., 2011)."""
+
+    def __init__(self, nvars: int, weights: tuple[int, ...] | None):
+        b, self.nvars, self.weights = _BITS, nvars, weights
+        self.top = top = (1 << (b - 1)) - 1
+        self.field = (1 << b) - 1
+        self.mask = sum(1 << (b * i + b - 1) for i in range(nvars))
+        if weights is None:
+            self.shifts = tuple(b * (nvars - 1 - i) for i in range(nvars))
+            self.one = 0
+            self.coefs = tuple(1 << s for s in self.shifts)
         else:
-            self.key = self._DESCENDING[order.alias]
+            self.shifts = tuple(b * i for i in range(nvars))
+            self.one = sum(top << s for s in self.shifts)
+            self.coefs = tuple((w << (b * nvars)) - (1 << s) for w, s in zip(weights, self.shifts))
 
-    def __missing__(self, m):
-        k = self[m] = self.key(m)
-        return k
+    def pack(self, e) -> int:
+        if max(e, default=0) > self.top:
+            raise _too_large(self)
+        return self.one + sum(map(operator.mul, e, self.coefs))
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        f = self.field
+        if self.weights is None:
+            return tuple((m >> s) & f for s in self.shifts)
+        return tuple(self.top - ((m >> s) & f) for s in self.shifts)
+
+    def lcm(self, a: tuple, b: tuple) -> int:
+        return self.one + sum(map(operator.mul, map(max, a, b), self.coefs))
 
 
-def _reduce(p, divisors, ring, keys: _Keys):
-    """The remainder of p on division by divisors, a list of (leading
-    monomial, monic element) pairs, as a dict, with its leading monomial
-    (None when the remainder is 0).
+def _too_large(order: _Order) -> ScaleExceededError:
+    return ScaleExceededError(f"an exponent passes {order.top}")
 
-    The dividend's monomials wait in a heap of their keys, so its
-    leading term is the top of the heap and no step takes a max over
-    all its terms.  A monomial that cancels stays in the heap and is
-    skipped when popped; it cannot come back once popped, because every
-    term a reduction step adds is smaller than the term it removes.  A
-    leading monomial is tried as a divisor only when its support lies
-    inside the popped monomial's, since most of them divide nothing."""
-    mul, div, supports = ring.monomial_mul, ring.monomial_div, keys.supports
-    divisors = [(supports[lm], lm, g) for lm, g in divisors]
+
+def _packed(poly, order: _Order) -> tuple[dict, int]:
+    """poly (exponent tuple -> Fraction) times the lcm of its denominators,
+    packed: (packed monomial -> int, that lcm)."""
+    den = math.lcm(*(c.denominator for c in poly.values()))
+    return {order.pack(m): c.numerator * (den // c.denominator) for m, c in poly.items()}, den
+
+
+def _primitive(terms: dict) -> tuple[int, dict]:
+    """(leading monomial, terms divided by their content, with a positive
+    leading coefficient)."""
+    lm = max(terms)
+    g = math.gcd(*terms.values())
+    if terms[lm] < 0:
+        g = -g
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+    return lm, terms
+
+
+def _divisor(elem, one: int) -> tuple:
+    """A kernel element (lm, terms) as `_reduce` takes it: lm - one, the
+    leading coefficient, and the other terms as (monomial - one, c)."""
+    lm, terms = elem
+    return lm - one, terms[lm], tuple((m - one, c) for m, c in terms.items() if m != lm)
+
+
+def _reduce(p: dict, divisors, order: _Order) -> tuple[dict, int]:
+    """(r, s): the remainder r of s·p on division by divisors (`_divisor`
+    tuples), fraction-free, with s a positive integer; r is 0 (empty)
+    exactly when p reduces to 0.
+
+    The dividend's monomials wait in a heap, so its leading term is the
+    top of the heap and no step takes a max over all its terms.  A
+    monomial that cancels stays in the heap and is skipped when popped;
+    it cannot come back once popped, because every term a reduction step
+    adds is smaller than the term it removes.  A step with leading
+    coefficient a on the term c x^m replaces p by (a/g) p - (c/g) x^q h,
+    g = gcd(a, c); only when a does not divide c are the waiting terms
+    and the remainder scaled, by a/g, and s with them."""
+    one, mask = order.one, order.mask
     p = dict(p)
-    heap = [(keys[m], m) for m in p]
+    heap = [-m for m in p]
     heapify(heap)
-    rem, lead = {}, None
+    rem: dict = {}
+    scale = 1
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = p.pop(m, None)
         if c is None:
             continue
-        outside = ~supports[m]
-        for support, lm, g in divisors:
-            if not support & outside:
-                q = div(m, lm)
-                if q is not None:
-                    break
+        for shift, a, tail in divisors:
+            q = m - shift
+            if not q & mask:
+                break
         else:
             rem[m] = c
-            if lead is None:
-                lead = m
             continue
-        for mg, cg in g.items():
-            if mg != lm:  # the leading term cancels the popped one
-                mm = mul(mg, q)
-                old = p.get(mm)
-                if old is None:
-                    p[mm] = -c * cg
-                    heappush(heap, (keys[mm], mm))
+        if a != 1:
+            g = math.gcd(a, c)
+            if g != a:
+                f = a // g
+                scale *= f
+                for k in p:
+                    p[k] *= f
+                for k in rem:
+                    rem[k] *= f
+            c //= g
+        for mg, cg in tail:
+            mm = mg + q
+            old = p.get(mm)
+            if old is None:
+                if mm & mask:
+                    raise _too_large(order)
+                p[mm] = -c * cg
+                heappush(heap, -mm)
+            else:
+                new = old - c * cg
+                if new:
+                    p[mm] = new
                 else:
-                    new = old - c * cg
-                    if new:
-                        p[mm] = new
-                    else:
-                        del p[mm]
-    return rem, lead
+                    del p[mm]
+    return rem, scale
 
 
-def _groebner(polys, ring) -> list:
-    """The reduced Gröbner basis of the ideal generated by polys, elements
-    of the sparse ring `ring` over QQ, as (leading monomial, monic
-    element) pairs, largest leading monomial first: the basis and the
-    order sympy's `groebner` returns.
+def _groebner(polys, order: _Order) -> list:
+    """The reduced Gröbner basis of the ideal generated by polys, dicts of
+    packed monomial -> int coefficient, as primitive (leading monomial,
+    terms) pairs with positive leading coefficients, largest leading
+    monomial first.  Divided by its leading coefficient, each element is
+    the monic one sympy's `groebner` returns, in sympy's list order.
 
     This is sympy's improved Buchberger algorithm (Becker–Weispfenning,
     *Gröbner Bases*, 1993, p. 232) with the pair criteria of Gebauer–
     Möller (*On an installation of Buchberger's algorithm*, 1988) and
     the normal selection strategy.  Each element's leading monomial is
-    computed once and kept beside it; the critical pairs wait in a heap
-    keyed once by the order key of their lcm, and a pair the update has
-    dropped is skipped when popped; the division is `_reduce`.
+    found once and kept beside it, with its exponent tuple for the lcms;
+    the critical pairs wait in a heap keyed by their packed lcm, and a
+    pair the update has dropped is skipped when popped; the division is
+    `_reduce`.  Scaling an element by a nonzero rational changes none of
+    this, so the run over integers keeps sympy's run over QQ step for
+    step.
 
-    It returns the same list as sympy's `groebner` because the reduced
-    Gröbner basis of an ideal for a term order is unique (Becker–
-    Weispfenning, Thm. 5.43): when no pair is left, the kept elements
-    form a Gröbner basis; interreducing them, dropping those that reduce
-    to 0 and keeping the rest monic gives a reduced Gröbner basis, which
-    is therefore that unique one.  Listing it by leading monomial,
-    largest first, fixes the order.  When a remainder is a nonzero
-    constant the ideal is the whole ring and its reduced basis is 1."""
-    zero = ring.domain.zero
-    mul, div, lcm = ring.monomial_mul, ring.monomial_div, ring.monomial_lcm
-    order, const = ring.order, ring.zero_monom
-    keys = _Keys(ring)
-    unit = [(const, ring.one)]
+    The result is the basis sympy's `groebner` returns because the
+    reduced Gröbner basis of an ideal for a term order is unique
+    (Becker–Weispfenning, Thm. 5.43): when no pair is left, the kept
+    elements form a Gröbner basis; interreducing them, dropping those
+    that reduce to 0 and scaling the rest gives a reduced Gröbner basis
+    up to scalars, which is therefore that unique one.  Listing it by
+    leading monomial, largest first, fixes the order.  When a remainder
+    is a nonzero constant the ideal is the whole ring and its reduced
+    basis is 1."""
+    one, mask = order.one, order.mask
+    unit = [(one, {one: 1})]
 
-    def monic(terms, lm):
-        c = terms[lm]
-        return ring.dtype(terms if c == 1 else {m: v / c for m, v in terms.items()})
-
-    # the inputs, monic and interreduced as sympy does ([BW] p. 203)
-    new = []
-    for p in polys:
-        if p:
-            lm = min(p, key=keys.__getitem__)  # the smallest key is the largest monomial
-            new.append((lm, monic(p, lm)))
+    # the inputs, primitive and interreduced as sympy does ([BW] p. 203)
+    new = [_primitive(p) for p in polys if p]
     while True:
         f, new = new, []
+        divs = [_divisor(e, one) for e in f]
         for i, (_, p) in enumerate(f):
-            r, lm = _reduce(p, f[:i], ring, keys)
-            if lm is not None:
-                new.append((lm, monic(r, lm)))
+            r, _ = _reduce(p, divs[:i], order)
+            if r:
+                new.append(_primitive(r))
         if new == f:
             break
-    if any(lm == const for lm, _ in f):
+    if any(lm == one for lm, _ in f):
         return unit
 
     lms, elems = [lm for lm, _ in f], [p for _, p in f]
+    exps = [order.unpack(lm) for lm in lms]
+    divs = [_divisor(e, one) for e in f]
     basis: set[int] = set()
-    pairs: dict[tuple[int, int], tuple] = {}  # pending pair -> lcm
-    queue: list = []  # (order key of the lcm, i, j), stale once out of pairs
+    pairs: dict[tuple[int, int], int] = {}  # pending pair -> packed lcm
+    queue: list = []  # (packed lcm, i, j), stale once out of pairs
+
+    def divides(a: int, b: int) -> bool:
+        return not (b - a + one) & mask
 
     def update(ih):
         """Gebauer–Möller update of basis and pairs by the new element ih
         ([BW] p. 230)."""
-        mh = lms[ih]
-        lcms = {ig: lcm(mh, lms[ig]) for ig in basis}
+        mh, eh = lms[ih], exps[ih]
+        lcms = {ig: order.lcm(eh, exps[ig]) for ig in basis}
         candidates = sorted(basis)
         kept = []
         while candidates:
             ig = candidates.pop()
             mhg = lcms[ig]
-            if mul(mh, lms[ig]) == mhg or not any(
-                div(mhg, lcms[ip]) is not None for ip in itertools.chain(candidates, kept)
+            if mh + lms[ig] - one == mhg or not any(
+                divides(lcms[ip], mhg) for ip in itertools.chain(candidates, kept)
             ):
                 kept.append(ig)
         for pair, m12 in list(pairs.items()):
             if (
-                div(m12, mh) is not None
-                and lcm(lms[pair[0]], mh) != m12
-                and lcm(lms[pair[1]], mh) != m12
+                divides(mh, m12)
+                and order.lcm(exps[pair[0]], eh) != m12
+                and order.lcm(exps[pair[1]], eh) != m12
             ):
                 del pairs[pair]
         for ig in kept:
             mhg = lcms[ig]
-            if mul(mh, lms[ig]) != mhg:
+            if mh + lms[ig] - one != mhg:
                 pairs[ih, ig] = mhg
-                heappush(queue, (order(mhg), ih, ig))
-        basis.difference_update([ig for ig in basis if div(lms[ig], mh) is not None])
+                heappush(queue, (mhg, ih, ig))
+        basis.difference_update([ig for ig in basis if divides(mh, lms[ig])])
         basis.add(ih)
 
-    for ih in sorted(range(len(f)), key=lambda i: keys[lms[i]], reverse=True):
+    for ih in sorted(range(len(f)), key=lms.__getitem__):
         update(ih)
 
     divisors = None
     while queue:
-        _, i, j = heappop(queue)
-        m = pairs.pop((i, j), None)
-        if m is None:
+        m, i, j = heappop(queue)
+        if pairs.pop((i, j), None) is None:
             continue
-        # the S-polynomial; the leading terms cancel
-        qi, qj = div(m, lms[i]), div(m, lms[j])
-        s = {mul(mi, qi): c for mi, c in elems[i].items()}
-        for mj, c in elems[j].items():
-            mm = mul(mj, qj)
-            v = s.get(mm, zero) - c
+        # the S-polynomial, fraction-free; the leading terms cancel
+        ai, aj = elems[i][lms[i]], elems[j][lms[j]]
+        g = math.gcd(ai, aj)
+        fi, fj = aj // g, ai // g
+        qi, qj = m - lms[i] + one, m - lms[j] + one
+        s = {mi + qi: c * fi for mi, c in divs[i][2]}
+        for mj, c in divs[j][2]:
+            mm = mj + qj
+            v = s.get(mm, 0) - c * fj
             if v:
                 s[mm] = v
             else:
                 del s[mm]
+        if any(mm & mask for mm in s):
+            raise _too_large(order)
         if divisors is None:
             # smallest leading monomial first ([Cox] p. 111)
-            divisors = [(lms[g], elems[g]) for g in sorted(basis, key=lambda g: keys[lms[g]], reverse=True)]
-        r, lm = _reduce(s, divisors, ring, keys)
-        if lm is not None:
-            if lm == const:
+            divisors = [divs[g] for g in sorted(basis, key=lms.__getitem__)]
+        r, _ = _reduce(s, divisors, order)
+        if r:
+            lm, r = _primitive(r)
+            if lm == one:
                 return unit
             lms.append(lm)
-            elems.append(monic(r, lm))
+            elems.append(r)
+            exps.append(order.unpack(lm))
+            divs.append(_divisor((lm, r), one))
             update(len(elems) - 1)
             divisors = None
 
@@ -331,14 +511,56 @@ def _groebner(polys, ring) -> list:
     # divides reduces to 0 here and is dropped
     reduced = []
     for ig in basis:
-        r, lm = _reduce(elems[ig], [(lms[g], elems[g]) for g in basis if g != ig], ring, keys)
-        if lm is not None:
-            reduced.append((lm, ring.dtype(r)))
-    reduced.sort(key=lambda t: keys[t[0]])
+        r, _ = _reduce(elems[ig], [divs[g] for g in basis if g != ig], order)
+        if r:
+            reduced.append(_primitive(r))
+    reduced.sort(key=operator.itemgetter(0), reverse=True)
     return reduced
 
 
+class _Basis:
+    """A reduced Gröbner basis from `_groebner`, with the order it was
+    computed in."""
+
+    def __init__(self, order: _Order, elems: list):
+        self.order, self.elems = order, elems
+
+    @functools.cached_property
+    def divisors(self) -> list:
+        """The elements as `_reduce` takes them, smallest leading monomial
+        first."""
+        return [_divisor(e, self.order.one) for e in reversed(self.elems)]
+
+    @functools.cached_property
+    def lms(self) -> list:
+        """The leading monomials, as exponent tuples."""
+        return [self.order.unpack(lm) for lm, _ in self.elems]
+
+    def is_unit(self) -> bool:
+        return len(self.elems) == 1 and self.elems[0][0] == self.order.one
+
+    def pairs(self, ring: PolyRing) -> tuple:
+        """(leading monomial, monic element of ring) pairs."""
+        unpack = self.order.unpack
+        return tuple(
+            (e, Poly(ring, {unpack(m): Fraction(c, terms[lm]) for m, c in terms.items()}))
+            for e, (lm, terms) in zip(self.lms, self.elems)
+        )
+
+    def reduce(self, p: Poly) -> Poly:
+        """The remainder of p on division by the basis, over Q."""
+        terms, den = _packed(p, self.order)
+        rem, scale = _reduce(terms, self.divisors, self.order)
+        den *= scale
+        unpack = self.order.unpack
+        return Poly(p.ring, {unpack(m): Fraction(c, den) for m, c in rem.items()})
+
+
 # -- positive gradings and Hilbert series --------------------------------
+
+
+def _degree(weights, m) -> int:
+    return sum(map(operator.mul, weights, m))
 
 
 def _clear(u: list, v: list, j: int) -> list:
@@ -497,45 +719,72 @@ def _hilbert_numerator(gens, weights) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _parse(ring: PolyRing, g):
-    """g as an element of `ring.poly_ring`.  A string or an expression is
-    expanded and must use no variable outside the ring; an element of
-    another sparse ring is moved into this one."""
-    if isinstance(g, PolyElement):
-        return g.set_ring(ring.poly_ring)
+def _parse(ring: PolyRing, g) -> Poly:
+    """g as an element of ring.  An element of a ring in the same
+    variables, in any term order, is taken as it is; a number is a
+    constant; a string or a sympy expression is expanded and must use no
+    variable outside the ring."""
+    if isinstance(g, Poly):
+        if g.ring is ring:
+            return g
+        if g.ring.variables != ring.variables:
+            raise IdealError(f"generator {g} belongs to a ring in other variables")
+        return Poly(ring, g)
+    if isinstance(g, (int, Fraction)):
+        return ring(g)
+    import sympy
+
     e = sympy.expand(sympy.sympify(g))
     if not e.free_symbols <= set(ring.symbols):
         raise IdealError(f"generator {g} uses foreign variables")
-    return _to_ring(ring.poly_ring, e)
+    return _to_ring(ring, e)
 
 
 @dataclass
 class Ideal:
     """An ideal of `ring`, kept as its nonzero generators `polys`,
-    elements of `ring.poly_ring`, in the order they were given."""
+    elements of `ring`, in the order they were given."""
 
     ring: PolyRing
     polys: tuple
     _gb: tuple | None = field(default=None, repr=False, compare=False)
+    _bases: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def make(ring: PolyRing, gens) -> "Ideal":
-        """The ideal generated by gens: strings, sympy expressions or
-        sparse-ring elements, with the zeros dropped."""
+        """The ideal generated by gens: strings, sympy expressions, numbers
+        or ring elements, with the zeros dropped."""
         polys = (_parse(ring, g) for g in gens)
         return Ideal(ring, tuple(p for p in polys if p))
 
     @functools.cached_property
     def generators(self) -> tuple:
-        """`polys` as sympy expressions, for reports."""
+        """`polys` as sympy expressions."""
         return tuple(p.as_expr() for p in self.polys)
+
+    def _basis(self, weights: tuple[int, ...] | None) -> _Basis:
+        """The reduced basis in lex (weights None) or in weighted grevlex,
+        computed once per order."""
+        basis = self._bases.get(weights)
+        if basis is None:
+            order = _Order(len(self.ring.variables), weights)
+            basis = self._bases[weights] = _Basis(order, _groebner([_packed(p, order)[0] for p in self.polys], order))
+        return basis
+
+    def _ring_basis(self) -> _Basis:
+        return self._basis(None if self.ring.order == "lex" else (1,) * len(self.ring.variables))
+
+    def _order_free(self) -> _Basis:
+        """The basis `order_free_basis` lists."""
+        w = self.grading
+        return self._ring_basis() if w is None or all(e == 1 for e in w) else self._basis(w)
 
     def groebner(self) -> tuple:
         """The reduced Gröbner basis for `ring.order`, computed once:
-        (leading monomial, monic element of `ring.poly_ring`) pairs,
-        largest leading monomial first, and empty for the zero ideal."""
+        (leading monomial, monic element of `ring`) pairs, largest leading
+        monomial first, and empty for the zero ideal."""
         if self._gb is None:
-            self._gb = tuple(_groebner(self.polys, self.ring.poly_ring))
+            self._gb = self._ring_basis().pairs(self.ring)
         return self._gb
 
     def basis(self) -> tuple:
@@ -553,53 +802,50 @@ class Ideal:
         """A reduced Gröbner basis, as (leading monomial, element) pairs,
         for the questions whose answer is the same in every term order:
         membership, the unit ideal and the dimension.  The order is
-        weighted grevlex by `grading`, and the elements belong to a ring
-        in that order; without a grading, or in the standard one, the
-        basis is `groebner()` itself and nothing is computed twice."""
+        weighted grevlex by `grading`; without a grading, or in the
+        standard one, the basis is `groebner()` itself and nothing is
+        computed twice."""
         w = self.grading
         if w is None or all(e == 1 for e in w):
             return self.groebner()
-        ring = sparse_ring(self.ring.symbols, sympy.QQ, _WeightedGrevlex(w))[0]
-        return tuple(_groebner(self.polys, ring))
+        return self._order_free().pairs(self.ring)
 
     def normal_form(self, f):
         """The remainder of the expression f on division by `groebner()`,
         as an expression."""
+        import sympy
+
         f = sympy.expand(sympy.sympify(f))
-        if not self.groebner():
+        if not self._ring_basis().elems:
             return f
-        r = self.ring.poly_ring
-        return r.dtype(_reduce(_to_ring(r, f), self.groebner(), r, _Keys(r))[0]).as_expr()
+        return self._ring_basis().reduce(_to_ring(self.ring, f)).as_expr()
 
     def contains(self, f) -> bool:
-        """Whether f, an expression or a ring element, lies in the ideal:
-        its remainder on division by a Gröbner basis, for any order, is
-        0."""
-        if isinstance(f, PolyElement):
-            p = f.set_ring(self.ring.poly_ring)
+        """Whether f, a ring element, a number, a string or an expression,
+        lies in the ideal: its remainder on division by a Gröbner basis,
+        for any order, is 0."""
+        if isinstance(f, (Poly, int, Fraction)):
+            p = _parse(self.ring, f)
         else:
+            import sympy
+
             f = sympy.expand(sympy.sympify(f))
             if not self.polys:  # unconverted, as `normal_form` leaves it
                 return f == 0
-            p = _to_ring(self.ring.poly_ring, f)
-        gb = self.order_free_basis
-        if not gb:
-            return not p
-        ring = gb[0][1].ring
-        return not _reduce(p, gb, ring, _Keys(ring))[0]
+            p = _to_ring(self.ring, f)
+        return not self._order_free().reduce(p)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(p) for p in other.polys)
 
     def is_unit(self) -> bool:
-        gb = self.order_free_basis
-        return len(gb) == 1 and not any(gb[0][0])
+        return self._order_free().is_unit()
 
     def to_json(self) -> dict:
         return {
             "ring": list(self.ring.variables),
             "order": self.ring.order,
-            "generators": [str(g) for g in self.generators],
+            "generators": [str(p) for p in self.polys],
         }
 
 
@@ -615,20 +861,19 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     out = PolyRing(keep, ideal.ring.order)
     if not drop:
         return Ideal(out, ideal.polys)
-    # exponent vectors permuted into the lex ring, the dropped block first
-    r = PolyRing(drop + keep, "lex").poly_ring
+    # exponent vectors permuted into the lex order, the dropped block first
     where = [names.index(v) if v in names else None for v in drop + keep]
+    order, k = _Order(len(where), None), len(drop)
     polys = [
-        r.dtype({tuple(0 if i is None else m[i] for i in where): c for m, c in p.items()})
+        _packed({tuple(0 if i is None else m[i] for i in where): c for m, c in p.items()}, order)[0]
         for p in ideal.polys
     ]
-    k, s = len(drop), out.poly_ring
-    kept = (s.dtype({m[k:]: c for m, c in g.items()}) for lm, g in _groebner(polys, r) if not any(lm[:k]))
+    kept = []
+    for lm, terms in _groebner(polys, order):
+        if not any(order.unpack(lm)[:k]):
+            lc = terms[lm]
+            kept.append(Poly(out, {order.unpack(m)[k:]: Fraction(c, lc) for m, c in terms.items()}))
     return Ideal(out, tuple(kept))
-
-
-# the two variables the homogeneous colon of `ideal_quotient` adds
-_H, _Y = sympy.Dummy("h"), sympy.Dummy("y")
 
 
 def ideal_quotient(ideal: Ideal, f) -> Ideal:
@@ -652,7 +897,8 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
     only if it divides every term of G.  So the elements of a grevlex
     basis of J with y last, each divided once by y where y divides it,
     form a Gröbner basis of J : y (Eisenbud, *Commutative Algebra*,
-    Prop. 15.12).
+    Prop. 15.12).  The kernel works on exponent vectors, so h and y need
+    no names.
 
     The basis of I is used rather than its generators: when
     `regular_sequence_check` falls back to a colon, I too has no
@@ -662,23 +908,24 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
     at base point (3,4,5) it takes about half the time it takes from
     the generators).
 
-    f may be a string, an expression or a ring element; the quotient's
-    generators are ring elements."""
+    f may be a string, an expression, a number or a ring element; the
+    quotient's generators are ring elements."""
     f = _parse(ideal.ring, f)
     if not f:
         raise IdealError("quotient by zero")
-    xs = ideal.ring.symbols
-    r, n = ideal.ring.poly_ring, len(xs)
-    # the basis of I and y - f, as exponent vectors in xs and y
+    r, n = ideal.ring, len(ideal.ring.variables)
+    # the basis of I and y - f, as exponent vectors in the x's and y
     elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
-    elems.append({(0,) * n + (1,): sympy.QQ.one, **{m + (0,): -c for m, c in f.items()}})
-    s = sparse_ring(xs + (_H, _Y), sympy.QQ, "grevlex")[0]
+    elems.append({(0,) * n + (1,): Fraction(1), **{m + (0,): -c for m, c in f.items()}})
+    order = _Order(n + 2, (1,) * (n + 2))  # the x's, h, y
     homogenized = []
     for e in elems:
         d = max(sum(m) for m in e)
-        homogenized.append(s({m[:n] + (d - sum(m), m[n]): c for m, c in e.items()}))
+        homogenized.append(_packed({m[:n] + (d - sum(m), m[n]): c for m, c in e.items()}, order)[0])
     out, powers = [], [r.one]
-    for _, p in _groebner(homogenized, s):
+    for lm, terms in _groebner(homogenized, order):
+        lc = terms[lm]
+        p = {order.unpack(m): Fraction(c, lc) for m, c in terms.items()}
         shift = 1 if all(m[-1] > 0 for m in p) else 0
         # h -> 1, y -> f; p is homogeneous, so within one power of y the
         # x exponents fix the h exponent
@@ -686,10 +933,10 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
         for m, c in p.items():
             by_power.setdefault(m[-1] - shift, {})[m[:n]] = c
         g = r.zero
-        for e, terms in by_power.items():
+        for e, part in by_power.items():
             while len(powers) <= e:
                 powers.append(powers[-1] * f)
-            g += r(terms) * powers[e]
+            g += Poly(r, part) * powers[e]
         out.append(g)
     return Ideal.make(ideal.ring, out)
 
@@ -727,16 +974,16 @@ def hilbert_dimension(ideal: Ideal) -> int:
     variables, since every cover contains one of them, and prune a
     branch once it cannot beat the smallest cover found so far.
 
-    The leading monomials are read from `Ideal.order_free_basis`; any
+    The leading monomials are those of `Ideal.order_free_basis`; any
     other object with a `ring` and a `groebner()` of (leading monomial,
     element) pairs is read from that basis."""
-    gb = ideal.order_free_basis if hasattr(ideal, "order_free_basis") else ideal.groebner()
+    lms = ideal._order_free().lms if isinstance(ideal, Ideal) else [lm for lm, _ in ideal.groebner()]
     nvars = len(ideal.ring.variables)
-    if not gb:
+    if not lms:
         return nvars
-    if len(gb) == 1 and not any(gb[0][0]):
+    if len(lms) == 1 and not any(lms[0]):
         raise UnitIdealError("the ideal is the whole ring")
-    supports = [frozenset(i for i, e in enumerate(lm) if e > 0) for lm, _ in gb]
+    supports = [frozenset(i for i, e in enumerate(lm) if e > 0) for lm in lms]
     return nvars - _min_cover_size(supports)
 
 
@@ -747,7 +994,7 @@ def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
         raise IdealError("s must be at least 1")
     names = tuple(f"u{i}" for i in range(1, s + 1)) + tuple(f"T{i}" for i in range(1, s + 1))
     ring = PolyRing(names, "grevlex")
-    u, t = ring.poly_ring.gens[:s], ring.poly_ring.gens[s:]
+    u, t = ring.gens[:s], ring.gens[s:]
     p = Ideal.make(
         ring,
         [u[j] * t[k] - u[k] * t[j] for j in range(s) for k in range(j + 1, s)],
@@ -769,7 +1016,7 @@ def primality_crosscheck_P(s: int) -> rep.VerificationReport:
         out.add("kernel-equality", rep.PROVEN, "the one-variable case is the zero ideal")
         return out
     ring = PolyRing(("lam",) + p.ring.variables, "lex")
-    lam, u, t = ring.poly_ring.gens[0], ring.poly_ring.gens[1 : s + 1], ring.poly_ring.gens[s + 1 :]
+    lam, u, t = ring.gens[0], ring.gens[1 : s + 1], ring.gens[s + 1 :]
     graph = Ideal.make(ring, [t[i] - lam * u[i] for i in range(s)])
     kernel = Ideal.make(p.ring, eliminate(graph, ("lam",)).polys)
     inc1 = p.contains_ideal(kernel)
@@ -809,8 +1056,8 @@ def _is_regular(ideal: Ideal, extended: Ideal, f) -> bool:
     if w is None:
         return ideal.contains_ideal(ideal_quotient(ideal, f))
     delta = _degree(w, next(iter(f)))
-    before = _hilbert_numerator([lm for lm, _ in ideal.order_free_basis], w)
-    after = _hilbert_numerator([lm for lm, _ in extended.order_free_basis], w)
+    before = _hilbert_numerator(ideal._order_free().lms, w)
+    after = _hilbert_numerator(extended._order_free().lms, w)
     return after == _times_one_minus(before, delta)
 
 
@@ -828,7 +1075,7 @@ def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
         raise UnitIdealError("base ideal is the whole ring")
     for i, f in enumerate(seq, start=1):
         f = _parse(ideal.ring, f)
-        details = {"index": i, "element": str(f.as_expr())}
+        details = {"index": i, "element": str(f)}
         extended = Ideal.make(ideal.ring, current.polys + (f,))
         if extended.is_unit():
             out.add(f"step-{i}", rep.REFUTED, "sequence element is a unit modulo its predecessors", details=details)
@@ -863,23 +1110,27 @@ class ChartIdeal:
         return len(self.complement)
 
     def z_sym(self, i: int, j: int):
+        import sympy
+
         return sympy.Symbol(f"z{i}_{j}")
 
     def a_sym(self, i: int, j: int):
+        import sympy
+
         return sympy.Symbol(f"a{i}_{j}")
 
     def z(self, i: int, j: int):
         """z_{i,j} as an element of the chart's ring, for i, j in 1..d."""
         _check_index("z", i, self.d)
         _check_index("z", j, self.d)
-        return self.ideal.ring.poly_ring.gens[(i - 1) * self.d + j - 1]
+        return self.ideal.ring.gens[(i - 1) * self.d + j - 1]
 
     def a(self, i: int, j: int):
         """a_{i,j} as an element of the chart's ring, for i in 1..d and j
         in 1..m."""
         _check_index("a", i, self.d)
         _check_index("a", j, self.m)
-        return self.ideal.ring.poly_ring.gens[self.d * self.d + (i - 1) * self.m + j - 1]
+        return self.ideal.ring.gens[self.d * self.d + (i - 1) * self.m + j - 1]
 
 
 def _check_index(name: str, i: int, top: int):
@@ -917,8 +1168,6 @@ def _lie_order_complement(alg: WeightedLieAlgebra, base: tuple[int, ...]) -> tup
 def chart_ideal(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
     """Affine chart of the Grassmannian at a group-fixed base point, with
     the commutator components of the graph basis as generators."""
-    from .orbit import group_fixed_points
-
     match = None
     for recd in group_fixed_points(alg):
         if recd.subspace == v0:
@@ -944,8 +1193,7 @@ def chart_ideal(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
     names = tuple(f"z{i}_{j}" for i in range(1, d + 1) for j in range(1, d + 1)) + tuple(
         f"a{i}_{j}" for i in range(1, d + 1) for j in range(1, m + 1)
     )
-    ring = PolyRing(names, "grevlex")
-    r = ring.poly_ring
+    r = PolyRing(names, "grevlex")
     # the graph basis: row i is the base weight vector plus
     # sum_j z_{i,j} (dual vector j) plus sum_j a_{i,j} (complement vector j),
     # as coordinate -> ring element
@@ -971,27 +1219,22 @@ def chart_ideal(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
                             br[k] = br.get(k, r.zero) + xy * c
             gens += [br[k] for k in sorted(br) if br[k]]
     # the origin is the base point itself and must satisfy everything
-    if any(r.zero_monom in g for g in gens):
+    if any((0,) * len(names) in g for g in gens):
         raise IdealError("chart generators do not vanish at the base point")
-    return ChartIdeal(alg, base, comp, tuple(tuple(dv) for dv in duals), Ideal(ring, tuple(gens)))
+    return ChartIdeal(alg, base, comp, tuple(tuple(dv) for dv in duals), Ideal(r, tuple(gens)))
 
 
-def _u_form(chart: ChartIdeal, i: int, gamma: Weight):
+def u_function(chart: ChartIdeal, i: int, gamma: Weight) -> Poly:
     """The linear form sum_j z_{i,j} gamma(t_j) over the dual torus basis,
     as an element of the chart's ring."""
     if not (1 <= i <= chart.d):
         raise IdealError("row index out of range")
-    out = chart.ideal.ring.poly_ring.zero
+    out = chart.ideal.ring.zero
     for j in range(1, chart.d + 1):
         val = gamma(chart.dual_basis[j - 1][: chart.alg.t_dim])
         if val != 0:
             out += chart.z(i, j) * val
     return out
-
-
-def u_function(chart: ChartIdeal, i: int, gamma: Weight):
-    """The linear form sum_j z_{i,j} gamma(t_j) over the dual torus basis."""
-    return _u_form(chart, i, gamma).as_expr()
 
 
 def i_gamma(chart: ChartIdeal, gamma: Weight) -> tuple[int, ...]:
@@ -1010,7 +1253,7 @@ def verify_chart_relation(chart: ChartIdeal) -> rep.VerificationReport:
     if chart.m < 1:
         raise IdealError("chart has no complement weights")
     gm = chart.alg.weights[chart.complement[-1]]
-    u = {i: _u_form(chart, i, gm) for i in range(1, chart.d + 1)}
+    u = {i: u_function(chart, i, gm) for i in range(1, chart.d + 1)}
     ok = True
     for i in range(1, chart.d + 1):
         for j in range(1, chart.d + 1):
@@ -1031,19 +1274,18 @@ def nilcone_dimension(chart: ChartIdeal, subset=None) -> int:
     if subset is None:
         subset = tuple(range(1, d + 1))
     subset = tuple(subset)
-    ring = PolyRing(chart.ideal.ring.variables + tuple(f"c{k}" for k in range(1, d + 1)), "grevlex")
-    s = ring.poly_ring
+    s = PolyRing(chart.ideal.ring.variables + tuple(f"c{k}" for k in range(1, d + 1)), "grevlex")
     c = s.gens[-d:]
 
     def pad(p):  # p with exponent 0 on the c variables
-        return s.dtype({m + (0,) * d: v for m, v in p.items()})
+        return Poly(s, {m + (0,) * d: v for m, v in p.items()})
 
     gens = [pad(p) for p in chart.ideal.polys]
     # fiber point sum_k c_k w_k: its i-th dual-basis torus coordinate is
     # sum_k c_k z_{k,i}
     for i in subset:
         gens.append(sum((c[k - 1] * pad(chart.z(k, i)) for k in range(1, d + 1)), s.zero))
-    return hilbert_dimension(Ideal.make(ring, gens))
+    return hilbert_dimension(Ideal.make(s, gens))
 
 
 def chart_dimension(chart: ChartIdeal) -> int:

@@ -103,7 +103,14 @@ class Subspace:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self.basis == other.basis and self.alg == other.alg
+        """Equal bases of one algebra; the algebras compare by identity
+        first, since nearly every comparison is within one algebra
+        object, and by value only when they are two objects."""
+        return (
+            isinstance(other, Subspace)
+            and self.basis == other.basis
+            and (self.alg is other.alg or self.alg == other.alg)
+        )
 
     def __hash__(self):
         return hash(self.basis)
@@ -156,8 +163,16 @@ class CurveSubspace:
             rows[h] = new
 
     def at(self, z_value: Fraction) -> Subspace:
-        point = sum((m.scale(z_value**k) for k, m in enumerate(self.coeffs) if k), self.coeffs[0])
-        return Subspace(self.alg, row_space_basis(point))
+        """The point at z: each basis row sum_k z^k coeffs[k] by Horner's
+        rule, multiplying and adding only nonzero entries, as `_exp_row`
+        does."""
+        rows = []
+        for coefs in zip(*(m.entries for m in self.coeffs)):  # one basis row, by power of z
+            acc = coefs[-1]
+            for term in reversed(coefs[:-1]):
+                acc = tuple((t + z_value * a if t else z_value * a) if a else t for t, a in zip(term, acc))
+            rows.append(acc)
+        return Subspace(self.alg, row_space_basis(Matrix.from_rows(rows)))
 
     def to_json(self) -> dict:
         rows = zip(*(m.entries for m in self.coeffs))  # per basis row, its coefficient rows
@@ -167,22 +182,33 @@ class CurveSubspace:
 
 def _render_polynomial(coeffs: Sequence[Fraction]) -> str:
     """sum_k coeffs[k] z^k as `str(sympy.Add(...))` prints it: terms by
-    descending degree with the constant last, except that a positive
-    constant with one negative term comes first (`1 - z`, `10 - 5*z/12`),
-    as in sympy's `Expr.as_ordered_terms`."""
-    terms = [(k, c) for k, c in reversed(tuple(enumerate(coeffs))) if c]
+    descending degree with the constant last (`render_sum`)."""
+    terms = reversed(tuple(enumerate(coeffs)))
+    return render_sum([(("z" if k == 1 else f"z**{k}",) if k else (), c) for k, c in terms if c])
+
+
+def render_sum(terms: list) -> str:
+    """A sum of terms as sympy's `str` prints it, from (factors, c) pairs
+    with c a nonzero `Fraction` and factors the texts of the term's
+    variable powers (none for the constant), both in sympy's order.  The
+    terms come in that order too, except that a positive constant with
+    one negative term of one variable comes first (`1 - z`,
+    `10 - 5*z/12`, `2 - x**2`), as in sympy's `Expr.as_ordered_terms`.
+    Each term prints as its numerator (when not 1), its factors joined
+    by `*`, and `/` its denominator (when not 1); a sign between terms
+    prints as ` + ` or ` - `."""
     if not terms:
         return "0"
-    if len(terms) == 2 and terms[1][0] == 0 and terms[1][1] > 0 > terms[0][1]:
-        terms.reverse()
+    if len(terms) == 2 and not terms[1][0] and len(terms[0][0]) == 1 and terms[1][1] > 0 > terms[0][1]:
+        terms = terms[::-1]
     text = ""
-    for k, c in terms:
+    for factors, c in terms:
         text += (" - " if c < 0 else " + ") if text else ("-" if c < 0 else "")
         a = abs(c)
-        if k == 0:
+        if not factors:
             text += str(a)
             continue
-        power = "z" if k == 1 else f"z**{k}"
+        power = "*".join(factors)
         text += power if a.numerator == 1 else f"{a.numerator}*{power}"
         if a.denominator != 1:
             text += f"/{a.denominator}"

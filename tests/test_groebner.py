@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 import sympy
+from sympy.polys.orderings import monomial_key
 from sympy.polys.polyerrors import CoercionFailed
 
 pytest.importorskip("hypothesis")
@@ -15,7 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitvar import models
-from orbitvar.ideals import Ideal, PolyRing, _groebner, _to_ring, chart_ideal
+from orbitvar.ideals import (
+    Ideal,
+    IdealError,
+    PolyRing,
+    ScaleExceededError,
+    _Basis,
+    _groebner,
+    _Order,
+    _packed,
+    _to_ring,
+    chart_ideal,
+)
 from orbitvar.orbit import group_fixed_points
 
 
@@ -31,8 +43,8 @@ def assert_same_basis(ideal: Ideal):
     gb = ideal.groebner()
     assert [dict(g) for _, g in gb] == reference_basis(ideal)
     # the cached leading monomials are the leading monomials
-    order = ideal.ring.poly_ring.order
-    assert [lm for lm, _ in gb] == [max(g, key=order) for _, g in gb]
+    key = monomial_key(ideal.ring.order)
+    assert [lm for lm, _ in gb] == [max(g, key=key) for _, g in gb]
 
 
 # -- generated ideals ---------------------------------------------------
@@ -98,11 +110,32 @@ def test_zero_unit_and_small_ideals(order, gens):
 
 
 def test_kernel_takes_sparse_ring_elements():
-    ring = PolyRing(("x", "y"), "lex").poly_ring
-    polys = [_to_ring(ring, sympy.sympify(g)) for g in ("x**2 - y", "x*y - 1")]
-    gb = _groebner(polys + [ring.zero], ring)
+    ring = PolyRing(("x", "y"), "lex")
+    order = _Order(2, None)
+    polys = [_packed(_to_ring(ring, sympy.sympify(g)), order)[0] for g in ("x**2 - y", "x*y - 1")]
+    gb = _Basis(order, _groebner(polys + [_packed(ring.zero, order)[0]], order)).pairs(ring)
     ref = sympy.groebner(["x**2 - y", "x*y - 1"], *ring.symbols, order="lex", domain=sympy.QQ)
     assert [g.as_expr() for _, g in gb] == list(ref.exprs)
+
+
+@pytest.mark.parametrize("order", ("grevlex", "lex"))
+def test_exponents_past_the_packed_fields_are_refused(order):
+    """Each exponent has 15 bits in the kernel: an input or a product
+    past 32767 raises instead of spilling into the next field."""
+    ring = PolyRing(("x", "y"), order)
+    ideal = Ideal.make(ring, ["x - y"])
+    assert ideal.normal_form("x**16000*y**16000") == sympy.Symbol("y") ** 32000
+    with pytest.raises(ScaleExceededError):
+        ideal.normal_form("x**20000*y**20000")  # the remainder y**40000
+    with pytest.raises(ScaleExceededError):
+        Ideal.make(ring, ["x**40000 - y"]).is_unit()
+
+
+def test_an_element_of_a_ring_in_other_variables_is_refused():
+    x = PolyRing(("x", "y")).gens[0]
+    assert Ideal.make(PolyRing(("x", "y"), "lex"), [x]).polys == (x,)
+    with pytest.raises(IdealError):
+        Ideal.make(PolyRing(("y", "x")), [x])
 
 
 # -- foreign variables ------------------------------------------------------

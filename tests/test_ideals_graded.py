@@ -7,6 +7,7 @@ colon (J : f) ⊆ J."""
 
 import itertools
 import operator
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -27,9 +28,7 @@ from orbitvar.ideals import (
     UnitIdealError,
     _grading,
     _hilbert_numerator,
-    _Keys,
     _parse,
-    _reduce,
     chart_ideal,
     hilbert_dimension,
     i_gamma,
@@ -54,8 +53,7 @@ def grevlex_is_unit(ideal: Ideal) -> bool:
 
 
 def grevlex_contains(ideal: Ideal, p) -> bool:
-    r = ideal.ring.poly_ring
-    return not _reduce(p, ideal.groebner(), r, _Keys(r))[0]
+    return not ideal._ring_basis().reduce(p)
 
 
 def colon_verdicts(ideal: Ideal, seq) -> list:
@@ -117,7 +115,7 @@ def draw_homogeneous(draw, ring, by_degree, degree=None):
     d = draw(st.sampled_from(sorted(by_degree))) if degree is None else degree
     pool = by_degree[d]
     monomials = draw(st.lists(st.sampled_from(pool), min_size=min(2, len(pool)), max_size=3, unique=True))
-    return ring.poly_ring({m: sympy.QQ(draw(COEFFS)) for m in monomials})
+    return ring({m: draw(COEFFS) for m in monomials})
 
 
 @settings(max_examples=150)
@@ -170,6 +168,57 @@ def test_hilbert_series_verdicts_match_colons(case, data):
     with no_colon():
         report = regular_sequence_check(ideal, seq)
     assert verdicts(report) == colon_verdicts(Ideal.make(ring, gens), seq)
+
+
+# -- the pure-Python renderer against sympy's printer ------------------------
+
+RATIONAL_COEFFS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@settings(max_examples=300)
+@given(graded_case(), st.data())
+def test_rendering_matches_sympy_on_drawn_polynomials(case, data):
+    """`str` of a ring element, as reports print it, is `str(as_expr())`:
+    on the drawn generators, and on sums of their monomials and the
+    constant with rational coefficients, negated too."""
+    ring, w, by_degree, gens = case
+    monomials = [(0,) * len(w)] + [m for ms in by_degree.values() for m in ms]
+    p = ring(data.draw(st.dictionaries(st.sampled_from(monomials), RATIONAL_COEFFS, max_size=4)))
+    for f in (*gens, p, -p):
+        assert str(f) == str(f.as_expr())
+
+
+@pytest.mark.parametrize(
+    "text",
+    (
+        "0",
+        "3/2",
+        "-x",
+        "-x**2 + y",  # a negative lead
+        "3*x/2 - y/3 + 5*z**2/7",  # rational coefficients
+        "2 - x",  # a positive constant with one negative term: the constant first
+        "2 - x**3/5",
+        "-x*y + 2",  # not when the term has two variables
+        "-x + y + 2",  # nor with more terms
+        "x - 2",
+        "x*y**2*z - x**3 + z",
+    ),
+)
+def test_rendering_matches_sympy_on_fixed_polynomials(text):
+    ring = PolyRing(("x", "y", "z"))
+    f = _parse(ring, text)
+    assert str(f) == str(f.as_expr()) == str(sympy.expand(sympy.sympify(text)))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_rendering_sorts_variables_by_name_as_sympy_does(data):
+    """Names that sort differently as strings and as indices, upper case
+    before lower case."""
+    ring = PolyRing(("z1_2", "z1_10", "a2_1", "T1", "lam", "c1"))
+    monomials = [m for m in itertools.product(range(3), repeat=6) if sum(m) <= 2]
+    f = ring(data.draw(st.dictionaries(st.sampled_from(monomials), RATIONAL_COEFFS, max_size=5)))
+    assert str(f) == str(f.as_expr())
 
 
 x, y, z = sympy.symbols("x y z")

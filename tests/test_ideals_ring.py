@@ -1,6 +1,6 @@
-"""`ideals` keeps every polynomial as an element of sympy's sparse ring
-from where it is built to the Gröbner kernel.  These tests pin it to the
-expression-based constructors it replaced, kept here as references:
+"""`ideals` keeps every polynomial as an element of its own ring
+(`PolyRing`, `Poly`) from where it is built to the Gröbner kernel.
+These tests pin it to the expression-based constructors it replaced, kept here as references:
 the same generators in the same order, byte-equal JSON, the same
 u-forms, dimensions and regular-sequence reports; and they check that
 the chart and nilcone commands no longer pass through sympy
@@ -26,10 +26,11 @@ from orbitvar.ideals import (
     IdealError,
     PolyRing,
     UnitIdealError,
+    _Basis,
     _groebner,
-    _Keys,
     _lie_order_complement,
-    _reduce,
+    _Order,
+    _packed,
     _to_ring,
     chart_dimension,
     chart_ideal,
@@ -46,14 +47,22 @@ from orbitvar.ideals import (
 )
 from orbitvar.liealg import WeightedLieAlgebra
 from orbitvar.linalg import Matrix, solve
+from test_orbit import run_without_sympy
 
 
 # -- the expression-based references -------------------------------------
 
 
+def kernel_basis(polys, nvars: int, weights) -> _Basis:
+    """The reduced basis of ring elements from the packed kernel, in lex
+    (weights None) or weighted grevlex."""
+    order = _Order(nvars, weights)
+    return _Basis(order, _groebner([_packed(p, order)[0] for p in polys], order))
+
+
 class ReferenceIdeal:
     """An ideal kept as expanded sympy expressions, converted to the
-    sparse ring each time a basis or a remainder is needed."""
+    ring each time a basis or a remainder is needed."""
 
     def __init__(self, ring: PolyRing, gens):
         syms = set(ring.symbols)
@@ -66,20 +75,21 @@ class ReferenceIdeal:
                 expanded.append(e)
         self.ring, self.generators, self._gb = ring, tuple(expanded), None
 
+    def _basis(self) -> _Basis:
+        n = len(self.ring.variables)
+        polys = [_to_ring(self.ring, g) for g in self.generators]
+        return kernel_basis(polys, n, None if self.ring.order == "lex" else (1,) * n)
+
     def groebner(self) -> tuple:
         if self._gb is None:
-            r = self.ring.poly_ring
-            self._gb = tuple(_groebner([_to_ring(r, g) for g in self.generators], r))
+            self._gb = self._basis().pairs(self.ring)
         return self._gb
 
     def normal_form(self, f):
         f = sympy.expand(sympy.sympify(f))
-        gb = self.groebner()
-        if not gb:
+        if not self.groebner():
             return f
-        r = self.ring.poly_ring
-        rem, _ = _reduce(_to_ring(r, f), gb, r, _Keys(r))
-        return r.dtype(rem).as_expr()
+        return self._basis().reduce(_to_ring(self.ring, f)).as_expr()
 
     def contains(self, f) -> bool:
         return self.normal_form(f) == 0
@@ -102,13 +112,10 @@ class ReferenceIdeal:
 def reference_eliminate(ideal: ReferenceIdeal, drop) -> ReferenceIdeal:
     drop = tuple(drop)
     keep = tuple(v for v in ideal.ring.variables if v not in drop)
-    r = PolyRing(drop + keep, "lex").poly_ring
-    gb = _groebner([_to_ring(r, g) for g in ideal.generators], r)
+    r = PolyRing(drop + keep, "lex")
+    gb = kernel_basis([_to_ring(r, g) for g in ideal.generators], len(r.variables), None).pairs(r)
     kept = [g.as_expr() for lm, g in gb if not any(lm[: len(drop)])]
     return ReferenceIdeal(PolyRing(keep, ideal.ring.order), kept)
-
-
-_H, _Y = sympy.Dummy("h"), sympy.Dummy("y")
 
 
 def reference_quotient(ideal: ReferenceIdeal, f) -> ReferenceIdeal:
@@ -118,17 +125,17 @@ def reference_quotient(ideal: ReferenceIdeal, f) -> ReferenceIdeal:
     xs = ideal.ring.symbols
     if not f.free_symbols <= set(xs):
         raise IdealError(f"{f} uses foreign variables")
-    r, n = ideal.ring.poly_ring, len(xs)
+    r, n = ideal.ring, len(xs)
     f = _to_ring(r, f)
     elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
-    elems.append({(0,) * n + (1,): sympy.QQ.one, **{m + (0,): -c for m, c in f.items()}})
-    s = sympy.polys.rings.ring(xs + (_H, _Y), sympy.QQ, "grevlex")[0]
+    elems.append({(0,) * n + (1,): Fraction(1), **{m + (0,): -c for m, c in f.items()}})
+    s = PolyRing(ideal.ring.variables + ("_h", "_y"), "grevlex")
     homogenized = []
     for e in elems:
         d = max(sum(m) for m in e)
         homogenized.append(s({m[:n] + (d - sum(m), m[n]): c for m, c in e.items()}))
     out, powers = [], [r.one]
-    for _, p in _groebner(homogenized, s):
+    for _, p in kernel_basis(homogenized, n + 2, (1,) * (n + 2)).pairs(s):
         shift = 1 if all(m[-1] > 0 for m in p) else 0
         by_power: dict[int, dict] = {}
         for m, c in p.items():
@@ -291,7 +298,7 @@ def test_chart_matches_expression_reference(name, recd):
         assert i_gamma(chart, gamma) == i_gamma(ref, gamma)
         for i in range(1, chart.d + 1):
             u, u_ref = u_function(chart, i, gamma), reference_u_function(ref, i, gamma)
-            assert u == u_ref and str(u) == str(u_ref)
+            assert u.as_expr() == u_ref and str(u) == str(u_ref)
     assert chart_dimension(chart) == hilbert_dimension(ref.ideal)
     if chart.m >= 1:
         relation = verify_chart_relation(chart)
@@ -424,7 +431,7 @@ def test_a3_345_regular_sequences_match_expression_reference(gi):
     assert seq
     new = regular_sequence_check(chart.ideal, seq)
     assert not new.has_refutation()
-    assert new.render_json() == reference_regular_sequence_check(ref.ideal, seq).render_json()
+    assert new.render_json() == reference_regular_sequence_check(ref.ideal, [u.as_expr() for u in seq]).render_json()
 
 
 # -- a zero element --------------------------------------------------------
@@ -500,8 +507,8 @@ def test_chart_and_nilcone_commands_stay_in_the_ring(monkeypatch):
     probe = Probe(monkeypatch)
     chart_report = cli.cmd_chart(alg, 0)
     nilcone_report = cli.cmd_nilcone(alg, 0)
-    # the u-forms reach regular_sequence_check as expressions, each converted once
-    assert probe.to_ring == sequence_lengths(chart_report) > 0
+    # the u-forms reach regular_sequence_check as ring elements, never converted
+    assert probe.to_ring == 0 < sequence_lengths(chart_report)
     assert probe.bracket_from_chart == 0
     assert probe.expand_inside == 0
     assert not chart_report.has_refutation() and not nilcone_report.has_refutation()
@@ -524,6 +531,35 @@ def test_a3_library_steps_stay_in_the_ring(monkeypatch):
             seq = [u_function(chart, i, alg.weights[gi]) for i in idx]
             elements += len(seq)
             assert not regular_sequence_check(chart.ideal, seq).has_refutation()
-    assert probe.to_ring == elements > 0
+    assert probe.to_ring == 0 < elements
     assert probe.bracket_from_chart == 0
     assert probe.expand_inside == 0
+
+
+def test_chart_commands_and_the_a3_library_route_never_import_sympy(tmp_path):
+    """`chart`, `nilcone` and `ps-check` on A2 and `heisenberg-3`, and the
+    benchmark's A3 library route at base point (0,3,5), in a fresh
+    interpreter."""
+    report = str(tmp_path / "report")
+    run_without_sympy(
+        f"""
+from orbitvar import cli, ideals, models, orbit
+for name in ("borel-nilradical-A2", "heisenberg-3"):
+    for command in ("chart", "nilcone", "ps-check"):
+        assert cli.main([command, "--builtin", name, "--output", {report!r}]) == 0
+alg = models.builtin("borel-nilradical-A3")
+base = (0, 3, 5)
+chart = ideals.chart_ideal(alg, orbit.Subspace.from_rows(alg, [alg.weight_vector(i) for i in base]))
+assert ideals.chart_dimension(chart) == alg.n
+assert not ideals.verify_chart_relation(chart).has_refutation()
+steps = 0
+for gi in base:
+    idx = ideals.i_gamma(chart, alg.weights[gi])
+    if idx:
+        seq = [ideals.u_function(chart, i, alg.weights[gi]) for i in idx]
+        out = ideals.regular_sequence_check(chart.ideal, seq)
+        assert not out.has_refutation()
+        steps += len(out.checks)
+assert steps > 0
+"""
+    )

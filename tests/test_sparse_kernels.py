@@ -1,7 +1,8 @@
 """The exact kernels that skip zero entries, on sparse random Fraction
 matrices: `rref`, `reduce_mod_rowspace` and `_vector_sum` against the
 dense loops kept here, `exp_ad_terms` and both branches of
-`orbit._exp_row` against the dense adjoint chains of `test_memo`.  (`act`
+`orbit._exp_row` against the dense adjoint chains of `test_memo`, and
+`CurveSubspace.at` against the dense matrix sum kept here.  (`act`
 and `CurveSubspace.limit` are pinned to sympy in `test_curves`.)  Also
 pinned: every entry `rref`, `nullspace` and `solve` return is a
 Fraction, and on A3 no kernel multiplies by a zero Fraction."""
@@ -21,7 +22,7 @@ from test_memo import dense_chain, sum_chain
 
 from orbitvar import liealg, models, orbit
 from orbitvar.liealg import WeightedLieAlgebra
-from orbitvar.linalg import Matrix, nullspace, reduce_mod_rowspace, rref, solve
+from orbitvar.linalg import Matrix, nullspace, reduce_mod_rowspace, row_space_basis, rref, solve
 
 # -- dense references ---------------------------------------------------
 
@@ -57,6 +58,12 @@ def dense_reduce_mod_rowspace(v, basis, pivots):
             f = w[p]
             w = [a - f * b for a, b in zip(w, basis.row(r))]
     return tuple(w)
+
+
+def dense_at(curve, z):
+    """The point of a curve at z as a sum of scaled coefficient matrices."""
+    point = sum((m.scale(z**k) for k, m in enumerate(curve.coeffs) if k), curve.coeffs[0])
+    return orbit.Subspace(curve.alg, row_space_basis(point))
 
 
 def dense_vector_sum(vectors):
@@ -156,6 +163,55 @@ class TestChains:
         assert len(formal) == 1 or any(formal[-1])
         for z in range(max(b + len(ch) for b, ch in enumerate(chains))):
             assert sum_chain(formal, z) == at(z)
+
+
+class TestCurvePoints:
+    CURVE_ALGEBRAS = ("sl2-borel", "borel-nilradical-A2", "heisenberg-3", "borel-nilradical-A3")
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(CURVE_ALGEBRAS), st.data())
+    def test_at_matches_the_dense_sum(self, name, data):
+        """On the witness curves of the fixed points and on random words
+        with the formal parameter, at drawn values of z, zero included."""
+        alg = models.builtin(name)
+        records = orbit.torus_fixed_points(alg)
+        curve = data.draw(st.sampled_from([r.witness for r in records]))
+        scalars = st.sampled_from((None, Fraction(2), Fraction(-1, 3)))
+        word = data.draw(st.lists(st.tuples(st.integers(0, alg.n - 1), scalars), min_size=1, max_size=3))
+        moved = orbit.act(alg, [(i, None) for i, _ in word[:1]] + word[1:], orbit.torus_subspace(alg))
+        z = data.draw(st.one_of(st.just(Fraction(0)), RATIONALS))
+        for c in (curve, moved):
+            assert c.at(z) == dense_at(c, z)
+
+    def test_theta_points_multiply_no_zero(self, monkeypatch):
+        """The six A3 theta curves at z = 2: the dense sum made 162
+        products, 152 of them with a zero operand."""
+        alg = models.borel_nilradical_a3()
+        curves = [orbit.theta_curve(alg, w) for w in alg.weights]
+        want = [dense_at(c, Fraction(2)) for c in curves]
+        products = {"all": 0, "zero": 0}
+        real = Fraction.__mul__
+
+        def mul(a, b):
+            products["all"] += 1
+            products["zero"] += not a or not b
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, "__mul__", mul)
+        got = [c.at(Fraction(2)) for c in curves]
+        monkeypatch.undo()
+        assert got == want
+        assert products["zero"] == 0 < products["all"]
+
+
+class TestSubspaceEquality:
+    def test_equal_algebras_in_two_objects_still_compare_equal(self):
+        one, two = models.builtin("borel-nilradical-A2"), models.builtin("borel-nilradical-A2")
+        assert one is not two and one == two
+        rows = [one.weight_vector(0), one.weight_vector(2)]
+        assert orbit.Subspace.from_rows(one, rows) == orbit.Subspace.from_rows(two, rows)
+        other = models.builtin("heisenberg-3")
+        assert orbit.Subspace.from_rows(one, rows) != orbit.Subspace.from_rows(other, rows)
 
 
 # -- exactness ------------------------------------------------------------
