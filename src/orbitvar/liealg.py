@@ -44,7 +44,9 @@ class Weight:
     coords: tuple[Fraction, ...]
 
     def __call__(self, t_coords: Sequence[Fraction]) -> Fraction:
-        return sum((a * b for a, b in zip(self.coords, t_coords)), Fraction(0))
+        """The pairing with a torus element, over the terms where both
+        coordinates are nonzero."""
+        return sum((a * b for a, b in zip(self.coords, t_coords) if a and b), Fraction(0))
 
     def height(self) -> Fraction:
         return sum(self.coords, Fraction(0))
@@ -88,11 +90,13 @@ class WeightedLieAlgebra:
     `_memo` holds data derived from the fields, each computed once per
     instance through `derived`: the center, the sparse adjoint table
     (`ad_table`), the Jacobi and nilpotency verdicts that `validate`
-    reports and `jordan_decompose` requires, and the fixed points and
-    the per-subset witness curves and limits of `orbit`.  The fields are
-    immutable and every memoised value is immutable, so a memoised value
-    never goes stale; the memo takes no part in `==`, `hash`, `repr`,
-    `to_json` or `fingerprint`.
+    reports and `jordan_decompose` requires, the exp(ad) chain of each
+    basis vector under each weight vector (`exp_ad_chain`, built when a
+    row first needs it), and the fixed points and the per-subset
+    fixed-point records, witness curves and limits of `orbit`.  The
+    fields are immutable and every memoised value is immutable, so a
+    memoised value never goes stale; the memo takes no part in `==`,
+    `hash`, `repr`, `to_json` or `fingerprint`.
     """
 
     t_dim: int
@@ -276,6 +280,21 @@ class WeightedLieAlgebra:
             terms.append(tuple(c / k if c else c for c in term))
         raise AlgebraError(f"exp(ad u) did not end within {self.dim} terms")
 
+    def exp_ad_chain(self, k: int, j: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The terms (ad a_k)^m e_j / m! of exp(ad a_k) e_j, from m = 0 up
+        to the last nonzero one, each as its (index, coefficient) pairs
+        with a nonzero coefficient.  Built from `exp_ad_terms` the first
+        time a row needs it and kept for the life of the instance, so
+        exp(z ad a_k) of a row is a sum of memoised chains over the row's
+        nonzero entries.  A chain that does not end raises `AlgebraError`
+        and is not kept."""
+
+        def compute():
+            terms = self.exp_ad_terms(self.weight_vector(k), self.basis_vector(j))
+            return tuple(tuple((i, c) for i, c in enumerate(term) if c) for term in terms)
+
+        return self.derived(("exp-ad-chain", k, j), compute)
+
     def ad(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ad x in the ordered basis (columns act on basis vectors),
         summed from `ad_table` over the nonzero coordinates of x."""
@@ -386,6 +405,19 @@ class WeightedLieAlgebra:
         rank dim - t_dim."""
         return rank(self.ad(x)) == self.dim - self.t_dim
 
+    def check_jordan_preconditions(self) -> None:
+        """Raise what `jordan_decompose` raises on an algebra it cannot
+        decompose in: `CenterNotTrivialError` for a nonzero center, then
+        `AlgebraError` when Jacobi fails or a is not nilpotent.  The
+        verdicts are memoised, so a repeat check costs three lookups."""
+        if self.center().dim != 0:
+            raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
+        jac_ok, jac_detail = self.derived("jacobi", self._jacobi)
+        if not jac_ok:
+            raise AlgebraError(f"jordan decomposition needs the jacobi identity: {jac_detail}")
+        if not self.derived("nilpotent", self._nilpotent):
+            raise AlgebraError("jordan decomposition needs a nilpotent a")
+
     def jordan_decompose(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
         """Jordan decomposition x = s + n inside r: ad s semisimple, ad n
         nilpotent, [s, n] = 0.  Requires zero center, the Jacobi identity
@@ -423,13 +455,7 @@ class WeightedLieAlgebra:
         unique, and ad is injective when the center is zero, so (s, n) is
         the only such pair.  The exact check [s, n] = 0 re-verifies it.
         """
-        if self.center().dim != 0:
-            raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
-        jac_ok, jac_detail = self.derived("jacobi", self._jacobi)
-        if not jac_ok:
-            raise AlgebraError(f"jordan decomposition needs the jacobi identity: {jac_detail}")
-        if not self.derived("nilpotent", self._nilpotent):
-            raise AlgebraError("jordan decomposition needs a nilpotent a")
+        self.check_jordan_preconditions()
         d = self.t_dim
         xt = self.torus_part(x)
         lam = [w(xt) for w in self.weights]

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals: matrices hold fractions.Fraction
 entries only, and `orbit` keeps a curve in z as one matrix per power of z.
+The package reads a `Matrix` by its rows and applies none to a vector:
+`liealg` sums brackets and exp(ad) chains from its sparse adjoint table.
 The Plücker functions stay as API and as the reference that tests check
 curve limits against; `plucker_limit` alone reads polynomial coordinates.
 `exp_nilpotent` and `nilpotent_terms` likewise stay only as API and as
-the dense reference for the sparse adjoint exponential of `liealg`;
+the dense reference for the memoised exp(ad) chains of `liealg`;
 nothing else in the package calls them.  The row-reduction kernels
 (`rref`, `reduce_mod_rowspace`) do arithmetic only on nonzero entries:
 rows are sparse, and a zero is skipped by a truth test instead of being
@@ -113,13 +115,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.entries for e in row)
-
-    def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product, over the nonzero coordinates of v."""
-        if len(v) != self.cols:
-            raise LinAlgError("shape mismatch")
-        support = [(j, x) for j, x in enumerate(v) if x != 0]
-        return tuple(sum((row[j] * x for j, x in support), Fraction(0)) for row in self.entries)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

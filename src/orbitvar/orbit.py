@@ -272,29 +272,35 @@ def _curve(alg: WeightedLieAlgebra, polys: list[list[tuple]]) -> CurveSubspace:
 
 
 def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> list[tuple]:
-    """exp(z ad x_widx) applied to the row sum_b z^b poly[b]: each poly[b]
-    becomes its chain sum_k (ad x_widx)^k poly[b] / k!.  For a scalar z
-    the chain is summed with the powers of z; for None its term k is added
-    to the z^(b+k) coefficient, and trailing zero coefficients are dropped.
-    Only nonzero entries are multiplied or added."""
-    xw = alg.weight_vector(widx)
+    """exp(z ad x_widx) applied to the row sum_b z^b poly[b], as
+    sum_j poly[b][j] sum_m z^m chain(j)[m] over the nonzero entries j of
+    each poly[b], where chain(j) is the memoised sparse chain
+    (ad x_widx)^m e_j / m! (`exp_ad_chain`); its term m = 0 is e_j, so
+    each poly[b] starts as itself.  For a scalar z each poly[b] is mapped
+    on its own; for None term m of chain(j) adds to the z^(b+m)
+    coefficient, and trailing zero coefficients are dropped.  Only
+    nonzero entries are multiplied or added."""
+    out = [list(p) for p in poly]
     if scalar is not None:
         z = Fraction(scalar)
-        out = []
-        for p in poly:
-            chain = alg.exp_ad_terms(xw, p)
-            acc = chain[-1]
-            for term in reversed(chain[:-1]):
-                acc = tuple((t + z * a if t else z * a) if a else t for t, a in zip(term, acc))
-            out.append(acc)
-        return out
-    chains = [alg.exp_ad_terms(xw, p) for p in poly]
-    out = [list(alg.zero()) for _ in range(max(b + len(chain) for b, chain in enumerate(chains)))]
-    for b, chain in enumerate(chains):
-        for acc, term in zip(out[b:], chain):
-            for j, c in enumerate(term):
-                if c:
-                    acc[j] += c
+        if z:
+            for p, acc in zip(poly, out):
+                for j, c in enumerate(p):
+                    if c:
+                        for term in alg.exp_ad_chain(widx, j)[1:]:
+                            c *= z  # poly[b][j] z^m
+                            for i, e in term:
+                                acc[i] += c * e
+        return [tuple(acc) for acc in out]
+    for b, p in enumerate(poly):
+        for j, c in enumerate(p):
+            if c:
+                for m, term in enumerate(alg.exp_ad_chain(widx, j)[1:], b + 1):
+                    if m == len(out):
+                        out.append(list(alg.zero()))
+                    acc = out[m]
+                    for i, e in term:
+                        acc[i] += c * e
     while len(out) > 1 and not any(out[-1]):
         out.pop()
     return [tuple(acc) for acc in out]
@@ -392,6 +398,40 @@ def witness_limit(alg: WeightedLieAlgebra, subset: Sequence[int]) -> Subspace:
     return alg.derived(key, lambda: witness_curve(alg, subset).limit())
 
 
+def _independent_abelian(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> bool:
+    """The weight vectors of `subset` pairwise commute and its weights are
+    linearly independent: the subsets that index torus-fixed points."""
+    ws = [alg.weights[i] for i in subset]
+    return alg.centralizer_in_a(subset) and rank(alg.weight_matrix(ws)) == len(ws)
+
+
+def fixed_point_record(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> FixedPointRecord:
+    """The torus-fixed point z_S + a_S of an independent abelian subset S,
+    with its witness curve, once its limit is verified to be that point;
+    built once per subset per algebra.  A limit that differs raises
+    `OrbitError` and is not kept."""
+
+    def compute():
+        v, z_v = _fixed_point_subspace(alg, subset)
+        if witness_limit(alg, subset) != v:
+            raise OrbitError("witness curve limit mismatch")
+        return FixedPointRecord(v, subset, z_v, "torus", witness_curve(alg, subset))
+
+    return alg.derived(("fixed-point-record", subset), compute)
+
+
+def fixed_point_of(alg: WeightedLieAlgebra, v: Subspace, graded: tuple[int, ...] | None) -> FixedPointRecord | None:
+    """The record of `torus_fixed_points` whose subspace is V, or None,
+    with `graded = graded_subset(alg, v)`.  The record of S contains the
+    weight vectors of exactly S, so S = graded is the only candidate: it
+    is a record when it is independent and abelian, and V's record when
+    z_S + a_S equals V.  This costs one record, not the enumeration."""
+    if graded is None or not _independent_abelian(alg, graded):
+        return None
+    recd = fixed_point_record(alg, graded)
+    return recd if recd.subspace == v else None
+
+
 def torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     """All torus-fixed points of the closure: independent abelian weight
     subsets S, each giving z_V + a_S with a verified witness-curve limit.
@@ -405,18 +445,12 @@ def _enumerate_torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRe
     keeps it independent.  Both properties pass to subsets, so every such
     subset is reached from its prefix; the prefixes come in lexicographic
     order, so the subsets come in (size, lexicographic) order."""
-    subsets, out = [()], []
+    subsets = [()]
     for subset in subsets:  # grows while it is walked
-        v, z_v = _fixed_point_subspace(alg, subset)
-        if witness_limit(alg, subset) != v:
-            raise OrbitError("witness curve limit mismatch")
-        out.append(FixedPointRecord(v, subset, z_v, "torus", witness_curve(alg, subset)))
         for j in range(subset[-1] + 1 if subset else 0, alg.n):
-            wider = subset + (j,)
-            ws = [alg.weights[i] for i in wider]
-            if alg.centralizer_in_a(wider) and rank(alg.weight_matrix(ws)) == len(ws):
-                subsets.append(wider)
-    return tuple(out)
+            if _independent_abelian(alg, subset + (j,)):
+                subsets.append(subset + (j,))
+    return tuple(fixed_point_record(alg, subset) for subset in subsets)
 
 
 def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
@@ -517,41 +551,68 @@ class MembershipVerdict:
 
 
 def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
-    """Semi-decision for membership of V in the orbit closure.  Orbit
-    certificates are found by peeling weight components in height order;
-    limit certificates by matching graded fixed points.  Both are
-    re-verified before being returned."""
+    """Semi-decision for membership of V in the orbit closure X.
+
+    Route order:
+    1. a V that is not a commutative subalgebra is refuted;
+    2. on a zero center, `check_jordan_preconditions` raises for an
+       algebra that fails Jacobi or nilpotency, before any certificate;
+    3. the certificate of V's shape.  A torus-graph V (pivots on the
+       torus) gets an orbit word, peeled weight by weight in height order
+       and re-verified by `act`.  A torus-stable V is matched with the one
+       fixed point it can be, z_S + a_S for S = `graded_subset(V)`
+       (`fixed_point_of`), whose witness-curve limit is verified to be V;
+    4. only when no certificate verifies, the refutations (`_refutation`):
+       V must contain the center, and on a zero center it must hold the
+       semisimple part of each of its basis vectors.  Otherwise the
+       answer is `unknown` with the reason of V's shape.
+
+    Certifying first gives the verdict that refuting first gives: a
+    verified certificate puts V in X, and both refutations test
+    conditions that every point of X satisfies, so neither fires on a
+    certified V.  So each kind, reason, parameter word and witness is
+    the refute-first one, and a certified V skips the Jordan
+    decompositions.  On an algebra that fails `validate` with a nonzero
+    center (no precondition is checked there), an exp(ad) chain that
+    does not end raises `AlgebraError` in step 3 even for a V that
+    misses the center, which refuting first would have refuted."""
     if v.dim != alg.t_dim:
         raise DimensionMismatchError(f"dim {v.dim} != {alg.t_dim}")
     if not is_commutative_subalgebra(alg, v):
         return MembershipVerdict("refuted", reason="not a commutative subalgebra")
-    z = alg.center()
-    if z.dim:
-        for r in range(z.basis.rows):
-            if not v.contains(list(z.basis.row(r)) + [Fraction(0)] * alg.n):
-                return MembershipVerdict("refuted", reason="does not contain the center")
-    if z.dim == 0:
-        for r in range(v.dim):
-            s, _ = alg.jordan_decompose(v.basis.row(r))
-            if not v.contains(s):
-                return MembershipVerdict(
-                    "refuted", reason="semisimple part of a member escapes"
-                )
+    if v.dim and alg.center().dim == 0:
+        alg.check_jordan_preconditions()
     if v.pivots == tuple(range(alg.t_dim)):
         params = _peel_orbit(alg, v)
-        if params is not None:
-            word = [(i, c) for i, c in params]
-            if act(alg, word, torus_subspace(alg)) == v:
-                return MembershipVerdict("orbit", params=tuple(params))
-        return MembershipVerdict("unknown", reason="torus-graph subspace without orbit certificate")
-    if is_torus_stable(alg, v):
-        for recd in torus_fixed_points(alg):
-            if recd.subspace == v:
-                return MembershipVerdict("limit", witness=recd.witness)
-        return MembershipVerdict(
-            "unknown", reason="graded but not of fixed-point shape"
-        )
-    return MembershipVerdict("unknown", reason="no certificate route applies")
+        if params is not None and act(alg, params, torus_subspace(alg)) == v:
+            return MembershipVerdict("orbit", params=tuple(params))
+        unknown = "torus-graph subspace without orbit certificate"
+    else:
+        graded = graded_subset(alg, v)
+        recd = fixed_point_of(alg, v, graded)
+        if recd is not None:
+            return MembershipVerdict("limit", witness=recd.witness)
+        unknown = "no certificate route applies" if graded is None else "graded but not of fixed-point shape"
+    reason = _refutation(alg, v)
+    return MembershipVerdict("refuted" if reason else "unknown", reason=reason or unknown)
+
+
+def _refutation(alg: WeightedLieAlgebra, v: Subspace) -> str | None:
+    """Why V fails a necessary condition for membership, or None.  Every
+    point of X contains the center, which each exp(ad x) fixes; and on a
+    zero center every point of X holds the semisimple parts of its
+    elements."""
+    z = alg.center()
+    if z.dim:
+        pad = (Fraction(0),) * alg.n
+        if not all(v.contains(row + pad) for row in z.basis.entries):
+            return "does not contain the center"
+        return None
+    for row in v.basis.entries:
+        s, _ = alg.jordan_decompose(row)
+        if not v.contains(s):
+            return "semisimple part of a member escapes"
+    return None
 
 
 def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
@@ -560,21 +621,15 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
     rows = [list(v.basis.row(i)) for i in range(v.dim)]
     applied: list[tuple[int, Fraction]] = []
     for k in _ordered(alg, range(alg.n)):
-        w = alg.weights[k]
         col = alg.t_dim + k
-        coefs = [rows[i][col] for i in range(len(rows))]
-        wvals = [w(rows[i][: alg.t_dim]) for i in range(len(rows))]
-        if all(c == 0 for c in coefs):
+        coefs = [row[col] for row in rows]
+        if not any(coefs):
             continue
+        w = alg.weights[k]
+        wvals = [w(row[: alg.t_dim]) for row in rows]
         # need coefs proportional to the weight values: c_i = z * w(t_i)
-        zc = None
-        for c, wv in zip(coefs, wvals):
-            if wv != 0:
-                zc = c / wv
-                break
-        if zc is None:
-            return None
-        if any(c != zc * wv for c, wv in zip(coefs, wvals)):
+        zc = next((c / wv for c, wv in zip(coefs, wvals) if wv), None)
+        if not zc or any(c != zc * wv if wv else c for c, wv in zip(coefs, wvals)):
             return None
         # E(z) t = t - z w(t) x, so E(zc) clears the column and the
         # inverse factor E(-zc) belongs to the certificate word
@@ -750,7 +805,7 @@ def _t_alpha_prime_sample(alg: WeightedLieAlgebra, aidx: int, rng: random.Random
     for _ in range(1000):
         coefs = [Fraction(rng.randint(-6, 6)) for _ in range(ker.rows)]
         t = [
-            sum((coefs[r] * ker[r, c] for r in range(ker.rows)), Fraction(0))
+            sum((a * ker[r, c] for r, a in enumerate(coefs) if a and ker[r, c]), Fraction(0))
             for c in range(alg.t_dim)
         ]
         if all(
@@ -791,16 +846,20 @@ def verify_pair_relation(
 
     x0, y0 = base_point(x0), base_point(y0)
 
-    # h with alpha(h) = 1
+    # base + s h + c x_alpha with alpha(h) = 1: h has one nonzero entry,
+    # 1 / alpha[pivot] at the first coordinate where alpha is nonzero, and
+    # x_alpha has a 1 at its own basis index, so only those two entries
+    # move
     pivot = next(i for i, c in enumerate(alpha.coords) if c != 0)
-    h = [Fraction(0)] * alg.dim
-    h[pivot] = Fraction(1) / alpha.coords[pivot]
-    xa = alg.weight_vector(aidx)
+    h_pivot = Fraction(1) / alpha.coords[pivot]
+    col = d + aidx
 
     def slice_point(base, s, c):
-        return tuple(
-            b + s * hh + c * xx for b, hh, xx in zip(base, h, xa)
-        )
+        pt = list(base)
+        if s:
+            pt[pivot] += s * h_pivot
+        pt[col] += c
+        return tuple(pt)
 
     decided = 0
     skipped = 0
@@ -814,7 +873,8 @@ def verify_pair_relation(
             c2 = -c2
         x = slice_point(x0, s1, c1)
         y = slice_point(y0, s2, c2)
-        expr = c2 * s1 - c1 * s2  # x_{-a}(y) a(x) - x_{-a}(x) a(y)
+        # x_{-a}(y) a(x) - x_{-a}(x) a(y); c1 and c2 are nonzero, s1 and s2 may be 0
+        expr = (c2 * s1 if s1 else s1) - (c1 * s2 if s2 else s2)
         verdict, _ = multipoint_membership(alg, [x, y])
         if verdict == "unknown":
             skipped += 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_linalg import apply
 from test_orbit import run_without_sympy
 
 from orbitvar import cli, models, orbit
@@ -378,7 +379,7 @@ class TestBracket:
         x = F(1, 2, 3, -1, 0)
         adx = A2.ad(x)
         y = F(0, 1, 1, 1, 1)
-        assert adx.apply(y) == A2.bracket(x, y)
+        assert apply(adx, y) == A2.bracket(x, y)
 
     def test_torus_acts_diagonally(self):
         t = F(3, -2, 0, 0, 0)

@@ -17,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_linalg import apply
 from test_liealg_sparse import (
     NONZERO,
     RATIONALS,
@@ -350,7 +351,7 @@ def reference_nilpotent(alg):
 def dense_chain(m, v):
     """The terms m^k v / k! of exp(m) v from `nilpotent_terms`, up to the
     last nonzero one."""
-    terms = [t.apply(v) for t in nilpotent_terms(m)]
+    terms = [apply(t, v) for t in nilpotent_terms(m)]
     while len(terms) > 1 and not any(terms[-1]):
         terms.pop()
     return tuple(terms)
@@ -412,7 +413,7 @@ class TestExpTerms:
             for v in orbit.torus_subspace(alg).basis.entries:
                 assert alg.exp_ad_terms(x, v) == dense_chain(fresh, v)
                 if z is not None:
-                    assert sum_chain(alg.exp_ad_terms(x, v), z) == exp_nilpotent(fresh, z).apply(v)
+                    assert sum_chain(alg.exp_ad_terms(x, v), z) == apply(exp_nilpotent(fresh, z), v)
             assert alg.ad_table() is table
         got = orbit.act(alg, word, orbit.torus_subspace(alg))
         want = reference_act(alg, word)

@@ -5,7 +5,8 @@ dense loops kept here, `exp_ad_terms` and both branches of
 `CurveSubspace.at` against the dense matrix sum kept here.  (`act`
 and `CurveSubspace.limit` are pinned to sympy in `test_curves`.)  Also
 pinned: every entry `rref`, `nullspace` and `solve` return is a
-Fraction, and on A3 no kernel multiplies by a zero Fraction."""
+Fraction, and on A3 no kernel, membership query or pair-relation run
+multiplies by a zero Fraction."""
 
 import itertools
 import random
@@ -287,5 +288,44 @@ def test_no_kernel_multiplies_by_a_zero_fraction(monkeypatch):
     fresh = models.borel_nilradical_a3()  # its curves grow along the fixed-point tree
     orbit.torus_fixed_points(fresh)
     orbit.boundary_components(fresh)
+    assert products["all"] > 100
+    assert products["zero"] == 0
+
+
+def test_membership_and_pair_relation_multiply_no_zero(monkeypatch):
+    """Counts every Fraction product in A3 membership queries (orbit
+    points, fixed points looked up on a fresh algebra, a point that only
+    the Jordan parts decide and a non-commutative one) and in
+    `verify_pair_relation` at every weight."""
+    alg = models.borel_nilradical_a3()
+    rng = random.Random(1)
+    t = orbit.torus_subspace(alg)
+    points = [
+        orbit.act(alg, [(rng.randrange(alg.n), Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 2))) for _ in range(3)], t)
+        for _ in range(10)
+    ]
+    points += [recd.subspace for recd in orbit.torus_fixed_points(models.borel_nilradical_a3())]
+    unit = [[int(k == j) for k in range(alg.dim)] for j in range(alg.dim)]
+    points.append(orbit.Subspace.from_rows(alg, [unit[2], [0, 0, 0, 1, 1, 0, 0, 0, 0], unit[6]]))
+    points.append(orbit.Subspace.from_rows(alg, [unit[0], unit[3], unit[4]]))
+    products = {"all": 0, "zero": 0}
+    real_mul, real_rmul = Fraction.__mul__, Fraction.__rmul__
+
+    def counted(real):
+        def mul(a, b):
+            products["all"] += 1
+            products["zero"] += not a or not b
+            return real(a, b)
+
+        return mul
+
+    monkeypatch.setattr(Fraction, "__mul__", counted(real_mul))
+    monkeypatch.setattr(Fraction, "__rmul__", counted(real_rmul))
+    kinds = [orbit.membership(alg, v).kind for v in points]
+    for seed, w in enumerate(alg.weights):
+        orbit.verify_pair_relation(alg, w, samples=4, seed=seed)
+    monkeypatch.undo()
+    assert kinds.count("orbit") == 11 and kinds.count("limit") == len(points) - 13
+    assert kinds[-2:] == ["unknown", "refuted"]
     assert products["all"] > 100
     assert products["zero"] == 0
