@@ -14,8 +14,8 @@ expression (`str`), so no report needs sympy.  sympy is imported only
 at the string and expression edge: `PolyRing.symbols` and `parse`, a
 string or an expression given to `Ideal.make`, `contains`,
 `ideal_quotient` or `regular_sequence_check`, `Ideal.normal_form`,
-`generators`, `basis()`, `Poly.as_expr()` and `ChartIdeal.z_sym` and
-`a_sym`.  The chart, nilcone and determinantal routes never reach it.
+`generators`, `basis()` and `Poly.as_expr()`.  The chart, nilcone and
+determinantal routes never reach it.
 
 No report prints a Gröbner basis, and the questions the reports ask
 (membership, the unit ideal, the dimension, regularity) have the same
@@ -75,7 +75,7 @@ class NotGroupFixedError(IdealError):
 class PolyRing:
     """Q[variables] with a term order.  The ring builds its own elements:
     `gens`, `zero`, `one`, and `ring(x)` for a number or a dict of
-    exponent tuple -> coefficient.  `poly_ring` is the ring itself."""
+    exponent tuple -> coefficient."""
 
     variables: tuple[str, ...]
     order: str = "grevlex"  # grevlex | lex
@@ -85,10 +85,6 @@ class PolyRing:
             raise IdealError("variable names must be unique")
         if self.order not in ("grevlex", "lex"):
             raise IdealError(f"unsupported order {self.order}")
-
-    @property
-    def poly_ring(self) -> "PolyRing":
-        return self
 
     @functools.cached_property
     def gens(self) -> tuple:
@@ -519,11 +515,11 @@ def _groebner(polys, order: _Order) -> list:
 
 
 class _Basis:
-    """A reduced Gröbner basis from `_groebner`, with the order it was
-    computed in."""
+    """A reduced Gröbner basis of an ideal of `ring` from `_groebner`, with
+    the order it was computed in."""
 
-    def __init__(self, order: _Order, elems: list):
-        self.order, self.elems = order, elems
+    def __init__(self, ring: PolyRing, order: _Order, elems: list):
+        self.ring, self.order, self.elems = ring, order, elems
 
     @functools.cached_property
     def divisors(self) -> list:
@@ -539,11 +535,12 @@ class _Basis:
     def is_unit(self) -> bool:
         return len(self.elems) == 1 and self.elems[0][0] == self.order.one
 
-    def pairs(self, ring: PolyRing) -> tuple:
-        """(leading monomial, monic element of ring) pairs."""
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        """(leading monomial, monic element of `ring`) pairs."""
         unpack = self.order.unpack
         return tuple(
-            (e, Poly(ring, {unpack(m): Fraction(c, terms[lm]) for m, c in terms.items()}))
+            (e, Poly(self.ring, {unpack(m): Fraction(c, terms[lm]) for m, c in terms.items()}))
             for e, (lm, terms) in zip(self.lms, self.elems)
         )
 
@@ -747,7 +744,6 @@ class Ideal:
 
     ring: PolyRing
     polys: tuple
-    _gb: tuple | None = field(default=None, repr=False, compare=False)
     _bases: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
@@ -768,7 +764,8 @@ class Ideal:
         basis = self._bases.get(weights)
         if basis is None:
             order = _Order(len(self.ring.variables), weights)
-            basis = self._bases[weights] = _Basis(order, _groebner([_packed(p, order)[0] for p in self.polys], order))
+            packed = [_packed(p, order)[0] for p in self.polys]
+            basis = self._bases[weights] = _Basis(self.ring, order, _groebner(packed, order))
         return basis
 
     def _ring_basis(self) -> _Basis:
@@ -783,9 +780,7 @@ class Ideal:
         """The reduced Gröbner basis for `ring.order`, computed once:
         (leading monomial, monic element of `ring`) pairs, largest leading
         monomial first, and empty for the zero ideal."""
-        if self._gb is None:
-            self._gb = self._ring_basis().pairs(self.ring)
-        return self._gb
+        return self._ring_basis().pairs
 
     def basis(self) -> tuple:
         return tuple(g.as_expr() for _, g in self.groebner())
@@ -797,7 +792,7 @@ class Ideal:
         there is none (`_grading`)."""
         return _grading(self.polys, len(self.ring.variables))
 
-    @functools.cached_property
+    @property
     def order_free_basis(self) -> tuple:
         """A reduced Gröbner basis, as (leading monomial, element) pairs,
         for the questions whose answer is the same in every term order:
@@ -805,10 +800,7 @@ class Ideal:
         weighted grevlex by `grading`; without a grading, or in the
         standard one, the basis is `groebner()` itself and nothing is
         computed twice."""
-        w = self.grading
-        if w is None or all(e == 1 for e in w):
-            return self.groebner()
-        return self._order_free().pairs(self.ring)
+        return self._order_free().pairs
 
     def normal_form(self, f):
         """The remainder of the expression f on division by `groebner()`,
@@ -1108,16 +1100,6 @@ class ChartIdeal:
     @property
     def m(self) -> int:
         return len(self.complement)
-
-    def z_sym(self, i: int, j: int):
-        import sympy
-
-        return sympy.Symbol(f"z{i}_{j}")
-
-    def a_sym(self, i: int, j: int):
-        import sympy
-
-        return sympy.Symbol(f"a{i}_{j}")
 
     def z(self, i: int, j: int):
         """z_{i,j} as an element of the chart's ring, for i, j in 1..d."""

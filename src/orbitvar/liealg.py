@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     Matrix,
-    in_row_space,
     nullspace,
     rank,
     row_space_basis,
@@ -117,6 +116,10 @@ class WeightedLieAlgebra:
         """Brackets may name a pair in either order; when a pair is given
         more than once the last value wins."""
         names = tuple(a_basis)
+        if t_dim < 0:
+            raise AlgebraError(f"t_dim must be nonnegative, not {t_dim}")
+        if len(set(names)) != len(names):
+            raise AlgebraError("a_basis names must be distinct")
         idx = {nm: i for i, nm in enumerate(names)}
         ws = tuple(
             Weight(tuple(Fraction(c) for c in weights[nm])) for nm in names
@@ -601,75 +604,3 @@ class CenterData:
     dim: int
     weight_rank: int
 
-
-# -- condition-(4) verifier -------------------------------------------
-
-@dataclass(frozen=True)
-class CentralizerMapFamily:
-    """Polynomial maps e_1..e_d from r to r whose values at a regular x
-    are required to span the centralizer of x."""
-
-    alg: WeightedLieAlgebra
-    symbols: tuple  # coordinate symbols c1..c_dim
-    components: tuple  # d maps, each a tuple of dim sympy expressions
-
-    @staticmethod
-    def from_callables(
-        alg: WeightedLieAlgebra, maps: Sequence[Callable[[Sequence], Sequence]]
-    ) -> "CentralizerMapFamily":
-        import sympy
-
-        syms = sympy.symbols(f"c1:{alg.dim + 1}")
-        comps = tuple(tuple(sympy.expand(e) for e in f(syms)) for f in maps)
-        return CentralizerMapFamily(alg, tuple(syms), comps)
-
-    def evaluate(self, idx: int, x: Sequence[Fraction]) -> tuple:
-        import sympy
-
-        subs = {s: sympy.Rational(c.numerator, c.denominator) for s, c in zip(self.symbols, x)}
-        out = []
-        for e in self.components[idx]:
-            v = sympy.expand(e).subs(subs)
-            out.append(Fraction(int(sympy.numer(v)), int(sympy.denom(v))))
-        return tuple(out)
-
-
-def verify_condition4(
-    family: CentralizerMapFamily, samples: int = 20, seed: int = 0
-) -> tuple[bool, str]:
-    """Check the centralizer-family requirement: each map commutes with its
-    argument identically, and at sampled regular points the d values are
-    independent and span the centralizer."""
-    import random
-
-    import sympy
-
-    alg = family.alg
-    if len(family.components) != alg.t_dim:
-        return False, f"family has {len(family.components)} maps, expected {alg.t_dim}"
-    x = list(family.symbols)
-    for i, comp in enumerate(family.components):
-        br = alg.bracket(x, list(comp))
-        if any(sympy.expand(e) != 0 for e in br):
-            return False, f"map {i + 1} does not commute with its argument"
-    rng = random.Random(seed)
-    found = 0
-    tried = 0
-    while found < samples and tried < 60 * samples:
-        tried += 1
-        pt = tuple(Fraction(rng.randint(-5, 5)) for _ in range(alg.dim))
-        if not alg.regular_test(pt):
-            continue
-        found += 1
-        vals = Matrix.from_rows([family.evaluate(i, pt) for i in range(alg.t_dim)])
-        if rank(vals) != alg.t_dim:
-            return False, f"values dependent at sample {pt}"
-        cent = alg.centralizer(pt)
-        rr, piv = rref(cent)
-        if not all(in_row_space(vals.row(r), rr, piv) for r in range(vals.rows)):
-            return False, f"values leave the centralizer at sample {pt}"
-        if row_space_basis(vals) != row_space_basis(cent):
-            return False, f"values do not span the centralizer at sample {pt}"
-    if found < samples:
-        return False, "could not find enough regular sample points"
-    return True, f"identity bracket check plus {samples} regular samples"

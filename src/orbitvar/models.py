@@ -3,7 +3,7 @@ abelian models, and the two-dimensional solvable example."""
 
 from __future__ import annotations
 
-from .liealg import CentralizerMapFamily, WeightedLieAlgebra
+from .liealg import WeightedLieAlgebra
 
 
 class UnknownBuiltinError(Exception):
@@ -91,24 +91,3 @@ BUILTIN_NAMES = (
     "sl2-borel",
 )
 
-
-def centralizer_family(name: str) -> CentralizerMapFamily:
-    """Built-in centralizer map families where a closed form is known."""
-    if name == "sl2-borel":
-        alg = sl2_borel()
-        return CentralizerMapFamily.from_callables(alg, [lambda c: list(c)])
-    if name.startswith("abelian:"):
-        alg = builtin(name)
-        d = alg.t_dim
-
-        def make(i):
-            def f(c):
-                out = [0] * alg.dim
-                out[i] = c[i]
-                out[d + i] = c[d + i]
-                return out
-
-            return f
-
-        return CentralizerMapFamily.from_callables(alg, [make(i) for i in range(d)])
-    raise UnknownBuiltinError(f"no built-in centralizer family for {name!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -162,18 +162,6 @@ class CurveSubspace:
                             acc[j] += f * y
             rows[h] = new
 
-    def at(self, z_value: Fraction) -> Subspace:
-        """The point at z: each basis row sum_k z^k coeffs[k] by Horner's
-        rule, multiplying and adding only nonzero entries, as `_exp_row`
-        does."""
-        rows = []
-        for coefs in zip(*(m.entries for m in self.coeffs)):  # one basis row, by power of z
-            acc = coefs[-1]
-            for term in reversed(coefs[:-1]):
-                acc = tuple((t + z_value * a if t else z_value * a) if a else t for t, a in zip(term, acc))
-            rows.append(acc)
-        return Subspace(self.alg, row_space_basis(Matrix.from_rows(rows)))
-
     def to_json(self) -> dict:
         rows = zip(*(m.entries for m in self.coeffs))  # per basis row, its coefficient rows
         basis = [[_render_polynomial(cs) for cs in zip(*row)] for row in rows]
@@ -313,18 +301,6 @@ def weight_index(alg: WeightedLieAlgebra, alpha: Weight) -> int:
     raise OrbitError("weight not in the algebra")
 
 
-def theta_alpha(alg: WeightedLieAlgebra, alpha: Weight, z) -> Subspace:
-    """The curve z -> exp(z ad x_alpha)(t); z = None means the limit point
-    at infinity, which is t_alpha + a^alpha."""
-    if z is None:
-        return witness_limit(alg, (weight_index(alg, alpha),))
-    return theta_curve(alg, alpha).at(Fraction(z))
-
-
-def theta_curve(alg: WeightedLieAlgebra, alpha: Weight) -> CurveSubspace:
-    return witness_curve(alg, (weight_index(alg, alpha),))
-
-
 def is_commutative_subalgebra(alg: WeightedLieAlgebra, v: Subspace) -> bool:
     for i in range(v.dim):
         for j in range(i + 1, v.dim):
@@ -364,9 +340,9 @@ def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> t
 def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspace:
     """exp(z ad x_i) ... exp(z ad x_j) t over a commuting `subset`.
     Built once per weight subset per algebra: the fixed-point
-    enumeration, the theta curves, `boundary`, property (P) and
-    membership share it, and every one of them passes a subset whose
-    weight vectors pairwise commute.
+    enumeration, `boundary` (the curves exp(z ad x_alpha) t of one
+    weight), property (P) and membership share it, and every one of them
+    passes a subset whose weight vectors pairwise commute.
 
     The curve of S is exp(z ad x_j) applied row by row (`_exp_row`) to
     the memoised curve of S - {j}, j = max(S), so each curve costs one
@@ -472,15 +448,7 @@ def _select_group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecor
             continue
         if not is_ideal(alg, recd.subspace):
             continue
-        out.append(
-            FixedPointRecord(
-                subspace=recd.subspace,
-                r_v_set=recd.r_v_set,
-                z_v=recd.z_v,
-                fixed_under="group",
-                witness=recd.witness,
-            )
-        )
+        out.append(replace(recd, fixed_under="group"))
     return tuple(out)
 
 
@@ -645,10 +613,6 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
 # -- property (P) consequences ----------------------------------------
 
 
-def centralizer_of_torus_element(alg: WeightedLieAlgebra, s: Sequence[Fraction]) -> Subspace:
-    return torus_element_data(alg, alg.lambda_of(s)).centralizer
-
-
 @dataclass(frozen=True)
 class TorusElementData:
     """What property (P) reads off a torus element s: `lam`, the weights
@@ -682,11 +646,19 @@ def graded_subset(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...] | Non
 def property_P_checks(
     alg: WeightedLieAlgebra, data: TorusElementData, v: Subspace, graded: tuple[int, ...] | None
 ) -> list[rep.Check]:
-    """The verdicts behind `property_P_consequences`, for V against the
-    data of s and with `graded = graded_subset(alg, v)`, which is the
-    `r_v_set` of a torus-fixed record.  A proven
-    witness-curve check carries its `CurveSubspace` as the witness, not
-    rendered."""
+    """What membership in the closure of the s-centralizer orbit of t
+    implies for V, against the data of s (`torus_element_data`) and with
+    `graded = graded_subset(alg, v)`, which is the `r_v_set` of a
+    torus-fixed record: center containment, and a witness curve through
+    the centralizer when V is graded.
+
+    A graded V holding exactly the weight vectors of S is witnessed by
+    `witness_curve(alg, S)`, whose limit is taken once per algebra
+    (`witness_limit`) and compared with V here before the check is
+    proven.  For a torus-fixed point z_V + a_S that is the curve and
+    limit its enumeration verified, so sharing them keeps the
+    certificate checked without rebuilding it.  A proven witness-curve
+    check carries its `CurveSubspace` as the witness, not rendered."""
     if not data.centralizer.contains_subspace(v):
         raise PreconditionFailedError("V is not inside the centralizer of s")
     ok = all(v.contains(r) for r in data.center)
@@ -718,27 +690,6 @@ def property_P_checks(
             )
         )
     return checks
-
-
-def property_P_consequences(
-    alg: WeightedLieAlgebra, s: Sequence[Fraction], v: Subspace
-) -> rep.VerificationReport:
-    """Check what membership in the closure of the s-centralizer orbit
-    of t implies for V: center containment, and a witness curve through
-    the centralizer when V is graded.
-
-    A graded V holding exactly the weight vectors of S is witnessed by
-    `witness_curve(alg, S)`, whose limit is taken once per algebra
-    (`witness_limit`) and compared with V here before the check is
-    proven.  For a torus-fixed point z_V + a_S that is the curve and
-    limit its enumeration verified, so sharing them keeps the
-    certificate checked without rebuilding it."""
-    data = torus_element_data(alg, alg.lambda_of(s))
-    out = rep.VerificationReport("property-p", alg.fingerprint())
-    for c in property_P_checks(alg, data, v, graded_subset(alg, v)):
-        witness = None if c.witness is None else c.witness.to_json()["basis"]
-        out.add(c.name, c.verdict, c.claim, witness, c.details)
-    return out
 
 
 # -- biggest torus, multipoints, pair relation -------------------------

@@ -123,6 +123,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", "--input", str(p))
         assert code == 2 and message in err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"t_dim": -1, "a_basis": [], "weights": {}}, "t_dim must be nonnegative"),
+            ({"t_dim": 1, "a_basis": ["x", "x"], "weights": {"x": ["1"]}}, "names must be distinct"),
+        ],
+        ids=["negative-t_dim", "repeated-name"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "fixed-points", "boundary"])
+    def test_malformed_algebra_refused(self, capsys, tmp_path, data, message, command):
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(data))
+        dest = tmp_path / "report.json"
+        code, out, err = run(capsys, command, "--input", str(p), "--output", str(dest))
+        assert code == 2 and "error: cannot parse algebra" in err and message in err
+        assert not out and not dest.exists()
+
     @pytest.mark.parametrize("where", ["weight", "coeff"])
     def test_float_number_refused(self, capsys, tmp_path, where):
         data = models.borel_nilradical_a2().to_json()

@@ -113,7 +113,7 @@ def test_kernel_takes_sparse_ring_elements():
     ring = PolyRing(("x", "y"), "lex")
     order = _Order(2, None)
     polys = [_packed(_to_ring(ring, sympy.sympify(g)), order)[0] for g in ("x**2 - y", "x*y - 1")]
-    gb = _Basis(order, _groebner(polys + [_packed(ring.zero, order)[0]], order)).pairs(ring)
+    gb = _Basis(ring, order, _groebner(polys + [_packed(ring.zero, order)[0]], order)).pairs
     ref = sympy.groebner(["x**2 - y", "x*y - 1"], *ring.symbols, order="lex", domain=sympy.QQ)
     assert [g.as_expr() for _, g in gb] == list(ref.exprs)
 

@@ -1,22 +1,19 @@
 """Weight-graded nilpotent algebras: structure validation, centers,
-complete subsets, restriction, centralizers, Jordan decomposition, and
-the centralizer-family sampling check."""
+complete subsets, restriction, centralizers and Jordan decomposition."""
 
 from fractions import Fraction
 
 import pytest
 
 from test_linalg import apply
-from test_orbit import run_without_sympy
+from test_orbit import run_without_sympy, theta
 
 from orbitvar import cli, models, orbit
 from orbitvar.liealg import (
     AlgebraError,
     CenterNotTrivialError,
-    CentralizerMapFamily,
     Weight,
     WeightedLieAlgebra,
-    verify_condition4,
     weight_sort_key,
 )
 from orbitvar.linalg import Matrix
@@ -293,46 +290,13 @@ x = tuple(map(Fraction, (1, 2, 0, 1, 1, 1, 0, 0, 0)))
 s, n = alg.jordan_decompose(x)
 assert tuple(a + b for a, b in zip(s, n)) == x and not any(alg.bracket(s, n))
 assert orbit.biggest_torus(alg, orbit.torus_subspace(alg)) == ()
-assert orbit.biggest_torus(alg, orbit.theta_alpha(alg, alg.weights[0], 2)) == ()
-assert orbit.biggest_torus(alg, orbit.theta_alpha(alg, alg.weights[0], None)) == (0,)
-assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], 2)).kind == "orbit"
-assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], None)).kind == "limit"
+moved, limit = orbit.act(alg, [(0, 2)], orbit.torus_subspace(alg)), orbit.witness_limit(alg, (0,))
+assert orbit.biggest_torus(alg, moved) == ()
+assert orbit.biggest_torus(alg, limit) == (0,)
+assert orbit.membership(alg, moved).kind == "orbit"
+assert orbit.membership(alg, limit).kind == "limit"
 """
         )
-
-
-class TestCondition4:
-    def test_identity_family_on_sl2_borel(self):
-        fam = models.centralizer_family("sl2-borel")
-        ok, msg = verify_condition4(fam, samples=10, seed=0)
-        assert ok, msg
-
-    def test_coordinate_family_on_abelian(self):
-        fam = models.centralizer_family("abelian:2")
-        ok, msg = verify_condition4(fam, samples=10, seed=0)
-        assert ok, msg
-
-    def test_wrong_arity_rejected(self):
-        alg = models.abelian(2)
-        fam = CentralizerMapFamily.from_callables(alg, [lambda c: list(c)])
-        ok, msg = verify_condition4(fam, samples=5)
-        assert not ok and "expected" in msg
-
-    def test_duplicate_maps_rejected(self):
-        alg = models.abelian(2)
-        fam = CentralizerMapFamily.from_callables(
-            alg, [lambda c: list(c), lambda c: list(c)]
-        )
-        ok, _ = verify_condition4(fam, samples=5)
-        assert not ok
-
-    def test_noncommuting_map_rejected(self):
-        alg = models.sl2_borel()
-        fam = CentralizerMapFamily.from_callables(
-            alg, [lambda c: [c[1], c[0]]]
-        )
-        ok, msg = verify_condition4(fam, samples=5)
-        assert not ok and "commute" in msg
 
 
 class TestSerialization:
@@ -398,7 +362,7 @@ class TestMemo:
     def test_filled_memo_is_invisible(self, name):
         alg, fresh = models.builtin(name), models.builtin(name)
         alg.center()
-        orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], 2))
+        orbit.membership(alg, theta(alg, 0, 2))
         orbit.multipoint_membership(alg, [alg.weight_vector(0)])
         orbit.group_fixed_points(alg)
         assert alg._memo and not fresh._memo

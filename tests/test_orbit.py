@@ -29,20 +29,20 @@ from orbitvar.orbit import (
     act,
     biggest_torus,
     boundary_components,
-    centralizer_of_torus_element,
+    graded_subset,
     group_fixed_points,
     is_commutative_subalgebra,
     is_ideal,
     is_torus_stable,
     membership,
     multipoint_membership,
-    property_P_consequences,
-    theta_alpha,
-    theta_curve,
+    property_P_checks,
     torus_fixed_points,
+    torus_element_data,
     torus_subspace,
     verify_pair_relation,
-    weight_index,
+    witness_curve,
+    witness_limit,
 )
 
 A2 = models.borel_nilradical_a2()
@@ -123,6 +123,16 @@ def run_without_sympy(code):
     assert done.returncode == 0, done.stderr
 
 
+def theta(alg, i, z=None):
+    """exp(z ad x_i) t at a rational z, or its limit at infinity for None."""
+    return witness_limit(alg, (i,)) if z is None else act(alg, [(i, Fraction(z))], torus_subspace(alg))
+
+
+def property_p(alg, s, v):
+    """The property (P) checks of V against the torus element s."""
+    return property_P_checks(alg, torus_element_data(alg, alg.lambda_of(s)), v, graded_subset(alg, v))
+
+
 ALPHA = Weight(F(1, 0))
 BETA = Weight(F(0, 1))
 AB = Weight(F(1, 1))
@@ -141,27 +151,30 @@ class TestActAndTheta:
 
     def test_theta_finite_value(self):
         # exp(z ad x_a) fixes ker(a) and moves h_a to h_a - z x_a
-        got = theta_alpha(A2, ALPHA, Fraction(2))
+        got = theta(A2, 0, Fraction(2))
         assert got == span(A2, [[0, 1, 0, 0, 0], [1, 0, -2, 0, 0]])
 
     def test_theta_limit_is_graded(self):
-        got = theta_alpha(A2, ALPHA, None)
+        got = theta(A2, 0)
         assert got == span(A2, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
 
     def test_theta_limit_every_weight_both_builtins(self):
         for alg in (A2, A3):
             d = alg.t_dim
             for i, w in enumerate(alg.weights):
-                v = theta_alpha(alg, w, None)
+                v = theta(alg, i)
                 ker = alg.torus_kernel([w])
                 rows = [list(ker.row(r)) + [0] * alg.n for r in range(ker.rows)]
                 rows.append(alg.weight_vector(i))
                 assert v == span(alg, rows)
 
     def test_curve_specializes_consistently(self):
-        c = theta_curve(A2, BETA)
-        assert c.at(Fraction(5)) == theta_alpha(A2, BETA, Fraction(5))
-        assert c.limit() == theta_alpha(A2, BETA, None)
+        c = witness_curve(A2, (1,))
+        assert c == act(A2, [(1, None)], torus_subspace(A2))
+        z = Fraction(5)
+        point = sum((m.scale(z**k) for k, m in enumerate(c.coeffs) if k), c.coeffs[0])
+        assert span(A2, point.entries) == theta(A2, 1, z)
+        assert c.limit() == theta(A2, 1)
 
     def test_curve_of_two_factors(self):
         word = [(0, None), (2, None)]
@@ -186,8 +199,8 @@ class TestSubspacePredicates:
         )
 
     def test_torus_stability(self):
-        assert is_torus_stable(A2, theta_alpha(A2, ALPHA, None))
-        assert not is_torus_stable(A2, theta_alpha(A2, ALPHA, Fraction(1)))
+        assert is_torus_stable(A2, theta(A2, 0))
+        assert not is_torus_stable(A2, theta(A2, 0, Fraction(1)))
 
     def test_ideal(self):
         assert is_ideal(A2, span(A2, [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]))
@@ -213,10 +226,9 @@ class TestSubspaceBasesAreRref:
             for _ in range(5):
                 rows = [[Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)] for _ in range(rng.randint(1, alg.dim))]
                 built.append(Subspace.from_rows(alg, rows))
-            v = theta_alpha(alg, alg.weights[0], None)  # CurveSubspace.limit
+            v = theta(alg, 0)  # CurveSubspace.limit
             built += [v, normalizer(alg, v)]  # nullspace
             built.append(act(alg, [(0, Fraction(2))], torus_subspace(alg)))  # act on a scalar word
-            built.append(theta_alpha(alg, alg.weights[0], Fraction(2)))  # CurveSubspace.at
             for pt in (alg.basis_vector(0), tuple(Fraction(rng.randint(-3, 3)) for _ in range(alg.dim))):
                 built.append(Subspace(alg, alg.centralizer(pt)))
             built.append(intersect(torus_subspace(alg), a_subspace(alg)))  # the zero space
@@ -275,9 +287,9 @@ for name in ("borel-nilradical-A3", "heisenberg-3"):
 alg = models.builtin("borel-nilradical-A3")
 t = orbit.torus_subspace(alg)
 assert orbit.membership(alg, t).kind == "orbit"
-assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], 2)).kind == "orbit"
-assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], None)).kind == "limit"
-assert orbit.membership(alg, orbit.theta_alpha(alg, alg.weights[0], None)).to_json(alg)["witness_curve"]
+assert orbit.membership(alg, orbit.act(alg, [(0, 2)], t)).kind == "orbit"
+assert orbit.membership(alg, orbit.witness_limit(alg, (0,))).kind == "limit"
+assert orbit.membership(alg, orbit.witness_limit(alg, (0,))).to_json(alg)["witness_curve"]
 assert orbit.multipoint_membership(alg, [alg.weight_vector(0), alg.weight_vector(5)])[0] == "proven"
 assert orbit.biggest_torus(alg, t) == ()
 assert not orbit.verify_pair_relation(alg, alg.weights[0], samples=5).has_refutation()
@@ -346,7 +358,7 @@ class TestFixedPoints:
 
 class TestNormalizer:
     def test_theta_limit_normalizer(self):
-        v = theta_alpha(A2, ALPHA, None)
+        v = theta(A2, 0)
         n = normalizer(A2, v)
         assert n == span(A2, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
 
@@ -357,7 +369,7 @@ class TestNormalizer:
         assert normalizer(A2, full_space(A2)) == full_space(A2)
 
     def test_intersect(self):
-        n = normalizer(A2, theta_alpha(A2, ALPHA, None))
+        n = normalizer(A2, theta(A2, 0))
         assert intersect(n, a_subspace(A2)) == span(A2, [[0, 0, 1, 0, 0]])
 
 
@@ -375,7 +387,7 @@ class TestBoundary:
 
     def test_base_points_are_theta_limits(self):
         for c in boundary_components(A2):
-            assert c.base_point == theta_alpha(A2, A2.weights[c.weight_idx], None)
+            assert c.base_point == theta(A2, c.weight_idx)
 
     def test_center_precondition(self):
         single = WeightedLieAlgebra.build(2, ["x"], {"x": [1, 1]}, [])
@@ -389,7 +401,7 @@ class TestMembership:
         assert v.kind == "orbit" and v.params == ()
 
     def test_orbit_point_with_certificate(self):
-        target = theta_alpha(A2, ALPHA, Fraction(2))
+        target = theta(A2, 0, Fraction(2))
         v = membership(A2, target)
         assert v.kind == "orbit"
         assert act(A2, list(v.params), torus_subspace(A2)) == target
@@ -408,10 +420,10 @@ class TestMembership:
                 assert act(alg, list(v.params), torus_subspace(alg)) == target
 
     def test_limit_point(self):
-        v = membership(A2, theta_alpha(A2, ALPHA, None))
+        v = membership(A2, theta(A2, 0))
         assert v.kind == "limit"
         assert v.witness is not None
-        assert v.witness.limit() == theta_alpha(A2, ALPHA, None)
+        assert v.witness.limit() == theta(A2, 0)
 
     def test_noncommutative_refuted(self):
         v = membership(A2, span(A2, [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]))
@@ -449,28 +461,25 @@ class TestPropertyP:
     def test_graded_point_yields_witness(self):
         s = F(1, -1, 0, 0, 0)
         v = span(A2, [[1, -1, 0, 0, 0], [0, 0, 0, 0, 1]])
-        out = property_P_consequences(A2, s, v)
-        verdicts = {c.name: c.verdict for c in out.checks}
+        verdicts = {c.name: c.verdict for c in property_p(A2, s, v)}
         assert verdicts["center-containment"] == rep.PROVEN
         assert verdicts["witness-curve"] == rep.PROVEN
 
     def test_precondition_requires_containment(self):
         s = F(1, -1, 0, 0, 0)
-        v = theta_alpha(A2, ALPHA, None)  # contains x_a, not centralized by s
+        v = theta(A2, 0)  # contains x_a, not centralized by s
         with pytest.raises(PreconditionFailedError):
-            property_P_consequences(A2, s, v)
+            property_p(A2, s, v)
 
     def test_regular_s_forces_torus(self):
         s = F(1, 2, 0, 0, 0)
-        out = property_P_consequences(A2, s, torus_subspace(A2))
-        assert not out.has_refutation()
+        assert all(c.verdict != rep.REFUTED for c in property_p(A2, s, torus_subspace(A2)))
 
     def test_center_containment_refuted(self):
         # V inside the centralizer of s but missing its center
         s = F(1, -1, 0, 0, 0)
         v = span(A2, [[1, 1, 0, 0, 0], [0, 0, 0, 0, 1]])
-        out = property_P_consequences(A2, s, v)
-        assert out.has_refutation()
+        assert any(c.verdict == rep.REFUTED for c in property_p(A2, s, v))
 
 
 class TestBiggestTorus:
@@ -478,14 +487,14 @@ class TestBiggestTorus:
         assert biggest_torus(A2, torus_subspace(A2)) == ()
 
     def test_theta_limit(self):
-        assert biggest_torus(A2, theta_alpha(A2, ALPHA, None)) == (0,)
+        assert biggest_torus(A2, theta(A2, 0)) == (0,)
 
     def test_fully_nilpotent_point(self):
         v = span(A2, [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]])
         assert biggest_torus(A2, v) == (0, 1, 2)
 
     def test_conjugated_point_sees_through_conjugation(self):
-        v = theta_alpha(A2, ALPHA, Fraction(3))
+        v = theta(A2, 0, Fraction(3))
         assert biggest_torus(A2, v) == ()
 
 
@@ -574,9 +583,9 @@ class TestCertifiedSubspacesAreCommutative:
 
 class TestCentralizerOfTorusElement:
     def test_regular(self):
-        c = centralizer_of_torus_element(A2, F(1, 1, 0, 0, 0))
+        c = torus_element_data(A2, A2.lambda_of(F(1, 1, 0, 0, 0))).centralizer
         assert c == torus_subspace(A2)
 
     def test_singular(self):
-        c = centralizer_of_torus_element(A2, F(1, -1, 0, 0, 0))
+        c = torus_element_data(A2, A2.lambda_of(F(1, -1, 0, 0, 0))).centralizer
         assert c == span(A2, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]])

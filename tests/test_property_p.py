@@ -1,5 +1,5 @@
 """Property (P) from the fixed-point records: `cli.cmd_property_p` and
-`orbit.property_P_consequences` against the per-pair versions kept here,
+`orbit.property_P_checks` against the per-pair versions kept here,
 which rebuild every witness curve and take its limit without the
 per-subset memo and search for a generic torus element per complete
 subset; the weight set S each torus-fixed record carries, which
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_memo import SMALL
+from test_orbit import property_p
 
 from orbitvar import cli, models, orbit
 from orbitvar import report as rep
@@ -102,7 +103,7 @@ def generic_kernel_element(alg, lam):
 
 def reference_property_P_consequences(alg, s, v):
     out = rep.VerificationReport("property-p", alg.fingerprint())
-    cent = orbit.centralizer_of_torus_element(alg, s)
+    cent = orbit.Subspace(alg, alg.centralizer(s))
     if not cent.contains_subspace(v):
         raise orbit.PreconditionFailedError("V is not inside the centralizer of s")
     lam = alg.lambda_of(s)
@@ -173,6 +174,15 @@ def outcome(fn, *args):
         return "value", fn(*args).to_json()
     except (AlgebraError, orbit.OrbitError, LinAlgError) as e:
         return "raised", type(e), str(e)
+
+
+def property_P_report(alg, s, v):
+    """`orbit.property_P_checks` of V against the data of s, as the
+    report the reference builds, each witness curve rendered."""
+    out = rep.VerificationReport("property-p", alg.fingerprint())
+    for c in property_p(alg, s, v):
+        out.add(c.name, c.verdict, c.claim, None if c.witness is None else c.witness.to_json()["basis"], c.details)
+    return out
 
 
 def rebuild(alg):
@@ -345,7 +355,7 @@ class TestPropertyPConsequences:
     def test_cases_match_per_pair_reference(self, s, v, verdicts):
         s = tuple(Fraction(c) for c in s) + (Fraction(0),) * A2.n
         want = outcome(reference_property_P_consequences, rebuild(A2), s, v)
-        assert outcome(orbit.property_P_consequences, A2, s, v) == want
+        assert outcome(property_P_report, A2, s, v) == want
         if verdicts is None:
             assert want[:2] == ("raised", orbit.PreconditionFailedError)
         else:
@@ -363,9 +373,9 @@ class TestPropertyPConsequences:
                 pass
         v = orbit.Subspace.from_rows(alg, rows)
         want = outcome(reference_property_P_consequences, WeightedLieAlgebra.build(*spec), s, v)
-        assert outcome(orbit.property_P_consequences, alg, s, v) == want
+        assert outcome(property_P_report, alg, s, v) == want
         # the second call reads the memoised curve and limit
-        assert outcome(orbit.property_P_consequences, alg, s, v) == want
+        assert outcome(property_P_report, alg, s, v) == want
 
 
 class TestWitnessMemo:
@@ -375,9 +385,8 @@ class TestWitnessMemo:
         for recd in records:
             assert orbit.witness_curve(alg, recd.r_v_set) is recd.witness
             assert orbit.witness_limit(alg, recd.r_v_set) == recd.subspace
-        alpha = alg.weights[4]
-        assert orbit.theta_curve(alg, alpha) is orbit.witness_curve(alg, (4,))
-        assert orbit.theta_alpha(alg, alpha, None) is orbit.witness_limit(alg, (4,))
+        (theta,) = [c for c in orbit.boundary_components(alg) if c.weight_idx == 4]
+        assert theta.base_point is orbit.witness_limit(alg, (4,))
 
     def test_a_limit_that_raises_is_not_kept(self, monkeypatch):
         alg = models.builtin("borel-nilradical-A2")
@@ -394,4 +403,4 @@ class TestWitnessMemo:
                     orbit.witness_limit(alg, (0,))
         assert len(calls) == 2
         fresh = models.builtin("borel-nilradical-A2")
-        assert orbit.witness_limit(alg, (0,)) == orbit.theta_alpha(fresh, fresh.weights[0], None)
+        assert orbit.witness_limit(alg, (0,)) == orbit.witness_limit(fresh, (0,))

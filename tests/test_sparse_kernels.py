@@ -2,11 +2,11 @@
 matrices: `rref`, `reduce_mod_rowspace` and `_vector_sum` against the
 dense loops kept here, `exp_ad_terms` and both branches of
 `orbit._exp_row` against the dense adjoint chains of `test_memo`, and
-`CurveSubspace.at` against the dense matrix sum kept here.  (`act`
-and `CurveSubspace.limit` are pinned to sympy in `test_curves`.)  Also
-pinned: every entry `rref`, `nullspace` and `solve` return is a
-Fraction, and on A3 no kernel, membership query or pair-relation run
-multiplies by a zero Fraction."""
+`act` on scalar words against the dense matrix sum of the curve kept
+here.  (`act` and `CurveSubspace.limit` are pinned to sympy in
+`test_curves`.)  Also pinned: every entry `rref`, `nullspace` and
+`solve` return is a Fraction, and on A3 no kernel, membership query or
+pair-relation run multiplies by a zero Fraction."""
 
 import itertools
 import random
@@ -172,24 +172,26 @@ class TestCurvePoints:
     @settings(max_examples=100)
     @given(st.sampled_from(CURVE_ALGEBRAS), st.data())
     def test_at_matches_the_dense_sum(self, name, data):
-        """On the witness curves of the fixed points and on random words
-        with the formal parameter, at drawn values of z, zero included."""
+        """`act` on a word whose formal parameter is set to z, against the
+        dense sum of the curve of that word at z: on the witness curves
+        of the fixed points and on random words with the formal
+        parameter, at drawn values of z, zero included."""
         alg = models.builtin(name)
-        records = orbit.torus_fixed_points(alg)
-        curve = data.draw(st.sampled_from([r.witness for r in records]))
+        t = orbit.torus_subspace(alg)
+        recd = data.draw(st.sampled_from(orbit.torus_fixed_points(alg)))
         scalars = st.sampled_from((None, Fraction(2), Fraction(-1, 3)))
         word = data.draw(st.lists(st.tuples(st.integers(0, alg.n - 1), scalars), min_size=1, max_size=3))
-        moved = orbit.act(alg, [(i, None) for i, _ in word[:1]] + word[1:], orbit.torus_subspace(alg))
+        word = [(i, None) for i, _ in word[:1]] + word[1:]
         z = data.draw(st.one_of(st.just(Fraction(0)), RATIONALS))
-        for c in (curve, moved):
-            assert c.at(z) == dense_at(c, z)
+        for w, curve in (([(i, None) for i in recd.r_v_set], recd.witness), (word, orbit.act(alg, word, t))):
+            assert orbit.act(alg, [(i, z if s is None else s) for i, s in w], t) == dense_at(curve, z)
 
     def test_theta_points_multiply_no_zero(self, monkeypatch):
-        """The six A3 theta curves at z = 2: the dense sum made 162
-        products, 152 of them with a zero operand."""
+        """`act` on the six one-factor A3 words at z = 2: the dense sum of
+        their curves made 162 products, 152 of them with a zero operand."""
         alg = models.borel_nilradical_a3()
-        curves = [orbit.theta_curve(alg, w) for w in alg.weights]
-        want = [dense_at(c, Fraction(2)) for c in curves]
+        t = orbit.torus_subspace(alg)
+        want = [dense_at(orbit.witness_curve(alg, (i,)), Fraction(2)) for i in range(alg.n)]
         products = {"all": 0, "zero": 0}
         real = Fraction.__mul__
 
@@ -199,7 +201,7 @@ class TestCurvePoints:
             return real(a, b)
 
         monkeypatch.setattr(Fraction, "__mul__", mul)
-        got = [c.at(Fraction(2)) for c in curves]
+        got = [orbit.act(alg, [(i, Fraction(2))], t) for i in range(alg.n)]
         monkeypatch.undo()
         assert got == want
         assert products["zero"] == 0 < products["all"]
