@@ -382,7 +382,7 @@ def _reduce(p: dict, divisors, order: _Order) -> tuple[dict, int]:
     return rem, scale
 
 
-def _groebner(polys, order: _Order) -> list:
+def _groebner(polys, order: _Order, seed=()) -> list:
     """The reduced Gröbner basis of the ideal generated by polys, dicts of
     packed monomial -> int coefficient, as primitive (leading monomial,
     terms) pairs with positive leading coefficients, largest leading
@@ -408,11 +408,27 @@ def _groebner(polys, order: _Order) -> list:
     up to scalars, which is therefore that unique one.  Listing it by
     leading monomial, largest first, fixes the order.  When a remainder
     is a nonzero constant the ideal is the whole ring and its reduced
-    basis is 1."""
+    basis is 1.
+
+    `seed`, a reduced basis in the same order (`_Basis.elems`), gives
+    the basis of the ideal generated by it and polys.  Its elements
+    enter the basis first, with no pairs among themselves: the pairs of
+    a Gröbner basis reduce to 0 modulo it (Buchberger's criterion), and
+    the Gebauer–Möller update keeps its invariant from any basis with no
+    pairs pending ([BW] p. 230–232), so only the pairs with the new
+    elements are formed.  The inputs are reduced by the seed before they
+    are interreduced, and the final interreduction is the same, so the
+    result is the same unique reduced basis."""
     one, mask = order.one, order.mask
     unit = [(one, {one: 1})]
+    if seed and seed[0][0] == one:
+        return unit
+    seed_divs = [_divisor(e, one) for e in reversed(seed)]  # smallest leading monomial first
 
-    # the inputs, primitive and interreduced as sympy does ([BW] p. 203)
+    # the inputs, reduced by the seed, primitive and interreduced as sympy
+    # does ([BW] p. 203)
+    if seed:
+        polys = [_reduce(p, seed_divs, order)[0] for p in polys]
     new = [_primitive(p) for p in polys if p]
     while True:
         f, new = new, []
@@ -426,10 +442,10 @@ def _groebner(polys, order: _Order) -> list:
     if any(lm == one for lm, _ in f):
         return unit
 
-    lms, elems = [lm for lm, _ in f], [p for _, p in f]
+    lms, elems = [lm for lm, _ in seed] + [lm for lm, _ in f], [p for _, p in seed] + [p for _, p in f]
     exps = [order.unpack(lm) for lm in lms]
-    divs = [_divisor(e, one) for e in f]
-    basis: set[int] = set()
+    divs = seed_divs[::-1] + [_divisor(e, one) for e in f]
+    basis: set[int] = set(range(len(seed)))
     pairs: dict[tuple[int, int], int] = {}  # pending pair -> packed lcm
     queue: list = []  # (packed lcm, i, j), stale once out of pairs
 
@@ -465,7 +481,7 @@ def _groebner(polys, order: _Order) -> list:
         basis.difference_update([ig for ig in basis if divides(mh, lms[ig])])
         basis.add(ih)
 
-    for ih in sorted(range(len(f)), key=lms.__getitem__):
+    for ih in sorted(range(len(seed), len(lms)), key=lms.__getitem__):
         update(ih)
 
     divisors = None
@@ -745,6 +761,7 @@ class Ideal:
     ring: PolyRing
     polys: tuple
     _bases: dict = field(default_factory=dict, repr=False, compare=False)
+    _numerators: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def make(ring: PolyRing, gens) -> "Ideal":
@@ -768,13 +785,37 @@ class Ideal:
             basis = self._bases[weights] = _Basis(self.ring, order, _groebner(packed, order))
         return basis
 
+    @property
+    def _ring_weights(self) -> tuple[int, ...] | None:
+        """The weights of the ring order: None for lex, all ones for grevlex."""
+        return None if self.ring.order == "lex" else (1,) * len(self.ring.variables)
+
     def _ring_basis(self) -> _Basis:
-        return self._basis(None if self.ring.order == "lex" else (1,) * len(self.ring.variables))
+        return self._basis(self._ring_weights)
+
+    @functools.cached_property
+    def _free_weights(self) -> tuple[int, ...] | None:
+        """The weights of `_order_free`'s basis: `grading`, or those of
+        the ring order when there is none or it is the standard one."""
+        w = self.grading
+        return self._ring_weights if w is None or all(e == 1 for e in w) else w
 
     def _order_free(self) -> _Basis:
-        """The basis `order_free_basis` lists."""
-        w = self.grading
-        return self._ring_basis() if w is None or all(e == 1 for e in w) else self._basis(w)
+        """A reduced Gröbner basis for the questions whose answer is the
+        same in every term order: membership, the unit ideal and the
+        dimension.  The order is weighted grevlex by `grading`; without a
+        grading, or in the standard one, the basis is `groebner()`'s and
+        nothing is computed twice."""
+        return self._basis(self._free_weights)
+
+    def _numerator(self, weights: tuple[int, ...]) -> dict:
+        """The Hilbert-series numerator of ring/I for variables of degrees
+        `weights` (`_hilbert_numerator`), read off the leading monomials
+        of `_order_free`'s basis once per weight vector."""
+        out = self._numerators.get(weights)
+        if out is None:
+            out = self._numerators[weights] = _hilbert_numerator(self._order_free().lms, weights)
+        return out
 
     def groebner(self) -> tuple:
         """The reduced Gröbner basis for `ring.order`, computed once:
@@ -791,16 +832,6 @@ class Ideal:
         homogeneous, all ones when the total degree is one, and None when
         there is none (`_grading`)."""
         return _grading(self.polys, len(self.ring.variables))
-
-    @property
-    def order_free_basis(self) -> tuple:
-        """A reduced Gröbner basis, as (leading monomial, element) pairs,
-        for the questions whose answer is the same in every term order:
-        membership, the unit ideal and the dimension.  The order is
-        weighted grevlex by `grading`; without a grading, or in the
-        standard one, the basis is `groebner()` itself and nothing is
-        computed twice."""
-        return self._order_free().pairs
 
     def normal_form(self, f):
         """The remainder of the expression f on division by `groebner()`,
@@ -966,7 +997,7 @@ def hilbert_dimension(ideal: Ideal) -> int:
     variables, since every cover contains one of them, and prune a
     branch once it cannot beat the smallest cover found so far.
 
-    The leading monomials are those of `Ideal.order_free_basis`; any
+    The leading monomials are those of `Ideal._order_free`; any
     other object with a `ring` and a `groebner()` of (leading monomial,
     element) pairs is read from that basis."""
     lms = ideal._order_free().lms if isinstance(ideal, Ideal) else [lm for lm, _ in ideal.groebner()]
@@ -1040,7 +1071,9 @@ def _is_regular(ideal: Ideal, extended: Ideal, f) -> bool:
     each degree are a basis of that degree of the quotient (Macaulay), so
     HS(R/J) = HS(R/in J), read from the leading monomials of the bases
     already computed for `is_unit`, in whatever order each was computed
-    (Bayer–Stillman, *Computation of Hilbert functions*, 1992).
+    (Bayer–Stillman, *Computation of Hilbert functions*, 1992).  Each
+    ideal keeps its numerators (`Ideal._numerator`), so along a sequence
+    N(J) is the previous step's N(J + f).
 
     Without a positive grading the colon is computed: f is regular
     exactly when (J : f) ⊆ J, since J ⊆ (J : f) always holds."""
@@ -1048,9 +1081,20 @@ def _is_regular(ideal: Ideal, extended: Ideal, f) -> bool:
     if w is None:
         return ideal.contains_ideal(ideal_quotient(ideal, f))
     delta = _degree(w, next(iter(f)))
-    before = _hilbert_numerator(ideal._order_free().lms, w)
-    after = _hilbert_numerator(extended._order_free().lms, w)
-    return after == _times_one_minus(before, delta)
+    return extended._numerator(w) == _times_one_minus(ideal._numerator(w), delta)
+
+
+def _extended(ideal: Ideal, f: Poly) -> Ideal:
+    """ideal + (f), generated by ideal's generators and f.  When its
+    order-free basis has the weights of ideal's, and ideal holds a basis
+    in them, that basis is grown by f (`_groebner` with a seed) instead
+    of being computed from the generators; it is the same reduced basis."""
+    out = Ideal.make(ideal.ring, ideal.polys + (f,))
+    w = out._free_weights
+    basis = ideal._bases.get(w)
+    if w == ideal._free_weights and basis is not None:
+        out._bases[w] = _Basis(out.ring, basis.order, _groebner([_packed(f, basis.order)[0]], basis.order, basis.elems))
+    return out
 
 
 def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
@@ -1068,7 +1112,7 @@ def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
     for i, f in enumerate(seq, start=1):
         f = _parse(ideal.ring, f)
         details = {"index": i, "element": str(f)}
-        extended = Ideal.make(ideal.ring, current.polys + (f,))
+        extended = _extended(current, f)
         if extended.is_unit():
             out.add(f"step-{i}", rep.REFUTED, "sequence element is a unit modulo its predecessors", details=details)
             return out

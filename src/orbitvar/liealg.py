@@ -142,14 +142,21 @@ class WeightedLieAlgebra:
     @staticmethod
     def from_json(data: dict) -> "WeightedLieAlgebra":
         def exact(v) -> Fraction:  # a JSON float was rounded to binary before it got here
-            if isinstance(v, float):
-                raise ValueError(f"{v!r} is a JSON float; give rationals as strings or integers")
+            if isinstance(v, (float, bool)):
+                raise ValueError(f"{v!r} is a JSON {type(v).__name__}; give rationals as strings or integers")
             return Fraction(v)
 
         try:
-            t_dim = int(data["t_dim"])
-            a_basis = list(data["a_basis"])
-            weights = {k: [exact(s) for s in v] for k, v in data["weights"].items()}
+            # Python would read true as 1 and split a string into its
+            # characters, so the JSON types are checked before conversion
+            t_dim, a_basis, weights = data["t_dim"], data["a_basis"], data["weights"]
+            if not isinstance(t_dim, int) or isinstance(t_dim, bool):
+                raise AlgebraError(f"t_dim must be an integer, not {t_dim!r}")
+            if not isinstance(a_basis, list) or not all(isinstance(nm, str) for nm in a_basis):
+                raise AlgebraError("a_basis must be a list of strings")
+            if not isinstance(weights, dict) or not all(isinstance(v, list) for v in weights.values()):
+                raise AlgebraError("weights must map each name to a list")
+            weights = {k: [exact(s) for s in v] for k, v in weights.items()}
             brackets = [
                 (
                     b["left"],

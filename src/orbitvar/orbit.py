@@ -416,17 +416,27 @@ def torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
 
 
 def _enumerate_torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
-    """Grows the subsets from () breadth first, extending each only by a
-    larger index whose weight vector commutes with it and whose weight
-    keeps it independent.  Both properties pass to subsets, so every such
-    subset is reached from its prefix; the prefixes come in lexicographic
-    order, so the subsets come in (size, lexicographic) order."""
-    subsets = [()]
-    for subset in subsets:  # grows while it is walked
-        for j in range(subset[-1] + 1 if subset else 0, alg.n):
-            if _independent_abelian(alg, subset + (j,)):
-                subsets.append(subset + (j,))
-    return tuple(fixed_point_record(alg, subset) for subset in subsets)
+    return tuple(fixed_point_record(alg, subset) for subset in _fixed_point_subsets(alg))
+
+
+def _fixed_point_subsets(alg: WeightedLieAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The independent abelian weight subsets, in (size, lexicographic)
+    order; walked once per algebra.  Grows the subsets from () breadth
+    first, extending each only by a larger index whose weight vector
+    commutes with it and whose weight keeps it independent.  Both
+    properties pass to subsets, so every such subset is reached from its
+    prefix; the prefixes come in lexicographic order, so the subsets come
+    in (size, lexicographic) order."""
+
+    def walk():
+        subsets = [()]
+        for subset in subsets:  # grows while it is walked
+            for j in range(subset[-1] + 1 if subset else 0, alg.n):
+                if _independent_abelian(alg, subset + (j,)):
+                    subsets.append(subset + (j,))
+        return tuple(subsets)
+
+    return alg.derived("fixed-point-subsets", walk)
 
 
 def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
@@ -436,9 +446,33 @@ def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
 
 
 def _select_group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
+    """The records of `torus_fixed_points` that pass the checks below, in
+    its order, building a record only for a subset S that passes two
+    tests read off its weights.  Both are necessary, so no record is
+    lost:
+
+    - |S| = t_dim - dim z(r).  The weights of S are independent, so
+      z_V = ker W_S has dimension t_dim - |S|, and the check on z_V
+      needs that dimension;
+    - every bracket-table entry (i, j, terms) with i or j in S has all
+      of its terms in S.  V meets a in a_S, and [x_i, x_j] lies in a,
+      so for V to be an ideal a_S must be stable under ad a.
+
+    Each record built still has its witness limit verified, and then
+    meets the exact checks: z_V of the center's dimension and containing
+    it, and V an ideal."""
     z = alg.center()
+    size = alg.t_dim - z.dim
     out = []
-    for recd in torus_fixed_points(alg):
+    for subset in _fixed_point_subsets(alg):
+        if len(subset) != size:
+            continue
+        inside = set(subset)
+        if not all(
+            k in inside for i, j, terms in alg.brackets if i in inside or j in inside for k, _ in terms
+        ):
+            continue
+        recd = fixed_point_record(alg, subset)
         if recd.z_v.dim != z.dim:
             continue
         if z.dim and not all(
@@ -727,7 +761,19 @@ def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
 
 def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence[Fraction]]) -> tuple[str, MultiPoint]:
     """Do the given points lie in a common element of the closure?
-    Routes through the centralizer of a regular point when one exists."""
+    Routes through the centralizer of a regular point when one exists.
+
+    Otherwise the answer is the first record of `torus_fixed_points`, in
+    its (size, lexicographic) order, that holds every point, and it is
+    found without the enumeration.  A point lies in z_S + a_S exactly
+    when its a-support lies in S and the weights of S vanish on its
+    torus part.  So every record S that holds them all contains the
+    union U of the a-supports; U is then a record too, as subsets of
+    independent abelian sets are, and it holds them all, since its
+    weights are among those of S.  Being the smallest, U comes first.
+    When U is no record, or its record misses a point, no record holds
+    them all.  The record of U is checked to contain every point before
+    `proven` is answered."""
     pts = tuple(tuple(Fraction(c) for c in p) for p in points)
     if not pts:
         raise OrbitError("need at least one point")
@@ -743,9 +789,11 @@ def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence[Fra
             if all(cent.contains(q) for q in pts):
                 return "proven", MultiPoint(pts, cent)
             return "refuted", MultiPoint(pts, None)
-    for recd in torus_fixed_points(alg):
-        if all(recd.subspace.contains(p) for p in pts):
-            return "proven", MultiPoint(pts, recd.subspace)
+    union = tuple(sorted({i for p in pts for i, c in enumerate(alg.a_part(p)) if c}))
+    if _independent_abelian(alg, union):
+        v = fixed_point_record(alg, union).subspace
+        if all(v.contains(p) for p in pts):
+            return "proven", MultiPoint(pts, v)
     return "unknown", MultiPoint(pts, None)
 
 

@@ -128,8 +128,26 @@ class TestExitCodes:
         [
             ({"t_dim": -1, "a_basis": [], "weights": {}}, "t_dim must be nonnegative"),
             ({"t_dim": 1, "a_basis": ["x", "x"], "weights": {"x": ["1"]}}, "names must be distinct"),
+            # read at one time as the basis x, y with weights (1, 0) and (0, 1)
+            ({"t_dim": 2, "a_basis": "xy", "weights": {"x": "10", "y": "01"}}, "a_basis must be a list of strings"),
+            ({"t_dim": 2, "a_basis": ["x", "y"], "weights": {"x": "10", "y": "01"}}, "to a list"),
+            ({"t_dim": True, "a_basis": ["x"], "weights": {"x": ["1"]}}, "t_dim must be an integer"),
+            ({"t_dim": "1", "a_basis": ["x"], "weights": {"x": ["1"]}}, "t_dim must be an integer"),
+            ({"t_dim": 1, "a_basis": [1], "weights": {"1": ["1"]}}, "a_basis must be a list of strings"),
+            ({"t_dim": 1, "a_basis": ["x"], "weights": [["1"]]}, "to a list"),
+            ({"t_dim": 1, "a_basis": ["x"], "weights": {"x": [True]}}, "JSON bool"),
         ],
-        ids=["negative-t_dim", "repeated-name"],
+        ids=[
+            "negative-t_dim",
+            "repeated-name",
+            "string-basis",
+            "string-weights",
+            "boolean-t_dim",
+            "string-t_dim",
+            "number-name",
+            "list-of-weights",
+            "boolean-coordinate",
+        ],
     )
     @pytest.mark.parametrize("command", ["validate", "fixed-points", "boundary"])
     def test_malformed_algebra_refused(self, capsys, tmp_path, data, message, command):

@@ -3,7 +3,9 @@ membership) are answered from one basis in a weighted grevlex order for
 a positive grading the ideal respects, and a sequence element is judged
 regular by Hilbert-series numerators instead of a colon.  These tests
 pin both routes to the ones they replaced: the grevlex basis, and the
-colon (J : f) ⊆ J."""
+colon (J : f) ⊆ J.  Each step of a sequence grows J's basis by f
+(`_groebner` with a seed) and reuses J's numerator; that route is
+pinned to the bases and numerators computed from the generators."""
 
 import itertools
 import operator
@@ -26,9 +28,14 @@ from orbitvar.ideals import (
     IdealError,
     PolyRing,
     UnitIdealError,
+    _extended,
     _grading,
+    _groebner,
     _hilbert_numerator,
+    _Order,
+    _packed,
     _parse,
+    _times_one_minus,
     chart_ideal,
     hilbert_dimension,
     i_gamma,
@@ -136,7 +143,7 @@ def test_weighted_route_matches_grevlex(case, data):
         assert hilbert_dimension(ideal) == hilbert_dimension(grevlex_view(ideal))
     # Macaulay: the initial ideals of both orders have one Hilbert series
     for weights in {w, grading}:
-        assert _hilbert_numerator([lm for lm, _ in ideal.order_free_basis], weights) == _hilbert_numerator(
+        assert _hilbert_numerator([lm for lm, _ in ideal._order_free().pairs], weights) == _hilbert_numerator(
             [lm for lm, _ in ideal.groebner()], weights
         )
     # an element of the ideal, the same plus a homogeneous polynomial,
@@ -168,6 +175,96 @@ def test_hilbert_series_verdicts_match_colons(case, data):
     with no_colon():
         report = regular_sequence_check(ideal, seq)
     assert verdicts(report) == colon_verdicts(Ideal.make(ring, gens), seq)
+
+
+def scratch_verdicts(ideal: Ideal, seq) -> list:
+    """The verdict of each step of `regular_sequence_check`, with each
+    J + (f) a new ideal whose basis is computed from its generators, and
+    both numerators computed afresh."""
+    out, current = [], Ideal.make(ideal.ring, ideal.polys)
+    for f in seq:
+        extended = Ideal.make(ideal.ring, current.polys + (f,))
+        if extended.is_unit():
+            return out + ["unit"]
+        w = extended.grading
+        if not f:
+            regular = False
+        elif w is None:
+            regular = current.contains_ideal(ideal_quotient(current, f))
+        else:
+            before = _hilbert_numerator([lm for lm, _ in current._order_free().pairs], w)
+            after = _hilbert_numerator([lm for lm, _ in extended._order_free().pairs], w)
+            regular = after == _times_one_minus(before, sum(map(operator.mul, w, next(iter(f)))))
+        if not regular:
+            return out + ["zerodivisor"]
+        out.append("regular")
+        current = extended
+    return out
+
+
+def drawn_sequence(data, ring, by_degree) -> list:
+    kinds = data.draw(st.lists(st.sampled_from(("homogeneous",) * 4 + ("zero", "one")), min_size=1, max_size=3))
+    return [draw_homogeneous(data.draw, ring, by_degree) if k == "homogeneous" else getattr(ring, k) for k in kinds]
+
+
+@settings(max_examples=150)
+@given(graded_case(), st.data())
+def test_seeded_kernel_matches_the_kernel_from_generators(case, data):
+    """`_groebner([f], order, seed=G)`, G the reduced basis of polys, is
+    `_groebner(polys + [f], order)`, along a sequence of f's, in lex, in
+    grevlex and in weighted grevlex by the drawn weights."""
+    ring, w, by_degree, gens = case
+    order = _Order(len(w), data.draw(st.sampled_from((None, (1,) * len(w), w))))
+    polys = [_packed(g, order)[0] for g in gens]
+    basis = _groebner(polys, order)
+    for f in drawn_sequence(data, ring, by_degree):
+        polys.append(_packed(f, order)[0])
+        basis = _groebner([polys[-1]], order, seed=basis)
+        assert basis == _groebner(polys, order)
+
+
+@settings(max_examples=150)
+@given(graded_case(), st.data())
+def test_sequence_steps_match_the_route_from_generators(case, data):
+    """The verdicts of `regular_sequence_check` are those of the route
+    that computes every basis and numerator afresh; and each J + (f) of
+    `_extended` has the basis and numerators of the ideal built from its
+    generators."""
+    ring, w, by_degree, gens = case
+    ideal = Ideal.make(ring, gens)
+    seq = drawn_sequence(data, ring, by_degree)
+    if ideal.is_unit():
+        with pytest.raises(UnitIdealError):
+            regular_sequence_check(ideal, seq)
+        return
+    assert verdicts(regular_sequence_check(Ideal.make(ring, gens), seq)) == scratch_verdicts(ideal, seq)
+    current = ideal
+    for f in seq:
+        extended, fresh = _extended(current, f), Ideal.make(ring, current.polys + (f,))
+        assert extended.polys == fresh.polys
+        assert extended._order_free().pairs == fresh._order_free().pairs
+        for weights in {w, fresh.grading or w}:
+            assert extended._numerator(weights) == _hilbert_numerator(fresh._order_free().lms, weights)
+        if extended.is_unit():
+            break
+        current = extended
+
+
+def test_builtin_sequence_steps_grow_the_chart_basis(monkeypatch):
+    """On the A3 charts every step of a u-form sequence grows the basis
+    already held, and no extension is computed from its generators."""
+    alg = ALGEBRAS["borel-nilradical-A3"]
+    calls = []
+    real = _groebner
+    monkeypatch.setattr(ideals, "_groebner", lambda polys, order, seed=(): calls.append(len(seed)) or real(polys, order, seed))
+    for recd in orbit.group_fixed_points(alg):
+        chart = chart_ideal(alg, recd.subspace)
+        chart.ideal.is_unit()
+        for gi in recd.r_v_set:
+            seq = [u_function(chart, i, alg.weights[gi]) for i in i_gamma(chart, alg.weights[gi])]
+            del calls[:]
+            assert verdicts(regular_sequence_check(chart.ideal, seq)) == ["regular"] * len(seq)
+            assert len(calls) == len(seq) and all(calls)
 
 
 # -- the pure-Python renderer against sympy's printer ------------------------
@@ -271,7 +368,7 @@ def test_zero_ideal_membership():
     x_, y_ = ring.gens
     for gens in ([], ["0"]):
         zero = Ideal.make(ring, gens)
-        assert zero.order_free_basis == ()
+        assert zero._order_free().pairs == ()
         assert zero.contains(ring(0)) and zero.contains("0")
         assert not zero.contains(x_ * y_) and not zero.contains("x*y")
         assert zero.contains_ideal(zero) and not zero.contains_ideal(Ideal.make(ring, [x_]))
@@ -332,7 +429,7 @@ def test_a3_345_chart_takes_the_weighted_basis():
     ideal = chart_ideal(alg, recd.subspace).ideal
     # z1_*, z2_* -> 2, z3_* -> 3, a1_*, a2_* -> 1, a3_* -> 2
     assert ideal.grading == (2,) * 6 + (3,) * 3 + (1,) * 6 + (2,) * 3
-    assert len(ideal.order_free_basis) == 19
+    assert len(ideal._order_free().pairs) == 19
     assert len(ideal.groebner()) == 57
     assert hilbert_dimension(ideal) == hilbert_dimension(grevlex_view(ideal)) == 6
 
@@ -343,7 +440,7 @@ def test_standard_grading_reuses_the_grevlex_basis(name):
     for recd in orbit.group_fixed_points(alg):
         ideal = chart_ideal(alg, recd.subspace).ideal
         assert ideal.grading == (1,) * len(ideal.ring.variables)
-        assert ideal.order_free_basis is ideal.groebner()
+        assert ideal._order_free().pairs is ideal.groebner()
 
 
 # -- chart indices ---------------------------------------------------------
