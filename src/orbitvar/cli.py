@@ -272,8 +272,12 @@ def main(argv=None) -> int:
     report = RUNNERS[args.command](alg, args.seed)
     text = report.render_json() if args.format == "json" else report.render_markdown()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if any(c.name.startswith(STAGE_PREFIX) for c in report.checks):

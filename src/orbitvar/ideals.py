@@ -11,24 +11,26 @@ each polynomial is kept primitive with Python-int coefficients and
 reduced fraction-free; its results are turned back into monic `Poly`s
 over Q once, at the end.  A `Poly` renders itself as sympy prints its
 expression (`str`), so no report needs sympy.  sympy is imported only
-at the string and expression edge: `PolyRing.symbols` and `parse`, a
-string or an expression given to `Ideal.make`, `contains`,
-`ideal_quotient` or `regular_sequence_check`, `Ideal.normal_form`,
-`generators`, `basis()` and `Poly.as_expr()`.  The chart, nilcone and
-determinantal routes never reach it.
+at the string and expression edge: `PolyRing.symbols`, `_parse` (the
+one input path, for a string or an expression given to `Ideal.make`,
+`contains`, `normal_form`, `ideal_quotient` or
+`regular_sequence_check`), `generators`, `basis()` and
+`Poly.as_expr()`.  The chart, nilcone and determinantal routes never
+reach it.
 
-No report prints a Gröbner basis, and the questions the reports ask
-(membership, the unit ideal, the dimension, regularity) have the same
-answer for every term order.  So an `Ideal` answers them from one basis
-in the order where it is cheapest: weighted grevlex for a positive
-integer grading in which every generator is homogeneous (`_grading`,
-found exactly, all ones when the total degree is one).  For such an
+A ring has no term order.  No report prints a Gröbner basis, and the
+questions the reports ask (membership, the unit ideal, the dimension,
+regularity) have the same answer for every term order.  So an `Ideal`
+keeps one basis (`_order_free`), in the order where it is cheapest:
+weighted grevlex for a positive integer grading in which every
+generator is homogeneous (`_grading`, found exactly, all ones when the
+total degree is one), and grevlex when there is none.  For such an
 ideal every S-polynomial and every remainder is homogeneous, and the
 weighted order follows the ideal's own degrees; the A3 chart ideal at
 base point (3,4,5), not homogeneous in the total degree, has a reduced
 basis of 19 elements there against 57 in grevlex.  `Ideal.groebner`,
-`basis` and `normal_form` give order-dependent output and stay in the
-ring's own order, grevlex or lex; `eliminate` stays in lex.
+`basis` and `normal_form` read that basis too, so their output is in
+that order; `eliminate` computes its own basis in lex.
 
 A sequence element f, homogeneous of degree δ > 0 with the ideal J, is
 regular on R/J exactly when the Hilbert-series numerators satisfy
@@ -73,18 +75,15 @@ class NotGroupFixedError(IdealError):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Q[variables] with a term order.  The ring builds its own elements:
+    """Q[variables], with no term order.  The ring builds its own elements:
     `gens`, `zero`, `one`, and `ring(x)` for a number or a dict of
     exponent tuple -> coefficient."""
 
     variables: tuple[str, ...]
-    order: str = "grevlex"  # grevlex | lex
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise IdealError("variable names must be unique")
-        if self.order not in ("grevlex", "lex"):
-            raise IdealError(f"unsupported order {self.order}")
 
     @functools.cached_property
     def gens(self) -> tuple:
@@ -115,11 +114,6 @@ class PolyRing:
         import sympy
 
         return sympy.symbols(self.variables)
-
-    def parse(self, s: str):
-        import sympy
-
-        return sympy.sympify(s, dict(zip(self.variables, self.symbols)))
 
 
 class Poly(dict):
@@ -734,9 +728,9 @@ def _hilbert_numerator(gens, weights) -> dict:
 
 def _parse(ring: PolyRing, g) -> Poly:
     """g as an element of ring.  An element of a ring in the same
-    variables, in any term order, is taken as it is; a number is a
-    constant; a string or a sympy expression is expanded and must use no
-    variable outside the ring."""
+    variables is taken as it is; a number is a constant; a string or a
+    sympy expression is expanded and must use no variable outside the
+    ring (`IdealError`) and only rational coefficients (`CoercionFailed`)."""
     if isinstance(g, Poly):
         if g.ring is ring:
             return g
@@ -785,27 +779,16 @@ class Ideal:
             basis = self._bases[weights] = _Basis(self.ring, order, _groebner(packed, order))
         return basis
 
-    @property
-    def _ring_weights(self) -> tuple[int, ...] | None:
-        """The weights of the ring order: None for lex, all ones for grevlex."""
-        return None if self.ring.order == "lex" else (1,) * len(self.ring.variables)
-
-    def _ring_basis(self) -> _Basis:
-        return self._basis(self._ring_weights)
-
     @functools.cached_property
-    def _free_weights(self) -> tuple[int, ...] | None:
-        """The weights of `_order_free`'s basis: `grading`, or those of
-        the ring order when there is none or it is the standard one."""
-        w = self.grading
-        return self._ring_weights if w is None or all(e == 1 for e in w) else w
+    def _free_weights(self) -> tuple[int, ...]:
+        """The weights of `_order_free`'s basis: `grading`, or all ones
+        (grevlex) when there is none."""
+        return self.grading or (1,) * len(self.ring.variables)
 
     def _order_free(self) -> _Basis:
-        """A reduced Gröbner basis for the questions whose answer is the
-        same in every term order: membership, the unit ideal and the
-        dimension.  The order is weighted grevlex by `grading`; without a
-        grading, or in the standard one, the basis is `groebner()`'s and
-        nothing is computed twice."""
+        """The ideal's one reduced Gröbner basis, in weighted grevlex by
+        `_free_weights`: every question the reports ask has the same
+        answer in every term order, so they all read it."""
         return self._basis(self._free_weights)
 
     def _numerator(self, weights: tuple[int, ...]) -> dict:
@@ -818,10 +801,9 @@ class Ideal:
         return out
 
     def groebner(self) -> tuple:
-        """The reduced Gröbner basis for `ring.order`, computed once:
-        (leading monomial, monic element of `ring`) pairs, largest leading
-        monomial first, and empty for the zero ideal."""
-        return self._ring_basis().pairs
+        """`_order_free`'s basis as (leading monomial, monic element of
+        `ring`) pairs, largest leading monomial first."""
+        return self._order_free().pairs
 
     def basis(self) -> tuple:
         return tuple(g.as_expr() for _, g in self.groebner())
@@ -834,29 +816,14 @@ class Ideal:
         return _grading(self.polys, len(self.ring.variables))
 
     def normal_form(self, f):
-        """The remainder of the expression f on division by `groebner()`,
-        as an expression."""
-        import sympy
-
-        f = sympy.expand(sympy.sympify(f))
-        if not self._ring_basis().elems:
-            return f
-        return self._ring_basis().reduce(_to_ring(self.ring, f)).as_expr()
+        """The remainder of f (as `_parse` takes it) on division by
+        `groebner()`, as an expression."""
+        return self._order_free().reduce(_parse(self.ring, f)).as_expr()
 
     def contains(self, f) -> bool:
-        """Whether f, a ring element, a number, a string or an expression,
-        lies in the ideal: its remainder on division by a Gröbner basis,
-        for any order, is 0."""
-        if isinstance(f, (Poly, int, Fraction)):
-            p = _parse(self.ring, f)
-        else:
-            import sympy
-
-            f = sympy.expand(sympy.sympify(f))
-            if not self.polys:  # unconverted, as `normal_form` leaves it
-                return f == 0
-            p = _to_ring(self.ring, f)
-        return not self._order_free().reduce(p)
+        """Whether f (as `_parse` takes it) lies in the ideal: its
+        remainder on division by a Gröbner basis, for any order, is 0."""
+        return not self._order_free().reduce(_parse(self.ring, f))
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(p) for p in other.polys)
@@ -867,7 +834,6 @@ class Ideal:
     def to_json(self) -> dict:
         return {
             "ring": list(self.ring.variables),
-            "order": self.ring.order,
             "generators": [str(p) for p in self.polys],
         }
 
@@ -881,7 +847,7 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     drop = tuple(drop_vars)
     names = ideal.ring.variables
     keep = tuple(v for v in names if v not in drop)
-    out = PolyRing(keep, ideal.ring.order)
+    out = PolyRing(keep)
     if not drop:
         return Ideal(out, ideal.polys)
     # exponent vectors permuted into the lex order, the dropped block first
@@ -923,10 +889,9 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
     Prop. 15.12).  The kernel works on exponent vectors, so h and y need
     no names.
 
-    The basis of I is used rather than its generators: when
-    `regular_sequence_check` falls back to a colon, I too has no
-    positive grading as a rule, and then its `is_unit` has cached that
-    basis already, so the Gröbner basis of J is the only one computed.
+    The basis of I is used rather than its generators: it is the one
+    basis I keeps, which `regular_sequence_check` has computed already
+    for `is_unit`, so the Gröbner basis of J is the only one computed.
     It is also a better start for that Buchberger run (on the A3 chart
     at base point (3,4,5) it takes about half the time it takes from
     the generators).
@@ -997,10 +962,8 @@ def hilbert_dimension(ideal: Ideal) -> int:
     variables, since every cover contains one of them, and prune a
     branch once it cannot beat the smallest cover found so far.
 
-    The leading monomials are those of `Ideal._order_free`; any
-    other object with a `ring` and a `groebner()` of (leading monomial,
-    element) pairs is read from that basis."""
-    lms = ideal._order_free().lms if isinstance(ideal, Ideal) else [lm for lm, _ in ideal.groebner()]
+    The leading monomials are those of `Ideal._order_free`."""
+    lms = ideal._order_free().lms
     nvars = len(ideal.ring.variables)
     if not lms:
         return nvars
@@ -1016,7 +979,7 @@ def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
     if s < 1:
         raise IdealError("s must be at least 1")
     names = tuple(f"u{i}" for i in range(1, s + 1)) + tuple(f"T{i}" for i in range(1, s + 1))
-    ring = PolyRing(names, "grevlex")
+    ring = PolyRing(names)
     u, t = ring.gens[:s], ring.gens[s:]
     p = Ideal.make(
         ring,
@@ -1038,7 +1001,7 @@ def primality_crosscheck_P(s: int) -> rep.VerificationReport:
     if s == 1:
         out.add("kernel-equality", rep.PROVEN, "the one-variable case is the zero ideal")
         return out
-    ring = PolyRing(("lam",) + p.ring.variables, "lex")
+    ring = PolyRing(("lam",) + p.ring.variables)
     lam, u, t = ring.gens[0], ring.gens[1 : s + 1], ring.gens[s + 1 :]
     graph = Ideal.make(ring, [t[i] - lam * u[i] for i in range(s)])
     kernel = Ideal.make(p.ring, eliminate(graph, ("lam",)).polys)
@@ -1219,7 +1182,7 @@ def chart_ideal(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
     names = tuple(f"z{i}_{j}" for i in range(1, d + 1) for j in range(1, d + 1)) + tuple(
         f"a{i}_{j}" for i in range(1, d + 1) for j in range(1, m + 1)
     )
-    r = PolyRing(names, "grevlex")
+    r = PolyRing(names)
     # the graph basis: row i is the base weight vector plus
     # sum_j z_{i,j} (dual vector j) plus sum_j a_{i,j} (complement vector j),
     # as coordinate -> ring element
@@ -1300,7 +1263,7 @@ def nilcone_dimension(chart: ChartIdeal, subset=None) -> int:
     if subset is None:
         subset = tuple(range(1, d + 1))
     subset = tuple(subset)
-    s = PolyRing(chart.ideal.ring.variables + tuple(f"c{k}" for k in range(1, d + 1)), "grevlex")
+    s = PolyRing(chart.ideal.ring.variables + tuple(f"c{k}" for k in range(1, d + 1)))
     c = s.gens[-d:]
 
     def pad(p):  # p with exponent 0 on the c variables

@@ -824,7 +824,10 @@ def verify_pair_relation(
 ) -> rep.VerificationReport:
     """Sample pairs on the two affine slices attached to alpha and check
     that common-subspace membership is equivalent to the vanishing of
-    the 2x2 coupling determinant between the alpha- and torus-components."""
+    the 2x2 coupling determinant between the alpha- and torus-components.
+    No samples would be no evidence, so samples < 1 is refused."""
+    if samples < 1:
+        raise OrbitError(f"samples must be at least 1, not {samples}")
     out = rep.VerificationReport("pair-relation", alg.fingerprint(), seed=seed)
     aidx = weight_index(alg, alpha)
     rng = random.Random(seed)

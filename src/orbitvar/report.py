@@ -3,7 +3,6 @@ deterministically so identical inputs give byte-identical output."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -87,6 +86,3 @@ class VerificationReport:
         s = self.summary()
         lines += ["", f"Summary: {json.dumps(s['counts'])}, worst verdict `{s['worst']}`.", ""]
         return "\n".join(lines)
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.render_json().encode()).hexdigest()

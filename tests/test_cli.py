@@ -197,6 +197,14 @@ class TestRendering:
         assert code == 0 and out == ""
         assert json.loads(dest.read_text())["schema"] == SCHEMA
 
+    @pytest.mark.parametrize("where", ("missing-directory", "a-directory"))
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, where):
+        """A report that cannot be written is an error, not a refutation."""
+        dest = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+        code, out, err = run(capsys, "validate", "--builtin", "sl2-borel", "--output", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write report: ")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 dimension by a smallest hitting set against the exhaustive search over
 variable subsets, on generated monomial ideals, and the ideal quotient
 by a homogeneous colon against the lex tag-variable intersection, on
-generated ideals and divisors."""
+generated ideals and divisors.  Each case draws an order, grevlex or
+lex, for its reference: sympy's basis and the kernel's
+(`Ideal._basis`) in that order."""
 
 import itertools
 
@@ -22,18 +24,23 @@ RING_NAMES = ("x", "y", "z")
 # -- references -------------------------------------------------------
 
 
-def reference_dimension(ideal: Ideal) -> int:
+def order_weights(order: str, n: int):
+    """The weights `Ideal._basis` takes for order: None for lex."""
+    return None if order == "lex" else (1,) * n
+
+
+def reference_dimension(ideal: Ideal, order: str) -> int:
     """The size of the largest variable subset that contains no
     leading-monomial support, searched from the largest size down, with
-    the leading monomials from sympy's own Gröbner basis."""
+    the leading monomials from sympy's own Gröbner basis in order; the
+    kernel's basis in order has the same leading monomials."""
     syms = ideal.ring.symbols
     if not ideal.generators:
         return len(syms)
-    gb = sympy.groebner(ideal.generators, *syms, order=ideal.ring.order, domain=sympy.QQ)
-    supports = []
-    for p in gb.polys:
-        exps = p.monoms(order=ideal.ring.order)[0]
-        supports.append(frozenset(syms[i] for i, e in enumerate(exps) if e > 0))
+    gb = sympy.groebner(ideal.generators, *syms, order=order, domain=sympy.QQ)
+    lms = [p.monoms(order=order)[0] for p in gb.polys]
+    assert ideal._basis(order_weights(order, len(syms))).lms == lms
+    supports = [frozenset(syms[i] for i, e in enumerate(exps) if e > 0) for exps in lms]
     for size in range(len(syms), -1, -1):
         for subset in itertools.combinations(syms, size):
             if all(not (sup <= set(subset)) for sup in supports):
@@ -48,7 +55,7 @@ def reference_quotient(ideal: Ideal, f) -> Ideal:
     f = sympy.expand(sympy.sympify(f))
     tag = sympy.Symbol("_q")
     big = Ideal.make(
-        PolyRing(("_q",) + ideal.ring.variables, "lex"),
+        PolyRing(("_q",) + ideal.ring.variables),
         [tag * g for g in ideal.generators] + [(1 - tag) * f],
     )
     out = []
@@ -59,8 +66,18 @@ def reference_quotient(ideal: Ideal, f) -> Ideal:
     return Ideal.make(ideal.ring, out)
 
 
-def same_ideal(a: Ideal, b: Ideal) -> bool:
-    return a.contains_ideal(b) and b.contains_ideal(a)
+def same_ideal(a: Ideal, b: Ideal, order: str) -> bool:
+    """Mutual containment, by `contains` and by the kernel's basis in
+    order."""
+    n = len(a.ring.variables)
+
+    def inside(big: Ideal, small: Ideal) -> bool:
+        basis = big._basis(order_weights(order, n))
+        by_order = all(not basis.reduce(p) for p in small.polys)
+        assert big.contains_ideal(small) == by_order
+        return by_order
+
+    return inside(a, b) and inside(b, a)
 
 
 # -- generated inputs ---------------------------------------------------
@@ -77,7 +94,7 @@ def monomial_ideals(draw):
         for exps in draw(st.lists(exponents, min_size=1, max_size=8))
     ]
     order = draw(st.sampled_from(("grevlex", "lex")))
-    return Ideal.make(PolyRing(names, order), gens)
+    return Ideal.make(PolyRing(names), gens), order
 
 
 COEFFS = st.integers(-2, 2).filter(bool)
@@ -110,7 +127,7 @@ DIVISORS = st.one_of(
     st.builds(lambda p: p / 2, LINEAR_FORMS),
 )
 IDEALS = st.builds(
-    lambda order, gens: Ideal.make(PolyRing(RING_NAMES, order), gens),
+    lambda order, gens: (Ideal.make(PolyRing(RING_NAMES), gens), order),
     st.sampled_from(("grevlex", "lex")),
     st.lists(polynomials(2), min_size=1, max_size=3),
 )
@@ -121,21 +138,23 @@ IDEALS = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(monomial_ideals())
-def test_dimension_matches_exhaustive_search(ideal):
-    assert hilbert_dimension(ideal) == reference_dimension(ideal)
+def test_dimension_matches_exhaustive_search(case):
+    ideal, order = case
+    assert hilbert_dimension(ideal) == reference_dimension(ideal, order)
 
 
 @settings(max_examples=300, deadline=None)
 @given(IDEALS, DIVISORS)
-def test_quotient_matches_tag_variable_intersection(ideal, f):
-    assert same_ideal(ideal_quotient(ideal, f), reference_quotient(ideal, f))
+def test_quotient_matches_tag_variable_intersection(case, f):
+    ideal, order = case
+    assert same_ideal(ideal_quotient(ideal, f), reference_quotient(ideal, f), order)
 
 
 @pytest.mark.parametrize("order", ("grevlex", "lex"))
 @pytest.mark.parametrize("gens", ([], [1], [X[0], X[0] - 1]), ids=("zero", "one", "unit"))
 @pytest.mark.parametrize("f", (X[0], X[0] + X[1] - 3, X[0] * X[1] + 1, X[2] ** 3, sympy.Rational(1, 2)))
 def test_quotient_of_zero_and_unit_ideals(order, gens, f):
-    ideal = Ideal.make(PolyRing(RING_NAMES, order), gens)
+    ideal = Ideal.make(PolyRing(RING_NAMES), gens)
     quot = ideal_quotient(ideal, f)
-    assert same_ideal(quot, reference_quotient(ideal, f))
+    assert same_ideal(quot, reference_quotient(ideal, f), order)
     assert quot.is_unit() == bool(gens)

@@ -48,19 +48,24 @@ from orbitvar.ideals import (
 # -- the grevlex and colon routes, kept as references ----------------------
 
 
+def grevlex(ideal: Ideal):
+    """The ideal's reduced basis in (unweighted) grevlex."""
+    return ideal._basis((1,) * len(ideal.ring.variables))
+
+
 def grevlex_view(ideal: Ideal):
-    """The ideal as `hilbert_dimension` reads an object that has only a
-    ring and a `groebner()`: through its grevlex basis."""
-    return SimpleNamespace(ring=ideal.ring, groebner=ideal.groebner)
+    """The ideal as `hilbert_dimension` reads it, with its grevlex basis
+    in place of `_order_free`'s."""
+    return SimpleNamespace(ring=ideal.ring, _order_free=lambda: grevlex(ideal))
 
 
 def grevlex_is_unit(ideal: Ideal) -> bool:
-    gb = ideal.groebner()
+    gb = grevlex(ideal).pairs
     return len(gb) == 1 and not any(gb[0][0])
 
 
 def grevlex_contains(ideal: Ideal, p) -> bool:
-    return not ideal._ring_basis().reduce(p)
+    return not grevlex(ideal).reduce(p)
 
 
 def colon_verdicts(ideal: Ideal, seq) -> list:
@@ -144,7 +149,7 @@ def test_weighted_route_matches_grevlex(case, data):
     # Macaulay: the initial ideals of both orders have one Hilbert series
     for weights in {w, grading}:
         assert _hilbert_numerator([lm for lm, _ in ideal._order_free().pairs], weights) == _hilbert_numerator(
-            [lm for lm, _ in ideal.groebner()], weights
+            grevlex(ideal).lms, weights
         )
     # an element of the ideal, the same plus a homogeneous polynomial,
     # and a homogeneous polynomial
@@ -156,6 +161,26 @@ def test_weighted_route_matches_grevlex(case, data):
     for p in (member, member + other, other):
         assert ideal.contains(p) == grevlex_contains(ideal, p)
         assert ideal.contains(p.as_expr()) == grevlex_contains(ideal, p)
+
+
+@settings(max_examples=150)
+@given(graded_case(), st.data())
+def test_normal_form_and_contains_read_the_one_basis(case, data):
+    """`groebner()` is `_order_free`'s basis, in the weighted order of
+    the ideal's grading, and `normal_form(f)` is 0 exactly when
+    `contains(f)`, for f a ring element, an expression or a string."""
+    ring, w, by_degree, gens = case
+    ideal = Ideal.make(ring, gens)
+    assert ideal.groebner() == ideal._order_free().pairs
+    assert ideal.basis() == tuple(g.as_expr() for _, g in ideal._order_free().pairs)
+    member = ring.zero
+    for g in ideal.polys:
+        member += draw_homogeneous(data.draw, ring, by_degree) * g
+    other = draw_homogeneous(data.draw, ring, by_degree)
+    assert ideal.contains(member)
+    for p in (member, member + other, other):
+        for f in (p, p.as_expr(), str(p)):
+            assert (ideal.normal_form(f) == 0) == ideal.contains(f) == grevlex_contains(ideal, p)
 
 
 @settings(max_examples=150)
@@ -430,7 +455,7 @@ def test_a3_345_chart_takes_the_weighted_basis():
     # z1_*, z2_* -> 2, z3_* -> 3, a1_*, a2_* -> 1, a3_* -> 2
     assert ideal.grading == (2,) * 6 + (3,) * 3 + (1,) * 6 + (2,) * 3
     assert len(ideal._order_free().pairs) == 19
-    assert len(ideal.groebner()) == 57
+    assert len(grevlex(ideal).pairs) == 57
     assert hilbert_dimension(ideal) == hilbert_dimension(grevlex_view(ideal)) == 6
 
 
@@ -440,7 +465,7 @@ def test_standard_grading_reuses_the_grevlex_basis(name):
     for recd in orbit.group_fixed_points(alg):
         ideal = chart_ideal(alg, recd.subspace).ideal
         assert ideal.grading == (1,) * len(ideal.ring.variables)
-        assert ideal._order_free().pairs is ideal.groebner()
+        assert ideal._order_free() is grevlex(ideal)
 
 
 # -- chart indices ---------------------------------------------------------

@@ -62,9 +62,11 @@ def kernel_basis(ring: PolyRing, polys, weights) -> _Basis:
 
 class ReferenceIdeal:
     """An ideal kept as expanded sympy expressions, converted to the
-    ring each time a basis or a remainder is needed."""
+    ring each time a basis or a remainder is needed; its basis is in
+    `order`: "grevlex", "lex", or a weight vector for weighted
+    grevlex."""
 
-    def __init__(self, ring: PolyRing, gens):
+    def __init__(self, ring: PolyRing, gens, order="grevlex"):
         syms = set(ring.symbols)
         expanded = []
         for g in gens:
@@ -73,17 +75,20 @@ class ReferenceIdeal:
                 raise IdealError(f"generator {g} uses foreign variables")
             if e != 0:
                 expanded.append(e)
-        self.ring, self.generators, self._gb = ring, tuple(expanded), None
+        self.ring, self.generators, self.order, self._gb = ring, tuple(expanded), order, None
 
     def _basis(self) -> _Basis:
-        n = len(self.ring.variables)
-        polys = [_to_ring(self.ring, g) for g in self.generators]
-        return kernel_basis(self.ring, polys, None if self.ring.order == "lex" else (1,) * n)
+        if self._gb is None:
+            n = len(self.ring.variables)
+            weights = {"lex": None, "grevlex": (1,) * n}.get(self.order, self.order)
+            self._gb = kernel_basis(self.ring, [_to_ring(self.ring, g) for g in self.generators], weights)
+        return self._gb
+
+    # the basis `hilbert_dimension` reads; every order gives the dimension
+    _order_free = _basis
 
     def groebner(self) -> tuple:
-        if self._gb is None:
-            self._gb = self._basis().pairs
-        return self._gb
+        return self._basis().pairs
 
     def normal_form(self, f):
         f = sympy.expand(sympy.sympify(f))
@@ -104,7 +109,6 @@ class ReferenceIdeal:
     def to_json(self) -> dict:
         return {
             "ring": list(self.ring.variables),
-            "order": self.ring.order,
             "generators": [str(g) for g in self.generators],
         }
 
@@ -112,10 +116,10 @@ class ReferenceIdeal:
 def reference_eliminate(ideal: ReferenceIdeal, drop) -> ReferenceIdeal:
     drop = tuple(drop)
     keep = tuple(v for v in ideal.ring.variables if v not in drop)
-    r = PolyRing(drop + keep, "lex")
+    r = PolyRing(drop + keep)
     gb = kernel_basis(r, [_to_ring(r, g) for g in ideal.generators], None).pairs
     kept = [g.as_expr() for lm, g in gb if not any(lm[: len(drop)])]
-    return ReferenceIdeal(PolyRing(keep, ideal.ring.order), kept)
+    return ReferenceIdeal(PolyRing(keep), kept, ideal.order)
 
 
 def reference_quotient(ideal: ReferenceIdeal, f) -> ReferenceIdeal:
@@ -129,7 +133,7 @@ def reference_quotient(ideal: ReferenceIdeal, f) -> ReferenceIdeal:
     f = _to_ring(r, f)
     elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
     elems.append({(0,) * n + (1,): Fraction(1), **{m + (0,): -c for m, c in f.items()}})
-    s = PolyRing(ideal.ring.variables + ("_h", "_y"), "grevlex")
+    s = PolyRing(ideal.ring.variables + ("_h", "_y"))
     homogenized = []
     for e in elems:
         d = max(sum(m) for m in e)
@@ -146,7 +150,7 @@ def reference_quotient(ideal: ReferenceIdeal, f) -> ReferenceIdeal:
                 powers.append(powers[-1] * f)
             g += r(terms) * powers[e]
         out.append(g.as_expr())
-    return ReferenceIdeal(ideal.ring, out)
+    return ReferenceIdeal(ideal.ring, out, ideal.order)
 
 
 def reference_regular_sequence_check(ideal: ReferenceIdeal, seq) -> rep.VerificationReport:
@@ -156,7 +160,7 @@ def reference_regular_sequence_check(ideal: ReferenceIdeal, seq) -> rep.Verifica
         raise UnitIdealError("base ideal is the whole ring")
     for i, f in enumerate(seq, start=1):
         f = sympy.expand(sympy.sympify(f))
-        extended = ReferenceIdeal(ideal.ring, list(current.generators) + [f])
+        extended = ReferenceIdeal(ideal.ring, list(current.generators) + [f], ideal.order)
         if extended.is_unit():
             out.add(f"step-{i}", rep.REFUTED, "sequence element is a unit modulo its predecessors",
                     details={"index": i, "element": str(f)})
@@ -195,7 +199,7 @@ def reference_chart(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
     for i in range(d):
         for j in range(i + 1, d):
             gens += [e for e in map(sympy.expand, alg.bracket(rows[i], rows[j])) if e != 0]
-    ideal = ReferenceIdeal(PolyRing(names, "grevlex"), gens)
+    ideal = ReferenceIdeal(PolyRing(names), gens)
     zero = {s: 0 for s in ideal.ring.symbols}
     assert all(g.subs(zero) == 0 for g in ideal.generators)
     return ChartIdeal(alg, base, comp, tuple(tuple(dv) for dv in duals), ideal)
@@ -227,7 +231,7 @@ def reference_nilcone_ideal(chart: ChartIdeal) -> ReferenceIdeal:
     gens = list(chart.ideal.generators)
     for i in range(1, d + 1):
         gens.append(sympy.expand(sum(csym[k - 1] * chart.z(k, i).as_expr() for k in range(1, d + 1))))
-    return ReferenceIdeal(PolyRing(chart.ideal.ring.variables + cnames, "grevlex"), gens)
+    return ReferenceIdeal(PolyRing(chart.ideal.ring.variables + cnames), gens)
 
 
 def reference_nilpotent_locus_ideal(chart: ChartIdeal) -> ReferenceIdeal:
@@ -237,7 +241,7 @@ def reference_nilpotent_locus_ideal(chart: ChartIdeal) -> ReferenceIdeal:
 
 def reference_determinantal_P(s: int) -> tuple:
     names = tuple(f"u{i}" for i in range(1, s + 1)) + tuple(f"T{i}" for i in range(1, s + 1))
-    ring = PolyRing(names, "grevlex")
+    ring = PolyRing(names)
     u, t = sympy.symbols(names[:s]), sympy.symbols(names[s:])
     p = ReferenceIdeal(ring, [u[j] * t[k] - u[k] * t[j] for j in range(s) for k in range(j + 1, s)])
     p_prime = ReferenceIdeal(ring, [u[j] * t[0] - u[0] * t[j] for j in range(1, s)])
@@ -254,7 +258,7 @@ def reference_primality_crosscheck_P(s: int) -> rep.VerificationReport:
         return out
     lam = sympy.Symbol("lam")
     u, t = sympy.symbols(p.ring.variables[:s]), sympy.symbols(p.ring.variables[s:])
-    graph = ReferenceIdeal(PolyRing(("lam",) + p.ring.variables, "lex"), [t[i] - lam * u[i] for i in range(s)])
+    graph = ReferenceIdeal(PolyRing(("lam",) + p.ring.variables), [t[i] - lam * u[i] for i in range(s)], "lex")
     kernel = ReferenceIdeal(p.ring, reference_eliminate(graph, ("lam",)).generators)
     inc1, inc2 = p.contains_ideal(kernel), kernel.contains_ideal(p)
     out.add(
@@ -361,10 +365,11 @@ IDEAL_INPUTS = st.tuples(st.sampled_from(("grevlex", "lex")), st.lists(polynomia
 
 def both_checks(order, gens, seq):
     """The report of `regular_sequence_check` on expressions and on ring
-    elements, and that of the reference, as JSON; None when the base
-    ideal is the unit ideal (all three raise then)."""
-    ring = PolyRing(RING_NAMES, order)
-    new, ref = Ideal.make(ring, gens), ReferenceIdeal(ring, gens)
+    elements, and that of the reference with its bases in order, as
+    JSON; None when the base ideal is the unit ideal (all three raise
+    then)."""
+    ring = PolyRing(RING_NAMES)
+    new, ref = Ideal.make(ring, gens), ReferenceIdeal(ring, gens, order)
     if ref.is_unit():
         for run in (lambda: regular_sequence_check(new, seq), lambda: reference_regular_sequence_check(ref, seq)):
             with pytest.raises(UnitIdealError):
@@ -391,12 +396,18 @@ def test_regular_sequence_reports_match_expression_reference(ideal_input, seq):
 @settings(max_examples=150, deadline=None)
 @given(IDEAL_INPUTS, ELEMENTS)
 def test_quotient_generators_match_expression_reference(ideal_input, f):
+    """Generator for generator against the reference from the basis the
+    ideal keeps (`_free_weights`), and as an ideal against the reference
+    from the basis in the drawn order."""
     order, gens = ideal_input
     assume(sympy.expand(f) != 0)
-    ring = PolyRing(RING_NAMES, order)
-    ref = reference_quotient(ReferenceIdeal(ring, gens), f)
-    assert_same_ideal(ideal_quotient(Ideal.make(ring, gens), f), ref)
+    ring = PolyRing(RING_NAMES)
+    new = ideal_quotient(Ideal.make(ring, gens), f)
+    ref = reference_quotient(ReferenceIdeal(ring, gens, Ideal.make(ring, gens)._free_weights), f)
+    assert_same_ideal(new, ref)
     assert_same_ideal(ideal_quotient(Ideal.make(ring, gens), _to_ring(ring, sympy.expand(f))), ref)
+    in_order = reference_quotient(ReferenceIdeal(ring, gens, order), f)
+    assert in_order.contains_ideal(new) and all(new.contains(g) for g in in_order.generators)
 
 
 x, y, z = X

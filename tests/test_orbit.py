@@ -24,6 +24,7 @@ from orbitvar.orbit import (
     CurveSubspace,
     DimensionMismatchError,
     NonCanonicalBasisError,
+    OrbitError,
     PreconditionFailedError,
     Subspace,
     act,
@@ -552,6 +553,15 @@ class TestPairRelation:
             verify_pair_relation(A2, ALPHA, samples=5, x0=bad)
         with pytest.raises(DimensionMismatchError):
             verify_pair_relation(A2, ALPHA, samples=5, y0=bad)
+
+    @pytest.mark.parametrize("samples", (0, -3))
+    def test_no_samples_refused_before_drawing(self, samples, monkeypatch):
+        """Without a sample a `sampled` check would carry no evidence."""
+        from orbitvar import orbit
+
+        monkeypatch.setattr(orbit, "_t_alpha_prime_sample", lambda *a: pytest.fail("a point was drawn"))
+        with pytest.raises(OrbitError, match="samples"):
+            verify_pair_relation(A2, ALPHA, samples=samples)
 
     def test_seed_determinism(self):
         a = verify_pair_relation(A2, BETA, samples=10, seed=7)
