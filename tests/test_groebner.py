@@ -141,7 +141,7 @@ def test_kernel_takes_sparse_ring_elements():
 def test_exponents_past_the_packed_fields_are_refused(order):
     """Each exponent has 15 bits in the kernel: an input or a product
     past 32767 raises instead of spilling into the next field, in the
-    ideal's own order and in the given one."""
+    ideal's own order and in the given one, and in the zero ideal."""
     ring = PolyRing(("x", "y"))
     ideal = Ideal.make(ring, ["x - y"])
     basis = kernel_basis(ideal, order)
@@ -149,8 +149,16 @@ def test_exponents_past_the_packed_fields_are_refused(order):
         assert reduce("x**16000*y**16000") == sympy.Symbol("y") ** 32000
         with pytest.raises(ScaleExceededError):
             reduce("x**20000*y**20000")  # the remainder y**40000
+    big = Ideal.make(ring, ["x**40000 - y"])
     with pytest.raises(ScaleExceededError):
-        kernel_basis(Ideal.make(ring, ["x**40000 - y"]), order)
+        kernel_basis(big, order)
+    with pytest.raises(ScaleExceededError):
+        big.is_unit()  # the weighted basis for its grading (1, 40000)
+    zero = Ideal.make(ring, [])
+    with pytest.raises(ScaleExceededError):
+        zero.normal_form("x**40000")
+    with pytest.raises(ScaleExceededError):
+        zero.contains("x**40000")
 
 
 def test_an_element_of_a_ring_in_other_variables_is_refused():
