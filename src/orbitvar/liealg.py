@@ -2,8 +2,14 @@
 
 An algebra here is r = t + a: a torus t of dimension d acting on a
 nilpotent part a graded by a multiplicity-one set of weights.  Elements
-of r are coordinate tuples over Fraction, ordered torus coordinates
-first, then the a-basis in declared order.
+of r are coordinate tuples over the rationals, ordered torus coordinates
+first, then the a-basis in declared order.  Weights, structure constants
+and every vector computed here hold the entries of `linalg`: an int when
+integral, a Fraction otherwise.  `build` converts its input with
+`linalg.entry` (refusing a float or a symbol), sums start from 0, the
+divisions of `exp_ad_terms` and `jordan_decompose` go through
+`linalg.exact_div`, and whole Fractions in a result are lowered to ints
+(`linalg.lowered`).
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     Matrix,
+    entry,
+    exact_div,
+    lowered,
     nullspace,
     rank,
     row_space_basis,
@@ -40,15 +49,15 @@ class NotClosedUnderJordanError(AlgebraError):
 class Weight:
     """A weight of the torus, as a covector in the dual torus basis."""
 
-    coords: tuple[Fraction, ...]
+    coords: tuple  # entries (linalg.entry)
 
-    def __call__(self, t_coords: Sequence[Fraction]) -> Fraction:
+    def __call__(self, t_coords: Sequence):
         """The pairing with a torus element, over the terms where both
         coordinates are nonzero."""
-        return sum((a * b for a, b in zip(self.coords, t_coords) if a and b), Fraction(0))
+        return sum(a * b for a, b in zip(self.coords, t_coords) if a and b)
 
-    def height(self) -> Fraction:
-        return sum(self.coords, Fraction(0))
+    def height(self):
+        return sum(self.coords)
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -121,9 +130,7 @@ class WeightedLieAlgebra:
         if len(set(names)) != len(names):
             raise AlgebraError("a_basis names must be distinct")
         idx = {nm: i for i, nm in enumerate(names)}
-        ws = tuple(
-            Weight(tuple(Fraction(c) for c in weights[nm])) for nm in names
-        )
+        ws = tuple(Weight(tuple(map(entry, weights[nm]))) for nm in names)
         table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for left, right, val in brackets:
             if not {left, right, *val} <= idx.keys():
@@ -134,7 +141,7 @@ class WeightedLieAlgebra:
             sign = 1
             if i > j:
                 i, j, sign = j, i, -1
-            terms = ((idx[nm], sign * Fraction(c)) for nm, c in val.items())
+            terms = ((idx[nm], sign * entry(c)) for nm, c in val.items())
             table[(i, j)] = tuple(sorted((k, c) for k, c in terms if c != 0))
         entries = tuple((i, j, terms) for (i, j), terms in sorted(table.items()) if terms)
         return WeightedLieAlgebra(t_dim, names, ws, entries)
@@ -218,12 +225,12 @@ class WeightedLieAlgebra:
         return [f"t{i+1}" for i in range(self.t_dim)] + list(self.a_basis)
 
     def zero(self) -> tuple:
-        return self.derived("zero", lambda: (Fraction(0),) * self.dim)
+        return self.derived("zero", lambda: (0,) * self.dim)
 
     def basis_vector(self, k: int) -> tuple:
         def compute():
-            v = [Fraction(0)] * self.dim
-            v[k] = Fraction(1)
+            v = [0] * self.dim
+            v[k] = 1
             return tuple(v)
 
         return self.derived(("basis-vector", k), compute)
@@ -243,17 +250,17 @@ class WeightedLieAlgebra:
         return self.a_part(self.bracket(self.weight_vector(i), self.weight_vector(j)))
 
     def bracket(self, x: Sequence, y: Sequence):
-        """Lie bracket of two elements of r = t + a, bilinear in Fraction or
+        """Lie bracket of two elements of r = t + a, bilinear in rational or
         sympy entries, summed from `ad_table` over the nonzero coordinates
         of x and y; sympy entries are returned unexpanded."""
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         support = [(j, c) for j, c in enumerate(y) if c]
         for xe, op in zip(x, self.ad_table()):
             if xe:
                 for j, c in support:
                     for k, a in op[j]:
                         out[k] += a * xe * c
-        return tuple(out)
+        return lowered(out)
 
     def ad_table(self) -> tuple:
         """ad e for every basis vector e of r, as sparse columns, built once:
@@ -281,16 +288,17 @@ class WeightedLieAlgebra:
         """The terms (ad u)^k v / k! of exp(ad u) v, from k = 0 up to the
         last nonzero one.  ad u is nilpotent for u in a on an algebra that
         passes `validate`, so at most dim terms are nonzero; a chain that
-        has not ended by then raises `AlgebraError`."""
+        has not ended by then raises `AlgebraError`.  Each 1/k is an
+        `exact_div`."""
         terms = [tuple(v)]
         for k in range(1, self.dim + 1):
             term = self.bracket(u, terms[-1])
             if not any(term):
                 return tuple(terms)
-            terms.append(tuple(c / k if c else c for c in term))
+            terms.append(tuple(exact_div(c, k) if c else c for c in term))
         raise AlgebraError(f"exp(ad u) did not end within {self.dim} terms")
 
-    def exp_ad_chain(self, k: int, j: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def exp_ad_chain(self, k: int, j: int) -> tuple[tuple[tuple[int, object], ...], ...]:
         """The terms (ad a_k)^m e_j / m! of exp(ad a_k) e_j, from m = 0 up
         to the last nonzero one, each as its (index, coefficient) pairs
         with a nonzero coefficient.  Built from `exp_ad_terms` the first
@@ -305,10 +313,10 @@ class WeightedLieAlgebra:
 
         return self.derived(("exp-ad-chain", k, j), compute)
 
-    def ad(self, x: Sequence[Fraction]) -> Matrix:
+    def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad x in the ordered basis (columns act on basis vectors),
         summed from `ad_table` over the nonzero coordinates of x."""
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        rows = [[0] * self.dim for _ in range(self.dim)]
         for op, xe in zip(self.ad_table(), x):
             if xe != 0:
                 for j, col in enumerate(op):
@@ -472,17 +480,17 @@ class WeightedLieAlgebra:
         v = tuple(x)
         us = []
         for _ in range(self.n + 1):
-            u = (Fraction(0),) * d + tuple(c / l if l else Fraction(0) for c, l in zip(v[d:], lam))
+            u = (0,) * d + tuple(exact_div(c, l) if c and l else 0 for c, l in zip(v[d:], lam))
             if not any(u):
                 break
             us.append(u)
             v = _vector_sum(self.exp_ad_terms(u, v))
         else:
             raise AlgebraError(f"jordan conjugation did not settle in {self.n + 1} passes")
-        s = xt + (Fraction(0),) * self.n
+        s = xt + (0,) * self.n
         for u in reversed(us):
             s = _vector_sum(self.exp_ad_terms(tuple(-c for c in u), s))
-        n = tuple(a - b for a, b in zip(x, s))
+        n = lowered([a - b for a, b in zip(x, s)])
         if any(c != 0 for c in self.bracket(s, n)):
             raise AlgebraError("jordan parts fail to commute")
         return s, n
@@ -597,12 +605,12 @@ class WeightedLieAlgebra:
 def _vector_sum(vectors: Sequence[tuple]) -> tuple:
     """Coordinatewise sum of equally long vectors, adding only the nonzero
     entries."""
-    out = [Fraction(0)] * len(vectors[0])
+    out = [0] * len(vectors[0])
     for v in vectors:
         for j, c in enumerate(v):
             if c:
                 out[j] += c
-    return tuple(out)
+    return lowered(out)
 
 
 @dataclass(frozen=True)

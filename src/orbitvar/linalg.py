@@ -1,5 +1,12 @@
-"""Exact linear algebra over the rationals: matrices hold fractions.Fraction
-entries only, and `orbit` keeps a curve in z as one matrix per power of z.
+"""Exact linear algebra over the rationals.  An entry is an `int` when it
+is integral and a `fractions.Fraction` only when its denominator is not
+1: `entry` converts a value at the library edge and refuses anything
+else (a float, a symbol) with `TypeError`, `exact_div` is the one
+division, so no float can arise, and `lowered` turns the whole
+`Fraction`s that sums and products of entries leave back into ints.
+Since `str`, `==` and `hash` agree across the two types, the split
+shows in no verdict or report.  `orbit` keeps a curve in z as one
+matrix per power of z.
 The package reads a `Matrix` by its rows and applies none to a vector:
 `liealg` sums brackets and exp(ad) chains from its sparse adjoint table.
 The Plücker functions stay as API and as the reference that tests check
@@ -36,24 +43,53 @@ class RankDeficientError(LinAlgError):
     pass
 
 
-def _norm(e) -> Fraction:
-    """An entry as a Fraction; Fractions and ints are the only entries."""
-    if isinstance(e, Fraction):
+def entry(e):
+    """An exact rational as the package holds it: an int when it is
+    integral, else a Fraction.  Only ints and Fractions are entries; a
+    float or a symbol raises `TypeError`."""
+    if type(e) is int:
         return e
+    if isinstance(e, Fraction):
+        return e.numerator if e.denominator == 1 else e
     if isinstance(e, int):
-        return Fraction(e)
-    raise TypeError(f"matrix entries are Fractions or ints, not {type(e).__name__}")
+        return int(e)
+    raise TypeError(f"entries are Fractions or ints, not {type(e).__name__}")
+
+
+def exact_div(a, b):
+    """a / b for entries a and b, as an entry: the one division of the
+    package, so an int quotient never becomes a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return entry(Fraction(a, b))
+
+
+def lowered(v) -> tuple:
+    """v as a tuple, each whole Fraction lowered to its int.  Sums and
+    products of entries are entries except that they may be whole
+    Fractions; any other value (a sympy expression) passes unchanged."""
+    if Fraction not in map(type, v):
+        return tuple(v)
+    return tuple(e.numerator if type(e) is Fraction and e.denominator == 1 else e for e in v)
 
 
 @dataclass(frozen=True)
 class Matrix:
+    """Row-major entries, each an `entry`.  `from_rows` converts its
+    input; the constructor takes entries already converted."""
+
     rows: int
     cols: int
     entries: tuple  # row-major tuple of tuples
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(tuple(_norm(e) for e in row) for row in rows)
+        """A matrix of the given rows, each value converted by `entry`:
+        ints and Fractions, whole ones as ints; anything else raises
+        `TypeError`."""
+        data = tuple(tuple(map(entry, row)) for row in rows)
         r = len(data)
         c = len(data[0]) if r else 0
         if any(len(row) != c for row in data):
@@ -62,14 +98,11 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return Matrix(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return Matrix(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.from_rows(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        return Matrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -118,37 +151,45 @@ class Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form over Fraction. Returns (rref, pivot columns).
-    The pivot row is scaled only when its pivot is not 1, and it is
-    subtracted from another row only over its own nonzero columns, all at
-    the pivot column or later.  A matrix built directly with int entries
-    is turned to Fractions first, so every entry returned is a Fraction."""
-    if set(map(type, itertools.chain.from_iterable(m.entries))) - {Fraction}:
+    """Reduced row echelon form over the rationals.  Returns (rref, pivot
+    columns).  The pivot row is divided by its pivot (`exact_div`) only
+    when the pivot is not 1, and it is subtracted from another row only
+    over its own nonzero columns, all at the pivot column or later.  A
+    subtraction in ints leaves ints; one with a Fraction multiplier or
+    pivot row is followed by `lowered`.  So on a matrix of entries every
+    entry returned is an int or a Fraction with a denominator above 1.
+    A matrix built directly with values other than ints and Fractions
+    is converted by `Matrix.from_rows` first, which refuses a float."""
+    if not {int, Fraction}.issuperset(map(type, itertools.chain.from_iterable(m.entries))):
         m = Matrix.from_rows(m.entries)
-    rows = [list(r) for r in m.entries]
+    rows = list(map(list, m.entries))
     nr, nc = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        pr = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, nr):
+            if rows[pr][c]:
+                break
+        else:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        if prow[c] != 1:
-            inv = Fraction(1) / prow[c]
+        prow = rows[pr]
+        rows[r], rows[pr] = prow, rows[r]
+        p = prow[c]
+        if p != 1:
             for j in range(c, nc):
                 if prow[j]:
-                    prow[j] *= inv
-        support = [(j, prow[j]) for j in range(c, nc) if prow[j]]
-        for i in range(nr):
-            f = rows[i][c]
+                    prow[j] = exact_div(prow[j], p)
+        support = [(j, b) for j, b in enumerate(prow) if b]  # none before column c
+        whole = Fraction not in map(type, prow)
+        for i, row in enumerate(rows):
+            f = row[c]
             if f and i != r:
-                row = rows[i]
                 for j, b in support:
                     row[j] -= f * b
+                if not whole or type(f) is not int:
+                    rows[i] = list(lowered(row))
         pivots.append(c)
         r += 1
     return Matrix(nr, nc, tuple(map(tuple, rows))), tuple(pivots)
@@ -168,15 +209,17 @@ def nullspace(m: Matrix) -> Matrix:
     """Canonical basis of the right kernel (rows of the result)."""
     rr, piv = rref(m)
     free = [j for j in range(m.cols) if j not in piv]
+    if not free:
+        return Matrix.zero(0, m.cols)
     basis = []
     for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(piv):
-            v[p] = -rr[r, f]
-        basis.append(v)
-    out = Matrix.from_rows(basis) if basis else Matrix.zero(0, m.cols)
-    return row_space_basis(out) if basis else out
+        v = [0] * m.cols
+        v[f] = 1
+        for row, p in zip(rr.entries, piv):
+            if row[f]:
+                v[p] = -row[f]
+        basis.append(tuple(v))
+    return row_space_basis(Matrix(len(basis), m.cols, tuple(basis)))
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:
@@ -185,7 +228,7 @@ def solve(a: Matrix, b: Sequence) -> tuple | None:
     rr, piv = rref(aug)
     if a.cols in piv:
         return None
-    x = [Fraction(0)] * a.cols
+    x = [0] * a.cols
     for r, p in enumerate(piv):
         x[p] = rr[r, a.cols]
     return tuple(x)
@@ -202,7 +245,7 @@ def reduce_mod_rowspace(v: Sequence, basis: Matrix, pivots: tuple[int, ...]) -> 
             for j in range(p, len(w)):
                 if row[j]:
                     w[j] -= f * row[j]
-    return tuple(w)
+    return lowered(w)
 
 
 def in_row_space(v: Sequence, basis: Matrix, pivots: tuple[int, ...]) -> bool:
@@ -216,24 +259,24 @@ def det(m: Matrix):
         raise LinAlgError("not square")
     n = m.rows
     if n == 0:
-        return Fraction(1)
+        return 1
     # memo[(i, cols)] = det of rows i.. on the given column tuple
     memo: dict = {}
 
     def go(i: int, cols: tuple[int, ...]):
         if i == n:
-            return Fraction(1)
+            return 1
         key = cols
         if key in memo:
             return memo[key]
-        acc = Fraction(0)
+        acc = 0
         for k, c in enumerate(cols):
             e = m[i, c]
             if e == 0:
                 continue
             sub = go(i + 1, cols[:k] + cols[k + 1 :])
             acc += e * sub if k % 2 == 0 else -e * sub
-        memo[key] = acc
+        memo[key] = acc = entry(acc)
         return acc
 
     return go(0, tuple(range(n)))
@@ -255,8 +298,8 @@ def nilpotent_terms(m: Matrix) -> tuple[Matrix, ...]:
     raise NotNilpotentError("matrix is not nilpotent")
 
 
-def exp_nilpotent(m: Matrix, z: Fraction, terms: tuple[Matrix, ...] | None = None) -> Matrix:
-    """exp(z*m) for nilpotent m; z a Fraction.  `terms`, when given, must
+def exp_nilpotent(m: Matrix, z, terms: tuple[Matrix, ...] | None = None) -> Matrix:
+    """exp(z*m) for nilpotent m; z an int or a Fraction.  `terms`, when given, must
     be `nilpotent_terms(m)`, kept by a caller that exponentiates the same
     m again."""
     if terms is None:
@@ -287,7 +330,7 @@ class PluckerVector:
         """Antisymmetric lookup: arbitrary index tuple, with sign."""
         t = tuple(subset)
         if len(set(t)) != len(t):
-            return Fraction(0)
+            return 0
         order = tuple(sorted(t))
         sign = _perm_sign(t)
         idx = self.subsets().index(order)
@@ -328,7 +371,7 @@ def normalize_plucker(p: PluckerVector) -> PluckerVector:
     den = math.lcm(*(f.denominator for f in fracs))
     ints = [f * den for f in fracs]
     g = math.gcd(*(abs(int(v)) for v in ints))
-    ints = [Fraction(int(v) // g) for v in ints]
+    ints = [int(v) // g for v in ints]
     first = next(v for v in ints if v != 0)
     if first < 0:
         ints = [-v for v in ints]
@@ -352,10 +395,10 @@ def plucker_limit(p: PluckerVector, z) -> PluckerVector:
     coeffs = []
     for pp in polys:
         if pp.is_zero or pp.degree() < top:
-            coeffs.append(Fraction(0))
+            coeffs.append(0)
         else:
             c = pp.LC()
-            coeffs.append(Fraction(int(sympy.numer(c)), int(sympy.denom(c))))
+            coeffs.append(entry(Fraction(int(sympy.numer(c)), int(sympy.denom(c)))))
     return normalize_plucker(PluckerVector(p.ambient, p.dim, tuple(coeffs)))
 
 

@@ -24,7 +24,10 @@ from .liealg import (
 from .linalg import (
     Matrix,
     RankDeficientError,
+    entry,
+    exact_div,
     in_row_space,
+    lowered,
     nullspace,
     rank,
     reduce_mod_rowspace,
@@ -153,7 +156,7 @@ class CurveSubspace:
                 return Subspace(self.alg, row_space_basis(lead))
             support = [i for i, c in enumerate(deps.row(0)) if c != 0]
             h = max(support, key=lambda i: len(rows[i]))
-            new = [[Fraction(0)] * lead.cols for _ in rows[h]]
+            new = [[0] * lead.cols for _ in rows[h]]
             for i in support:
                 f = deps[0, i]
                 for acc, coef in zip(new[len(new) - len(rows[i]) :], rows[i]):
@@ -177,7 +180,7 @@ def _render_polynomial(coeffs: Sequence[Fraction]) -> str:
 
 def render_sum(terms: list) -> str:
     """A sum of terms as sympy's `str` prints it, from (factors, c) pairs
-    with c a nonzero `Fraction` and factors the texts of the term's
+    with c a nonzero int or `Fraction` and factors the texts of the term's
     variable powers (none for the constant), both in sympy's order.  The
     terms come in that order too, except that a positive constant with
     one negative term of one variable comes first (`1 - z`,
@@ -237,10 +240,12 @@ def torus_subspace(alg: WeightedLieAlgebra) -> Subspace:
 
 def act(alg: WeightedLieAlgebra, word, v: Subspace):
     """Apply the product of exp(z_i ad x_{alpha_i}) left-to-right to V.
-    Scalars may be Fractions; None means the shared formal parameter z,
-    and a word with one gives a CurveSubspace.  Each basis row is kept as
-    its z^k coefficient vectors (one for a scalar word), and each factor
-    is applied to them one row at a time (`_exp_row`)."""
+    Scalars are ints or Fractions, converted by `linalg.entry`, which
+    refuses a float; None means the shared formal parameter z, and a word
+    with one gives a CurveSubspace.  Each basis row is kept as its z^k
+    coefficient vectors (one for a scalar word), and each factor is
+    applied to them one row at a time (`_exp_row`)."""
+    word = [(widx, None if scalar is None else entry(scalar)) for widx, scalar in word]
     polys = [[row] for row in v.basis.entries]
     for widx, scalar in reversed(word):
         polys = [_exp_row(alg, widx, scalar, p) for p in polys]
@@ -264,22 +269,22 @@ def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> l
     sum_j poly[b][j] sum_m z^m chain(j)[m] over the nonzero entries j of
     each poly[b], where chain(j) is the memoised sparse chain
     (ad x_widx)^m e_j / m! (`exp_ad_chain`); its term m = 0 is e_j, so
-    each poly[b] starts as itself.  For a scalar z each poly[b] is mapped
-    on its own; for None term m of chain(j) adds to the z^(b+m)
-    coefficient, and trailing zero coefficients are dropped.  Only
-    nonzero entries are multiplied or added."""
+    each poly[b] starts as itself.  For a scalar z (an entry) each
+    poly[b] is mapped on its own; for None term m of chain(j) adds to the
+    z^(b+m) coefficient, and trailing zero coefficients are dropped.  Only
+    nonzero entries are multiplied or added, and each row comes back with
+    its whole Fractions lowered to ints."""
     out = [list(p) for p in poly]
     if scalar is not None:
-        z = Fraction(scalar)
-        if z:
+        if scalar:
             for p, acc in zip(poly, out):
                 for j, c in enumerate(p):
                     if c:
                         for term in alg.exp_ad_chain(widx, j)[1:]:
-                            c *= z  # poly[b][j] z^m
+                            c *= scalar  # poly[b][j] z^m
                             for i, e in term:
                                 acc[i] += c * e
-        return [tuple(acc) for acc in out]
+        return [lowered(acc) for acc in out]
     for b, p in enumerate(poly):
         for j, c in enumerate(p):
             if c:
@@ -291,7 +296,7 @@ def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> l
                         acc[i] += c * e
     while len(out) > 1 and not any(out[-1]):
         out.pop()
-    return [tuple(acc) for acc in out]
+    return [lowered(acc) for acc in out]
 
 
 def weight_index(alg: WeightedLieAlgebra, alpha: Weight) -> int:
@@ -330,11 +335,23 @@ def _ordered(alg: WeightedLieAlgebra, indices: Sequence[int]) -> list[int]:
     return sorted(indices, key=lambda i: weight_sort_key(alg.weights[i]))
 
 
+def _weight_order(alg: WeightedLieAlgebra) -> tuple[int, ...]:
+    """`_ordered` over every weight, sorted once per algebra."""
+    return alg.derived("weight-order", lambda: tuple(_ordered(alg, range(alg.n))))
+
+
 def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> tuple[Subspace, Subspace]:
-    ker = alg.torus_kernel([alg.weights[i] for i in subset])
-    z_rows = [row + (Fraction(0),) * alg.n for row in ker.entries]
-    rows = z_rows + [alg.weight_vector(i) for i in subset]
-    return Subspace.from_rows(alg, rows), Subspace.from_rows(alg, z_rows)
+    """z_S + a_S and z_S for a weight subset S, z_S = ker W_S padded with
+    zeros on a.  Their rows are already canonical, so no row reduction
+    is taken: the kernel rows are the nonzero rows of an rref (or the
+    identity, for no weights), supported on the torus columns, and the
+    weight vectors of sorted(S) follow them as unit rows on increasing
+    a-columns, where every kernel row is 0.  `Subspace` still checks
+    that the bases are canonical."""
+    pad = (0,) * alg.n
+    z_rows = tuple(row + pad for row in alg.torus_kernel([alg.weights[i] for i in subset]).entries)
+    rows = z_rows + tuple(alg.weight_vector(i) for i in sorted(subset))
+    return Subspace(alg, Matrix(len(rows), alg.dim, rows)), Subspace(alg, Matrix(len(z_rows), alg.dim, z_rows))
 
 
 def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspace:
@@ -476,7 +493,7 @@ def _select_group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecor
         if recd.z_v.dim != z.dim:
             continue
         if z.dim and not all(
-            recd.z_v.contains(list(z.basis.row(r)) + [Fraction(0)] * alg.n)
+            recd.z_v.contains(list(z.basis.row(r)) + [0] * alg.n)
             for r in range(z.basis.rows)
         ):
             continue
@@ -506,7 +523,7 @@ def boundary_components(alg: WeightedLieAlgebra) -> list[BoundaryComponent]:
     if alg.center().dim != 0:
         raise PreconditionFailedError("boundary components need a trivial center")
     out = []
-    for i in _ordered(alg, range(alg.n)):
+    for i in _weight_order(alg):
         v_alpha = witness_limit(alg, (i,))
         out.append(BoundaryComponent(i, v_alpha, _orbit_dim(alg, v_alpha)))
     return out
@@ -531,7 +548,7 @@ def _orbit_dim(alg: WeightedLieAlgebra, v: Subspace) -> int:
 @dataclass(frozen=True)
 class MembershipVerdict:
     kind: str  # "orbit" | "limit" | "refuted" | "unknown"
-    params: tuple = ()  # (weight index, Fraction) pairs for orbit verdicts
+    params: tuple = ()  # (weight index, scalar) pairs for orbit verdicts
     witness: CurveSubspace | None = None
     reason: str = ""
 
@@ -606,7 +623,7 @@ def _refutation(alg: WeightedLieAlgebra, v: Subspace) -> str | None:
     elements."""
     z = alg.center()
     if z.dim:
-        pad = (Fraction(0),) * alg.n
+        pad = (0,) * alg.n
         if not all(v.contains(row + pad) for row in z.basis.entries):
             return "does not contain the center"
         return None
@@ -619,10 +636,11 @@ def _refutation(alg: WeightedLieAlgebra, v: Subspace) -> str | None:
 
 def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
     """For V spanned by t_i + phi(t_i): strip one weight component per
-    exponential factor, lowest height first.  Returns the word or None."""
+    exponential factor, lowest height first (`_weight_order`).  Returns
+    the word or None; each z is one `exact_div`."""
     rows = [list(v.basis.row(i)) for i in range(v.dim)]
-    applied: list[tuple[int, Fraction]] = []
-    for k in _ordered(alg, range(alg.n)):
+    applied: list[tuple[int, object]] = []
+    for k in _weight_order(alg):
         col = alg.t_dim + k
         coefs = [row[col] for row in rows]
         if not any(coefs):
@@ -630,7 +648,7 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
         w = alg.weights[k]
         wvals = [w(row[: alg.t_dim]) for row in rows]
         # need coefs proportional to the weight values: c_i = z * w(t_i)
-        zc = next((c / wv for c, wv in zip(coefs, wvals) if wv), None)
+        zc = next((exact_div(c, wv) for c, wv in zip(coefs, wvals) if wv), None)
         if not zc or any(c != zc * wv if wv else c for c, wv in zip(coefs, wvals)):
             return None
         # E(z) t = t - z w(t) x, so E(zc) clears the column and the
@@ -664,7 +682,7 @@ def torus_element_data(alg: WeightedLieAlgebra, lam: tuple[int, ...]) -> TorusEl
     are nonzero forms on t_lam, and finitely many hyperplanes do not
     cover it."""
     rows = [alg.basis_vector(i) for i in range(alg.t_dim)] + [alg.weight_vector(i) for i in lam]
-    pad = (Fraction(0),) * alg.n
+    pad = (0,) * alg.n
     center = alg.torus_kernel([alg.weights[i] for i in lam]).entries
     return TorusElementData(lam, Subspace.from_rows(alg, rows), tuple(row + pad for row in center))
 
@@ -759,8 +777,9 @@ def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
     return lam
 
 
-def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence[Fraction]]) -> tuple[str, MultiPoint]:
-    """Do the given points lie in a common element of the closure?
+def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence]) -> tuple[str, MultiPoint]:
+    """Do the given points lie in a common element of the closure?  Their
+    coordinates are converted by `linalg.entry`, which refuses a float.
     Routes through the centralizer of a regular point when one exists.
 
     Otherwise the answer is the first record of `torus_fixed_points`, in
@@ -774,7 +793,7 @@ def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence[Fra
     When U is no record, or its record misses a point, no record holds
     them all.  The record of U is checked to contain every point before
     `proven` is answered."""
-    pts = tuple(tuple(Fraction(c) for c in p) for p in points)
+    pts = tuple(tuple(map(entry, p)) for p in points)
     if not pts:
         raise OrbitError("need at least one point")
     if any(len(p) != alg.dim for p in pts):
@@ -802,15 +821,15 @@ def _t_alpha_prime_sample(alg: WeightedLieAlgebra, aidx: int, rng: random.Random
     weight is nonzero."""
     ker = alg.torus_kernel([alg.weights[aidx]])
     for _ in range(1000):
-        coefs = [Fraction(rng.randint(-6, 6)) for _ in range(ker.rows)]
+        coefs = [rng.randint(-6, 6) for _ in range(ker.rows)]
         t = [
-            sum((a * ker[r, c] for r, a in enumerate(coefs) if a and ker[r, c]), Fraction(0))
+            entry(sum(a * ker[r, c] for r, a in enumerate(coefs) if a and ker[r, c]))
             for c in range(alg.t_dim)
         ]
         if all(
             alg.weights[j](t) != 0 for j in range(alg.n) if j != aidx
         ):
-            return tuple(t) + tuple(Fraction(0) for _ in range(alg.n))
+            return tuple(t) + (0,) * alg.n
     raise BadSliceError("could not sample the punctured kernel slice")
 
 
@@ -825,18 +844,20 @@ def verify_pair_relation(
     """Sample pairs on the two affine slices attached to alpha and check
     that common-subspace membership is equivalent to the vanishing of
     the 2x2 coupling determinant between the alpha- and torus-components.
-    No samples would be no evidence, so samples < 1 is refused."""
+    No samples would be no evidence, so samples < 1 is refused.  Given
+    base points are converted by `linalg.entry`, which refuses a float."""
     if samples < 1:
         raise OrbitError(f"samples must be at least 1, not {samples}")
     out = rep.VerificationReport("pair-relation", alg.fingerprint(), seed=seed)
     aidx = weight_index(alg, alpha)
+    alpha = alg.weights[aidx]  # equal, and holds the algebra's entries
     rng = random.Random(seed)
     d = alg.t_dim
 
     def base_point(pt):
         if pt is None:
             return _t_alpha_prime_sample(alg, aidx, rng)
-        pt = tuple(Fraction(c) for c in pt)
+        pt = tuple(map(entry, pt))
         if len(pt) != alg.dim:
             raise DimensionMismatchError(f"base point has {len(pt)} coordinates, not {alg.dim}")
         tpart = alg.torus_part(pt)
@@ -853,7 +874,7 @@ def verify_pair_relation(
     # x_alpha has a 1 at its own basis index, so only those two entries
     # move
     pivot = next(i for i, c in enumerate(alpha.coords) if c != 0)
-    h_pivot = Fraction(1) / alpha.coords[pivot]
+    h_pivot = exact_div(1, alpha.coords[pivot])
     col = d + aidx
 
     def slice_point(base, s, c):
@@ -867,8 +888,8 @@ def verify_pair_relation(
     skipped = 0
     bad = []
     while decided < samples:
-        s1, s2 = Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
-        c1, c2 = Fraction(rng.randint(1, 4)), Fraction(rng.randint(1, 4))
+        s1, s2 = rng.randint(-4, 4), rng.randint(-4, 4)
+        c1, c2 = rng.randint(1, 4), rng.randint(1, 4)
         if rng.random() < 0.5:
             c1 = -c1
         if rng.random() < 0.5:

@@ -1,6 +1,8 @@
 """The geometry path's shortcuts against the slower constructions they
 replaced: witness curves grown along the fixed-point tree against `act`
-over all of their factors, boundary orbit dimensions by one rank against
+over all of their factors, fixed-point subspaces built from their
+canonical rows against the row reduction of those rows, boundary orbit
+dimensions by one rank against
 the normalizer intersected with a (`test_orbit`), and the pure-Python
 curve text against `str(sympy.Add(...))`."""
 
@@ -58,6 +60,31 @@ class TestTreeCurvesMatchAct:
 
     def test_a5_borel_nilradical(self):
         assert len(assert_tree_curves_match_act(borel_nilradical(5))) == 948
+
+
+# -- fixed-point subspaces without a row reduction --------------------------
+
+
+def assert_fixed_point_subspaces_match_from_rows(alg):
+    """Every record's z_S + a_S and z_S are the `Subspace.from_rows` of
+    the padded torus-kernel rows and the weight vectors of S."""
+    records = orbit.torus_fixed_points(alg)
+    for recd in records:
+        s = recd.r_v_set
+        z_rows = [list(row) + [0] * alg.n for row in alg.torus_kernel([alg.weights[i] for i in s]).entries]
+        rows = z_rows + [alg.weight_vector(i) for i in s]
+        assert recd.subspace == orbit.Subspace.from_rows(alg, rows), s
+        assert recd.z_v == orbit.Subspace.from_rows(alg, z_rows), s
+    return records
+
+
+class TestFixedPointSubspacesMatchFromRows:
+    @pytest.mark.parametrize("name", CASES)
+    def test_named_algebras(self, name):
+        assert_fixed_point_subspaces_match_from_rows(CASES[name]())
+
+    def test_a5_borel_nilradical(self):
+        assert len(assert_fixed_point_subspaces_match_from_rows(borel_nilradical(5))) == 948
 
 
 # -- boundary orbit dimensions by one rank ----------------------------------

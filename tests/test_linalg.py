@@ -129,9 +129,14 @@ class TestDet:
 
 
 class TestEntries:
-    def test_ints_become_fractions(self):
-        m = Matrix.from_rows([[1, Fraction(1, 2)]])
-        assert all(isinstance(e, Fraction) for e in m.row(0))
+    def test_integral_entries_become_ints(self):
+        m = Matrix.from_rows([[1, Fraction(1, 2), Fraction(4, 2), Fraction(0)]])
+        assert m.row(0) == (1, Fraction(1, 2), 2, 0)
+        assert [type(e) for e in m.row(0)] == [int, Fraction, int, int]
+
+    def test_float_entry_refused(self):
+        with pytest.raises(TypeError):
+            Matrix.from_rows([[1, 0.5]])
 
     def test_symbolic_entry_refused(self):
         with pytest.raises(TypeError):

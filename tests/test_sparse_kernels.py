@@ -4,8 +4,9 @@ dense loops kept here, `exp_ad_terms` and both branches of
 `orbit._exp_row` against the dense adjoint chains of `test_memo`, and
 `act` on scalar words against the dense matrix sum of the curve kept
 here.  (`act` and `CurveSubspace.limit` are pinned to sympy in
-`test_curves`.)  Also pinned: every entry `rref`, `nullspace` and
-`solve` return is a Fraction, and on A3 no kernel, membership query or
+`test_curves`.)  Also pinned: every entry the kernels return is an int
+or a Fraction with a denominator above 1, never a float; a float is
+refused at the library edge; and on A3 no kernel, membership query or
 pair-relation run multiplies by a zero Fraction."""
 
 import itertools
@@ -22,8 +23,8 @@ from test_liealg_sparse import ALGEBRAS, RATIONALS, DenseReference
 from test_memo import dense_chain, sum_chain
 
 from orbitvar import liealg, models, orbit
-from orbitvar.liealg import WeightedLieAlgebra
-from orbitvar.linalg import Matrix, nullspace, reduce_mod_rowspace, row_space_basis, rref, solve
+from orbitvar.liealg import AlgebraError, WeightedLieAlgebra
+from orbitvar.linalg import Matrix, entry, nullspace, reduce_mod_rowspace, row_space_basis, rref, solve
 
 # -- dense references ---------------------------------------------------
 
@@ -71,6 +72,12 @@ def dense_vector_sum(vectors):
     return tuple(sum(cs, Fraction(0)) for cs in zip(*vectors))
 
 
+def is_entry(e) -> bool:
+    """The one entry representation: an int, or a Fraction that is not
+    whole; a float (or a whole Fraction) is not one."""
+    return type(e) is int or (type(e) is Fraction and e.denominator > 1)
+
+
 # -- strategies ---------------------------------------------------------
 
 # mostly zeros, so rows are as sparse as the geometry path's
@@ -79,8 +86,9 @@ SPARSE_ENTRY = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fra
 
 @st.composite
 def sparse_matrices(draw, max_rows=6, max_cols=7):
-    """Sparse Fraction matrices, 0 x n included, some rows forced to zero
-    and sometimes every entry zero."""
+    """Sparse rational matrices, 0 x n included, some rows forced to zero
+    and sometimes every entry zero, with entries converted by `entry` as
+    `Matrix.from_rows` converts them."""
     nr, nc = draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))
     if draw(st.integers(0, 9)) == 0:
         return Matrix.zero(nr, nc)
@@ -90,7 +98,7 @@ def sparse_matrices(draw, max_rows=6, max_cols=7):
             rows[i] = [Fraction(0)] * nc
         elif draw(st.booleans()):
             rows[i] = [draw(st.sampled_from([2, -3, Fraction(1, 2)])) * e for e in rows[i]]
-    return Matrix(nr, nc, tuple(map(tuple, rows)))
+    return Matrix(nr, nc, tuple(tuple(map(entry, row)) for row in rows))
 
 
 def sparse_vectors(n):
@@ -106,7 +114,7 @@ class TestRowReduction:
     def test_rref_matches_dense(self, m):
         got = rref(m)
         assert got == dense_rref(m)
-        assert all(type(e) is Fraction for row in got[0].entries for e in row)
+        assert all(is_entry(e) for row in got[0].entries for e in row)
         assert got[0].rows == m.rows and got[0].cols == m.cols
 
     def test_rref_of_empty_and_zero_matrices(self):
@@ -142,7 +150,7 @@ class TestChains:
     def test_vector_sum_matches_dense(self, vectors):
         got = liealg._vector_sum(vectors)
         assert got == dense_vector_sum(vectors)
-        assert all(type(e) is Fraction for e in got)
+        assert all(is_entry(e) for e in got)
 
     @settings(max_examples=100)
     @given(ALGEBRAS, st.data())
@@ -187,21 +195,29 @@ class TestCurvePoints:
             assert orbit.act(alg, [(i, z if s is None else s) for i, s in w], t) == dense_at(curve, z)
 
     def test_theta_points_multiply_no_zero(self, monkeypatch):
-        """`act` on the six one-factor A3 words at z = 2: the dense sum of
-        their curves made 162 products, 152 of them with a zero operand."""
+        """`act` on the six one-factor A3 words at z = 2/3: the dense sum of
+        their curves made 162 Fraction products, 152 of them with a zero
+        operand.  Integral entries are ints, whose products no Fraction
+        method sees, so z is not integral, and both `__mul__` and
+        `__rmul__` are counted, since an int times a Fraction is the
+        Fraction's `__rmul__`."""
         alg = models.borel_nilradical_a3()
         t = orbit.torus_subspace(alg)
-        want = [dense_at(orbit.witness_curve(alg, (i,)), Fraction(2)) for i in range(alg.n)]
+        z = Fraction(2, 3)
+        want = [dense_at(orbit.witness_curve(alg, (i,)), z) for i in range(alg.n)]
         products = {"all": 0, "zero": 0}
-        real = Fraction.__mul__
 
-        def mul(a, b):
-            products["all"] += 1
-            products["zero"] += not a or not b
-            return real(a, b)
+        def counted(real):
+            def mul(a, b):
+                products["all"] += 1
+                products["zero"] += not a or not b
+                return real(a, b)
 
-        monkeypatch.setattr(Fraction, "__mul__", mul)
-        got = [orbit.act(alg, [(i, Fraction(2))], t) for i in range(alg.n)]
+            return mul
+
+        monkeypatch.setattr(Fraction, "__mul__", counted(Fraction.__mul__))
+        monkeypatch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
+        got = [orbit.act(alg, [(i, z)], t) for i in range(alg.n)]
         monkeypatch.undo()
         assert got == want
         assert products["zero"] == 0 < products["all"]
@@ -220,27 +236,85 @@ class TestSubspaceEquality:
 # -- exactness ------------------------------------------------------------
 
 
-class TestIntEntriesComeBackAsFractions:
-    """A Matrix built with its constructor can hold ints; `from_rows`
-    turns them to Fractions, and the kernels must too."""
+class TestOneEntryRepresentation:
+    """A Matrix built with its constructor holds ints; the kernels keep
+    integral values as ints and return a Fraction only when it is not
+    whole, and a float is refused where it enters the library."""
 
     MATRICES = (
         Matrix(2, 3, ((2, 4, 0), (1, 0, 3))),
         Matrix(2, 2, ((1, 0), (0, 1))),  # already reduced: no arithmetic touches it
         Matrix(3, 3, ((0, 0, 0), (0, 1, 5), (0, 2, 10))),
+        Matrix(1, 2, ((2, 1),)),  # its rref holds 1/2
     )
 
     @pytest.mark.parametrize("m", MATRICES)
     def test_rref_nullspace_and_solve(self, m):
         rr, _ = rref(m)
+        assert (rr, _) == dense_rref(m)
         ker = nullspace(m)
         x = solve(m, [0] * m.rows)
         for e in (*itertools.chain.from_iterable(rr.entries), *itertools.chain.from_iterable(ker.entries), *x):
-            assert type(e) is Fraction
+            assert is_entry(e)
 
     def test_float_entries_are_refused(self):
         with pytest.raises(TypeError):
             rref(Matrix(1, 2, ((1.5, 0),)))
+
+    def test_act_refuses_a_float_scalar(self):
+        alg = models.borel_nilradical_a2()
+        with pytest.raises(TypeError):
+            orbit.act(alg, [(0, 0.1)], orbit.torus_subspace(alg))
+
+    def test_multipoint_membership_refuses_a_float_point(self):
+        alg = models.borel_nilradical_a2()
+        with pytest.raises(TypeError):
+            orbit.multipoint_membership(alg, [(0.1, 0.2, 0, 0, 0)])
+
+    def test_pair_relation_refuses_a_float_base_point(self):
+        alg = models.borel_nilradical_a2()
+        # (1, 0) is in the punctured kernel of the weight (0, 1) of xb
+        assert orbit.verify_pair_relation(alg, alg.weights[1], samples=1, x0=(1, 0, 0, 0, 0)).checks
+        with pytest.raises(TypeError):
+            orbit.verify_pair_relation(alg, alg.weights[1], samples=1, x0=(1.0, 0, 0, 0, 0))
+
+    @settings(max_examples=100)
+    @given(ALGEBRAS, st.data())
+    def test_every_kernel_returns_ints_or_proper_fractions(self, spec, data):
+        """rref, nullspace and solve on the adjoint matrix of a drawn
+        element, the exp(ad) terms and chains, both branches of `_exp_row`,
+        `act` on a scalar and on a formal word and the curve's limit, the
+        Jordan parts where the algebra admits them, and the word
+        `_peel_orbit` reads off an orbit point."""
+        alg = WeightedLieAlgebra.build(*spec)
+        x = tuple(map(entry, data.draw(sparse_vectors(alg.dim))))
+        z = entry(data.draw(RATIONALS))
+        got = []
+        m = alg.ad(x)
+        got += itertools.chain.from_iterable(rref(m)[0].entries)
+        got += itertools.chain.from_iterable(nullspace(m).entries)
+        got += solve(m, x) or ()
+        u = (0,) * alg.t_dim + x[alg.t_dim :]
+        got += itertools.chain.from_iterable(alg.exp_ad_terms(u, x))
+        for k, j in itertools.product(range(alg.n), range(alg.dim)):
+            got += (c for term in alg.exp_ad_chain(k, j) for _, c in term)
+        widx = data.draw(st.integers(0, alg.n - 1))
+        for scalar in (z, None):
+            got += itertools.chain.from_iterable(orbit._exp_row(alg, widx, scalar, [x, u]))
+        t = orbit.torus_subspace(alg)
+        word = data.draw(st.lists(st.tuples(st.integers(0, alg.n - 1), RATIONALS), min_size=1, max_size=3))
+        point = orbit.act(alg, word, t)
+        curve = orbit.act(alg, [(i, None) for i, _ in word], t)
+        got += itertools.chain.from_iterable(point.basis.entries)
+        got += (e for m in curve.coeffs for row in m.entries for e in row)
+        got += itertools.chain.from_iterable(curve.limit().basis.entries)
+        try:
+            s, n = alg.jordan_decompose(x)
+            got += s + n
+        except AlgebraError:
+            pass
+        got += (c for _, c in orbit._peel_orbit(alg, point) or ())
+        assert all(is_entry(e) for e in got)
 
 
 # -- no multiplication by zero ---------------------------------------------
