@@ -9,14 +9,9 @@ ring elements.  The Gröbner kernel (`_groebner`, `_reduce`) works on a
 second, packed form (`_Order`): each exponent vector is one int, and
 each polynomial is kept primitive with Python-int coefficients and
 reduced fraction-free; its results are turned back into monic `Poly`s
-over Q once, at the end.  A `Poly` renders itself as sympy prints its
-expression (`str`), so no report needs sympy.  sympy is imported only
-at the string and expression edge: `PolyRing.symbols`, `_parse` (the
-one input path, for a string or an expression given to `Ideal.make`,
-`contains`, `normal_form`, `ideal_quotient` or
-`regular_sequence_check`), `generators`, `basis()` and
-`Poly.as_expr()`.  The chart, nilcone and determinantal routes never
-reach it.
+over Q once, at the end.  A `Poly` prints itself as sympy prints the
+same polynomial (`str`), and `_read` reads polynomial text over
+Python's own syntax tree, so `ideals` imports no sympy.
 
 A ring has no term order.  No report prints a Gröbner basis, and the
 questions the reports ask (membership, the unit ideal, the dimension,
@@ -28,9 +23,8 @@ total degree is one), and grevlex when there is none.  For such an
 ideal every S-polynomial and every remainder is homogeneous, and the
 weighted order follows the ideal's own degrees; the A3 chart ideal at
 base point (3,4,5), not homogeneous in the total degree, has a reduced
-basis of 19 elements there against 57 in grevlex.  `Ideal.groebner`,
-`basis` and `normal_form` read that basis too, so their output is in
-that order; `eliminate` computes its own basis in lex.
+basis of 19 elements there against 57 in grevlex.  `Ideal.groebner`
+and `normal_form` answer in that order; `eliminate` takes lex.
 
 A sequence element f, homogeneous of degree δ > 0 with the ideal J, is
 regular on R/J exactly when the Hilbert-series numerators satisfy
@@ -43,6 +37,7 @@ ideals with no positive grading."""
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import math
@@ -76,8 +71,8 @@ class NotGroupFixedError(IdealError):
 @dataclass(frozen=True)
 class PolyRing:
     """Q[variables], with no term order.  The ring builds its own elements:
-    `gens`, `zero`, `one`, and `ring(x)` for a number or a dict of
-    exponent tuple -> coefficient."""
+    `gens`, `zero`, `one`, and `ring(x)` for an int, a `Fraction` or a
+    dict of exponent tuple -> either; a float raises `IdealError`."""
 
     variables: tuple[str, ...]
 
@@ -99,27 +94,21 @@ class PolyRing:
         return self(1)
 
     def __call__(self, x) -> "Poly":
-        if isinstance(x, dict):
-            return Poly(self, {m: Fraction(c) for m, c in x.items() if c})
-        x = Fraction(x)
-        return Poly(self, {(0,) * len(self.variables): x} if x else {})
+        terms = x if isinstance(x, dict) else {(0,) * len(self.variables): x}
+        if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
+            raise IdealError(f"coefficients are ints or Fractions, not {x!r}")
+        return Poly(self, {m: Fraction(c) for m, c in terms.items() if c})
 
     @functools.cached_property
     def _print_order(self) -> tuple[int, ...]:
         """The variable indices by name: the order sympy prints them in."""
         return tuple(sorted(range(len(self.variables)), key=self.variables.__getitem__))
 
-    @functools.cached_property
-    def symbols(self) -> tuple:
-        import sympy
-
-        return sympy.symbols(self.variables)
-
 
 class Poly(dict):
     """An element of `ring`: exponent tuple -> nonzero `Fraction`.  Ring
-    arithmetic with `Poly`s of the same variables, ints and `Fraction`s;
-    `str` is the text sympy prints for `as_expr()`."""
+    arithmetic with `Poly`s of the same variables, ints and `Fraction`s,
+    and powers by an int; `str` is the text sympy prints for it."""
 
     __slots__ = ("ring",)
     __hash__ = None
@@ -177,6 +166,15 @@ class Poly(dict):
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):
+        """self**n by repeated squaring, from the top bit of n down."""
+        if type(n) is not int or n < 0:
+            return NotImplemented
+        out = self.ring.one
+        for bit in bin(n)[2:]:
+            out = out * out * self if bit == "1" else out * out
+        return out
+
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.ring.variables == other.ring.variables and dict.__eq__(self, other)
@@ -189,9 +187,9 @@ class Poly(dict):
         return eq if eq is NotImplemented else not eq
 
     def __str__(self) -> str:
-        """sympy's text for `as_expr()`: the variables sorted by name, the
-        terms by lex on their exponents in that order, largest first, as
-        `Expr.as_ordered_terms` sorts them (`orbit.render_sum`)."""
+        """sympy's text for the polynomial: the variables sorted by name,
+        the terms by lex on their exponents in that order, largest first,
+        as `Expr.as_ordered_terms` sorts them (`orbit.render_sum`)."""
         names, order = self.ring.variables, self.ring._print_order
         terms = sorted(self.items(), key=lambda t: [t[0][i] for i in order], reverse=True)
         return render_sum(
@@ -199,33 +197,6 @@ class Poly(dict):
         )
 
     __repr__ = __str__
-
-    def as_expr(self):
-        import sympy
-
-        syms = self.ring.symbols
-        return sympy.Add(
-            *(
-                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, m) if e))
-                for m, c in self.items()
-            )
-        )
-
-
-def _to_ring(ring: PolyRing, expr) -> Poly:
-    """The expanded sympy expression expr as an element of ring.  A symbol
-    outside the ring ends up in a coefficient and fails there with
-    CoercionFailed."""
-    from sympy import QQ
-    from sympy.polys.polyutils import dict_from_expr
-
-    terms, _ = dict_from_expr(expr, gens=ring.symbols)
-    out = {}
-    for m, c in terms.items():
-        q = QQ.from_sympy(c)
-        if q:
-            out[m] = Fraction(int(q.numerator), int(q.denominator))
-    return Poly(ring, out)
 
 
 # -- the Gröbner kernel on packed monomials ------------------------------
@@ -726,11 +697,56 @@ def _hilbert_numerator(gens, weights) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _read(ring: PolyRing, text: str) -> Poly:
+    """text as an element of ring, by `Poly` arithmetic over its syntax
+    tree (`ast.parse`), with nothing evaluated: the ring's variable names,
+    int and decimal literals (a decimal exactly as written, never through
+    a float), + and -, *, parentheses, / by a nonzero constant and ** by
+    a nonnegative integer constant.  Anything else raises `IdealError`."""
+    text = text.strip()
+    names, one = dict(zip(ring.variables, ring.gens)), (0,) * len(ring.variables)
+    arithmetic = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+    def read(node) -> Poly:
+        chain = []  # a left-leaning run of +, - and *, as a long sum prints, read by a loop
+        while isinstance(node, ast.BinOp) and type(node.op) in arithmetic:
+            chain.append(node)
+            node = node.left
+        if chain:
+            out = read(node)
+            for link in reversed(chain):
+                out = arithmetic[type(link.op)](out, read(link.right))
+            return out
+        if isinstance(node, ast.Name):
+            if node.id not in names:
+                raise IdealError(f"generator {text!r} uses foreign variables")
+            return names[node.id]
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            value = node.value if type(node.value) is int else ast.get_source_segment(text, node).replace("_", "")
+            return ring(Fraction(value))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+            return read(node.operand) * (-1 if type(node.op) is ast.USub else 1)
+        if isinstance(node, ast.BinOp):
+            a, b = read(node.left), read(node.right)
+            c = b.get(one, 0) if b.keys() <= {one} else None  # b's value when it is a constant
+            if type(node.op) is ast.Div and c:
+                return a * (1 / c)
+            if type(node.op) is ast.Pow and c is not None and c >= 0 and c.denominator == 1:
+                return a ** int(c)
+        raise IdealError(f"generator {text!r} is not a polynomial: {ast.get_source_segment(text, node)!r}")
+
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as e:
+        raise IdealError(f"generator {text!r} is not a polynomial: {e.msg}") from None
+    return read(tree.body)
+
+
 def _parse(ring: PolyRing, g) -> Poly:
-    """g as an element of ring.  An element of a ring in the same
-    variables is taken as it is; a number is a constant; a string or a
-    sympy expression is expanded and must use no variable outside the
-    ring (`IdealError`) and only rational coefficients (`CoercionFailed`)."""
+    """g as an element of ring: an element of a ring in the same variables
+    as it is, an int or a `Fraction` as a constant, a string by `_read`;
+    anything else (a float, a sympy expression: pass `str(expr)`) raises
+    `IdealError`."""
     if isinstance(g, Poly):
         if g.ring is ring:
             return g
@@ -739,12 +755,9 @@ def _parse(ring: PolyRing, g) -> Poly:
         return Poly(ring, g)
     if isinstance(g, (int, Fraction)):
         return ring(g)
-    import sympy
-
-    e = sympy.expand(sympy.sympify(g))
-    if not e.free_symbols <= set(ring.symbols):
-        raise IdealError(f"generator {g} uses foreign variables")
-    return _to_ring(ring, e)
+    if isinstance(g, str):
+        return _read(ring, g)
+    raise IdealError(f"generator {g!r} is not a ring element, an int, a Fraction or a string")
 
 
 @dataclass
@@ -759,15 +772,10 @@ class Ideal:
 
     @staticmethod
     def make(ring: PolyRing, gens) -> "Ideal":
-        """The ideal generated by gens: strings, sympy expressions, numbers
-        or ring elements, with the zeros dropped."""
+        """The ideal generated by gens (as `_parse` takes them), with the
+        zeros dropped."""
         polys = (_parse(ring, g) for g in gens)
         return Ideal(ring, tuple(p for p in polys if p))
-
-    @functools.cached_property
-    def generators(self) -> tuple:
-        """`polys` as sympy expressions."""
-        return tuple(p.as_expr() for p in self.polys)
 
     def _basis(self, weights: tuple[int, ...] | None) -> _Basis:
         """The reduced basis in lex (weights None) or in weighted grevlex,
@@ -805,9 +813,6 @@ class Ideal:
         `ring`) pairs, largest leading monomial first."""
         return self._order_free().pairs
 
-    def basis(self) -> tuple:
-        return tuple(g.as_expr() for _, g in self.groebner())
-
     @functools.cached_property
     def grading(self) -> tuple[int, ...] | None:
         """A positive integer weight vector for which every generator is
@@ -815,10 +820,9 @@ class Ideal:
         there is none (`_grading`)."""
         return _grading(self.polys, len(self.ring.variables))
 
-    def normal_form(self, f):
-        """The remainder of f (as `_parse` takes it) on division by
-        `groebner()`, as an expression."""
-        return self._order_free().reduce(_parse(self.ring, f)).as_expr()
+    def normal_form(self, f) -> Poly:
+        """The remainder of f (as `_parse` takes it) on division by `groebner()`."""
+        return self._order_free().reduce(_parse(self.ring, f))
 
     def contains(self, f) -> bool:
         """Whether f (as `_parse` takes it) lies in the ideal: its
@@ -894,10 +898,7 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
     for `is_unit`, so the Gröbner basis of J is the only one computed.
     It is also a better start for that Buchberger run (on the A3 chart
     at base point (3,4,5) it takes about half the time it takes from
-    the generators).
-
-    f may be a string, an expression, a number or a ring element; the
-    quotient's generators are ring elements."""
+    the generators)."""
     f = _parse(ideal.ring, f)
     if not f:
         raise IdealError("quotient by zero")
@@ -1065,9 +1066,7 @@ def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
     ideal extended by its predecessors (`_is_regular`).  This is a
     global check on the chart, which implies the local statement.
 
-    An f equal to 0 is a zerodivisor, since J is not the whole ring.
-    The elements may be strings, expressions or ring elements; each is
-    converted once."""
+    An f equal to 0 is a zerodivisor, since J is not the whole ring."""
     out = rep.VerificationReport("regular-sequence", "ideal")
     current = ideal
     if current.is_unit():

@@ -250,9 +250,10 @@ class WeightedLieAlgebra:
         return self.a_part(self.bracket(self.weight_vector(i), self.weight_vector(j)))
 
     def bracket(self, x: Sequence, y: Sequence):
-        """Lie bracket of two elements of r = t + a, bilinear in rational or
-        sympy entries, summed from `ad_table` over the nonzero coordinates
-        of x and y; sympy entries are returned unexpanded."""
+        """Lie bracket of two elements of r = t + a, summed from `ad_table`
+        over the nonzero coordinates of x and y.  It is bilinear in the
+        entries of any commutative ring that multiplies with ints and
+        Fractions (polynomials, say); the package passes rational ones."""
         out = [0] * self.dim
         support = [(j, c) for j, c in enumerate(y) if c]
         for xe, op in zip(x, self.ad_table()):

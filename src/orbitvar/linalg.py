@@ -69,7 +69,8 @@ def exact_div(a, b):
 def lowered(v) -> tuple:
     """v as a tuple, each whole Fraction lowered to its int.  Sums and
     products of entries are entries except that they may be whole
-    Fractions; any other value (a sympy expression) passes unchanged."""
+    Fractions; any other value (a polynomial entry of `bracket`, say)
+    passes unchanged."""
     if Fraction not in map(type, v):
         return tuple(v)
     return tuple(e.numerator if type(e) is Fraction and e.denominator == 1 else e for e in v)
@@ -206,20 +207,32 @@ def rank(m: Matrix) -> int:
 
 
 def nullspace(m: Matrix) -> Matrix:
-    """Canonical basis of the right kernel (rows of the result)."""
-    rr, piv = rref(m)
-    free = [j for j in range(m.cols) if j not in piv]
-    if not free:
-        return Matrix.zero(0, m.cols)
+    """Canonical basis of the right kernel (rows of the result): its
+    reduced row echelon basis, from one `rref` R of m with its columns
+    reversed.  Index R by the columns of m: then each row r of R is 0 to
+    the right of its pivot p_r, where R had the columns before it.
+
+    Each column f of m with no pivot gives the kernel vector
+    e_f - sum_r R[r][f] e_(p_r), and R[r][f] is 0 unless f < p_r.  So
+    the vector has its 1 at f, its other entries only at pivot columns
+    p > f, and a 0 at every other free column.  Sorted by f, the vectors
+    have their leading 1s in increasing columns and nothing else in those
+    columns.  They are therefore in reduced row echelon form, and a row
+    space has only one such basis, so they are the canonical basis a
+    second `rref` of any kernel basis would give."""
+    n = m.cols
+    rr, piv = rref(Matrix(m.rows, n, tuple(row[::-1] for row in m.entries)))
+    pivots = set(piv)
     basis = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for row, p in zip(rr.entries, piv):
-            if row[f]:
-                v[p] = -row[f]
-        basis.append(tuple(v))
-    return row_space_basis(Matrix(len(basis), m.cols, tuple(basis)))
+    for f in reversed(range(n)):  # column n - 1 - f of m, in increasing order
+        if f not in pivots:
+            v = [0] * n
+            v[n - 1 - f] = 1
+            for row, p in zip(rr.entries, piv):
+                if row[f]:
+                    v[n - 1 - p] = -row[f]
+            basis.append(tuple(v))
+    return Matrix(len(basis), n, tuple(basis))
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:

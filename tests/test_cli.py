@@ -8,6 +8,7 @@ import pytest
 from orbitvar import models
 from orbitvar.cli import main
 from orbitvar.report import SCHEMA
+from test_orbit import run_without_sympy
 
 
 def run(capsys, *argv):
@@ -242,3 +243,35 @@ class TestCommandContent:
         code, out, _ = run(capsys, "nilcone", "--builtin", "borel-nilradical-A2")
         assert code == 0
         assert json.loads(out)["summary"]["worst"] == "proven"
+
+
+class TestWithoutSympy:
+    def test_every_command_and_the_string_path_run_with_sympy_blocked(self, tmp_path):
+        """Every command on A2 and `heisenberg-3`, and the text input of
+        `ideals`, in an interpreter where importing sympy fails."""
+        report = str(tmp_path / "report")
+        run_without_sympy(
+            f"""
+from fractions import Fraction
+from orbitvar import cli, ideals
+for name in ("borel-nilradical-A2", "heisenberg-3"):
+    for command in cli.RUNNERS:
+        assert cli.main([command, "--builtin", name, "--output", {report!r}]) == 0, (command, name)
+ring = ideals.PolyRing(("x", "y", "z"))
+ideal = ideals.Ideal.make(ring, ["x**2 - y", "x*y - 0.5*z"])
+assert ideal.contains("x**3 - x*y") and not ideal.contains("x")
+assert str(ideal.normal_form("x**3 + 1/2")) == str(ideal.normal_form("x*y + 0.5")) == "z/2 + 1/2"
+assert ideal.normal_form("(0.25 + 4)**3/3") == Fraction(4913, 192)
+out = ideals.regular_sequence_check(ideals.Ideal.make(ring, ["x*y"]), ["x + y", "x"])
+assert [c.verdict for c in out.checks] == ["proven", "refuted"]
+assert ideals.ideal_quotient(ideals.Ideal.make(ring, ["x*y"]), "x").contains("y")
+for bad in ("sqrt(2)*x", "x^2", 0.5):
+    try:
+        ideal.contains(bad)
+    except ideals.IdealError:
+        pass
+    else:
+        raise AssertionError(bad)
+""",
+            blocked=True,
+        )

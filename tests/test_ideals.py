@@ -33,10 +33,16 @@ from orbitvar.ideals import (
 )
 from orbitvar.liealg import Weight
 from orbitvar.orbit import Subspace, group_fixed_points
+from sympy_reference import basis, generators, symbols, to_sympy
 
 A2 = models.borel_nilradical_a2()
 
 x, y, z, t = sympy.symbols("x y z t")
+
+
+def text(*exprs) -> list:
+    """sympy expressions as the text `ideals` reads."""
+    return [str(e) for e in exprs]
 
 
 def ring3():
@@ -46,36 +52,36 @@ def ring3():
 class TestIdealBasics:
     def test_normal_form_and_contains(self):
         r = PolyRing(("x", "y"))
-        i = Ideal.make(r, [x**2 - y, y**2 - x])
-        assert i.contains(x**4 - x)
-        assert not i.contains(x + y)
-        assert i.normal_form(x**2) == y
+        i = Ideal.make(r, text(x**2 - y, y**2 - x))
+        assert i.contains(str(x**4 - x))
+        assert not i.contains(str(x + y))
+        assert to_sympy(i.normal_form(str(x**2))) == y
 
     def test_rational_coefficients_against_integer_generators(self):
-        i = Ideal.make(ring3(), [x * y])
-        assert not i.contains(x / 2)
-        assert i.contains(x * y / 2)
-        assert i.normal_form(x / 2 + x * y) == x / 2
+        i = Ideal.make(ring3(), text(x * y))
+        assert not i.contains(str(x / 2))
+        assert i.contains(str(x * y / 2))
+        assert to_sympy(i.normal_form(str(x / 2 + x * y))) == x / 2
 
     def test_zero_ideal(self):
         i = Ideal.make(ring3(), [])
-        assert i.normal_form(x * y) == x * y
+        assert to_sympy(i.normal_form(str(x * y))) == x * y
         assert not i.is_unit()
         assert hilbert_dimension(i) == 3
 
     def test_unit_ideal(self):
-        i = Ideal.make(ring3(), [x, x + 1])
+        i = Ideal.make(ring3(), text(x, x + 1))
         assert i.is_unit()
         with pytest.raises(UnitIdealError):
             hilbert_dimension(i)
 
     def test_foreign_variables_rejected(self):
         with pytest.raises(IdealError):
-            Ideal.make(ring3(), [t + x])
+            Ideal.make(ring3(), text(t + x))
 
     def test_contains_ideal(self):
-        big = Ideal.make(ring3(), [x, y])
-        small = Ideal.make(ring3(), [x * y, x + y])
+        big = Ideal.make(ring3(), text(x, y))
+        small = Ideal.make(ring3(), text(x * y, x + y))
         assert big.contains_ideal(small)
         assert not small.contains_ideal(big)
 
@@ -83,61 +89,61 @@ class TestIdealBasics:
 class TestEliminate:
     def test_parametrized_parabola(self):
         r = PolyRing(("t", "x", "y"))
-        i = Ideal.make(r, [x - t, y - t**2])
+        i = Ideal.make(r, text(x - t, y - t**2))
         out = eliminate(i, ("t",))
         assert set(out.ring.variables) == {"x", "y"}
-        assert out.contains(y - x**2)
-        assert not out.contains(x)
+        assert out.contains(str(y - x**2))
+        assert not out.contains(str(x))
 
     def test_drop_everything_from_proper_ideal(self):
         r = PolyRing(("x", "y"))
-        i = Ideal.make(r, [x - y])
+        i = Ideal.make(r, text(x - y))
         out = eliminate(i, ("x", "y"))
-        assert out.generators == ()
+        assert generators(out) == ()
 
 
 class TestQuotient:
     def test_monomial_quotients(self):
-        i = Ideal.make(ring3(), [x * y])
-        q = ideal_quotient(i, x)
-        assert q.contains(y) and not q.contains(x)
+        i = Ideal.make(ring3(), text(x * y))
+        q = ideal_quotient(i, str(x))
+        assert q.contains(str(y)) and not q.contains(str(x))
 
     def test_principal_power(self):
-        i = Ideal.make(ring3(), [x**2])
-        q = ideal_quotient(i, x)
-        assert q.contains(x)
+        i = Ideal.make(ring3(), text(x**2))
+        q = ideal_quotient(i, str(x))
+        assert q.contains(str(x))
         assert not q.contains(1)
 
     def test_foreign_divisor_rejected(self):
         with pytest.raises(IdealError):
-            ideal_quotient(Ideal.make(ring3(), [x * y]), t)
+            ideal_quotient(Ideal.make(ring3(), text(x * y)), str(t))
 
     def test_nonzerodivisor_gives_same_ideal(self):
-        i = Ideal.make(ring3(), [x * y - z**2])
-        q = ideal_quotient(i, x + y)
+        i = Ideal.make(ring3(), text(x * y - z**2))
+        q = ideal_quotient(i, str(x + y))
         assert q.contains_ideal(i) and i.contains_ideal(q)
 
 
 class TestHilbertDimension:
     def test_linear_cuts(self):
-        assert hilbert_dimension(Ideal.make(ring3(), [x])) == 2
-        assert hilbert_dimension(Ideal.make(ring3(), [x, y])) == 1
-        assert hilbert_dimension(Ideal.make(ring3(), [x, y, z])) == 0
+        assert hilbert_dimension(Ideal.make(ring3(), text(x))) == 2
+        assert hilbert_dimension(Ideal.make(ring3(), text(x, y))) == 1
+        assert hilbert_dimension(Ideal.make(ring3(), text(x, y, z))) == 0
 
     def test_hypersurface(self):
-        assert hilbert_dimension(Ideal.make(ring3(), [x * y - z**2])) == 2
+        assert hilbert_dimension(Ideal.make(ring3(), text(x * y - z**2))) == 2
 
     def test_matches_sympy_on_twisted_cubic(self):
         r = PolyRing(("x", "y", "z", "w"))
         w = sympy.Symbol("w")
-        i = Ideal.make(r, [x * z - y**2, y * w - z**2, x * w - y * z])
+        i = Ideal.make(r, text(x * z - y**2, y * w - z**2, x * w - y * z))
         assert hilbert_dimension(i) == 2
 
 
 class TestDeterminantal:
     def test_s1_is_zero(self):
         p, pp, pd = determinantal_P(1)
-        assert p.generators == () and pp.generators == () and pd.generators == ()
+        assert generators(p) == () and generators(pp) == () and generators(pd) == ()
 
     def test_dimension_s_plus_one(self):
         for s in (2, 3, 4):
@@ -152,9 +158,9 @@ class TestDeterminantal:
             sympy.expand(u1 * t3 - u3 * t1),
             sympy.expand(u2 * t3 - u3 * t2),
         }
-        basis = {sympy.expand(g) for g in p.basis()}
-        normalized = {g if str(g).lstrip("-") == str(g) else -g for g in basis}
-        assert {sympy.expand(m) for m in normalized} == minors or len(basis) == 3
+        got = {sympy.expand(g) for g in basis(p)}
+        normalized = {g if str(g).lstrip("-") == str(g) else -g for g in got}
+        assert {sympy.expand(m) for m in normalized} == minors or len(got) == 3
 
     def test_variant_inclusions(self):
         for s in (2, 3, 4):
@@ -186,35 +192,35 @@ class TestDeterminantal:
             for j in range(s):
                 for k in range(j + 1, s):
                     f = ts[0] * (us[j] * ts[k] - us[k] * ts[j])
-                    assert pp.normal_form(f) == 0
+                    assert pp.normal_form(str(f)) == 0
 
 
 class TestRegularSequence:
     def test_coordinates_are_regular(self):
         i = Ideal.make(ring3(), [])
-        out = regular_sequence_check(i, [x, y, z])
+        out = regular_sequence_check(i, text(x, y, z))
         assert all(c.verdict == rep.PROVEN for c in out.checks)
 
     def test_repeated_element_fails(self):
         i = Ideal.make(ring3(), [])
-        out = regular_sequence_check(i, [x, x])
+        out = regular_sequence_check(i, text(x, x))
         assert out.checks[-1].verdict == rep.REFUTED
         assert "zerodivisor" in out.checks[-1].claim
 
     def test_unit_step_fails(self):
         i = Ideal.make(ring3(), [])
         # x + 1 is congruent to 1 modulo (x), hence a unit at step 2
-        out = regular_sequence_check(i, [x, x + 1])
+        out = regular_sequence_check(i, text(x, x + 1))
         assert out.checks[-1].verdict == rep.REFUTED
         assert "unit" in out.checks[-1].claim
-        out2 = regular_sequence_check(i, [sympy.Integer(1)])
+        out2 = regular_sequence_check(i, text(sympy.Integer(1)))
         assert out2.checks[-1].verdict == rep.REFUTED
         assert "unit" in out2.checks[-1].claim
 
     def test_zerodivisor_on_quotient(self):
         # modulo x*y, x kills y
-        i = Ideal.make(ring3(), [x * y])
-        out = regular_sequence_check(i, [x])
+        i = Ideal.make(ring3(), text(x * y))
+        out = regular_sequence_check(i, text(x))
         assert out.has_refutation()
 
 
@@ -241,15 +247,15 @@ class TestChartIdeal:
 
     def test_generators_vanish_at_origin(self):
         for _, chart in a2_charts():
-            zero = {s: 0 for s in chart.ideal.ring.symbols}
-            for g in chart.ideal.generators:
+            zero = {s: 0 for s in symbols(chart.ideal.ring)}
+            for g in generators(chart.ideal):
                 assert sympy.expand(g).subs(zero) == 0
 
     def test_frozen_generators_first_chart(self):
         recd, chart = next(
             (r, c) for r, c in a2_charts() if r.r_v_set == (0, 2)
         )
-        gens = {str(sympy.expand(g)) for g in chart.ideal.generators}
+        gens = {str(sympy.expand(g)) for g in generators(chart.ideal)}
         assert gens == {
             "-z2_1",
             "a1_1*z2_1 - a1_1*z2_2 - a2_1*z1_1 + a2_1*z1_2",
@@ -274,7 +280,7 @@ class TestUFunctions:
             for j, wi in enumerate(chart.fixed_weights, start=1):
                 gamma = A2.weights[wi]
                 for i in range(1, chart.d + 1):
-                    assert u_function(chart, i, gamma).as_expr() == chart.z(i, j).as_expr()
+                    assert to_sympy(u_function(chart, i, gamma)) == to_sympy(chart.z(i, j))
                 assert i_gamma(chart, gamma) == (j,)
 
     def test_complement_weight_support(self):
@@ -286,7 +292,7 @@ class TestUFunctions:
         gamma = Weight((Fraction(0), Fraction(1)))
         assert i_gamma(chart, gamma) == (1, 2)
         assert sympy.expand(
-            u_function(chart, 1, gamma).as_expr() - (-chart.z(1, 1).as_expr() + chart.z(1, 2).as_expr())
+            to_sympy(u_function(chart, 1, gamma)) - (-to_sympy(chart.z(1, 1)) + to_sympy(chart.z(1, 2)))
         ) == 0
 
     def test_row_index_bounds(self):

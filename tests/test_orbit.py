@@ -114,13 +114,16 @@ def reference_orbit_dims(alg):
     return [alg.n - intersect(normalizer(alg, c.base_point), a_subspace(alg)).dim for c in boundary_components(alg)]
 
 
-def run_without_sympy(code):
+def run_without_sympy(code, blocked=False):
     """Run `code` in a fresh interpreter that imports this orbitvar, then
-    check that sympy was never imported."""
+    check that sympy was never imported.  With blocked, sympy cannot be
+    imported at all (`sys.modules["sympy"] = None`), as where it is not
+    installed."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(orbitvar.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    check = "\nimport sys\nassert 'sympy' not in sys.modules, sorted(m for m in sys.modules if 'sympy' in m)[:3]\n"
-    done = subprocess.run([sys.executable, "-c", code + check], env=env, capture_output=True, text=True)
+    block = "import sys\nsys.modules['sympy'] = None\n" if blocked else ""
+    check = "\nimport sys\nassert sys.modules.get('sympy') is None, sorted(m for m in sys.modules if 'sympy' in m)[:3]\n"
+    done = subprocess.run([sys.executable, "-c", block + code + check], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 

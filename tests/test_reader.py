@@ -1,0 +1,103 @@
+"""The polynomial text reader of `ideals` (`_read`, reached through
+`_parse`) against sympy: on drawn texts it gives
+`sympy.expand(sympy.sympify(text, rational=True))`, a decimal exactly
+as written.  What it does not read (a call, `^`, a foreign name, a
+float, a sympy expression) raises `IdealError` at every entry point."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitvar.ideals import Ideal, IdealError, PolyRing, _parse
+from sympy_reference import from_sympy
+from test_groebner import ENTRY_POINTS
+
+RING = PolyRing(("x", "y", "z"))
+
+
+@st.composite
+def decimals(draw) -> str:
+    """Decimal literals: digits on either side of the point, or on both,
+    with or without an exponent."""
+    whole = draw(st.sampled_from(("", "0", "1", "3", "12", "250")))
+    frac = draw(st.sampled_from(("", "5", "25", "125", "07", "1")))
+    text = f"{whole or '1'}.{frac}" if not frac else f"{whole}.{frac}"
+    return text + draw(st.sampled_from(("", "", "e-2", "e1", "E+2", "e0")))
+
+
+NONZERO = st.one_of(
+    st.integers(1, 9).map(str),
+    st.builds(lambda p, q: f"({p}/{q})", st.integers(1, 9), st.integers(1, 9)),
+    decimals().filter(lambda t: Fraction(t) != 0),
+)
+LEAVES = st.one_of(
+    st.sampled_from(RING.variables),
+    st.integers(0, 30).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 20), st.integers(1, 9)),
+    decimals(),
+)
+
+
+def grow(inner):
+    """Sums, differences, products, signs, quotients by nonzero constants
+    and powers 0-3, parenthesised or not."""
+    wrap = st.sampled_from(("({})", "{}"))
+    return st.one_of(
+        st.builds(lambda a, op, b, w: w.format(f"{a} {op} {b}"), inner, st.sampled_from("+-*"), inner, wrap),
+        st.builds(lambda a, s: f"{s}({a})", inner, st.sampled_from("+-")),
+        st.builds(lambda a, c: f"({a})/{c}", inner, NONZERO),
+        st.builds(lambda a, k, w: f"{w.format(a)}**{k}", inner, st.integers(0, 3), wrap),
+    )
+
+
+TEXTS = st.recursive(LEAVES, grow, max_leaves=8)
+
+
+@settings(max_examples=300)
+@given(TEXTS)
+def test_reader_matches_sympy_on_drawn_texts(text):
+    assert _parse(RING, text) == from_sympy(RING, sympy.expand(sympy.sympify(text, rational=True)))
+
+
+def test_a_decimal_is_read_exactly():
+    assert _parse(RING, "(0.25 + 4)**3/3") == Fraction(4913, 192)
+    assert Ideal.make(RING, ["(0.25 + 4)**3/3"]).polys == (RING(Fraction(4913, 192)),)
+    assert _parse(RING, "0.1*x") == RING.gens[0] * Fraction(1, 10)
+
+
+def test_a_long_sum_is_read_without_deep_recursion():
+    """A sum or product of 2,000 terms nests 2,000 deep in the syntax
+    tree; the reader walks such a chain by a loop instead of recursing
+    once per term, so it reads what sympy's parser reads."""
+    x, y, z = RING.gens
+    assert _parse(RING, " + ".join(["x*y"] * 2000)) == x * y * 2000
+    assert _parse(RING, "*".join(["x"] * 2000)) == x**2000
+    p = sum((x**i * y ** (i % 7) * Fraction(i, 3) for i in range(1, 1500)), RING.zero) - z
+    assert _parse(RING, str(p)) == p
+
+
+@pytest.mark.parametrize("text", ("sqrt(2)*x", "x^2", "True*x", "1j*x", "x/y", "x/0", "x**-1", "x**(1/2)", "x**y", ""))
+def test_what_is_not_a_polynomial_is_refused(text):
+    with pytest.raises(IdealError, match="not a polynomial"):
+        _parse(RING, text)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("gens", ([], ["x**2 - y"]), ids=("zero", "nonzero"))
+@pytest.mark.parametrize("value", (0.1, 2.0, sympy.Symbol("x"), sympy.Rational(1, 2)), ids=("float", "whole-float", "symbol", "rational"))
+def test_a_float_or_a_sympy_object_is_refused_at_every_entry_point(entry, gens, value):
+    ideal = Ideal.make(PolyRing(("x", "y")), gens)
+    with pytest.raises(IdealError):
+        ENTRY_POINTS[entry](ideal, value)
+
+
+@pytest.mark.parametrize("value", (0.1, {(1, 0, 0): 0.5}, {(1, 0, 0): 1, (0, 0, 0): 2.0}), ids=("number", "dict", "dict-whole"))
+def test_the_ring_refuses_a_float(value):
+    with pytest.raises(IdealError, match="ints or Fractions"):
+        RING(value)
+    assert RING(Fraction(1, 10)) == Fraction(1, 10) and RING({(1, 0, 0): Fraction(1, 2)}) == RING.gens[0] * Fraction(1, 2)

@@ -53,6 +53,22 @@ def dense_rref(m):
     return Matrix.from_rows(rows) if rows else m, tuple(pivots)
 
 
+def two_rref_nullspace(m):
+    """The kernel basis e_f - sum_r R[r][f] e_(p_r) over the free columns
+    f of the rref R of m, brought to its canonical form by a second
+    `rref` (`row_space_basis`)."""
+    rr, piv = rref(m)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in piv):
+        v = [0] * m.cols
+        v[f] = 1
+        for row, p in zip(rr.entries, piv):
+            if row[f]:
+                v[p] = -row[f]
+        basis.append(tuple(v))
+    return row_space_basis(Matrix(len(basis), m.cols, tuple(basis)))
+
+
 def dense_reduce_mod_rowspace(v, basis, pivots):
     w = list(v)
     for r, p in enumerate(pivots):
@@ -116,6 +132,23 @@ class TestRowReduction:
         assert got == dense_rref(m)
         assert all(is_entry(e) for row in got[0].entries for e in row)
         assert got[0].rows == m.rows and got[0].cols == m.cols
+
+    @settings(max_examples=300)
+    @given(sparse_matrices(max_rows=8, max_cols=9))
+    def test_nullspace_matches_the_two_rref_reference(self, m):
+        """One `rref` of the column-reversed matrix gives the canonical
+        kernel basis that a second `rref` of the plain kernel basis gave."""
+        got = nullspace(m)
+        assert got == two_rref_nullspace(m)
+        assert all(is_entry(e) for row in got.entries for e in row)
+
+    @settings(max_examples=100)
+    @given(ALGEBRAS, st.data())
+    def test_nullspace_of_adjoint_matrices_matches_the_two_rref_reference(self, spec, data):
+        alg = WeightedLieAlgebra.build(*spec)
+        m = alg.ad(tuple(map(entry, data.draw(sparse_vectors(alg.dim)))))
+        assert nullspace(m) == two_rref_nullspace(m)
+        assert nullspace(m.transpose()) == two_rref_nullspace(m.transpose())
 
     def test_rref_of_empty_and_zero_matrices(self):
         for m in (Matrix(0, 4, ()), Matrix.zero(3, 4)):
