@@ -8,15 +8,19 @@ determinantal ideals are built by ring arithmetic, and `Ideal` stores
 ring elements.  The Gröbner kernel (`_groebner`, `_reduce`) works on a
 second, packed form (`_Order`): each exponent vector is one int, and
 each polynomial is kept primitive with Python-int coefficients and
-reduced fraction-free; its results are turned back into monic `Poly`s
-over Q once, at the end.  A `Poly` prints itself as sympy prints the
-same polynomial (`str`), and `_read` reads polynomial text over
-Python's own syntax tree, so `ideals` imports no sympy.
+reduced fraction-free.  `_Basis` is the one way into it: it picks the
+order, packs the polynomials, runs `_groebner` and reads the elements
+back as monic exponent dicts over Q, and every basis below (an
+ideal's, `eliminate`'s and `ideal_quotient`'s) is a `_Basis`.  A
+`Poly` prints itself as sympy prints the same polynomial (`str`), and
+`_read` reads polynomial text over Python's own syntax tree, so
+`ideals` imports no sympy.
 
 A ring has no term order.  No report prints a Gröbner basis, and the
 questions the reports ask (membership, the unit ideal, the dimension,
 regularity) have the same answer for every term order.  So an `Ideal`
-keeps one basis (`_order_free`), in the order where it is cheapest:
+keeps one basis (`_order_free`, computed once or grown from the basis
+of a smaller ideal by `_extended`), in the order where it is cheapest:
 weighted grevlex for a positive integer grading in which every
 generator is homogeneous (`_grading`, found exactly, all ones when the
 total degree is one), and grevlex when there is none.  For such an
@@ -375,7 +379,8 @@ def _groebner(polys, order: _Order, seed=()) -> list:
     is a nonzero constant the ideal is the whole ring and its reduced
     basis is 1.
 
-    `seed`, a reduced basis in the same order (`_Basis.elems`), gives
+    `seed`, a reduced basis in the same order as this function returns
+    it (the `elems` of the `_Basis` passed as a `_Basis`'s seed), gives
     the basis of the ideal generated by it and polys.  Its elements
     enter the basis first, with no pairs among themselves: the pairs of
     a Gröbner basis reduce to 0 modulo it (Buchberger's criterion), and
@@ -496,11 +501,16 @@ def _groebner(polys, order: _Order, seed=()) -> list:
 
 
 class _Basis:
-    """A reduced Gröbner basis of an ideal of `ring` from `_groebner`, with
-    the order it was computed in."""
+    """The reduced Gröbner basis of the ideal generated by polys, exponent
+    tuple -> `Fraction` mappings in `nvars` variables: in lex when weights
+    is None, else in weighted grevlex by them; with `seed`, a `_Basis` of
+    J, the basis of J + (polys) in the seed's order, grown from it.  The
+    one way into `_groebner`; it holds no ring."""
 
-    def __init__(self, ring: PolyRing, order: _Order, elems: list):
-        self.ring, self.order, self.elems = ring, order, elems
+    def __init__(self, nvars: int, polys, weights: tuple[int, ...] | None = None, seed: _Basis | None = None):
+        self.order = order = _Order(nvars, weights) if seed is None else seed.order
+        packed = [_packed(p, order)[0] for p in polys]
+        self.elems = _groebner(packed, order, () if seed is None else seed.elems)
 
     @functools.cached_property
     def divisors(self) -> list:
@@ -517,16 +527,19 @@ class _Basis:
         return len(self.elems) == 1 and self.elems[0][0] == self.order.one
 
     @functools.cached_property
-    def pairs(self) -> tuple:
-        """(leading monomial, monic element of `ring`) pairs."""
+    def monic(self) -> tuple:
+        """(leading monomial, monic element) pairs, largest leading
+        monomial first, each element an exponent tuple -> `Fraction`
+        dict."""
         unpack = self.order.unpack
         return tuple(
-            (e, Poly(self.ring, {unpack(m): Fraction(c, terms[lm]) for m, c in terms.items()}))
+            (e, {unpack(m): Fraction(c, terms[lm]) for m, c in terms.items()})
             for e, (lm, terms) in zip(self.lms, self.elems)
         )
 
     def reduce(self, p: Poly) -> Poly:
-        """The remainder of p on division by the basis, over Q."""
+        """The remainder of p on division by the basis, over Q, in p's
+        ring."""
         terms, den = _packed(p, self.order)
         rem, scale = _reduce(terms, self.divisors, self.order)
         den *= scale
@@ -702,7 +715,9 @@ def _read(ring: PolyRing, text: str) -> Poly:
     tree (`ast.parse`), with nothing evaluated: the ring's variable names,
     int and decimal literals (a decimal exactly as written, never through
     a float), + and -, *, parentheses, / by a nonzero constant and ** by
-    a nonnegative integer constant.  Anything else raises `IdealError`."""
+    a nonnegative integer constant.  Anything else raises `IdealError`, as
+    does text too deeply nested for `ast.parse` (a flat sum of a few
+    thousand terms is)."""
     text = text.strip()
     names, one = dict(zip(ring.variables, ring.gens)), (0,) * len(ring.variables)
     arithmetic = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
@@ -739,6 +754,8 @@ def _read(ring: PolyRing, text: str) -> Poly:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as e:
         raise IdealError(f"generator {text!r} is not a polynomial: {e.msg}") from None
+    except RecursionError:
+        raise IdealError(f"generator text of {len(text)} characters is too deep to parse") from None
     return read(tree.body)
 
 
@@ -767,7 +784,7 @@ class Ideal:
 
     ring: PolyRing
     polys: tuple
-    _bases: dict = field(default_factory=dict, repr=False, compare=False)
+    _gb: _Basis | None = field(default=None, repr=False, compare=False)
     _numerators: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
@@ -777,16 +794,6 @@ class Ideal:
         polys = (_parse(ring, g) for g in gens)
         return Ideal(ring, tuple(p for p in polys if p))
 
-    def _basis(self, weights: tuple[int, ...] | None) -> _Basis:
-        """The reduced basis in lex (weights None) or in weighted grevlex,
-        computed once per order."""
-        basis = self._bases.get(weights)
-        if basis is None:
-            order = _Order(len(self.ring.variables), weights)
-            packed = [_packed(p, order)[0] for p in self.polys]
-            basis = self._bases[weights] = _Basis(self.ring, order, _groebner(packed, order))
-        return basis
-
     @functools.cached_property
     def _free_weights(self) -> tuple[int, ...]:
         """The weights of `_order_free`'s basis: `grading`, or all ones
@@ -795,9 +802,11 @@ class Ideal:
 
     def _order_free(self) -> _Basis:
         """The ideal's one reduced Gröbner basis, in weighted grevlex by
-        `_free_weights`: every question the reports ask has the same
-        answer in every term order, so they all read it."""
-        return self._basis(self._free_weights)
+        `_free_weights`, computed once: every question the reports ask
+        has the same answer in every term order, so they all read it."""
+        if self._gb is None:
+            self._gb = _Basis(len(self.ring.variables), self.polys, self._free_weights)
+        return self._gb
 
     def _numerator(self, weights: tuple[int, ...]) -> dict:
         """The Hilbert-series numerator of ring/I for variables of degrees
@@ -811,7 +820,7 @@ class Ideal:
     def groebner(self) -> tuple:
         """`_order_free`'s basis as (leading monomial, monic element of
         `ring`) pairs, largest leading monomial first."""
-        return self._order_free().pairs
+        return tuple((e, Poly(self.ring, g)) for e, g in self._order_free().monic)
 
     @functools.cached_property
     def grading(self) -> tuple[int, ...] | None:
@@ -835,12 +844,6 @@ class Ideal:
     def is_unit(self) -> bool:
         return self._order_free().is_unit()
 
-    def to_json(self) -> dict:
-        return {
-            "ring": list(self.ring.variables),
-            "generators": [str(p) for p in self.polys],
-        }
-
 
 def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     """I intersected with the subring omitting drop_vars, via a lex basis
@@ -856,17 +859,10 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
         return Ideal(out, ideal.polys)
     # exponent vectors permuted into the lex order, the dropped block first
     where = [names.index(v) if v in names else None for v in drop + keep]
-    order, k = _Order(len(where), None), len(drop)
-    polys = [
-        _packed({tuple(0 if i is None else m[i] for i in where): c for m, c in p.items()}, order)[0]
-        for p in ideal.polys
-    ]
-    kept = []
-    for lm, terms in _groebner(polys, order):
-        if not any(order.unpack(lm)[:k]):
-            lc = terms[lm]
-            kept.append(Poly(out, {order.unpack(m)[k:]: Fraction(c, lc) for m, c in terms.items()}))
-    return Ideal(out, tuple(kept))
+    permuted = [{tuple(0 if i is None else m[i] for i in where): c for m, c in p.items()} for p in ideal.polys]
+    k = len(drop)
+    kept = [g for lm, g in _Basis(len(where), permuted).monic if not any(lm[:k])]
+    return Ideal(out, tuple(Poly(out, {m[k:]: c for m, c in g.items()}) for g in kept))
 
 
 def ideal_quotient(ideal: Ideal, f) -> Ideal:
@@ -904,17 +900,14 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
         raise IdealError("quotient by zero")
     r, n = ideal.ring, len(ideal.ring.variables)
     # the basis of I and y - f, as exponent vectors in the x's and y
-    elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
+    elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal._order_free().monic]
     elems.append({(0,) * n + (1,): Fraction(1), **{m + (0,): -c for m, c in f.items()}})
-    order = _Order(n + 2, (1,) * (n + 2))  # the x's, h, y
-    homogenized = []
+    homogenized = []  # in the x's, h, y
     for e in elems:
         d = max(sum(m) for m in e)
-        homogenized.append(_packed({m[:n] + (d - sum(m), m[n]): c for m, c in e.items()}, order)[0])
+        homogenized.append({m[:n] + (d - sum(m), m[n]): c for m, c in e.items()})
     out, powers = [], [r.one]
-    for lm, terms in _groebner(homogenized, order):
-        lc = terms[lm]
-        p = {order.unpack(m): Fraction(c, lc) for m, c in terms.items()}
+    for _, p in _Basis(n + 2, homogenized, (1,) * (n + 2)).monic:
         shift = 1 if all(m[-1] > 0 for m in p) else 0
         # h -> 1, y -> f; p is homogeneous, so within one power of y the
         # x exponents fix the h exponent
@@ -1049,15 +1042,13 @@ def _is_regular(ideal: Ideal, extended: Ideal, f) -> bool:
 
 
 def _extended(ideal: Ideal, f: Poly) -> Ideal:
-    """ideal + (f), generated by ideal's generators and f.  When its
-    order-free basis has the weights of ideal's, and ideal holds a basis
-    in them, that basis is grown by f (`_groebner` with a seed) instead
-    of being computed from the generators; it is the same reduced basis."""
+    """ideal + (f), generated by ideal's generators and f.  When ideal
+    holds its basis and the weights of the new basis are ideal's, that
+    basis is grown by f (a `_Basis` seeded with it) instead of being
+    computed from the generators; it is the same reduced basis."""
     out = Ideal.make(ideal.ring, ideal.polys + (f,))
-    w = out._free_weights
-    basis = ideal._bases.get(w)
-    if w == ideal._free_weights and basis is not None:
-        out._bases[w] = _Basis(out.ring, basis.order, _groebner([_packed(f, basis.order)[0]], basis.order, basis.elems))
+    if ideal._gb is not None and out._free_weights == ideal._free_weights:
+        out._gb = _Basis(len(out.ring.variables), [f], seed=ideal._gb)
     return out
 
 

@@ -9,8 +9,10 @@ shows in no verdict or report.  `orbit` keeps a curve in z as one
 matrix per power of z.
 The package reads a `Matrix` by its rows and applies none to a vector:
 `liealg` sums brackets and exp(ad) chains from its sparse adjoint table.
-The Plücker functions stay as API and as the reference that tests check
-curve limits against; `plucker_limit` alone reads polynomial coordinates.
+`det`, `PluckerVector`, `normalize_plucker` and `plucker_limit` (the
+limit of a curve of polynomial Plücker coordinates) stay as API, and
+the reconstruction of a subspace from its Plücker vector, the reference
+that tests check curve limits against, is `tests/plucker_reference.py`.
 `exp_nilpotent` and `nilpotent_terms` likewise stay only as API and as
 the dense reference for the memoised exp(ad) chains of `liealg`;
 nothing else in the package calls them.  The row-reduction kernels
@@ -32,10 +34,6 @@ class LinAlgError(Exception):
 
 
 class NotNilpotentError(LinAlgError):
-    pass
-
-
-class NotDecomposableError(LinAlgError):
     pass
 
 
@@ -325,55 +323,14 @@ def exp_nilpotent(m: Matrix, z, terms: tuple[Matrix, ...] | None = None) -> Matr
     return acc
 
 
-def index_subsets(n: int, d: int) -> list[tuple[int, ...]]:
-    """Plücker coordinate index order: size-d subsets of range(n), lex."""
-    return list(itertools.combinations(range(n), d))
-
-
 @dataclass(frozen=True)
 class PluckerVector:
     ambient: int
     dim: int
-    coords: tuple  # indexed by index_subsets(ambient, dim)
-
-    def subsets(self) -> list[tuple[int, ...]]:
-        return index_subsets(self.ambient, self.dim)
-
-    def coord(self, subset: Sequence[int]):
-        """Antisymmetric lookup: arbitrary index tuple, with sign."""
-        t = tuple(subset)
-        if len(set(t)) != len(t):
-            return 0
-        order = tuple(sorted(t))
-        sign = _perm_sign(t)
-        idx = self.subsets().index(order)
-        c = self.coords[idx]
-        return c if sign == 1 else -c
+    coords: tuple  # indexed by the size-dim subsets of range(ambient), in lex order
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-
-def _perm_sign(t: Sequence[int]) -> int:
-    sign = 1
-    t = list(t)
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            if t[i] > t[j]:
-                sign = -sign
-    return sign
-
-
-def plucker(basis: Matrix) -> PluckerVector:
-    """Plücker coordinates (maximal minors) of a d x n basis matrix."""
-    d, n = basis.rows, basis.cols
-    coords = []
-    for cols in index_subsets(n, d):
-        sub = Matrix.from_rows([[basis[i, c] for c in cols] for i in range(d)])
-        coords.append(det(sub))
-    if all(c == 0 for c in coords):
-        raise RankDeficientError("basis matrix does not have full row rank")
-    return PluckerVector(n, d, tuple(coords))
 
 
 def normalize_plucker(p: PluckerVector) -> PluckerVector:
@@ -389,10 +346,6 @@ def normalize_plucker(p: PluckerVector) -> PluckerVector:
     if first < 0:
         ints = [-v for v in ints]
     return PluckerVector(p.ambient, p.dim, tuple(ints))
-
-
-def plucker_eq(p: PluckerVector, q: PluckerVector) -> bool:
-    return normalize_plucker(p) == normalize_plucker(q)
 
 
 def plucker_limit(p: PluckerVector, z) -> PluckerVector:
@@ -413,25 +366,3 @@ def plucker_limit(p: PluckerVector, z) -> PluckerVector:
             c = pp.LC()
             coeffs.append(entry(Fraction(int(sympy.numer(c)), int(sympy.denom(c)))))
     return normalize_plucker(PluckerVector(p.ambient, p.dim, tuple(coeffs)))
-
-
-def plucker_to_basis(p: PluckerVector) -> Matrix:
-    """Reconstruct a basis (rref rows) from a decomposable Plücker vector."""
-    p = normalize_plucker(p)
-    subs = p.subsets()
-    j0 = next(i for i, c in enumerate(p.coords) if c != 0)
-    J = subs[j0]
-    rows = []
-    for pos in range(p.dim):
-        row = []
-        for k in range(p.ambient):
-            t = list(J)
-            t[pos] = k
-            row.append(p.coord(t))
-        rows.append(row)
-    basis = row_space_basis(Matrix.from_rows(rows))
-    if basis.rows != p.dim:
-        raise NotDecomposableError("Plücker vector is not decomposable")
-    if not plucker_eq(plucker(basis), p):
-        raise NotDecomposableError("Plücker vector is not decomposable")
-    return basis

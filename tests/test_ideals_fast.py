@@ -4,7 +4,7 @@ variable subsets, on generated monomial ideals, and the ideal quotient
 by a homogeneous colon against the lex tag-variable intersection, on
 generated ideals and divisors.  Each case draws an order, grevlex or
 lex, for its reference: sympy's basis and the kernel's
-(`Ideal._basis`) in that order."""
+(`test_groebner.kernel_basis`) in that order."""
 
 import itertools
 
@@ -17,17 +17,13 @@ from hypothesis import strategies as st
 
 from orbitvar.ideals import Ideal, PolyRing, eliminate, hilbert_dimension, ideal_quotient
 from sympy_reference import generators, symbols
+from test_groebner import kernel_basis
 
 X = sympy.symbols("x y z")
 RING_NAMES = ("x", "y", "z")
 
 
 # -- references -------------------------------------------------------
-
-
-def order_weights(order: str, n: int):
-    """The weights `Ideal._basis` takes for order: None for lex."""
-    return None if order == "lex" else (1,) * n
 
 
 def reference_dimension(ideal: Ideal, order: str) -> int:
@@ -40,7 +36,7 @@ def reference_dimension(ideal: Ideal, order: str) -> int:
         return len(syms)
     gb = sympy.groebner(generators(ideal), *syms, order=order, domain=sympy.QQ)
     lms = [p.monoms(order=order)[0] for p in gb.polys]
-    assert ideal._basis(order_weights(order, len(syms))).lms == lms
+    assert kernel_basis(ideal, order).lms == lms
     supports = [frozenset(syms[i] for i, e in enumerate(exps) if e > 0) for exps in lms]
     for size in range(len(syms), -1, -1):
         for subset in itertools.combinations(syms, size):
@@ -70,10 +66,9 @@ def reference_quotient(ideal: Ideal, f) -> Ideal:
 def same_ideal(a: Ideal, b: Ideal, order: str) -> bool:
     """Mutual containment, by `contains` and by the kernel's basis in
     order."""
-    n = len(a.ring.variables)
 
     def inside(big: Ideal, small: Ideal) -> bool:
-        basis = big._basis(order_weights(order, n))
+        basis = kernel_basis(big, order)
         by_order = all(not basis.reduce(p) for p in small.polys)
         assert big.contains_ideal(small) == by_order
         return by_order

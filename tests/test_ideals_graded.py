@@ -4,7 +4,7 @@ a positive grading the ideal respects, and a sequence element is judged
 regular by Hilbert-series numerators instead of a colon.  These tests
 pin both routes to the ones they replaced: the grevlex basis, and the
 colon (J : f) ⊆ J.  Each step of a sequence grows J's basis by f
-(`_groebner` with a seed) and reuses J's numerator; that route is
+(a `_Basis` with a seed) and reuses J's numerator; that route is
 pinned to the bases and numerators computed from the generators."""
 
 import itertools
@@ -28,15 +28,14 @@ from orbitvar.ideals import (
     IdealError,
     PolyRing,
     UnitIdealError,
+    _Basis,
     _extended,
     _grading,
-    _groebner,
     _hilbert_numerator,
-    _Order,
-    _packed,
     _parse,
     _times_one_minus,
     chart_ideal,
+    eliminate,
     hilbert_dimension,
     i_gamma,
     ideal_quotient,
@@ -49,38 +48,36 @@ from sympy_reference import to_sympy
 # -- the grevlex and colon routes, kept as references ----------------------
 
 
-def grevlex(ideal: Ideal):
+def grevlex(ideal: Ideal) -> _Basis:
     """The ideal's reduced basis in (unweighted) grevlex."""
-    return ideal._basis((1,) * len(ideal.ring.variables))
+    n = len(ideal.ring.variables)
+    return _Basis(n, ideal.polys, (1,) * n)
 
 
 def grevlex_view(ideal: Ideal):
     """The ideal as `hilbert_dimension` reads it, with its grevlex basis
     in place of `_order_free`'s."""
-    return SimpleNamespace(ring=ideal.ring, _order_free=lambda: grevlex(ideal))
+    basis = grevlex(ideal)
+    return SimpleNamespace(ring=ideal.ring, _order_free=lambda: basis)
 
 
-def grevlex_is_unit(ideal: Ideal) -> bool:
-    gb = grevlex(ideal).pairs
-    return len(gb) == 1 and not any(gb[0][0])
-
-
-def grevlex_contains(ideal: Ideal, p) -> bool:
-    return not grevlex(ideal).reduce(p)
+def is_unit(basis: _Basis) -> bool:
+    return len(basis.lms) == 1 and not any(basis.lms[0])
 
 
 def colon_verdicts(ideal: Ideal, seq) -> list:
     """The verdict of each step of `regular_sequence_check`, decided by
     grevlex bases and colons."""
-    out, current = [], ideal
+    out, current, gb = [], ideal, grevlex(ideal)
     for f in seq:
         extended = Ideal.make(ideal.ring, current.polys + (f,))
-        if grevlex_is_unit(extended):
+        extended_gb = grevlex(extended)
+        if is_unit(extended_gb):
             return out + ["unit"]
-        if not f or not all(grevlex_contains(current, g) for g in ideal_quotient(current, f).polys):
+        if not f or any(gb.reduce(g) for g in ideal_quotient(current, f).polys):
             return out + ["zerodivisor"]
         out.append("regular")
-        current = extended
+        current, gb = extended, extended_gb
     return out
 
 
@@ -140,7 +137,8 @@ def test_weighted_route_matches_grevlex(case, data):
     # the drawn weights exist, so a grading is found, and it is one
     assert grading is not None and min(grading) >= 1
     assert all(homogeneous(p, grading) for p in ideal.polys)
-    assert ideal.is_unit() == grevlex_is_unit(ideal)
+    gb = grevlex(ideal)
+    assert ideal.is_unit() == is_unit(gb)
     if ideal.is_unit():
         for view in (ideal, grevlex_view(ideal)):
             with pytest.raises(UnitIdealError):
@@ -149,9 +147,7 @@ def test_weighted_route_matches_grevlex(case, data):
         assert hilbert_dimension(ideal) == hilbert_dimension(grevlex_view(ideal))
     # Macaulay: the initial ideals of both orders have one Hilbert series
     for weights in {w, grading}:
-        assert _hilbert_numerator([lm for lm, _ in ideal._order_free().pairs], weights) == _hilbert_numerator(
-            grevlex(ideal).lms, weights
-        )
+        assert _hilbert_numerator([lm for lm, _ in ideal.groebner()], weights) == _hilbert_numerator(gb.lms, weights)
     # an element of the ideal, the same plus a homogeneous polynomial,
     # and a homogeneous polynomial
     member = ring.zero
@@ -160,8 +156,7 @@ def test_weighted_route_matches_grevlex(case, data):
     other = draw_homogeneous(data.draw, ring, by_degree)
     assert ideal.contains(member)
     for p in (member, member + other, other):
-        assert ideal.contains(p) == grevlex_contains(ideal, p)
-        assert ideal.contains(str(to_sympy(p))) == grevlex_contains(ideal, p)
+        assert ideal.contains(p) == ideal.contains(str(to_sympy(p))) == (not gb.reduce(p))
 
 
 @settings(max_examples=150)
@@ -174,16 +169,17 @@ def test_normal_form_and_contains_read_the_one_basis(case, data):
     text."""
     ring, w, by_degree, gens = case
     ideal = Ideal.make(ring, gens)
-    assert ideal.groebner() == ideal._order_free().pairs
+    assert ideal.groebner() == ideal._order_free().monic
     assert tuple(_parse(ring, str(g)) for _, g in ideal.groebner()) == tuple(g for _, g in ideal.groebner())
     member = ring.zero
     for g in ideal.polys:
         member += draw_homogeneous(data.draw, ring, by_degree) * g
     other = draw_homogeneous(data.draw, ring, by_degree)
     assert ideal.contains(member)
+    gb = grevlex(ideal)
     for p in (member, member + other, other):
         for f in (p, str(to_sympy(p)), str(p)):
-            assert (ideal.normal_form(f) == 0) == ideal.contains(f) == grevlex_contains(ideal, p)
+            assert (ideal.normal_form(f) == 0) == ideal.contains(f) == (not gb.reduce(p))
 
 
 @settings(max_examples=150)
@@ -196,7 +192,7 @@ def test_hilbert_series_verdicts_match_colons(case, data):
     kinds = data.draw(st.lists(st.sampled_from(("homogeneous",) * 4 + ("zero", "one")), min_size=1, max_size=3))
     r = ring
     seq = [draw_homogeneous(data.draw, ring, by_degree) if k == "homogeneous" else getattr(r, k) for k in kinds]
-    if grevlex_is_unit(ideal):
+    if is_unit(grevlex(ideal)):
         with pytest.raises(UnitIdealError):
             regular_sequence_check(ideal, seq)
         return
@@ -220,8 +216,8 @@ def scratch_verdicts(ideal: Ideal, seq) -> list:
         elif w is None:
             regular = current.contains_ideal(ideal_quotient(current, f))
         else:
-            before = _hilbert_numerator([lm for lm, _ in current._order_free().pairs], w)
-            after = _hilbert_numerator([lm for lm, _ in extended._order_free().pairs], w)
+            before = _hilbert_numerator([lm for lm, _ in current.groebner()], w)
+            after = _hilbert_numerator([lm for lm, _ in extended.groebner()], w)
             regular = after == _times_one_minus(before, sum(map(operator.mul, w, next(iter(f)))))
         if not regular:
             return out + ["zerodivisor"]
@@ -238,17 +234,17 @@ def drawn_sequence(data, ring, by_degree) -> list:
 @settings(max_examples=150)
 @given(graded_case(), st.data())
 def test_seeded_kernel_matches_the_kernel_from_generators(case, data):
-    """`_groebner([f], order, seed=G)`, G the reduced basis of polys, is
-    `_groebner(polys + [f], order)`, along a sequence of f's, in lex, in
-    grevlex and in weighted grevlex by the drawn weights."""
+    """`_Basis(n, [f], seed=G)`, G the reduced basis of polys, has the
+    elements of `_Basis(n, polys + [f])`, along a sequence of f's, in lex,
+    in grevlex and in weighted grevlex by the drawn weights."""
     ring, w, by_degree, gens = case
-    order = _Order(len(w), data.draw(st.sampled_from((None, (1,) * len(w), w))))
-    polys = [_packed(g, order)[0] for g in gens]
-    basis = _groebner(polys, order)
+    weights = data.draw(st.sampled_from((None, (1,) * len(w), w)))
+    polys = list(gens)
+    basis = _Basis(len(w), polys, weights)
     for f in drawn_sequence(data, ring, by_degree):
-        polys.append(_packed(f, order)[0])
-        basis = _groebner([polys[-1]], order, seed=basis)
-        assert basis == _groebner(polys, order)
+        polys.append(f)
+        basis = _Basis(len(w), [f], seed=basis)
+        assert basis.elems == _Basis(len(w), polys, weights).elems
 
 
 @settings(max_examples=150)
@@ -270,7 +266,7 @@ def test_sequence_steps_match_the_route_from_generators(case, data):
     for f in seq:
         extended, fresh = _extended(current, f), Ideal.make(ring, current.polys + (f,))
         assert extended.polys == fresh.polys
-        assert extended._order_free().pairs == fresh._order_free().pairs
+        assert extended._order_free().elems == fresh._order_free().elems
         for weights in {w, fresh.grading or w}:
             assert extended._numerator(weights) == _hilbert_numerator(fresh._order_free().lms, weights)
         if extended.is_unit():
@@ -278,13 +274,19 @@ def test_sequence_steps_match_the_route_from_generators(case, data):
         current = extended
 
 
+def kernel_runs(monkeypatch) -> list:
+    """Record every run of the Gröbner kernel, as the length of its seed."""
+    calls = []
+    real = ideals._groebner
+    monkeypatch.setattr(ideals, "_groebner", lambda polys, order, seed=(): calls.append(len(seed)) or real(polys, order, seed))
+    return calls
+
+
 def test_builtin_sequence_steps_grow_the_chart_basis(monkeypatch):
     """On the A3 charts every step of a u-form sequence grows the basis
     already held, and no extension is computed from its generators."""
     alg = ALGEBRAS["borel-nilradical-A3"]
-    calls = []
-    real = _groebner
-    monkeypatch.setattr(ideals, "_groebner", lambda polys, order, seed=(): calls.append(len(seed)) or real(polys, order, seed))
+    calls = kernel_runs(monkeypatch)
     for recd in orbit.group_fixed_points(alg):
         chart = chart_ideal(alg, recd.subspace)
         chart.ideal.is_unit()
@@ -293,6 +295,30 @@ def test_builtin_sequence_steps_grow_the_chart_basis(monkeypatch):
             del calls[:]
             assert verdicts(regular_sequence_check(chart.ideal, seq)) == ["regular"] * len(seq)
             assert len(calls) == len(seq) and all(calls)
+
+
+def test_one_kernel_run_per_ideal(monkeypatch):
+    """An `Ideal` computes its one basis once, whatever it is asked, and
+    `eliminate` and `ideal_quotient` (of an ideal whose basis is held)
+    each run the kernel once."""
+    calls = kernel_runs(monkeypatch)
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens
+    ideal = Ideal.make(ring, [x * y - z**2, x**2 - y * z])
+    assert not ideal.is_unit()
+    assert ideal.contains(x * (x * y - z**2)) and not ideal.contains(x)
+    assert ideal.normal_form(x**3) == z**3
+    assert len(ideal.groebner()) == 3
+    assert hilbert_dimension(ideal) == 1
+    assert ideal._numerator((1, 1, 1)) == {0: 1, 2: -2, 4: 1}
+    assert ideal.contains_ideal(ideal) and not ideal.is_unit()
+    assert len(calls) == 1
+    del calls[:]
+    assert [str(g) for g in eliminate(ideal, ("z",)).polys] == ["x**4 - x*y**3"]
+    assert len(calls) == 1
+    del calls[:]
+    assert ideal_quotient(ideal, x).polys == (y**2 - x * z, y * z - x**2, z**2 - x * y)
+    assert len(calls) == 1
 
 
 # -- the pure-Python renderer against sympy's printer ------------------------
@@ -396,7 +422,7 @@ def test_zero_ideal_membership():
     x_, y_ = ring.gens
     for gens in ([], ["0"]):
         zero = Ideal.make(ring, gens)
-        assert zero._order_free().pairs == ()
+        assert zero.groebner() == ()
         assert zero.contains(ring(0)) and zero.contains("0")
         assert not zero.contains(x_ * y_) and not zero.contains("x*y")
         assert zero.contains_ideal(zero) and not zero.contains_ideal(Ideal.make(ring, [x_]))
@@ -457,8 +483,8 @@ def test_a3_345_chart_takes_the_weighted_basis():
     ideal = chart_ideal(alg, recd.subspace).ideal
     # z1_*, z2_* -> 2, z3_* -> 3, a1_*, a2_* -> 1, a3_* -> 2
     assert ideal.grading == (2,) * 6 + (3,) * 3 + (1,) * 6 + (2,) * 3
-    assert len(ideal._order_free().pairs) == 19
-    assert len(grevlex(ideal).pairs) == 57
+    assert len(ideal.groebner()) == 19
+    assert len(grevlex(ideal).elems) == 57
     assert hilbert_dimension(ideal) == hilbert_dimension(grevlex_view(ideal)) == 6
 
 
@@ -468,7 +494,8 @@ def test_standard_grading_reuses_the_grevlex_basis(name):
     for recd in orbit.group_fixed_points(alg):
         ideal = chart_ideal(alg, recd.subspace).ideal
         assert ideal.grading == (1,) * len(ideal.ring.variables)
-        assert ideal._order_free() is grevlex(ideal)
+        assert ideal._order_free().order.weights == (1,) * len(ideal.ring.variables)
+        assert ideal._order_free().elems == grevlex(ideal).elems
 
 
 # -- chart indices ---------------------------------------------------------

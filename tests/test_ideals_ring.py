@@ -27,10 +27,7 @@ from orbitvar.ideals import (
     PolyRing,
     UnitIdealError,
     _Basis,
-    _groebner,
     _lie_order_complement,
-    _Order,
-    _packed,
     chart_dimension,
     chart_ideal,
     determinantal_P,
@@ -51,13 +48,6 @@ from test_orbit import run_without_sympy
 
 
 # -- the expression-based references -------------------------------------
-
-
-def kernel_basis(ring: PolyRing, polys, weights) -> _Basis:
-    """The reduced basis of elements of ring from the packed kernel, in
-    lex (weights None) or weighted grevlex."""
-    order = _Order(len(ring.variables), weights)
-    return _Basis(ring, order, _groebner([_packed(p, order)[0] for p in polys], order))
 
 
 class ReferenceIdeal:
@@ -81,14 +71,14 @@ class ReferenceIdeal:
         if self._gb is None:
             n = len(self.ring.variables)
             weights = {"lex": None, "grevlex": (1,) * n}.get(self.order, self.order)
-            self._gb = kernel_basis(self.ring, [from_sympy(self.ring, g) for g in self.generators], weights)
+            self._gb = _Basis(n, [from_sympy(self.ring, g) for g in self.generators], weights)
         return self._gb
 
     # the basis `hilbert_dimension` reads; every order gives the dimension
     _order_free = _basis
 
     def groebner(self) -> tuple:
-        return self._basis().pairs
+        return tuple((lm, self.ring(g)) for lm, g in self._basis().monic)
 
     def normal_form(self, f):
         f = sympy.expand(sympy.sympify(f))
@@ -106,19 +96,14 @@ class ReferenceIdeal:
         gb = self.groebner()
         return len(gb) == 1 and not any(gb[0][0])
 
-    def to_json(self) -> dict:
-        return {
-            "ring": list(self.ring.variables),
-            "generators": [str(g) for g in self.generators],
-        }
 
 
 def reference_eliminate(ideal: ReferenceIdeal, drop) -> ReferenceIdeal:
     drop = tuple(drop)
     keep = tuple(v for v in ideal.ring.variables if v not in drop)
     r = PolyRing(drop + keep)
-    gb = kernel_basis(r, [from_sympy(r, g) for g in ideal.generators], None).pairs
-    kept = [to_sympy(g) for lm, g in gb if not any(lm[: len(drop)])]
+    gb = _Basis(len(r.variables), [from_sympy(r, g) for g in ideal.generators]).monic
+    kept = [to_sympy(r(g)) for lm, g in gb if not any(lm[: len(drop)])]
     return ReferenceIdeal(PolyRing(keep), kept, ideal.order)
 
 
@@ -133,13 +118,12 @@ def reference_quotient(ideal: ReferenceIdeal, f) -> ReferenceIdeal:
     f = from_sympy(r, f)
     elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
     elems.append({(0,) * n + (1,): Fraction(1), **{m + (0,): -c for m, c in f.items()}})
-    s = PolyRing(ideal.ring.variables + ("_h", "_y"))
     homogenized = []
     for e in elems:
         d = max(sum(m) for m in e)
-        homogenized.append(s({m[:n] + (d - sum(m), m[n]): c for m, c in e.items()}))
+        homogenized.append({m[:n] + (d - sum(m), m[n]): c for m, c in e.items()})
     out, powers = [], [r.one]
-    for _, p in kernel_basis(s, homogenized, (1,) * (n + 2)).pairs:
+    for _, p in _Basis(n + 2, homogenized, (1,) * (n + 2)).monic:
         shift = 1 if all(m[-1] > 0 for m in p) else 0
         by_power: dict[int, dict] = {}
         for m, c in p.items():
@@ -271,13 +255,14 @@ def reference_primality_crosscheck_P(s: int) -> rep.VerificationReport:
     return out
 
 
-def as_json(obj) -> str:
-    return json.dumps(obj.to_json(), sort_keys=True)
+def as_json(ring: PolyRing, gens) -> str:
+    """The ideal as {"ring", "generators"} JSON, each generator printed."""
+    return json.dumps({"ring": list(ring.variables), "generators": [str(g) for g in gens]}, sort_keys=True)
 
 
 def assert_same_ideal(new: Ideal, ref: ReferenceIdeal):
     assert generators(new) == ref.generators
-    assert as_json(new) == as_json(ref)
+    assert as_json(new.ring, new.polys) == as_json(ref.ring, ref.generators)
 
 
 # -- the chart ideals of the builtins -------------------------------------

@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitvar import ideals
 from orbitvar.ideals import Ideal, IdealError, PolyRing, _parse
 from sympy_reference import from_sympy
 from test_groebner import ENTRY_POINTS
@@ -79,6 +80,28 @@ def test_a_long_sum_is_read_without_deep_recursion():
     assert _parse(RING, "*".join(["x"] * 2000)) == x**2000
     p = sum((x**i * y ** (i % 7) * Fraction(i, 3) for i in range(1, 1500)), RING.zero) - z
     assert _parse(RING, str(p)) == p
+
+
+def test_text_too_deep_for_the_parser_is_refused():
+    """A sum of 3,000 terms is deeper than `ast.parse` builds: a typed
+    refusal, through `_parse` and `Ideal.make`, not a `RecursionError`."""
+    text = " + ".join(["x*y"] * 3000)
+    with pytest.raises(IdealError, match="too deep to parse"):
+        _parse(RING, text)
+    with pytest.raises(IdealError, match="too deep to parse"):
+        Ideal.make(PolyRing(("x", "y")), [text])
+
+
+def test_a_recursion_error_past_the_parser_stays_loud(monkeypatch):
+    """Only the parse is guarded: a `RecursionError` while the tree is
+    read is a fault, and it propagates."""
+
+    def runaway(self, other):
+        raise RecursionError("raised in ring arithmetic")
+
+    monkeypatch.setattr(ideals.Poly, "__mul__", runaway)
+    with pytest.raises(RecursionError, match="raised in ring arithmetic"):
+        _parse(RING, "x*y")
 
 
 @pytest.mark.parametrize("text", ("sqrt(2)*x", "x^2", "True*x", "1j*x", "x/y", "x/0", "x**-1", "x**(1/2)", "x**y", ""))

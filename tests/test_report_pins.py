@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from orbitvar import cli, models, orbit
-from orbitvar.ideals import chart_ideal
+from orbitvar.ideals import _Basis, chart_ideal
 
 A3_REPORTS = {
     ("chart", "json"): "fe4b5ef4fbb1be5dbc93b3d870b22f4a35ddd26f2b58fdd7c1529ba118e7ef61",
@@ -30,12 +30,13 @@ def test_a3_report_bytes_and_exit_code(command, fmt, tmp_path):
 
 def test_normal_forms_on_the_a3_345_chart():
     """The remainder of every cubic monomial in the chart's ring on
-    division by the kernel's grevlex basis (`Ideal._basis`), one
+    division by the kernel's grevlex basis (a `_Basis`), one
     remainder per line as it prints, all nonzero."""
     alg = models.builtin("borel-nilradical-A3")
     recd = next(r for r in orbit.group_fixed_points(alg) if r.r_v_set == (3, 4, 5))
     ideal = chart_ideal(alg, recd.subspace).ideal
-    grevlex = ideal._basis((1,) * len(ideal.ring.variables))
+    n = len(ideal.ring.variables)
+    grevlex = _Basis(n, ideal.polys, (1,) * n)
     cubics = itertools.combinations_with_replacement(ideal.ring.gens, 3)
     forms = [grevlex.reduce(a * b * c) for a, b, c in cubics]
     assert len(forms) == 1140 and all(f != 0 for f in forms)
