@@ -191,7 +191,7 @@ def cmd_ps_check(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
 
     out = rep.VerificationReport("ps-check", alg.fingerprint(), seed=seed)
     for s in (2, 3, 4):
-        p, _, _ = ideals.determinantal_P(s)
+        p = ideals.minor_ideal(s)
         dim = ideals.hilbert_dimension(p)
         out.add(
             f"dimension-P{s}",
@@ -199,7 +199,7 @@ def cmd_ps_check(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
             "the minor ideal has dimension one more than its base",
             details={"s": s, "dimension": dim, "expected": s + 1},
         )
-        sub = ideals.primality_crosscheck_P(s)
+        sub = ideals.primality_crosscheck_P(s, p)
         for c in sub.checks:
             out.add(f"{c.name}-P{s}", c.verdict, c.claim, c.witness, c.details)
     return out

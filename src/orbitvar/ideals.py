@@ -18,17 +18,29 @@ ideal's, `eliminate`'s and `ideal_quotient`'s) is a `_Basis`.  A
 
 A ring has no term order.  No report prints a Gröbner basis, and the
 questions the reports ask (membership, the unit ideal, the dimension,
-regularity) have the same answer for every term order.  So an `Ideal`
-keeps one basis (`_order_free`, computed once or grown from the basis
-of a smaller ideal by `_extended`), in the order where it is cheapest:
-weighted grevlex for a positive integer grading in which every
-generator is homogeneous (`_grading`, found exactly, all ones when the
-total degree is one), and grevlex when there is none.  For such an
-ideal every S-polynomial and every remainder is homogeneous, and the
-weighted order follows the ideal's own degrees; the A3 chart ideal at
-base point (3,4,5), not homogeneous in the total degree, has a reduced
-basis of 19 elements there against 57 in grevlex.  `Ideal.groebner`
-and `normal_form` answer in that order; `eliminate` takes lex.
+regularity) have the same answer for every term order.  An `Ideal`
+first solves its generators of the form c·x - q, x a variable in no
+term of q (`_solve`): x := q/c is substituted in the others, and the
+values compose into one map φ from R onto the ring R' of the variables
+left, with R/J ≅ R'/J' for the image J' of the other generators.
+When a grading makes every generator homogeneous, x and q have the
+same degree, so φ keeps degrees and R/J ≅ R'/J' as graded rings: the
+dimension, the Hilbert series and every regularity verdict carry over
+(`_solve`, `Ideal._numerator`).  The ideal keeps one basis, that of J'
+(`_order_free`, computed once or grown from the basis of a smaller
+ideal by `_extended`), in the order where it is cheapest: weighted
+grevlex for a positive integer grading in which every generator is
+homogeneous (`_grading`, found exactly, all ones when the total degree
+is one), on the variables left, and grevlex when there is none.  For
+such an ideal every S-polynomial and every remainder is homogeneous,
+and the weighted order follows the ideal's own degrees; the A3 chart
+ideal at base point (3,4,5), not homogeneous in the total degree, has
+7 of its 18 generators solved and an image basis of 11 elements there
+against 38 in grevlex (57 in grevlex on all 18 variables).  Membership
+and the unit ideal are asked of J', φ(f) for f, and the dimension is
+that of R'/J'.  `Ideal.groebner` and `normal_form` answer in `ring`,
+in the block order that compares the solved variables first and then
+the others in the image basis's order; `eliminate` takes lex.
 
 A sequence element f, homogeneous of degree δ > 0 with the ideal J, is
 regular on R/J exactly when the Hilbert-series numerators satisfy
@@ -206,6 +218,7 @@ class Poly(dict):
 # -- the Gröbner kernel on packed monomials ------------------------------
 
 _BITS = 16  # per exponent field; its top bit is a guard, so exponents stay below 2**15
+_TOP = (1 << (_BITS - 1)) - 1  # the largest exponent a field holds
 
 
 class _Order:
@@ -236,7 +249,7 @@ class _Order:
 
     def __init__(self, nvars: int, weights: tuple[int, ...] | None):
         b, self.nvars, self.weights = _BITS, nvars, weights
-        self.top = top = (1 << (b - 1)) - 1
+        self.top = top = _TOP
         self.field = (1 << b) - 1
         self.mask = sum(1 << (b * i + b - 1) for i in range(nvars))
         if weights is None:
@@ -250,7 +263,7 @@ class _Order:
 
     def pack(self, e) -> int:
         if max(e, default=0) > self.top:
-            raise _too_large(self)
+            raise _too_large()
         return self.one + sum(map(operator.mul, e, self.coefs))
 
     def unpack(self, m: int) -> tuple[int, ...]:
@@ -263,8 +276,8 @@ class _Order:
         return self.one + sum(map(operator.mul, map(max, a, b), self.coefs))
 
 
-def _too_large(order: _Order) -> ScaleExceededError:
-    return ScaleExceededError(f"an exponent passes {order.top}")
+def _too_large() -> ScaleExceededError:
+    return ScaleExceededError(f"an exponent passes {_TOP}")
 
 
 def _packed(poly, order: _Order) -> tuple[dict, int]:
@@ -339,7 +352,7 @@ def _reduce(p: dict, divisors, order: _Order) -> tuple[dict, int]:
             old = p.get(mm)
             if old is None:
                 if mm & mask:
-                    raise _too_large(order)
+                    raise _too_large()
                 p[mm] = -c * cg
                 heappush(heap, -mm)
             else:
@@ -473,7 +486,7 @@ def _groebner(polys, order: _Order, seed=()) -> list:
             else:
                 del s[mm]
         if any(mm & mask for mm in s):
-            raise _too_large(order)
+            raise _too_large()
         if divisors is None:
             # smallest leading monomial first ([Cox] p. 111)
             divisors = [divs[g] for g in sorted(basis, key=lms.__getitem__)]
@@ -777,6 +790,130 @@ def _parse(ring: PolyRing, g) -> Poly:
     raise IdealError(f"generator {g!r} is not a ring element, an int, a Fraction or a string")
 
 
+# -- linear generators solved before the kernel ---------------------------
+
+
+def _check_exponents(polys):
+    """Refuse an exponent the kernel's packed fields cannot hold, before
+    a substitution could hide it."""
+    if any(e > _TOP for p in polys for m in p for e in m):
+        raise _too_large()
+
+
+def _solvable(g: Poly) -> int | None:
+    """A variable x for which g = c·x - q with x in no term of q, or
+    None: that of the first such term c·x in the order g holds its terms
+    (the order they were built or read in)."""
+    for m in g:
+        if sum(m) == 1:
+            i = m.index(1)
+            if sum(1 for k in g if k[i]) == 1:
+                return i
+    return None
+
+
+def _substitute(p: Poly, x: int, value: Poly) -> Poly:
+    """p with the variable x replaced by value, which is free of x; p
+    itself when x does not occur in it."""
+    if not any(m[x] for m in p):
+        return p
+    out: dict = {}
+    powers = {1: value}
+    for m, c in p.items():
+        e = m[x]
+        if not e:
+            out[m] = out.get(m, 0) + c
+            continue
+        if e not in powers:
+            powers[e] = value**e
+        others = m[:x] + (0,) + m[x + 1 :]
+        for k, v in powers[e].items():
+            k = tuple(map(operator.add, k, others))
+            out[k] = out.get(k, 0) + c * v
+    return Poly(p.ring, {k: v for k, v in out.items() if v})
+
+
+@dataclass(frozen=True)
+class _Substitution:
+    """The map φ: R -> R' that an ideal's linear generators define
+    (`_solve`).  R' = `ring` is Q[the variables of R at the indices
+    `kept`], φ is the identity on them and sends each solved variable x
+    to `images[x]`, an element of R', and `rest` holds the images of the
+    other generators: they generate J', and R/J ≅ R'/J' by φ."""
+
+    ring: PolyRing
+    kept: tuple[int, ...]
+    images: dict
+    rest: tuple
+
+    def __call__(self, p: Poly) -> Poly:
+        """φ(p), in one pass over its terms: a linear form costs one sum
+        of images."""
+        if not self.images:
+            return p
+        out: dict = {}
+        kept, ring = self.kept, self.ring
+        for m, c in p.items():
+            term = Poly(ring, {tuple(m[i] for i in kept): c})
+            for x, value in self.images.items():
+                if m[x]:
+                    term = term * (value if m[x] == 1 else value ** m[x])
+            for k, v in term.items():
+                out[k] = out.get(k, 0) + v
+        return Poly(ring, {k: v for k, v in out.items() if v})
+
+    def lift(self, m: tuple) -> tuple:
+        """An exponent vector of R' as one of R."""
+        if not self.images:
+            return m
+        out = [0] * (len(self.kept) + len(self.images))
+        for i, e in zip(self.kept, m):
+            out[i] = e
+        return tuple(out)
+
+
+def _solve(ring: PolyRing, polys) -> _Substitution:
+    """Solve the generators of the form c·x - q, x a variable in no term
+    of q, one at a time: the first such generator, for the x of its first
+    such term (`_solvable`), leaves the list, and x := q/c is substituted
+    in the others (only those that change are searched again) and in the
+    values already found, so that each value is, at the end, an element
+    of R' = Q[the variables left] (`_Substitution`).  Every exponent is
+    checked first (`_check_exponents`).
+
+    The ideal J contains x - φ(x) for every solved x and is generated by
+    them and the images φ(g) of the other generators, so φ, onto with
+    kernel (x - φ(x)), carries J onto J' = (φ(g)) and R/J ≅ R'/J'.  When
+    a weight vector makes every generator homogeneous, x and q have the
+    same degree, so φ keeps degrees and the isomorphism is one of graded
+    rings."""
+    _check_exponents(polys)
+    n = len(ring.variables)
+    rest = [(g, _solvable(g)) for g in polys]  # each generator beside its solvable variable
+    images: dict = {}
+    while (k := next((k for k, (_, x) in enumerate(rest) if x is not None), None)) is not None:
+        g, x = rest.pop(k)
+        unit = ring.gens[x]
+        (e,) = unit
+        value = unit - g * (1 / g[e])
+        images = {y: _substitute(v, x, value) for y, v in images.items()}
+        images[x] = value
+        changed = ((_substitute(p, x, value), p, y) for p, y in rest)
+        rest = [(q, y if q is p else _solvable(q)) for q, p, y in changed if q]
+    rest = [g for g, _ in rest]
+    if not images:
+        return _Substitution(ring, tuple(range(n)), {}, tuple(rest))
+    kept = tuple(i for i in range(n) if i not in images)
+    image_ring = PolyRing(tuple(ring.variables[i] for i in kept))
+
+    def restrict(p: Poly) -> Poly:
+        return Poly(image_ring, {tuple(m[i] for i in kept): c for m, c in p.items()})
+
+    return _Substitution(
+        image_ring, kept, {x: restrict(v) for x, v in sorted(images.items())}, tuple(map(restrict, rest))
+    )
+
+
 @dataclass
 class Ideal:
     """An ideal of `ring`, kept as its nonzero generators `polys`,
@@ -784,6 +921,7 @@ class Ideal:
 
     ring: PolyRing
     polys: tuple
+    _sub: _Substitution | None = field(default=None, repr=False, compare=False)
     _gb: _Basis | None = field(default=None, repr=False, compare=False)
     _numerators: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -796,31 +934,86 @@ class Ideal:
 
     @functools.cached_property
     def _free_weights(self) -> tuple[int, ...]:
-        """The weights of `_order_free`'s basis: `grading`, or all ones
-        (grevlex) when there is none."""
+        """The weights of `_order_free`'s basis, on the variables of R:
+        `grading`, or all ones (grevlex) when there is none."""
         return self.grading or (1,) * len(self.ring.variables)
 
+    def _substitution(self) -> _Substitution:
+        """φ: R -> R' and the generators of J' (`_solve`), found once."""
+        if self._sub is None:
+            self._sub = _solve(self.ring, self.polys)
+        return self._sub
+
     def _order_free(self) -> _Basis:
-        """The ideal's one reduced Gröbner basis, in weighted grevlex by
-        `_free_weights`, computed once: every question the reports ask
-        has the same answer in every term order, so they all read it."""
+        """The one reduced Gröbner basis the ideal keeps: that of the
+        image J' in R' (`_substitution`), in weighted grevlex by
+        `_free_weights` on the variables left, computed once.  Every
+        question the reports ask has the same answer for J and J' and in
+        every term order, so they all read it."""
         if self._gb is None:
-            self._gb = _Basis(len(self.ring.variables), self.polys, self._free_weights)
+            sub = self._substitution()
+            self._gb = _Basis(len(sub.kept), sub.rest, tuple(self._free_weights[i] for i in sub.kept))
         return self._gb
 
     def _numerator(self, weights: tuple[int, ...]) -> dict:
-        """The Hilbert-series numerator of ring/I for variables of degrees
-        `weights` (`_hilbert_numerator`), read off the leading monomials
-        of `_order_free`'s basis once per weight vector."""
+        """The Hilbert-series numerator N(J) of ring/J for variables of
+        degrees `weights`, which make every generator homogeneous, once
+        per weight vector: N(J') · prod over the solved x of
+        (1 - t^w_x), with N(J') read off the leading monomials of
+        `_order_free`'s basis (`_hilbert_numerator`).  φ is an
+        isomorphism of graded rings for these weights (`_solve`), so
+        HS(R/J) = HS(R'/J') = N(J') / prod over the kept x of (1 - t^w_x),
+        and HS(R/J) = N(J) / prod over all x of (1 - t^w_x)."""
         out = self._numerators.get(weights)
         if out is None:
-            out = self._numerators[weights] = _hilbert_numerator(self._order_free().lms, weights)
+            sub = self._substitution()
+            out = _hilbert_numerator(self._order_free().lms, tuple(weights[i] for i in sub.kept))
+            for x in sub.images:
+                out = _times_one_minus(out, weights[x])
+            self._numerators[weights] = out
         return out
 
     def groebner(self) -> tuple:
-        """`_order_free`'s basis as (leading monomial, monic element of
-        `ring`) pairs, largest leading monomial first."""
-        return tuple((e, Poly(self.ring, g)) for e, g in self._order_free().monic)
+        """The reduced Gröbner basis of the ideal in `ring`, as (leading
+        monomial, monic element) pairs, largest leading monomial first, in
+        the block order that compares the solved variables first, by lex
+        in their index order, and then the others by `_order_free`'s
+        order.  It is {x - NF(φ(x))} over the solved x, NF the remainder
+        on division by J''s basis G', together with G': its leading
+        monomials are the solved variables and those of G', and every
+        element of J reduces to 0 by it (to φ(f) ∈ J' by the first part,
+        then by G'); no term of one element is divisible by the leading
+        monomial of another, so it is the reduced basis, unique
+        (Becker–Weispfenning, Thm. 5.43)."""
+        sub, basis = self._substitution(), self._order_free()
+        n = len(self.ring.variables)
+        if basis.is_unit():
+            return (((0,) * n, self.ring.one),)
+        solved = []
+        for x, value in sub.images.items():
+            unit = tuple(int(i == x) for i in range(n))
+            solved.append((unit, self.ring.gens[x] - self._lift(basis.reduce(value))))
+        return tuple(solved) + tuple((sub.lift(e), self._lift(g)) for e, g in basis.monic)
+
+    def _lift(self, p) -> Poly:
+        """An element of R' (exponent tuple -> coefficient) as one of
+        `ring`."""
+        lift = self._substitution().lift
+        return Poly(self.ring, {lift(m): c for m, c in p.items()})
+
+    def _image_of(self, f) -> Poly:
+        """φ(f), for f as `_parse` takes it, its exponents checked
+        first."""
+        f = _parse(self.ring, f)
+        _check_exponents([f])
+        return self._substitution()(f)
+
+    def _image(self) -> "Ideal":
+        """J' as an ideal of R', holding its basis, with nothing more to
+        solve: the ring the colon fallback of `_is_regular` works in."""
+        sub = self._substitution()
+        same = _Substitution(sub.ring, tuple(range(len(sub.kept))), {}, sub.rest)
+        return Ideal(sub.ring, sub.rest, same, self._order_free())
 
     @functools.cached_property
     def grading(self) -> tuple[int, ...] | None:
@@ -830,13 +1023,16 @@ class Ideal:
         return _grading(self.polys, len(self.ring.variables))
 
     def normal_form(self, f) -> Poly:
-        """The remainder of f (as `_parse` takes it) on division by `groebner()`."""
-        return self._order_free().reduce(_parse(self.ring, f))
+        """The remainder of f (as `_parse` takes it) on division by
+        `groebner()`: that of φ(f) on division by J''s basis, since f and
+        φ(f) differ by an element of J and the remainder has no term a
+        leading monomial divides."""
+        return self._lift(self._order_free().reduce(self._image_of(f)))
 
     def contains(self, f) -> bool:
-        """Whether f (as `_parse` takes it) lies in the ideal: its
-        remainder on division by a Gröbner basis, for any order, is 0."""
-        return not self._order_free().reduce(_parse(self.ring, f))
+        """Whether f (as `_parse` takes it) lies in the ideal: whether
+        φ(f) lies in J', its remainder on division by J''s basis 0."""
+        return not self._order_free().reduce(self._image_of(f))
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(p) for p in other.polys)
@@ -889,18 +1085,18 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
     Prop. 15.12).  The kernel works on exponent vectors, so h and y need
     no names.
 
-    The basis of I is used rather than its generators: it is the one
-    basis I keeps, which `regular_sequence_check` has computed already
-    for `is_unit`, so the Gröbner basis of J is the only one computed.
-    It is also a better start for that Buchberger run (on the A3 chart
-    at base point (3,4,5) it takes about half the time it takes from
-    the generators)."""
+    The basis of I is used rather than its generators: `groebner()`,
+    the view in `ring` of the one basis I keeps, which
+    `regular_sequence_check` has computed already for `is_unit`, so the
+    Gröbner basis of J is the only one computed.  It is also a better
+    start for that Buchberger run (on the A3 chart at base point (3,4,5)
+    it took about half the time it takes from the generators)."""
     f = _parse(ideal.ring, f)
     if not f:
         raise IdealError("quotient by zero")
     r, n = ideal.ring, len(ideal.ring.variables)
     # the basis of I and y - f, as exponent vectors in the x's and y
-    elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal._order_free().monic]
+    elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
     elems.append({(0,) * n + (1,): Fraction(1), **{m + (0,): -c for m, c in f.items()}})
     homogenized = []  # in the x's, h, y
     for e in elems:
@@ -956,9 +1152,11 @@ def hilbert_dimension(ideal: Ideal) -> int:
     variables, since every cover contains one of them, and prune a
     branch once it cannot beat the smallest cover found so far.
 
-    The leading monomials are those of `Ideal._order_free`."""
-    lms = ideal._order_free().lms
-    nvars = len(ideal.ring.variables)
+    R/J ≅ R'/J' (`_solve`), so the dimension is that of R'/J': the
+    leading monomials are those of `Ideal._order_free`, J''s basis, and
+    the variables those of R'."""
+    basis = ideal._order_free()
+    lms, nvars = basis.lms, basis.order.nvars
     if not lms:
         return nvars
     if len(lms) == 1 and not any(lms[0]):
@@ -967,31 +1165,38 @@ def hilbert_dimension(ideal: Ideal) -> int:
     return nvars - _min_cover_size(supports)
 
 
-def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
-    """The 2x2-minor ideal P_s in Q[u_1..u_s, T_1..T_s], together with
-    the one-column variant P'_s and the recursive variant P''_s."""
+def minor_ideal(s: int) -> Ideal:
+    """The 2x2-minor ideal P_s of the matrix with rows (u_1..u_s) and
+    (T_1..T_s), in Q[u_1..u_s, T_1..T_s]."""
     if s < 1:
         raise IdealError("s must be at least 1")
     names = tuple(f"u{i}" for i in range(1, s + 1)) + tuple(f"T{i}" for i in range(1, s + 1))
     ring = PolyRing(names)
     u, t = ring.gens[:s], ring.gens[s:]
-    p = Ideal.make(
-        ring,
-        [u[j] * t[k] - u[k] * t[j] for j in range(s) for k in range(j + 1, s)],
-    )
-    p_prime = Ideal.make(ring, [u[j] * t[0] - u[0] * t[j] for j in range(1, s)])
+    return Ideal.make(ring, [u[j] * t[k] - u[k] * t[j] for j in range(s) for k in range(j + 1, s)])
+
+
+def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
+    """The 2x2-minor ideal P_s (`minor_ideal`), together with the
+    one-column variant P'_s and the recursive variant P''_s, in its
+    ring."""
+    p = minor_ideal(s)
+    u, t = p.ring.gens[:s], p.ring.gens[s:]
+    p_prime = Ideal.make(p.ring, [u[j] * t[0] - u[0] * t[j] for j in range(1, s)])
     rec = [u[j] * t[k] - u[k] * t[j] for j in range(s - 1) for k in range(j + 1, s - 1)]
-    p_dbl = Ideal.make(ring, rec + ([u[s - 1] * t[0] - u[0] * t[s - 1]] if s >= 2 else []))
+    p_dbl = Ideal.make(p.ring, rec + ([u[s - 1] * t[0] - u[0] * t[s - 1]] if s >= 2 else []))
     return p, p_prime, p_dbl
 
 
-def primality_crosscheck_P(s: int) -> rep.VerificationReport:
+def primality_crosscheck_P(s: int, p: Ideal | None = None) -> rep.VerificationReport:
     """Certify P_s as the kernel of T_i -> lam*u_i by elimination, and
-    check both inclusions explicitly."""
+    check both inclusions explicitly.  p is P_s (`minor_ideal`) when the
+    caller holds it already, with its basis."""
     out = rep.VerificationReport("ps-check", f"determinantal-P{s}")
     if s < 1 or s > 5:
         raise ScaleExceededError("s out of the certified range")
-    p, _, _ = determinantal_P(s)
+    if p is None:
+        p = minor_ideal(s)
     if s == 1:
         out.add("kernel-equality", rep.PROVEN, "the one-variable case is the zero ideal")
         return out
@@ -1033,22 +1238,31 @@ def _is_regular(ideal: Ideal, extended: Ideal, f) -> bool:
     N(J) is the previous step's N(J + f).
 
     Without a positive grading the colon is computed: f is regular
-    exactly when (J : f) ⊆ J, since J ⊆ (J : f) always holds."""
+    exactly when (J : f) ⊆ J, since J ⊆ (J : f) always holds.  R/J ≅
+    R'/J' by φ (`_solve`), so this is (J' : φ(f)) ⊆ J', computed in R';
+    φ(f) = 0 puts f in J, a zerodivisor on R/J, which is not 0."""
     w = extended.grading
     if w is None:
-        return ideal.contains_ideal(ideal_quotient(ideal, f))
+        image, g = ideal._image(), ideal._substitution()(f)
+        return bool(g) and image.contains_ideal(ideal_quotient(image, g))
     delta = _degree(w, next(iter(f)))
     return extended._numerator(w) == _times_one_minus(ideal._numerator(w), delta)
 
 
 def _extended(ideal: Ideal, f: Poly) -> Ideal:
-    """ideal + (f), generated by ideal's generators and f.  When ideal
-    holds its basis and the weights of the new basis are ideal's, that
-    basis is grown by f (a `_Basis` seeded with it) instead of being
-    computed from the generators; it is the same reduced basis."""
+    """ideal + (f), generated by ideal's generators and f, with ideal's
+    substitution φ: its image in R' is J' + (φ(f)), and nothing more is
+    solved.  When ideal holds its basis and the weights of the new basis
+    are ideal's, that basis is grown by φ(f) (a `_Basis` seeded with it)
+    instead of being computed from the generators; it is the same
+    reduced basis."""
     out = Ideal.make(ideal.ring, ideal.polys + (f,))
+    _check_exponents([f])
+    sub = ideal._substitution()
+    image = sub(f)
+    out._sub = _Substitution(sub.ring, sub.kept, sub.images, sub.rest + ((image,) if image else ()))
     if ideal._gb is not None and out._free_weights == ideal._free_weights:
-        out._gb = _Basis(len(out.ring.variables), [f], seed=ideal._gb)
+        out._gb = _Basis(len(sub.kept), [image], seed=ideal._gb)
     return out
 
 

@@ -162,14 +162,18 @@ def test_weighted_route_matches_grevlex(case, data):
 @settings(max_examples=150)
 @given(graded_case(), st.data())
 def test_normal_form_and_contains_read_the_one_basis(case, data):
-    """`groebner()` is `_order_free`'s basis, in the weighted order of
-    the ideal's grading, and `normal_form(f)` is 0 exactly when
-    `contains(f)`, for f a ring element, a sympy expression's text or
-    the element's own text; the basis elements read back from their
-    text."""
+    """`groebner()` is `_order_free`'s basis of the image J', in the
+    weighted order of the ideal's grading, lifted to the ring, after one
+    element x - NF(φ(x)) per solved variable x; and `normal_form(f)` is
+    0 exactly when `contains(f)`, for f a ring element, a sympy
+    expression's text or the element's own text; the basis elements
+    read back from their text."""
     ring, w, by_degree, gens = case
     ideal = Ideal.make(ring, gens)
-    assert ideal.groebner() == ideal._order_free().monic
+    sub, basis = ideal._substitution(), ideal._order_free()
+    solved = () if basis.is_unit() else tuple(sub.images)
+    assert [lm for lm, _ in ideal.groebner()[: len(solved)]] == [next(iter(ring.gens[x])) for x in solved]
+    assert ideal.groebner()[len(solved) :] == tuple((sub.lift(e), ideal._lift(g)) for e, g in basis.monic)
     assert tuple(_parse(ring, str(g)) for _, g in ideal.groebner()) == tuple(g for _, g in ideal.groebner())
     member = ring.zero
     for g in ideal.polys:
@@ -252,8 +256,9 @@ def test_seeded_kernel_matches_the_kernel_from_generators(case, data):
 def test_sequence_steps_match_the_route_from_generators(case, data):
     """The verdicts of `regular_sequence_check` are those of the route
     that computes every basis and numerator afresh; and each J + (f) of
-    `_extended` has the basis and numerators of the ideal built from its
-    generators."""
+    `_extended` keeps J's substitution, its basis is that of its image
+    generators computed from them, and it has the numerators of the
+    ideal built from its generators, which solves its own."""
     ring, w, by_degree, gens = case
     ideal = Ideal.make(ring, gens)
     seq = drawn_sequence(data, ring, by_degree)
@@ -266,9 +271,12 @@ def test_sequence_steps_match_the_route_from_generators(case, data):
     for f in seq:
         extended, fresh = _extended(current, f), Ideal.make(ring, current.polys + (f,))
         assert extended.polys == fresh.polys
-        assert extended._order_free().elems == fresh._order_free().elems
+        sub = extended._substitution()
+        assert sub.images == current._substitution().images
+        weights = tuple(extended._free_weights[i] for i in sub.kept)
+        assert extended._order_free().elems == _Basis(len(sub.kept), sub.rest, weights).elems
         for weights in {w, fresh.grading or w}:
-            assert extended._numerator(weights) == _hilbert_numerator(fresh._order_free().lms, weights)
+            assert extended._numerator(weights) == fresh._numerator(weights)
         if extended.is_unit():
             break
         current = extended
@@ -300,7 +308,8 @@ def test_builtin_sequence_steps_grow_the_chart_basis(monkeypatch):
 def test_one_kernel_run_per_ideal(monkeypatch):
     """An `Ideal` computes its one basis once, whatever it is asked, and
     `eliminate` and `ideal_quotient` (of an ideal whose basis is held)
-    each run the kernel once."""
+    each run the kernel once; so does an ideal with a generator
+    solved."""
     calls = kernel_runs(monkeypatch)
     ring = PolyRing(("x", "y", "z"))
     x, y, z = ring.gens
@@ -318,6 +327,13 @@ def test_one_kernel_run_per_ideal(monkeypatch):
     assert len(calls) == 1
     del calls[:]
     assert ideal_quotient(ideal, x).polys == (y**2 - x * z, y * z - x**2, z**2 - x * y)
+    assert len(calls) == 1
+    # with a generator solved first: one run, on the image in y and z
+    del calls[:]
+    solved = Ideal.make(ring, [x * y - z**2, x - y])
+    assert not solved.is_unit() and solved.contains(y**2 - z**2) and not solved.contains(x)
+    assert solved.normal_form(x**2) == z**2 and len(solved.groebner()) == 2
+    assert hilbert_dimension(solved) == 1 and solved._numerator((1, 1, 1)) == {0: 1, 1: -1, 2: -1, 3: 1}
     assert len(calls) == 1
 
 
@@ -478,24 +494,36 @@ def test_builtin_charts_match_grevlex_and_colons(name, recd, monkeypatch):
 
 
 def test_a3_345_chart_takes_the_weighted_basis():
+    """The image of the A3 chart ideal at (3,4,5), 7 of its 18
+    generators solved, takes the weighted basis of the chart's grading
+    on the 11 variables left."""
     alg = ALGEBRAS["borel-nilradical-A3"]
     recd = next(r for r in orbit.group_fixed_points(alg) if r.r_v_set == (3, 4, 5))
     ideal = chart_ideal(alg, recd.subspace).ideal
     # z1_*, z2_* -> 2, z3_* -> 3, a1_*, a2_* -> 1, a3_* -> 2
     assert ideal.grading == (2,) * 6 + (3,) * 3 + (1,) * 6 + (2,) * 3
-    assert len(ideal.groebner()) == 19
+    sub, basis = ideal._substitution(), ideal._order_free()
+    assert (len(ideal.polys), len(sub.images), len(sub.kept)) == (18, 7, 11)
+    assert basis.order.weights == tuple(ideal.grading[i] for i in sub.kept)
+    n = len(sub.kept)
+    assert len(basis.elems) == 11 and len(_Basis(n, sub.rest, (1,) * n).elems) == 38
+    assert len(ideal.groebner()) == 7 + 11
     assert len(grevlex(ideal).elems) == 57
     assert hilbert_dimension(ideal) == hilbert_dimension(grevlex_view(ideal)) == 6
 
 
 @pytest.mark.parametrize("name", ("sl2-borel", "borel-nilradical-A2", "heisenberg-3", "abelian:3"))
 def test_standard_grading_reuses_the_grevlex_basis(name):
+    """Where the grading is the total degree, the image basis is the
+    grevlex basis of the image generators in the variables left."""
     alg = ALGEBRAS[name]
     for recd in orbit.group_fixed_points(alg):
         ideal = chart_ideal(alg, recd.subspace).ideal
         assert ideal.grading == (1,) * len(ideal.ring.variables)
-        assert ideal._order_free().order.weights == (1,) * len(ideal.ring.variables)
-        assert ideal._order_free().elems == grevlex(ideal).elems
+        sub = ideal._substitution()
+        n = len(sub.kept)
+        assert ideal._order_free().order.weights == (1,) * n
+        assert ideal._order_free().elems == _Basis(n, sub.rest, (1,) * n).elems
 
 
 # -- chart indices ---------------------------------------------------------

@@ -107,7 +107,9 @@ def reference_eliminate(ideal: ReferenceIdeal, drop) -> ReferenceIdeal:
     return ReferenceIdeal(PolyRing(keep), kept, ideal.order)
 
 
-def reference_quotient(ideal: ReferenceIdeal, f) -> ReferenceIdeal:
+def reference_quotient(ideal: ReferenceIdeal, f, basis=None) -> ReferenceIdeal:
+    """(I : f) by the homogeneous colon from `basis`, (leading monomial,
+    ring element) pairs, by default the reference's own basis."""
     f = sympy.expand(sympy.sympify(f))
     if f == 0:
         raise IdealError("quotient by zero")
@@ -116,7 +118,7 @@ def reference_quotient(ideal: ReferenceIdeal, f) -> ReferenceIdeal:
         raise IdealError(f"{f} uses foreign variables")
     r, n = ideal.ring, len(xs)
     f = from_sympy(r, f)
-    elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
+    elems = [{m + (0,): c for m, c in g.items()} for _, g in (ideal.groebner() if basis is None else basis)]
     elems.append({(0,) * n + (1,): Fraction(1), **{m + (0,): -c for m, c in f.items()}})
     homogenized = []
     for e in elems:
@@ -382,14 +384,14 @@ def test_regular_sequence_reports_match_expression_reference(ideal_input, seq):
 @given(IDEAL_INPUTS, ELEMENTS)
 def test_quotient_generators_match_expression_reference(ideal_input, f):
     """Generator for generator against the reference from the basis the
-    ideal keeps (`_free_weights`), and as an ideal against the reference
-    from the basis in the drawn order."""
+    ideal answers from (`Ideal.groebner`), and as an ideal against the
+    reference from the basis in the drawn order."""
     order, gens = ideal_input
     assume(sympy.expand(f) != 0)
     ring = PolyRing(RING_NAMES)
     texts = [str(g) for g in gens]
     new = ideal_quotient(Ideal.make(ring, texts), str(f))
-    ref = reference_quotient(ReferenceIdeal(ring, gens, Ideal.make(ring, texts)._free_weights), f)
+    ref = reference_quotient(ReferenceIdeal(ring, gens), f, Ideal.make(ring, texts).groebner())
     assert_same_ideal(new, ref)
     assert_same_ideal(ideal_quotient(Ideal.make(ring, texts), from_sympy(ring, f)), ref)
     in_order = reference_quotient(ReferenceIdeal(ring, gens, order), f)
