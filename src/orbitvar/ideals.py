@@ -723,6 +723,41 @@ def _hilbert_numerator(gens, weights) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+_READ_WORK = 1 << 20  # the most term-by-term products one multiplication of the reader may make
+_READ_BITS = 1 << 16  # the most bits of a coefficient of a power it forms
+
+
+def _ceil_log2(v: int) -> int:
+    """The least e >= 0 with v <= 2**e."""
+    return (v - 1).bit_length() if v > 1 else 0
+
+
+def _read_budget(a: Poly, b: Poly, k: int | None) -> str | None:
+    """Why the product a*b (k None) or the power a**k would pass the
+    reader's budget, or None when it would not.  The bounds hold before
+    anything is multiplied.  a*b makes len(a)·len(b) term products.  a**k,
+    for a of t >= 2 terms, has at most T = C(k + t - 1, t - 1) terms (the
+    monomials of degree k in t symbols), as has every power of a that
+    `Poly.__pow__` forms on the way, so each of its multiplications makes
+    at most T² term products; and written over L**k, L the lcm of a's
+    denominators, its numerators are at most S**k, S the sum of the
+    absolute values of a's coefficients times L."""
+    if k is None:
+        work = len(a) * len(b)
+    else:
+        t = len(a)
+        terms = 1 if t < 2 else _READ_WORK if k >= _READ_WORK else math.comb(k + t - 1, t - 1)
+        work = terms * terms
+        den = math.lcm(*(c.denominator for c in a.values()))
+        size = sum(abs(c.numerator) * (den // c.denominator) for c in a.values())
+        bits = k * (_ceil_log2(size) + _ceil_log2(den))
+        if bits > _READ_BITS:
+            return f"coefficients of up to {bits} bits, past {_READ_BITS}"
+    if work > _READ_WORK:
+        return f"more than {_READ_WORK} term products in one multiplication"
+    return None
+
+
 def _read(ring: PolyRing, text: str) -> Poly:
     """text as an element of ring, by `Poly` arithmetic over its syntax
     tree (`ast.parse`), with nothing evaluated: the ring's variable names,
@@ -730,10 +765,20 @@ def _read(ring: PolyRing, text: str) -> Poly:
     a float), + and -, *, parentheses, / by a nonzero constant and ** by
     a nonnegative integer constant.  Anything else raises `IdealError`, as
     does text too deeply nested for `ast.parse` (a flat sum of a few
-    thousand terms is)."""
+    thousand terms is).  A product or power whose multiplications could
+    make more than `_READ_WORK` term products each, or a power whose
+    coefficients could pass `_READ_BITS` bits (`_read_budget`), raises
+    `ScaleExceededError` before it is formed: `"3/3**3**3**3"` and
+    `"(x + 1)**(10**9)"` are refused at once instead of expanded for
+    hours."""
     text = text.strip()
     names, one = dict(zip(ring.variables, ring.gens)), (0,) * len(ring.variables)
     arithmetic = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+    def checked(a: Poly, b: Poly, k: int | None, node) -> None:
+        why = _read_budget(a, b, k)
+        if why is not None:
+            raise ScaleExceededError(f"generator {text!r}: {ast.get_source_segment(text, node)!r} could have {why}")
 
     def read(node) -> Poly:
         chain = []  # a left-leaning run of +, - and *, as a long sum prints, read by a loop
@@ -743,7 +788,10 @@ def _read(ring: PolyRing, text: str) -> Poly:
         if chain:
             out = read(node)
             for link in reversed(chain):
-                out = arithmetic[type(link.op)](out, read(link.right))
+                right = read(link.right)
+                if type(link.op) is ast.Mult:
+                    checked(out, right, None, link)
+                out = arithmetic[type(link.op)](out, right)
             return out
         if isinstance(node, ast.Name):
             if node.id not in names:
@@ -760,6 +808,7 @@ def _read(ring: PolyRing, text: str) -> Poly:
             if type(node.op) is ast.Div and c:
                 return a * (1 / c)
             if type(node.op) is ast.Pow and c is not None and c >= 0 and c.denominator == 1:
+                checked(a, b, int(c), node)
                 return a ** int(c)
         raise IdealError(f"generator {text!r} is not a polynomial: {ast.get_source_segment(text, node)!r}")
 

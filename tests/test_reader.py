@@ -1,9 +1,13 @@
 """The polynomial text reader of `ideals` (`_read`, reached through
 `_parse`) against sympy: on drawn texts it gives
 `sympy.expand(sympy.sympify(text, rational=True))`, a decimal exactly
-as written.  What it does not read (a call, `^`, a foreign name, a
-float, a sympy expression) raises `IdealError` at every entry point."""
+as written, unless a product or power in the text passes the reader's
+budget, which it refuses with `ScaleExceededError`.  What it does not
+read (a call, `^`, a foreign name, a float, a sympy expression) raises
+`IdealError` at every entry point."""
 
+import ast
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitvar import ideals
-from orbitvar.ideals import Ideal, IdealError, PolyRing, _parse
+from orbitvar.ideals import Ideal, IdealError, PolyRing, ScaleExceededError, _parse
 from sympy_reference import from_sympy
 from test_groebner import ENTRY_POINTS
 
@@ -59,10 +63,70 @@ def grow(inner):
 TEXTS = st.recursive(LEAVES, grow, max_leaves=8)
 
 
+def past_the_budget(text: str) -> bool:
+    """Whether reading text forms a product or a power past the reader's
+    budget, found by sympy on the same syntax tree, each operand read
+    before the operation: a product a*b with len(a)·len(b) past
+    `_READ_WORK`; a power a**k, a of t >= 2 terms, with C(k + t - 1, t - 1)
+    squared past it; or a power with k·(⌈log2 S⌉ + ⌈log2 L⌉) past
+    `_READ_BITS`, L the lcm of a's denominators and S the sum of |c|·L
+    over a's coefficients c."""
+
+    def value(node):
+        return sympy.sympify(ast.get_source_segment(text, node), rational=True)
+
+    def ceil_log2(v: int) -> int:
+        return (v - 1).bit_length() if v > 1 else 0
+
+    def past(node) -> bool:
+        if any(past(child) for child in ast.iter_child_nodes(node)):
+            return True
+        if not isinstance(node, ast.BinOp) or type(node.op) not in (ast.Mult, ast.Pow):
+            return False
+        a = from_sympy(RING, value(node.left))
+        if type(node.op) is ast.Mult:
+            return len(a) * len(from_sympy(RING, value(node.right))) > ideals._READ_WORK
+        k, t = int(value(node.right)), len(a)
+        if t >= 2 and (k >= ideals._READ_WORK or math.comb(k + t - 1, t - 1) ** 2 > ideals._READ_WORK):
+            return True
+        den = math.lcm(*(c.denominator for c in a.values()))
+        size = sum(abs(c.numerator) * (den // c.denominator) for c in a.values())
+        return k * (ceil_log2(size) + ceil_log2(den)) > ideals._READ_BITS
+
+    return past(ast.parse(text.strip(), mode="eval"))
+
+
 @settings(max_examples=300)
 @given(TEXTS)
 def test_reader_matches_sympy_on_drawn_texts(text):
-    assert _parse(RING, text) == from_sympy(RING, sympy.expand(sympy.sympify(text, rational=True)))
+    if past_the_budget(text):
+        with pytest.raises(ScaleExceededError):
+            _parse(RING, text)
+    else:
+        assert _parse(RING, text) == from_sympy(RING, sympy.expand(sympy.sympify(text, rational=True)))
+
+
+def test_a_product_or_power_past_the_budget_is_refused_before_it_is_formed():
+    """A power tower such as `3/3**3**3**3` (3 to the 3**27), drawn by
+    the property test above, expanded for hours; it and the other texts
+    past the budget are refused at once, through `_parse` and
+    `Ideal.make`.  Texts at or near the budget's edges are read as sympy
+    reads them."""
+    refused = ("3/3**3**3**3", "(x + 1)**(10**9)", "2**65537", "(14/3**3**3**2)**3", "(x + y)**1024", "(x + y + 1)**44")
+    for text in refused:
+        assert past_the_budget(text)
+        with pytest.raises(ScaleExceededError, match="could have"):
+            _parse(RING, text)
+    with pytest.raises(ScaleExceededError):
+        Ideal.make(PolyRing(("x", "y")), ["x - 1", "3/3**3**3**3"])
+    # 1,100 terms times 1,000: 1,100,000 term products, past 2**20
+    product = "({})*({})".format(" + ".join(f"x**{i}" for i in range(1, 1101)), " + ".join(f"y**{i}" for i in range(1, 1001)))
+    with pytest.raises(ScaleExceededError, match="term products"):
+        _parse(RING, product)
+    within = ("2**65536", "14/3**3**3**2", "x**(3**27)", "x**40000 - y", "(x + y + 1)**20", "(x/3 + 2*z)**100", "(x + y + z + 1)**5*(x - z)**7")
+    for text in within:
+        assert not past_the_budget(text)
+        assert _parse(RING, text) == from_sympy(RING, sympy.expand(sympy.sympify(text, rational=True)))
 
 
 def test_a_decimal_is_read_exactly():
