@@ -1490,17 +1490,18 @@ def i_gamma(chart: ChartIdeal, gamma: Weight) -> tuple[int, ...]:
 
 def verify_chart_relation(chart: ChartIdeal) -> rep.VerificationReport:
     """The coupling relation between the last complement weight's u-forms
-    and a-coordinates must lie in the chart ideal."""
+    and a-coordinates must lie in the chart ideal.  The relation of
+    (i, j) is u_i a_j - u_j a_i: 0 for i = j and the negative of that of
+    (j, i), so only the pairs i < j are checked."""
     out = rep.VerificationReport("chart-relation", chart.alg.fingerprint())
     if chart.m < 1:
         raise IdealError("chart has no complement weights")
     gm = chart.alg.weights[chart.complement[-1]]
     u = {i: u_function(chart, i, gm) for i in range(1, chart.d + 1)}
-    ok = True
-    for i in range(1, chart.d + 1):
-        for j in range(1, chart.d + 1):
-            if not chart.ideal.contains(u[i] * chart.a(j, chart.m) - u[j] * chart.a(i, chart.m)):
-                ok = False
+    ok = all(
+        chart.ideal.contains(u[i] * chart.a(j, chart.m) - u[j] * chart.a(i, chart.m))
+        for i, j in itertools.combinations(range(1, chart.d + 1), 2)
+    )
     out.add(
         "chart-relation",
         rep.PROVEN if ok else rep.REFUTED,

@@ -9,7 +9,10 @@ integral, a Fraction otherwise.  `build` converts its input with
 `linalg.entry` (refusing a float or a symbol), sums start from 0, the
 divisions of `exp_ad_terms` and `jordan_decompose` go through
 `linalg.exact_div`, and whole Fractions in a result are lowered to ints
-(`linalg.lowered`).
+(`linalg.lowered`).  The torus kernel of each weight subset is kept as
+its canonical basis and grown from the kernel of the subset less its
+largest index by one elimination (`kernel`, `_kernel_step`), so the
+walks over weight subsets take no `rref`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .linalg import (
     nullspace,
     rank,
     row_space_basis,
-    rref,
 )
 
 
@@ -198,8 +200,11 @@ class WeightedLieAlgebra:
         }
 
     def fingerprint(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        def compute():
+            blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(blob.encode()).hexdigest()
+
+        return self.derived("fingerprint", compute)
 
     def derived(self, key, compute: Callable[[], object]):
         """The value of `compute()`, computed on the first call with this
@@ -334,19 +339,38 @@ class WeightedLieAlgebra:
         return Matrix.from_rows([list(w.coords) for w in ws])
 
     def torus_kernel(self, weights: Sequence[Weight]) -> Matrix:
-        """Basis (rows) of {t in the torus : w(t) = 0 for all given w}."""
+        """Basis (rows) of {t in the torus : w(t) = 0 for all given w}, by
+        a fresh `nullspace`, for any weights; the package reads the
+        kernels of its own weight subsets from `kernel`."""
         if not weights:
             return Matrix.identity(self.t_dim)
         return nullspace(self.weight_matrix(weights))
 
-    def center(self) -> "CenterData":
-        """Center of r: torus directions annihilated by every weight.
-        (Conditions on the grading force the center into the torus.)"""
+    def kernel(self, subset: Sequence[int]) -> Matrix:
+        """ker W_S = {t in the torus : w_i(t) = 0 for i in S}, as its
+        canonical basis (the nonzero rows of its rref), kept once per
+        sorted weight subset.  The kernel of () is the identity, and that
+        of S + {i}, i = max(S + {i}), is grown from the kernel of S by one
+        elimination (`_kernel_step`), so a walk that adds one weight at a
+        time pays one elimination per subset and no `rref`."""
+        key = tuple(sorted(subset))
 
         def compute():
-            basis = self.torus_kernel(self.weights)
-            d_sharp = rank(self.weight_matrix())
-            return CenterData(basis=basis, dim=basis.rows, weight_rank=d_sharp)
+            if not key:
+                return Matrix.identity(self.t_dim)
+            return _kernel_step(self.kernel(key[:-1]), self.weights[key[-1]])
+
+        return self.derived(("kernel", key), compute)
+
+    def center(self) -> "CenterData":
+        """Center of r: torus directions annihilated by every weight.
+        (Conditions on the grading force the center into the torus.)
+        The weights span the annihilator of their common kernel, so their
+        rank is t_dim less its dimension."""
+
+        def compute():
+            basis = self.kernel(range(self.n))
+            return CenterData(basis=basis, dim=basis.rows, weight_rank=self.t_dim - basis.rows)
 
         return self.derived("center", compute)
 
@@ -359,12 +383,11 @@ class WeightedLieAlgebra:
 
     def closure(self, subset: Sequence[int]) -> tuple[int, ...]:
         """Indices of the weights vanishing on the kernel t_subset."""
-        ker = self.torus_kernel([self.weights[i] for i in subset])
-        return tuple(
-            i
-            for i, w in enumerate(self.weights)
-            if all(w(ker.row(r)) == 0 for r in range(ker.rows))
-        )
+        return self._vanishing(self.kernel(subset))
+
+    def _vanishing(self, ker: Matrix) -> tuple[int, ...]:
+        """Indices of the weights vanishing on every row of ker."""
+        return tuple(i for i, w in enumerate(self.weights) if not any(w(row) for row in ker.entries))
 
     def is_complete(self, subset: Sequence[int]) -> bool:
         """A weight subset L is complete when every weight vanishing on
@@ -375,10 +398,17 @@ class WeightedLieAlgebra:
         """All complete weight subsets, sorted: the closures cl(S), or flats
         (Orlik and Terao, *Arrangements of Hyperplanes*, 1992).  S and cl(S)
         have one kernel, so cl(S + {i}) = cl(cl(S) + {i}): closing each new
-        flat with one more weight, from cl(()), reaches every cl(S)."""
+        flat with one more weight, from cl(()), reaches every cl(S).
+        The kernel of cl(S) + {i} is one `_kernel_step` from the memoised
+        kernel of the flat."""
         flats = new = {self.closure(())}
         while new:
-            new = {self.closure(f + (i,)) for f in new for i in range(self.n) if i not in f} - flats
+            new = {
+                self._vanishing(_kernel_step(self.kernel(f), self.weights[i]))
+                for f in new
+                for i in range(self.n)
+                if i not in f
+            } - flats
             flats |= new
         return sorted(flats)
 
@@ -396,7 +426,7 @@ class WeightedLieAlgebra:
             raise AlgebraError("restrict requires a complete weight subset")
         if not subset:
             return WeightedLieAlgebra.build(0, [], {}, []), True
-        _, piv = rref(self.torus_kernel([self.weights[i] for i in subset]))
+        piv = {next(j for j, e in enumerate(row) if e) for row in self.kernel(subset).entries}
         keep = [j for j in range(self.t_dim) if j not in piv]
         names = [self.a_basis[i] for i in subset]
         weights = {
@@ -588,19 +618,56 @@ class WeightedLieAlgebra:
     def _nilpotent(self) -> bool:
         """a is nilpotent when its lower central series C^1 = a,
         C^{k+1} = [a, C^k] reaches 0 within n + 1 steps; each C^{k+1} is
-        spanned by [a_i, v] over the a-basis and a basis of C^k."""
+        spanned by the nonzero [a_i, v] over the a-basis and a basis of
+        C^k."""
         span = row_space_basis(
             Matrix.from_rows([self.weight_vector(i) for i in range(self.n)])
         ) if self.n else Matrix.zero(0, self.dim)
         for _ in range(self.n + 1):
             if span.rows == 0:
                 return True
-            nxt = [self.bracket(self.weight_vector(i), v) for i in range(self.n) for v in span.entries]
-            span = row_space_basis(Matrix.from_rows(nxt))
+            brackets = (self.bracket(self.weight_vector(i), v) for i in range(self.n) for v in span.entries)
+            span = row_space_basis(Matrix.from_rows([b for b in brackets if any(b)]))
         return False
 
     def is_valid(self) -> bool:
         return all(ok for _, ok, _ in self.validate())
+
+
+def _kernel_step(ker: Matrix, w: Weight) -> Matrix:
+    """The canonical basis of {t in span(ker) : w(t) = 0}, from the
+    canonical basis `ker` (the nonzero rows of an rref) by one
+    elimination: when w vanishes on every row, `ker` itself; otherwise,
+    with k the last row on which w is nonzero, every other row r becomes
+    r - (w(r) / w(k)) k, and k is dropped.
+
+    The rows left vanish under w, are independent, and are one fewer, as
+    the kernel is when w is nonzero on span(ker); so they span it.  They
+    are its canonical basis too.  Each row on which w is nonzero comes
+    before k, so its pivot is left of k's; k is 0 left of its own pivot
+    and in every other row's pivot column, so subtracting it changes a
+    row only right of that row's pivot and in no pivot column kept.  The
+    pivot 1s and the zeros around them stay, and the kept rows are in
+    rref.  Any earlier row would put a nonzero entry left of the pivot of
+    a later row it were subtracted from, which is why k is the last."""
+    rows = ker.entries
+    vals = [w(row) for row in rows]
+    last = max((r for r, v in enumerate(vals) if v), default=None)
+    if last is None:
+        return ker
+    k = rows[last]
+    support = [(j, c) for j, c in enumerate(k) if c]
+    out = []
+    for row, v in zip(rows[:last], vals):
+        if v:
+            f = exact_div(v, vals[last])
+            row = list(row)
+            for j, c in support:
+                row[j] -= f * c
+            row = lowered(row)
+        out.append(row)
+    out += rows[last + 1 :]
+    return Matrix(len(out), ker.cols, tuple(out))
 
 
 def _vector_sum(vectors: Sequence[tuple]) -> tuple:

@@ -2,8 +2,12 @@
 
 The group generated by the exponentials of ad a moves the torus t
 around; this module computes that action exactly, takes curve limits by
-row reduction, enumerates fixed points, and certifies (or refutes)
-membership of subspaces and point tuples in the closure.
+row reduction (one incremental echelon of the leading rows per pass),
+enumerates fixed points, and certifies (or refutes) membership of
+subspaces and point tuples in the closure.  The fixed-point subspaces
+and the property (P) data read their torus kernels from the algebra's
+grown kernels (`WeightedLieAlgebra.kernel`) and hand `Subspace` their
+canonical bases directly; `Subspace` still checks each one.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .linalg import (
     exact_div,
     in_row_space,
     lowered,
-    nullspace,
     rank,
     reduce_mod_rowspace,
     row_space_basis,
@@ -142,7 +145,16 @@ class CurveSubspace:
         is invertible at every z != 0, so the span there and the limit stay;
         the new row has degree below D, so the total degree drops and the
         loop ends.  Then row_i / z^deg_i tends to lead_i, and the span to
-        theirs.  A row that vanishes shows the rows dependent."""
+        theirs.  A row that vanishes shows the rows dependent.
+
+        Each pass takes one incremental rref of the leading rows, in
+        ascending degree (ties by index), and each echelon row keeps its
+        combination of the leading rows.  The first leading row that
+        reduces to 0 gives a dependency with coefficient 1 on that row and
+        support on rows of no higher degree, so it is the row h replaced.
+        When none does, the echelon rows, sorted by pivot, are the
+        canonical basis of the span of the leading rows.  The limit is
+        unique, so it does not depend on which dependency a pass uses."""
         rows = [list(row) for row in zip(*(m.entries for m in self.coeffs))]
         while True:
             for row in rows:
@@ -150,19 +162,43 @@ class CurveSubspace:
                     row.pop()
             if not all(rows):
                 raise RankDeficientError("the basis rows of the curve are dependent")
-            lead = Matrix.from_rows([row[-1] for row in rows])
-            deps = nullspace(lead.transpose())
-            if not deps.rows:
-                return Subspace(self.alg, row_space_basis(lead))
-            support = [i for i, c in enumerate(deps.row(0)) if c != 0]
-            h = max(support, key=lambda i: len(rows[i]))
-            new = [[0] * lead.cols for _ in rows[h]]
-            for i in support:
-                f = deps[0, i]
-                for acc, coef in zip(new[len(new) - len(rows[i]) :], rows[i]):
-                    for j, y in enumerate(coef):
-                        if y:
-                            acc[j] += f * y
+            echelon: list[tuple[int, list, dict]] = []  # (pivot, row, combination)
+            for h in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+                v, comb = list(rows[h][-1]), {h: 1}
+                for p, e, c in echelon:
+                    f = v[p]
+                    if f:
+                        for j, b in enumerate(e):
+                            if b:
+                                v[j] -= f * b
+                        for i, a in c.items():
+                            comb[i] = comb.get(i, 0) - f * a
+                p = next((j for j, x in enumerate(v) if x), None)
+                if p is None:
+                    break
+                if v[p] != 1:
+                    x = v[p]
+                    v = [exact_div(y, x) if y else y for y in v]
+                    comb = {i: exact_div(a, x) for i, a in comb.items()}
+                support = [(j, y) for j, y in enumerate(v) if y]
+                for _, e, c in echelon:
+                    g = e[p]
+                    if g:
+                        for j, y in support:
+                            e[j] -= g * y
+                        for i, a in comb.items():
+                            c[i] = c.get(i, 0) - g * a
+                echelon.append((p, v, comb))
+            else:
+                basis = tuple(lowered(e) for _, e, _ in sorted(echelon, key=lambda t: t[0]))
+                return Subspace(self.alg, Matrix(len(basis), self.alg.dim, basis))
+            new = [[0] * self.alg.dim for _ in rows[h]]
+            for i, f in comb.items():
+                if f:
+                    for acc, coef in zip(new[len(new) - len(rows[i]) :], rows[i]):
+                        for j, y in enumerate(coef):
+                            if y:
+                                acc[j] += f * y
             rows[h] = new
 
     def to_json(self) -> dict:
@@ -343,13 +379,13 @@ def _weight_order(alg: WeightedLieAlgebra) -> tuple[int, ...]:
 def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> tuple[Subspace, Subspace]:
     """z_S + a_S and z_S for a weight subset S, z_S = ker W_S padded with
     zeros on a.  Their rows are already canonical, so no row reduction
-    is taken: the kernel rows are the nonzero rows of an rref (or the
-    identity, for no weights), supported on the torus columns, and the
-    weight vectors of sorted(S) follow them as unit rows on increasing
-    a-columns, where every kernel row is 0.  `Subspace` still checks
-    that the bases are canonical."""
+    is taken: the kernel rows (`WeightedLieAlgebra.kernel`, grown along
+    the subset tree) are the nonzero rows of an rref, supported on the
+    torus columns, and the weight vectors of sorted(S) follow them as
+    unit rows on increasing a-columns, where every kernel row is 0.
+    `Subspace` still checks that the bases are canonical."""
     pad = (0,) * alg.n
-    z_rows = tuple(row + pad for row in alg.torus_kernel([alg.weights[i] for i in subset]).entries)
+    z_rows = tuple(row + pad for row in alg.kernel(subset).entries)
     rows = z_rows + tuple(alg.weight_vector(i) for i in sorted(subset))
     return Subspace(alg, Matrix(len(rows), alg.dim, rows)), Subspace(alg, Matrix(len(z_rows), alg.dim, z_rows))
 
@@ -393,9 +429,11 @@ def witness_limit(alg: WeightedLieAlgebra, subset: Sequence[int]) -> Subspace:
 
 def _independent_abelian(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> bool:
     """The weight vectors of `subset` pairwise commute and its weights are
-    linearly independent: the subsets that index torus-fixed points."""
-    ws = [alg.weights[i] for i in subset]
-    return alg.centralizer_in_a(subset) and rank(alg.weight_matrix(ws)) == len(ws)
+    linearly independent: the subsets that index torus-fixed points.  The
+    weights are independent exactly when each one, added in sorted order,
+    cuts the kernel by a dimension, that is when dim ker W_S is
+    t_dim - |S| (`WeightedLieAlgebra.kernel`)."""
+    return alg.centralizer_in_a(subset) and alg.kernel(subset).rows == alg.t_dim - len(subset)
 
 
 def fixed_point_record(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> FixedPointRecord:
@@ -533,13 +571,23 @@ def _orbit_dim(alg: WeightedLieAlgebra, v: Subspace) -> int:
     """n - dim(N(V) cap a), N(V) = {y : [y, V] in V}: the stabilizer of V
     in a is the kernel of y -> ([y, row] mod V over the basis rows of V)
     on a, so the orbit dimension is the rank of that map.  Its matrix has
-    one row per a-basis vector, the residues of its brackets side by side;
-    when V is all of r every residue is 0 and the rank is 0."""
+    one row per a-basis vector, the residues of its brackets side by side,
+    each bracket summed from the vector's `ad_table` column; rows that are
+    0 add no rank and are left out, so when V is all of r the matrix is
+    empty and the rank is 0."""
     rows = []
-    for k in range(alg.n):
-        x = alg.weight_vector(k)
-        rows.append([c for row in v.basis.entries for c in reduce_mod_rowspace(alg.bracket(x, row), v.basis, v.pivots)])
-    return rank(Matrix.from_rows(rows))
+    for op in alg.ad_table()[alg.t_dim :]:
+        res = ()
+        for row in v.basis.entries:
+            br = [0] * alg.dim
+            for j, c in enumerate(row):
+                if c:
+                    for i, a in op[j]:
+                        br[i] += a * c
+            res += reduce_mod_rowspace(br, v.basis, v.pivots)
+        if any(res):
+            rows.append(res)
+    return rank(Matrix(len(rows), v.dim * alg.dim, tuple(rows)))
 
 
 # -- membership -------------------------------------------------------
@@ -680,11 +728,14 @@ def torus_element_data(alg: WeightedLieAlgebra, lam: tuple[int, ...]) -> TorusEl
     """The data of any torus element s vanishing on exactly the weights
     `lam`.  For a complete lam such an s exists over Q: the other weights
     are nonzero forms on t_lam, and finitely many hyperplanes do not
-    cover it."""
-    rows = [alg.basis_vector(i) for i in range(alg.t_dim)] + [alg.weight_vector(i) for i in lam]
+    cover it.  The torus basis vectors followed by the weight vectors of
+    sorted(lam) are unit rows on increasing columns, the canonical basis
+    of t + a_lam, which `Subspace` still checks; the center is the
+    memoised kernel of lam, padded with zeros on a."""
+    rows = tuple(alg.basis_vector(i) for i in range(alg.t_dim)) + tuple(alg.weight_vector(i) for i in sorted(lam))
     pad = (0,) * alg.n
-    center = alg.torus_kernel([alg.weights[i] for i in lam]).entries
-    return TorusElementData(lam, Subspace.from_rows(alg, rows), tuple(row + pad for row in center))
+    center = tuple(row + pad for row in alg.kernel(lam).entries)
+    return TorusElementData(lam, Subspace(alg, Matrix(len(rows), alg.dim, rows)), center)
 
 
 def graded_subset(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...] | None:
@@ -771,8 +822,7 @@ def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
         for i, w in enumerate(alg.weights)
         if all(w(proj.row(r)) == 0 for r in range(proj.rows))
     )
-    ker = alg.torus_kernel([alg.weights[i] for i in lam])
-    if ker.rows != span.rows:
+    if alg.kernel(lam).rows != span.rows:
         raise OrbitError("semisimple span does not match a torus kernel dimension")
     return lam
 
@@ -819,7 +869,7 @@ def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence]) -
 def _t_alpha_prime_sample(alg: WeightedLieAlgebra, aidx: int, rng: random.Random):
     """Small-integer element of the kernel of alpha on which every other
     weight is nonzero."""
-    ker = alg.torus_kernel([alg.weights[aidx]])
+    ker = alg.kernel((aidx,))
     for _ in range(1000):
         coefs = [rng.randint(-6, 6) for _ in range(ker.rows)]
         t = [

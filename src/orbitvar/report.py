@@ -1,10 +1,14 @@
 """Verification reports: named checks with verdicts, serialized
-deterministically so identical inputs give byte-identical output."""
+deterministically so identical inputs give byte-identical output.  The
+JSON text is that of `json.dumps(..., sort_keys=True, indent=2)`,
+written by `json_text` without the pure-Python encoder an indent
+selects."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA = "orbitvar-report/1"
 
@@ -15,6 +19,56 @@ SAMPLED = "sampled"
 UNKNOWN = "unknown"
 
 _ORDER = {PROVEN: 0, CONSEQUENCE_CHECKED: 1, SAMPLED: 2, UNKNOWN: 3, REFUTED: 4}
+
+
+class _NotPlainJSON(Exception):
+    """A value `json_text` leaves to `json.dumps`."""
+
+
+def json_text(value) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)`, written directly.
+    With an indent, `json` runs its pure-Python encoder, which costs more
+    than building the report.  Here dicts with string keys, lists,
+    tuples, strings, ints, bools and None are written the way that
+    encoder writes them: an empty container as `{}` or `[]`, otherwise
+    one item per line two spaces deeper than its container, items
+    followed by `,`, keys sorted and followed by `: `, strings quoted by
+    the escaper `json` itself uses (`encode_basestring_ascii`), ints by
+    `int.__repr__`.  Any other value (a float, a non-string key, a
+    subclass) makes the whole value go to `json.dumps`, so the text is
+    always its text."""
+    try:
+        return _text(value, "\n")
+    except _NotPlainJSON:
+        return json.dumps(value, sort_keys=True, indent=2)
+
+
+def _text(v, newline: str) -> str:
+    """The text of v, whose own line is indented as `newline` (a newline
+    and spaces) ends; a string item is quoted in place, without a call."""
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is list or t is tuple or t is dict:
+        if not v:
+            return "{}" if t is dict else "[]"
+        inner = newline + "  "
+        if t is dict:
+            if any(type(k) is not str for k in v):
+                raise _NotPlainJSON
+            items = [
+                f"{_quote(k)}: {_quote(x) if type(x) is str else _text(x, inner)}" for k, x in sorted(v.items())
+            ]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        items = [_quote(x) if type(x) is str else _text(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    if t is int:
+        return int.__repr__(v)
+    raise _NotPlainJSON
 
 
 @dataclass
@@ -69,7 +123,7 @@ class VerificationReport:
         return out
 
     def render_json(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_json()) + "\n"
 
     def render_markdown(self) -> str:
         lines = [

@@ -44,6 +44,7 @@ from orbitvar.ideals import (
     u_function,
 )
 from sympy_reference import to_sympy
+from test_liealg_sparse import sampled_from
 
 # -- the grevlex and colon routes, kept as references ----------------------
 
@@ -122,9 +123,9 @@ def graded_case(draw):
 
 
 def draw_homogeneous(draw, ring, by_degree, degree=None):
-    d = draw(st.sampled_from(sorted(by_degree))) if degree is None else degree
-    pool = by_degree[d]
-    monomials = draw(st.lists(st.sampled_from(pool), min_size=min(2, len(pool)), max_size=3, unique=True))
+    d = draw(sampled_from(tuple(sorted(by_degree)))) if degree is None else degree
+    pool = tuple(by_degree[d])
+    monomials = draw(st.lists(sampled_from(pool), min_size=min(2, len(pool)), max_size=3, unique=True))
     return ring({m: draw(COEFFS) for m in monomials})
 
 

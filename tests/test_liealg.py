@@ -368,8 +368,10 @@ class TestMemo:
         assert alg._memo and not fresh._memo
         assert alg == fresh and hash(alg) == hash(fresh) and repr(alg) == repr(fresh)
         assert alg.to_json() == fresh.to_json()
-        assert alg.fingerprint() == fresh.fingerprint()
         assert not fresh._memo
+        # the fingerprint is itself memoised, and only it
+        assert alg.fingerprint() == fresh.fingerprint()
+        assert set(fresh._memo) == {"fingerprint"}
         assert cli.cmd_fixed_points(alg, 0).render_json() == cli.cmd_fixed_points(fresh, 0).render_json()
 
     def test_repeat_calls_return_the_same_object(self):

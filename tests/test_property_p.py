@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curve_limit_reference import nullspace_limit
 from test_memo import SMALL
 from test_orbit import property_p
 
@@ -121,7 +122,7 @@ def reference_property_P_consequences(alg, s, v):
         subset = tuple(i for i in range(alg.n) if v.contains(alg.weight_vector(i)))
         if all(i in lam for i in subset):
             witness = reference_witness_curve(alg, subset)
-            if witness.limit() == v:
+            if nullspace_limit(witness) == v:
                 out.add(
                     "witness-curve",
                     rep.PROVEN,

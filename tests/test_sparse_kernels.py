@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_liealg_sparse import ALGEBRAS, RATIONALS, DenseReference
+from test_liealg_sparse import ALGEBRAS, RATIONALS, DenseReference, sampled_from
 from test_memo import dense_chain, sum_chain
 
 from orbitvar import liealg, models, orbit
@@ -113,7 +113,7 @@ def sparse_matrices(draw, max_rows=6, max_cols=7):
         if draw(st.integers(0, 5)) == 0:
             rows[i] = [Fraction(0)] * nc
         elif draw(st.booleans()):
-            rows[i] = [draw(st.sampled_from([2, -3, Fraction(1, 2)])) * e for e in rows[i]]
+            rows[i] = [draw(sampled_from((2, -3, Fraction(1, 2)))) * e for e in rows[i]]
     return Matrix(nr, nc, tuple(tuple(map(entry, row)) for row in rows))
 
 
