@@ -9,6 +9,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -244,7 +245,10 @@ RUNNERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it
+    unchanged, so one serves every `main` call of a process."""
     parser = argparse.ArgumentParser(
         prog="orbitvar",
         description="exact verification toolkit for torus-orbit closures in the Grassmannian",
@@ -257,7 +261,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "markdown"), default="json")
     parser.add_argument("--output", help="write the report here instead of stdout")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         alg = load_algebra(args)

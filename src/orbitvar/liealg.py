@@ -95,7 +95,9 @@ class WeightedLieAlgebra:
     the weights and this table into sparse adjoint columns once, and it
     is the one reader of the structure constants that the arithmetic
     uses: `bracket`, `ad`, `exp_ad_terms`, the Jacobi check and the
-    nilpotency check all sum from it.
+    row-space nilpotency check all sum from it.  The nilpotency check of
+    a table whose entries have one term each reads only the table's
+    support (`_nilpotent`).
 
     `_memo` holds data derived from the fields, each computed once per
     instance through `derived`: the center, the sparse adjoint table
@@ -158,6 +160,8 @@ class WeightedLieAlgebra:
         try:
             # Python would read true as 1 and split a string into its
             # characters, so the JSON types are checked before conversion
+            if not isinstance(data, dict):
+                raise AlgebraError("the algebra description must be a JSON object")
             t_dim, a_basis, weights = data["t_dim"], data["a_basis"], data["weights"]
             if not isinstance(t_dim, int) or isinstance(t_dim, bool):
                 raise AlgebraError(f"t_dim must be an integer, not {t_dim!r}")
@@ -166,13 +170,19 @@ class WeightedLieAlgebra:
             if not isinstance(weights, dict) or not all(isinstance(v, list) for v in weights.values()):
                 raise AlgebraError("weights must map each name to a list")
             weights = {k: [exact(s) for s in v] for k, v in weights.items()}
+            brackets = data.get("brackets", [])
+            if not isinstance(brackets, list) or not all(isinstance(b, dict) for b in brackets):
+                raise AlgebraError("brackets must be a list of objects")
+            for b in brackets:
+                if not isinstance(b["value"], list) or not all(isinstance(t, dict) for t in b["value"]):
+                    raise AlgebraError("each bracket value must be a list of objects")
             brackets = [
                 (
                     b["left"],
                     b["right"],
                     {term["basis"]: exact(term["coeff"]) for term in b["value"]},
                 )
-                for b in data.get("brackets", [])
+                for b in brackets
             ]
             if set(weights) != set(a_basis):
                 raise AlgebraError("weights must be given for exactly the a-basis")
@@ -617,7 +627,29 @@ class WeightedLieAlgebra:
 
     def _nilpotent(self) -> bool:
         """a is nilpotent when its lower central series C^1 = a,
-        C^{k+1} = [a, C^k] reaches 0 within n + 1 steps; each C^{k+1} is
+        C^{k+1} = [a, C^k] reaches 0 within n + 1 steps.
+
+        When every entry of `brackets` has one term, as in every Borel
+        nilradical, the series is read off the table's support.  Each
+        `[a_i, a_j]` is then 0 or a nonzero multiple of one `a_p`.  If C^k
+        is spanned by the `a_q`, q in S_k, then C^{k+1} is spanned by the
+        brackets `[a_i, a_q]`, i any, q in S_k, so by the `a_p` of the
+        entries `(i, j)` with i or j in S_k (antisymmetry covers the
+        order).  S_1 is every index, so by induction each C^k is spanned
+        by the basis vectors of S_k, and C^k = 0 exactly when S_k is
+        empty; the walk takes no row reduction.  A table with a
+        multi-term entry takes `_nilpotent_by_rows`."""
+        if any(len(terms) != 1 for _, _, terms in self.brackets):
+            return self._nilpotent_by_rows()
+        support = set(range(self.n))
+        for _ in range(self.n + 1):
+            if not support:
+                return True
+            support = {terms[0][0] for i, j, terms in self.brackets if i in support or j in support}
+        return False
+
+    def _nilpotent_by_rows(self) -> bool:
+        """The lower central series by row spaces: each C^{k+1} is
         spanned by the nonzero [a_i, v] over the a-basis and a basis of
         C^k."""
         span = row_space_basis(

@@ -2,10 +2,13 @@
 and input handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from orbitvar import models
+from orbitvar import cli, models
 from orbitvar.cli import main
 from orbitvar.report import SCHEMA
 from test_orbit import run_without_sympy
@@ -137,6 +140,21 @@ class TestExitCodes:
             ({"t_dim": 1, "a_basis": [1], "weights": {"1": ["1"]}}, "a_basis must be a list of strings"),
             ({"t_dim": 1, "a_basis": ["x"], "weights": [["1"]]}, "to a list"),
             ({"t_dim": 1, "a_basis": ["x"], "weights": {"x": [True]}}, "JSON bool"),
+            # read at one time as `list indices must be integers or slices, not str`
+            ([{"t_dim": 1, "a_basis": ["x"], "weights": {"x": ["1"]}}], "must be a JSON object"),
+            (None, "must be a JSON object"),
+            # read at one time as `string indices must be integers`
+            ({"t_dim": 1, "a_basis": ["x"], "weights": {"x": ["1"]}, "brackets": "oops"}, "brackets must be a list"),
+            ({"t_dim": 1, "a_basis": ["x"], "weights": {"x": ["1"]}, "brackets": {"left": "x"}}, "brackets must be a list"),
+            ({"t_dim": 1, "a_basis": ["x"], "weights": {"x": ["1"]}, "brackets": [["x", "x"]]}, "brackets must be a list"),
+            (
+                {"t_dim": 1, "a_basis": ["x"], "weights": {"x": ["1"]}, "brackets": [{"left": "x", "right": "x", "value": "x"}]},
+                "bracket value must be a list",
+            ),
+            (
+                {"t_dim": 1, "a_basis": ["x"], "weights": {"x": ["1"]}, "brackets": [{"left": "x", "right": "x", "value": ["x"]}]},
+                "bracket value must be a list",
+            ),
         ],
         ids=[
             "negative-t_dim",
@@ -148,6 +166,13 @@ class TestExitCodes:
             "number-name",
             "list-of-weights",
             "boolean-coordinate",
+            "top-level-list",
+            "top-level-null",
+            "string-brackets",
+            "object-brackets",
+            "list-bracket",
+            "string-value",
+            "string-term",
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "fixed-points", "boundary"])
@@ -219,6 +244,59 @@ class TestDeterminism:
             capsys, command, "--builtin", "borel-nilradical-A2", "--seed", "0"
         )
         assert first == second
+
+
+class TestCachedParser:
+    """`main` parses with one parser built on first use; a call leaves
+    nothing behind that the next call could read."""
+
+    def test_bad_argument_after_a_good_call(self, capsys):
+        assert run(capsys, "validate", "--builtin", "sl2-borel")[0] == 0
+        for argv in (["nope", "--builtin", "sl2-borel"], ["validate", "--seed", "x"], ["validate", "--bogus"]):
+            with pytest.raises(SystemExit) as cached:
+                main(argv)
+            err = capsys.readouterr().err
+            with pytest.raises(SystemExit) as fresh:
+                cli._parser.__wrapped__().parse_args(argv)
+            assert cached.value.code == fresh.value.code == 2
+            assert err == capsys.readouterr().err
+            assert err.startswith("usage: orbitvar [-h]")
+
+    def test_help_matches_a_fresh_parser(self, capsys):
+        assert run(capsys, "validate", "--builtin", "sl2-borel")[0] == 0
+        with pytest.raises(SystemExit) as cached:
+            main(["--help"])
+        out = capsys.readouterr().out
+        with pytest.raises(SystemExit) as fresh:
+            cli._parser.__wrapped__().parse_args(["--help"])
+        assert cached.value.code == fresh.value.code == 0
+        assert out == capsys.readouterr().out
+        assert out.startswith("usage: orbitvar")
+        assert cli._parser() is cli._parser()
+
+    def test_alternating_commands_match_each_command_alone(self, capsys, tmp_path):
+        p = tmp_path / "a2.json"
+        p.write_text(json.dumps(models.borel_nilradical_a2().to_json()))
+        calls = [
+            ["validate", "--builtin", "heisenberg-3"],
+            ["fixed-points", "--input", str(p), "--seed", "3"],
+            ["boundary", "--builtin", "borel-nilradical-A2", "--format", "markdown"],
+            ["property-p", "--builtin", "heisenberg-3"],
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        alone = []
+        for k, argv in enumerate(calls):
+            dest = tmp_path / f"alone-{k}"
+            done = subprocess.run([sys.executable, "-m", "orbitvar.cli", *argv, "--output", str(dest)], env=env, timeout=120)
+            assert done.returncode == 0, argv
+            alone.append(dest.read_bytes())
+        dest = tmp_path / "report"
+        for k in (0, 1, 2, 3, 1, 3, 0, 2):
+            assert main(calls[k] + ["--output", str(dest)]) == 0
+            assert dest.read_bytes() == alone[k], calls[k]
+            with pytest.raises(SystemExit):
+                main(calls[k][:1] + ["--format", "yaml"])
 
 
 class TestCommandContent:

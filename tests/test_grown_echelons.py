@@ -14,7 +14,8 @@ the from-scratch routes they replaced:
 
 and the A5 Borel nilradical (n = 15): 948 torus-fixed records, 203
 flats, and a `property-p` report with 8,852 proven checks whose digest
-is the one the nullspace routes gave."""
+is the one the nullspace routes gave; and A6 (n = 21): 8,020 records,
+877 flats and every `validate` check proven."""
 
 import dataclasses
 import hashlib
@@ -256,3 +257,13 @@ def test_a5_records_flats_and_property_p():
     report = cli.cmd_property_p(borel_nilradical(5), 0)
     assert report.checks[-1].details == {"proven": 8852, "consequence_checked": 0, "refuted": 0}
     assert hashlib.sha256(report.render_json().encode()).hexdigest() == A5_PROPERTY_P_SHA256
+
+
+def test_a6_records_flats_and_validation():
+    """The A6 Borel nilradical (n = 21): every `validate` check proven,
+    8,020 torus-fixed records, and one flat per set partition of
+    {1, ..., 7}, Bell(7) = 877."""
+    alg = borel_nilradical(6)
+    assert all(ok for _, ok, _ in alg.validate())
+    assert len(orbit.torus_fixed_points(alg)) == 8020
+    assert len(alg.complete_subsets()) == 877
