@@ -3,12 +3,13 @@ quotients, Krull dimension, and the determinantal and chart ideals the
 verification suite needs, on an in-repo polynomial ring over Q.
 
 Every polynomial is a `Poly` of a `PolyRing` (exponent tuple -> nonzero
-`Fraction`) from where it is built to the kernel: the chart and
-determinantal ideals are built by ring arithmetic, and `Ideal` stores
-ring elements.  The Gröbner kernel (`_groebner`, `_reduce`) works on a
-second, packed form (`_Order`): each exponent vector is one int, and
-each polynomial is kept primitive with Python-int coefficients and
-reduced fraction-free.  `_Basis` is the one way into it: it picks the
+coefficient, an int where it is integral and a `Fraction` otherwise)
+from where it is built to the kernel: the chart and determinantal
+ideals are assembled term by term, and `Ideal` stores ring elements.
+The Gröbner kernel (`_groebner`, `_reduce`) works on a second, packed
+form (`_Order`): each exponent vector is one int, and each polynomial
+is kept primitive with Python-int coefficients and reduced
+fraction-free.  `_Basis` is the one way into it: it picks the
 order, packs the polynomials, runs `_groebner` and reads the elements
 back as monic exponent dicts over Q, and every basis below (an
 ideal's, `eliminate`'s and `ideal_quotient`'s) is a `_Basis`.  A
@@ -63,7 +64,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .liealg import Weight, WeightedLieAlgebra, weight_sort_key
-from .linalg import Matrix, solve
+from .linalg import Matrix, entry, exact_div, rref
 from .orbit import group_fixed_points, render_sum
 from . import report as rep
 
@@ -97,9 +98,14 @@ class PolyRing:
             raise IdealError("variable names must be unique")
 
     @functools.cached_property
+    def units(self) -> tuple:
+        """The exponent tuple of each variable."""
+        zero = (0,) * len(self.variables)
+        return tuple(zero[:j] + (1,) + zero[j + 1 :] for j in range(len(zero)))
+
+    @functools.cached_property
     def gens(self) -> tuple:
-        n = len(self.variables)
-        return tuple(Poly(self, {tuple(int(i == j) for i in range(n)): Fraction(1)}) for j in range(n))
+        return tuple(Poly(self, {e: 1}) for e in self.units)
 
     @property
     def zero(self) -> "Poly":
@@ -113,7 +119,7 @@ class PolyRing:
         terms = x if isinstance(x, dict) else {(0,) * len(self.variables): x}
         if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
             raise IdealError(f"coefficients are ints or Fractions, not {x!r}")
-        return Poly(self, {m: Fraction(c) for m, c in terms.items() if c})
+        return Poly(self, {m: entry(c) for m, c in terms.items() if c})
 
     @functools.cached_property
     def _print_order(self) -> tuple[int, ...]:
@@ -122,9 +128,11 @@ class PolyRing:
 
 
 class Poly(dict):
-    """An element of `ring`: exponent tuple -> nonzero `Fraction`.  Ring
-    arithmetic with `Poly`s of the same variables, ints and `Fraction`s,
-    and powers by an int; `str` is the text sympy prints for it."""
+    """An element of `ring`: exponent tuple -> nonzero coefficient, an
+    int where it is integral and a `Fraction` otherwise (`linalg.entry`).
+    Ring arithmetic with `Poly`s of the same variables, ints and
+    `Fraction`s, and powers by an int, keeps that form; `str` is the text
+    sympy prints for it."""
 
     __slots__ = ("ring",)
     __hash__ = None
@@ -150,7 +158,7 @@ class Poly(dict):
         for m, c in other.items():
             v = out.get(m, 0) + c
             if v:
-                out[m] = v
+                out[m] = v if type(v) is int else entry(v)
             else:
                 del out[m]
         return out
@@ -169,16 +177,11 @@ class Poly(dict):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.ring, {m: c * other for m, c in self.items()} if other else {})
+            return Poly(self.ring, _entries({m: c * other for m, c in self.items()}) if other else {})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict = {}
-        for m, c in self.items():
-            for k, d in other.items():
-                mk = tuple(map(operator.add, m, k))
-                out[mk] = out.get(mk, 0) + c * d
-        return Poly(self.ring, {m: c for m, c in out.items() if c})
+        return Poly(self.ring, _product(self, other))
 
     __rmul__ = __mul__
 
@@ -213,6 +216,29 @@ class Poly(dict):
         )
 
     __repr__ = __str__
+
+
+def _times(m: tuple, k: tuple) -> tuple:
+    """The product of two monomials, as exponent tuples."""
+    return tuple(map(operator.add, m, k))
+
+
+def _entries(terms: dict) -> dict:
+    """terms with the zero coefficients dropped and each whole `Fraction`
+    lowered to its int."""
+    return {m: c if type(c) is int else entry(c) for m, c in terms.items() if c}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two polynomials kept as exponent tuple ->
+    coefficient, its terms in the order they first arise (a's terms
+    outer, b's inner), as `_entries`."""
+    out: dict = {}
+    for m, c in a.items():
+        for k, d in b.items():
+            mk = tuple(map(operator.add, m, k))
+            out[mk] = out.get(mk, 0) + c * d
+    return _entries(out)
 
 
 # -- the Gröbner kernel on packed monomials ------------------------------
@@ -281,8 +307,8 @@ def _too_large() -> ScaleExceededError:
 
 
 def _packed(poly, order: _Order) -> tuple[dict, int]:
-    """poly (exponent tuple -> Fraction) times the lcm of its denominators,
-    packed: (packed monomial -> int, that lcm)."""
+    """poly (exponent tuple -> int or `Fraction`) times the lcm of its
+    denominators, packed: (packed monomial -> int, that lcm)."""
     den = math.lcm(*(c.denominator for c in poly.values()))
     return {order.pack(m): c.numerator * (den // c.denominator) for m, c in poly.items()}, den
 
@@ -515,7 +541,7 @@ def _groebner(polys, order: _Order, seed=()) -> list:
 
 class _Basis:
     """The reduced Gröbner basis of the ideal generated by polys, exponent
-    tuple -> `Fraction` mappings in `nvars` variables: in lex when weights
+    tuple -> coefficient mappings in `nvars` variables: in lex when weights
     is None, else in weighted grevlex by them; with `seed`, a `_Basis` of
     J, the basis of J + (polys) in the seed's order, grown from it.  The
     one way into `_groebner`; it holds no ring."""
@@ -542,11 +568,11 @@ class _Basis:
     @functools.cached_property
     def monic(self) -> tuple:
         """(leading monomial, monic element) pairs, largest leading
-        monomial first, each element an exponent tuple -> `Fraction`
-        dict."""
+        monomial first, each element an exponent tuple -> coefficient dict,
+        as a `Poly` holds it."""
         unpack = self.order.unpack
         return tuple(
-            (e, {unpack(m): Fraction(c, terms[lm]) for m, c in terms.items()})
+            (e, {unpack(m): exact_div(c, terms[lm]) for m, c in terms.items()})
             for e, (lm, terms) in zip(self.lms, self.elems)
         )
 
@@ -557,7 +583,7 @@ class _Basis:
         rem, scale = _reduce(terms, self.divisors, self.order)
         den *= scale
         unpack = self.order.unpack
-        return Poly(p.ring, {unpack(m): Fraction(c, den) for m, c in rem.items()})
+        return Poly(p.ring, {unpack(m): exact_div(c, den) for m, c in rem.items()})
 
 
 # -- positive gradings and Hilbert series --------------------------------
@@ -806,7 +832,7 @@ def _read(ring: PolyRing, text: str) -> Poly:
             a, b = read(node.left), read(node.right)
             c = b.get(one, 0) if b.keys() <= {one} else None  # b's value when it is a constant
             if type(node.op) is ast.Div and c:
-                return a * (1 / c)
+                return a * exact_div(1, c)
             if type(node.op) is ast.Pow and c is not None and c >= 0 and c.denominator == 1:
                 checked(a, b, int(c), node)
                 return a ** int(c)
@@ -844,9 +870,24 @@ def _parse(ring: PolyRing, g) -> Poly:
 
 def _check_exponents(polys):
     """Refuse an exponent the kernel's packed fields cannot hold, before
-    a substitution could hide it."""
-    if any(e > _TOP for p in polys for m in p for e in m):
+    a substitution could hide it: each monomial's largest exponent is
+    read once."""
+    if any(p and p.ring.variables and max(map(max, p)) > _TOP for p in polys):
         raise _too_large()
+
+
+def _support(p) -> set:
+    """The indices of the variables that occur in p."""
+    return set(itertools.compress(itertools.count(), map(any, zip(*p))))
+
+
+def _restrictor(kept: tuple[int, ...]):
+    """The map from an exponent tuple to its entries at the indices
+    kept, as a tuple."""
+    if len(kept) == 1:
+        (i,) = kept
+        return lambda m: (m[i],)
+    return operator.itemgetter(*kept) if kept else lambda m: ()
 
 
 def _solvable(g: Poly) -> int | None:
@@ -862,10 +903,7 @@ def _solvable(g: Poly) -> int | None:
 
 
 def _substitute(p: Poly, x: int, value: Poly) -> Poly:
-    """p with the variable x replaced by value, which is free of x; p
-    itself when x does not occur in it."""
-    if not any(m[x] for m in p):
-        return p
+    """p with the variable x replaced by value, which is free of x."""
     out: dict = {}
     powers = {1: value}
     for m, c in p.items():
@@ -879,7 +917,7 @@ def _substitute(p: Poly, x: int, value: Poly) -> Poly:
         for k, v in powers[e].items():
             k = tuple(map(operator.add, k, others))
             out[k] = out.get(k, 0) + c * v
-    return Poly(p.ring, {k: v for k, v in out.items() if v})
+    return Poly(p.ring, _entries(out))
 
 
 @dataclass(frozen=True)
@@ -895,21 +933,27 @@ class _Substitution:
     images: dict
     rest: tuple
 
+    @functools.cached_property
+    def _restrict(self):
+        return _restrictor(self.kept)
+
     def __call__(self, p: Poly) -> Poly:
-        """φ(p), in one pass over its terms: a linear form costs one sum
-        of images."""
+        """φ(p), in one pass over its terms: a term free of the solved
+        variables is only restricted to R', and a linear form costs one
+        sum of images."""
         if not self.images:
             return p
         out: dict = {}
-        kept, ring = self.kept, self.ring
+        restrict, solved = self._restrict, tuple(self.images.items())
         for m, c in p.items():
-            term = Poly(ring, {tuple(m[i] for i in kept): c})
-            for x, value in self.images.items():
-                if m[x]:
-                    term = term * (value if m[x] == 1 else value ** m[x])
+            term = {restrict(m): c}
+            for x, value in solved:
+                e = m[x]
+                if e:
+                    term = _product(term, value if e == 1 else value**e)
             for k, v in term.items():
                 out[k] = out.get(k, 0) + v
-        return Poly(ring, {k: v for k, v in out.items() if v})
+        return Poly(self.ring, _entries(out))
 
     def lift(self, m: tuple) -> tuple:
         """An exponent vector of R' as one of R."""
@@ -925,10 +969,16 @@ def _solve(ring: PolyRing, polys) -> _Substitution:
     """Solve the generators of the form c·x - q, x a variable in no term
     of q, one at a time: the first such generator, for the x of its first
     such term (`_solvable`), leaves the list, and x := q/c is substituted
-    in the others (only those that change are searched again) and in the
-    values already found, so that each value is, at the end, an element
-    of R' = Q[the variables left] (`_Substitution`).  Every exponent is
-    checked first (`_check_exponents`).
+    in the values already found and in the others, so that each value
+    is, at the end, an element of R' = Q[the variables left]
+    (`_Substitution`).  Each generator and each value is kept beside a
+    set that holds every variable occurring in it: its `_support` at the
+    start, and after a substitution of x the set without x and with the
+    variables of x's value.  So x is substituted only where it may occur
+    (a cancellation can leave a variable in the set that no longer
+    occurs, and substituting it then changes nothing), and only the
+    generators it is substituted in are searched again.  Every exponent
+    is checked first (`_check_exponents`).
 
     The ideal J contains x - φ(x) for every solved x and is generated by
     them and the images φ(g) of the other generators, so φ, onto with
@@ -938,28 +988,39 @@ def _solve(ring: PolyRing, polys) -> _Substitution:
     rings."""
     _check_exponents(polys)
     n = len(ring.variables)
-    rest = [(g, _solvable(g)) for g in polys]  # each generator beside its solvable variable
-    images: dict = {}
-    while (k := next((k for k, (_, x) in enumerate(rest) if x is not None), None)) is not None:
-        g, x = rest.pop(k)
-        unit = ring.gens[x]
-        (e,) = unit
-        value = unit - g * (1 / g[e])
-        images = {y: _substitute(v, x, value) for y, v in images.items()}
-        images[x] = value
-        changed = ((_substitute(p, x, value), p, y) for p, y in rest)
-        rest = [(q, y if q is p else _solvable(q)) for q, p, y in changed if q]
-    rest = [g for g, _ in rest]
+    # each generator beside its solvable variable and the set holding its variables
+    rest = [(g, _solvable(g), _support(g)) for g in polys]
+    images: dict = {}  # solved variable -> (value, the set holding its variables)
+    while (k := next((k for k, (_, x, _) in enumerate(rest) if x is not None), None)) is not None:
+        g, x, support = rest.pop(k)
+        e = ring.units[x]
+        c = g[e]
+        value = Poly(ring, {m: exact_div(-v, c) for m, v in g.items() if m != e})
+        support = support - {x}
+        for y, (v, s) in images.items():
+            if x in s:
+                images[y] = _substitute(v, x, value), (s - {x}) | support
+        images[x] = value, support
+        left = []
+        for p, y, s in rest:
+            if x in s:
+                p = _substitute(p, x, value)
+                y, s = _solvable(p), (s - {x}) | support
+            if p:
+                left.append((p, y, s))
+        rest = left
+    rest = [g for g, _, _ in rest]
     if not images:
         return _Substitution(ring, tuple(range(n)), {}, tuple(rest))
     kept = tuple(i for i in range(n) if i not in images)
     image_ring = PolyRing(tuple(ring.variables[i] for i in kept))
+    restrict = _restrictor(kept)
 
-    def restrict(p: Poly) -> Poly:
-        return Poly(image_ring, {tuple(m[i] for i in kept): c for m, c in p.items()})
+    def restricted(p: Poly) -> Poly:
+        return Poly(image_ring, {restrict(m): c for m, c in p.items()})
 
     return _Substitution(
-        image_ring, kept, {x: restrict(v) for x, v in sorted(images.items())}, tuple(map(restrict, rest))
+        image_ring, kept, {x: restricted(v) for x, (v, _) in sorted(images.items())}, tuple(map(restricted, rest))
     )
 
 
@@ -1038,11 +1099,10 @@ class Ideal:
         n = len(self.ring.variables)
         if basis.is_unit():
             return (((0,) * n, self.ring.one),)
-        solved = []
-        for x, value in sub.images.items():
-            unit = tuple(int(i == x) for i in range(n))
-            solved.append((unit, self.ring.gens[x] - self._lift(basis.reduce(value))))
-        return tuple(solved) + tuple((sub.lift(e), self._lift(g)) for e, g in basis.monic)
+        solved = tuple(
+            (self.ring.units[x], self.ring.gens[x] - self._lift(basis.reduce(v))) for x, v in sub.images.items()
+        )
+        return solved + tuple((sub.lift(e), self._lift(g)) for e, g in basis.monic)
 
     def _lift(self, p) -> Poly:
         """An element of R' (exponent tuple -> coefficient) as one of
@@ -1146,7 +1206,7 @@ def ideal_quotient(ideal: Ideal, f) -> Ideal:
     r, n = ideal.ring, len(ideal.ring.variables)
     # the basis of I and y - f, as exponent vectors in the x's and y
     elems = [{m + (0,): c for m, c in g.items()} for _, g in ideal.groebner()]
-    elems.append({(0,) * n + (1,): Fraction(1), **{m + (0,): -c for m, c in f.items()}})
+    elems.append({(0,) * n + (1,): 1, **{m + (0,): -c for m, c in f.items()}})
     homogenized = []  # in the x's, h, y
     for e in elems:
         d = max(sum(m) for m in e)
@@ -1221,8 +1281,13 @@ def minor_ideal(s: int) -> Ideal:
         raise IdealError("s must be at least 1")
     names = tuple(f"u{i}" for i in range(1, s + 1)) + tuple(f"T{i}" for i in range(1, s + 1))
     ring = PolyRing(names)
-    u, t = ring.gens[:s], ring.gens[s:]
-    return Ideal.make(ring, [u[j] * t[k] - u[k] * t[j] for j in range(s) for k in range(j + 1, s)])
+    return Ideal.make(ring, [_minor(ring, s, j, k) for j in range(s) for k in range(j + 1, s)])
+
+
+def _minor(ring: PolyRing, s: int, j: int, k: int) -> Poly:
+    """u_j T_k - u_k T_j, indices from 0, in the ring of `minor_ideal`."""
+    e = ring.units
+    return Poly(ring, {_times(e[j], e[s + k]): 1, _times(e[k], e[s + j]): -1})
 
 
 def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
@@ -1230,17 +1295,21 @@ def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
     one-column variant P'_s and the recursive variant P''_s, in its
     ring."""
     p = minor_ideal(s)
-    u, t = p.ring.gens[:s], p.ring.gens[s:]
-    p_prime = Ideal.make(p.ring, [u[j] * t[0] - u[0] * t[j] for j in range(1, s)])
-    rec = [u[j] * t[k] - u[k] * t[j] for j in range(s - 1) for k in range(j + 1, s - 1)]
-    p_dbl = Ideal.make(p.ring, rec + ([u[s - 1] * t[0] - u[0] * t[s - 1]] if s >= 2 else []))
+    p_prime = Ideal.make(p.ring, [_minor(p.ring, s, j, 0) for j in range(1, s)])
+    rec = [_minor(p.ring, s, j, k) for j in range(s - 1) for k in range(j + 1, s - 1)]
+    p_dbl = Ideal.make(p.ring, rec + ([_minor(p.ring, s, s - 1, 0)] if s >= 2 else []))
     return p, p_prime, p_dbl
 
 
 def primality_crosscheck_P(s: int, p: Ideal | None = None) -> rep.VerificationReport:
     """Certify P_s as the kernel of T_i -> lam*u_i by elimination, and
     check both inclusions explicitly.  p is P_s (`minor_ideal`) when the
-    caller holds it already, with its basis."""
+    caller holds it already, with its basis.
+
+    Eliminating lam from (T_i - lam*u_i) gives exactly the kernel of the
+    map Q[u, T] -> Q[lam, u], T_i -> lam*u_i, so P_s lies in the kernel
+    exactly when every generator of P_s maps to 0 (`_scaled`); only the
+    other inclusion takes a normal form."""
     out = rep.VerificationReport("ps-check", f"determinantal-P{s}")
     if s < 1 or s > 5:
         raise ScaleExceededError("s out of the certified range")
@@ -1254,7 +1323,7 @@ def primality_crosscheck_P(s: int, p: Ideal | None = None) -> rep.VerificationRe
     graph = Ideal.make(ring, [t[i] - lam * u[i] for i in range(s)])
     kernel = Ideal.make(p.ring, eliminate(graph, ("lam",)).polys)
     inc1 = p.contains_ideal(kernel)
-    inc2 = kernel.contains_ideal(p)
+    inc2 = not any(_scaled(g, s) for g in p.polys)
     ok = inc1 and inc2
     out.add(
         "kernel-equality",
@@ -1264,6 +1333,16 @@ def primality_crosscheck_P(s: int, p: Ideal | None = None) -> rep.VerificationRe
         details={"kernel_in_P": inc1, "P_in_kernel": inc2},
     )
     return out
+
+
+def _scaled(p: Poly, s: int) -> dict:
+    """p(u, T) with T_i -> lam*u_i, for p in the ring of `minor_ideal`:
+    (lam exponent, u exponents) -> nonzero coefficient."""
+    out: dict = {}
+    for m, c in p.items():
+        k = (sum(m[s:]),) + _times(m[:s], m[s:])
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def _is_regular(ideal: Ideal, extended: Ideal, f) -> bool:
@@ -1318,7 +1397,17 @@ def _extended(ideal: Ideal, f: Poly) -> Ideal:
 def regular_sequence_check(ideal: Ideal, seq) -> rep.VerificationReport:
     """Check each f_i is a non-zerodivisor and a non-unit modulo the
     ideal extended by its predecessors (`_is_regular`).  This is a
-    global check on the chart, which implies the local statement.
+    global check on the chart: a proven step implies the local statement
+    at the base point, since localising keeps a non-zerodivisor one.
+
+    A refuted step means only that f_i is a unit or a zerodivisor on the
+    whole chart modulo its predecessors.  The zerodivisors are the union
+    of the associated primes of R/J, and f_i is regular in the local
+    ring at the base point exactly when it lies in no associated prime
+    inside the base point's maximal ideal; so f_i can be a zerodivisor
+    on the whole chart through a component away from the base point and
+    still be regular there.  A refuted step does not refute the local
+    statement.
 
     An f equal to 0 is a zerodivisor, since J is not the whole ring."""
     out = rep.VerificationReport("regular-sequence", "ideal")
@@ -1423,47 +1512,69 @@ def chart_ideal(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
         raise NotGroupFixedError("base-point weights do not form a torus basis")
     comp = _lie_order_complement(alg, base)
     m = len(comp)
-    # dual torus basis to the base weights
-    wmat = Matrix.from_rows([list(alg.weights[i].coords) for i in base])
-    duals = []
-    for j in range(d):
-        e = [Fraction(1) if k == j else Fraction(0) for k in range(d)]
-        sol = solve(wmat, e)
-        if sol is None:
-            raise NotGroupFixedError("base-point weights do not form a torus basis")
-        duals.append(sol)
+    # dual torus basis to the base weights: the columns of W^-1, W the
+    # matrix of base-weight rows, read off one rref of [W | I]
+    augmented = [list(alg.weights[b].coords) + [int(k == j) for k in range(d)] for j, b in enumerate(base)]
+    rr, pivots = rref(Matrix.from_rows(augmented))
+    if pivots[:d] != tuple(range(d)):
+        raise NotGroupFixedError("base-point weights do not form a torus basis")
+    duals = [tuple(rr[k, d + j] for k in range(d)) for j in range(d)]
     names = tuple(f"z{i}_{j}" for i in range(1, d + 1) for j in range(1, d + 1)) + tuple(
         f"a{i}_{j}" for i in range(1, d + 1) for j in range(1, m + 1)
     )
     r = PolyRing(names)
     # the graph basis: row i is the base weight vector plus
     # sum_j z_{i,j} (dual vector j) plus sum_j a_{i,j} (complement vector j),
-    # as coordinate -> ring element
+    # as coordinate -> linear form, a list of (variable, coefficient)
+    # pairs with the variable None for the constant 1
     rows = []
     for i in range(d):
-        row = {d + base[i]: r.one}
+        row = {d + base[i]: [(None, 1)]}
         for k in range(d):
-            row[k] = sum((r.gens[i * d + j] * duals[j][k] for j in range(d) if duals[j][k]), r.zero)
+            form = [(i * d + j, duals[j][k]) for j in range(d) if duals[j][k]]
+            if form:
+                row[k] = form
         for j in range(m):
-            row[d + comp[j]] = r.gens[d * d + i * m + j]
-        rows.append({k: v for k, v in row.items() if v})
-    # the components of [row i, row j], i < j, from the adjoint table
+            row[d + comp[j]] = [(d * d + i * m + j, 1)]
+        rows.append(row)
+    # the components of [row i, row j], i < j, from the adjoint table,
+    # term by term: a term x_a x_b (a from row i, b from row j, so the
+    # pair (a, b) names the monomial) is added to component k as
+    # Poly.__add__ adds it, so a term that cancels is deleted and goes to
+    # the end if it comes back; the terms then come in the order `Poly`
+    # arithmetic on the rows gives them, which `_solvable` reads
+    units, zero = r.units, (0,) * len(names)
+
+    def monomial(a, b) -> tuple:
+        if a is None:
+            return zero if b is None else units[b]
+        if b is None:
+            return units[a]
+        lo, hi = (a, b) if a < b else (b, a)
+        return zero[:lo] + (1,) + zero[lo + 1 : hi] + (1,) + zero[hi + 1 :]
+
     table = alg.ad_table()
     gens = []
     for i in range(d):
         for j in range(i + 1, d):
-            br: dict[int, object] = {}
+            br: dict[int, dict] = {}
             for e, x in rows[i].items():
                 for f, y in rows[j].items():
                     if table[e][f]:
-                        xy = x * y
+                        xy = [(a, b, ca * cb) for a, ca in x for b, cb in y]
                         for k, c in table[e][f]:
-                            br[k] = br.get(k, r.zero) + xy * c
-            gens += [br[k] for k in sorted(br) if br[k]]
+                            part = br.setdefault(k, {})
+                            for a, b, v in xy:
+                                v = part.get((a, b), 0) + v * c
+                                if v:
+                                    part[a, b] = v
+                                else:
+                                    del part[a, b]
+            gens += [Poly(r, {monomial(*ab): entry(v) for ab, v in br[k].items()}) for k in sorted(br) if br[k]]
     # the origin is the base point itself and must satisfy everything
-    if any((0,) * len(names) in g for g in gens):
+    if any(zero in g for g in gens):
         raise IdealError("chart generators do not vanish at the base point")
-    return ChartIdeal(alg, base, comp, tuple(tuple(dv) for dv in duals), Ideal(r, tuple(gens)))
+    return ChartIdeal(alg, base, comp, tuple(duals), Ideal(r, tuple(gens)))
 
 
 def u_function(chart: ChartIdeal, i: int, gamma: Weight) -> Poly:
@@ -1471,12 +1582,13 @@ def u_function(chart: ChartIdeal, i: int, gamma: Weight) -> Poly:
     as an element of the chart's ring."""
     if not (1 <= i <= chart.d):
         raise IdealError("row index out of range")
-    out = chart.ideal.ring.zero
-    for j in range(1, chart.d + 1):
-        val = gamma(chart.dual_basis[j - 1][: chart.alg.t_dim])
+    d, ring = chart.d, chart.ideal.ring
+    terms = {}
+    for j in range(d):
+        val = gamma(chart.dual_basis[j][: chart.alg.t_dim])
         if val != 0:
-            out += chart.z(i, j) * val
-    return out
+            terms[ring.units[(i - 1) * d + j]] = entry(val)
+    return Poly(ring, terms)
 
 
 def i_gamma(chart: ChartIdeal, gamma: Weight) -> tuple[int, ...]:
@@ -1518,16 +1630,14 @@ def nilcone_dimension(chart: ChartIdeal, subset=None) -> int:
         subset = tuple(range(1, d + 1))
     subset = tuple(subset)
     s = PolyRing(chart.ideal.ring.variables + tuple(f"c{k}" for k in range(1, d + 1)))
-    c = s.gens[-d:]
-
-    def pad(p):  # p with exponent 0 on the c variables
-        return Poly(s, {m + (0,) * d: v for m, v in p.items()})
-
-    gens = [pad(p) for p in chart.ideal.polys]
+    pad = (0,) * d  # exponent 0 on the c variables
+    gens = [Poly(s, {m + pad: v for m, v in p.items()}) for p in chart.ideal.polys]
     # fiber point sum_k c_k w_k: its i-th dual-basis torus coordinate is
     # sum_k c_k z_{k,i}
+    n = len(chart.ideal.ring.variables)
     for i in subset:
-        gens.append(sum((c[k - 1] * pad(chart.z(k, i)) for k in range(1, d + 1)), s.zero))
+        _check_index("z", i, d)
+        gens.append(Poly(s, {_times(s.units[n + k], s.units[k * d + i - 1]): 1 for k in range(d)}))
     return hilbert_dimension(Ideal.make(s, gens))
 
 
