@@ -4,6 +4,20 @@ commands, emit a deterministic report.
 Exit codes: 0 no refutation, 1 refutation found, 2 input error or a
 `suite` stage that raised instead of reporting (the report is still
 written).
+
+`load_algebra` returns one shared instance per distinct algebra value
+(`shared_algebra`), so every later command of the process on an equal
+algebra, by `--builtin`, by `--input` or in `suite`, reads the memo
+the earlier ones filled: the center, the adjoint table, the kernels,
+the Jacobi and nilpotency verdicts, the fixed-point records, the
+witness curves and their limits.  A memoised value depends only on the
+algebra's fields and is immutable, and a computation that raises is not
+kept (`WeightedLieAlgebra.derived`), so a report built from a shared
+memo is byte-identical to one built from a fresh one.  Each witness
+limit is still compared with its subspace once, before its record is
+kept, as within one command.  The library is unchanged: `build`,
+`from_json` and `models.builtin` return fresh instances with their own
+memos.
 """
 
 from __future__ import annotations
@@ -18,28 +32,43 @@ from . import report as rep
 from .liealg import AlgebraError, WeightedLieAlgebra
 
 STAGE_PREFIX = "stage-"  # names the suite check recorded for a stage that raised
+# Each cached algebra keeps its whole memo alive (about 62 MB for the
+# A6 Borel nilradical after `fixed-points`), so the cache is bounded; 16
+# holds every algebra that one benchmark run or one session of
+# tests/test_cli_session.py loads (at most 12).
+ALGEBRA_CACHE_SIZE = 16
 
 
 class InputError(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
+def shared_algebra(alg: WeightedLieAlgebra) -> WeightedLieAlgebra:
+    """The instance kept for alg's value, or alg itself, then kept, when
+    no equal algebra is among the `ALGEBRA_CACHE_SIZE` values loaded
+    most recently.  `==` and `hash` read the fields, not the memo."""
+    return alg
+
+
 def load_algebra(args) -> WeightedLieAlgebra:
+    """The algebra named by --builtin or read from --input, as the
+    process's shared instance of its value (`shared_algebra`)."""
     if args.builtin and args.input:
         raise InputError("give either --input or --builtin, not both")
     if args.builtin:
         try:
-            return models.builtin(args.builtin)
+            return shared_algebra(models.builtin(args.builtin))
         except models.UnknownBuiltinError as e:
             raise InputError(str(e)) from e
     if args.input:
         try:
             with open(args.input) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: bad JSON, bad UTF-8, an int past Python's digit limit
             raise InputError(f"cannot read algebra: {e}") from e
         try:
-            return WeightedLieAlgebra.from_json(data)
+            return shared_algebra(WeightedLieAlgebra.from_json(data))
         except (AlgebraError, ZeroDivisionError) as e:
             raise InputError(f"cannot parse algebra: {e}") from e
     raise InputError("an algebra is required: --input PATH or --builtin NAME")

@@ -64,7 +64,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .liealg import Weight, WeightedLieAlgebra, weight_sort_key
-from .linalg import Matrix, entry, exact_div, rref
+from .linalg import Matrix, bounded_fraction, entry, exact_div, rref
 from .orbit import group_fixed_points, render_sum
 from . import report as rep
 
@@ -750,7 +750,7 @@ def _hilbert_numerator(gens, weights) -> dict:
 
 
 _READ_WORK = 1 << 20  # the most term-by-term products one multiplication of the reader may make
-_READ_BITS = 1 << 16  # the most bits of a coefficient of a power it forms
+_READ_BITS = 1 << 16  # the most bits of a literal's numerator or denominator, or of a coefficient of a power it forms
 
 
 def _ceil_log2(v: int) -> int:
@@ -796,7 +796,9 @@ def _read(ring: PolyRing, text: str) -> Poly:
     coefficients could pass `_READ_BITS` bits (`_read_budget`), raises
     `ScaleExceededError` before it is formed: `"3/3**3**3**3"` and
     `"(x + 1)**(10**9)"` are refused at once instead of expanded for
-    hours."""
+    hours.  So does a literal whose numerator or denominator would pass
+    `_READ_BITS` bits, its decimal exponent checked before the number is
+    formed (`linalg.bounded_fraction`): `"1e9999999*x"`."""
     text = text.strip()
     names, one = dict(zip(ring.variables, ring.gens)), (0,) * len(ring.variables)
     arithmetic = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
@@ -825,7 +827,10 @@ def _read(ring: PolyRing, text: str) -> Poly:
             return names[node.id]
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             value = node.value if type(node.value) is int else ast.get_source_segment(text, node).replace("_", "")
-            return ring(Fraction(value))
+            number = bounded_fraction(value, 1 << _READ_BITS)
+            if number is None:
+                raise ScaleExceededError(f"generator {text!r}: a literal has a numerator or denominator past {_READ_BITS} bits")
+            return ring(number)
         if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
             return read(node.operand) * (-1 if type(node.op) is ast.USub else 1)
         if isinstance(node, ast.BinOp):

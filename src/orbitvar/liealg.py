@@ -20,12 +20,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     Matrix,
+    bounded_fraction,
     entry,
     exact_div,
     lowered,
@@ -152,10 +154,22 @@ class WeightedLieAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "WeightedLieAlgebra":
+        """The algebra `to_json` describes.  A number whose numerator or
+        denominator has more digits than Python converts to a string
+        (`sys.get_int_max_str_digits()`) could not be printed in a
+        report, so it raises `AlgebraError` before it is formed."""
+        digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+        below = 10**digits if digits else None
+
         def exact(v) -> Fraction:  # a JSON float was rounded to binary before it got here
             if isinstance(v, (float, bool)):
                 raise ValueError(f"{v!r} is a JSON {type(v).__name__}; give rationals as strings or integers")
-            return Fraction(v)
+            if below is None:
+                return Fraction(v)
+            number = bounded_fraction(v, below)
+            if number is None:
+                raise AlgebraError(f"a number has a numerator or denominator of more than {digits} digits")
+            return number
 
         try:
             # Python would read true as 1 and split a string into its

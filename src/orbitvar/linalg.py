@@ -3,7 +3,9 @@ is integral and a `fractions.Fraction` only when its denominator is not
 1: `entry` converts a value at the library edge and refuses anything
 else (a float, a symbol) with `TypeError`, `exact_div` is the one
 division, so no float can arise, and `lowered` turns the whole
-`Fraction`s that sums and products of entries leave back into ints.
+`Fraction`s that sums and products of entries leave back into ints;
+`bounded_fraction` reads a number from outside with a bound on its
+size, checked before a decimal exponent is expanded.
 Since `str`, `==` and `hash` agree across the two types, the split
 shows in no verdict or report.  `orbit` keeps a curve in z as one
 matrix per power of z.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -52,6 +55,40 @@ def entry(e):
     if isinstance(e, int):
         return int(e)
     raise TypeError(f"entries are Fractions or ints, not {type(e).__name__}")
+
+
+# Fraction's decimal syntax with an exponent: sign, whole digits,
+# fractional digits, exponent
+_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d+(?:_\d+)*)?(?:\.(\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def bounded_fraction(value, below: int) -> Fraction | None:
+    """Fraction(value) for an int or a string `Fraction` reads, or None
+    when the absolute value of its numerator or its denominator is not
+    below `below`.  A decimal exponent is checked before the number is
+    formed, so "1e9999999" is refused at once rather than built in
+    seconds.  With m the digits of the mantissa (D of them, leading
+    zeros dropped) and e the exponent less the count of fractional
+    digits, the value is m * 10**e.  For e >= 0 its numerator is at
+    least 10**e, and for e = -k its reduced denominator is at least
+    10**k / m > 10**(k - D); and 10**x >= 2**(3x) > below once 3x
+    reaches the bit length of below.  Otherwise |e| is below a third of
+    that bit length plus D, so the number formed is small, and it is
+    compared exactly."""
+    if isinstance(value, str) and (match := _DECIMAL_EXPONENT.fullmatch(value)):
+        whole, part, exp = (g.replace("_", "") if g else "" for g in match.groups())
+        digits = (whole + part).lstrip("0")
+        if not digits:
+            value = 0  # a zero whatever its exponent, which is not formed
+        else:
+            try:
+                shift = int(exp) - len(part)
+            except ValueError:  # an exponent past Python's digit limit
+                return None
+            if 3 * max(shift, -shift - len(digits)) >= below.bit_length():
+                return None
+    number = Fraction(value)
+    return number if abs(number.numerator) < below and number.denominator < below else None
 
 
 def exact_div(a, b):

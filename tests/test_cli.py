@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
 from orbitvar import cli, models
 from orbitvar.cli import main
+from orbitvar.liealg import AlgebraError, WeightedLieAlgebra
 from orbitvar.report import SCHEMA
 from test_orbit import run_without_sympy
 
@@ -195,6 +198,92 @@ class TestExitCodes:
         p.write_text(json.dumps(data))
         code, _, err = run(capsys, "validate", "--input", str(p))
         assert code == 2 and "float" in err
+
+
+DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+
+
+@pytest.mark.skipif(not DIGITS, reason="Python's int-string digit limit is off")
+class TestNumbersPastTheDigitLimit:
+    """A number whose numerator or denominator has more digits than
+    Python converts to a string could not be printed in a report: it is
+    refused with exit 2, and a decimal exponent is checked before the
+    number is formed, so `1e9999999` is refused at once."""
+
+    def write(self, tmp_path, weight, coeff="1"):
+        data = {
+            "t_dim": 2,
+            "a_basis": ["x", "y", "z"],
+            "weights": {"x": [weight, "0"], "y": ["0", "1"], "z": [weight, "1"]},
+            "brackets": [{"left": "x", "right": "y", "value": [{"basis": "z", "coeff": coeff}]}],
+        }
+        p = tmp_path / "alg.json"
+        p.write_text(json.dumps(data))
+        return p
+
+    def test_a_json_integer_past_the_limit_cannot_be_read(self, capsys, tmp_path):
+        p = tmp_path / "big.json"
+        p.write_text('{"t_dim": 1, "a_basis": ["x"], "weights": {"x": [1' + "0" * DIGITS + "]}}")
+        dest = tmp_path / "report"
+        code, out, err = run(capsys, "validate", "--input", str(p), "--output", str(dest))
+        assert code == 2 and err.startswith("error: cannot read algebra:") and "Traceback" not in err
+        assert not out and not dest.exists()
+
+    @pytest.mark.parametrize(
+        "number, value",
+        [
+            (f"1e{DIGITS - 1}", 10 ** (DIGITS - 1)),
+            (f"12e{DIGITS - 2}", 12 * 10 ** (DIGITS - 2)),
+            (f"1.5e{DIGITS - 1}", 15 * 10 ** (DIGITS - 2)),
+            (f"-1e-{DIGITS - 1}", Fraction(-1, 10 ** (DIGITS - 1))),
+            # 5 / 10**DIGITS is 1 / (2 * 10**(DIGITS - 1)): DIGITS digits
+            (f"5e-{DIGITS}", Fraction(1, 2 * 10 ** (DIGITS - 1))),
+            # the mantissa's zeros cancel 1,000 powers of ten of the denominator
+            (f"1{'0' * 1000}e-{DIGITS + 999}", Fraction(1, 10 ** (DIGITS - 1))),
+            ("0e9999999", 0),
+        ],
+        ids=["largest", "largest-two-digits", "largest-decimal", "negative-exponent", "reduced-denominator", "cancelled-zeros", "zero"],
+    )
+    def test_the_largest_numbers_are_read(self, capsys, tmp_path, number, value):
+        p = self.write(tmp_path, "1", number)
+        start = time.perf_counter()
+        alg = WeightedLieAlgebra.from_json(json.loads(p.read_text()))
+        assert time.perf_counter() - start < 1
+        assert next((c for _, _, terms in alg.brackets for _, c in terms), 0) == value
+        code, out, _ = run(capsys, "validate", "--input", str(p))
+        assert code == 0 and json.loads(out)["algebra_fingerprint"] == alg.fingerprint()
+
+    @pytest.mark.parametrize(
+        "number",
+        [
+            f"1e{DIGITS}",
+            f"12e{DIGITS - 1}",
+            f"1.5e{DIGITS}",
+            f"-1e-{DIGITS}",
+            f"1e-{DIGITS + 1}",
+            "1e9999999",
+            "1e-9999999",
+            "1e" + "9" * (DIGITS + 1),
+        ],
+        ids=["smallest", "smallest-two-digits", "smallest-decimal", "negative-exponent", "past-negative", "huge", "huge-negative", "exponent-past-the-limit"],
+    )
+    @pytest.mark.parametrize("where", ["weight", "coeff"])
+    def test_a_number_past_the_limit_exits_two(self, capsys, tmp_path, number, where):
+        p = self.write(tmp_path, number, "1") if where == "weight" else self.write(tmp_path, "1", number)
+        start = time.perf_counter()
+        with pytest.raises(AlgebraError, match=f"more than {DIGITS} digits"):
+            WeightedLieAlgebra.from_json(json.loads(p.read_text()))
+        code, out, err = run(capsys, "fixed-points", "--input", str(p))
+        assert code == 2 and f"more than {DIGITS} digits" in err and not out
+        # forming 10**9999999 alone takes seconds
+        assert time.perf_counter() - start < 1
+
+    def test_an_integer_past_the_limit_is_refused_by_the_library(self):
+        data = {"t_dim": 1, "a_basis": ["x"], "weights": {"x": [10**DIGITS]}}
+        with pytest.raises(AlgebraError, match="digits"):
+            WeightedLieAlgebra.from_json(data)
+        data["weights"]["x"] = [10**DIGITS - 1]
+        assert WeightedLieAlgebra.from_json(data).weights[0].coords == (10**DIGITS - 1,)
 
 
 class TestRendering:

@@ -1,0 +1,311 @@
+"""One `cli.main` process keeps one loaded algebra per value
+(`cli.shared_algebra`), so a command reads the memo that earlier
+commands on an equal algebra filled.  Pinned here: a session of mixed
+commands gives, call for call, the bytes and exit code of the same
+command after `cache_clear()` (and of `perfbench/golden.json`, read
+only, where it has the call); which loads share an instance; that a
+computation which raised, a file rewritten in place, a failed validation
+and an eviction all leave the next report as a fresh process writes it;
+and that no memo holds a mutable value, which the sharing rests on."""
+
+import dataclasses
+import hashlib
+import json
+import os
+import random
+from fractions import Fraction
+
+import pytest
+
+from orbitvar import cli, ideals, models, orbit
+from orbitvar.liealg import WeightedLieAlgebra
+from orbitvar.linalg import RankDeficientError
+from orbitvar.orbit import PreconditionFailedError
+from test_property_p import VARIANTS, borel_nilradical_a4, heisenberg_central_extension
+
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "golden.json")
+GEOMETRY_BUILTINS = ("sl2-borel", "borel-nilradical-A2", "heisenberg-3", "abelian:3", "borel-nilradical-A3")
+GEOMETRY_COMMANDS = ("validate", "fixed-points", "boundary", "property-p")
+CHART_BUILTINS = ("borel-nilradical-A2", "heisenberg-3", "abelian:3")
+CHART_COMMANDS = ("chart", "nilcone", "ps-check")
+GENERATED = {"borel-nilradical-A4": borel_nilradical_a4, "heisenberg-3-central": heisenberg_central_extension}
+# boundary components need a trivial center, and the central extension's is a line
+RAISES = {f"boundary heisenberg-3-central v{v}" for v in VARIANTS}
+
+
+def session_calls(directory) -> dict:
+    """Every call of a session, keyed as `perfbench/golden.json` keys it
+    where it has the call: the geometry commands on the builtins and on
+    the generated algebras read from JSON, the chart commands on the
+    chart builtins, and a nonzero seed and the markdown format."""
+    calls = {}
+    for b in GEOMETRY_BUILTINS:
+        for c in GEOMETRY_COMMANDS:
+            calls[f"{c} {b}"] = [c, "--builtin", b]
+    for name, make in GENERATED.items():
+        for v in VARIANTS:
+            path = os.path.join(directory, f"{name}-v{v}.json")
+            with open(path, "w") as fh:
+                json.dump(make(v).to_json(), fh, sort_keys=True)
+            for c in GEOMETRY_COMMANDS:
+                calls[f"{c} {name} v{v}"] = [c, "--input", path]
+    for b in CHART_BUILTINS:
+        for c in CHART_COMMANDS:
+            calls[f"{c} {b}"] = [c, "--builtin", b]
+    calls["fixed-points borel-nilradical-A2 --seed 3"] = ["fixed-points", "--builtin", "borel-nilradical-A2", "--seed", "3"]
+    calls["boundary borel-nilradical-A2 --format markdown"] = ["boundary", "--builtin", "borel-nilradical-A2", "--format", "markdown"]
+    return calls
+
+
+def call(key: str, argv: list, out) -> tuple:
+    """The exit code and report bytes of one in-process call; a call in
+    `RAISES` must raise `PreconditionFailedError` and write nothing."""
+    if os.path.exists(out):
+        os.remove(out)
+    if key in RAISES:
+        with pytest.raises(PreconditionFailedError):
+            cli.main(argv + ["--output", str(out)])
+        assert not os.path.exists(out)
+        return None, None
+    code = cli.main(argv + ["--output", str(out)])
+    with open(out, "rb") as fh:
+        return code, fh.read()
+
+
+def fresh_call(key: str, argv: list, out) -> tuple:
+    cli.shared_algebra.cache_clear()
+    return call(key, argv, out)
+
+
+def loaded(*argv) -> WeightedLieAlgebra:
+    return cli.load_algebra(cli._parser().parse_args(["validate", *argv]))
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    """The calls and the result of each one after `cache_clear()`."""
+    directory = tmp_path_factory.mktemp("session")
+    calls = session_calls(str(directory))
+    results = {key: fresh_call(key, argv, directory / "report") for key, argv in calls.items()}
+    cli.shared_algebra.cache_clear()
+    return directory, calls, results
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_session_writes_what_fresh_calls_write(fresh, seed):
+    directory, calls, results = fresh
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    keys = list(calls)
+    random.Random(seed).shuffle(keys)
+    cli.shared_algebra.cache_clear()
+    for key in keys:
+        code, report = call(key, calls[key], directory / "report")
+        assert (code, report) == results[key], key
+        if key in golden:
+            assert code == golden[key]["exit"], key
+            assert hashlib.sha256(report).hexdigest() == golden[key]["sha256"], key
+    # each distinct algebra loaded once (central extension variants 1 and 3 are one value)
+    distinct = {models.builtin(b) for b in GEOMETRY_BUILTINS} | {make(v) for make in GENERATED.values() for v in VARIANTS}
+    info = cli.shared_algebra.cache_info()
+    assert info.currsize == info.misses == len(distinct) == 12
+    assert info.hits == len(keys) - len(distinct)
+    cli.shared_algebra.cache_clear()
+
+
+def test_the_golden_digests_cover_the_workload_calls(fresh):
+    """Every geometry and charts call of the benchmark is one of the
+    session's, so the session checks each against its digest."""
+    _, calls, _ = fresh
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    assert set(golden) <= set(calls)
+
+
+# -- what is shared ------------------------------------------------------
+
+
+def test_equal_values_load_one_instance(tmp_path):
+    cli.shared_algebra.cache_clear()
+    alg = models.heisenberg_3()
+    text = json.dumps(alg.to_json())
+    (tmp_path / "a.json").write_text(text)
+    (tmp_path / "b.json").write_text(text)
+    (tmp_path / "c.json").write_text(json.dumps(alg.to_json(), sort_keys=True, indent=2))
+    first = loaded("--builtin", "heisenberg-3")
+    assert loaded("--input", str(tmp_path / "a.json")) is first
+    assert loaded("--input", str(tmp_path / "b.json")) is first
+    assert loaded("--input", str(tmp_path / "c.json")) is first
+    assert loaded("--builtin", "heisenberg-3") is first
+    # the library still hands out fresh instances
+    assert models.builtin("heisenberg-3") is not first
+    assert WeightedLieAlgebra.from_json(alg.to_json()) is not first
+    cli.shared_algebra.cache_clear()
+
+
+def test_the_four_a4_presentations_load_four_instances(tmp_path):
+    cli.shared_algebra.cache_clear()
+    paths = []
+    for v in VARIANTS:
+        paths.append(tmp_path / f"a4-v{v}.json")
+        paths[-1].write_text(json.dumps(borel_nilradical_a4(v).to_json()))
+    first = [loaded("--input", str(p)) for p in paths]
+    assert len({id(alg) for alg in first}) == 4
+    assert all(loaded("--input", str(p)) is alg for p, alg in zip(paths, first))
+    cli.shared_algebra.cache_clear()
+
+
+def test_a_file_rewritten_in_place_gives_the_report_of_its_new_content(tmp_path):
+    path, out = tmp_path / "alg.json", tmp_path / "report"
+    argv = ["fixed-points", "--input", str(path)]
+    path.write_text(json.dumps(models.borel_nilradical_a2().to_json()))
+    before = fresh_call("", argv, out)
+    path.write_text(json.dumps(models.heisenberg_3().to_json()))
+    after = fresh_call("", argv, out)
+    assert before != after
+    cli.shared_algebra.cache_clear()
+    for text, want in ((models.borel_nilradical_a2(), before), (models.heisenberg_3(), after), (models.borel_nilradical_a2(), before)):
+        path.write_text(json.dumps(text.to_json()))
+        assert call("", argv, out) == want
+    cli.shared_algebra.cache_clear()
+
+
+def test_a_limit_that_raised_is_not_kept(tmp_path, monkeypatch):
+    """The third witness limit raises once: the call propagates the
+    error, the limits taken before it stay, the failed one and the
+    enumeration are not kept, and the next call writes the fresh
+    report."""
+    argv, out = ["fixed-points", "--builtin", "borel-nilradical-A3"], tmp_path / "report"
+    want = fresh_call("", argv, out)
+    cli.shared_algebra.cache_clear()
+    limit, calls = orbit.CurveSubspace.limit, []
+
+    def third_raises(curve):
+        calls.append(curve)
+        if len(calls) == 3:
+            raise RankDeficientError("the basis rows of the curve are dependent")
+        return limit(curve)
+
+    monkeypatch.setattr(orbit.CurveSubspace, "limit", third_raises)
+    with pytest.raises(RankDeficientError):
+        cli.main(argv + ["--output", str(out)])
+    alg = loaded("--builtin", "borel-nilradical-A3")
+    assert sum(isinstance(k, tuple) and k[0] == "witness-limit" for k in alg._memo) == 2
+    assert "torus-fixed-points" not in alg._memo
+    assert call("", argv, out) == want
+    assert len(calls) > 3
+    cli.shared_algebra.cache_clear()
+
+
+def test_an_algebra_that_fails_validation_exits_two_on_every_call(tmp_path, capsys):
+    bad = WeightedLieAlgebra.build(2, ["x", "y"], {"x": [1, 0], "y": [2, 0]}, [])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad.to_json()))
+    cli.shared_algebra.cache_clear()
+    for command in ("fixed-points", "validate", "boundary", "fixed-points", "property-p", "validate"):
+        code = cli.main([command, "--input", str(path)])
+        out, err = capsys.readouterr()
+        if command == "validate":
+            assert code == 1 and json.loads(out)["summary"]["worst"] == "refuted"
+        else:
+            assert code == 2 and "fails validation" in err and not out
+    cli.shared_algebra.cache_clear()
+
+
+def test_an_evicted_algebra_gives_the_same_bytes(tmp_path):
+    argv, out = ["property-p", "--builtin", "borel-nilradical-A2"], tmp_path / "report"
+    want = fresh_call("", argv, out)
+    first = loaded("--builtin", "borel-nilradical-A2")
+    for d in range(1, cli.ALGEBRA_CACHE_SIZE + 1):
+        loaded("--builtin", f"abelian:{d}")
+    assert cli.shared_algebra.cache_info().currsize == cli.ALGEBRA_CACHE_SIZE
+    assert call("", argv, out) == want
+    assert loaded("--builtin", "borel-nilradical-A2") is not first
+    cli.shared_algebra.cache_clear()
+
+
+# -- the memo holds immutable values only ---------------------------------
+
+LEAVES = (int, Fraction, str, type(None))
+FAMILIES = {
+    "fingerprint",
+    "zero",
+    "basis-vector",
+    "ad-table",
+    "exp-ad-chain",
+    "kernel",
+    "center",
+    "jacobi",
+    "nilpotent",
+    "torus-subspace",
+    "weight-order",
+    "witness-curve",
+    "witness-limit",
+    "fixed-point-record",
+    "torus-fixed-points",
+    "fixed-point-subsets",
+    "group-fixed-points",
+}
+
+
+def mutable_parts(value, path: str, seen: set):
+    """The paths of every value reachable from value that is not an int,
+    a Fraction, a string, None, a tuple, a frozenset or a frozen
+    dataclass: a list, a dict, a set, a dataclass that is not frozen, or
+    any other object.  An algebra is walked without its memo."""
+    if isinstance(value, LEAVES) or id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, (tuple, frozenset)):
+        for i, item in enumerate(value):
+            yield from mutable_parts(item, f"{path}[{i}]", seen)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type) and value.__dataclass_params__.frozen:
+        for name, item in vars(value).items():
+            if not (isinstance(value, WeightedLieAlgebra) and name == "_memo"):
+                yield from mutable_parts(item, f"{path}.{name}", seen)
+    else:
+        yield f"{path}: {type(value).__name__}"
+
+
+def test_mutable_parts_finds_each_kind():
+    @dataclasses.dataclass
+    class Open:
+        x: int
+
+    alg = models.borel_nilradical_a2()
+    for bad in ([1], {1: 2}, {1}, Open(1), object()):
+        assert list(mutable_parts((1, (bad,)), "v", set())) == [f"v[1][0]: {type(bad).__name__}"]
+    assert not list(mutable_parts((alg, Fraction(1, 2), "s", None, frozenset({1})), "v", set()))
+
+
+def test_every_memo_value_is_immutable():
+    """Every command of the workloads on every workload algebra, and the
+    library calls of the query stream, fill the memos; no value in them
+    reaches a mutable object.  A4 leaves out `chart` and `nilcone`,
+    which run for minutes, and a command whose precondition fails
+    raises its typed error and keeps nothing of it."""
+    a4 = [borel_nilradical_a4(v) for v in VARIANTS]
+    algebras = [models.builtin(b) for b in GEOMETRY_BUILTINS] + a4
+    algebras += [heisenberg_central_extension(v) for v in VARIANTS]
+    for alg in algebras:
+        for command, runner in cli.RUNNERS.items():
+            if command == "suite" or (alg in a4 and command in ("chart", "nilcone")):
+                continue
+            try:
+                runner(alg, 0)
+            except (orbit.OrbitError, ideals.IdealError):
+                assert alg.center().dim
+    for alg in algebras[:5]:
+        torus = orbit.torus_subspace(alg)
+        orbit.membership(alg, orbit.act(alg, [(0, 2), (alg.n - 1, Fraction(-1, 2))], torus))
+        record = orbit.torus_fixed_points(alg)[-1]
+        orbit.membership(alg, record.subspace)
+        orbit.multipoint_membership(alg, [record.subspace.basis.row(0)])
+        orbit.biggest_torus(alg, record.subspace)
+        orbit.verify_pair_relation(alg, alg.weights[0], samples=2, seed=1)
+    families = set()
+    for alg in algebras:
+        for key, value in alg._memo.items():
+            families.add(key if isinstance(key, str) else key[0])
+            assert not list(mutable_parts(value, repr(key), set())), key
+    assert families >= FAMILIES

@@ -8,6 +8,7 @@ read (a call, `^`, a foreign name, a float, a sympy expression) raises
 
 import ast
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from orbitvar import ideals
 from orbitvar.ideals import Ideal, IdealError, PolyRing, ScaleExceededError, _parse
+from orbitvar.linalg import bounded_fraction
 from sympy_reference import from_sympy
 from test_groebner import ENTRY_POINTS
 
@@ -127,6 +129,58 @@ def test_a_product_or_power_past_the_budget_is_refused_before_it_is_formed():
     for text in within:
         assert not past_the_budget(text)
         assert _parse(RING, text) == from_sympy(RING, sympy.expand(sympy.sympify(text, rational=True)))
+
+
+def test_a_literal_past_the_bits_is_refused_before_it_is_formed():
+    """`1e9999999*x` formed 10**9999999 for seconds before it was read.
+    A literal whose numerator or denominator would pass `_READ_BITS`
+    bits is refused, its decimal exponent checked first; at the edge the
+    literal is read exactly."""
+    bits, x = ideals._READ_BITS, RING.gens[0]
+    top = math.floor(bits * math.log10(2))  # the largest k with 10**k of at most `bits` bits
+    assert (10**top).bit_length() <= bits < (10 ** (top + 1)).bit_length()
+    within = {
+        f"1e{top}*x": x * 10**top,
+        f"-1e-{top}*x": x * Fraction(-1, 10**top),
+        # 5 / 10**(top + 1) is 1 / (2 * 10**top), of at most `bits` bits
+        f"5e-{top + 1}*x": x * Fraction(1, 2 * 10**top),
+        f"0x{'f' * (bits // 4)}*x": x * (2**bits - 1),
+        # the mantissa's zeros cancel 2,000 powers of ten of the denominator
+        f"1{'0' * 2000}e-{top + 2000}*x": x * Fraction(1, 10**top),
+        "0e9999999*x": RING(0),
+        "1_0.2_5e1_0*x": x * 102500000000,
+    }
+    for text, value in within.items():
+        start = time.perf_counter()
+        assert _parse(RING, text) == value, text[:20]
+        assert time.perf_counter() - start < 1, text[:20]
+    refused = (f"1e{top + 1}*x", f"1e-{top + 1}*x", f"12e{top}*x", f"0x1{'0' * (bits // 4)}*x", "1e9999999*x", "x - 1e-9999999")
+    for text in refused:
+        start = time.perf_counter()
+        with pytest.raises(ScaleExceededError, match="a literal"):
+            _parse(RING, text)
+        # forming 10**9999999 alone takes seconds
+        assert time.perf_counter() - start < 1, text[:20]
+
+
+@settings(max_examples=300)
+@given(
+    mantissa=st.from_regex(r"[-+]?[0-9]{0,4}0{0,60}(\.[0-9]{0,4})?", fullmatch=True),
+    e=st.sampled_from("eE"),
+    exponent=st.integers(-150, 150).map(lambda k: f"+{k}" if k > 0 and k % 2 else str(k)),
+    below=st.integers(1, 10**60),
+)
+def test_bounded_fraction_is_fraction_within_its_bound(mantissa, e, exponent, below):
+    """The exponent check refuses only what the exact comparison would."""
+    text = f"{mantissa}{e}{exponent}"
+    try:
+        want = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            bounded_fraction(text, below)
+        return
+    within = abs(want.numerator) < below and want.denominator < below
+    assert bounded_fraction(text, below) == (want if within else None)
 
 
 def test_a_decimal_is_read_exactly():
