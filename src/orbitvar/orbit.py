@@ -278,15 +278,26 @@ def act(alg: WeightedLieAlgebra, word, v: Subspace):
     """Apply the product of exp(z_i ad x_{alpha_i}) left-to-right to V.
     Scalars are ints or Fractions, converted by `linalg.entry`, which
     refuses a float; None means the shared formal parameter z, and a word
-    with one gives a CurveSubspace.  Each basis row is kept as its z^k
-    coefficient vectors (one for a scalar word), and each factor is
-    applied to them one row at a time (`_exp_row`)."""
+    with one gives a CurveSubspace.  Each factor is applied by
+    `_exp_row`: to all basis rows at once for a scalar word, since a
+    scalar maps each row on its own, and otherwise to each row kept as
+    its z^k coefficient vectors.
+
+    [x_k, r] lies in a, so exp(z ad x_k) fixes the torus part of every
+    row.  When V's pivots all lie on the torus, the rows of a scalar
+    word's image keep V's pivot columns, with 1 at each row's own pivot
+    and 0 at the others and before it: they are already the canonical
+    basis, and no row reduction runs."""
     word = [(widx, None if scalar is None else entry(scalar)) for widx, scalar in word]
+    if all(scalar is not None for _, scalar in word):
+        rows = v.basis.entries
+        for widx, scalar in reversed(word):
+            rows = _exp_row(alg, widx, scalar, rows)
+        image = Matrix(v.dim, alg.dim, tuple(rows))
+        return Subspace(alg, image if all(p < alg.t_dim for p in v.pivots) else row_space_basis(image))
     polys = [[row] for row in v.basis.entries]
     for widx, scalar in reversed(word):
         polys = [_exp_row(alg, widx, scalar, p) for p in polys]
-    if all(scalar is not None for _, scalar in word):
-        return Subspace(alg, row_space_basis(Matrix(v.dim, alg.dim, tuple(p[0] for p in polys))))
     return _curve(alg, polys)
 
 
@@ -308,19 +319,29 @@ def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> l
     each poly[b] starts as itself.  For a scalar z (an entry) each
     poly[b] is mapped on its own; for None term m of chain(j) adds to the
     z^(b+m) coefficient, and trailing zero coefficients are dropped.  Only
-    nonzero entries are multiplied or added, and each row comes back with
-    its whole Fractions lowered to ints."""
-    out = [list(p) for p in poly]
+    nonzero entries are multiplied or added.  A row that a scalar leaves
+    as it was (z = 0, or no nonzero entry whose chain goes past e_j) comes
+    back as it is; every other row comes back with its whole Fractions
+    lowered to ints."""
     if scalar is not None:
-        if scalar:
-            for p, acc in zip(poly, out):
-                for j, c in enumerate(p):
-                    if c:
-                        for term in alg.exp_ad_chain(widx, j)[1:]:
+        if not scalar:
+            return list(poly)
+        out = []
+        for p in poly:
+            acc = None
+            for j, c in enumerate(p):
+                if c:
+                    chain = alg.exp_ad_chain(widx, j)
+                    if len(chain) > 1:
+                        if acc is None:
+                            acc = list(p)
+                        for term in chain[1:]:
                             c *= scalar  # poly[b][j] z^m
                             for i, e in term:
                                 acc[i] += c * e
-        return [lowered(acc) for acc in out]
+            out.append(p if acc is None else lowered(acc))
+        return out
+    out = [list(p) for p in poly]
     for b, p in enumerate(poly):
         for j, c in enumerate(p):
             if c:
@@ -626,9 +647,11 @@ def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
        algebra that fails Jacobi or nilpotency, before any certificate;
     3. the certificate of V's shape.  A torus-graph V (pivots on the
        torus) gets an orbit word, peeled weight by weight in height order
-       and re-verified by `act`.  A torus-stable V is matched with the one
-       fixed point it can be, z_S + a_S for S = `graded_subset(V)`
-       (`fixed_point_of`), whose witness-curve limit is verified to be V;
+       and re-verified by `act`, which reads word t's canonical rows off
+       the images of t's basis rows with no row reduction.  A
+       torus-stable V is matched with the one fixed point it can be,
+       z_S + a_S for S = `graded_subset(V)` (`fixed_point_of`), whose
+       witness-curve limit is verified to be V;
     4. only when no certificate verifies, the refutations (`_refutation`):
        V must contain the center, and on a zero center it must hold the
        semisimple part of each of its basis vectors.  Otherwise the
@@ -683,27 +706,28 @@ def _refutation(alg: WeightedLieAlgebra, v: Subspace) -> str | None:
 
 
 def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
-    """For V spanned by t_i + phi(t_i): strip one weight component per
-    exponential factor, lowest height first (`_weight_order`).  Returns
-    the word or None; each z is one `exact_div`."""
-    rows = [list(v.basis.row(i)) for i in range(v.dim)]
+    """For a torus-graph V, whose canonical rows are e_i + phi(e_i):
+    strip one weight component per exponential factor, lowest height
+    first (`_weight_order`).  Each factor leaves the torus part e_i of
+    row i, so the weight values on the rows are the coordinates of the
+    weight.  Returns the word or None; each z is one `exact_div`."""
+    d = alg.t_dim
+    rows = v.basis.entries
     applied: list[tuple[int, object]] = []
     for k in _weight_order(alg):
-        col = alg.t_dim + k
-        coefs = [row[col] for row in rows]
+        coefs = [row[d + k] for row in rows]
         if not any(coefs):
             continue
-        w = alg.weights[k]
-        wvals = [w(row[: alg.t_dim]) for row in rows]
-        # need coefs proportional to the weight values: c_i = z * w(t_i)
+        wvals = alg.weights[k].coords
+        # need coefs proportional to the weight values: c_i = z * w(e_i)
         zc = next((exact_div(c, wv) for c, wv in zip(coefs, wvals) if wv), None)
         if not zc or any(c != zc * wv if wv else c for c, wv in zip(coefs, wvals)):
             return None
         # E(z) t = t - z w(t) x, so E(zc) clears the column and the
         # inverse factor E(-zc) belongs to the certificate word
-        rows = [list(_exp_row(alg, k, zc, [tuple(r)])[0]) for r in rows]
+        rows = _exp_row(alg, k, zc, rows)
         applied.append((k, -zc))
-    if any(any(r[alg.t_dim + j] != 0 for j in range(alg.n)) for r in rows):
+    if any(any(row[d:]) for row in rows):
         return None
     # exp(-z_m)...exp(-z_1) V = t, so V = exp(z_1)...exp(z_m) t: the word
     # keeps the peel order with the signs already flipped back

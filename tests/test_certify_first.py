@@ -2,10 +2,12 @@
 refutations, and `orbit._exp_row`, which sums memoised per-basis exp(ad)
 chains, against the refute-first membership and the bracket-chain
 `_exp_row` they replaced, both kept here as references.  Also pinned:
-the fixed-point lookup finds every record of the enumeration (on the
-builtins, A4 and the 948 of A5); the Jordan preconditions still raise
-before any certificate is tried; certified queries run no Jordan
-decomposition, and an A5 fixed-point query no enumeration."""
+the orbit word's check keeps the algebra test of `Subspace.__eq__`; the
+fixed-point lookup finds every record of the enumeration (on the
+builtins, A4 and the 948 of A5); on an algebra that fails Jacobi or
+nilpotency the outcomes are the refute-first ones, with or without a
+center; certified queries run no Jordan decomposition and no row
+reduction, and an A5 fixed-point query no enumeration."""
 
 import itertools
 import random
@@ -22,7 +24,7 @@ from test_memo import outcome
 from test_property_p import VARIANTS, borel_nilradical_a4, heisenberg_central_extension
 from test_weight_walks import borel_nilradical
 
-from orbitvar import models, orbit
+from orbitvar import liealg, linalg, models, orbit
 from orbitvar.liealg import AlgebraError, WeightedLieAlgebra
 from orbitvar.linalg import Matrix, nullspace, row_space_basis
 
@@ -274,6 +276,31 @@ class TestExpRow:
         assert alg.exp_ad_chain(0, 1) is chain
 
 
+class TestAct:
+    @settings(max_examples=300)
+    @given(ALGEBRAS, st.sampled_from(INPUTS), st.data())
+    def test_scalar_words_match_the_reduced_image(self, alg, make, data):
+        """With or without V's pivots on the torus, `act` gives the row
+        space of the image rows."""
+        v = make(data, alg)
+        word = data.draw(st.lists(st.tuples(st.integers(0, alg.n - 1), SCALARS), min_size=1, max_size=3))
+        assert orbit.act(alg, word, v) == reference_act(alg, word, v)
+        event("pivots on the torus" if all(p < alg.t_dim for p in v.pivots) else "a pivot off the torus")
+
+    @pytest.mark.parametrize("alg", FIXED[:5], ids=BUILTINS)
+    def test_only_pivots_off_the_torus_reduce_rows(self, alg, monkeypatch):
+        """t and the fixed points z_S + a_S, each moved by every weight: the
+        image is reduced exactly when a pivot of V lies off the torus."""
+        reductions = count_calls(monkeypatch, [orbit], "row_space_basis")
+        points = [orbit.torus_subspace(alg)] + [recd.subspace for recd in orbit.torus_fixed_points(alg)]
+        for v in points:
+            for widx in range(alg.n):
+                word = [(widx, Fraction(3, 2)), ((widx + 1) % alg.n, Fraction(-2))]
+                before = len(reductions)
+                assert orbit.act(alg, word, v) == reference_act(alg, word, v)
+                assert len(reductions) - before == (not all(p < alg.t_dim for p in v.pivots))
+
+
 class TestMembership:
     @settings(max_examples=400)
     @given(ALGEBRAS, st.sampled_from(INPUTS), st.data())
@@ -293,6 +320,28 @@ class TestMembership:
         alg, v = center_example()
         want = orbit.MembershipVerdict("refuted", reason="does not contain the center")
         assert reference_membership(alg, v) == orbit.membership(alg, v) == want
+
+    def test_an_equal_copy_of_the_algebra_certifies(self):
+        """V on one instance, queried on an equal one: the rows match and
+        the algebras compare equal by value."""
+        alg, copy = models.builtin("borel-nilradical-A2"), models.builtin("borel-nilradical-A2")
+        assert alg is not copy and alg == copy
+        v = orbit.act(alg, [(0, Fraction(2)), (1, Fraction(-1, 2)), (2, Fraction(3))], orbit.torus_subspace(alg))
+        got = orbit.membership(copy, v)
+        assert got.kind == "orbit" and got == reference_membership(copy, v)
+
+    def test_a_subspace_of_another_algebra_is_not_certified(self):
+        """heisenberg-3 and A2 have the same dim and weights but are not
+        equal.  One factor moves t the same way in both, so the peeled word
+        gives V's rows on A2 too; the algebra test still refuses the
+        certificate, as `Subspace.__eq__` does."""
+        alg, other = models.builtin("borel-nilradical-A2"), models.builtin("heisenberg-3")
+        assert alg.dim == other.dim and alg != other
+        v = orbit.act(other, [(0, Fraction(2))], orbit.torus_subspace(other))
+        assert orbit._peel_orbit(alg, v) is not None
+        got = orbit.membership(alg, v)
+        assert got == reference_membership(alg, v)
+        assert got == orbit.MembershipVerdict("unknown", reason="torus-graph subspace without orbit certificate")
 
 
 class TestFixedPointLookup:
@@ -353,15 +402,94 @@ class TestPreconditions:
             assert got == outcome(reference_membership, alg, v)
 
 
-def count_jordan(monkeypatch):
+def with_center(alg):
+    """alg with one more torus direction, last, that every weight kills:
+    the same table, and a center that is that line."""
+    brackets = [
+        (alg.a_basis[i], alg.a_basis[j], {alg.a_basis[k]: c for k, c in terms}) for i, j, terms in alg.brackets
+    ]
+    weights = {nm: list(w.coords) + [0] for nm, w in zip(alg.a_basis, alg.weights)}
+    return WeightedLieAlgebra.build(alg.t_dim + 1, alg.a_basis, weights, brackets)
+
+
+def crossed_graph(alg):
+    """t with one weight vector x_k added to the row of e_i, where w_k
+    does not vanish on e_j, j != i: [e_i + x_k, e_j] = -w_k(e_j) x_k, so
+    a torus-graph V that is not commutative."""
+    k = next(k for k, w in enumerate(alg.weights) if any(w.coords))
+    j = next(j for j, c in enumerate(alg.weights[k].coords) if c)
+    rows = [list(alg.basis_vector(m)) for m in range(alg.t_dim)]
+    rows[(j + 1) % alg.t_dim][alg.t_dim + k] = 1
+    return orbit.Subspace.from_rows(alg, rows)
+
+
+def non_commutative_orbit_point(alg):
+    """exp(ad x3) exp(ad x2) exp(ad x1) t on `non_jacobi_algebra` and its
+    central extension: without Jacobi the factors are no automorphisms,
+    and this orbit point is not commutative, yet its peeled word maps t
+    to it, so its certificate would verify: the commutativity test must
+    come first."""
+    v = orbit.act(alg, [(2, 1), (1, 1), (0, 1)], orbit.torus_subspace(alg))
+    assert not orbit.is_commutative_subalgebra(alg, v)
+    word = orbit._peel_orbit(alg, v)
+    assert word is not None and orbit.act(alg, word, orbit.torus_subspace(alg)) == v
+    return v
+
+
+# a point of each shape, and the verdict kind refuting first gives it
+SHAPES = {
+    "torus": (orbit.torus_subspace, "orbit"),
+    "fixed": (lambda alg: orbit._fixed_point_subspace(alg, (alg.n - 1,))[0], "limit"),
+    "crossed": (crossed_graph, "refuted"),
+    "orbit word": (non_commutative_orbit_point, "refuted"),
+}
+
+
+class TestRefuteFirstOnInvalidAlgebras:
+    """On an algebra that fails Jacobi or nilpotency, with a zero center
+    (`TestPreconditions`) or a nonzero one (here), `membership` gives the
+    refute-first outcomes: commutativity, the Jordan preconditions on a
+    zero center, then the certificates."""
+
+    @pytest.mark.parametrize(
+        "make, shape",
+        [(non_jacobi_algebra, shape) for shape in SHAPES]
+        + [(non_nilpotent_algebra, shape) for shape in list(SHAPES)[:3]],
+        ids=[f"jacobi-fails-{shape}" for shape in SHAPES] + [f"not-nilpotent-{shape}" for shape in list(SHAPES)[:3]],
+    )
+    def test_outcomes_with_a_center_match_refute_first(self, make, shape):
+        alg = with_center(make())
+        assert alg.center().dim == 1
+        point, kind = SHAPES[shape]
+        v = point(alg)
+        got = outcome(orbit.membership, alg, v)
+        assert got == outcome(reference_membership, alg, v)
+        assert got[1].kind == kind
+        if kind == "refuted":
+            assert got[1].reason == "not a commutative subalgebra"
+
+    def test_zero_center_orbit_word_is_refuted_before_the_preconditions(self):
+        """The same orbit point on the zero-center algebra: the
+        commutativity test refutes it before the preconditions raise."""
+        alg = non_jacobi_algebra()
+        v = non_commutative_orbit_point(alg)
+        got = outcome(orbit.membership, alg, v)
+        assert got == outcome(reference_membership, alg, v)
+        assert got == ("value", orbit.MembershipVerdict("refuted", reason="not a commutative subalgebra"))
+
+
+def count_calls(monkeypatch, owners, name):
+    """Record the arguments of every call of `name`, replaced on each of
+    `owners` (a class, or the modules that bind a function)."""
     calls = []
-    real = WeightedLieAlgebra.jordan_decompose
+    real = getattr(owners[0], name)
 
-    def counted(self, x):
-        calls.append(x)
-        return real(self, x)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(WeightedLieAlgebra, "jordan_decompose", counted)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -376,17 +504,27 @@ UNCERTIFIED = {
 class TestCounts:
     @pytest.mark.parametrize("name", UNCERTIFIED)
     def test_certified_queries_decompose_nothing(self, name, monkeypatch):
+        """Certified orbit and fixed-point queries test commutativity once
+        each, and run no Jordan decomposition and no row reduction: `act`
+        reads the word's image of t off the image rows."""
         alg = models.builtin(name)
         rng = random.Random(5)
         t = orbit.torus_subspace(alg)
-        points = [orbit.act(alg, [(rng.randrange(alg.n), Fraction(rng.randint(1, 3))) for _ in range(3)], t)]
+        points = [
+            orbit.act(alg, [(rng.randrange(alg.n), Fraction(rng.randint(1, 3))) for _ in range(3)], t)
+            for _ in range(4)
+        ]
         points += [recd.subspace for recd in orbit.torus_fixed_points(alg)]
-        calls = count_jordan(monkeypatch)
-        assert all(orbit.membership(alg, v).certified for v in points)
-        assert calls == []
-        # an uncertified query still decomposes each basis row
-        assert orbit.membership(alg, orbit.Subspace.from_rows(alg, UNCERTIFIED[name])).kind == "unknown"
-        assert len(calls) == alg.t_dim
+        uncertified = orbit.Subspace.from_rows(alg, UNCERTIFIED[name])
+        jordan = count_calls(monkeypatch, [WeightedLieAlgebra], "jordan_decompose")
+        commutative = count_calls(monkeypatch, [orbit], "is_commutative_subalgebra")
+        reductions = count_calls(monkeypatch, [linalg, liealg, orbit], "row_space_basis")
+        verdicts = [orbit.membership(alg, v) for v in points]
+        assert {v.kind for v in verdicts} == {"orbit", "limit"}
+        assert jordan == reductions == [] and len(commutative) == len(points)
+        # an uncertified query decomposes each basis row
+        assert orbit.membership(alg, uncertified).kind == "unknown"
+        assert len(jordan) == alg.t_dim
 
     def test_a5_fixed_point_query_enumerates_nothing(self, monkeypatch):
         alg = borel_nilradical(5)
