@@ -18,6 +18,10 @@ limit is still compared with its subspace once, before its record is
 kept, as within one command.  The library is unchanged: `build`,
 `from_json` and `models.builtin` return fresh instances with their own
 memos.
+
+The process also keeps the `ps-check` section of each P_s
+(`ps_section`), which reads no algebra: every later `ps-check` and
+`suite` report takes its checks from it, with `details` of its own.
 """
 
 from __future__ import annotations
@@ -49,6 +53,31 @@ def shared_algebra(alg: WeightedLieAlgebra) -> WeightedLieAlgebra:
     no equal algebra is among the `ALGEBRA_CACHE_SIZE` values loaded
     most recently.  `==` and `hash` read the fields, not the memo."""
     return alg
+
+
+@functools.cache
+def ps_section(s: int) -> tuple[tuple, ...]:
+    """The `ps-check` checks on the minor ideal P_s, as rows (name,
+    verdict, claim, witness, details as a tuple of items or None):
+    its dimension, then `ideals.primality_crosscheck_P`'s checks.  Kept
+    once per s for the process; a computation that raises is not kept."""
+    from . import ideals  # only the chart commands need the polynomial ring
+
+    p = ideals.minor_ideal(s)
+    dim = ideals.hilbert_dimension(p)
+    rows = [
+        (
+            f"dimension-P{s}",
+            rep.PROVEN if dim == s + 1 else rep.REFUTED,
+            "the minor ideal has dimension one more than its base",
+            None,
+            (("s", s), ("dimension", dim), ("expected", s + 1)),
+        )
+    ]
+    for c in ideals.primality_crosscheck_P(s, p).checks:
+        details = None if c.details is None else tuple(c.details.items())
+        rows.append((f"{c.name}-P{s}", c.verdict, c.claim, c.witness, details))
+    return tuple(rows)
 
 
 def load_algebra(args) -> WeightedLieAlgebra:
@@ -217,21 +246,15 @@ def cmd_nilcone(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
 
 
 def cmd_ps_check(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
-    from . import ideals  # only the chart commands need the polynomial ring
-
+    """P_s has dimension s + 1 and is prime, for s = 2, 3, 4.  No check
+    reads the algebra, whose fingerprint only heads the report, so each
+    P_s section is computed once per process (`ps_section`) and sharing
+    it is exact: every report gets the same rows, each with a `details`
+    dict of its own."""
     out = rep.VerificationReport("ps-check", alg.fingerprint(), seed=seed)
     for s in (2, 3, 4):
-        p = ideals.minor_ideal(s)
-        dim = ideals.hilbert_dimension(p)
-        out.add(
-            f"dimension-P{s}",
-            rep.PROVEN if dim == s + 1 else rep.REFUTED,
-            "the minor ideal has dimension one more than its base",
-            details={"s": s, "dimension": dim, "expected": s + 1},
-        )
-        sub = ideals.primality_crosscheck_P(s, p)
-        for c in sub.checks:
-            out.add(f"{c.name}-P{s}", c.verdict, c.claim, c.witness, c.details)
+        for name, verdict, claim, witness, details in ps_section(s):
+            out.add(name, verdict, claim, witness, None if details is None else dict(details))
     return out
 
 

@@ -1284,9 +1284,13 @@ def minor_ideal(s: int) -> Ideal:
     (T_1..T_s), in Q[u_1..u_s, T_1..T_s]."""
     if s < 1:
         raise IdealError("s must be at least 1")
-    names = tuple(f"u{i}" for i in range(1, s + 1)) + tuple(f"T{i}" for i in range(1, s + 1))
-    ring = PolyRing(names)
+    ring = PolyRing(_minor_variables(s))
     return Ideal.make(ring, [_minor(ring, s, j, k) for j in range(s) for k in range(j + 1, s)])
+
+
+def _minor_variables(s: int) -> tuple[str, ...]:
+    """u1..us, T1..Ts: the variables of `minor_ideal(s)`."""
+    return tuple(f"u{i}" for i in range(1, s + 1)) + tuple(f"T{i}" for i in range(1, s + 1))
 
 
 def _minor(ring: PolyRing, s: int, j: int, k: int) -> Poly:
@@ -1295,21 +1299,12 @@ def _minor(ring: PolyRing, s: int, j: int, k: int) -> Poly:
     return Poly(ring, {_times(e[j], e[s + k]): 1, _times(e[k], e[s + j]): -1})
 
 
-def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
-    """The 2x2-minor ideal P_s (`minor_ideal`), together with the
-    one-column variant P'_s and the recursive variant P''_s, in its
-    ring."""
-    p = minor_ideal(s)
-    p_prime = Ideal.make(p.ring, [_minor(p.ring, s, j, 0) for j in range(1, s)])
-    rec = [_minor(p.ring, s, j, k) for j in range(s - 1) for k in range(j + 1, s - 1)]
-    p_dbl = Ideal.make(p.ring, rec + ([_minor(p.ring, s, s - 1, 0)] if s >= 2 else []))
-    return p, p_prime, p_dbl
-
-
 def primality_crosscheck_P(s: int, p: Ideal | None = None) -> rep.VerificationReport:
     """Certify P_s as the kernel of T_i -> lam*u_i by elimination, and
     check both inclusions explicitly.  p is P_s (`minor_ideal`) when the
-    caller holds it already, with its basis.
+    caller holds it already, with its basis; a p outside the ring of P_s
+    raises `IdealError`, since the substitution and the elimination read
+    its variables as u1..us, T1..Ts.
 
     Eliminating lam from (T_i - lam*u_i) gives exactly the kernel of the
     map Q[u, T] -> Q[lam, u], T_i -> lam*u_i, so P_s lies in the kernel
@@ -1320,6 +1315,8 @@ def primality_crosscheck_P(s: int, p: Ideal | None = None) -> rep.VerificationRe
         raise ScaleExceededError("s out of the certified range")
     if p is None:
         p = minor_ideal(s)
+    elif p.ring.variables != _minor_variables(s):
+        raise IdealError(f"p is not an ideal of the ring of P{s}: {', '.join(p.ring.variables)}")
     if s == 1:
         out.add("kernel-equality", rep.PROVEN, "the one-variable case is the zero ideal")
         return out

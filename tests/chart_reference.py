@@ -3,12 +3,24 @@ generators from `Poly` products of the graph basis's linear forms, and
 `_solve` substituting each solved variable into every remaining
 generator and value.  The tests pin the term-by-term assembly and the
 support-tracking solve to these, term order included, because
-`ideals._solvable` picks the variable to solve from that order."""
+`ideals._solvable` picks the variable to solve from that order.  Also
+here: the minor ideal P_s with its variants P'_s and P''_s, which no
+command needs."""
 
 import operator
 
 from orbitvar import orbit
-from orbitvar.ideals import IdealError, NotGroupFixedError, Poly, PolyRing, _lie_order_complement, _solvable
+from orbitvar.ideals import (
+    Ideal,
+    IdealError,
+    NotGroupFixedError,
+    Poly,
+    PolyRing,
+    _lie_order_complement,
+    _minor,
+    _solvable,
+    minor_ideal,
+)
 from orbitvar.linalg import Matrix, exact_div, solve
 
 
@@ -96,3 +108,14 @@ def solve_linear(ring: PolyRing, polys) -> tuple:
         return Poly(image_ring, {tuple(m[i] for i in kept): c for m, c in p.items()})
 
     return kept, {x: restrict(v) for x, v in sorted(images.items())}, tuple(restrict(g) for g, _ in rest)
+
+
+def determinantal_P(s: int) -> tuple[Ideal, Ideal, Ideal]:
+    """The 2x2-minor ideal P_s (`minor_ideal`), together with the
+    one-column variant P'_s and the recursive variant P''_s, in its
+    ring."""
+    p = minor_ideal(s)
+    p_prime = Ideal.make(p.ring, [_minor(p.ring, s, j, 0) for j in range(1, s)])
+    rec = [_minor(p.ring, s, j, k) for j in range(s - 1) for k in range(j + 1, s - 1)]
+    p_dbl = Ideal.make(p.ring, rec + ([_minor(p.ring, s, s - 1, 0)] if s >= 2 else []))
+    return p, p_prime, p_dbl

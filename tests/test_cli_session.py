@@ -1,12 +1,15 @@
 """One `cli.main` process keeps one loaded algebra per value
 (`cli.shared_algebra`), so a command reads the memo that earlier
-commands on an equal algebra filled.  Pinned here: a session of mixed
-commands gives, call for call, the bytes and exit code of the same
-command after `cache_clear()` (and of `perfbench/golden.json`, read
-only, where it has the call); which loads share an instance; that a
-computation which raised, a file rewritten in place, a failed validation
-and an eviction all leave the next report as a fresh process writes it;
-and that no memo holds a mutable value, which the sharing rests on."""
+commands on an equal algebra filled, and one `ps-check` section per
+P_s (`cli.ps_section`).  Pinned here: a session of mixed commands gives,
+call for call, the bytes and exit code of the same command after
+`cache_clear()` (and of `perfbench/golden.json`, read only, where it has
+the call); which loads share an instance; that a computation which
+raised, a file rewritten in place, a failed validation and an eviction
+all leave the next report as a fresh process writes it; that each P_s
+section is computed once and every report gets `details` of its own;
+and that no memo or section holds a mutable value, which the sharing
+rests on."""
 
 import dataclasses
 import hashlib
@@ -22,6 +25,7 @@ from orbitvar.liealg import WeightedLieAlgebra
 from orbitvar.linalg import RankDeficientError
 from orbitvar.orbit import PreconditionFailedError
 from test_property_p import VARIANTS, borel_nilradical_a4, heisenberg_central_extension
+from test_report_pins import CHART_REPORTS
 
 GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "golden.json")
 GEOMETRY_BUILTINS = ("sl2-borel", "borel-nilradical-A2", "heisenberg-3", "abelian:3", "borel-nilradical-A3")
@@ -72,8 +76,15 @@ def call(key: str, argv: list, out) -> tuple:
         return code, fh.read()
 
 
-def fresh_call(key: str, argv: list, out) -> tuple:
+def clear_caches():
+    """Forget what the process shares: the loaded algebras and the
+    `ps-check` sections."""
     cli.shared_algebra.cache_clear()
+    cli.ps_section.cache_clear()
+
+
+def fresh_call(key: str, argv: list, out) -> tuple:
+    clear_caches()
     return call(key, argv, out)
 
 
@@ -87,7 +98,7 @@ def fresh(tmp_path_factory):
     directory = tmp_path_factory.mktemp("session")
     calls = session_calls(str(directory))
     results = {key: fresh_call(key, argv, directory / "report") for key, argv in calls.items()}
-    cli.shared_algebra.cache_clear()
+    clear_caches()
     return directory, calls, results
 
 
@@ -98,7 +109,7 @@ def test_a_session_writes_what_fresh_calls_write(fresh, seed):
         golden = json.load(fh)
     keys = list(calls)
     random.Random(seed).shuffle(keys)
-    cli.shared_algebra.cache_clear()
+    clear_caches()
     for key in keys:
         code, report = call(key, calls[key], directory / "report")
         assert (code, report) == results[key], key
@@ -110,7 +121,8 @@ def test_a_session_writes_what_fresh_calls_write(fresh, seed):
     info = cli.shared_algebra.cache_info()
     assert info.currsize == info.misses == len(distinct) == 12
     assert info.hits == len(keys) - len(distinct)
-    cli.shared_algebra.cache_clear()
+    assert cli.ps_section.cache_info().misses == 3
+    clear_caches()
 
 
 def test_the_golden_digests_cover_the_workload_calls(fresh):
@@ -222,6 +234,87 @@ def test_an_evicted_algebra_gives_the_same_bytes(tmp_path):
     assert call("", argv, out) == want
     assert loaded("--builtin", "borel-nilradical-A2") is not first
     cli.shared_algebra.cache_clear()
+
+
+# -- the ps-check sections ------------------------------------------------
+
+PS_CALLS = {
+    (command, name, fmt): [command, "--builtin", name, "--format", fmt]
+    for fmt in ("json", "markdown")
+    for command, name in [("ps-check", b) for b in CHART_BUILTINS] + [("suite", "borel-nilradical-A2")]
+}
+
+
+def test_the_ps_check_sections_are_computed_once_per_process(tmp_path, monkeypatch):
+    """`ps-check` on the three chart builtins, then `suite` on A2, in
+    both formats: one process writes, call for call, what each call
+    writes on cleared caches, and the JSON `ps-check` reports keep their
+    pinned digests; P_2, P_3 and P_4 are each built once."""
+    out = tmp_path / "report"
+    want = {key: fresh_call("", argv, out) for key, argv in PS_CALLS.items()}
+    for b in CHART_BUILTINS:
+        code, report = want["ps-check", b, "json"]
+        assert (code, hashlib.sha256(report).hexdigest()) == CHART_REPORTS["ps-check", b]
+    clear_caches()
+    built, minor_ideal = [], ideals.minor_ideal
+    monkeypatch.setattr(ideals, "minor_ideal", lambda s: built.append(s) or minor_ideal(s))
+    for key, argv in PS_CALLS.items():
+        assert call("", argv, out) == want[key], key
+    assert built == [2, 3, 4]
+    info = cli.ps_section.cache_info()
+    assert info.currsize == info.misses == 3
+    assert info.hits == 3 * (len(PS_CALLS) - 1)
+    clear_caches()
+
+
+def test_each_report_gets_details_of_its_own():
+    """Emptying one report's `details` changes neither the next
+    `ps-check` report nor `suite`'s; the kept rows reach no mutable
+    value."""
+    clear_caches()
+    alg = models.builtin("abelian:3")
+    want = cli.cmd_ps_check(alg, 0).render_json()
+    first = cli.cmd_ps_check(alg, 0)
+    suite = cli.cmd_suite(alg, 0)
+    for c in first.checks:
+        c.details.clear()
+    assert cli.cmd_ps_check(alg, 0).render_json() == want
+    shared = [c for c in suite.checks if c.name.startswith("ps-check/")]
+    assert [c.details for c in shared] == [c.details for c in cli.cmd_ps_check(alg, 0).checks]
+    for c in shared:
+        c.details["dimension"] = -1
+    assert cli.cmd_ps_check(alg, 0).render_json() == want
+    assert not {id(c.details) for c in first.checks} & {id(c.details) for c in shared}
+    for s in (2, 3, 4):
+        assert not list(mutable_parts(cli.ps_section(s), f"P{s}", set())), s
+    clear_caches()
+
+
+def test_a_section_that_raised_is_not_kept(tmp_path, monkeypatch):
+    """The cross-check of P_3 raises once: `ps-check` propagates the
+    error and keeps P_2's section only; the next call computes P_3 and
+    P_4 and writes the pinned report."""
+    argv, out = ["ps-check", "--builtin", "heisenberg-3"], tmp_path / "report"
+    want = fresh_call("", argv, out)
+    assert (want[0], hashlib.sha256(want[1]).hexdigest()) == CHART_REPORTS["ps-check", "heisenberg-3"]
+    clear_caches()
+    crosscheck, calls = ideals.primality_crosscheck_P, []
+
+    def raises_once(s, p=None):
+        calls.append(s)
+        if calls == [2, 3]:
+            raise ideals.ScaleExceededError("the cross-check failed")
+        return crosscheck(s, p)
+
+    monkeypatch.setattr(ideals, "primality_crosscheck_P", raises_once)
+    with pytest.raises(ideals.ScaleExceededError):
+        cli.main(argv + ["--output", str(out)])
+    assert cli.ps_section.cache_info().currsize == 1
+    assert call("", argv, out) == want
+    assert calls == [2, 3, 3, 4]
+    assert call("", argv, out) == want
+    assert calls == [2, 3, 3, 4]
+    clear_caches()
 
 
 # -- the memo holds immutable values only ---------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from chart_reference import determinantal_P
 from orbitvar import models
 from orbitvar import report as rep
 from orbitvar.ideals import (
@@ -19,7 +20,6 @@ from orbitvar.ideals import (
     UnitIdealError,
     chart_dimension,
     chart_ideal,
-    determinantal_P,
     eliminate,
     hilbert_dimension,
     i_gamma,

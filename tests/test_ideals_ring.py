@@ -18,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chart_reference import determinantal_P
 from orbitvar import cli, ideals, models, orbit
 from orbitvar import report as rep
 from orbitvar.ideals import (
@@ -30,7 +31,6 @@ from orbitvar.ideals import (
     _lie_order_complement,
     chart_dimension,
     chart_ideal,
-    determinantal_P,
     hilbert_dimension,
     i_gamma,
     ideal_quotient,

@@ -242,10 +242,13 @@ def test_the_substitution_is_composed():
 
 
 def test_ps_check_builds_each_minor_ideal_once(monkeypatch):
+    """Counted on a cold section cache (`cli.ps_section`), which an
+    earlier `ps-check` of the process would have filled; a second report,
+    on another algebra, then builds and computes nothing."""
+    cli.ps_section.cache_clear()
     built, runs = [], []
     minor_ideal, groebner = ideals.minor_ideal, ideals._groebner
     monkeypatch.setattr(ideals, "minor_ideal", lambda s: built.append(s) or minor_ideal(s))
-    monkeypatch.setattr(ideals, "determinantal_P", lambda s: pytest.fail("P'_s and P''_s are not needed"))
     monkeypatch.setattr(ideals, "_groebner", lambda *a, **k: runs.append(a[1].nvars) or groebner(*a, **k))
     report = cli.cmd_ps_check(models.builtin("abelian:2"), 0)
     assert not report.has_refutation()
@@ -253,6 +256,13 @@ def test_ps_check_builds_each_minor_ideal_once(monkeypatch):
     # per s: P_s and the lex basis of the graph ideal; P_s ⊆ kernel is
     # decided by substitution, with no basis of the kernel
     assert runs == [n for s in (2, 3, 4) for n in (2 * s, 2 * s + 1)]
+    built.clear()
+    runs.clear()
+    again = cli.cmd_ps_check(models.builtin("heisenberg-3"), 0)
+    assert built == [] and runs == []
+    assert [(c.name, c.verdict, c.details) for c in again.checks] == [
+        (c.name, c.verdict, c.details) for c in report.checks
+    ]
 
 
 # -- A4 -------------------------------------------------------------------------
