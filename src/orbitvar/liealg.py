@@ -17,6 +17,7 @@ walks over weight subsets take no `rref`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -85,6 +86,28 @@ def weight_sort_key(w: Weight):
     return (w.height(), w.coords)
 
 
+EXP_AD_CHAIN = "exp-ad-chain"  # memo key prefix of `exp_ad_chain`
+
+
+def memoised(key: str):
+    """Decorate a function of one algebra whose value depends only on the
+    algebra and is immutable: the value is computed through `derived` on
+    the first call and kept under `key`, and every later call reads it
+    with one memo lookup, building no closure."""
+
+    def decorate(compute):
+        @functools.wraps(compute)
+        def value(alg):
+            try:
+                return alg._memo[key]
+            except KeyError:
+                return alg.derived(key, lambda: compute(alg))
+
+        return value
+
+    return decorate
+
+
 @dataclass(frozen=True)
 class WeightedLieAlgebra:
     """r = t + a with structure constants on the a-basis.
@@ -107,7 +130,8 @@ class WeightedLieAlgebra:
     reports and `jordan_decompose` requires, the exp(ad) chain of each
     basis vector under each weight vector (`exp_ad_chain`, built when a
     row first needs it), and the fixed points and the per-subset
-    fixed-point records, witness curves and limits of `orbit`.  The
+    fixed-point records, witness curves and limits of `orbit`; a value
+    that takes no argument is read through `memoised`.  The
     fields are immutable and every memoised value is immutable, so a
     memoised value never goes stale; the memo takes no part in `==`,
     `hash`, `repr`, `to_json` or `fingerprint`.
@@ -223,12 +247,10 @@ class WeightedLieAlgebra:
             "brackets": br,
         }
 
+    @memoised("fingerprint")
     def fingerprint(self) -> str:
-        def compute():
-            blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-            return hashlib.sha256(blob.encode()).hexdigest()
-
-        return self.derived("fingerprint", compute)
+        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
 
     def derived(self, key, compute: Callable[[], object]):
         """The value of `compute()`, computed on the first call with this
@@ -253,8 +275,9 @@ class WeightedLieAlgebra:
     def basis_names(self) -> list[str]:
         return [f"t{i+1}" for i in range(self.t_dim)] + list(self.a_basis)
 
+    @memoised("zero")
     def zero(self) -> tuple:
-        return self.derived("zero", lambda: (0,) * self.dim)
+        return (0,) * self.dim
 
     def basis_vector(self, k: int) -> tuple:
         def compute():
@@ -283,36 +306,34 @@ class WeightedLieAlgebra:
         over the nonzero coordinates of x and y.  It is bilinear in the
         entries of any commutative ring that multiplies with ints and
         Fractions (polynomials, say); the package passes rational ones."""
-        out = [0] * self.dim
+        table = self.ad_table()
+        out = [0] * len(table)
         support = [(j, c) for j, c in enumerate(y) if c]
-        for xe, op in zip(x, self.ad_table()):
+        for xe, op in zip(x, table):
             if xe:
                 for j, c in support:
                     for k, a in op[j]:
                         out[k] += a * xe * c
         return lowered(out)
 
+    @memoised("ad-table")
     def ad_table(self) -> tuple:
         """ad e for every basis vector e of r, as sparse columns, built once:
         `ad_table()[e][j]` is the tuple of pairs (k, c), c != 0, with
         [e, e_j] = sum of c * e_k.  For a torus vector t_p the pairs are
         a_k -> w_k[p] a_k; for a_i they are t_p -> -w_i[p] a_i and the
         table entries, read with antisymmetry."""
-
-        def compute():
-            d = self.t_dim
-            cols: list[list[list]] = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
-            for k, w in enumerate(self.weights):
-                for p, c in enumerate(w.coords):
-                    if c != 0:
-                        cols[p][d + k].append((d + k, c))
-                        cols[d + k][p].append((d + k, -c))
-            for i, j, terms in self.brackets:
-                cols[d + i][d + j] += [(d + k, c) for k, c in terms]
-                cols[d + j][d + i] += [(d + k, -c) for k, c in terms]
-            return tuple(tuple(tuple(col) for col in op) for op in cols)
-
-        return self.derived("ad-table", compute)
+        d = self.t_dim
+        cols: list[list[list]] = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        for k, w in enumerate(self.weights):
+            for p, c in enumerate(w.coords):
+                if c != 0:
+                    cols[p][d + k].append((d + k, c))
+                    cols[d + k][p].append((d + k, -c))
+        for i, j, terms in self.brackets:
+            cols[d + i][d + j] += [(d + k, c) for k, c in terms]
+            cols[d + j][d + i] += [(d + k, -c) for k, c in terms]
+        return tuple(tuple(tuple(col) for col in op) for op in cols)
 
     def exp_ad_terms(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[tuple, ...]:
         """The terms (ad u)^k v / k! of exp(ad u) v, from k = 0 up to the
@@ -335,24 +356,32 @@ class WeightedLieAlgebra:
         time a row needs it and kept for the life of the instance, so
         exp(z ad a_k) of a row is a sum of memoised chains over the row's
         nonzero entries.  A chain that does not end raises `AlgebraError`
-        and is not kept."""
+        and is not kept.  The memo key is (EXP_AD_CHAIN, k, j), under
+        which `orbit._exp_row` reads a chain already built."""
 
         def compute():
             terms = self.exp_ad_terms(self.weight_vector(k), self.basis_vector(j))
             return tuple(tuple((i, c) for i, c in enumerate(term) if c) for term in terms)
 
-        return self.derived(("exp-ad-chain", k, j), compute)
+        return self.derived((EXP_AD_CHAIN, k, j), compute)
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad x in the ordered basis (columns act on basis vectors),
-        summed from `ad_table` over the nonzero coordinates of x."""
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for op, xe in zip(self.ad_table(), x):
+        summed from `ad_table` over the nonzero coordinates of x.  When every
+        coordinate is an int or a Fraction, each entry is a sum of products
+        of entries, so the rows need only `lowered`; any other coordinate
+        goes through `Matrix.from_rows`, which converts or refuses it."""
+        table = self.ad_table()
+        dim = len(table)
+        rows = [[0] * dim for _ in range(dim)]
+        for op, xe in zip(table, x):
             if xe != 0:
                 for j, col in enumerate(op):
                     for k, c in col:
                         rows[k][j] += xe * c
-        return Matrix.from_rows(rows)
+        if not {int, Fraction}.issuperset(map(type, x)):
+            return Matrix.from_rows(rows)
+        return Matrix(dim, dim, tuple(map(lowered, rows)))
 
     # -- torus-side computations ----------------------------------------
 
@@ -386,17 +415,14 @@ class WeightedLieAlgebra:
 
         return self.derived(("kernel", key), compute)
 
+    @memoised("center")
     def center(self) -> "CenterData":
         """Center of r: torus directions annihilated by every weight.
         (Conditions on the grading force the center into the torus.)
         The weights span the annihilator of their common kernel, so their
         rank is t_dim less its dimension."""
-
-        def compute():
-            basis = self.kernel(range(self.n))
-            return CenterData(basis=basis, dim=basis.rows, weight_rank=self.t_dim - basis.rows)
-
-        return self.derived("center", compute)
+        basis = self.kernel(range(self.n))
+        return CenterData(basis=basis, dim=basis.rows, weight_rank=self.t_dim - basis.rows)
 
     def lambda_of(self, s: Sequence[Fraction]) -> tuple[int, ...]:
         """Indices of weights vanishing on the torus element s."""
@@ -482,7 +508,10 @@ class WeightedLieAlgebra:
         """Raise what `jordan_decompose` raises on an algebra it cannot
         decompose in: `CenterNotTrivialError` for a nonzero center, then
         `AlgebraError` when Jacobi fails or a is not nilpotent.  The
-        verdicts are memoised, so a repeat check costs three lookups."""
+        verdicts are memoised, and so is a check that passed, so a repeat
+        check costs one lookup."""
+        if "jordan-preconditions" in self._memo:
+            return
         if self.center().dim != 0:
             raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
         jac_ok, jac_detail = self.derived("jacobi", self._jacobi)
@@ -490,6 +519,7 @@ class WeightedLieAlgebra:
             raise AlgebraError(f"jordan decomposition needs the jacobi identity: {jac_detail}")
         if not self.derived("nilpotent", self._nilpotent):
             raise AlgebraError("jordan decomposition needs a nilpotent a")
+        self._memo["jordan-preconditions"] = True
 
     def jordan_decompose(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
         """Jordan decomposition x = s + n inside r: ad s semisimple, ad n
@@ -527,10 +557,19 @@ class WeightedLieAlgebra:
         [s, n] = g^-1 [x_t, n_0] = 0.  The Jordan decomposition of ad x is
         unique, and ad is injective when the center is zero, so (s, n) is
         the only such pair.  The exact check [s, n] = 0 re-verifies it.
+
+        A homogeneous x is answered without the conjugation, with the
+        tuples it would return.  When the a-part of x is zero, every u is
+        zero, so s = x_t + 0 and n = 0; when the torus part is zero, every
+        lambda_i is zero, so again no u, and s = x_t + 0 (all zero) and
+        n = x - s.  One of s and n is zero, so [s, n] = 0 needs no check.
         """
         self.check_jordan_preconditions()
         d = self.t_dim
         xt = self.torus_part(x)
+        if not any(x[d:]) or not any(xt):
+            s = xt + (0,) * self.n
+            return s, lowered([a - b for a, b in zip(x, s)])
         lam = [w(xt) for w in self.weights]
         v = tuple(x)
         us = []

@@ -10,6 +10,12 @@ class UnknownBuiltinError(Exception):
     pass
 
 
+# `fixed-points` on abelian:d records 2^d fixed points and `property-p`
+# walks about 3^d (point, flat) pairs; at d = 10 every command ends in a
+# few seconds (README), so larger sizes are refused before anything is built
+ABELIAN_MAX = 10
+
+
 def borel_nilradical_a2() -> WeightedLieAlgebra:
     return WeightedLieAlgebra.build(
         2,
@@ -73,10 +79,14 @@ def builtin(name: str) -> WeightedLieAlgebra:
     if name == "sl2-borel":
         return sl2_borel()
     if name.startswith("abelian:"):
-        try:
-            d = int(name.split(":", 1)[1])
-        except ValueError:
+        size = name.split(":", 1)[1]
+        # int() would also read "+3", "1_0", " 3" and non-ASCII digits
+        if not (size.isascii() and size.isdigit()):
             raise UnknownBuiltinError(f"bad abelian size in {name!r}")
+        digits = size.lstrip("0") or "0"  # compared by length first, so no long string is converted
+        if len(digits) > len(str(ABELIAN_MAX)) or int(digits) > ABELIAN_MAX:
+            raise UnknownBuiltinError(f"abelian size must be at most {ABELIAN_MAX}")
+        d = int(digits)
         if d < 1:
             raise UnknownBuiltinError("abelian size must be positive")
         return abelian(d)

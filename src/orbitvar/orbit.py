@@ -12,7 +12,6 @@ canonical bases directly; `Subspace` still checks each one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -20,9 +19,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .liealg import (
+    EXP_AD_CHAIN,
     NotClosedUnderJordanError,
     Weight,
     WeightedLieAlgebra,
+    memoised,
     weight_sort_key,
 )
 from .linalg import (
@@ -68,25 +69,39 @@ class Subspace:
     read that basis directly, so it must already be canonical; a basis
     with a zero row, pivots that do not increase, a pivot entry other
     than 1 or another nonzero entry in a pivot column is refused with
-    `NonCanonicalBasisError`.  `Subspace.from_rows` builds one from
-    arbitrary rows."""
+    `NonCanonicalBasisError`.  The check keeps the pivot columns as
+    `pivots`.  `Subspace.from_rows` builds one from arbitrary rows."""
 
     alg: WeightedLieAlgebra
     basis: Matrix  # canonical rref rows
 
     def __post_init__(self):
+        """Check the basis and keep its pivot columns, each row's first
+        nonzero entry, as `pivots`: one plain loop per row finds them."""
         if self.basis.cols != self.alg.dim:
             raise DimensionMismatchError(f"{self.basis.cols} columns != dim {self.alg.dim}")
-        piv, rows = self.pivots, self.basis.entries
-        if None in piv:
-            raise NonCanonicalBasisError("a basis row is zero")
-        if any(a >= b for a, b in zip(piv, piv[1:])):
-            raise NonCanonicalBasisError(f"pivot columns {piv} do not increase")
+        rows = self.basis.entries
+        found = []
+        for row in rows:
+            for j, e in enumerate(row):
+                if e:
+                    found.append(j)
+                    break
+            else:
+                raise NonCanonicalBasisError("a basis row is zero")
+        piv = tuple(found)
+        for a, b in zip(piv, piv[1:]):
+            if a >= b:
+                raise NonCanonicalBasisError(f"pivot columns {piv} do not increase")
         # a later row is zero before its own, later pivot, so only the
         # rows above can break a pivot column
         for i, p in enumerate(piv):
-            if rows[i][p] != 1 or any(rows[k][p] for k in range(i)):
+            if rows[i][p] != 1:
                 raise NonCanonicalBasisError(f"pivot column {p} is not a unit column")
+            for k in range(i):
+                if rows[k][p]:
+                    raise NonCanonicalBasisError(f"pivot column {p} is not a unit column")
+        object.__setattr__(self, "pivots", piv)
 
     @staticmethod
     def from_rows(alg: WeightedLieAlgebra, rows: Sequence[Sequence]) -> "Subspace":
@@ -95,12 +110,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    @functools.cached_property
-    def pivots(self) -> tuple[int, ...]:
-        """Pivot columns of the rref basis: each row's first nonzero entry,
-        found once per instance."""
-        return tuple(next((j for j, e in enumerate(row) if e), None) for row in self.basis.entries)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return in_row_space(v, self.basis, self.pivots)
@@ -267,11 +276,10 @@ class MultiPoint:
     witness: Subspace | None
 
 
+@memoised("torus-subspace")
 def torus_subspace(alg: WeightedLieAlgebra) -> Subspace:
     """t, spanned by the first t_dim basis vectors; built once per algebra."""
-    return alg.derived(
-        "torus-subspace", lambda: Subspace.from_rows(alg, [alg.basis_vector(i) for i in range(alg.t_dim)])
-    )
+    return Subspace.from_rows(alg, [alg.basis_vector(i) for i in range(alg.t_dim)])
 
 
 def act(alg: WeightedLieAlgebra, word, v: Subspace):
@@ -287,8 +295,15 @@ def act(alg: WeightedLieAlgebra, word, v: Subspace):
     row.  When V's pivots all lie on the torus, the rows of a scalar
     word's image keep V's pivot columns, with 1 at each row's own pivot
     and 0 at the others and before it: they are already the canonical
-    basis, and no row reduction runs."""
-    word = [(widx, None if scalar is None else entry(scalar)) for widx, scalar in word]
+    basis, and no row reduction runs.  A weight index outside
+    range(alg.n) raises `OrbitError` before any factor is applied."""
+    n = alg.n
+    checked = []
+    for widx, scalar in word:
+        if not 0 <= widx < n:
+            raise OrbitError(f"weight index {widx} is outside range({n})")
+        checked.append((widx, None if scalar is None else entry(scalar)))
+    word = checked
     if all(scalar is not None for _, scalar in word):
         rows = v.basis.entries
         for widx, scalar in reversed(word):
@@ -322,7 +337,9 @@ def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> l
     nonzero entries are multiplied or added.  A row that a scalar leaves
     as it was (z = 0, or no nonzero entry whose chain goes past e_j) comes
     back as it is; every other row comes back with its whole Fractions
-    lowered to ints."""
+    lowered to ints.  A chain already built is read straight from the
+    algebra's memo; `exp_ad_chain` runs only to build one."""
+    memo = alg._memo
     if scalar is not None:
         if not scalar:
             return list(poly)
@@ -331,7 +348,7 @@ def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> l
             acc = None
             for j, c in enumerate(p):
                 if c:
-                    chain = alg.exp_ad_chain(widx, j)
+                    chain = memo.get((EXP_AD_CHAIN, widx, j)) or alg.exp_ad_chain(widx, j)
                     if len(chain) > 1:
                         if acc is None:
                             acc = list(p)
@@ -345,7 +362,8 @@ def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> l
     for b, p in enumerate(poly):
         for j, c in enumerate(p):
             if c:
-                for m, term in enumerate(alg.exp_ad_chain(widx, j)[1:], b + 1):
+                chain = memo.get((EXP_AD_CHAIN, widx, j)) or alg.exp_ad_chain(widx, j)
+                for m, term in enumerate(chain[1:], b + 1):
                     if m == len(out):
                         out.append(list(alg.zero()))
                     acc = out[m]
@@ -392,9 +410,10 @@ def _ordered(alg: WeightedLieAlgebra, indices: Sequence[int]) -> list[int]:
     return sorted(indices, key=lambda i: weight_sort_key(alg.weights[i]))
 
 
+@memoised("weight-order")
 def _weight_order(alg: WeightedLieAlgebra) -> tuple[int, ...]:
     """`_ordered` over every weight, sorted once per algebra."""
-    return alg.derived("weight-order", lambda: tuple(_ordered(alg, range(alg.n))))
+    return tuple(_ordered(alg, range(alg.n)))
 
 
 def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> tuple[Subspace, Subspace]:
@@ -484,11 +503,12 @@ def fixed_point_of(alg: WeightedLieAlgebra, v: Subspace, graded: tuple[int, ...]
     return recd if recd.subspace == v else None
 
 
+@memoised("torus-fixed-points")
 def torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     """All torus-fixed points of the closure: independent abelian weight
     subsets S, each giving z_V + a_S with a verified witness-curve limit.
     Enumerated once per algebra."""
-    return alg.derived("torus-fixed-points", lambda: _enumerate_torus_fixed_points(alg))
+    return _enumerate_torus_fixed_points(alg)
 
 
 def _enumerate_torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
@@ -515,10 +535,11 @@ def _fixed_point_subsets(alg: WeightedLieAlgebra) -> tuple[tuple[int, ...], ...]
     return alg.derived("fixed-point-subsets", walk)
 
 
+@memoised("group-fixed-points")
 def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     """Torus-fixed points that are ideals with central part equal to the
     center of the whole algebra.  Enumerated once per algebra."""
-    return alg.derived("group-fixed-points", lambda: _select_group_fixed_points(alg))
+    return _select_group_fixed_points(alg)
 
 
 def _select_group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
@@ -710,19 +731,40 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
     strip one weight component per exponential factor, lowest height
     first (`_weight_order`).  Each factor leaves the torus part e_i of
     row i, so the weight values on the rows are the coordinates of the
-    weight.  Returns the word or None; each z is one `exact_div`."""
+    weight.  Returns the word or None; each z is one `exact_div`.
+
+    The coefficients c_i must be z w(e_i): with f the first row where
+    w(e_f) is nonzero, z = c_f / w(e_f), and c_i = z w(e_i) is
+    c_i w(e_f) = c_f w(e_i), compared in integers through numerators and
+    denominators, which also asks c_i = 0 where w(e_i) is 0."""
     d = alg.t_dim
     rows = v.basis.entries
+    weights = alg.weights
     applied: list[tuple[int, object]] = []
     for k in _weight_order(alg):
-        coefs = [row[d + k] for row in rows]
-        if not any(coefs):
+        col = d + k
+        wvals = weights[k].coords
+        first = None
+        for row, wv in zip(rows, wvals):
+            if wv:
+                first = row[col], wv
+                break
+        if first is None:
+            if any(row[col] for row in rows):
+                return None
             continue
-        wvals = alg.weights[k].coords
-        # need coefs proportional to the weight values: c_i = z * w(e_i)
-        zc = next((exact_div(c, wv) for c, wv in zip(coefs, wvals) if wv), None)
-        if not zc or any(c != zc * wv if wv else c for c, wv in zip(coefs, wvals)):
-            return None
+        cf, wf = first
+        if not cf:
+            if any(row[col] for row in rows):
+                return None
+            continue
+        # need the coefficients proportional to the weight values
+        fn, fd = cf.numerator, cf.denominator * wf
+        for row, wv in zip(rows, wvals):
+            c = row[col]
+            if c.numerator * fd != fn * wv * c.denominator if wv else c:
+                return None
+        zc = exact_div(cf, wf)
         # E(z) t = t - z w(t) x, so E(zc) clears the column and the
         # inverse factor E(-zc) belongs to the certificate word
         rows = _exp_row(alg, k, zc, rows)

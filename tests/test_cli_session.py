@@ -228,8 +228,10 @@ def test_an_evicted_algebra_gives_the_same_bytes(tmp_path):
     argv, out = ["property-p", "--builtin", "borel-nilradical-A2"], tmp_path / "report"
     want = fresh_call("", argv, out)
     first = loaded("--builtin", "borel-nilradical-A2")
-    for d in range(1, cli.ALGEBRA_CACHE_SIZE + 1):
-        loaded("--builtin", f"abelian:{d}")
+    for d in range(1, cli.ALGEBRA_CACHE_SIZE + 1):  # read from files: the builtin names stop at abelian:10
+        path = tmp_path / f"abelian-{d}.json"
+        path.write_text(json.dumps(models.abelian(d).to_json()))
+        loaded("--input", str(path))
     assert cli.shared_algebra.cache_info().currsize == cli.ALGEBRA_CACHE_SIZE
     assert call("", argv, out) == want
     assert loaded("--builtin", "borel-nilradical-A2") is not first
