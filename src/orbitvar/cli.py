@@ -12,7 +12,7 @@ the earlier ones filled: the center, the adjoint table, the kernels,
 the Jacobi and nilpotency verdicts, the fixed-point records, the
 witness curves and their limits.  A memoised value depends only on the
 algebra's fields and is immutable, and a computation that raises is not
-kept (`WeightedLieAlgebra.derived`), so a report built from a shared
+kept (`liealg.memoised`), so a report built from a shared
 memo is byte-identical to one built from a fresh one.  Each witness
 limit is still compared with its subspace once, before its record is
 kept, as within one command.  The library is unchanged: `build`,

@@ -24,7 +24,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
     Matrix,
@@ -86,24 +86,68 @@ def weight_sort_key(w: Weight):
     return (w.height(), w.coords)
 
 
+# `from_json` refuses an algebra with t_dim + n past this: building it
+# allocates (t_dim + n)^2 adjoint columns and the Jacobi check walks
+# C(n, 3) triples.  `validate` at t_dim 2, n 126 takes about 0.4 s.
+JSON_DIM_MAX = 128
+
 EXP_AD_CHAIN = "exp-ad-chain"  # memo key prefix of `exp_ad_chain`
 
+_MEMO_KEYS: dict[str, str] = {}  # memo key -> the function that keeps values under it
 
-def memoised(key: str):
-    """Decorate a function of one algebra whose value depends only on the
-    algebra and is immutable: the value is computed through `derived` on
-    the first call and kept under `key`, and every later call reads it
-    with one memo lookup, building no closure."""
+
+def memoised(key: str, subset: bool = False, grown: bool = False):
+    """Decorate a function of an algebra and hashable arguments whose
+    value depends only on them and is immutable.  The first call keeps
+    the value in the algebra's memo, under `key`, or `(key, *args)` when
+    there are arguments; every later call is one lookup.  A call that
+    raises keeps nothing.  A key that another function uses is refused.
+
+    With `subset` the argument is a weight subset: the memo and the
+    function get its sorted tuple, and on a miss a repeated index or one
+    outside range(n) raises `AlgebraError`.  With `grown` the value of S
+    reads that of S less its largest index: a miss first fills the
+    missing prefixes of S, shortest first, so that read is a hit and no
+    call recurses along the prefixes."""
 
     def decorate(compute):
-        @functools.wraps(compute)
-        def value(alg):
-            try:
-                return alg._memo[key]
-            except KeyError:
-                return alg.derived(key, lambda: compute(alg))
+        owner = f"{compute.__module__}.{compute.__qualname__}"
+        if _MEMO_KEYS.setdefault(key, owner) != owner:
+            raise ValueError(f"memo key {key!r} is already used by {_MEMO_KEYS[key]}")
+        if compute.__code__.co_argcount == 1:
+            # defaults, not closure cells: a hit costs what a plain method's `in` test did
+            def value(alg, _key=key, _compute=compute):
+                try:
+                    return alg._memo[_key]
+                except KeyError:
+                    return alg._memo.setdefault(_key, _compute(alg))
+        elif subset or grown:
+            def value(alg, indices):
+                sub = tuple(sorted(indices))
+                try:
+                    return alg._memo[key, sub]
+                except KeyError:
+                    return fill(alg, sub)
+        else:
+            def value(alg, *args):
+                try:
+                    return alg._memo[(key, *args)]
+                except KeyError:
+                    return alg._memo.setdefault((key, *args), compute(alg, *args))
 
-        return value
+        def fill(alg, sub):
+            if sub and (sub[0] < 0 or sub[-1] >= len(alg.weights)) or len(set(sub)) < len(sub):
+                raise AlgebraError(f"weight subset {sub} must hold distinct indices in range({alg.n})")
+            memo = alg._memo
+            if grown and sub and (key, sub[:-1]) not in memo:
+                last = len(sub) - 2  # the longest prefix kept, or -1
+                while last >= 0 and (key, sub[:last]) not in memo:
+                    last -= 1
+                for size in range(last + 1, len(sub)):
+                    memo[key, sub[:size]] = compute(alg, sub[:size])
+            return memo.setdefault((key, sub), compute(alg, sub))
+
+        return functools.wraps(compute)(value)
 
     return decorate
 
@@ -125,16 +169,15 @@ class WeightedLieAlgebra:
     support (`_nilpotent`).
 
     `_memo` holds data derived from the fields, each computed once per
-    instance through `derived`: the center, the sparse adjoint table
-    (`ad_table`), the Jacobi and nilpotency verdicts that `validate`
-    reports and `jordan_decompose` requires, the exp(ad) chain of each
-    basis vector under each weight vector (`exp_ad_chain`, built when a
-    row first needs it), and the fixed points and the per-subset
-    fixed-point records, witness curves and limits of `orbit`; a value
-    that takes no argument is read through `memoised`.  The
-    fields are immutable and every memoised value is immutable, so a
-    memoised value never goes stale; the memo takes no part in `==`,
-    `hash`, `repr`, `to_json` or `fingerprint`.
+    instance by a function decorated with `memoised`: the center, the
+    sparse adjoint table (`ad_table`), the Jacobi and nilpotency verdicts
+    that `validate` reports and `jordan_decompose` requires, the exp(ad)
+    chain of each basis vector under each weight vector (`exp_ad_chain`,
+    built when a row first needs it), and the fixed points and the
+    per-subset fixed-point records, witness curves and limits of
+    `orbit`.  The fields are immutable and every memoised value is
+    immutable, so a memoised value never goes stale; the memo takes no
+    part in `==`, `hash`, `repr`, `to_json` or `fingerprint`.
     """
 
     t_dim: int
@@ -181,7 +224,9 @@ class WeightedLieAlgebra:
         """The algebra `to_json` describes.  A number whose numerator or
         denominator has more digits than Python converts to a string
         (`sys.get_int_max_str_digits()`) could not be printed in a
-        report, so it raises `AlgebraError` before it is formed."""
+        report, so it raises `AlgebraError` before it is formed, and so
+        does an algebra with t_dim + n past `JSON_DIM_MAX`, before any
+        entry is converted."""
         digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
         below = 10**digits if digits else None
 
@@ -207,6 +252,8 @@ class WeightedLieAlgebra:
                 raise AlgebraError("a_basis must be a list of strings")
             if not isinstance(weights, dict) or not all(isinstance(v, list) for v in weights.values()):
                 raise AlgebraError("weights must map each name to a list")
+            if t_dim + len(a_basis) > JSON_DIM_MAX:
+                raise AlgebraError(f"t_dim + n is {t_dim + len(a_basis)}, past the cap of {JSON_DIM_MAX}")
             weights = {k: [exact(s) for s in v] for k, v in weights.items()}
             brackets = data.get("brackets", [])
             if not isinstance(brackets, list) or not all(isinstance(b, dict) for b in brackets):
@@ -252,16 +299,6 @@ class WeightedLieAlgebra:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def derived(self, key, compute: Callable[[], object]):
-        """The value of `compute()`, computed on the first call with this
-        key and kept for the life of the instance.  `compute` must depend
-        only on the algebra and return an immutable value."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute()
-            return value
-
     # -- basic structure ----------------------------------------------
 
     @property
@@ -279,13 +316,11 @@ class WeightedLieAlgebra:
     def zero(self) -> tuple:
         return (0,) * self.dim
 
+    @memoised("basis-vector")
     def basis_vector(self, k: int) -> tuple:
-        def compute():
-            v = [0] * self.dim
-            v[k] = 1
-            return tuple(v)
-
-        return self.derived(("basis-vector", k), compute)
+        v = [0] * self.dim
+        v[k] = 1
+        return tuple(v)
 
     def torus_part(self, x: Sequence[Fraction]) -> tuple:
         return tuple(x[: self.t_dim])
@@ -349,6 +384,7 @@ class WeightedLieAlgebra:
             terms.append(tuple(exact_div(c, k) if c else c for c in term))
         raise AlgebraError(f"exp(ad u) did not end within {self.dim} terms")
 
+    @memoised(EXP_AD_CHAIN)
     def exp_ad_chain(self, k: int, j: int) -> tuple[tuple[tuple[int, object], ...], ...]:
         """The terms (ad a_k)^m e_j / m! of exp(ad a_k) e_j, from m = 0 up
         to the last nonzero one, each as its (index, coefficient) pairs
@@ -358,12 +394,8 @@ class WeightedLieAlgebra:
         nonzero entries.  A chain that does not end raises `AlgebraError`
         and is not kept.  The memo key is (EXP_AD_CHAIN, k, j), under
         which `orbit._exp_row` reads a chain already built."""
-
-        def compute():
-            terms = self.exp_ad_terms(self.weight_vector(k), self.basis_vector(j))
-            return tuple(tuple((i, c) for i, c in enumerate(term) if c) for term in terms)
-
-        return self.derived((EXP_AD_CHAIN, k, j), compute)
+        terms = self.exp_ad_terms(self.weight_vector(k), self.basis_vector(j))
+        return tuple(tuple((i, c) for i, c in enumerate(term) if c) for term in terms)
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad x in the ordered basis (columns act on basis vectors),
@@ -392,13 +424,16 @@ class WeightedLieAlgebra:
         return Matrix.from_rows([list(w.coords) for w in ws])
 
     def torus_kernel(self, weights: Sequence[Weight]) -> Matrix:
-        """Basis (rows) of {t in the torus : w(t) = 0 for all given w}, by
-        a fresh `nullspace`, for any weights; the package reads the
-        kernels of its own weight subsets from `kernel`."""
-        if not weights:
-            return Matrix.identity(self.t_dim)
-        return nullspace(self.weight_matrix(weights))
+        """{t in the torus : w(t) = 0 for all given w}, as its canonical
+        basis, for any weights: `_kernel_step` folded over them from the
+        identity, as `kernel` grows the kernels of the algebra's own
+        weight subsets.  A weight whose length is not t_dim raises
+        `AlgebraError`."""
+        if any(len(w.coords) != self.t_dim for w in weights):
+            raise AlgebraError(f"every weight must have length t_dim = {self.t_dim}")
+        return functools.reduce(_kernel_step, weights, Matrix.identity(self.t_dim))
 
+    @memoised("kernel", grown=True)
     def kernel(self, subset: Sequence[int]) -> Matrix:
         """ker W_S = {t in the torus : w_i(t) = 0 for i in S}, as its
         canonical basis (the nonzero rows of its rref), kept once per
@@ -406,14 +441,9 @@ class WeightedLieAlgebra:
         of S + {i}, i = max(S + {i}), is grown from the kernel of S by one
         elimination (`_kernel_step`), so a walk that adds one weight at a
         time pays one elimination per subset and no `rref`."""
-        key = tuple(sorted(subset))
-
-        def compute():
-            if not key:
-                return Matrix.identity(self.t_dim)
-            return _kernel_step(self.kernel(key[:-1]), self.weights[key[-1]])
-
-        return self.derived(("kernel", key), compute)
+        if not subset:
+            return Matrix.identity(self.t_dim)
+        return _kernel_step(self.kernel(subset[:-1]), self.weights[subset[-1]])
 
     @memoised("center")
     def center(self) -> "CenterData":
@@ -504,22 +534,20 @@ class WeightedLieAlgebra:
         rank dim - t_dim."""
         return rank(self.ad(x)) == self.dim - self.t_dim
 
+    @memoised("jordan-preconditions")
     def check_jordan_preconditions(self) -> None:
         """Raise what `jordan_decompose` raises on an algebra it cannot
         decompose in: `CenterNotTrivialError` for a nonzero center, then
         `AlgebraError` when Jacobi fails or a is not nilpotent.  The
         verdicts are memoised, and so is a check that passed, so a repeat
         check costs one lookup."""
-        if "jordan-preconditions" in self._memo:
-            return
         if self.center().dim != 0:
             raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
-        jac_ok, jac_detail = self.derived("jacobi", self._jacobi)
+        jac_ok, jac_detail = self._jacobi()
         if not jac_ok:
             raise AlgebraError(f"jordan decomposition needs the jacobi identity: {jac_detail}")
-        if not self.derived("nilpotent", self._nilpotent):
+        if not self._nilpotent():
             raise AlgebraError("jordan decomposition needs a nilpotent a")
-        self._memo["jordan-preconditions"] = True
 
     def jordan_decompose(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
         """Jordan decomposition x = s + n inside r: ad s semisimple, ad n
@@ -628,9 +656,9 @@ class WeightedLieAlgebra:
             i, j, k = off[-1]
             detail = f"[{self.a_basis[i]},{self.a_basis[j]}] hits {self.a_basis[k]} off-grade"
         checks.append(("grading", not off, detail))
-        jac_ok, jac_detail = self.derived("jacobi", self._jacobi)
+        jac_ok, jac_detail = self._jacobi()
         checks.append(("jacobi", jac_ok, jac_detail))
-        nil_ok = self.derived("nilpotent", self._nilpotent)
+        nil_ok = self._nilpotent()
         checks.append(
             ("nilpotency", nil_ok, "lower central series of a terminates" if nil_ok else "a is not nilpotent")
         )
@@ -653,6 +681,7 @@ class WeightedLieAlgebra:
             if self.weights[k] != self.weights[i] + self.weights[j]
         ]
 
+    @memoised("jacobi")
     def _jacobi(self) -> tuple[bool, str]:
         """The Jacobi identity on basis triples, failing on the first triple
         in `combinations` order.  Each double bracket [e_i, [e_j, e_k]] is
@@ -678,6 +707,7 @@ class WeightedLieAlgebra:
                 return False, f"jacobi fails on ({names[i]},{names[j]},{names[k]})"
         return True, "jacobi identity holds on all basis triples"
 
+    @memoised("nilpotent")
     def _nilpotent(self) -> bool:
         """a is nilpotent when its lower central series C^1 = a,
         C^{k+1} = [a, C^k] reaches 0 within n + 1 steps.

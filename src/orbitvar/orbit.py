@@ -430,6 +430,7 @@ def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> t
     return Subspace(alg, Matrix(len(rows), alg.dim, rows)), Subspace(alg, Matrix(len(z_rows), alg.dim, z_rows))
 
 
+@memoised("witness-curve", grown=True)
 def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspace:
     """exp(z ad x_i) ... exp(z ad x_j) t over a commuting `subset`.
     Built once per weight subset per algebra: the fixed-point
@@ -446,25 +447,20 @@ def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspa
     Precondition: the weight vectors of S pairwise commute and the
     algebra satisfies Jacobi (the CLI validates it first); otherwise the
     factors need not commute and the curve depends on their order."""
-
-    def compute():
-        if not subset:
-            return CurveSubspace(alg, (torus_subspace(alg).basis,))
-        *rest, j = sorted(subset)
-        rows = zip(*(m.entries for m in witness_curve(alg, rest).coeffs))
-        return _curve(alg, [_exp_row(alg, j, None, list(row)) for row in rows])
-
-    return alg.derived(("witness-curve", tuple(sorted(subset))), compute)
+    if not subset:
+        return CurveSubspace(alg, (torus_subspace(alg).basis,))
+    rows = zip(*(m.entries for m in witness_curve(alg, subset[:-1]).coeffs))
+    return _curve(alg, [_exp_row(alg, subset[-1], None, list(row)) for row in rows])
 
 
+@memoised("witness-limit", subset=True)
 def witness_limit(alg: WeightedLieAlgebra, subset: Sequence[int]) -> Subspace:
     """The limit of `witness_curve(alg, subset)` at infinity, taken once
     per weight subset per algebra.  Each caller compares it with the
     subspace it certifies before reporting, so memoising it keeps every
     certificate checked; a limit that raises (`RankDeficientError`) is
     not kept and raises again on the next call."""
-    key = ("witness-limit", tuple(sorted(subset)))
-    return alg.derived(key, lambda: witness_curve(alg, subset).limit())
+    return witness_curve(alg, subset).limit()
 
 
 def _independent_abelian(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> bool:
@@ -476,19 +472,16 @@ def _independent_abelian(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> bo
     return alg.centralizer_in_a(subset) and alg.kernel(subset).rows == alg.t_dim - len(subset)
 
 
+@memoised("fixed-point-record", subset=True)
 def fixed_point_record(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> FixedPointRecord:
     """The torus-fixed point z_S + a_S of an independent abelian subset S,
     with its witness curve, once its limit is verified to be that point;
     built once per subset per algebra.  A limit that differs raises
     `OrbitError` and is not kept."""
-
-    def compute():
-        v, z_v = _fixed_point_subspace(alg, subset)
-        if witness_limit(alg, subset) != v:
-            raise OrbitError("witness curve limit mismatch")
-        return FixedPointRecord(v, subset, z_v, "torus", witness_curve(alg, subset))
-
-    return alg.derived(("fixed-point-record", subset), compute)
+    v, z_v = _fixed_point_subspace(alg, subset)
+    if witness_limit(alg, subset) != v:
+        raise OrbitError("witness curve limit mismatch")
+    return FixedPointRecord(v, subset, z_v, "torus", witness_curve(alg, subset))
 
 
 def fixed_point_of(alg: WeightedLieAlgebra, v: Subspace, graded: tuple[int, ...] | None) -> FixedPointRecord | None:
@@ -515,6 +508,7 @@ def _enumerate_torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRe
     return tuple(fixed_point_record(alg, subset) for subset in _fixed_point_subsets(alg))
 
 
+@memoised("fixed-point-subsets")
 def _fixed_point_subsets(alg: WeightedLieAlgebra) -> tuple[tuple[int, ...], ...]:
     """The independent abelian weight subsets, in (size, lexicographic)
     order; walked once per algebra.  Grows the subsets from () breadth
@@ -523,30 +517,21 @@ def _fixed_point_subsets(alg: WeightedLieAlgebra) -> tuple[tuple[int, ...], ...]
     properties pass to subsets, so every such subset is reached from its
     prefix; the prefixes come in lexicographic order, so the subsets come
     in (size, lexicographic) order."""
-
-    def walk():
-        subsets = [()]
-        for subset in subsets:  # grows while it is walked
-            for j in range(subset[-1] + 1 if subset else 0, alg.n):
-                if _independent_abelian(alg, subset + (j,)):
-                    subsets.append(subset + (j,))
-        return tuple(subsets)
-
-    return alg.derived("fixed-point-subsets", walk)
+    subsets = [()]
+    for subset in subsets:  # grows while it is walked
+        for j in range(subset[-1] + 1 if subset else 0, alg.n):
+            if _independent_abelian(alg, subset + (j,)):
+                subsets.append(subset + (j,))
+    return tuple(subsets)
 
 
 @memoised("group-fixed-points")
 def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     """Torus-fixed points that are ideals with central part equal to the
-    center of the whole algebra.  Enumerated once per algebra."""
-    return _select_group_fixed_points(alg)
-
-
-def _select_group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
-    """The records of `torus_fixed_points` that pass the checks below, in
-    its order, building a record only for a subset S that passes two
-    tests read off its weights.  Both are necessary, so no record is
-    lost:
+    center of the whole algebra, enumerated once per algebra: the
+    records of `torus_fixed_points` that pass the checks below, in its
+    order, building a record only for a subset S that passes two tests
+    read off its weights.  Both are necessary, so no record is lost:
 
     - |S| = t_dim - dim z(r).  The weights of S are independent, so
       z_V = ker W_S has dimension t_dim - |S|, and the check on z_V

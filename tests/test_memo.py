@@ -335,7 +335,7 @@ class TestJacobi:
         assert alg._jacobi() == want
         checks = {name: (ok, detail) for name, ok, detail in alg.validate()}
         assert checks["jacobi"] == want
-        assert alg.derived("jacobi", alg._jacobi) is alg.derived("jacobi", alg._jacobi)
+        assert alg._jacobi() is alg._jacobi()
 
 
 def reference_nilpotent(alg):

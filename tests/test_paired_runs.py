@@ -57,6 +57,53 @@ class TestSummary:
         assert (p50["ref_q1"], p50["ref_median"], p50["ref_q3"], p50["wins"]) == (2.0, 2.0, 2.0, 1)
 
 
+BOUNDED = [{"name": "query_p50_ms", "better": "lower", "bound": 0.1}, {"name": "queries_per_s", "better": "higher", "bound": 0.1}]
+
+
+def bounded_pairs(ref, new):
+    return [({"query_p50_ms": a, "queries_per_s": 1 / a}, {"query_p50_ms": b, "queries_per_s": 1 / b}) for a, b in zip(ref, new)]
+
+
+class TestVerdicts:
+    def test_within_bound(self):
+        # ref quartiles 0.99-1.01, a spread of 2% against a 10% bound
+        rows = paired_runs.summarize(bounded_pairs([1.0, 0.99, 1.01, 1.0, 1.0], [1.05, 1.04, 1.06, 1.05, 0.98]), BOUNDED)
+        assert [r["verdict"] for r in rows] == ["within bound", "within bound"]
+
+    def test_worse_past_bound(self):
+        rows = paired_runs.summarize(bounded_pairs([1.0, 0.99, 1.01, 1.0, 1.0], [1.2, 1.1, 1.3, 1.15, 0.98]), BOUNDED)
+        assert [r["verdict"] for r in rows] == ["worse past bound", "worse past bound"]
+        assert rows[0]["change_median"] == 1.15
+
+    def test_unresolved(self):
+        # ref quartiles 0.9-1.2, a spread of 30% against a 10% bound, and one pair lost
+        ref = [0.9, 1.0, 1.2, 0.8, 1.3]
+        rows = paired_runs.summarize(bounded_pairs(ref, [1.3, 0.95, 1.1, 0.7, 1.2]), BOUNDED)
+        assert [r["verdict"] for r in rows] == ["unresolved", "unresolved"]
+        # a wide spread that every pair beats is resolved: within the bound
+        rows = paired_runs.summarize(bounded_pairs(ref, [x * 0.8 for x in ref]), BOUNDED)
+        assert [r["verdict"] for r in rows] == ["within bound", "within bound"]
+        # a narrow spread is resolved whatever the pairs read
+        rows = paired_runs.summarize(bounded_pairs([1.0, 1.01, 0.99, 1.0, 1.0], [0.7, 1.3, 1.3, 1.3, 0.7]), BOUNDED)
+        assert rows[0]["verdict"] == "worse past bound"
+
+    def test_the_verdicts_are_printed_after_the_table(self):
+        rows = paired_runs.summarize(bounded_pairs([1.0, 0.99, 1.01], [1.2, 1.1, 1.3]), BOUNDED)
+        lines = paired_runs.format_summary(rows).splitlines()
+        assert lines[3:] == [
+            "verdicts, each bound relative to the ref median:",
+            f"{'query_p50_ms':<16} worse past bound",
+            f"{'queries_per_s':<16} worse past bound",
+        ]
+        assert "verdicts" not in paired_runs.format_summary(paired_runs.summarize(bounded_pairs([1.0], [1.0]), METRICS))
+
+    def test_every_benchmark_metric_gets_a_verdict(self):
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+            metrics = json.load(f)["end_to_end"]
+        pairs = [({m["name"]: 1.0 for m in metrics}, {m["name"]: 1.0 for m in metrics})] * 4
+        assert [r["verdict"] for r in paired_runs.summarize(pairs, metrics)] == ["within bound"] * len(metrics)
+
+
 class TestRunsAndTrees:
     def test_a_run_is_read_from_its_last_line(self):
         assert paired_runs.parse_run(run_output(query_p50_ms=0.1, queries_per_s=6000)) == {

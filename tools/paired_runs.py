@@ -13,8 +13,13 @@ and it fails when a run exits nonzero or reads `correct: false`.
 For every end-to-end metric of `BENCHMARK.json` it prints the ref's
 median and quartiles, the working tree's median, the change of the
 medians in percent and the number of pairs the working tree won (a
-strictly better value, in the metric's direction).  Exit status: 0
-after a summary, 1 when a run failed, 2 on bad arguments or a cache.
+strictly better value, in the metric's direction).  Then a verdict per
+metric, from the metric's `bound` taken relative to the ref's median:
+"unresolved" when the ref's quartile spread is wider than the bound and
+the working tree did not win every pair; otherwise "worse past bound"
+when the working tree's median is worse than the ref's by more than the
+bound, and "within bound" when it is not.  Exit status: 0 after a
+summary, 1 when a run failed, 2 on bad arguments or a cache.
 """
 
 from __future__ import annotations
@@ -82,12 +87,23 @@ def run_side(root: str, workload: str, seed: int) -> dict[str, float]:
     return parse_run(proc.stdout)
 
 
+def verdict(row: dict, bound: float) -> str:
+    """The reading of one summary row against a bound relative to the
+    ref's median (see the module docstring)."""
+    tolerance = bound * abs(row["ref_median"])
+    if row["ref_q3"] - row["ref_q1"] > tolerance and row["wins"] < row["pairs"]:
+        return "unresolved"
+    worse = row["change_median"] - row["ref_median"]
+    return "worse past bound" if (worse if row["lower"] else -worse) > tolerance else "within bound"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per metric over (ref, change) pairs of metric dicts:
     the ref's quartiles and median, the change's median, the change of
-    the medians in percent (None when the ref's median is 0) and the
-    pairs the change won.  `metrics` are `BENCHMARK.json`'s end-to-end
-    entries, each with its name and the direction that is better."""
+    the medians in percent (None when the ref's median is 0), the pairs
+    the change won and, when the metric has a `bound`, its verdict.
+    `metrics` are `BENCHMARK.json`'s end-to-end entries, each with its
+    name, the direction that is better and its bound."""
     rows = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -96,8 +112,9 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         q1, median, q3 = statistics.quantiles(ref, n=4, method="inclusive") if len(ref) > 1 else ref * 3
         changed = statistics.median(new)
         wins = sum((c < p) if lower else (c > p) for p, c in zip(ref, new))
-        rows.append({
+        row = {
             "name": name,
+            "lower": lower,
             "ref_median": median,
             "ref_q1": q1,
             "ref_q3": q3,
@@ -105,7 +122,9 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
             "percent": 100 * (changed - median) / median if median else None,
             "wins": wins,
             "pairs": len(pairs),
-        })
+        }
+        row["verdict"] = verdict(row, metric["bound"]) if "bound" in metric else None
+        rows.append(row)
     return rows
 
 
@@ -116,6 +135,10 @@ def format_summary(rows: list[dict]) -> str:
         quartiles = f"{r['ref_q1']:.4g}-{r['ref_q3']:.4g}"
         lines.append(f"{r['name']:<16} {r['ref_median']:>12.4g} {quartiles:>25} {r['change_median']:>12.4g}"
                      f" {percent:>8} {r['wins']:>3}/{r['pairs']:<3}")
+    judged = [r for r in rows if r["verdict"]]
+    if judged:
+        lines.append("verdicts, each bound relative to the ref median:")
+        lines += [f"{r['name']:<16} {r['verdict']}" for r in judged]
     return "\n".join(lines)
 
 
