@@ -259,17 +259,11 @@ def cmd_ps_check(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
 
 
 def cmd_suite(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
+    """Every other command of `RUNNERS`, in its order, as one report."""
     out = rep.VerificationReport("suite", alg.fingerprint(), seed=seed)
-    runners = [
-        cmd_validate,
-        cmd_fixed_points,
-        cmd_boundary,
-        cmd_property_p,
-        cmd_chart,
-        cmd_nilcone,
-        cmd_ps_check,
-    ]
-    for fn in runners:
+    for fn in RUNNERS.values():
+        if fn is cmd_suite:
+            continue
         try:
             sub = fn(alg, seed)
         except Exception as e:  # propagate module errors as report entries

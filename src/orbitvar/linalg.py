@@ -7,8 +7,8 @@ division, so no float can arise, and `lowered` turns the whole
 `bounded_fraction` reads a number from outside with a bound on its
 size, checked before a decimal exponent is expanded.
 Since `str`, `==` and `hash` agree across the two types, the split
-shows in no verdict or report.  `orbit` keeps a curve in z as one
-matrix per power of z.
+shows in no verdict or report.  `orbit` keeps a curve in z as its
+basis rows, each a tuple of its z^k coefficient vectors.
 The package reads a `Matrix` by its rows and applies none to a vector:
 `liealg` sums brackets and exp(ad) chains from its sparse adjoint table.
 `det`, `PluckerVector`, `normalize_plucker` and `plucker_limit` (the

@@ -1,8 +1,11 @@
 """Orbit-closure geometry in the Grassmannian Gr(r, d).
 
 The group generated by the exponentials of ad a moves the torus t
-around; this module computes that action exactly, takes curve limits by
-row reduction (one incremental echelon of the leading rows per pass),
+around; this module computes that action exactly, keeps a curve in z as
+its basis rows, each the tuple of its z^k coefficient vectors (the one
+layout `_exp_row` builds, `limit` reduces and `to_json` renders), takes
+curve limits by row reduction (one incremental echelon of the leading
+rows per pass),
 enumerates fixed points, and certifies (or refutes) membership of
 subspaces and point tuples in the closure.  The fixed-point subspaces
 and the property (P) data read their torus kernels from the algebra's
@@ -20,6 +23,7 @@ from typing import Sequence
 
 from .liealg import (
     EXP_AD_CHAIN,
+    AlgebraError,
     NotClosedUnderJordanError,
     Weight,
     WeightedLieAlgebra,
@@ -139,11 +143,12 @@ class Subspace:
 
 @dataclass(frozen=True)
 class CurveSubspace:
-    """The curve z -> span of the d rows of sum_k z^k coeffs[k]: coeffs[k]
-    is the d x dim matrix of the z^k coefficients, the last one nonzero."""
+    """The curve z -> span of the rows sum_k z^k rows[i][k]: rows[i] is
+    basis row i's tuple of z^k coefficient vectors, from k = 0 to its
+    degree, the last one nonzero, as `_exp_row` returns them."""
 
     alg: WeightedLieAlgebra
-    coeffs: tuple[Matrix, ...]
+    rows: tuple[tuple[tuple, ...], ...]
 
     def limit(self) -> Subspace:
         """The limit as z -> infinity by row reduction (Wolovich's row-reduced
@@ -164,11 +169,8 @@ class CurveSubspace:
         When none does, the echelon rows, sorted by pivot, are the
         canonical basis of the span of the leading rows.  The limit is
         unique, so it does not depend on which dependency a pass uses."""
-        rows = [list(row) for row in zip(*(m.entries for m in self.coeffs))]
+        rows = list(self.rows)
         while True:
-            for row in rows:
-                while row and not any(row[-1]):
-                    row.pop()
             if not all(rows):
                 raise RankDeficientError("the basis rows of the curve are dependent")
             echelon: list[tuple[int, list, dict]] = []  # (pivot, row, combination)
@@ -208,11 +210,12 @@ class CurveSubspace:
                         for j, y in enumerate(coef):
                             if y:
                                 acc[j] += f * y
+            while new and not any(new[-1]):
+                new.pop()
             rows[h] = new
 
     def to_json(self) -> dict:
-        rows = zip(*(m.entries for m in self.coeffs))  # per basis row, its coefficient rows
-        basis = [[_render_polynomial(cs) for cs in zip(*row)] for row in rows]
+        basis = [[_render_polynomial(cs) for cs in zip(*row)] for row in self.rows]
         return {"dim": len(basis), "basis": basis}
 
 
@@ -282,6 +285,16 @@ def torus_subspace(alg: WeightedLieAlgebra) -> Subspace:
     return Subspace.from_rows(alg, [alg.basis_vector(i) for i in range(alg.t_dim)])
 
 
+def _own(alg: WeightedLieAlgebra, v: Subspace) -> None:
+    """Refuse, with `DimensionMismatchError`, a subspace of another
+    algebra: its rows are coordinates in that algebra's basis.  A
+    subspace of an equal algebra (a fresh instance of the same value)
+    is accepted; identity is tested first, so the shared instance costs
+    one `is`."""
+    if v.alg is not alg and v.alg != alg:
+        raise DimensionMismatchError("the subspace belongs to another algebra")
+
+
 def act(alg: WeightedLieAlgebra, word, v: Subspace):
     """Apply the product of exp(z_i ad x_{alpha_i}) left-to-right to V.
     Scalars are ints or Fractions, converted by `linalg.entry`, which
@@ -296,7 +309,9 @@ def act(alg: WeightedLieAlgebra, word, v: Subspace):
     word's image keep V's pivot columns, with 1 at each row's own pivot
     and 0 at the others and before it: they are already the canonical
     basis, and no row reduction runs.  A weight index outside
-    range(alg.n) raises `OrbitError` before any factor is applied."""
+    range(alg.n) raises `OrbitError` before any factor is applied, and
+    a V of another algebra raises `DimensionMismatchError` (`_own`)."""
+    _own(alg, v)
     n = alg.n
     checked = []
     for widx, scalar in word:
@@ -313,17 +328,7 @@ def act(alg: WeightedLieAlgebra, word, v: Subspace):
     polys = [[row] for row in v.basis.entries]
     for widx, scalar in reversed(word):
         polys = [_exp_row(alg, widx, scalar, p) for p in polys]
-    return _curve(alg, polys)
-
-
-def _curve(alg: WeightedLieAlgebra, polys: list[list[tuple]]) -> CurveSubspace:
-    """The curve whose basis row i is sum_k z^k polys[i][k]; shorter rows
-    are padded with zero coefficients."""
-    top = max((len(p) for p in polys), default=1)
-    zero = alg.zero()
-    return CurveSubspace(
-        alg, tuple(Matrix(len(polys), alg.dim, tuple(p[k] if k < len(p) else zero for p in polys)) for k in range(top))
-    )
+    return CurveSubspace(alg, tuple(map(tuple, polys)))
 
 
 def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> list[tuple]:
@@ -382,6 +387,7 @@ def weight_index(alg: WeightedLieAlgebra, alpha: Weight) -> int:
 
 
 def is_commutative_subalgebra(alg: WeightedLieAlgebra, v: Subspace) -> bool:
+    _own(alg, v)
     for i in range(v.dim):
         for j in range(i + 1, v.dim):
             br = alg.bracket(v.basis.row(i), v.basis.row(j))
@@ -398,10 +404,12 @@ def _stable_under(alg: WeightedLieAlgebra, v: Subspace, count: int) -> bool:
 
 
 def is_torus_stable(alg: WeightedLieAlgebra, v: Subspace) -> bool:
+    _own(alg, v)
     return _stable_under(alg, v, alg.t_dim)
 
 
 def is_ideal(alg: WeightedLieAlgebra, v: Subspace) -> bool:
+    _own(alg, v)
     return _stable_under(alg, v, alg.dim)
 
 
@@ -443,14 +451,14 @@ def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspa
     factor.  That is the curve in any factor order: by Jacobi ad is a
     map of Lie algebras, so [x_i, x_j] = 0 gives [ad x_i, ad x_j] = 0,
     and the exponentials of commuting nilpotent maps commute.  So the
-    coefficient matrices are exactly those of `act` over `_ordered(S)`.
+    rows are exactly those of `act` over `_ordered(S)`.
     Precondition: the weight vectors of S pairwise commute and the
     algebra satisfies Jacobi (the CLI validates it first); otherwise the
     factors need not commute and the curve depends on their order."""
     if not subset:
-        return CurveSubspace(alg, (torus_subspace(alg).basis,))
-    rows = zip(*(m.entries for m in witness_curve(alg, subset[:-1]).coeffs))
-    return _curve(alg, [_exp_row(alg, subset[-1], None, list(row)) for row in rows])
+        return CurveSubspace(alg, tuple((row,) for row in torus_subspace(alg).basis.entries))
+    j = subset[-1]
+    return CurveSubspace(alg, tuple(tuple(_exp_row(alg, j, None, row)) for row in witness_curve(alg, subset[:-1]).rows))
 
 
 @memoised("witness-limit", subset=True)
@@ -490,6 +498,7 @@ def fixed_point_of(alg: WeightedLieAlgebra, v: Subspace, graded: tuple[int, ...]
     weight vectors of exactly S, so S = graded is the only candidate: it
     is a record when it is independent and abelian, and V's record when
     z_S + a_S equals V.  This costs one record, not the enumeration."""
+    _own(alg, v)
     if graded is None or not _independent_abelian(alg, graded):
         return None
     recd = fixed_point_record(alg, graded)
@@ -671,7 +680,9 @@ def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
     decompositions.  On an algebra that fails `validate` with a nonzero
     center (no precondition is checked there), an exp(ad) chain that
     does not end raises `AlgebraError` in step 3 even for a V that
-    misses the center, which refuting first would have refuted."""
+    misses the center, which refuting first would have refuted.  A V of
+    another algebra raises `DimensionMismatchError` first (`_own`)."""
+    _own(alg, v)
     if v.dim != alg.t_dim:
         raise DimensionMismatchError(f"dim {v.dim} != {alg.t_dim}")
     if not is_commutative_subalgebra(alg, v):
@@ -782,7 +793,12 @@ def torus_element_data(alg: WeightedLieAlgebra, lam: tuple[int, ...]) -> TorusEl
     cover it.  The torus basis vectors followed by the weight vectors of
     sorted(lam) are unit rows on increasing columns, the canonical basis
     of t + a_lam, which `Subspace` still checks; the center is the
-    memoised kernel of lam, padded with zeros on a."""
+    memoised kernel of lam, padded with zeros on a.  A lam that is not
+    complete (`WeightedLieAlgebra.is_complete`) is refused with
+    `AlgebraError`: every s vanishing on it also vanishes on the rest of
+    its closure, so no s vanishes on exactly lam."""
+    if not alg.is_complete(lam):
+        raise AlgebraError(f"weights {tuple(lam)} are not complete: no torus element vanishes on exactly them")
     rows = tuple(alg.basis_vector(i) for i in range(alg.t_dim)) + tuple(alg.weight_vector(i) for i in sorted(lam))
     pad = (0,) * alg.n
     center = tuple(row + pad for row in alg.kernel(lam).entries)
@@ -791,7 +807,8 @@ def torus_element_data(alg: WeightedLieAlgebra, lam: tuple[int, ...]) -> TorusEl
 
 def graded_subset(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...] | None:
     """The weights whose vectors a torus-stable V contains; None when V is
-    not torus-stable."""
+    not torus-stable.  A V of another algebra raises
+    `DimensionMismatchError` (`is_torus_stable`)."""
     if not is_torus_stable(alg, v):
         return None
     return tuple(i for i in range(alg.n) if v.contains(alg.weight_vector(i)))
@@ -812,7 +829,10 @@ def property_P_checks(
     proven.  For a torus-fixed point z_V + a_S that is the curve and
     limit its enumeration verified, so sharing them keeps the
     certificate checked without rebuilding it.  A proven witness-curve
-    check carries its `CurveSubspace` as the witness, not rendered."""
+    check carries its `CurveSubspace` as the witness, not rendered.  A V
+    or data of another algebra raises `DimensionMismatchError`."""
+    _own(alg, v)
+    _own(alg, data.centralizer)
     if not data.centralizer.contains_subspace(v):
         raise PreconditionFailedError("V is not inside the centralizer of s")
     ok = all(v.contains(r) for r in data.center)
@@ -852,6 +872,7 @@ def property_P_checks(
 def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
     """Weight subset L with torus kernel t_L conjugate to the largest
     torus inside V, found from the semisimple parts of a basis of V."""
+    _own(alg, v)
     if alg.center().dim != 0:
         raise PreconditionFailedError("biggest torus needs a trivial center")
     s_parts = []

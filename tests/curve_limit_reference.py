@@ -10,7 +10,7 @@ from orbitvar.orbit import Subspace
 
 
 def nullspace_limit(curve):
-    rows = [list(row) for row in zip(*(m.entries for m in curve.coeffs))]
+    rows = [list(row) for row in curve.rows]
     while True:
         for row in rows:
             while row and not any(row[-1]):

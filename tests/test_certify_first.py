@@ -333,15 +333,14 @@ class TestMembership:
     def test_a_subspace_of_another_algebra_is_not_certified(self):
         """heisenberg-3 and A2 have the same dim and weights but are not
         equal.  One factor moves t the same way in both, so the peeled word
-        gives V's rows on A2 too; the algebra test still refuses the
-        certificate, as `Subspace.__eq__` does."""
+        gives V's rows on A2 too; membership refuses V as a subspace of
+        another algebra before it peels anything."""
         alg, other = models.builtin("borel-nilradical-A2"), models.builtin("heisenberg-3")
         assert alg.dim == other.dim and alg != other
         v = orbit.act(other, [(0, Fraction(2))], orbit.torus_subspace(other))
         assert orbit._peel_orbit(alg, v) is not None
-        got = orbit.membership(alg, v)
-        assert got == reference_membership(alg, v)
-        assert got == orbit.MembershipVerdict("unknown", reason="torus-graph subspace without orbit certificate")
+        with pytest.raises(orbit.DimensionMismatchError, match="another algebra"):
+            orbit.membership(alg, v)
 
 
 class TestFixedPointLookup:

@@ -23,6 +23,7 @@ from test_property_p import BUILTINS, VARIANTS, borel_nilradical_a4, heisenberg_
 from orbitvar import models, orbit
 from orbitvar.liealg import WeightedLieAlgebra
 from orbitvar.linalg import Matrix, PluckerVector, RankDeficientError, plucker_limit
+from curve_powers_reference import from_powers
 from plucker_reference import plucker_to_basis
 
 
@@ -142,7 +143,7 @@ class TestNamedAlgebrasMatchSympyReference:
 def curve(alg, *coeffs):
     """A curve on the first columns of alg, zero-padded to its dimension."""
     pad = [Fraction(0)] * (alg.dim - len(coeffs[0][0]))
-    return orbit.CurveSubspace(alg, tuple(Matrix.from_rows([list(r) + pad for r in m]) for m in coeffs))
+    return from_powers(alg, [[list(r) + pad for r in m] for m in coeffs])
 
 
 class TestHandMadeCurves:

@@ -16,6 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curve_powers_reference import from_powers
 from test_memo import FAITHFUL, SMALL, Z
 from test_orbit import a_subspace, full_space, intersect, normalizer, reference_orbit_dims
 from test_property_p import BUILTINS, VARIANTS, borel_nilradical_a4, heisenberg_central_extension
@@ -36,15 +37,15 @@ CASES = {
 
 
 def assert_tree_curves_match_act(alg):
-    """Every enumerated subset's curve, coefficient matrix for matrix, is
-    `act` over all of its factors in `_ordered` order."""
+    """Every enumerated subset's curve, row for row, is `act` over all of
+    its factors in `_ordered` order."""
     t = orbit.torus_subspace(alg)
     records = orbit.torus_fixed_points(alg)
     for recd in records:
         s = recd.r_v_set
         # act on the empty word returns the subspace t, not a curve
-        want = orbit.act(alg, [(i, None) for i in orbit._ordered(alg, s)], t) if s else orbit.CurveSubspace(alg, (t.basis,))
-        assert recd.witness.coeffs == orbit.witness_curve(alg, s).coeffs == want.coeffs, s
+        want = orbit.act(alg, [(i, None) for i in orbit._ordered(alg, s)], t) if s else from_powers(alg, [t.basis])
+        assert recd.witness.rows == orbit.witness_curve(alg, s).rows == want.rows, s
     return records
 
 
@@ -148,7 +149,7 @@ def curve_of(alg, polys):
     given by its coefficients; absent columns and coefficients are 0."""
     top = max(len(p) for row in polys for p in row)
     padded = [[p + [Fraction(0)] * (top - len(p)) for p in row] + [[Fraction(0)] * top] * (alg.dim - len(row)) for row in polys]
-    return orbit.CurveSubspace(alg, tuple(Matrix.from_rows([[e[k] for e in row] for row in padded]) for k in range(top)))
+    return from_powers(alg, [[[e[k] for e in row] for row in padded] for k in range(top)])
 
 
 class TestCurveTextMatchesSympy:

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_limit_reference import nullspace_limit
+from curve_powers_reference import from_powers
 from test_property_p import BUILTINS
 from test_weight_walks import borel_nilradical
 
@@ -144,7 +145,7 @@ def curves(draw):
         rows.append(fresh)
     top = max(len(r) for r in rows)
     rows = [r + [[0] * dim] * (top - len(r)) for r in rows]
-    return orbit.CurveSubspace(alg, tuple(Matrix.from_rows([r[k] for r in rows]) for k in range(top)))
+    return from_powers(alg, [[r[k] for r in rows] for k in range(top)])
 
 
 def outcome(limit, curve):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_limit_reference import nullspace_limit
+from curve_powers_reference import from_powers
 from test_linalg import apply
 from test_liealg_sparse import (
     NONZERO,
@@ -140,14 +141,14 @@ def reference_act(alg, word):
 
 def sympy_curve(alg, m):
     """The CurveSubspace whose coefficient matrices are those of the
-    polynomial matrix m in Z, up to its degree."""
+    polynomial matrix m in Z, up to its degree (`from_powers`)."""
     polys = [[sympy.Poly(e, Z) for e in m.row(r)] for r in range(m.rows)]
     top = max((p.degree() for row in polys for p in row if not p.is_zero), default=0)
     coeffs = tuple(
         Matrix.from_rows([[to_fraction(p.coeff_monomial(Z**k)) for p in row] for row in polys])
         for k in range(top + 1)
     )
-    return orbit.CurveSubspace(alg, coeffs)
+    return from_powers(alg, coeffs)
 
 
 def reference_torus_fixed_points(alg):

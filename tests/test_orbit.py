@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 
+from curve_powers_reference import powers
+
 import orbitvar
 from orbitvar import models
 from orbitvar.liealg import Weight, WeightedLieAlgebra
@@ -176,7 +178,8 @@ class TestActAndTheta:
         c = witness_curve(A2, (1,))
         assert c == act(A2, [(1, None)], torus_subspace(A2))
         z = Fraction(5)
-        point = sum((m.scale(z**k) for k, m in enumerate(c.coeffs) if k), c.coeffs[0])
+        coeffs = powers(c)
+        point = sum((m.scale(z**k) for k, m in enumerate(coeffs) if k), coeffs[0])
         assert span(A2, point.entries) == theta(A2, 1, z)
         assert c.limit() == theta(A2, 1)
 
@@ -192,7 +195,7 @@ class TestActAndTheta:
         # exp(z ad x_a) h cancel, so the curve has degree 1
         v = span(A2, [[1, 1, 0, 0, 0]])
         c = act(A2, [(0, None), (1, None), (0, None)], v)
-        assert c.coeffs == (v.basis, Matrix.from_rows([F(0, 0, -2, -1, 0)]))
+        assert powers(c) == (v.basis, Matrix.from_rows([F(0, 0, -2, -1, 0)]))
 
 
 class TestSubspacePredicates:

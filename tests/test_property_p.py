@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_limit_reference import nullspace_limit
+from curve_powers_reference import from_powers
 from test_memo import SMALL
 from test_orbit import property_p
 
@@ -79,7 +80,7 @@ def heisenberg_central_extension(variant):
 def reference_witness_curve(alg, subset):
     t = orbit.torus_subspace(alg)
     if not subset:
-        return orbit.CurveSubspace(alg, (t.basis,))
+        return from_powers(alg, [t.basis])
     return orbit.act(alg, [(i, None) for i in orbit._ordered(alg, subset)], t)
 
 
@@ -226,32 +227,31 @@ class TestCmdPropertyP:
 
     def test_each_witness_is_built_and_limited_once(self, monkeypatch):
         """On A3 every witness curve comes from the fixed-point enumeration:
-        it is built (`_curve`, one factor on its parent's curve, never
-        `act`) and `limit` takes its limit at most once per enumerated
-        weight subset, and no curve is rendered."""
+        it is built (`CurveSubspace.__init__`, one factor on its parent's
+        curve, never `act`) and `limit` takes its limit at most once per
+        enumerated weight subset, and no curve is rendered."""
         subsets = len(orbit.torus_fixed_points(models.builtin("borel-nilradical-A3")))
         words, built, limits, renders = Counter(), Counter(), Counter(), Counter()
-        act, build, limit, to_json = orbit.act, orbit._curve, orbit.CurveSubspace.limit, orbit.CurveSubspace.to_json
+        act, build, limit, to_json = orbit.act, orbit.CurveSubspace.__init__, orbit.CurveSubspace.limit, orbit.CurveSubspace.to_json
 
         def counted_act(alg, word, v):
             words[tuple(word)] += 1
             return act(alg, word, v)
 
-        def counted_curve(alg, polys):
-            out = build(alg, polys)
-            built[out.coeffs] += 1
-            return out
+        def counted_build(curve, alg, rows):
+            build(curve, alg, rows)
+            built[rows] += 1
 
         def counted_limit(curve):
-            limits[curve.coeffs] += 1
+            limits[curve.rows] += 1
             return limit(curve)
 
         def counted_to_json(curve):
-            renders[curve.coeffs] += 1
+            renders[curve.rows] += 1
             return to_json(curve)
 
         monkeypatch.setattr(orbit, "act", counted_act)
-        monkeypatch.setattr(orbit, "_curve", counted_curve)
+        monkeypatch.setattr(orbit.CurveSubspace, "__init__", counted_build)
         monkeypatch.setattr(orbit.CurveSubspace, "limit", counted_limit)
         monkeypatch.setattr(orbit.CurveSubspace, "to_json", counted_to_json)
         out = cli.cmd_property_p(models.builtin("borel-nilradical-A3"), 0)

@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curve_powers_reference import powers
 from test_liealg_sparse import ALGEBRAS, RATIONALS, DenseReference, sampled_from
 from test_memo import dense_chain, sum_chain
 
@@ -80,7 +81,8 @@ def dense_reduce_mod_rowspace(v, basis, pivots):
 
 def dense_at(curve, z):
     """The point of a curve at z as a sum of scaled coefficient matrices."""
-    point = sum((m.scale(z**k) for k, m in enumerate(curve.coeffs) if k), curve.coeffs[0])
+    coeffs = powers(curve)
+    point = sum((m.scale(z**k) for k, m in enumerate(coeffs) if k), coeffs[0])
     return orbit.Subspace(curve.alg, row_space_basis(point))
 
 
@@ -339,7 +341,7 @@ class TestOneEntryRepresentation:
         point = orbit.act(alg, word, t)
         curve = orbit.act(alg, [(i, None) for i, _ in word], t)
         got += itertools.chain.from_iterable(point.basis.entries)
-        got += (e for m in curve.coeffs for row in m.entries for e in row)
+        got += (e for row in curve.rows for v in row for e in v)
         got += itertools.chain.from_iterable(curve.limit().basis.entries)
         try:
             s, n = alg.jordan_decompose(x)
