@@ -1,9 +1,10 @@
 """Command-line entry point: load an algebra, run verification
 commands, emit a deterministic report.
 
-Exit codes: 0 no refutation, 1 refutation found, 2 input error or a
-`suite` stage that raised instead of reporting (the report is still
-written).
+Exit codes: 0 no refutation, 1 refutation found, 2 input error, a
+weight-subset enumeration past `liealg.ENUMERATION_CAP` (no report is
+written), or a `suite` stage that raised instead of reporting (the
+report is still written).
 
 `load_algebra` returns one shared instance per distinct algebra value
 (`shared_algebra`), so every later command of the process on an equal
@@ -33,7 +34,7 @@ import sys
 
 from . import models, orbit
 from . import report as rep
-from .liealg import AlgebraError, WeightedLieAlgebra
+from .liealg import AlgebraError, EnumerationCapError, WeightedLieAlgebra
 
 STAGE_PREFIX = "stage-"  # names the suite check recorded for a stage that raised
 # Each cached algebra keeps its whole memo alive (about 62 MB for the
@@ -323,7 +324,11 @@ def main(argv=None) -> int:
         print("error: algebra fails validation; run the validate command", file=sys.stderr)
         return 2
 
-    report = RUNNERS[args.command](alg, args.seed)
+    try:
+        report = RUNNERS[args.command](alg, args.seed)
+    except EnumerationCapError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     text = report.render_json() if args.format == "json" else report.render_markdown()
     if args.output:
         try:

@@ -50,6 +50,10 @@ class NotClosedUnderJordanError(AlgebraError):
     pass
 
 
+class EnumerationCapError(AlgebraError):
+    """A weight-subset enumeration would pass `ENUMERATION_CAP` sets."""
+
+
 @dataclass(frozen=True, order=True)
 class Weight:
     """A weight of the torus, as a covector in the dual torus basis."""
@@ -90,6 +94,13 @@ def weight_sort_key(w: Weight):
 # allocates (t_dim + n)^2 adjoint columns and the Jacobi check walks
 # C(n, 3) triples.  `validate` at t_dim 2, n 126 takes about 0.4 s.
 JSON_DIM_MAX = 128
+
+# `complete_subsets` and `orbit`'s fixed-point walk raise
+# `EnumerationCapError` once they find more sets than this.  Both can
+# grow as 2^n (`abelian:d` has 2^d of each); the A6 Borel nilradical,
+# the largest algebra the tests walk, has 8,020 fixed points and 877
+# flats.
+ENUMERATION_CAP = 2**13
 
 EXP_AD_CHAIN = "exp-ad-chain"  # memo key prefix of `exp_ad_chain`
 
@@ -480,7 +491,8 @@ class WeightedLieAlgebra:
         have one kernel, so cl(S + {i}) = cl(cl(S) + {i}): closing each new
         flat with one more weight, from cl(()), reaches every cl(S).
         The kernel of cl(S) + {i} is one `_kernel_step` from the memoised
-        kernel of the flat."""
+        kernel of the flat.  Once the flats found pass `ENUMERATION_CAP`,
+        checked after each round, the walk raises `EnumerationCapError`."""
         flats = new = {self.closure(())}
         while new:
             new = {
@@ -490,6 +502,8 @@ class WeightedLieAlgebra:
                 if i not in f
             } - flats
             flats |= new
+            if len(flats) > ENUMERATION_CAP:
+                raise EnumerationCapError(f"more than {ENUMERATION_CAP} complete weight subsets to enumerate")
         return sorted(flats)
 
     def centralizer_in_a(self, subset: Sequence[int]) -> bool:
@@ -745,7 +759,10 @@ class WeightedLieAlgebra:
             span = row_space_basis(Matrix.from_rows([b for b in brackets if any(b)]))
         return False
 
+    @memoised("is-valid")
     def is_valid(self) -> bool:
+        """Every `validate` check passes; kept once per instance, so a
+        repeat is one lookup."""
         return all(ok for _, ok, _ in self.validate())
 
 

@@ -22,8 +22,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .liealg import (
+    ENUMERATION_CAP,
     EXP_AD_CHAIN,
     AlgebraError,
+    EnumerationCapError,
     NotClosedUnderJordanError,
     Weight,
     WeightedLieAlgebra,
@@ -37,8 +39,6 @@ from .linalg import (
     exact_div,
     in_row_space,
     lowered,
-    rank,
-    reduce_mod_rowspace,
     row_space_basis,
     rref,  # noqa: F401  perfbench/test_perfbench.py::test_tracer_restores_every_wrapped_function patches it
 )
@@ -221,7 +221,12 @@ class CurveSubspace:
 
 def _render_polynomial(coeffs: Sequence[Fraction]) -> str:
     """sum_k coeffs[k] z^k as `str(sympy.Add(...))` prints it: terms by
-    descending degree with the constant last (`render_sum`)."""
+    descending degree with the constant last (`render_sum`).  A
+    polynomial with no nonzero term past the constant, as most curve
+    coordinates are, prints as `str` of its constant (`0` for none),
+    which is the text `render_sum` gives it, without building terms."""
+    if not any(coeffs[1:]):
+        return str(coeffs[0])
     terms = reversed(tuple(enumerate(coeffs)))
     return render_sum([(("z" if k == 1 else f"z**{k}",) if k else (), c) for k, c in terms if c])
 
@@ -404,8 +409,10 @@ def _stable_under(alg: WeightedLieAlgebra, v: Subspace, count: int) -> bool:
 
 
 def is_torus_stable(alg: WeightedLieAlgebra, v: Subspace) -> bool:
-    _own(alg, v)
-    return _stable_under(alg, v, alg.t_dim)
+    """V is stable under ad t, read off its canonical rows
+    (`graded_subset`).  A V of another algebra raises
+    `DimensionMismatchError`."""
+    return graded_subset(alg, v) is not None
 
 
 def is_ideal(alg: WeightedLieAlgebra, v: Subspace) -> bool:
@@ -525,11 +532,14 @@ def _fixed_point_subsets(alg: WeightedLieAlgebra) -> tuple[tuple[int, ...], ...]
     commutes with it and whose weight keeps it independent.  Both
     properties pass to subsets, so every such subset is reached from its
     prefix; the prefixes come in lexicographic order, so the subsets come
-    in (size, lexicographic) order."""
+    in (size, lexicographic) order.  A walk that would keep more than
+    `ENUMERATION_CAP` subsets raises `EnumerationCapError` instead."""
     subsets = [()]
     for subset in subsets:  # grows while it is walked
         for j in range(subset[-1] + 1 if subset else 0, alg.n):
             if _independent_abelian(alg, subset + (j,)):
+                if len(subsets) == ENUMERATION_CAP:
+                    raise EnumerationCapError(f"more than {ENUMERATION_CAP} torus-fixed points to enumerate")
                 subsets.append(subset + (j,))
     return tuple(subsets)
 
@@ -593,37 +603,56 @@ class BoundaryComponent:
 
 def boundary_components(alg: WeightedLieAlgebra) -> list[BoundaryComponent]:
     """One component per weight: the closed group-orbit through
-    V_alpha = t_alpha + a^alpha, with its orbit dimension."""
+    V_alpha = t_alpha + a^alpha, with its orbit dimension n - dim(N(V_alpha)
+    cap a), counted by `_stabilizer_dim`.  The base point is the limit of
+    exp(z ad x_alpha) t (`witness_limit`), checked equal to z_S + a_S for
+    S = {alpha} before the count is read.  A nonzero center, a repeated
+    weight, a bracket off the grading or a limit that is not z_S + a_S
+    (a zero weight) raises `PreconditionFailedError`; `validate` refuses
+    each of these but the first."""
     if alg.center().dim != 0:
         raise PreconditionFailedError("boundary components need a trivial center")
+    if len(set(alg.weights)) != alg.n or alg._off_grade():
+        raise PreconditionFailedError("boundary orbit dimensions need one-dimensional weight spaces and graded brackets")
     out = []
     for i in _weight_order(alg):
         v_alpha = witness_limit(alg, (i,))
-        out.append(BoundaryComponent(i, v_alpha, _orbit_dim(alg, v_alpha)))
+        if v_alpha != _fixed_point_subspace(alg, (i,))[0]:
+            raise PreconditionFailedError(f"the limit of exp(z ad x_{i}) t is not t_alpha + a^alpha")
+        out.append(BoundaryComponent(i, v_alpha, alg.n - _stabilizer_dim(alg, (i,))))
     return out
 
 
-def _orbit_dim(alg: WeightedLieAlgebra, v: Subspace) -> int:
-    """n - dim(N(V) cap a), N(V) = {y : [y, V] in V}: the stabilizer of V
-    in a is the kernel of y -> ([y, row] mod V over the basis rows of V)
-    on a, so the orbit dimension is the rank of that map.  Its matrix has
-    one row per a-basis vector, the residues of its brackets side by side,
-    each bracket summed from the vector's `ad_table` column; rows that are
-    0 add no rank and are left out, so when V is all of r the matrix is
-    empty and the rank is 0."""
-    rows = []
-    for op in alg.ad_table()[alg.t_dim :]:
-        res = ()
-        for row in v.basis.entries:
-            br = [0] * alg.dim
-            for j, c in enumerate(row):
-                if c:
-                    for i, a in op[j]:
-                        br[i] += a * c
-            res += reduce_mod_rowspace(br, v.basis, v.pivots)
-        if any(res):
-            rows.append(res)
-    return rank(Matrix(len(rows), v.dim * alg.dim, tuple(rows)))
+def _stabilizer_dim(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> int:
+    """dim(N(V) cap a), N(V) = {y : [y, V] in V}, for V = z_S + a_S on an
+    algebra whose brackets respect the grading and whose weight spaces
+    are one-dimensional: the number of x_k with k in S or w_k vanishing
+    on ker W_S, and every [x_k, x_s], s in S, supported in S.
+
+    The stabilizer in a is the kernel of y -> ([y, v] mod V) over the
+    rows v of V: those of z_S and the x_s.  [x_k, t] = -w_k(t) x_k, and
+    [x_k, x_s] is a multiple of the one x_m with w_m = w_k + w_s.  Both
+    lie in a, which V meets in a_S, so each is its own residue unless it
+    lies in a_S, and then the residue is 0.  The weights are distinct,
+    so for each row v distinct x_k leave residues on distinct
+    coordinates: the residue rows of the x_k have disjoint supports.
+    The nonzero ones are independent, and the kernel is spanned by the
+    x_k whose residue row is 0.  Against the rows of z_S that is k in S
+    or w_k vanishing on ker W_S; against x_s it is [x_k, x_s] in a_S."""
+    inside = set(subset)
+    escapes = set()
+    for i, j, terms in alg.brackets:
+        if (i in inside or j in inside) and any(k not in inside for k, _ in terms):
+            if j in inside:
+                escapes.add(i)
+            if i in inside:
+                escapes.add(j)
+    ker = alg.kernel(subset).entries
+    return sum(
+        1
+        for k, w in enumerate(alg.weights)
+        if k not in escapes and (k in inside or not any(w(row) for row in ker))
+    )
 
 
 # -- membership -------------------------------------------------------
@@ -807,11 +836,37 @@ def torus_element_data(alg: WeightedLieAlgebra, lam: tuple[int, ...]) -> TorusEl
 
 def graded_subset(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...] | None:
     """The weights whose vectors a torus-stable V contains; None when V is
-    not torus-stable.  A V of another algebra raises
-    `DimensionMismatchError` (`is_torus_stable`)."""
-    if not is_torus_stable(alg, v):
-        return None
-    return tuple(i for i in range(alg.n) if v.contains(alg.weight_vector(i)))
+    not torus-stable.  Both are read off V's canonical rows, with no
+    bracket.
+
+    The joint weight spaces of ad t are coordinate subspaces: one per
+    distinct weight, spanned by its x_k, and the weight-0 space, spanned
+    by the torus coordinates and any x_k of weight 0.  V is torus-stable
+    exactly when it is the sum of its meets with them.  The canonical
+    bases of those meets, together and sorted by pivot, are in rref,
+    since each row is 0 off its own space and so in every other space's
+    pivot columns; so they are V's canonical basis.  Hence V is
+    torus-stable exactly when each canonical row lies in one joint
+    weight space.  And e_(d+i) is in V exactly when V's row with pivot
+    d+i is that unit vector: in rref, a vector's coefficient on a row is
+    its entry in that row's pivot column.  A V of another algebra
+    raises `DimensionMismatchError` (`_own`)."""
+    _own(alg, v)
+    d = alg.t_dim
+    weights = alg.weights
+    zero = (0,) * d
+    out = []
+    for row, p in zip(v.basis.entries, v.pivots):
+        grade = weights[p - d].coords if p >= d else zero
+        unit = True
+        for j in range(p + 1, len(row)):
+            if row[j]:
+                if (weights[j - d].coords if j >= d else zero) != grade:
+                    return None
+                unit = False
+        if unit and p >= d:
+            out.append(p - d)
+    return tuple(out)
 
 
 def property_P_checks(
@@ -830,10 +885,18 @@ def property_P_checks(
     limit its enumeration verified, so sharing them keeps the
     certificate checked without rebuilding it.  A proven witness-curve
     check carries its `CurveSubspace` as the witness, not rendered.  A V
-    or data of another algebra raises `DimensionMismatchError`."""
+    or data of another algebra raises `DimensionMismatchError`.
+
+    The precondition V inside the centralizer t + a_lam, whose basis
+    `torus_element_data` builds from unit rows, is read off V's
+    a-support: V lies in t + a_lam exactly when no row of V has a
+    nonzero a-coordinate outside lam.  A V that does not raises
+    `PreconditionFailedError`."""
     _own(alg, v)
     _own(alg, data.centralizer)
-    if not data.centralizer.contains_subspace(v):
+    lam = set(data.lam)
+    d = alg.t_dim
+    if any(c and k not in lam for row in v.basis.entries for k, c in enumerate(row[d:])):
         raise PreconditionFailedError("V is not inside the centralizer of s")
     ok = all(v.contains(r) for r in data.center)
     checks = [

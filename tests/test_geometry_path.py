@@ -2,9 +2,10 @@
 replaced: witness curves grown along the fixed-point tree against `act`
 over all of their factors, fixed-point subspaces built from their
 canonical rows against the row reduction of those rows, boundary orbit
-dimensions by one rank against
-the normalizer intersected with a (`test_orbit`), and the pure-Python
-curve text against `str(sympy.Add(...))`."""
+dimensions, and the residue rank they are pinned to
+(`stabilizer_reference`), against the normalizer intersected with a
+(`test_orbit`), and the pure-Python curve text against
+`str(sympy.Add(...))`."""
 
 import itertools
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_powers_reference import from_powers
+from stabilizer_reference import orbit_dim_by_rank
 from test_memo import FAITHFUL, SMALL, Z
 from test_orbit import a_subspace, full_space, intersect, normalizer, reference_orbit_dims
 from test_property_p import BUILTINS, VARIANTS, borel_nilradical_a4, heisenberg_central_extension
@@ -88,7 +90,7 @@ class TestFixedPointSubspacesMatchFromRows:
         assert len(assert_fixed_point_subspaces_match_from_rows(borel_nilradical(5))) == 948
 
 
-# -- boundary orbit dimensions by one rank ----------------------------------
+# -- boundary orbit dimensions against the normalizer -----------------------
 
 
 class TestBoundaryByRank:
@@ -114,7 +116,7 @@ class TestBoundaryByRank:
         entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
         rows = data.draw(st.lists(st.lists(entry, min_size=alg.dim, max_size=alg.dim), max_size=alg.dim))
         for v in (orbit.Subspace.from_rows(alg, rows), full_space(alg), orbit.Subspace(alg, Matrix.zero(0, alg.dim))):
-            assert orbit._orbit_dim(alg, v) == alg.n - intersect(normalizer(alg, v), a_subspace(alg)).dim
+            assert orbit_dim_by_rank(alg, v) == alg.n - intersect(normalizer(alg, v), a_subspace(alg)).dim
 
 
 # -- curve text without sympy -----------------------------------------------

@@ -56,6 +56,7 @@ DECORATED = {
     "torus-fixed-points": orbit.torus_fixed_points,
     "fixed-point-subsets": orbit._fixed_point_subsets,
     "group-fixed-points": orbit.group_fixed_points,
+    "is-valid": WeightedLieAlgebra.is_valid,
 }
 
 
@@ -68,6 +69,7 @@ def spread(n: int) -> WeightedLieAlgebra:
 def fill_memo(alg):
     """Every command of the geometry path and the library queries, so
     every decorated function runs on alg."""
+    assert alg.is_valid()
     for command in ("validate", "fixed-points", "boundary", "property-p"):
         cli.RUNNERS[command](alg, 0)
     record = orbit.torus_fixed_points(alg)[-1]

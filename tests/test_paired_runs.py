@@ -165,3 +165,46 @@ class TestRunsAndTrees:
     def test_bad_seed_ranges(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             paired_runs.seed_range(text)
+
+
+class TestClaim:
+    def test_claim_met(self):
+        # 9 of 10 pairs won, medians 1.0 -> 0.8 against a spread of 0.02
+        ref = [1.0, 0.99, 1.01, 1.0, 1.0, 0.99, 1.01, 1.0, 1.0, 1.0]
+        new = [0.8] * 9 + [1.1]
+        p50, qps = paired_runs.summarize(bounded_pairs(ref, new), BOUNDED)
+        assert paired_runs.claim(p50).startswith("claim query_p50_ms: met (9/10 pairs won")
+        assert paired_runs.claim(qps).startswith("claim queries_per_s: met (9/10 pairs won")
+
+    def test_too_few_wins(self):
+        ref = [1.0, 0.99, 1.01, 1.0, 1.0, 0.99, 1.01, 1.0, 1.0, 1.0]
+        new = [0.8] * 8 + [1.1, 1.0]  # the tie wins nothing
+        (p50,) = paired_runs.summarize(bounded_pairs(ref, new), BOUNDED[:1])
+        assert paired_runs.claim(p50).startswith("claim query_p50_ms: not met (8/10 pairs won")
+
+    def test_gain_inside_the_spread(self):
+        # every pair won, but the medians differ by 0.05 and the ref's quartiles by 0.2
+        ref = [0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 0.8, 1.2]
+        new = [x - 0.05 for x in ref]
+        (p50,) = paired_runs.summarize(bounded_pairs(ref, new), BOUNDED[:1])
+        assert p50["wins"] == 8 and p50["ref_q3"] - p50["ref_q1"] > 0.05
+        assert paired_runs.claim(p50).startswith("claim query_p50_ms: not met (8/8 pairs won")
+
+    def test_the_claim_is_printed_after_the_verdicts(self, monkeypatch, capsys):
+        monkeypatch.setattr(paired_runs, "export", lambda ref, into: None)
+        monkeypatch.setattr(paired_runs, "bytecode_cache", lambda root: None)
+
+        def fake_run(root, workload, seed):
+            p50 = (0.12 + seed / 1000) if root != paired_runs.ROOT else 0.10
+            return paired_runs.parse_run(run_output(**{name: p50 for name in END_TO_END}))
+
+        monkeypatch.setattr(paired_runs, "run_side", fake_run)
+        assert paired_runs.main(["--workload", "geometry", "--seeds", "1-10", "--claim", "query_p90_ms"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("claim query_p90_ms: met (10/10 pairs won")
+
+    def test_an_unknown_metric_is_refused_before_any_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(paired_runs, "export", lambda ref, into: pytest.fail("the ref was exported"))
+        monkeypatch.setattr(paired_runs, "run_side", lambda *args: pytest.fail("a run started"))
+        assert paired_runs.main(["--workload", "geometry", "--seeds", "1-10", "--claim", "query_p99_ms"]) == 2
+        assert "query_p99_ms" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Paired benchmark runs: a git ref against the working tree.
 
-    python3 tools/paired_runs.py --workload queries --seeds 601-612 [--ref HEAD]
+    python3 tools/paired_runs.py --workload queries --seeds 601-612 [--ref HEAD] [--claim METRIC]
 
 The ref is exported with `git archive` into a temporary directory, so
 the working tree is not touched.  For each seed, `perfbench/run.py
@@ -18,8 +18,12 @@ metric, from the metric's `bound` taken relative to the ref's median:
 "unresolved" when the ref's quartile spread is wider than the bound and
 the working tree did not win every pair; otherwise "worse past bound"
 when the working tree's median is worse than the ref's by more than the
-bound, and "within bound" when it is not.  Exit status: 0 after a
-summary, 1 when a run failed, 2 on bad arguments or a cache.
+bound, and "within bound" when it is not.  With `--claim METRIC`, one
+more line says whether a gain in that metric may be claimed: the
+working tree won at least nine tenths of the pairs, and its median is
+better than the ref's by more than the ref's quartile spread.  Exit
+status: 0 after a summary, 1 when a run failed, 2 on bad arguments
+(an unknown `--claim` metric among them) or a cache.
 """
 
 from __future__ import annotations
@@ -97,6 +101,19 @@ def verdict(row: dict, bound: float) -> str:
     return "worse past bound" if (worse if row["lower"] else -worse) > tolerance else "within bound"
 
 
+def claim(row: dict) -> str:
+    """Whether a gain in one summary row may be claimed: the change won
+    at least 9 of every 10 pairs (a tie wins nothing), and its median is
+    better than the ref's by more than the ref's quartile spread."""
+    gain = row["change_median"] - row["ref_median"]
+    if row["lower"]:
+        gain = -gain
+    spread = row["ref_q3"] - row["ref_q1"]
+    facts = f"{row['wins']}/{row['pairs']} pairs won, gain of the medians {gain:.4g}, ref quartile spread {spread:.4g}"
+    met = 10 * row["wins"] >= 9 * row["pairs"] and gain > spread
+    return f"claim {row['name']}: {'met' if met else 'not met'} ({facts})"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per metric over (ref, change) pairs of metric dicts:
     the ref's quartiles and median, the change's median, the change of
@@ -147,9 +164,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=("geometry", "charts", "queries"))
     parser.add_argument("--seeds", required=True, type=seed_range, help="A-B, both included")
     parser.add_argument("--ref", default="HEAD", help="the git ref to compare against (default HEAD)")
+    parser.add_argument("--claim", metavar="METRIC", help="say whether a gain in this end-to-end metric may be claimed")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         metrics = json.load(f)["end_to_end"]
+    if args.claim is not None and args.claim not in {m["name"] for m in metrics}:
+        print(f"error: --claim {args.claim!r} is not an end-to-end metric of BENCHMARK.json", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="paired-runs-") as ref_root:
         try:
             export(args.ref, ref_root)
@@ -173,7 +194,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 1
     print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {args.ref} -> working tree, {len(pairs)} pairs")
-    print(format_summary(summarize(pairs, metrics)))
+    rows = summarize(pairs, metrics)
+    print(format_summary(rows))
+    if args.claim is not None:
+        print(claim(next(r for r in rows if r["name"] == args.claim)))
     return 0
 
 
