@@ -9,7 +9,8 @@ report is still written).
 `load_algebra` returns one shared instance per distinct algebra value
 (`shared_algebra`), so every later command of the process on an equal
 algebra, by `--builtin`, by `--input` or in `suite`, reads the memo
-the earlier ones filled: the center, the adjoint table, the kernels,
+the earlier ones filled: the `validate` table, which the check before
+every other command reads, the center, the adjoint table, the kernels,
 the Jacobi and nilpotency verdicts, the fixed-point records, the
 witness curves and their limits.  A memoised value depends only on the
 algebra's fields and is immutable, and a computation that raises is not
@@ -28,6 +29,7 @@ The process also keeps the `ps-check` section of each P_s
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -57,28 +59,26 @@ def shared_algebra(alg: WeightedLieAlgebra) -> WeightedLieAlgebra:
 
 
 @functools.cache
-def ps_section(s: int) -> tuple[tuple, ...]:
-    """The `ps-check` checks on the minor ideal P_s, as rows (name,
-    verdict, claim, witness, details as a tuple of items or None):
-    its dimension, then `ideals.primality_crosscheck_P`'s checks.  Kept
-    once per s for the process; a computation that raises is not kept."""
+def ps_section(s: int) -> tuple[rep.Check, ...]:
+    """The `ps-check` checks on the minor ideal P_s: its dimension, then
+    `ideals.primality_crosscheck_P`'s checks.  Kept once per s for the
+    process, and never handed out: each report takes copies
+    (`cmd_ps_check`).  A computation that raises is not kept."""
     from . import ideals  # only the chart commands need the polynomial ring
 
     p = ideals.minor_ideal(s)
     dim = ideals.hilbert_dimension(p)
-    rows = [
-        (
+    checks = [
+        rep.Check(
             f"dimension-P{s}",
             rep.PROVEN if dim == s + 1 else rep.REFUTED,
             "the minor ideal has dimension one more than its base",
-            None,
-            (("s", s), ("dimension", dim), ("expected", s + 1)),
+            details={"s": s, "dimension": dim, "expected": s + 1},
         )
     ]
     for c in ideals.primality_crosscheck_P(s, p).checks:
-        details = None if c.details is None else tuple(c.details.items())
-        rows.append((f"{c.name}-P{s}", c.verdict, c.claim, c.witness, details))
-    return tuple(rows)
+        checks.append(dataclasses.replace(c, name=f"{c.name}-P{s}"))
+    return tuple(checks)
 
 
 def load_algebra(args) -> WeightedLieAlgebra:
@@ -250,12 +250,12 @@ def cmd_ps_check(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationReport:
     """P_s has dimension s + 1 and is prime, for s = 2, 3, 4.  No check
     reads the algebra, whose fingerprint only heads the report, so each
     P_s section is computed once per process (`ps_section`) and sharing
-    it is exact: every report gets the same rows, each with a `details`
-    dict of its own."""
+    it is exact: every report gets copies of the same checks, each with
+    a `details` dict of its own."""
     out = rep.VerificationReport("ps-check", alg.fingerprint(), seed=seed)
     for s in (2, 3, 4):
-        for name, verdict, claim, witness, details in ps_section(s):
-            out.add(name, verdict, claim, witness, None if details is None else dict(details))
+        for c in ps_section(s):
+            out.checks.append(dataclasses.replace(c, details=None if c.details is None else dict(c.details)))
     return out
 
 

@@ -181,14 +181,14 @@ class WeightedLieAlgebra:
 
     `_memo` holds data derived from the fields, each computed once per
     instance by a function decorated with `memoised`: the center, the
-    sparse adjoint table (`ad_table`), the Jacobi and nilpotency verdicts
-    that `validate` reports and `jordan_decompose` requires, the exp(ad)
-    chain of each basis vector under each weight vector (`exp_ad_chain`,
-    built when a row first needs it), and the fixed points and the
-    per-subset fixed-point records, witness curves and limits of
-    `orbit`.  The fields are immutable and every memoised value is
-    immutable, so a memoised value never goes stale; the memo takes no
-    part in `==`, `hash`, `repr`, `to_json` or `fingerprint`.
+    sparse adjoint table (`ad_table`), the `validate` table, the Jacobi
+    and nilpotency verdicts that it reports and `jordan_decompose`
+    requires, the exp(ad) chain of each basis vector under each weight
+    vector (`exp_ad_chain`, built when a row first needs it), and the
+    fixed points and the per-subset fixed-point records, witness curves
+    and limits of `orbit`.  The fields are immutable and every memoised
+    value is immutable, so a memoised value never goes stale; the memo
+    takes no part in `==`, `hash`, `repr`, `to_json` or `fingerprint`.
     """
 
     t_dim: int
@@ -633,8 +633,11 @@ class WeightedLieAlgebra:
 
     # -- validation -----------------------------------------------------
 
-    def validate(self) -> list[tuple[str, bool, str]]:
-        """Structural invariants, as (name, passed, detail) triples."""
+    @memoised("validate")
+    def validate(self) -> tuple[tuple[str, bool, str], ...]:
+        """Structural invariants, as (name, passed, detail) triples, kept
+        once per instance: the `validate` command and every later
+        `is_valid` read the same table."""
         checks: list[tuple[str, bool, str]] = []
         bad = [self.a_basis[i] for i, w in enumerate(self.weights) if w.is_zero()]
         checks.append(
@@ -684,7 +687,7 @@ class WeightedLieAlgebra:
                 "center is zero (strict class)" if z.dim == 0 else f"center has dimension {z.dim}",
             )
         )
-        return checks
+        return tuple(checks)
 
     def _off_grade(self) -> list[tuple[int, int, int]]:
         """(i, j, k) for every term c a_k of [a_i, a_j] with w_k != w_i + w_j."""
@@ -759,10 +762,8 @@ class WeightedLieAlgebra:
             span = row_space_basis(Matrix.from_rows([b for b in brackets if any(b)]))
         return False
 
-    @memoised("is-valid")
     def is_valid(self) -> bool:
-        """Every `validate` check passes; kept once per instance, so a
-        repeat is one lookup."""
+        """Every check of the memoised `validate` table passes."""
         return all(ok for _, ok, _ in self.validate())
 
 

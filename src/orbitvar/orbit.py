@@ -10,7 +10,9 @@ enumerates fixed points, and certifies (or refutes) membership of
 subspaces and point tuples in the closure.  The fixed-point subspaces
 and the property (P) data read their torus kernels from the algebra's
 grown kernels (`WeightedLieAlgebra.kernel`) and hand `Subspace` their
-canonical bases directly; `Subspace` still checks each one.
+canonical bases directly; `Subspace` still checks each one.  A
+fixed-point record holds one subspace, z_S + a_S, and the dimension of
+z_S; the property (P) data of a weight set render its weights once.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def render_sum(terms: list) -> str:
 class FixedPointRecord:
     subspace: Subspace
     r_v_set: tuple[int, ...]  # weight indices
-    z_v: Subspace
+    z_v_dim: int  # dim z_V = dim ker W_S
     fixed_under: str  # "torus" or "group"
     witness: CurveSubspace
 
@@ -272,7 +274,7 @@ class FixedPointRecord:
         return {
             "subspace": self.subspace.to_json(),
             "weights": [alg.weights[i].as_strings() for i in self.r_v_set],
-            "z_v_dim": self.z_v.dim,
+            "z_v_dim": self.z_v_dim,
             "fixed_under": self.fixed_under,
             "witness_curve": self.witness.to_json()["basis"],
         }
@@ -431,18 +433,18 @@ def _weight_order(alg: WeightedLieAlgebra) -> tuple[int, ...]:
     return tuple(_ordered(alg, range(alg.n)))
 
 
-def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> tuple[Subspace, Subspace]:
-    """z_S + a_S and z_S for a weight subset S, z_S = ker W_S padded with
-    zeros on a.  Their rows are already canonical, so no row reduction
-    is taken: the kernel rows (`WeightedLieAlgebra.kernel`, grown along
-    the subset tree) are the nonzero rows of an rref, supported on the
-    torus columns, and the weight vectors of sorted(S) follow them as
-    unit rows on increasing a-columns, where every kernel row is 0.
-    `Subspace` still checks that the bases are canonical."""
+def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> Subspace:
+    """z_S + a_S for a weight subset S, z_S = ker W_S padded with zeros
+    on a.  Its rows are already canonical, so no row reduction is taken:
+    the kernel rows (`WeightedLieAlgebra.kernel`, grown along the subset
+    tree) are the nonzero rows of an rref, supported on the torus
+    columns, and the weight vectors of sorted(S) follow them as unit
+    rows on increasing a-columns, where every kernel row is 0.
+    `Subspace` still checks that the basis is canonical."""
     pad = (0,) * alg.n
-    z_rows = tuple(row + pad for row in alg.kernel(subset).entries)
-    rows = z_rows + tuple(alg.weight_vector(i) for i in sorted(subset))
-    return Subspace(alg, Matrix(len(rows), alg.dim, rows)), Subspace(alg, Matrix(len(z_rows), alg.dim, z_rows))
+    rows = tuple(row + pad for row in alg.kernel(subset).entries)
+    rows += tuple(alg.weight_vector(i) for i in sorted(subset))
+    return Subspace(alg, Matrix(len(rows), alg.dim, rows))
 
 
 @memoised("witness-curve", grown=True)
@@ -493,10 +495,10 @@ def fixed_point_record(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> Fixe
     with its witness curve, once its limit is verified to be that point;
     built once per subset per algebra.  A limit that differs raises
     `OrbitError` and is not kept."""
-    v, z_v = _fixed_point_subspace(alg, subset)
+    v = _fixed_point_subspace(alg, subset)
     if witness_limit(alg, subset) != v:
         raise OrbitError("witness curve limit mismatch")
-    return FixedPointRecord(v, subset, z_v, "torus", witness_curve(alg, subset))
+    return FixedPointRecord(v, subset, alg.kernel(subset).rows, "torus", witness_curve(alg, subset))
 
 
 def fixed_point_of(alg: WeightedLieAlgebra, v: Subspace, graded: tuple[int, ...] | None) -> FixedPointRecord | None:
@@ -550,20 +552,19 @@ def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     center of the whole algebra, enumerated once per algebra: the
     records of `torus_fixed_points` that pass the checks below, in its
     order, building a record only for a subset S that passes two tests
-    read off its weights.  Both are necessary, so no record is lost:
+    read off its weights:
 
     - |S| = t_dim - dim z(r).  The weights of S are independent, so
-      z_V = ker W_S has dimension t_dim - |S|, and the check on z_V
-      needs that dimension;
+      z_V = ker W_S has dimension t_dim - |S|, and it contains
+      z(r) = ker W_all.  So z_V is the center exactly when this holds;
     - every bracket-table entry (i, j, terms) with i or j in S has all
       of its terms in S.  V meets a in a_S, and [x_i, x_j] lies in a,
       so for V to be an ideal a_S must be stable under ad a.
 
-    Each record built still has its witness limit verified, and then
-    meets the exact checks: z_V of the center's dimension and containing
-    it, and V an ideal."""
-    z = alg.center()
-    size = alg.t_dim - z.dim
+    The second test is necessary, so no record is lost.  Each record
+    built still has its witness limit verified, and V is then checked
+    to be an ideal."""
+    size = alg.t_dim - alg.center().dim
     out = []
     for subset in _fixed_point_subsets(alg):
         if len(subset) != size:
@@ -574,13 +575,6 @@ def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
         ):
             continue
         recd = fixed_point_record(alg, subset)
-        if recd.z_v.dim != z.dim:
-            continue
-        if z.dim and not all(
-            recd.z_v.contains(list(z.basis.row(r)) + [0] * alg.n)
-            for r in range(z.basis.rows)
-        ):
-            continue
         if not is_ideal(alg, recd.subspace):
             continue
         out.append(replace(recd, fixed_under="group"))
@@ -617,7 +611,7 @@ def boundary_components(alg: WeightedLieAlgebra) -> list[BoundaryComponent]:
     out = []
     for i in _weight_order(alg):
         v_alpha = witness_limit(alg, (i,))
-        if v_alpha != _fixed_point_subspace(alg, (i,))[0]:
+        if v_alpha != _fixed_point_subspace(alg, (i,)):
             raise PreconditionFailedError(f"the limit of exp(z ad x_{i}) t is not t_alpha + a^alpha")
         out.append(BoundaryComponent(i, v_alpha, alg.n - _stabilizer_dim(alg, (i,))))
     return out
@@ -807,10 +801,12 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
 @dataclass(frozen=True)
 class TorusElementData:
     """What property (P) reads off a torus element s: `lam`, the weights
-    vanishing on s; `centralizer`, its centralizer t + a_lam; and
-    `center`, the center t_lam of that centralizer as vectors of r."""
+    vanishing on s, and `lam_strings`, each of them as `Weight.as_strings`
+    renders it; `centralizer`, its centralizer t + a_lam; and `center`,
+    the center t_lam of that centralizer as vectors of r."""
 
     lam: tuple[int, ...]
+    lam_strings: tuple[tuple[str, ...], ...]
     centralizer: Subspace
     center: tuple[tuple, ...]
 
@@ -831,7 +827,8 @@ def torus_element_data(alg: WeightedLieAlgebra, lam: tuple[int, ...]) -> TorusEl
     rows = tuple(alg.basis_vector(i) for i in range(alg.t_dim)) + tuple(alg.weight_vector(i) for i in sorted(lam))
     pad = (0,) * alg.n
     center = tuple(row + pad for row in alg.kernel(lam).entries)
-    return TorusElementData(lam, Subspace(alg, Matrix(len(rows), alg.dim, rows)), center)
+    strings = tuple(tuple(alg.weights[i].as_strings()) for i in lam)
+    return TorusElementData(lam, strings, Subspace(alg, Matrix(len(rows), alg.dim, rows)), center)
 
 
 def graded_subset(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...] | None:
@@ -904,7 +901,7 @@ def property_P_checks(
             "center-containment",
             rep.PROVEN if ok else rep.REFUTED,
             "the center of the centralizer of s lies inside V",
-            details={"lambda": [alg.weights[i].as_strings() for i in data.lam]},
+            details={"lambda": [list(w) for w in data.lam_strings]},
         )
     ]
     if not ok:

@@ -1,8 +1,8 @@
 """Verification reports: named checks with verdicts, serialized
 deterministically so identical inputs give byte-identical output.  The
 JSON text is that of `json.dumps(..., sort_keys=True, indent=2)`,
-written by `json_text` without the pure-Python encoder an indent
-selects."""
+written by `json_text` alone, without the pure-Python encoder an indent
+selects; a report holds only the values that writer takes."""
 
 from __future__ import annotations
 
@@ -21,10 +21,6 @@ UNKNOWN = "unknown"
 _ORDER = {PROVEN: 0, CONSEQUENCE_CHECKED: 1, SAMPLED: 2, UNKNOWN: 3, REFUTED: 4}
 
 
-class _NotPlainJSON(Exception):
-    """A value `json_text` leaves to `json.dumps`."""
-
-
 def json_text(value) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)`, written directly.
     With an indent, `json` runs its pure-Python encoder, which costs more
@@ -35,12 +31,8 @@ def json_text(value) -> str:
     followed by `,`, keys sorted and followed by `: `, strings quoted by
     the escaper `json` itself uses (`encode_basestring_ascii`), ints by
     `int.__repr__`.  Any other value (a float, a non-string key, a
-    subclass) makes the whole value go to `json.dumps`, so the text is
-    always its text."""
-    try:
-        return _text(value, "\n")
-    except _NotPlainJSON:
-        return json.dumps(value, sort_keys=True, indent=2)
+    subclass) raises `TypeError`, as `json.dumps` does for a `Fraction`."""
+    return _text(value, "\n")
 
 
 def _text(v, newline: str) -> str:
@@ -55,7 +47,7 @@ def _text(v, newline: str) -> str:
         inner = newline + "  "
         if t is dict:
             if any(type(k) is not str for k in v):
-                raise _NotPlainJSON
+                raise TypeError("report keys must be str")
             items = [
                 f"{_quote(k)}: {_quote(x) if type(x) is str else _text(x, inner)}" for k, x in sorted(v.items())
             ]
@@ -68,7 +60,7 @@ def _text(v, newline: str) -> str:
         return "true" if v else "false"
     if t is int:
         return int.__repr__(v)
-    raise _NotPlainJSON
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 @dataclass

@@ -395,7 +395,7 @@ class TestPreconditions:
         precondition raises first, as it did refuting first."""
         alg = make()
         assert alg.center().dim == 0
-        for v in (orbit.torus_subspace(alg), orbit._fixed_point_subspace(alg, (alg.n - 1,))[0]):
+        for v in (orbit.torus_subspace(alg), orbit._fixed_point_subspace(alg, (alg.n - 1,))):
             got = outcome(orbit.membership, alg, v)
             assert got == ("raised", AlgebraError, message)
             assert got == outcome(reference_membership, alg, v)
@@ -438,7 +438,7 @@ def non_commutative_orbit_point(alg):
 # a point of each shape, and the verdict kind refuting first gives it
 SHAPES = {
     "torus": (orbit.torus_subspace, "orbit"),
-    "fixed": (lambda alg: orbit._fixed_point_subspace(alg, (alg.n - 1,))[0], "limit"),
+    "fixed": (lambda alg: orbit._fixed_point_subspace(alg, (alg.n - 1,)), "limit"),
     "crossed": (crossed_graph, "refuted"),
     "orbit word": (non_commutative_orbit_point, "refuted"),
 }

@@ -8,14 +8,16 @@ the call); which loads share an instance; that a computation which
 raised, a file rewritten in place, a failed validation and an eviction
 all leave the next report as a fresh process writes it; that each P_s
 section is computed once and every report gets `details` of its own;
-and that no memo or section holds a mutable value, which the sharing
-rests on."""
+that the body of `validate` runs once per algebra; and that no memo
+holds a mutable value, which the sharing rests on."""
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -224,6 +226,28 @@ def test_an_algebra_that_fails_validation_exits_two_on_every_call(tmp_path, caps
     cli.shared_algebra.cache_clear()
 
 
+def test_validate_runs_once_per_algebra(tmp_path):
+    """`validate`, `fixed-points` and `boundary` on one algebra: the
+    `validate` command fills the memo that the check before each later
+    command reads, so the body of `validate` runs once in the session."""
+    clear_caches()
+    code, runs = inspect.unwrap(WeightedLieAlgebra.validate).__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            runs.append(frame.f_locals["self"])
+
+    out = tmp_path / "report"
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main([c, "--builtin", "borel-nilradical-A3", "--output", str(out)]) for c in ("validate", "fixed-points", "boundary")]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0, 0, 0]
+    assert len(runs) == 1 and runs[0] is loaded("--builtin", "borel-nilradical-A3")
+    clear_caches()
+
+
 def test_an_evicted_algebra_gives_the_same_bytes(tmp_path):
     argv, out = ["property-p", "--builtin", "borel-nilradical-A2"], tmp_path / "report"
     want = fresh_call("", argv, out)
@@ -271,7 +295,8 @@ def test_the_ps_check_sections_are_computed_once_per_process(tmp_path, monkeypat
 
 def test_each_report_gets_details_of_its_own():
     """Emptying one report's `details` changes neither the next
-    `ps-check` report nor `suite`'s; the kept rows reach no mutable
+    `ps-check` report nor `suite`'s; no report holds a kept check or its
+    `details` dict, and past that dict a kept check reaches no mutable
     value."""
     clear_caches()
     alg = models.builtin("abelian:3")
@@ -287,8 +312,13 @@ def test_each_report_gets_details_of_its_own():
         c.details["dimension"] = -1
     assert cli.cmd_ps_check(alg, 0).render_json() == want
     assert not {id(c.details) for c in first.checks} & {id(c.details) for c in shared}
-    for s in (2, 3, 4):
-        assert not list(mutable_parts(cli.ps_section(s), f"P{s}", set())), s
+    kept = [c for s in (2, 3, 4) for c in cli.ps_section(s)]
+    handed = first.checks + shared + cli.cmd_ps_check(alg, 0).checks
+    assert not {id(c) for c in kept} & {id(c) for c in handed}
+    assert not {id(c.details) for c in kept if c.details is not None} & {id(c.details) for c in handed}
+    for c in kept:
+        details = None if c.details is None else tuple(c.details.items())
+        assert not list(mutable_parts((c.name, c.verdict, c.claim, c.witness, details), c.name, set())), c.name
     clear_caches()
 
 
@@ -323,6 +353,7 @@ def test_a_section_that_raised_is_not_kept(tmp_path, monkeypatch):
 
 LEAVES = (int, Fraction, str, type(None))
 FAMILIES = {
+    "validate",
     "fingerprint",
     "zero",
     "basis-vector",

@@ -69,15 +69,16 @@ class TestTreeCurvesMatchAct:
 
 
 def assert_fixed_point_subspaces_match_from_rows(alg):
-    """Every record's z_S + a_S and z_S are the `Subspace.from_rows` of
-    the padded torus-kernel rows and the weight vectors of S."""
+    """Every record's z_S + a_S is the `Subspace.from_rows` of the padded
+    torus-kernel rows and the weight vectors of S, and its `z_v_dim` is
+    the dimension of the span of those kernel rows."""
     records = orbit.torus_fixed_points(alg)
     for recd in records:
         s = recd.r_v_set
         z_rows = [list(row) + [0] * alg.n for row in alg.torus_kernel([alg.weights[i] for i in s]).entries]
         rows = z_rows + [alg.weight_vector(i) for i in s]
         assert recd.subspace == orbit.Subspace.from_rows(alg, rows), s
-        assert recd.z_v == orbit.Subspace.from_rows(alg, z_rows), s
+        assert recd.z_v_dim == orbit.Subspace.from_rows(alg, z_rows).dim == alg.kernel(s).rows, s
     return records
 
 

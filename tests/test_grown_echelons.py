@@ -8,7 +8,8 @@ the from-scratch routes they replaced:
   nullspace route kept in `curve_limit_reference.py` on drawn curves,
   rank-deficient ones included;
 - `report.json_text` against `json.dumps(v, sort_keys=True, indent=2)`
-  on drawn JSON values;
+  on drawn JSON values, and its `TypeError` on a float or a non-string
+  key;
 - `ideals.verify_chart_relation`, which checks the pairs i < j only,
   against the check of all d^2 ordered pairs;
 
@@ -194,10 +195,13 @@ class TestJsonText:
     def test_matches_json_dumps(self, value):
         assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
-    @pytest.mark.parametrize(
-        "value", [1.5, [1, 2.0], {"a": float("nan")}, {1: "x", 2: "y"}, {"k": {3: None}}, [True, {"b": [{}], "a": ()}]]
-    )
-    def test_values_it_leaves_to_json(self, value):
+    @pytest.mark.parametrize("value", [1.5, [1, 2.0], {"a": float("nan")}, {1: "x", 2: "y"}, {"k": {3: None}}])
+    def test_a_float_or_a_non_string_key_raises(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+    def test_nested_plain_values(self):
+        value = [True, {"b": [{}], "a": ()}]
         assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_unserialisable_values_raise_as_json_does(self):

@@ -158,25 +158,30 @@ def reference_torus_fixed_points(alg):
             ws = [alg.weights[i] for i in subset]
             if ws and rank(alg.weight_matrix(ws)) != len(ws) or not alg.centralizer_in_a(subset):
                 continue
-            v, z_v = orbit._fixed_point_subspace(alg, subset)
+            v = orbit._fixed_point_subspace(alg, subset)
             word = [(i, None) for i in orbit._ordered(alg, subset)]
             witness = sympy_curve(alg, reference_act(alg, word))
             if subset and nullspace_limit(witness) != v:
                 raise orbit.OrbitError("witness curve limit mismatch")
-            out.append(orbit.FixedPointRecord(v, subset, z_v, "torus", witness))
+            out.append(orbit.FixedPointRecord(v, subset, alg.torus_kernel(ws).rows, "torus", witness))
     return tuple(out)
 
 
 def reference_group_fixed_points(alg, torus_records):
+    """The records whose z_V, rebuilt from the weights, has the center's
+    dimension and contains it, and whose V is an ideal."""
     z = alg.torus_kernel(alg.weights)
     out = []
     for recd in torus_records:
-        if recd.z_v.dim != z.rows:
+        z_rows = alg.torus_kernel([alg.weights[i] for i in recd.r_v_set]).entries
+        z_v = orbit.Subspace.from_rows(alg, [list(row) + [Fraction(0)] * alg.n for row in z_rows])
+        assert z_v.dim == recd.z_v_dim
+        if z_v.dim != z.rows:
             continue
-        if not all(recd.z_v.contains(list(row) + [Fraction(0)] * alg.n) for row in z.entries):
+        if not all(z_v.contains(list(row) + [Fraction(0)] * alg.n) for row in z.entries):
             continue
         if orbit.is_ideal(alg, recd.subspace):
-            out.append(orbit.FixedPointRecord(recd.subspace, recd.r_v_set, recd.z_v, "group", recd.witness))
+            out.append(orbit.FixedPointRecord(recd.subspace, recd.r_v_set, recd.z_v_dim, "group", recd.witness))
     return tuple(out)
 
 

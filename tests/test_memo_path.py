@@ -56,7 +56,7 @@ DECORATED = {
     "torus-fixed-points": orbit.torus_fixed_points,
     "fixed-point-subsets": orbit._fixed_point_subsets,
     "group-fixed-points": orbit.group_fixed_points,
-    "is-valid": WeightedLieAlgebra.is_valid,
+    "validate": WeightedLieAlgebra.validate,
 }
 
 

@@ -239,7 +239,7 @@ class TestSubspaceBasesAreRref:
             for pt in (alg.basis_vector(0), tuple(Fraction(rng.randint(-3, 3)) for _ in range(alg.dim))):
                 built.append(Subspace(alg, alg.centralizer(pt)))
             built.append(intersect(torus_subspace(alg), a_subspace(alg)))  # the zero space
-            built += [r.z_v for r in torus_fixed_points(alg)]
+            built += [r.subspace for r in torus_fixed_points(alg)]
         assert any(s.dim == 0 for s in built)
         for s in built:
             rr, piv = rref(s.basis)
@@ -360,7 +360,7 @@ class TestFixedPoints:
             for r in group_fixed_points(alg):
                 assert is_ideal(alg, r.subspace)
                 assert len(r.r_v_set) == d_sharp
-                assert r.z_v.dim == alg.center().dim
+                assert r.z_v_dim == alg.kernel(r.r_v_set).rows == alg.center().dim
 
 
 class TestNormalizer:

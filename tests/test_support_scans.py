@@ -4,8 +4,8 @@ as n minus a stabilizer count against the rank of the residue matrix,
 `graded_subset` by a scan of the canonical rows against the bracket
 loop, the property (P) precondition by the a-support against
 `contains_subspace`, and the short curve text against `render_sum`.
-Also the preconditions of the count, the memoised `is_valid`, and the
-cap on the weight-subset enumerations."""
+Also the preconditions of the count, `is_valid` read from the memoised
+`validate`, and the cap on the weight-subset enumerations."""
 
 import itertools
 import json
@@ -25,6 +25,7 @@ from stabilizer_reference import graded_subset_by_brackets, orbit_dim_by_rank
 from test_geometry_path import CASES
 from test_grown_echelons import ENTRIES, algebra_of, weight_sequences
 from test_memo import FAITHFUL, SMALL
+from test_memo_path import BodyCalls
 from test_weight_walks import borel_nilradical
 
 from orbitvar import liealg, models, orbit
@@ -40,7 +41,7 @@ VALID = SMALL.filter(lambda spec: WeightedLieAlgebra.build(*spec).is_valid())
 def assert_counts_match_rank(alg, subsets):
     """n - `_stabilizer_dim` of S is the residue rank at z_S + a_S."""
     for s in subsets:
-        v, _ = orbit._fixed_point_subspace(alg, s)
+        v = orbit._fixed_point_subspace(alg, s)
         assert alg.n - orbit._stabilizer_dim(alg, s) == orbit_dim_by_rank(alg, v), s
 
 
@@ -238,19 +239,21 @@ class TestShortRender:
         assert orbit._render_polynomial(coeffs) == full_render(coeffs) == text
 
 
-# -- is_valid once per instance -------------------------------------------------------
+# -- validate once per instance --------------------------------------------------------
 
 
-def test_a_second_is_valid_runs_no_validate(monkeypatch):
-    calls = []
-    validate = WeightedLieAlgebra.validate
-    monkeypatch.setattr(WeightedLieAlgebra, "validate", lambda self: calls.append(1) or validate(self))
+def test_a_second_is_valid_runs_no_validate():
+    """`is_valid` reads the memoised `validate` table, so the body of
+    `validate` runs once per instance, counted by its code object."""
     alg = models.borel_nilradical_a3()
-    assert alg.is_valid() and alg.is_valid()
-    assert len(calls) == 1
+    with BodyCalls() as calls:
+        assert alg.is_valid() and alg.is_valid()
+        assert alg.validate() is alg.validate()
+    assert calls["validate", ()] == 1
     bad = WeightedLieAlgebra.build(1, ["x", "y"], {"x": [1], "y": [1]})
-    assert not bad.is_valid() and not bad.is_valid()
-    assert len(calls) == 2
+    with BodyCalls() as calls:
+        assert not bad.is_valid() and not bad.is_valid()
+    assert calls["validate", ()] == 1
 
 
 # -- the enumeration cap ----------------------------------------------------------------

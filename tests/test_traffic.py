@@ -1,6 +1,6 @@
 """`tools/traffic.py` on a canned list of two operations and on a
-`queries` run: which package functions the operations enter, and which
-none does."""
+`queries` and a `geometry` run: which package functions the operations
+enter, which none does, and the hits and misses of each memo key."""
 
 import importlib.util
 import os
@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from orbitvar import models, orbit
+from orbitvar import cli, liealg, models, orbit
+from orbitvar.liealg import WeightedLieAlgebra
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIRS = tuple(os.path.join(ROOT, d) for d in ("perfbench", "tools"))
@@ -44,13 +45,13 @@ def test_two_canned_operations(traffic):
         workloads.Op("membership A2", lambda: orbit.membership(alg, orbit.torus_subspace(alg)), lambda r: (r.certified, True)),
         workloads.Op("raises", fail, lambda r: (False, False)),
     ]
-    entered, ran, failed = traffic.traffic(ops[:2])
+    entered, ran, failed, _ = traffic.traffic(ops[:2])
     assert (ran, failed) == (2, 0)
     assert entered["orbit.torus_fixed_points"] == 1
     assert entered["orbit.membership"] == 1
     assert entered["orbit.act"] == 1  # membership's orbit word, re-verified
     assert "ideals._read" not in entered and "orbit.torus_fixed_points" not in traffic.traffic(ops[2:])[0]
-    assert traffic.traffic(ops[2:])[1:] == (1, 1)
+    assert traffic.traffic(ops[2:])[1:] == (1, 1, {})
     functions = traffic.package_functions()
     assert {"orbit.torus_fixed_points", "ideals._read", "orbit.CurveSubspace.limit"} <= set(functions)
     assert len(functions) == len(set(functions)) and set(entered) <= set(functions)
@@ -64,7 +65,20 @@ def test_an_operation_on_an_invalid_input_is_skipped(traffic):
         workloads.Op("validate x", lambda: 1, lambda r: (True, True), needs=None, meta={"validates": "x"}),
         workloads.Op("fixed-points x", lambda: orbit.torus_fixed_points(alg), lambda r: (True, True), needs="x"),
     ]
-    assert traffic.traffic(ops) == ({}, 1, 0)
+    assert traffic.traffic(ops) == ({}, 1, 0, {})
+
+
+def listing(lines):
+    """The tool's listing after its two header lines: the operations that
+    entered each function, the functions none entered, and the (hits,
+    misses) of each memo key, each in the order printed."""
+    split = next(i for i, line in enumerate(lines) if line.startswith("not entered by any operation"))
+    memo = lines.index("      hits    misses  memo key")
+    assert lines[split] == f"not entered by any operation ({memo - split - 1}):"
+    entered = {label: int(count) for count, label in (line.split() for line in lines[2:split])}
+    unreached = [line.strip() for line in lines[split + 1 : memo]]
+    reads = {key: (int(hits), int(misses)) for hits, misses, key in (line.split() for line in lines[memo + 1 :])}
+    return entered, unreached, reads
 
 
 def test_a_queries_run(traffic, capsys):
@@ -73,13 +87,40 @@ def test_a_queries_run(traffic, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "workload queries, seeds 1-1: 300 operations, 0 raised"
     assert lines[1] == "operations  function"
-    split = next(i for i, line in enumerate(lines) if line.startswith("not entered by any operation"))
-    counts = [int(line.split()[0]) for line in lines[2:split]]
+    entered, unreached, reads = listing(lines)
+    counts = list(entered.values())
     assert counts == sorted(counts, reverse=True) and 0 < counts[-1] <= counts[0] <= 300
-    unreached = [line.strip() for line in lines[split + 1 :]]
-    assert lines[split] == f"not entered by any operation ({len(unreached)}):"
     assert "ideals._read" in unreached
+    assert list(reads) == sorted(reads) and set(reads) <= set(liealg._MEMO_KEYS)
+    assert all(sum(counts) for counts in reads.values()) and reads["exp-ad-chain"][0] > 0
     assert sorted(os.listdir(os.path.join(ROOT, "perfbench"))) == before
+
+
+def test_a_geometry_run_validates_each_algebra_once(traffic, capsys):
+    """The seven algebras of a `geometry` seed, none loaded before: each
+    `validate` command runs the body once, and every later command reads
+    its table."""
+    cli.shared_algebra.cache_clear()
+    assert traffic.main(["--workload", "geometry", "--seeds", "1"]) == 0
+    cli.shared_algebra.cache_clear()
+    entered, _, reads = listing(capsys.readouterr().out.splitlines())
+    assert entered["cli.cmd_validate"] == entered["liealg.WeightedLieAlgebra.validate"] == 7
+    assert reads["validate"][1] == 7 and reads["validate"][0] >= 7
+    assert "is-valid" not in reads
+
+
+def test_memo_reads_are_counted_and_the_memos_put_back(traffic):
+    """A second call reads the value the first kept: one miss, then one
+    hit.  Afterwards the class has no stand-in and the memo is a dict."""
+    import workloads
+
+    alg = models.builtin("borel-nilradical-A2")
+    op = workloads.Op("fixed-points A2", lambda: orbit.torus_fixed_points(alg), lambda r: (len(r) == 6, True))
+    reads = traffic.traffic([op, op])[3]
+    assert reads["torus-fixed-points", "misses"] == reads["torus-fixed-points", "hits"] == 1
+    assert reads["kernel", "misses"] > 0 and reads["witness-limit", "misses"] == len(orbit.torus_fixed_points(alg)) == 6
+    assert "_memo" not in vars(WeightedLieAlgebra) and type(alg._memo) is dict
+    assert traffic.traffic([op])[3] == {("torus-fixed-points", "hits"): 1}
 
 
 def test_importing_the_tool_leaves_the_interpreter_as_it_was():

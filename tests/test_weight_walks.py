@@ -67,10 +67,10 @@ def reference_torus_fixed_points(alg):
                 continue
             if not alg.centralizer_in_a(subset):
                 continue
-            v, z_v = orbit._fixed_point_subspace(alg, subset)
+            v = orbit._fixed_point_subspace(alg, subset)
             if orbit.witness_limit(alg, subset) != v:
                 raise orbit.OrbitError("witness curve limit mismatch")
-            out.append(orbit.FixedPointRecord(v, subset, z_v, "torus", orbit.witness_curve(alg, subset)))
+            out.append(orbit.FixedPointRecord(v, subset, alg.kernel(subset).rows, "torus", orbit.witness_curve(alg, subset)))
     return tuple(out)
 
 

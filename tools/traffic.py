@@ -11,11 +11,15 @@ records every frame whose code lies in `src/orbitvar`; its check runs
 untraced.
 
 It prints each package function that an operation entered, with the
-number of operations that entered it (most first), and then every
-package function that no operation entered.  A package function is a
-named function or method defined in `src/orbitvar`, nested ones
+number of operations that entered it (most first), then every package
+function that no operation entered, and then, per memo key, the reads
+of the algebras' memos that the operations' calls made: hits, which
+found a value, and misses, which computed one.  A package function is
+a named function or method defined in `src/orbitvar`, nested ones
 included, each of those with `:line` after its name; lambdas,
-comprehensions and class bodies are left out.
+comprehensions and class bodies are left out.  To count the memo
+reads, the tool swaps each algebra's `_memo` dict for a counting copy
+of it while the operations run and puts a plain copy back after.
 
 Run as a script, it puts `src/`, `perfbench/` and `tools/` on
 `sys.path` and turns bytecode writing off, so `perfbench/` is imported
@@ -72,13 +76,80 @@ def package_functions() -> list[str]:
     return out
 
 
+def _memo_key(key) -> str:
+    """The name a memo entry is kept under: `key`, or the first item of
+    a `(key, *args)` tuple."""
+    return key if isinstance(key, str) else key[0]
+
+
+class _CountedMemo(dict):
+    """An algebra's memo that counts its reads in `memos.reads`, per memo
+    key, while `memos.counting` is set: a read that finds its value is a
+    hit, one that raises `KeyError` a miss.  `liealg.memoised` reads by
+    `[]` and then computes on a miss; `orbit._exp_row` reads chains by
+    `get` and on a miss calls the memoised builder, whose `[]` counts
+    it, so `get` counts hits only."""
+
+    __slots__ = ("memos",)
+
+    def __getitem__(self, key):
+        try:
+            value = dict.__getitem__(self, key)
+        except KeyError:
+            if self.memos.counting:
+                self.memos.reads[_memo_key(key), "misses"] += 1
+            raise
+        if self.memos.counting:
+            self.memos.reads[_memo_key(key), "hits"] += 1
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+class _CountedMemos:
+    """Stands in for the `_memo` attribute of `WeightedLieAlgebra` while
+    installed: reading an instance's memo first swaps it for a
+    `_CountedMemo` copy, so instances made before and during the run
+    are both counted.  `uninstall` puts a plain copy back in each."""
+
+    def __init__(self, cls):
+        self.cls, self.swapped = cls, []
+        self.reads: Counter = Counter()  # by (memo key, "hits" or "misses")
+        self.counting = False
+
+    def __get__(self, alg, owner=None):
+        if alg is None:
+            return self
+        memo = alg.__dict__["_memo"]
+        if type(memo) is not _CountedMemo:
+            memo = alg.__dict__["_memo"] = _CountedMemo(memo)
+            memo.memos = self
+            self.swapped.append(alg)
+        return memo
+
+    def __set__(self, alg, memo):
+        alg.__dict__["_memo"] = memo
+
+    def install(self):
+        self.cls._memo = self
+
+    def uninstall(self):
+        del self.cls._memo
+        for alg in self.swapped:
+            alg.__dict__["_memo"] = dict(alg.__dict__["_memo"])
+        self.swapped.clear()
+
+
 class _Recorder:
     """Stands in for the worker's span tracer: `worker.run_one` hands it
     each operation's call and then, under the same index, the call's
-    check.  Only the call runs under `sys.settrace`."""
+    check.  Only the call runs under `sys.settrace` and has its memo
+    reads counted (`memos`)."""
 
-    def __init__(self):
+    def __init__(self, memos: _CountedMemos):
         self.entered: Counter = Counter()  # operations that entered each package function, by label
+        self.memos = memos
         self.ran = self.failed = 0
         self._op = None
 
@@ -95,26 +166,35 @@ class _Recorder:
 
         previous = sys.gettrace()
         sys.settrace(trace)
+        self.memos.counting = True
         try:
             return fn()
         except Exception:
             self.failed += 1
             raise
         finally:
+            self.memos.counting = False
             sys.settrace(previous)
             self.entered.update({_label(code) for code in seen if _named(code)})
 
 
-def traffic(ops) -> tuple[Counter, int, int]:
+def traffic(ops) -> tuple[Counter, int, int, Counter]:
     """Run `ops` in order as the worker does; returns (operations that
     entered each package function, by label; operations run; operations
-    whose call raised).  Needs `perfbench/` on `sys.path`."""
+    whose call raised; memo reads of the calls, by (memo key, "hits" or
+    "misses")).  Needs `perfbench/` on `sys.path`."""
+    from orbitvar.liealg import WeightedLieAlgebra
     from worker import run_one
 
-    recorder, invalid = _Recorder(), set()
-    for i, op in enumerate(ops):
-        run_one(i, op, recorder, invalid)
-    return recorder.entered, recorder.ran, recorder.failed
+    memos = _CountedMemos(WeightedLieAlgebra)
+    recorder, invalid = _Recorder(memos), set()
+    memos.install()
+    try:
+        for i, op in enumerate(ops):
+            run_one(i, op, recorder, invalid)
+    finally:
+        memos.uninstall()
+    return recorder.entered, recorder.ran, recorder.failed, memos.reads
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,11 +208,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     entered: Counter = Counter()
+    reads: Counter = Counter()
     ran = failed = 0
     with tempfile.TemporaryDirectory(prefix="traffic-") as out_dir:
         for seed in args.seeds:
-            got, n, bad = traffic(workloads.build(args.workload, seed, SECONDS, out_dir))
+            got, n, bad, memo_reads = traffic(workloads.build(args.workload, seed, SECONDS, out_dir))
             entered.update(got)
+            reads.update(memo_reads)
             ran, failed = ran + n, failed + bad
     print(f"workload {args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}: {ran} operations, {failed} raised")
     print("operations  function")
@@ -142,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"not entered by any operation ({len(unreached)}):")
     for label in unreached:
         print(f"  {label}")
+    print("      hits    misses  memo key")
+    for key in sorted({key for key, _ in reads}):
+        print(f"{reads[key, 'hits']:10d}{reads[key, 'misses']:10d}  {key}")
     return 0
 
 
