@@ -10,9 +10,9 @@ report is still written).
 (`shared_algebra`), so every later command of the process on an equal
 algebra, by `--builtin`, by `--input` or in `suite`, reads the memo
 the earlier ones filled: the `validate` table, which the check before
-every other command reads, the center, the adjoint table, the kernels,
-the Jacobi and nilpotency verdicts, the fixed-point records, the
-witness curves and their limits.  A memoised value depends only on the
+every other command and the Jordan preconditions read, the center, the
+adjoint table, the kernels, the fixed-point records, the witness curves
+and their limits.  A memoised value depends only on the
 algebra's fields and is immutable, and a computation that raises is not
 kept (`liealg.memoised`), so a report built from a shared
 memo is byte-identical to one built from a fresh one.  Each witness

@@ -12,7 +12,9 @@ divisions of `exp_ad_terms` and `jordan_decompose` go through
 (`linalg.lowered`).  The torus kernel of each weight subset is kept as
 its canonical basis and grown from the kernel of the subset less its
 largest index by one elimination (`kernel`, `_kernel_step`), so the
-walks over weight subsets take no `rref`.
+walks over weight subsets take no `rref`.  The Jacobi and nilpotency
+verdicts are computed only inside the memoised `validate` table, which
+`jordan_decompose`'s precondition check reads.
 """
 
 from __future__ import annotations
@@ -181,9 +183,9 @@ class WeightedLieAlgebra:
 
     `_memo` holds data derived from the fields, each computed once per
     instance by a function decorated with `memoised`: the center, the
-    sparse adjoint table (`ad_table`), the `validate` table, the Jacobi
-    and nilpotency verdicts that it reports and `jordan_decompose`
-    requires, the exp(ad) chain of each basis vector under each weight
+    sparse adjoint table (`ad_table`), the `validate` table, whose
+    Jacobi and nilpotency verdicts `jordan_decompose` also reads, the
+    exp(ad) chain of each basis vector under each weight
     vector (`exp_ad_chain`, built when a row first needs it), and the
     fixed points and the per-subset fixed-point records, witness curves
     and limits of `orbit`.  The fields are immutable and every memoised
@@ -428,12 +430,6 @@ class WeightedLieAlgebra:
 
     # -- torus-side computations ----------------------------------------
 
-    def weight_matrix(self, weights: Sequence[Weight] | None = None) -> Matrix:
-        ws = self.weights if weights is None else tuple(weights)
-        if not ws:
-            return Matrix.zero(0, self.t_dim)
-        return Matrix.from_rows([list(w.coords) for w in ws])
-
     def torus_kernel(self, weights: Sequence[Weight]) -> Matrix:
         """{t in the torus : w(t) = 0 for all given w}, as its canonical
         basis, for any weights: `_kernel_step` folded over them from the
@@ -459,18 +455,9 @@ class WeightedLieAlgebra:
     @memoised("center")
     def center(self) -> "CenterData":
         """Center of r: torus directions annihilated by every weight.
-        (Conditions on the grading force the center into the torus.)
-        The weights span the annihilator of their common kernel, so their
-        rank is t_dim less its dimension."""
+        (Conditions on the grading force the center into the torus.)"""
         basis = self.kernel(range(self.n))
-        return CenterData(basis=basis, dim=basis.rows, weight_rank=self.t_dim - basis.rows)
-
-    def lambda_of(self, s: Sequence[Fraction]) -> tuple[int, ...]:
-        """Indices of weights vanishing on the torus element s."""
-        ts = self.torus_part(s)
-        if any(c != 0 for c in self.a_part(s)):
-            raise AlgebraError("lambda_of expects a torus element")
-        return tuple(i for i, w in enumerate(self.weights) if w(ts) == 0)
+        return CenterData(basis=basis, dim=basis.rows)
 
     def closure(self, subset: Sequence[int]) -> tuple[int, ...]:
         """Indices of the weights vanishing on the kernel t_subset."""
@@ -552,15 +539,16 @@ class WeightedLieAlgebra:
     def check_jordan_preconditions(self) -> None:
         """Raise what `jordan_decompose` raises on an algebra it cannot
         decompose in: `CenterNotTrivialError` for a nonzero center, then
-        `AlgebraError` when Jacobi fails or a is not nilpotent.  The
-        verdicts are memoised, and so is a check that passed, so a repeat
-        check costs one lookup."""
+        `AlgebraError` when Jacobi fails or a is not nilpotent.  The two
+        verdicts are read from the memoised `validate` table, and a check
+        that passed is memoised too, so a repeat check costs one lookup."""
         if self.center().dim != 0:
             raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
-        jac_ok, jac_detail = self._jacobi()
+        checks = {name: (ok, detail) for name, ok, detail in self.validate()}
+        jac_ok, jac_detail = checks["jacobi"]
         if not jac_ok:
             raise AlgebraError(f"jordan decomposition needs the jacobi identity: {jac_detail}")
-        if not self._nilpotent():
+        if not checks["nilpotency"][0]:
             raise AlgebraError("jordan decomposition needs a nilpotent a")
 
     def jordan_decompose(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
@@ -636,8 +624,8 @@ class WeightedLieAlgebra:
     @memoised("validate")
     def validate(self) -> tuple[tuple[str, bool, str], ...]:
         """Structural invariants, as (name, passed, detail) triples, kept
-        once per instance: the `validate` command and every later
-        `is_valid` read the same table."""
+        once per instance: the `validate` command, every later
+        `is_valid` and `check_jordan_preconditions` read the same table."""
         checks: list[tuple[str, bool, str]] = []
         bad = [self.a_basis[i] for i, w in enumerate(self.weights) if w.is_zero()]
         checks.append(
@@ -698,7 +686,6 @@ class WeightedLieAlgebra:
             if self.weights[k] != self.weights[i] + self.weights[j]
         ]
 
-    @memoised("jacobi")
     def _jacobi(self) -> tuple[bool, str]:
         """The Jacobi identity on basis triples, failing on the first triple
         in `combinations` order.  Each double bracket [e_i, [e_j, e_k]] is
@@ -724,7 +711,6 @@ class WeightedLieAlgebra:
                 return False, f"jacobi fails on ({names[i]},{names[j]},{names[k]})"
         return True, "jacobi identity holds on all basis triples"
 
-    @memoised("nilpotent")
     def _nilpotent(self) -> bool:
         """a is nilpotent when its lower central series C^1 = a,
         C^{k+1} = [a, C^k] reaches 0 within n + 1 steps.
@@ -818,5 +804,4 @@ def _vector_sum(vectors: Sequence[tuple]) -> tuple:
 class CenterData:
     basis: Matrix
     dim: int
-    weight_rank: int
 

@@ -9,7 +9,8 @@ size, checked before a decimal exponent is expanded.
 Since `str`, `==` and `hash` agree across the two types, the split
 shows in no verdict or report.  `orbit` keeps a curve in z as its
 basis rows, each a tuple of its z^k coefficient vectors.
-The package reads a `Matrix` by its rows and applies none to a vector:
+The package reads a `Matrix` only by its rows, applies none to a vector
+and solves no system with one:
 `liealg` sums brackets and exp(ad) chains from its sparse adjoint table.
 `det`, `PluckerVector`, `normalize_plucker` and `plucker_limit` (the
 limit of a curve of polynomial Plücker coordinates) stay as API, and
@@ -147,9 +148,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch")
@@ -178,9 +176,6 @@ class Matrix:
                 row.append(acc)
             out.append(row)
         return Matrix.from_rows(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_rows([self.col(j) for j in range(self.cols)])
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.entries for e in row)
@@ -268,18 +263,6 @@ def nullspace(m: Matrix) -> Matrix:
                     v[n - 1 - p] = -row[f]
             basis.append(tuple(v))
     return Matrix(len(basis), n, tuple(basis))
-
-
-def solve(a: Matrix, b: Sequence) -> tuple | None:
-    """One solution x of A x = b, or None if inconsistent."""
-    aug = Matrix.from_rows([list(a.row(i)) + [b[i]] for i in range(a.rows)])
-    rr, piv = rref(aug)
-    if a.cols in piv:
-        return None
-    x = [0] * a.cols
-    for r, p in enumerate(piv):
-        x[p] = rr[r, a.cols]
-    return tuple(x)
 
 
 def reduce_mod_rowspace(v: Sequence, basis: Matrix, pivots: tuple[int, ...]) -> tuple:

@@ -13,6 +13,10 @@ grown kernels (`WeightedLieAlgebra.kernel`) and hand `Subspace` their
 canonical bases directly; `Subspace` still checks each one.  A
 fixed-point record holds one subspace, z_S + a_S, and the dimension of
 z_S; the property (P) data of a weight set render its weights once.
+The group-fixed points are the records whose weight sets pass a size
+test and a bracket-support test, which together hold exactly when
+z_S + a_S is an ideal (`group_fixed_points`), so no bracket is summed
+to find them.
 """
 
 from __future__ import annotations
@@ -119,9 +123,6 @@ class Subspace:
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return in_row_space(v, self.basis, self.pivots)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.row(i)) for i in range(other.dim))
 
     def __eq__(self, other) -> bool:
         """Equal bases of one algebra; the algebras compare by identity
@@ -403,25 +404,6 @@ def is_commutative_subalgebra(alg: WeightedLieAlgebra, v: Subspace) -> bool:
     return True
 
 
-def _stable_under(alg: WeightedLieAlgebra, v: Subspace, count: int) -> bool:
-    """True when [e_k, V] lies in V for the first `count` basis vectors e_k."""
-    return all(
-        v.contains(alg.bracket(alg.basis_vector(k), row)) for k in range(count) for row in v.basis.entries
-    )
-
-
-def is_torus_stable(alg: WeightedLieAlgebra, v: Subspace) -> bool:
-    """V is stable under ad t, read off its canonical rows
-    (`graded_subset`).  A V of another algebra raises
-    `DimensionMismatchError`."""
-    return graded_subset(alg, v) is not None
-
-
-def is_ideal(alg: WeightedLieAlgebra, v: Subspace) -> bool:
-    _own(alg, v)
-    return _stable_under(alg, v, alg.dim)
-
-
 def _ordered(alg: WeightedLieAlgebra, indices: Sequence[int]) -> list[int]:
     """Deterministic factor order: weight height, then coordinates."""
     return sorted(indices, key=lambda i: weight_sort_key(alg.weights[i]))
@@ -550,34 +532,42 @@ def _fixed_point_subsets(alg: WeightedLieAlgebra) -> tuple[tuple[int, ...], ...]
 def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     """Torus-fixed points that are ideals with central part equal to the
     center of the whole algebra, enumerated once per algebra: the
-    records of `torus_fixed_points` that pass the checks below, in its
-    order, building a record only for a subset S that passes two tests
-    read off its weights:
+    records of `torus_fixed_points`, in its order, of the subsets S that
+    pass two tests read off the weights and the bracket table, with a
+    record built only for those:
 
-    - |S| = t_dim - dim z(r).  The weights of S are independent, so
-      z_V = ker W_S has dimension t_dim - |S|, and it contains
-      z(r) = ker W_all.  So z_V is the center exactly when this holds;
+    - |S| = t_dim - dim z(r);
     - every bracket-table entry (i, j, terms) with i or j in S has all
-      of its terms in S.  V meets a in a_S, and [x_i, x_j] lies in a,
-      so for V to be an ideal a_S must be stable under ad a.
+      of its terms in S.
 
-    The second test is necessary, so no record is lost.  Each record
-    built still has its witness limit verified, and V is then checked
-    to be an ideal."""
+    For an independent S the two tests hold exactly when V = z_S + a_S,
+    z_S = ker W_S, is an ideal, on any bracket table, graded or not.  V
+    is an ideal when the bracket of each basis vector of r with each
+    spanning vector of V lies in V:
+
+    - [t, z_S] = 0 and [t, x_s] = w_s(t) x_s, so [t, V] lies in V always;
+    - [x_k, z] = -w_k(z) x_k for z in z_S.  S is independent, so z_S has
+      dimension t_dim - |S|, and it contains z(r) = ker W_all; the size
+      test holds exactly when z_S = z(r), that is when every weight
+      vanishes on z_S, and then [a, z_S] = 0.  Conversely, in an ideal
+      V an x_k with w_k nonzero on z_S lies in V, which meets a in a_S,
+      so k is in S, where w_k vanishes on z_S by definition: every
+      weight vanishes on z_S, and the size test holds;
+    - [x_k, x_s], s in S, is the sum of one entry's terms, whose indices
+      are distinct and whose coefficients are nonzero, and it lies in
+      a, which V meets in a_S.  So it lies in V exactly when all of
+      the entry's terms are in S, which is the support test.
+
+    Each record built still has its witness limit verified
+    (`fixed_point_record`)."""
     size = alg.t_dim - alg.center().dim
     out = []
     for subset in _fixed_point_subsets(alg):
         if len(subset) != size:
             continue
         inside = set(subset)
-        if not all(
-            k in inside for i, j, terms in alg.brackets if i in inside or j in inside for k, _ in terms
-        ):
-            continue
-        recd = fixed_point_record(alg, subset)
-        if not is_ideal(alg, recd.subspace):
-            continue
-        out.append(replace(recd, fixed_under="group"))
+        if all(k in inside for i, j, terms in alg.brackets if i in inside or j in inside for k, _ in terms):
+            out.append(replace(fixed_point_record(alg, subset), fixed_under="group"))
     return tuple(out)
 
 

@@ -5,6 +5,8 @@ highest degree in its support is replaced, and the limit is the
 `row_space_basis` of the independent leading rows.  Kept as the
 reference the limit is checked against (`tests/test_grown_echelons.py`)."""
 
+from linalg_reference import transpose
+
 from orbitvar.linalg import Matrix, RankDeficientError, nullspace, row_space_basis
 from orbitvar.orbit import Subspace
 
@@ -18,7 +20,7 @@ def nullspace_limit(curve):
         if not all(rows):
             raise RankDeficientError("the basis rows of the curve are dependent")
         lead = Matrix.from_rows([row[-1] for row in rows])
-        deps = nullspace(lead.transpose())
+        deps = nullspace(transpose(lead))
         if not deps.rows:
             return Subspace(curve.alg, row_space_basis(lead))
         support = [i for i, c in enumerate(deps.row(0)) if c != 0]

@@ -1,7 +1,10 @@
 """The bracket and rank routes that `orbit`'s support scans replaced, kept
 as the references the tests pin them to: the boundary orbit dimension as
-the rank of a residue matrix, which holds for any subspace, and torus
-stability as the bracket of every torus basis vector with every row."""
+the rank of a residue matrix, which holds for any subspace, torus
+stability as the bracket of every torus basis vector with every row,
+the ideal test as the bracket of every basis vector with every row
+(`group_fixed_points` reads it off the weights), and the containment of
+one subspace in another row by row."""
 
 from orbitvar.linalg import Matrix, rank, reduce_mod_rowspace
 
@@ -35,3 +38,14 @@ def graded_subset_by_brackets(alg, v):
     if not all(v.contains(alg.bracket(alg.basis_vector(k), row)) for k in range(alg.t_dim) for row in v.basis.entries):
         return None
     return tuple(i for i in range(alg.n) if v.contains(alg.weight_vector(i)))
+
+
+def is_ideal(alg, v):
+    """[e_k, V] lies in V for every basis vector e_k of r, each bracket
+    taken with every basis row of V."""
+    return all(v.contains(alg.bracket(alg.basis_vector(k), row)) for k in range(alg.dim) for row in v.basis.entries)
+
+
+def contains_subspace(big, small):
+    """Every basis row of `small` lies in `big`."""
+    return all(big.contains(row) for row in small.basis.entries)

@@ -115,7 +115,7 @@ def reference_membership(alg, v):
             if reference_act(alg, word, orbit.torus_subspace(alg)) == v:
                 return orbit.MembershipVerdict("orbit", params=tuple(params))
         return orbit.MembershipVerdict("unknown", reason="torus-graph subspace without orbit certificate")
-    if orbit.is_torus_stable(alg, v):
+    if orbit.graded_subset(alg, v) is not None:
         for recd in orbit.torus_fixed_points(alg):
             if recd.subspace == v:
                 return orbit.MembershipVerdict("limit", witness=recd.witness)

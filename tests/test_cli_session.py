@@ -361,8 +361,6 @@ FAMILIES = {
     "exp-ad-chain",
     "kernel",
     "center",
-    "jacobi",
-    "nilpotent",
     "torus-subspace",
     "weight-order",
     "witness-curve",

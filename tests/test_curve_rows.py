@@ -116,8 +116,6 @@ def calls(alg, v):
         "fixed_point_of": lambda: orbit.fixed_point_of(alg, v, orbit.graded_subset(alg, v) if v.alg == alg else ()),
         "property_P_checks": lambda: orbit.property_P_checks(alg, orbit.torus_element_data(alg, lam), v, None),
         "is_commutative_subalgebra": lambda: orbit.is_commutative_subalgebra(alg, v),
-        "is_torus_stable": lambda: orbit.is_torus_stable(alg, v),
-        "is_ideal": lambda: orbit.is_ideal(alg, v),
     }
 
 

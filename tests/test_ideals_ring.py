@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chart_reference import determinantal_P
+from linalg_reference import solve
 from orbitvar import cli, ideals, models, orbit
 from orbitvar import report as rep
 from orbitvar.ideals import (
@@ -42,7 +43,7 @@ from orbitvar.ideals import (
     verify_chart_relation,
 )
 from orbitvar.liealg import WeightedLieAlgebra
-from orbitvar.linalg import Matrix, solve
+from orbitvar.linalg import Matrix
 from sympy_reference import from_sympy, generators, symbols, to_sympy
 from test_orbit import run_without_sympy
 

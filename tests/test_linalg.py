@@ -28,8 +28,8 @@ from orbitvar.linalg import (
     rank,
     row_space_basis,
     rref,
-    solve,
 )
+from linalg_reference import solve
 from plucker_reference import NotDecomposableError, coord, index_subsets, plucker, plucker_eq, plucker_to_basis, subsets
 
 

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from curve_limit_reference import nullspace_limit
 from curve_powers_reference import from_powers
+from linalg_reference import lambda_of
+from stabilizer_reference import contains_subspace
 from test_memo import SMALL
 from test_orbit import property_p
 
@@ -91,14 +93,14 @@ def generic_kernel_element(alg, lam):
     ker = alg.torus_kernel([alg.weights[i] for i in lam])
     if ker.rows == 0:
         s = alg.zero()
-        return s if tuple(alg.lambda_of(s)) == tuple(lam) else None
+        return s if tuple(lambda_of(alg, s)) == tuple(lam) else None
     for coefs in itertools.product(range(-3, 4), repeat=ker.rows):
         t = [
             sum((Fraction(coefs[r]) * ker[r, c] for r in range(ker.rows)), Fraction(0))
             for c in range(alg.t_dim)
         ]
         s = tuple(t) + tuple(Fraction(0) for _ in range(alg.n))
-        if tuple(alg.lambda_of(s)) == tuple(lam):
+        if tuple(lambda_of(alg, s)) == tuple(lam):
             return s
     return None
 
@@ -106,9 +108,9 @@ def generic_kernel_element(alg, lam):
 def reference_property_P_consequences(alg, s, v):
     out = rep.VerificationReport("property-p", alg.fingerprint())
     cent = orbit.Subspace(alg, alg.centralizer(s))
-    if not cent.contains_subspace(v):
+    if not contains_subspace(cent, v):
         raise orbit.PreconditionFailedError("V is not inside the centralizer of s")
-    lam = alg.lambda_of(s)
+    lam = lambda_of(alg, s)
     center_rows = list(alg.torus_kernel([alg.weights[i] for i in lam]).entries)
     ok = all(v.contains(list(r) + [Fraction(0)] * alg.n) for r in center_rows)
     out.add(
@@ -119,7 +121,7 @@ def reference_property_P_consequences(alg, s, v):
     )
     if not ok:
         return out
-    if orbit.is_torus_stable(alg, v):
+    if orbit.graded_subset(alg, v) is not None:
         subset = tuple(i for i in range(alg.n) if v.contains(alg.weight_vector(i)))
         if all(i in lam for i in subset):
             witness = reference_witness_curve(alg, subset)
@@ -277,7 +279,7 @@ class TestGenericKernelElement:
         for lam in alg.complete_subsets():
             s = generic_kernel_element(alg, lam)
             assert s is not None, lam
-            assert alg.lambda_of(s) == lam
+            assert lambda_of(alg, s) == lam
 
     @settings(max_examples=30)
     @given(spec=SMALL)
@@ -287,7 +289,7 @@ class TestGenericKernelElement:
         alg = WeightedLieAlgebra.build(*spec)
         for lam in alg.complete_subsets():
             s = generic_kernel_element(alg, lam)
-            assert s is not None and alg.lambda_of(s) == lam
+            assert s is not None and lambda_of(alg, s) == lam
 
 
 # -- the sub-report -------------------------------------------------------
@@ -314,7 +316,7 @@ def property_p_inputs(draw):
     s = generic_kernel_element(alg, lam)
     if s is None or draw(st.booleans()):
         s = tuple(draw(st.lists(small, min_size=alg.t_dim, max_size=alg.t_dim))) + (Fraction(0),) * alg.n
-    lam = alg.lambda_of(s)
+    lam = lambda_of(alg, s)
     inside = draw(st.lists(st.sampled_from(lam), unique=True)) if lam else []
     outside = draw(st.lists(st.sampled_from(range(alg.n)), max_size=1))
     weights = sorted(set(inside) | set(outside if draw(st.integers(0, 4)) == 0 else []))

@@ -1,6 +1,7 @@
-"""`tools/traffic.py` on a canned list of two operations and on a
-`queries` and a `geometry` run: which package functions the operations
-enter, which none does, and the hits and misses of each memo key."""
+"""`tools/traffic.py` on a canned list of two operations, on a `queries`
+and a `geometry` run and on one run over both: which package functions
+the operations enter, which none does, and the hits and misses of each
+memo key."""
 
 import importlib.util
 import os
@@ -107,6 +108,27 @@ def test_a_geometry_run_validates_each_algebra_once(traffic, capsys):
     assert entered["cli.cmd_validate"] == entered["liealg.WeightedLieAlgebra.validate"] == 7
     assert reads["validate"][1] == 7 and reads["validate"][0] >= 7
     assert "is-valid" not in reads
+
+
+def test_several_workloads_list_what_none_enters(traffic, capsys):
+    """One run over two workloads runs the operations of both and lists
+    as not entered exactly the functions that each run alone lists."""
+    runs = {}
+    for names in (["queries"], ["geometry"], ["queries", "geometry"]):
+        cli.shared_algebra.cache_clear()
+        assert traffic.main(["--workload", *names, "--seeds", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        runs[" ".join(names)] = (lines[0], listing(lines)[1])
+    cli.shared_algebra.cache_clear()
+    header, unreached = runs["queries geometry"]
+    ops = [int(runs[name][0].split(": ")[1].split()[0]) for name in ("queries", "geometry")]
+    assert header == f"workload queries geometry, seeds 1-1: {sum(ops)} operations, 0 raised"
+    alone = [set(runs[name][1]) for name in ("queries", "geometry")]
+    assert set(unreached) == alone[0] & alone[1] and len(unreached) == len(set(unreached))
+    assert unreached == [label for label in traffic.package_functions() if label in alone[0] & alone[1]]
+    with pytest.raises(SystemExit) as stop:
+        traffic.main(["--workload", "queries", "nosuch", "--seeds", "1"])
+    assert stop.value.code == 2
 
 
 def test_memo_reads_are_counted_and_the_memos_put_back(traffic):

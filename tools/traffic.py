@@ -1,19 +1,21 @@
 """Which package functions the benchmark's operations enter.
 
     python3 tools/traffic.py --workload queries --seeds 1-2
+    python3 tools/traffic.py --workload geometry charts queries --seeds 1-2
 
-For each seed it builds the operations of `perfbench/workloads.build`
-for the benchmark's run budget (`paired_runs.SECONDS`) and runs them in
-this process through the benchmark worker's own `run_one`, in the
-worker's order, so an operation is skipped exactly when the worker
-skips it.  Each operation's call runs under `sys.settrace`, which
+For each named workload, in the order given, and each seed it builds
+the operations of `perfbench/workloads.build` for the benchmark's run
+budget (`paired_runs.SECONDS`) and runs them in this process through
+the benchmark worker's own `run_one`, in the worker's order, so an
+operation is skipped exactly when the worker skips it.  Each operation's call runs under `sys.settrace`, which
 records every frame whose code lies in `src/orbitvar`; its check runs
 untraced.
 
 It prints each package function that an operation entered, with the
 number of operations that entered it (most first), then every package
-function that no operation entered, and then, per memo key, the reads
-of the algebras' memos that the operations' calls made: hits, which
+function that no operation of any named workload entered, and then,
+per memo key, the reads of the algebras' memos that the operations'
+calls made: hits, which
 found a value, and misses, which computed one.  A package function is
 a named function or method defined in `src/orbitvar`, nested ones
 included, each of those with `:line` after its name; lambdas,
@@ -203,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     from paired_runs import SECONDS, seed_range
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    parser.add_argument("--workload", required=True, nargs="+", choices=workloads.WORKLOADS, help="one or more")
     parser.add_argument("--seeds", required=True, type=seed_range, help="A-B, both included")
     args = parser.parse_args(argv)
 
@@ -211,12 +213,13 @@ def main(argv: list[str] | None = None) -> int:
     reads: Counter = Counter()
     ran = failed = 0
     with tempfile.TemporaryDirectory(prefix="traffic-") as out_dir:
-        for seed in args.seeds:
-            got, n, bad, memo_reads = traffic(workloads.build(args.workload, seed, SECONDS, out_dir))
-            entered.update(got)
-            reads.update(memo_reads)
-            ran, failed = ran + n, failed + bad
-    print(f"workload {args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}: {ran} operations, {failed} raised")
+        for workload in args.workload:
+            for seed in args.seeds:
+                got, n, bad, memo_reads = traffic(workloads.build(workload, seed, SECONDS, out_dir))
+                entered.update(got)
+                reads.update(memo_reads)
+                ran, failed = ran + n, failed + bad
+    print(f"workload {' '.join(args.workload)}, seeds {args.seeds[0]}-{args.seeds[-1]}: {ran} operations, {failed} raised")
     print("operations  function")
     for label, count in sorted(entered.items(), key=lambda t: (-t[1], t[0])):
         print(f"{count:10d}  {label}")
