@@ -39,8 +39,8 @@ from . import report as rep
 from .liealg import AlgebraError, EnumerationCapError, WeightedLieAlgebra
 
 STAGE_PREFIX = "stage-"  # names the suite check recorded for a stage that raised
-# Each cached algebra keeps its whole memo alive (about 62 MB for the
-# A6 Borel nilradical after `fixed-points`), so the cache is bounded; 16
+# Each cached algebra keeps its whole memo alive (about 53 MB of RSS for
+# the A6 Borel nilradical after `fixed-points`), so the cache is bounded; 16
 # holds every algebra that one benchmark run or one session of
 # tests/test_cli_session.py loads (at most 12).
 ALGEBRA_CACHE_SIZE = 16
@@ -119,13 +119,13 @@ def cmd_fixed_points(alg: WeightedLieAlgebra, seed: int) -> rep.VerificationRepo
         "torus-fixed",
         rep.PROVEN,
         "all torus-fixed points enumerated with verified witness limits",
-        details={"count": len(torus), "records": [r.to_json() for r in torus]},
+        details={"count": len(torus), "records": [r.to_json("torus") for r in torus]},
     )
     out.add(
         "group-fixed",
         rep.PROVEN,
         "group-fixed points are the central-part-exact commutative ideals",
-        details={"count": len(group), "records": [r.to_json() for r in group]},
+        details={"count": len(group), "records": [r.to_json("group") for r in group]},
     )
     return out
 

@@ -1579,15 +1579,24 @@ def chart_ideal(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
     return ChartIdeal(alg, base, comp, tuple(duals), Ideal(r, tuple(gens)))
 
 
+def _check_weight(chart: ChartIdeal, gamma: Weight) -> None:
+    """Refuse, with `IdealError`, a weight whose length is not the
+    torus dimension d: the pairing zips, so it would read a shorter or
+    longer weight as some other weight."""
+    if len(gamma.coords) != chart.d:
+        raise IdealError(f"the weight must have length d = {chart.d}")
+
+
 def u_function(chart: ChartIdeal, i: int, gamma: Weight) -> Poly:
     """The linear form sum_j z_{i,j} gamma(t_j) over the dual torus basis,
     as an element of the chart's ring."""
     if not (1 <= i <= chart.d):
         raise IdealError("row index out of range")
+    _check_weight(chart, gamma)
     d, ring = chart.d, chart.ideal.ring
     terms = {}
     for j in range(d):
-        val = gamma(chart.dual_basis[j][: chart.alg.t_dim])
+        val = gamma(chart.dual_basis[j])
         if val != 0:
             terms[ring.units[(i - 1) * d + j]] = entry(val)
     return Poly(ring, terms)
@@ -1595,11 +1604,8 @@ def u_function(chart: ChartIdeal, i: int, gamma: Weight) -> Poly:
 
 def i_gamma(chart: ChartIdeal, gamma: Weight) -> tuple[int, ...]:
     """Indices of the dual torus basis on which gamma does not vanish."""
-    out = []
-    for j in range(1, chart.d + 1):
-        if gamma(chart.dual_basis[j - 1][: chart.alg.t_dim]) != 0:
-            out.append(j)
-    return tuple(out)
+    _check_weight(chart, gamma)
+    return tuple(j for j in range(1, chart.d + 1) if gamma(chart.dual_basis[j - 1]) != 0)
 
 
 def verify_chart_relation(chart: ChartIdeal) -> rep.VerificationReport:

@@ -12,9 +12,10 @@ divisions of `exp_ad_terms` and `jordan_decompose` go through
 (`linalg.lowered`).  The torus kernel of each weight subset is kept as
 its canonical basis and grown from the kernel of the subset less its
 largest index by one elimination (`kernel`, `_kernel_step`), so the
-walks over weight subsets take no `rref`.  The Jacobi and nilpotency
-verdicts are computed only inside the memoised `validate` table, which
-`jordan_decompose`'s precondition check reads.
+walks over weight subsets take no `rref`; the center is the kernel of
+all the weights, kept as that canonical basis (`center`).  The Jacobi
+and nilpotency verdicts are computed only inside the memoised
+`validate` table, which `jordan_decompose`'s precondition check reads.
 """
 
 from __future__ import annotations
@@ -182,11 +183,11 @@ class WeightedLieAlgebra:
     support (`_nilpotent`).
 
     `_memo` holds data derived from the fields, each computed once per
-    instance by a function decorated with `memoised`: the center, the
-    sparse adjoint table (`ad_table`), the `validate` table, whose
-    Jacobi and nilpotency verdicts `jordan_decompose` also reads, the
-    exp(ad) chain of each basis vector under each weight
-    vector (`exp_ad_chain`, built when a row first needs it), and the
+    instance by a function decorated with `memoised`: the center's
+    basis, the sparse adjoint table (`ad_table`), the `validate` table,
+    whose Jacobi and nilpotency verdicts `jordan_decompose` also reads,
+    the exp(ad) chain of each basis vector under each weight vector
+    (`exp_ad_chain`, built when a row first needs it), and the
     fixed points and the per-subset fixed-point records, witness curves
     and limits of `orbit`.  The fields are immutable and every memoised
     value is immutable, so a memoised value never goes stale; the memo
@@ -453,11 +454,11 @@ class WeightedLieAlgebra:
         return _kernel_step(self.kernel(subset[:-1]), self.weights[subset[-1]])
 
     @memoised("center")
-    def center(self) -> "CenterData":
-        """Center of r: torus directions annihilated by every weight.
+    def center(self) -> Matrix:
+        """Center of r, as its canonical basis: the torus directions
+        annihilated by every weight, so its dimension is the row count.
         (Conditions on the grading force the center into the torus.)"""
-        basis = self.kernel(range(self.n))
-        return CenterData(basis=basis, dim=basis.rows)
+        return self.kernel(range(self.n))
 
     def closure(self, subset: Sequence[int]) -> tuple[int, ...]:
         """Indices of the weights vanishing on the kernel t_subset."""
@@ -542,7 +543,7 @@ class WeightedLieAlgebra:
         `AlgebraError` when Jacobi fails or a is not nilpotent.  The two
         verdicts are read from the memoised `validate` table, and a check
         that passed is memoised too, so a repeat check costs one lookup."""
-        if self.center().dim != 0:
+        if self.center().rows != 0:
             raise CenterNotTrivialError("jordan decomposition needs a faithful adjoint")
         checks = {name: (ok, detail) for name, ok, detail in self.validate()}
         jac_ok, jac_detail = checks["jacobi"]
@@ -667,12 +668,12 @@ class WeightedLieAlgebra:
         checks.append(
             ("nilpotency", nil_ok, "lower central series of a terminates" if nil_ok else "a is not nilpotent")
         )
-        z = self.center()
+        dim_z = self.center().rows
         checks.append(
             (
                 "classification",
                 True,
-                "center is zero (strict class)" if z.dim == 0 else f"center has dimension {z.dim}",
+                "center is zero (strict class)" if dim_z == 0 else f"center has dimension {dim_z}",
             )
         )
         return tuple(checks)
@@ -740,7 +741,7 @@ class WeightedLieAlgebra:
         C^k."""
         span = row_space_basis(
             Matrix.from_rows([self.weight_vector(i) for i in range(self.n)])
-        ) if self.n else Matrix.zero(0, self.dim)
+        ) if self.n else Matrix(0, self.dim, ())
         for _ in range(self.n + 1):
             if span.rows == 0:
                 return True
@@ -798,10 +799,3 @@ def _vector_sum(vectors: Sequence[tuple]) -> tuple:
             if c:
                 out[j] += c
     return lowered(out)
-
-
-@dataclass(frozen=True)
-class CenterData:
-    basis: Matrix
-    dim: int
-

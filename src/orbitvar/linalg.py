@@ -134,10 +134,6 @@ class Matrix:
         return Matrix(r, c, data)
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, ((0,) * cols,) * rows)
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 

@@ -11,19 +11,21 @@ subspaces and point tuples in the closure.  The fixed-point subspaces
 and the property (P) data read their torus kernels from the algebra's
 grown kernels (`WeightedLieAlgebra.kernel`) and hand `Subspace` their
 canonical bases directly; `Subspace` still checks each one.  A
-fixed-point record holds one subspace, z_S + a_S, and the dimension of
-z_S; the property (P) data of a weight set render its weights once.
-The group-fixed points are the records whose weight sets pass a size
-test and a bracket-support test, which together hold exactly when
-z_S + a_S is an ideal (`group_fixed_points`), so no bracket is summed
-to find them.
+fixed-point record holds its weight set S, its subspace z_S + a_S (the
+memoised witness limit, once verified) and its witness curve; the
+report derives dim z_S and the list's name from them.  The property (P)
+data of a weight set render its weights once.  The group-fixed points
+are the torus records, not copies, whose weight sets pass a size test
+and a bracket-support test, which together hold exactly when z_S + a_S
+is an ideal (`group_fixed_points`), so no bracket is summed to find
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -115,7 +117,7 @@ class Subspace:
 
     @staticmethod
     def from_rows(alg: WeightedLieAlgebra, rows: Sequence[Sequence]) -> "Subspace":
-        return Subspace(alg, row_space_basis(Matrix.from_rows(rows)) if rows else Matrix.zero(0, alg.dim))
+        return Subspace(alg, row_space_basis(Matrix.from_rows(rows)) if rows else Matrix(0, alg.dim, ()))
 
     @property
     def dim(self) -> int:
@@ -264,19 +266,21 @@ def render_sum(terms: list) -> str:
 
 @dataclass(frozen=True)
 class FixedPointRecord:
-    subspace: Subspace
-    r_v_set: tuple[int, ...]  # weight indices
-    z_v_dim: int  # dim z_V = dim ker W_S
-    fixed_under: str  # "torus" or "group"
+    subspace: Subspace  # z_S + a_S, the memoised `witness_limit` of S
+    r_v_set: tuple[int, ...]  # S, weight indices
     witness: CurveSubspace
 
-    def to_json(self) -> dict:
+    def to_json(self, fixed_under: str) -> dict:
+        """The record as printed in the list of points fixed under
+        `fixed_under` ("torus" or "group").  z_S + a_S is a direct sum
+        and a_S has one basis vector per index of S, so dim z_S is
+        dim V - |S|."""
         alg = self.subspace.alg
         return {
             "subspace": self.subspace.to_json(),
             "weights": [alg.weights[i].as_strings() for i in self.r_v_set],
-            "z_v_dim": self.z_v_dim,
-            "fixed_under": self.fixed_under,
+            "z_v_dim": self.subspace.dim - len(self.r_v_set),
+            "fixed_under": fixed_under,
             "witness_curve": self.witness.to_json()["basis"],
         }
 
@@ -475,12 +479,13 @@ def _independent_abelian(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> bo
 def fixed_point_record(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> FixedPointRecord:
     """The torus-fixed point z_S + a_S of an independent abelian subset S,
     with its witness curve, once its limit is verified to be that point;
-    built once per subset per algebra.  A limit that differs raises
-    `OrbitError` and is not kept."""
-    v = _fixed_point_subspace(alg, subset)
-    if witness_limit(alg, subset) != v:
+    built once per subset per algebra.  The record keeps the memoised
+    limit itself, so each weight set holds one `Subspace`.  A limit that
+    differs raises `OrbitError` and is not kept."""
+    limit = witness_limit(alg, subset)
+    if limit != _fixed_point_subspace(alg, subset):
         raise OrbitError("witness curve limit mismatch")
-    return FixedPointRecord(v, subset, alg.kernel(subset).rows, "torus", witness_curve(alg, subset))
+    return FixedPointRecord(limit, subset, witness_curve(alg, subset))
 
 
 def fixed_point_of(alg: WeightedLieAlgebra, v: Subspace, graded: tuple[int, ...] | None) -> FixedPointRecord | None:
@@ -558,16 +563,16 @@ def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
       a, which V meets in a_S.  So it lies in V exactly when all of
       the entry's terms are in S, which is the support test.
 
-    Each record built still has its witness limit verified
-    (`fixed_point_record`)."""
-    size = alg.t_dim - alg.center().dim
+    The records are those `torus_fixed_points` holds, not copies, and
+    each still has its witness limit verified (`fixed_point_record`)."""
+    size = alg.t_dim - alg.center().rows
     out = []
     for subset in _fixed_point_subsets(alg):
         if len(subset) != size:
             continue
         inside = set(subset)
         if all(k in inside for i, j, terms in alg.brackets if i in inside or j in inside for k, _ in terms):
-            out.append(replace(fixed_point_record(alg, subset), fixed_under="group"))
+            out.append(fixed_point_record(alg, subset))
     return tuple(out)
 
 
@@ -594,7 +599,7 @@ def boundary_components(alg: WeightedLieAlgebra) -> list[BoundaryComponent]:
     weight, a bracket off the grading or a limit that is not z_S + a_S
     (a zero weight) raises `PreconditionFailedError`; `validate` refuses
     each of these but the first."""
-    if alg.center().dim != 0:
+    if alg.center().rows != 0:
         raise PreconditionFailedError("boundary components need a trivial center")
     if len(set(alg.weights)) != alg.n or alg._off_grade():
         raise PreconditionFailedError("boundary orbit dimensions need one-dimensional weight spaces and graded brackets")
@@ -653,18 +658,6 @@ class MembershipVerdict:
     def certified(self) -> bool:
         return self.kind in ("orbit", "limit")
 
-    def to_json(self, alg: WeightedLieAlgebra) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "orbit":
-            out["params"] = [
-                [alg.weights[i].as_strings(), str(c)] for i, c in self.params
-            ]
-        if self.witness is not None:
-            out["witness_curve"] = self.witness.to_json()["basis"]
-        if self.reason:
-            out["reason"] = self.reason
-        return out
-
 
 def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
     """Semi-decision for membership of V in the orbit closure X.
@@ -700,7 +693,7 @@ def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
         raise DimensionMismatchError(f"dim {v.dim} != {alg.t_dim}")
     if not is_commutative_subalgebra(alg, v):
         return MembershipVerdict("refuted", reason="not a commutative subalgebra")
-    if v.dim and alg.center().dim == 0:
+    if v.dim and alg.center().rows == 0:
         alg.check_jordan_preconditions()
     if v.pivots == tuple(range(alg.t_dim)):
         params = _peel_orbit(alg, v)
@@ -723,9 +716,9 @@ def _refutation(alg: WeightedLieAlgebra, v: Subspace) -> str | None:
     zero center every point of X holds the semisimple parts of its
     elements."""
     z = alg.center()
-    if z.dim:
+    if z.rows:
         pad = (0,) * alg.n
-        if not all(v.contains(row + pad) for row in z.basis.entries):
+        if not all(v.contains(row + pad) for row in z.entries):
             return "does not contain the center"
         return None
     for row in v.basis.entries:
@@ -921,9 +914,13 @@ def property_P_checks(
 
 def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
     """Weight subset L with torus kernel t_L conjugate to the largest
-    torus inside V, found from the semisimple parts of a basis of V."""
+    torus inside V, found from the semisimple parts of a basis of V.  L
+    is the set of weights vanishing on the torus part of every one of
+    those parts; the torus parts span the projection of their span to t,
+    so no row reduction is needed to find L.  One row reduction gives
+    the dimension of their span, which the torus kernel of L must have."""
     _own(alg, v)
-    if alg.center().dim != 0:
+    if alg.center().rows != 0:
         raise PreconditionFailedError("biggest torus needs a trivial center")
     s_parts = []
     for r in range(v.dim):
@@ -935,16 +932,9 @@ def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
         s_parts.append(s)
     if not s_parts:
         return tuple(range(alg.n))
-    span = row_space_basis(Matrix.from_rows(s_parts))
-    proj = row_space_basis(
-        Matrix.from_rows([list(span.row(r))[: alg.t_dim] for r in range(span.rows)])
-    ) if span.rows else Matrix.zero(0, alg.t_dim)
-    lam = tuple(
-        i
-        for i, w in enumerate(alg.weights)
-        if all(w(proj.row(r)) == 0 for r in range(proj.rows))
-    )
-    if alg.kernel(lam).rows != span.rows:
+    torus_parts = [s[: alg.t_dim] for s in s_parts]
+    lam = tuple(i for i, w in enumerate(alg.weights) if not any(w(t) for t in torus_parts))
+    if alg.kernel(lam).rows != row_space_basis(Matrix.from_rows(s_parts)).rows:
         raise OrbitError("semisimple span does not match a torus kernel dimension")
     return lam
 

@@ -1,5 +1,5 @@
 """Dense helpers that the package no longer needs, kept for the tests:
-solving a linear system, the transpose, the weight matrix of a list of
+solving a linear system, the zero matrix, the transpose, the weight matrix of a list of
 weights and the weights vanishing at a torus element.  The package reads
 its matrices by rows and takes torus kernels by `_kernel_step`
 (`WeightedLieAlgebra.kernel`, `torus_kernel`); the tests use these to
@@ -23,6 +23,10 @@ def solve(a: Matrix, b: Sequence) -> tuple | None:
     return tuple(x)
 
 
+def zero(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, ((0,) * cols,) * rows)
+
+
 def transpose(m: Matrix) -> Matrix:
     return Matrix.from_rows([tuple(row[j] for row in m.entries) for j in range(m.cols)])
 
@@ -32,7 +36,7 @@ def weight_matrix(alg, weights=None) -> Matrix:
     with t_dim columns."""
     ws = alg.weights if weights is None else tuple(weights)
     if not ws:
-        return Matrix.zero(0, alg.t_dim)
+        return Matrix(0, alg.t_dim, ())
     return Matrix.from_rows([list(w.coords) for w in ws])
 
 

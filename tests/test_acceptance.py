@@ -88,8 +88,8 @@ def test_certified_subspaces_commutative_and_contain_center():
         for v in certified:
             if not orbit.is_commutative_subalgebra(alg, v):
                 violations.append((alg.fingerprint(), "commutativity"))
-            for r in range(center.basis.rows):
-                if not v.contains(list(center.basis.row(r)) + [0] * alg.n):
+            for r in range(center.rows):
+                if not v.contains(list(center.row(r)) + [0] * alg.n):
                     violations.append((alg.fingerprint(), "center"))
     assert violations == []
 

@@ -99,11 +99,11 @@ def reference_membership(alg, v):
     if not orbit.is_commutative_subalgebra(alg, v):
         return orbit.MembershipVerdict("refuted", reason="not a commutative subalgebra")
     z = alg.center()
-    if z.dim:
-        for r in range(z.basis.rows):
-            if not v.contains(list(z.basis.row(r)) + [Fraction(0)] * alg.n):
+    if z.rows:
+        for r in range(z.rows):
+            if not v.contains(list(z.row(r)) + [Fraction(0)] * alg.n):
                 return orbit.MembershipVerdict("refuted", reason="does not contain the center")
-    if z.dim == 0:
+    if z.rows == 0:
         for r in range(v.dim):
             s, _ = alg.jordan_decompose(v.basis.row(r))
             if not v.contains(s):
@@ -394,7 +394,7 @@ class TestPreconditions:
         weight are points a certificate route would answer; the
         precondition raises first, as it did refuting first."""
         alg = make()
-        assert alg.center().dim == 0
+        assert alg.center().rows == 0
         for v in (orbit.torus_subspace(alg), orbit._fixed_point_subspace(alg, (alg.n - 1,))):
             got = outcome(orbit.membership, alg, v)
             assert got == ("raised", AlgebraError, message)
@@ -458,7 +458,7 @@ class TestRefuteFirstOnInvalidAlgebras:
     )
     def test_outcomes_with_a_center_match_refute_first(self, make, shape):
         alg = with_center(make())
-        assert alg.center().dim == 1
+        assert alg.center().rows == 1
         point, kind = SHAPES[shape]
         v = point(alg)
         got = outcome(orbit.membership, alg, v)

@@ -32,10 +32,11 @@ def ideals_among(alg, subsets):
 
 def assert_filter_is_the_ideal_test(alg):
     """The group-fixed points are the records of exactly the fixed-point
-    subsets whose subspace is an ideal, in the walk's order."""
+    subsets whose subspace is an ideal, in the walk's order, and each is
+    the torus record of its subset itself."""
     group = orbit.group_fixed_points(alg)
     assert [r.r_v_set for r in group] == ideals_among(alg, orbit._fixed_point_subsets(alg))
-    assert all(r.fixed_under == "group" for r in group)
+    assert all(r is orbit.fixed_point_record(alg, r.r_v_set) for r in group)
     return group
 
 
@@ -49,7 +50,7 @@ def test_a6_subsets_of_the_kept_size():
     """Every other size fails the size test, and no such z_S + a_S is an
     ideal (the docstring's converse), so only this size is checked."""
     alg = borel_nilradical(6)
-    size = alg.t_dim - alg.center().dim
+    size = alg.t_dim - alg.center().rows
     candidates = [s for s in orbit._fixed_point_subsets(alg) if len(s) == size]
     group = [r.r_v_set for r in orbit.group_fixed_points(alg)]
     assert group == ideals_among(alg, candidates)

@@ -302,6 +302,18 @@ class TestUFunctions:
         with pytest.raises(IdealError):
             u_function(chart, 0, A2.weights[0])
 
+    @pytest.mark.parametrize("coords", [(1,), (1, 0, 5)])
+    def test_u_function_refuses_a_weight_of_the_wrong_length(self, coords):
+        _, chart = a2_charts()[0]
+        with pytest.raises(IdealError, match="length d = 2"):
+            u_function(chart, 1, Weight(coords))
+
+    @pytest.mark.parametrize("coords", [(1,), (1, 0, 5)])
+    def test_i_gamma_refuses_a_weight_of_the_wrong_length(self, coords):
+        _, chart = a2_charts()[0]
+        with pytest.raises(IdealError, match="length d = 2"):
+            i_gamma(chart, Weight(coords))
+
 
 class TestChartGeometry:
     def test_coupling_relation(self):

@@ -108,17 +108,17 @@ class TestValidate:
 class TestCenter:
     def test_trivial_centers(self):
         for alg in (A2, A3, HEIS):
-            assert alg.center().dim == 0
+            assert alg.center().rows == 0
 
     def test_weight_rank(self):
-        assert A2.t_dim - A2.center().dim == rank(weight_matrix(A2)) == 2
-        assert A3.t_dim - A3.center().dim == rank(weight_matrix(A3)) == 3
+        assert A2.t_dim - A2.center().rows == rank(weight_matrix(A2)) == 2
+        assert A3.t_dim - A3.center().rows == rank(weight_matrix(A3)) == 3
 
     def test_nontrivial_center_is_weight_kernel(self):
         alg = WeightedLieAlgebra.build(2, ["x"], {"x": [1, 1]}, [])
         c = alg.center()
-        assert c.dim == 1
-        t = c.basis.row(0)
+        assert c.rows == 1
+        t = c.row(0)
         assert alg.weights[0](t) == 0
 
 
@@ -177,12 +177,12 @@ class TestRestrict:
     def test_dimension_inequality(self):
         # restricted nilpotent rank never exceeds the ambient gap n - d#
         for alg in (A2, A3):
-            gap = alg.n - (alg.t_dim - alg.center().dim)
+            gap = alg.n - (alg.t_dim - alg.center().rows)
             for sub in alg.complete_subsets():
                 if not sub:
                     continue
                 r, _ = alg.restrict(sub)
-                assert r.n - (r.t_dim - r.center().dim) <= gap
+                assert r.n - (r.t_dim - r.center().rows) <= gap
 
 
 class TestCentralizer:
@@ -271,7 +271,7 @@ class TestJordan:
         # [h, e] = e with h of weight 0: Jacobi holds and the center is zero,
         # but ad h is semisimple, so h cannot be a nilpotent part
         alg = WeightedLieAlgebra.build(1, ["h", "e"], {"h": [0], "e": [1]}, [("h", "e", {"e": 1})])
-        assert alg._jacobi()[0] and alg.center().dim == 0
+        assert alg._jacobi()[0] and alg.center().rows == 0
         with pytest.raises(AlgebraError, match="^jordan decomposition needs a nilpotent a$"):
             alg.jordan_decompose(F(0, 1, 0))
 

@@ -234,7 +234,7 @@ class TestPrefixFill:
         with shallow_stack(150):
             got, center = alg.kernel(range(2000)), fresh.center()
         want = functools.reduce(_kernel_step, alg.weights, Matrix.identity(2))
-        assert got == want and center.basis == want and center.dim == 0
+        assert got == want and center == want and center.rows == 0
         assert all(("kernel", tuple(range(m))) in alg._memo for m in range(2001))
 
     def test_witness_curve_needs_no_deeper_stack(self):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_powers_reference import powers
-from linalg_reference import solve, transpose
+from linalg_reference import solve, transpose, zero
 from test_liealg_sparse import ALGEBRAS, RATIONALS, DenseReference, sampled_from
 from test_memo import dense_chain, sum_chain
 
@@ -110,7 +110,7 @@ def sparse_matrices(draw, max_rows=6, max_cols=7):
     `Matrix.from_rows` converts them."""
     nr, nc = draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))
     if draw(st.integers(0, 9)) == 0:
-        return Matrix.zero(nr, nc)
+        return zero(nr, nc)
     rows = [draw(st.lists(SPARSE_ENTRY, min_size=nc, max_size=nc)) for _ in range(nr)]
     for i in range(nr):
         if draw(st.integers(0, 5)) == 0:
@@ -154,7 +154,7 @@ class TestRowReduction:
         assert nullspace(transpose(m)) == two_rref_nullspace(transpose(m))
 
     def test_rref_of_empty_and_zero_matrices(self):
-        for m in (Matrix(0, 4, ()), Matrix.zero(3, 4)):
+        for m in (Matrix(0, 4, ()), zero(3, 4)):
             assert rref(m) == dense_rref(m) == (m, ())
 
     def test_rref_with_pivots_other_than_one(self):

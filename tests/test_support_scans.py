@@ -57,7 +57,7 @@ class TestStabilizerCount:
     @pytest.mark.parametrize("name", CASES)
     def test_named_algebras(self, name):
         alg = CASES[name]()
-        if alg.center().dim == 0:
+        if alg.center().rows == 0:
             assert_boundary_matches_rank(alg)
         assert_counts_match_rank(alg, [(i,) for i in range(alg.n)])
         assert_counts_match_rank(alg, [r.r_v_set for r in orbit.torus_fixed_points(alg)])
@@ -91,14 +91,14 @@ class TestStabilizerCount:
 class TestBoundaryPreconditions:
     def test_repeated_weight(self):
         alg = WeightedLieAlgebra.build(2, ["x", "y", "u"], {"x": [1, 0], "y": [1, 0], "u": [0, 1]})
-        assert alg.center().dim == 0
+        assert alg.center().rows == 0
         with pytest.raises(PreconditionFailedError, match="one-dimensional weight spaces"):
             orbit.boundary_components(alg)
 
     def test_off_grade_bracket(self):
         # [x, y] = u, though w_u = (2, 1) is not w_x + w_y = (1, 1)
         alg = WeightedLieAlgebra.build(2, ["x", "y", "u"], {"x": [1, 0], "y": [0, 1], "u": [2, 1]}, [("x", "y", {"u": 1})])
-        assert alg.center().dim == 0 and alg._off_grade()
+        assert alg.center().rows == 0 and alg._off_grade()
         with pytest.raises(PreconditionFailedError, match="graded brackets"):
             orbit.boundary_components(alg)
 

@@ -150,3 +150,74 @@ def test_importing_the_tool_leaves_the_interpreter_as_it_was():
     spec = importlib.util.spec_from_file_location("traffic", os.path.join(ROOT, "tools", "traffic.py"))
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
     assert (sys.path, sys.dont_write_bytecode) == (path, flag)
+
+
+BENCHMARK = "benchmark lookup"
+API = "documented API"
+FALLBACK = "input-selected fallback"
+PROTOCOL = "protocol method"
+IMPORT = "runs at import"
+
+# Every package function that no operation of the three workloads enters
+# (seeds 1-2), with the reason it stays: `perfbench/` looks it up or
+# serves only such a function; README documents it; it runs only on an
+# input that no workload has; Python's operators call it; or it runs
+# while the package is imported.
+UNREACHED = {
+    "cli.cmd_suite": API,
+    "ideals.PolyRing.zero": BENCHMARK,
+    "ideals.Poly.__rsub__": PROTOCOL,
+    "ideals.Poly.__eq__": PROTOCOL,
+    "ideals.Poly.__ne__": PROTOCOL,
+    "ideals._too_large": FALLBACK,
+    "ideals._ceil_log2": API,
+    "ideals._read_budget": API,
+    "ideals._read": API,
+    "ideals._read.<locals>.checked": API,
+    "ideals._read.<locals>.read": API,
+    "ideals._Substitution.lift": API,
+    "ideals.Ideal.groebner": API,
+    "ideals.Ideal._lift": API,
+    "ideals.Ideal._image": FALLBACK,
+    "ideals.Ideal.normal_form": BENCHMARK,
+    "ideals.ideal_quotient": BENCHMARK,
+    "liealg.memoised": IMPORT,
+    "liealg.memoised.<locals>.decorate": IMPORT,
+    "liealg.WeightedLieAlgebra.pair_bracket": BENCHMARK,
+    "liealg.WeightedLieAlgebra.torus_kernel": BENCHMARK,
+    "liealg.WeightedLieAlgebra.restrict": API,
+    "liealg.WeightedLieAlgebra.regular_test": BENCHMARK,
+    "liealg.WeightedLieAlgebra._nilpotent_by_rows": FALLBACK,
+    "linalg.Matrix.__add__": BENCHMARK,
+    "linalg.Matrix.scale": BENCHMARK,
+    "linalg.Matrix.__matmul__": BENCHMARK,
+    "linalg.Matrix.is_zero": BENCHMARK,
+    "linalg.rank": BENCHMARK,
+    "linalg.det": BENCHMARK,
+    "linalg.det.<locals>.go": BENCHMARK,
+    "linalg.nilpotent_terms": BENCHMARK,
+    "linalg.exp_nilpotent": BENCHMARK,
+    "linalg.PluckerVector.is_zero": BENCHMARK,
+    "linalg.normalize_plucker": BENCHMARK,
+    "linalg.plucker_limit": BENCHMARK,
+    "orbit.Subspace.__hash__": PROTOCOL,
+    "orbit.MembershipVerdict.certified": BENCHMARK,
+    "orbit._refutation": FALLBACK,
+    "report.VerificationReport.render_markdown": API,
+}
+
+
+def test_every_unreached_function_has_a_reason(traffic, capsys):
+    """The functions no workload enters are exactly those with a reason
+    to stay, in package order; a new one fails here until it is deleted
+    or given its reason.  The process-wide caches are emptied first, so
+    a function whose result an earlier test kept is still entered."""
+    for cache in (cli.shared_algebra, cli.ps_section, cli._parser):
+        cache.cache_clear()
+    assert traffic.main(["--workload", "geometry", "charts", "queries", "--seeds", "1-2"]) == 0
+    cli.shared_algebra.cache_clear()
+    cli.ps_section.cache_clear()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" operations, 0 raised")
+    unreached = [label.split(":")[0] for label in listing(lines)[1]]
+    assert unreached == list(UNREACHED)

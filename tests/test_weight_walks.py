@@ -71,7 +71,7 @@ def reference_torus_fixed_points(alg):
             v = orbit._fixed_point_subspace(alg, subset)
             if orbit.witness_limit(alg, subset) != v:
                 raise orbit.OrbitError("witness curve limit mismatch")
-            out.append(orbit.FixedPointRecord(v, subset, alg.kernel(subset).rows, "torus", orbit.witness_curve(alg, subset)))
+            out.append(orbit.FixedPointRecord(v, subset, orbit.witness_curve(alg, subset)))
     return tuple(out)
 
 
