@@ -1273,7 +1273,7 @@ def hilbert_dimension(ideal: Ideal) -> int:
     lms, nvars = basis.lms, basis.order.nvars
     if not lms:
         return nvars
-    if len(lms) == 1 and not any(lms[0]):
+    if basis.is_unit():
         raise UnitIdealError("the ideal is the whole ring")
     supports = [frozenset(i for i, e in enumerate(lm) if e > 0) for lm in lms]
     return nvars - _min_cover_size(supports)
@@ -1515,11 +1515,11 @@ def chart_ideal(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
     comp = _lie_order_complement(alg, base)
     m = len(comp)
     # dual torus basis to the base weights: the columns of W^-1, W the
-    # matrix of base-weight rows, read off one rref of [W | I]
+    # matrix of base-weight rows, read off one rref of [W | I]; a record's
+    # weights are independent and there are d of them, so W is invertible
+    # and the pivots of [W | I] are 0..d-1
     augmented = [list(alg.weights[b].coords) + [int(k == j) for k in range(d)] for j, b in enumerate(base)]
-    rr, pivots = rref(Matrix.from_rows(augmented))
-    if pivots[:d] != tuple(range(d)):
-        raise NotGroupFixedError("base-point weights do not form a torus basis")
+    rr = rref(Matrix.from_rows(augmented))[0]
     duals = [tuple(rr[k, d + j] for k in range(d)) for j in range(d)]
     names = tuple(f"z{i}_{j}" for i in range(1, d + 1) for j in range(1, d + 1)) + tuple(
         f"a{i}_{j}" for i in range(1, d + 1) for j in range(1, m + 1)

@@ -183,13 +183,15 @@ class WeightedLieAlgebra:
     support (`_nilpotent`).
 
     `_memo` holds data derived from the fields, each computed once per
-    instance by a function decorated with `memoised`: the center's
-    basis, the sparse adjoint table (`ad_table`), the `validate` table,
-    whose Jacobi and nilpotency verdicts `jordan_decompose` also reads,
-    the exp(ad) chain of each basis vector under each weight vector
-    (`exp_ad_chain`, built when a row first needs it), and the
-    fixed points and the per-subset fixed-point records, witness curves
-    and limits of `orbit`.  The fields are immutable and every memoised
+    instance by a function decorated with `memoised`: the fingerprint,
+    the center's basis, the torus kernel of each weight subset, the
+    sparse adjoint table (`ad_table`), the `validate` table, whose
+    Jacobi and nilpotency verdicts `jordan_decompose` also reads, a
+    passed Jordan precondition check, the exp(ad) chain of each basis
+    vector under each weight vector (`exp_ad_chain`, built when a row
+    first needs it), and `orbit`'s weight order, fixed-point subsets,
+    group-fixed points and per-subset fixed-point records, witness
+    curves and limits.  The fields are immutable and every memoised
     value is immutable, so a memoised value never goes stale; the memo
     takes no part in `==`, `hash`, `repr`, `to_json` or `fingerprint`.
     """
@@ -326,11 +328,9 @@ class WeightedLieAlgebra:
     def basis_names(self) -> list[str]:
         return [f"t{i+1}" for i in range(self.t_dim)] + list(self.a_basis)
 
-    @memoised("zero")
     def zero(self) -> tuple:
         return (0,) * self.dim
 
-    @memoised("basis-vector")
     def basis_vector(self, k: int) -> tuple:
         v = [0] * self.dim
         v[k] = 1

@@ -8,13 +8,15 @@ curve limits by row reduction (one incremental echelon of the leading
 rows per pass),
 enumerates fixed points, and certifies (or refutes) membership of
 subspaces and point tuples in the closure.  The fixed-point subspaces
-and the property (P) data read their torus kernels from the algebra's
-grown kernels (`WeightedLieAlgebra.kernel`) and hand `Subspace` their
-canonical bases directly; `Subspace` still checks each one.  A
-fixed-point record holds its weight set S, its subspace z_S + a_S (the
-memoised witness limit, once verified) and its witness curve; the
-report derives dim z_S and the list's name from them.  The property (P)
-data of a weight set render its weights once.  The group-fixed points
+read their torus kernels from the algebra's grown kernels
+(`WeightedLieAlgebra.kernel`) and hand `Subspace` their canonical bases
+directly; `Subspace` still checks each one.  A fixed-point record holds
+its weight set S, its subspace z_S + a_S (the memoised witness limit,
+once verified) and its witness curve; the report derives dim z_S and
+the list's name from them.  The property (P) data of a weight set read
+their center from the same kernels, render the weights once and build
+no centralizer: the precondition reads V's a-support.  The torus t is
+the witness limit of the empty weight set.  The group-fixed points
 are the torus records, not copies, whose weight sets pass a size test
 and a bracket-support test, which together hold exactly when z_S + a_S
 is an ideal (`group_fixed_points`), so no bracket is summed to find
@@ -291,16 +293,16 @@ class MultiPoint:
     witness: Subspace | None
 
 
-@memoised("torus-subspace")
 def torus_subspace(alg: WeightedLieAlgebra) -> Subspace:
-    """t, spanned by the first t_dim basis vectors; built once per algebra."""
-    return Subspace.from_rows(alg, [alg.basis_vector(i) for i in range(alg.t_dim)])
+    """t, spanned by the first t_dim basis vectors: the memoised
+    `witness_limit` of (), whose curve is those basis vectors."""
+    return witness_limit(alg, ())
 
 
-def _own(alg: WeightedLieAlgebra, v: Subspace) -> None:
-    """Refuse, with `DimensionMismatchError`, a subspace of another
-    algebra: its rows are coordinates in that algebra's basis.  A
-    subspace of an equal algebra (a fresh instance of the same value)
+def _own(alg: WeightedLieAlgebra, v: Subspace | TorusElementData) -> None:
+    """Refuse, with `DimensionMismatchError`, a subspace or torus-element
+    data of another algebra: its rows are coordinates in that algebra's
+    basis.  One of an equal algebra (a fresh instance of the same value)
     is accepted; identity is tested first, so the shared instance costs
     one `is`."""
     if v.alg is not alg and v.alg != alg:
@@ -451,7 +453,7 @@ def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspa
     algebra satisfies Jacobi (the CLI validates it first); otherwise the
     factors need not commute and the curve depends on their order."""
     if not subset:
-        return CurveSubspace(alg, tuple((row,) for row in torus_subspace(alg).basis.entries))
+        return CurveSubspace(alg, tuple((alg.basis_vector(i),) for i in range(alg.t_dim)))
     j = subset[-1]
     return CurveSubspace(alg, tuple(tuple(_exp_row(alg, j, None, row)) for row in witness_curve(alg, subset[:-1]).rows))
 
@@ -501,15 +503,11 @@ def fixed_point_of(alg: WeightedLieAlgebra, v: Subspace, graded: tuple[int, ...]
     return recd if recd.subspace == v else None
 
 
-@memoised("torus-fixed-points")
 def torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
     """All torus-fixed points of the closure: independent abelian weight
     subsets S, each giving z_V + a_S with a verified witness-curve limit.
-    Enumerated once per algebra."""
-    return _enumerate_torus_fixed_points(alg)
-
-
-def _enumerate_torus_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
+    The subsets are walked once per algebra and each record is built
+    once (`fixed_point_record`), so a repeat call reads them back."""
     return tuple(fixed_point_record(alg, subset) for subset in _fixed_point_subsets(alg))
 
 
@@ -563,8 +561,9 @@ def group_fixed_points(alg: WeightedLieAlgebra) -> tuple[FixedPointRecord, ...]:
       a, which V meets in a_S.  So it lies in V exactly when all of
       the entry's terms are in S, which is the support test.
 
-    The records are those `torus_fixed_points` holds, not copies, and
-    each still has its witness limit verified (`fixed_point_record`)."""
+    The records are the memoised ones `torus_fixed_points` returns, not
+    copies, and each still has its witness limit verified
+    (`fixed_point_record`)."""
     size = alg.t_dim - alg.center().rows
     out = []
     for subset in _fixed_point_subsets(alg):
@@ -785,12 +784,12 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
 class TorusElementData:
     """What property (P) reads off a torus element s: `lam`, the weights
     vanishing on s, and `lam_strings`, each of them as `Weight.as_strings`
-    renders it; `centralizer`, its centralizer t + a_lam; and `center`,
-    the center t_lam of that centralizer as vectors of r."""
+    renders it; `alg`, the algebra of s; and `center`, the center t_lam
+    of its centralizer t + a_lam as vectors of r."""
 
     lam: tuple[int, ...]
     lam_strings: tuple[tuple[str, ...], ...]
-    centralizer: Subspace
+    alg: WeightedLieAlgebra
     center: tuple[tuple, ...]
 
 
@@ -798,20 +797,17 @@ def torus_element_data(alg: WeightedLieAlgebra, lam: tuple[int, ...]) -> TorusEl
     """The data of any torus element s vanishing on exactly the weights
     `lam`.  For a complete lam such an s exists over Q: the other weights
     are nonzero forms on t_lam, and finitely many hyperplanes do not
-    cover it.  The torus basis vectors followed by the weight vectors of
-    sorted(lam) are unit rows on increasing columns, the canonical basis
-    of t + a_lam, which `Subspace` still checks; the center is the
-    memoised kernel of lam, padded with zeros on a.  A lam that is not
+    cover it.  The center is the memoised kernel of lam, padded with
+    zeros on a.  A lam that is not
     complete (`WeightedLieAlgebra.is_complete`) is refused with
     `AlgebraError`: every s vanishing on it also vanishes on the rest of
     its closure, so no s vanishes on exactly lam."""
     if not alg.is_complete(lam):
         raise AlgebraError(f"weights {tuple(lam)} are not complete: no torus element vanishes on exactly them")
-    rows = tuple(alg.basis_vector(i) for i in range(alg.t_dim)) + tuple(alg.weight_vector(i) for i in sorted(lam))
     pad = (0,) * alg.n
     center = tuple(row + pad for row in alg.kernel(lam).entries)
     strings = tuple(tuple(alg.weights[i].as_strings()) for i in lam)
-    return TorusElementData(lam, strings, Subspace(alg, Matrix(len(rows), alg.dim, rows)), center)
+    return TorusElementData(lam, strings, alg, center)
 
 
 def graded_subset(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...] | None:
@@ -867,13 +863,13 @@ def property_P_checks(
     check carries its `CurveSubspace` as the witness, not rendered.  A V
     or data of another algebra raises `DimensionMismatchError`.
 
-    The precondition V inside the centralizer t + a_lam, whose basis
-    `torus_element_data` builds from unit rows, is read off V's
-    a-support: V lies in t + a_lam exactly when no row of V has a
+    The precondition V inside the centralizer t + a_lam, which the
+    torus basis vectors and the weight vectors of lam span, is read off
+    V's a-support: V lies in t + a_lam exactly when no row of V has a
     nonzero a-coordinate outside lam.  A V that does not raises
     `PreconditionFailedError`."""
     _own(alg, v)
-    _own(alg, data.centralizer)
+    _own(alg, data)
     lam = set(data.lam)
     d = alg.t_dim
     if any(c and k not in lam for row in v.basis.entries for k, c in enumerate(row[d:])):

@@ -3,10 +3,13 @@ as the references the tests pin them to: the boundary orbit dimension as
 the rank of a residue matrix, which holds for any subspace, torus
 stability as the bracket of every torus basis vector with every row,
 the ideal test as the bracket of every basis vector with every row
-(`group_fixed_points` reads it off the weights), and the containment of
-one subspace in another row by row."""
+(`group_fixed_points` reads it off the weights), the containment of
+one subspace in another row by row, and the centralizer t + a_lam of a
+torus element as a subspace (`property_P_checks` reads V's a-support
+instead)."""
 
 from orbitvar.linalg import Matrix, rank, reduce_mod_rowspace
+from orbitvar.orbit import Subspace
 
 
 def orbit_dim_by_rank(alg, v):
@@ -49,3 +52,12 @@ def is_ideal(alg, v):
 def contains_subspace(big, small):
     """Every basis row of `small` lies in `big`."""
     return all(big.contains(row) for row in small.basis.entries)
+
+
+def centralizer_of(alg, lam):
+    """t + a_lam, the centralizer of a torus element vanishing on exactly
+    the weights lam: the torus basis vectors and the weight vectors of
+    sorted(lam) are unit rows on increasing columns, handed to
+    `Subspace` as its canonical basis, which it checks."""
+    rows = tuple(alg.basis_vector(i) for i in range(alg.t_dim)) + tuple(alg.weight_vector(i) for i in sorted(lam))
+    return Subspace(alg, Matrix(len(rows), alg.dim, rows))

@@ -358,7 +358,7 @@ class TestFixedPointLookup:
         for recd in records:
             v = orbit.Subspace(fresh, recd.subspace.basis)
             assert orbit.fixed_point_of(fresh, v, orbit.graded_subset(fresh, v)) == recd
-        assert "torus-fixed-points" not in fresh._memo
+        assert "fixed-point-subsets" not in fresh._memo
         assert orbit.torus_fixed_points(fresh) == records
 
 
@@ -531,7 +531,7 @@ class TestCounts:
         def refuse(alg):
             raise AssertionError("the fixed points were enumerated")
 
-        monkeypatch.setattr(orbit, "_enumerate_torus_fixed_points", refuse)
+        monkeypatch.setattr(orbit, "_fixed_point_subsets", refuse)
         # the first three pairwise commuting roots with independent weights
         subset = next(s for s in itertools.combinations(range(alg.n), 3) if orbit._independent_abelian(alg, s))
         kernel = alg.torus_kernel([alg.weights[i] for i in subset]).entries
@@ -539,4 +539,4 @@ class TestCounts:
         v = orbit.Subspace.from_rows(alg, rows)
         verdict = orbit.membership(alg, v)
         assert verdict.kind == "limit" and verdict.witness.limit() == v
-        assert "torus-fixed-points" not in alg._memo
+        assert "fixed-point-subsets" not in alg._memo

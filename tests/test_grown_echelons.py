@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from curve_limit_reference import nullspace_limit
 from curve_powers_reference import from_powers
 from linalg_reference import weight_matrix
+from stabilizer_reference import centralizer_of
 from test_property_p import BUILTINS
 from test_weight_walks import borel_nilradical
 
@@ -113,7 +114,8 @@ class TestGrownKernel:
             for lam in alg.complete_subsets():
                 data = orbit.torus_element_data(alg, lam)
                 rows = [alg.basis_vector(i) for i in range(alg.t_dim)] + [alg.weight_vector(i) for i in lam]
-                assert data.centralizer == orbit.Subspace.from_rows(alg, rows)
+                assert data.alg is alg
+                assert centralizer_of(alg, data.lam) == orbit.Subspace.from_rows(alg, rows)
                 ker = alg.torus_kernel([alg.weights[i] for i in lam])
                 assert data.center == tuple(tuple(row) + (0,) * alg.n for row in ker.entries)
 

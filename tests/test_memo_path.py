@@ -40,19 +40,15 @@ A2 = models.borel_nilradical_a2()
 
 DECORATED = {
     "fingerprint": WeightedLieAlgebra.fingerprint,
-    "zero": WeightedLieAlgebra.zero,
-    "basis-vector": WeightedLieAlgebra.basis_vector,
     "ad-table": WeightedLieAlgebra.ad_table,
     "exp-ad-chain": WeightedLieAlgebra.exp_ad_chain,
     "kernel": WeightedLieAlgebra.kernel,
     "center": WeightedLieAlgebra.center,
     "jordan-preconditions": WeightedLieAlgebra.check_jordan_preconditions,
-    "torus-subspace": orbit.torus_subspace,
     "weight-order": orbit._weight_order,
     "witness-curve": orbit.witness_curve,
     "witness-limit": orbit.witness_limit,
     "fixed-point-record": orbit.fixed_point_record,
-    "torus-fixed-points": orbit.torus_fixed_points,
     "fixed-point-subsets": orbit._fixed_point_subsets,
     "group-fixed-points": orbit.group_fixed_points,
     "validate": WeightedLieAlgebra.validate,
@@ -141,7 +137,7 @@ class TestOneValuePerKey:
         alg = WeightedLieAlgebra.build(*spec)
         fill_memo(alg)
         families = {key if isinstance(key, str) else key[0] for key in alg._memo}
-        assert families >= FAMILIES | {"jordan-preconditions"}
+        assert families == FAMILIES
 
 
 # -- a body that raises keeps nothing -----------------------------------------------
@@ -324,6 +320,8 @@ class TestKeyOwners:
         assert liealg._MEMO_KEYS["witness-limit"] == "orbitvar.orbit.witness_limit"
 
     def test_every_decorated_function_owns_its_key(self):
+        assert set(DECORATED) == FAMILIES
+        assert {key for key, owner in liealg._MEMO_KEYS.items() if owner.startswith("orbitvar.")} == FAMILIES
         for key, fn in DECORATED.items():
             assert liealg._MEMO_KEYS[key] == f"{fn.__module__}.{fn.__qualname__}"
 

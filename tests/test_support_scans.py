@@ -21,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabilizer_reference import contains_subspace, graded_subset_by_brackets, orbit_dim_by_rank
+from stabilizer_reference import centralizer_of, contains_subspace, graded_subset_by_brackets, orbit_dim_by_rank
 from test_geometry_path import CASES
 from test_grown_echelons import ENTRIES, algebra_of, weight_sequences
 from test_memo import FAITHFUL, SMALL
@@ -177,7 +177,7 @@ class TestGradedSubset:
 
 
 def assert_precondition_matches_containment(alg, data, v):
-    inside = contains_subspace(data.centralizer, v)
+    inside = contains_subspace(centralizer_of(alg, data.lam), v)
     try:
         orbit.property_P_checks(alg, data, v, orbit.graded_subset(alg, v))
     except PreconditionFailedError:

@@ -1,7 +1,7 @@
 """`tools/traffic.py` on a canned list of two operations, on a `queries`
-and a `geometry` run and on one run over both: which package functions
-the operations enter, which none does, and the hits and misses of each
-memo key."""
+and a `geometry` run, on one run over both and on two runs in one
+process: which package functions the operations enter, which none
+does, and the hits and misses of each memo key."""
 
 import importlib.util
 import os
@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from orbitvar import cli, liealg, models, orbit
+from orbitvar import liealg, models, orbit
 from orbitvar.liealg import WeightedLieAlgebra
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,7 +42,7 @@ def test_two_canned_operations(traffic):
         raise ValueError("an operation that raises")
 
     ops = [
-        workloads.Op("fixed-points A2", lambda: orbit.torus_fixed_points(alg), lambda r: (len(r) == 8, True)),
+        workloads.Op("fixed-points A2", lambda: orbit.torus_fixed_points(alg), lambda r: (len(r) == 6, True)),
         workloads.Op("membership A2", lambda: orbit.membership(alg, orbit.torus_subspace(alg)), lambda r: (r.certified, True)),
         workloads.Op("raises", fail, lambda r: (False, False)),
     ]
@@ -101,9 +101,7 @@ def test_a_geometry_run_validates_each_algebra_once(traffic, capsys):
     """The seven algebras of a `geometry` seed, none loaded before: each
     `validate` command runs the body once, and every later command reads
     its table."""
-    cli.shared_algebra.cache_clear()
     assert traffic.main(["--workload", "geometry", "--seeds", "1"]) == 0
-    cli.shared_algebra.cache_clear()
     entered, _, reads = listing(capsys.readouterr().out.splitlines())
     assert entered["cli.cmd_validate"] == entered["liealg.WeightedLieAlgebra.validate"] == 7
     assert reads["validate"][1] == 7 and reads["validate"][0] >= 7
@@ -115,11 +113,9 @@ def test_several_workloads_list_what_none_enters(traffic, capsys):
     as not entered exactly the functions that each run alone lists."""
     runs = {}
     for names in (["queries"], ["geometry"], ["queries", "geometry"]):
-        cli.shared_algebra.cache_clear()
         assert traffic.main(["--workload", *names, "--seeds", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         runs[" ".join(names)] = (lines[0], listing(lines)[1])
-    cli.shared_algebra.cache_clear()
     header, unreached = runs["queries geometry"]
     ops = [int(runs[name][0].split(": ")[1].split()[0]) for name in ("queries", "geometry")]
     assert header == f"workload queries geometry, seeds 1-1: {sum(ops)} operations, 0 raised"
@@ -139,10 +135,10 @@ def test_memo_reads_are_counted_and_the_memos_put_back(traffic):
     alg = models.builtin("borel-nilradical-A2")
     op = workloads.Op("fixed-points A2", lambda: orbit.torus_fixed_points(alg), lambda r: (len(r) == 6, True))
     reads = traffic.traffic([op, op])[3]
-    assert reads["torus-fixed-points", "misses"] == reads["torus-fixed-points", "hits"] == 1
+    assert reads["fixed-point-subsets", "misses"] == reads["fixed-point-subsets", "hits"] == 1
     assert reads["kernel", "misses"] > 0 and reads["witness-limit", "misses"] == len(orbit.torus_fixed_points(alg)) == 6
     assert "_memo" not in vars(WeightedLieAlgebra) and type(alg._memo) is dict
-    assert traffic.traffic([op])[3] == {("torus-fixed-points", "hits"): 1}
+    assert traffic.traffic([op])[3] == {("fixed-point-subsets", "hits"): 1, ("fixed-point-record", "hits"): 6}
 
 
 def test_importing_the_tool_leaves_the_interpreter_as_it_was():
@@ -200,6 +196,7 @@ UNREACHED = {
     "linalg.PluckerVector.is_zero": BENCHMARK,
     "linalg.normalize_plucker": BENCHMARK,
     "linalg.plucker_limit": BENCHMARK,
+    "orbit.Subspace.from_rows": BENCHMARK,
     "orbit.Subspace.__hash__": PROTOCOL,
     "orbit.MembershipVerdict.certified": BENCHMARK,
     "orbit._refutation": FALLBACK,
@@ -210,14 +207,21 @@ UNREACHED = {
 def test_every_unreached_function_has_a_reason(traffic, capsys):
     """The functions no workload enters are exactly those with a reason
     to stay, in package order; a new one fails here until it is deleted
-    or given its reason.  The process-wide caches are emptied first, so
-    a function whose result an earlier test kept is still entered."""
-    for cache in (cli.shared_algebra, cli.ps_section, cli._parser):
-        cache.cache_clear()
+    or given its reason."""
     assert traffic.main(["--workload", "geometry", "charts", "queries", "--seeds", "1-2"]) == 0
-    cli.shared_algebra.cache_clear()
-    cli.ps_section.cache_clear()
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith(" operations, 0 raised")
     unreached = [label.split(":")[0] for label in listing(lines)[1]]
     assert unreached == list(UNREACHED)
+
+
+def test_a_second_call_lists_what_the_first_did(traffic, capsys):
+    """The tool empties the CLI's process-wide caches before each
+    (workload, seed), so a function whose result an earlier call kept
+    there is entered again, as in a benchmark run's fresh process."""
+    listings = []
+    for _ in range(2):
+        assert traffic.main(["--workload", "geometry", "charts", "--seeds", "1"]) == 0
+        listings.append(listing(capsys.readouterr().out.splitlines())[:2])
+    assert listings[0] == listings[1]
+    assert {"cli.shared_algebra", "cli.ps_section", "cli._parser"} <= set(listings[1][0])

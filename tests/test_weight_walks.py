@@ -129,8 +129,8 @@ class TestGroupFixedPoints:
     def test_match_selection_from_every_record(self, name):
         alg = borel_nilradical(5) if name == "borel-nilradical-A5" else CASES[name]()
         group = orbit.group_fixed_points(alg)
-        # selected by weight set: the torus-fixed records were not enumerated
-        assert "torus-fixed-points" not in alg._memo
+        # selected by weight set: a record was built for the group-fixed subsets only
+        assert sum(isinstance(k, tuple) and k[0] == "fixed-point-record" for k in alg._memo) == len(group)
         assert group == reference_group_fixed_points(alg, reference_torus_fixed_points(alg))
 
 
@@ -205,10 +205,10 @@ class TestMultipointByWeightSet:
         def refuse(alg):
             raise AssertionError("the fixed points were enumerated")
 
-        monkeypatch.setattr(orbit, "_enumerate_torus_fixed_points", refuse)
+        monkeypatch.setattr(orbit, "_fixed_point_subsets", refuse)
         points = [alg.weight_vector(0), alg.weight_vector(5)]
         verdict, mp = orbit.multipoint_membership(alg, points)
-        assert "torus-fixed-points" not in alg._memo
+        assert "fixed-point-subsets" not in alg._memo
         monkeypatch.undo()
         assert (verdict, mp) == reference_multipoint_membership(models.builtin("borel-nilradical-A3"), points)
         assert verdict == "proven"

@@ -7,9 +7,13 @@ For each named workload, in the order given, and each seed it builds
 the operations of `perfbench/workloads.build` for the benchmark's run
 budget (`paired_runs.SECONDS`) and runs them in this process through
 the benchmark worker's own `run_one`, in the worker's order, so an
-operation is skipped exactly when the worker skips it.  Each operation's call runs under `sys.settrace`, which
-records every frame whose code lies in `src/orbitvar`; its check runs
-untraced.
+operation is skipped exactly when the worker skips it.  Before each
+(workload, seed) it empties the CLI's process-wide caches
+(`cli.shared_algebra`, `cli.ps_section`, `cli._parser`), so every run
+starts as a benchmark run's fresh interpreter does, and a second call
+in one process lists what the first did.  Each operation's call runs
+under `sys.settrace`, which records every frame whose code lies in
+`src/orbitvar`; its check runs untraced.
 
 It prints each package function that an operation entered, with the
 number of operations that entered it (most first), then every package
@@ -202,6 +206,7 @@ def traffic(ops) -> tuple[Counter, int, int, Counter]:
 def main(argv: list[str] | None = None) -> int:
     """Needs `perfbench/` and `tools/` on `sys.path`, as script use sets."""
     import workloads
+    from orbitvar import cli
     from paired_runs import SECONDS, seed_range
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -215,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="traffic-") as out_dir:
         for workload in args.workload:
             for seed in args.seeds:
+                for cache in (cli.shared_algebra, cli.ps_section, cli._parser):
+                    cache.cache_clear()  # as in the fresh process of each benchmark run
                 got, n, bad, memo_reads = traffic(workloads.build(workload, seed, SECONDS, out_dir))
                 entered.update(got)
                 reads.update(memo_reads)
