@@ -7,13 +7,16 @@ first, then the a-basis in declared order.  Weights, structure constants
 and every vector computed here hold the entries of `linalg`: an int when
 integral, a Fraction otherwise.  `build` converts its input with
 `linalg.entry` (refusing a float or a symbol), sums start from 0, the
-divisions of `exp_ad_terms` and `jordan_decompose` go through
+divisions of `exp_ad_chain` and `torus_conjugation` go through
 `linalg.exact_div`, and whole Fractions in a result are lowered to ints
-(`linalg.lowered`).  The torus kernel of each weight subset is kept as
-its canonical basis and grown from the kernel of the subset less its
-largest index by one elimination (`kernel`, `_kernel_step`), so the
-walks over weight subsets take no `rref`; the center is the kernel of
-all the weights, kept as that canonical basis (`center`).  The Jacobi
+(`linalg.lowered`).  A scalar word exp(z_1 ad a_k1) ... acts on rows
+by one route, `_word_rows`, summed from the memoised single-weight
+chains; the Jordan conjugation is such a word.  The torus kernel of
+each weight subset is kept as its canonical basis and grown from the
+kernel of the subset less its largest index by one elimination
+(`kernel`, `_kernel_step`), so the walks over weight subsets take no
+`rref`; the center is the kernel of all the weights, kept as that
+canonical basis (`center`).  The Jacobi
 and nilpotency verdicts are computed only inside the memoised
 `validate` table, which `jordan_decompose`'s precondition check reads.
 """
@@ -64,9 +67,14 @@ class Weight:
     coords: tuple  # entries (linalg.entry)
 
     def __call__(self, t_coords: Sequence):
-        """The pairing with a torus element, over the terms where both
-        coordinates are nonzero."""
-        return sum(a * b for a, b in zip(self.coords, t_coords) if a and b)
+        """The pairing with a torus element, summed from 0 over the terms
+        where both coordinates are nonzero; a weight coordinate 1 adds
+        the torus coordinate itself, which is that product exactly."""
+        total = 0
+        for a, b in zip(self.coords, t_coords):
+            if a and b:
+                total += b if a == 1 else a * b
+        return total
 
     def height(self):
         return sum(self.coords)
@@ -177,10 +185,10 @@ class WeightedLieAlgebra:
     entry.  `[a_j, a_i]` is read off by antisymmetry.  `ad_table` turns
     the weights and this table into sparse adjoint columns once, and it
     is the one reader of the structure constants that the arithmetic
-    uses: `bracket`, `ad`, `exp_ad_terms`, the Jacobi check and the
-    row-space nilpotency check all sum from it.  The nilpotency check of
-    a table whose entries have one term each reads only the table's
-    support (`_nilpotent`).
+    uses: `bracket`, `commuting`, `ad`, `exp_ad_chain`, the Jacobi
+    check and the row-space nilpotency check all sum from it.  The
+    nilpotency check of a table whose entries have one term each reads
+    only the table's support (`_nilpotent`).
 
     `_memo` holds data derived from the fields, each computed once per
     instance by a function decorated with `memoised`: the fingerprint,
@@ -189,11 +197,12 @@ class WeightedLieAlgebra:
     Jacobi and nilpotency verdicts `jordan_decompose` also reads, a
     passed Jordan precondition check, the exp(ad) chain of each basis
     vector under each weight vector (`exp_ad_chain`, built when a row
-    first needs it), and `orbit`'s weight order, fixed-point subsets,
-    group-fixed points and per-subset fixed-point records, witness
-    curves and limits.  The fields are immutable and every memoised
-    value is immutable, so a memoised value never goes stale; the memo
-    takes no part in `==`, `hash`, `repr`, `to_json` or `fingerprint`.
+    first needs it), the weight order (`weight_order`), and `orbit`'s
+    fixed-point subsets, group-fixed points and per-subset fixed-point
+    records, witness curves and limits.  The fields are immutable and
+    every memoised value is immutable, so a memoised value never goes
+    stale; the memo takes no part in `==`, `hash`, `repr`, `to_json` or
+    `fingerprint`.
     """
 
     t_dim: int
@@ -350,12 +359,21 @@ class WeightedLieAlgebra:
         """[a_i, a_j] as a coefficient vector on the a-basis."""
         return self.a_part(self.bracket(self.weight_vector(i), self.weight_vector(j)))
 
+    def _length_error(self, v: Sequence) -> AlgebraError:
+        """The error for a vector whose length is not dim: its coordinates
+        would be read against the wrong basis vectors."""
+        return AlgebraError(f"a vector of r has {self.dim} coordinates, not {len(v)}")
+
     def bracket(self, x: Sequence, y: Sequence):
         """Lie bracket of two elements of r = t + a, summed from `ad_table`
         over the nonzero coordinates of x and y.  It is bilinear in the
         entries of any commutative ring that multiplies with ints and
-        Fractions (polynomials, say); the package passes rational ones."""
+        Fractions (polynomials, say); the package passes rational ones.
+        A vector whose length is not dim raises `AlgebraError`."""
         table = self.ad_table()
+        for v in (x, y):
+            if len(v) != len(table):
+                raise self._length_error(v)
         out = [0] * len(table)
         support = [(j, c) for j, c in enumerate(y) if c]
         for xe, op in zip(x, table):
@@ -364,6 +382,35 @@ class WeightedLieAlgebra:
                     for k, a in op[j]:
                         out[k] += a * xe * c
         return lowered(out)
+
+    def commuting(self, vectors: Sequence[Sequence]) -> bool:
+        """True when every two of the vectors commute.  Each bracket is
+        summed from `ad_table` over the nonzero coordinates of the pair
+        alone, each vector's read once, with one product per pair of
+        coordinates whose basis vectors do not commute; no bracket is
+        lowered or returned.  A vector whose length is not dim raises
+        `AlgebraError`."""
+        table = self.ad_table()
+        dim = len(table)
+        supports = []
+        for v in vectors:
+            if len(v) != dim:
+                raise self._length_error(v)
+            supports.append([(j, c) for j, c in enumerate(v) if c])
+        for a, xs in enumerate(supports):
+            for ys in supports[a + 1 :]:
+                out = [0] * dim
+                for i, c in xs:
+                    op = table[i]
+                    for j, e in ys:
+                        col = op[j]
+                        if col:
+                            ce = c * e
+                            for k, f in col:
+                                out[k] += ce * f
+                if any(out):
+                    return False
+        return True
 
     @memoised("ad-table")
     def ad_table(self) -> tuple:
@@ -384,41 +431,78 @@ class WeightedLieAlgebra:
             cols[d + j][d + i] += [(d + k, -c) for k, c in terms]
         return tuple(tuple(tuple(col) for col in op) for op in cols)
 
-    def exp_ad_terms(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[tuple, ...]:
-        """The terms (ad u)^k v / k! of exp(ad u) v, from k = 0 up to the
-        last nonzero one.  ad u is nilpotent for u in a on an algebra that
-        passes `validate`, so at most dim terms are nonzero; a chain that
-        has not ended by then raises `AlgebraError`.  Each 1/k is an
-        `exact_div`."""
-        terms = [tuple(v)]
-        for k in range(1, self.dim + 1):
-            term = self.bracket(u, terms[-1])
-            if not any(term):
-                return tuple(terms)
-            terms.append(tuple(exact_div(c, k) if c else c for c in term))
-        raise AlgebraError(f"exp(ad u) did not end within {self.dim} terms")
-
     @memoised(EXP_AD_CHAIN)
     def exp_ad_chain(self, k: int, j: int) -> tuple[tuple[tuple[int, object], ...], ...]:
         """The terms (ad a_k)^m e_j / m! of exp(ad a_k) e_j, from m = 0 up
         to the last nonzero one, each as its (index, coefficient) pairs
-        with a nonzero coefficient.  Built from `exp_ad_terms` the first
-        time a row needs it and kept for the life of the instance, so
-        exp(z ad a_k) of a row is a sum of memoised chains over the row's
-        nonzero entries.  A chain that does not end raises `AlgebraError`
-        and is not kept.  The memo key is (EXP_AD_CHAIN, k, j), under
-        which `orbit._exp_row` reads a chain already built."""
-        terms = self.exp_ad_terms(self.weight_vector(k), self.basis_vector(j))
-        return tuple(tuple((i, c) for i, c in enumerate(term) if c) for term in terms)
+        with a nonzero coefficient, sorted by index.  Term m is ad a_k of
+        term m - 1, summed from the `ad_table` column of a_k over that
+        term's pairs alone, then divided by m (`exact_div`), so a chain
+        costs its own terms and not dim per term.  ad a_k is nilpotent
+        on an algebra that passes `validate`, so at most dim terms are
+        nonzero; a chain that has not ended by then raises `AlgebraError`
+        and is not kept.  Built the first time a row needs it and kept
+        for the life of the instance, under (EXP_AD_CHAIN, k, j), where
+        `_word_rows` and `orbit._exp_row` read a chain already built."""
+        op = self.ad_table()[self.t_dim + k]
+        term = ((j, 1),)
+        terms = [term]
+        for m in range(1, self.dim + 1):
+            acc: dict = {}
+            for i, c in term:
+                for p, e in op[i]:
+                    acc[p] = acc.get(p, 0) + c * e
+            term = tuple((p, exact_div(c, m)) for p, c in sorted(acc.items()) if c)
+            if not term:
+                return tuple(terms)
+            terms.append(term)
+        raise AlgebraError(f"exp(ad u) did not end within {self.dim} terms")
+
+    def _word_rows(self, word: Sequence[tuple[int, object]], rows: Sequence[tuple]) -> list[tuple]:
+        """exp(z_1 ad a_k1) ... exp(z_m ad a_km) applied to each row, for a
+        word ((k_1, z_1), ..., (k_m, z_m)) of weight indices and scalar
+        entries: the last factor first.  A factor maps a row to the sum,
+        over its nonzero entries c_j, of c_j z^m times term m of the
+        memoised chain of e_j (`exp_ad_chain`); term 0 is e_j, so the row
+        starts as itself.  Only nonzero entries are multiplied or added.
+        A row that a factor leaves as it was (z = 0, or no nonzero entry
+        whose chain goes past e_j) comes back as it is; every other row
+        comes back with its whole Fractions lowered to ints.  A chain
+        already built is read straight from the memo.  This is the one
+        route of a scalar word: `orbit.act`, `membership`'s certificate,
+        the orbit peel and the Jordan conjugation take it."""
+        memo = self._memo
+        for widx, scalar in reversed(word):
+            if not scalar:
+                continue
+            out = []
+            for p in rows:
+                acc = None
+                for j, c in enumerate(p):
+                    if c:
+                        chain = memo.get((EXP_AD_CHAIN, widx, j)) or self.exp_ad_chain(widx, j)
+                        if len(chain) > 1:
+                            if acc is None:
+                                acc = list(p)
+                            for term in chain[1:]:
+                                c *= scalar  # p[j] z^m
+                                for i, e in term:
+                                    acc[i] += c * e
+                out.append(p if acc is None else lowered(acc))
+            rows = out
+        return list(rows)
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad x in the ordered basis (columns act on basis vectors),
         summed from `ad_table` over the nonzero coordinates of x.  When every
         coordinate is an int or a Fraction, each entry is a sum of products
         of entries, so the rows need only `lowered`; any other coordinate
-        goes through `Matrix.from_rows`, which converts or refuses it."""
+        goes through `Matrix.from_rows`, which converts or refuses it.  A
+        vector whose length is not dim raises `AlgebraError`."""
         table = self.ad_table()
         dim = len(table)
+        if len(x) != dim:
+            raise self._length_error(x)
         rows = [[0] * dim for _ in range(dim)]
         for op, xe in zip(table, x):
             if xe != 0:
@@ -527,13 +611,15 @@ class WeightedLieAlgebra:
     # -- centralizers, regularity, Jordan -------------------------------
 
     def centralizer(self, x: Sequence[Fraction]) -> Matrix:
-        """Canonical basis (rows) of the centralizer of x in r."""
+        """Canonical basis (rows) of the centralizer of x in r.  A vector
+        whose length is not dim raises `AlgebraError` (`ad`)."""
         return nullspace(self.ad(x))
 
     def regular_test(self, x: Sequence[Fraction]) -> bool:
         """x is regular when its centralizer has the minimal dimension,
         which equals the torus dimension: by rank-nullity, when ad x has
-        rank dim - t_dim."""
+        rank dim - t_dim.  A vector whose length is not dim raises
+        `AlgebraError` (`ad`)."""
         return rank(self.ad(x)) == self.dim - self.t_dim
 
     @memoised("jordan-preconditions")
@@ -552,69 +638,112 @@ class WeightedLieAlgebra:
         if not checks["nilpotency"][0]:
             raise AlgebraError("jordan decomposition needs a nilpotent a")
 
+    @memoised("weight-order")
+    def weight_order(self) -> tuple[int, ...]:
+        """The weight indices by weight height, then coordinates, then
+        index, sorted once per algebra: the factor order of the orbit
+        peel, the Jordan conjugation and the `boundary` walk."""
+        return tuple(sorted(range(self.n), key=lambda i: weight_sort_key(self.weights[i])))
+
+    def torus_conjugation(self, x: Sequence, lam: Sequence) -> tuple[tuple, tuple] | None:
+        """(v, word) with v = g x = x_t + n_0: x_t the torus part of x, n_0
+        on the weights that vanish at x_t, and g the product of the
+        word's factors exp(z ad a_k), given as (k, z) pairs in the order
+        they are applied; or None when n + 1 passes leave a coordinate
+        to clear.  `lam` holds the weight values w_k(x_t), which
+        `multipoint_membership` has already computed to test them.  One
+        pass walks the weights whose value lambda_k = w_k(x_t) is not 0,
+        in `weight_order`, and clears each coordinate r_k != 0 of the
+        current v by exp(z ad a_k), z = r_k / lambda_k (`exact_div`),
+        applied with `_word_rows`: [a_k, x_t] = -lambda_k a_k, so the
+        factor takes r_k off coordinate k.  Passes repeat until one
+        finds nothing to clear.  Each factor is an automorphism of r when
+        Jacobi holds (`jacobi` in `validate`), since ad a_k is then a
+        derivation; its chains end when a is nilpotent, and a chain that
+        does not raises `AlgebraError`.
+
+        Termination: let D^1 be every weight index and D^(m+1) the
+        indices of the terms of the bracket-table entries (i, j) with i
+        or j in D^m.  Then [a_k, a] lies in a_(D^(m+1)) for k in D^m, and
+        D^(m+1) lies in D^m.  Suppose the nonvanishing coordinates of v
+        lie in D^m when a pass starts.  A factor of the pass has k in
+        D^m, and exp(z ad a_k) v = v - r_k a_k + z [a_k, r] +
+        (z ad a_k)^2 r / 2 + ..., r the a-part of v, since
+        (ad a_k)^2 x_t = -lambda_k [a_k, a_k] = 0.  The bracket terms lie
+        in a_(D^(m+1)), so the factor clears coordinate k up to
+        a_(D^(m+1)) and moves the others only inside it; a later factor
+        of the pass reads a coordinate still in D^m.  After the pass the
+        nonvanishing coordinates lie in D^(m+1), and the torus part stays
+        x_t.  When every table entry has one term, D^m is the support of
+        the lower central series term C^m (`_nilpotent`), so on a
+        nilpotent a D^(n+1) is empty and at most n passes do work.  A
+        table whose brackets respect the grading (as Jacobi forces) and
+        whose weight spaces are one-dimensional (as `validate` asks) has
+        only one-term entries.  On a table with a multi-term entry D^m
+        can outlast C^m, and the pass bound answers None."""
+        d = self.t_dim
+        order = [k for k in self.weight_order() if lam[k]]
+        v = tuple(x)
+        word = []
+        for _ in range(self.n + 1):
+            cleared = False
+            for k in order:
+                c = v[d + k]
+                if c:
+                    z = exact_div(c, lam[k])
+                    (v,) = self._word_rows(((k, z),), (v,))
+                    word.append((k, z))
+                    cleared = True
+            if not cleared:
+                return v, tuple(word)
+        return None
+
     def jordan_decompose(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
         """Jordan decomposition x = s + n inside r: ad s semisimple, ad n
         nilpotent, [s, n] = 0.  Requires zero center, the Jacobi identity
-        and a nilpotent a.
+        and a nilpotent a.  A vector whose length is not dim raises
+        `AlgebraError` before any other work.
 
         Method: conjugate x inside r to x_t + n_0, with x_t its torus part
         and n_0 on the weights that vanish at x_t (de Graaf, *Lie Algebras:
         Theory and Algorithms*, 2000, the Jordan decomposition in a
-        solvable algebra with a split torus).  Let lambda_i = w_i(x_t) and
-        r the a-part of the current element v.  ad x_t is diagonal on the
-        weight basis, so u = sum over lambda_i != 0 of (r_i / lambda_i) a_i
-        solves [u, x_t] = -r on the nonvanishing weights; v is replaced by
-        exp(ad u) v, summed from `exp_ad_terms`.  This repeats until no
-        a-part is left on a nonvanishing weight, giving g x = x_t + n_0
-        with g = exp(ad u_K) ... exp(ad u_1).  Then
-        s = exp(-ad u_1) ... exp(-ad u_K) x_t and n = x - s.
+        solvable algebra with a split torus), by single-weight factors
+        exp(z ad a_k), z = r_k / lambda_k, in `weight_order`
+        (`torus_conjugation`, which also proves that at most n passes do
+        work).  That gives g x = x_t + n_0, g the word's product; then s
+        is the inverse word applied to x_t (`_word_rows`), so
+        s = g^-1 x_t, and n = x - s.  Passes past n + 1 raise
+        `AlgebraError`.
 
-        Termination: let C^1 = a and C^{k+1} = [a, C^k].  Each C^k is
-        ad t-stable, so it is the sum of its intersections with the weight
-        spaces, and the part of an element of C^k on the nonvanishing
-        weights lies in C^k.  If that part of r lies in C^k, so does u, and
-        exp(ad u) v = x_t + (r - r_J) + ([u, r] + (ad u)^2 v / 2 + ...),
-        where r_J is the nonvanishing part of r.  r - r_J sits on the
-        vanishing weights and the bracket terms lie in C^{k+1}, so the next
-        nonvanishing part lies in C^{k+1}; the torus part stays x_t.  a is
-        nilpotent, so C^{n+1} = 0 and at most n passes do work.  The loops
-        are bounded all the same (n + 1 passes, dim terms per
-        exponential) and raise `AlgebraError` past their bound.
-
-        Correctness: by Jacobi, ad u is a derivation and exp(ad u) is an
-        automorphism of r.  So ad s is conjugate to the diagonal ad x_t and
-        is semisimple.  n = g^-1 n_0 lies in the ideal a, where ad n is
-        nilpotent because ad a maps r into a and C^k into C^{k+1}; and
-        [s, n] = g^-1 [x_t, n_0] = 0.  The Jordan decomposition of ad x is
-        unique, and ad is injective when the center is zero, so (s, n) is
-        the only such pair.  The exact check [s, n] = 0 re-verifies it.
+        Correctness: by Jacobi, each ad a_k is a derivation and each
+        factor an automorphism of r.  So ad s is conjugate to the diagonal
+        ad x_t and is semisimple.  n = g^-1 n_0 lies in the ideal a, where
+        ad n is nilpotent because ad a maps r into a and C^k into C^(k+1);
+        and [s, n] = g^-1 [x_t, n_0] = 0.  The Jordan decomposition of
+        ad x is unique, and ad is injective when the center is zero, so
+        (s, n) is the only such pair, whatever the factor order.  The
+        exact check [s, n] = 0 re-verifies it.
 
         A homogeneous x is answered without the conjugation, with the
-        tuples it would return.  When the a-part of x is zero, every u is
-        zero, so s = x_t + 0 and n = 0; when the torus part is zero, every
-        lambda_i is zero, so again no u, and s = x_t + 0 (all zero) and
-        n = x - s.  One of s and n is zero, so [s, n] = 0 needs no check.
+        tuples it would return.  When the a-part of x is zero, no
+        coordinate is cleared, so s = x_t + 0 and n = 0; when the torus
+        part is zero, every lambda_k is zero, so again no factor, and
+        s = x_t + 0 (all zero) and n = x - s.  One of s and n is zero, so
+        [s, n] = 0 needs no check.
         """
+        if len(x) != self.t_dim + len(self.a_basis):
+            raise self._length_error(x)
         self.check_jordan_preconditions()
         d = self.t_dim
         xt = self.torus_part(x)
         if not any(x[d:]) or not any(xt):
             s = xt + (0,) * self.n
             return s, lowered([a - b for a, b in zip(x, s)])
-        lam = [w(xt) for w in self.weights]
-        v = tuple(x)
-        us = []
-        for _ in range(self.n + 1):
-            u = (0,) * d + tuple(exact_div(c, l) if c and l else 0 for c, l in zip(v[d:], lam))
-            if not any(u):
-                break
-            us.append(u)
-            v = _vector_sum(self.exp_ad_terms(u, v))
-        else:
+        conjugated = self.torus_conjugation(x, [w(xt) for w in self.weights])
+        if conjugated is None:
             raise AlgebraError(f"jordan conjugation did not settle in {self.n + 1} passes")
-        s = xt + (0,) * self.n
-        for u in reversed(us):
-            s = _vector_sum(self.exp_ad_terms(tuple(-c for c in u), s))
+        inverse = tuple((k, -z) for k, z in conjugated[1])
+        (s,) = self._word_rows(inverse, (xt + (0,) * self.n,))
         n = lowered([a - b for a, b in zip(x, s)])
         if any(c != 0 for c in self.bracket(s, n)):
             raise AlgebraError("jordan parts fail to commute")
@@ -788,14 +917,3 @@ def _kernel_step(ker: Matrix, w: Weight) -> Matrix:
         out.append(row)
     out += rows[last + 1 :]
     return Matrix(len(out), ker.cols, tuple(out))
-
-
-def _vector_sum(vectors: Sequence[tuple]) -> tuple:
-    """Coordinatewise sum of equally long vectors, adding only the nonzero
-    entries."""
-    out = [0] * len(vectors[0])
-    for v in vectors:
-        for j, c in enumerate(v):
-            if c:
-                out[j] += c
-    return lowered(out)

@@ -20,12 +20,15 @@ the witness limit of the empty weight set.  The group-fixed points
 are the torus records, not copies, whose weight sets pass a size test
 and a bracket-support test, which together hold exactly when z_S + a_S
 is an ideal (`group_fixed_points`), so no bracket is summed to find
-them.
+them.  Queries run at certificate cost: an orbit certificate is
+compared as rows, commutativity is summed over nonzero coordinates
+only (`WeightedLieAlgebra.commuting`), and the centralizer of a point
+on which no weight vanishes is its conjugation's inverse word applied
+to t (`multipoint_membership`).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +43,6 @@ from .liealg import (
     Weight,
     WeightedLieAlgebra,
     memoised,
-    weight_sort_key,
 )
 from .linalg import (
     Matrix,
@@ -313,10 +315,11 @@ def act(alg: WeightedLieAlgebra, word, v: Subspace):
     """Apply the product of exp(z_i ad x_{alpha_i}) left-to-right to V.
     Scalars are ints or Fractions, converted by `linalg.entry`, which
     refuses a float; None means the shared formal parameter z, and a word
-    with one gives a CurveSubspace.  Each factor is applied by
-    `_exp_row`: to all basis rows at once for a scalar word, since a
-    scalar maps each row on its own, and otherwise to each row kept as
-    its z^k coefficient vectors.
+    with one gives a CurveSubspace.  A scalar word maps V's basis rows by
+    `WeightedLieAlgebra._word_rows`, the one route of a scalar word, since
+    a scalar maps each row on its own.  Otherwise each row is kept as its
+    z^k coefficient vectors: a formal factor is `_exp_row`, and a scalar
+    factor maps each coefficient vector by `_word_rows`.
 
     [x_k, r] lies in a, so exp(z ad x_k) fixes the torus part of every
     row.  When V's pivots all lie on the torus, the rows of a scalar
@@ -334,49 +337,30 @@ def act(alg: WeightedLieAlgebra, word, v: Subspace):
         checked.append((widx, None if scalar is None else entry(scalar)))
     word = checked
     if all(scalar is not None for _, scalar in word):
-        rows = v.basis.entries
-        for widx, scalar in reversed(word):
-            rows = _exp_row(alg, widx, scalar, rows)
-        image = Matrix(v.dim, alg.dim, tuple(rows))
+        image = Matrix(v.dim, alg.dim, tuple(alg._word_rows(word, v.basis.entries)))
         return Subspace(alg, image if all(p < alg.t_dim for p in v.pivots) else row_space_basis(image))
     polys = [[row] for row in v.basis.entries]
     for widx, scalar in reversed(word):
-        polys = [_exp_row(alg, widx, scalar, p) for p in polys]
+        if scalar is None:
+            polys = [_exp_row(alg, widx, p) for p in polys]
+        else:
+            polys = [alg._word_rows(((widx, scalar),), p) for p in polys]
     return CurveSubspace(alg, tuple(map(tuple, polys)))
 
 
-def _exp_row(alg: WeightedLieAlgebra, widx: int, scalar, poly: list[tuple]) -> list[tuple]:
-    """exp(z ad x_widx) applied to the row sum_b z^b poly[b], as
-    sum_j poly[b][j] sum_m z^m chain(j)[m] over the nonzero entries j of
-    each poly[b], where chain(j) is the memoised sparse chain
-    (ad x_widx)^m e_j / m! (`exp_ad_chain`); its term m = 0 is e_j, so
-    each poly[b] starts as itself.  For a scalar z (an entry) each
-    poly[b] is mapped on its own; for None term m of chain(j) adds to the
-    z^(b+m) coefficient, and trailing zero coefficients are dropped.  Only
-    nonzero entries are multiplied or added.  A row that a scalar leaves
-    as it was (z = 0, or no nonzero entry whose chain goes past e_j) comes
-    back as it is; every other row comes back with its whole Fractions
-    lowered to ints.  A chain already built is read straight from the
-    algebra's memo; `exp_ad_chain` runs only to build one."""
+def _exp_row(alg: WeightedLieAlgebra, widx: int, poly: list[tuple]) -> list[tuple]:
+    """exp(z ad x_widx), z the formal parameter, applied to the row
+    sum_b z^b poly[b], as sum_j poly[b][j] sum_m z^m chain(j)[m] over the
+    nonzero entries j of each poly[b], where chain(j) is the memoised
+    sparse chain (ad x_widx)^m e_j / m! (`exp_ad_chain`): term m of
+    chain(j) adds to the z^(b+m) coefficient, its term 0 being e_j, so
+    each poly[b] starts as itself, and trailing zero coefficients are
+    dropped.  Only nonzero entries are multiplied or added, and the
+    coefficients come back with their whole Fractions lowered to ints.
+    A chain already built is read straight from the algebra's memo;
+    `exp_ad_chain` runs only to build one.  A scalar z is
+    `WeightedLieAlgebra._word_rows`."""
     memo = alg._memo
-    if scalar is not None:
-        if not scalar:
-            return list(poly)
-        out = []
-        for p in poly:
-            acc = None
-            for j, c in enumerate(p):
-                if c:
-                    chain = memo.get((EXP_AD_CHAIN, widx, j)) or alg.exp_ad_chain(widx, j)
-                    if len(chain) > 1:
-                        if acc is None:
-                            acc = list(p)
-                        for term in chain[1:]:
-                            c *= scalar  # poly[b][j] z^m
-                            for i, e in term:
-                                acc[i] += c * e
-            out.append(p if acc is None else lowered(acc))
-        return out
     out = [list(p) for p in poly]
     for b, p in enumerate(poly):
         for j, c in enumerate(p):
@@ -401,24 +385,11 @@ def weight_index(alg: WeightedLieAlgebra, alpha: Weight) -> int:
 
 
 def is_commutative_subalgebra(alg: WeightedLieAlgebra, v: Subspace) -> bool:
+    """Every two basis rows of V commute (`WeightedLieAlgebra.commuting`,
+    which sums each bracket over the rows' nonzero entries only).  A V of
+    another algebra raises `DimensionMismatchError` (`_own`)."""
     _own(alg, v)
-    for i in range(v.dim):
-        for j in range(i + 1, v.dim):
-            br = alg.bracket(v.basis.row(i), v.basis.row(j))
-            if any(c != 0 for c in br):
-                return False
-    return True
-
-
-def _ordered(alg: WeightedLieAlgebra, indices: Sequence[int]) -> list[int]:
-    """Deterministic factor order: weight height, then coordinates."""
-    return sorted(indices, key=lambda i: weight_sort_key(alg.weights[i]))
-
-
-@memoised("weight-order")
-def _weight_order(alg: WeightedLieAlgebra) -> tuple[int, ...]:
-    """`_ordered` over every weight, sorted once per algebra."""
-    return tuple(_ordered(alg, range(alg.n)))
+    return alg.commuting(v.basis.entries)
 
 
 def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> Subspace:
@@ -448,14 +419,14 @@ def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspa
     factor.  That is the curve in any factor order: by Jacobi ad is a
     map of Lie algebras, so [x_i, x_j] = 0 gives [ad x_i, ad x_j] = 0,
     and the exponentials of commuting nilpotent maps commute.  So the
-    rows are exactly those of `act` over `_ordered(S)`.
+    rows are exactly those of `act` over S in `weight_order`.
     Precondition: the weight vectors of S pairwise commute and the
     algebra satisfies Jacobi (the CLI validates it first); otherwise the
     factors need not commute and the curve depends on their order."""
     if not subset:
         return CurveSubspace(alg, tuple((alg.basis_vector(i),) for i in range(alg.t_dim)))
     j = subset[-1]
-    return CurveSubspace(alg, tuple(tuple(_exp_row(alg, j, None, row)) for row in witness_curve(alg, subset[:-1]).rows))
+    return CurveSubspace(alg, tuple(tuple(_exp_row(alg, j, row)) for row in witness_curve(alg, subset[:-1]).rows))
 
 
 @memoised("witness-limit", subset=True)
@@ -603,7 +574,7 @@ def boundary_components(alg: WeightedLieAlgebra) -> list[BoundaryComponent]:
     if len(set(alg.weights)) != alg.n or alg._off_grade():
         raise PreconditionFailedError("boundary orbit dimensions need one-dimensional weight spaces and graded brackets")
     out = []
-    for i in _weight_order(alg):
+    for i in alg.weight_order():
         v_alpha = witness_limit(alg, (i,))
         if v_alpha != _fixed_point_subspace(alg, (i,)):
             raise PreconditionFailedError(f"the limit of exp(z ad x_{i}) t is not t_alpha + a^alpha")
@@ -667,11 +638,16 @@ def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
        algebra that fails Jacobi or nilpotency, before any certificate;
     3. the certificate of V's shape.  A torus-graph V (pivots on the
        torus) gets an orbit word, peeled weight by weight in height order
-       and re-verified by `act`, which reads word t's canonical rows off
-       the images of t's basis rows with no row reduction.  A
-       torus-stable V is matched with the one fixed point it can be,
-       z_S + a_S for S = `graded_subset(V)` (`fixed_point_of`), whose
-       witness-curve limit is verified to be V;
+       and re-verified: the word is applied again to t's basis rows
+       (`WeightedLieAlgebra._word_rows`, the route of `act`), and the
+       image rows are compared with V's canonical rows.  The image rows
+       keep t's torus pivots, so they are word t's canonical basis with
+       no row reduction, and the comparison is the equality of canonical
+       bases that `act(word, t) == V` tests, without building a
+       `Matrix` or a `Subspace`.  A torus-stable V is matched with the
+       one fixed point it can be, z_S + a_S for S = `graded_subset(V)`
+       (`fixed_point_of`), whose witness-curve limit is verified to be
+       V;
     4. only when no certificate verifies, the refutations (`_refutation`):
        V must contain the center, and on a zero center it must hold the
        semisimple part of each of its basis vectors.  Otherwise the
@@ -696,7 +672,7 @@ def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
         alg.check_jordan_preconditions()
     if v.pivots == tuple(range(alg.t_dim)):
         params = _peel_orbit(alg, v)
-        if params is not None and act(alg, params, torus_subspace(alg)) == v:
+        if params is not None and tuple(alg._word_rows(params, torus_subspace(alg).basis.entries)) == v.basis.entries:
             return MembershipVerdict("orbit", params=tuple(params))
         unknown = "torus-graph subspace without orbit certificate"
     else:
@@ -730,7 +706,7 @@ def _refutation(alg: WeightedLieAlgebra, v: Subspace) -> str | None:
 def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
     """For a torus-graph V, whose canonical rows are e_i + phi(e_i):
     strip one weight component per exponential factor, lowest height
-    first (`_weight_order`).  Each factor leaves the torus part e_i of
+    first (`weight_order`).  Each factor leaves the torus part e_i of
     row i, so the weight values on the rows are the coordinates of the
     weight.  Returns the word or None; each z is one `exact_div`.
 
@@ -742,7 +718,7 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
     rows = v.basis.entries
     weights = alg.weights
     applied: list[tuple[int, object]] = []
-    for k in _weight_order(alg):
+    for k in alg.weight_order():
         col = d + k
         wvals = weights[k].coords
         first = None
@@ -768,7 +744,7 @@ def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
         zc = exact_div(cf, wf)
         # E(z) t = t - z w(t) x, so E(zc) clears the column and the
         # inverse factor E(-zc) belongs to the certificate word
-        rows = _exp_row(alg, k, zc, rows)
+        rows = alg._word_rows(((k, zc),), rows)
         applied.append((k, -zc))
     if any(any(row[d:]) for row in rows):
         return None
@@ -938,31 +914,56 @@ def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
 def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence]) -> tuple[str, MultiPoint]:
     """Do the given points lie in a common element of the closure?  Their
     coordinates are converted by `linalg.entry`, which refuses a float.
-    Routes through the centralizer of a regular point when one exists.
+    Points that do not pairwise commute are refuted
+    (`WeightedLieAlgebra.commuting`).  Then the first regular point, if
+    any, decides through its centralizer: `proven` when that holds every
+    point, `refuted` otherwise.
 
-    Otherwise the answer is the first record of `torus_fixed_points`, in
-    its (size, lexicographic) order, that holds every point, and it is
-    found without the enumeration.  A point lies in z_S + a_S exactly
-    when its a-support lies in S and the weights of S vanish on its
-    torus part.  So every record S that holds them all contains the
-    union U of the a-supports; U is then a record too, as subsets of
-    independent abelian sets are, and it holds them all, since its
-    weights are among those of S.  Being the smallest, U comes first.
-    When U is no record, or its record misses a point, no record holds
-    them all.  The record of U is checked to contain every point before
-    `proven` is answered."""
+    A point p on which no weight vanishes, on an algebra whose `validate`
+    table passes Jacobi and nilpotency, is regular, and its centralizer
+    comes from its own conjugation: `torus_conjugation` gives the word
+    of g with g p = p_t (no weight vanishes at p_t, so nothing is left
+    on a), and the centralizer of p_t is t, so that of p is g^-1 t, the
+    inverse word applied to t's basis rows (`_word_rows`).  Those rows
+    keep t's torus pivots, so they are the canonical basis: no `ad`
+    matrix and no `nullspace`.  Every other point takes `centralizer`
+    and is regular when that has t_dim rows.  `Subspace` checks either
+    basis.
+
+    Without a regular point, the answer is the first record of
+    `torus_fixed_points`, in its (size, lexicographic) order, that holds
+    every point, and it is found without the enumeration.  A point lies
+    in z_S + a_S exactly when its a-support lies in S and the weights of
+    S vanish on its torus part.  So every record S that holds them all
+    contains the union U of the a-supports; U is then a record too, as
+    subsets of independent abelian sets are, and it holds them all,
+    since its weights are among those of S.  Being the smallest, U comes
+    first.  When U is no record, or its record misses a point, no record
+    holds them all.  The record of U is checked to contain every point
+    before `proven` is answered."""
     pts = tuple(tuple(map(entry, p)) for p in points)
     if not pts:
         raise OrbitError("need at least one point")
     if any(len(p) != alg.dim for p in pts):
         raise DimensionMismatchError(f"every point needs {alg.dim} coordinates")
-    for a, b in itertools.combinations(pts, 2):
-        if any(c != 0 for c in alg.bracket(a, b)):
-            return "refuted", MultiPoint(pts, None)
+    if not alg.commuting(pts):
+        return "refuted", MultiPoint(pts, None)
+    d, weights = alg.t_dim, alg.weights
+    automorphic = None  # read from the `validate` table once a point needs it
     for p in pts:
-        basis = alg.centralizer(p)
-        if basis.rows == alg.t_dim:  # p is regular
-            cent = Subspace(alg, basis)
+        cent = None
+        pt = p[:d]
+        lam = [w(pt) for w in weights] if any(pt) else None  # every weight vanishes at 0
+        if lam is not None and all(lam):
+            if automorphic is None:
+                automorphic = all(ok for name, ok, _ in alg.validate() if name in ("jacobi", "nilpotency"))
+            if automorphic:
+                cent = _conjugated_centralizer(alg, p, lam)
+        if cent is None:
+            basis = alg.centralizer(p)
+            if basis.rows == d:  # p is regular
+                cent = Subspace(alg, basis)
+        if cent is not None:
             if all(cent.contains(q) for q in pts):
                 return "proven", MultiPoint(pts, cent)
             return "refuted", MultiPoint(pts, None)
@@ -972,6 +973,20 @@ def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence]) -
         if all(v.contains(p) for p in pts):
             return "proven", MultiPoint(pts, v)
     return "unknown", MultiPoint(pts, None)
+
+
+def _conjugated_centralizer(alg: WeightedLieAlgebra, p: tuple, lam: list) -> Subspace | None:
+    """The centralizer g^-1 t of a point p with g p = p_t, on an algebra
+    that passes Jacobi and nilpotency, for weight values `lam` at p_t
+    none of which is 0 (see `multipoint_membership`): the inverse of the
+    word of `torus_conjugation` applied to t's basis rows, already the
+    canonical basis.  None when the conjugation does not settle."""
+    conjugated = alg.torus_conjugation(p, lam)
+    if conjugated is None:
+        return None
+    inverse = tuple((k, -z) for k, z in conjugated[1])
+    rows = alg._word_rows(inverse, torus_subspace(alg).basis.entries)
+    return Subspace(alg, Matrix(alg.t_dim, alg.dim, tuple(rows)))
 
 
 def _t_alpha_prime_sample(alg: WeightedLieAlgebra, aidx: int, rng: random.Random):

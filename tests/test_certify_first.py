@@ -1,7 +1,9 @@
 """`orbit.membership`, which tries its certificates before its
-refutations, and `orbit._exp_row`, which sums memoised per-basis exp(ad)
-chains, against the refute-first membership and the bracket-chain
-`_exp_row` they replaced, both kept here as references.  Also pinned:
+refutations, and the two routes that sum memoised per-basis exp(ad)
+chains, `WeightedLieAlgebra._word_rows` for a scalar and
+`orbit._exp_row` for the formal parameter, against the refute-first
+membership and the bracket-chain row map they replaced, both kept here
+as references.  Also pinned:
 the orbit word's check keeps the algebra test of `Subspace.__eq__`; the
 fixed-point lookup finds every record of the enumeration (on the
 builtins, A4 and the 948 of A5); on an algebra that fails Jacobi or
@@ -19,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from exp_ad_reference import exp_ad_terms
 from test_liealg_sparse import RATIONALS, central_extensions, root_subset_algebras
 from test_memo import outcome
 from test_property_p import VARIANTS, borel_nilradical_a4, heisenberg_central_extension
@@ -39,13 +42,13 @@ def reference_exp_row(alg, widx, scalar, poly):
         z = Fraction(scalar)
         out = []
         for p in poly:
-            chain = alg.exp_ad_terms(xw, p)
+            chain = exp_ad_terms(alg, xw, p)
             acc = chain[-1]
             for term in reversed(chain[:-1]):
                 acc = tuple((t + z * a if t else z * a) if a else t for t, a in zip(term, acc))
             out.append(acc)
         return out
-    chains = [alg.exp_ad_terms(xw, p) for p in poly]
+    chains = [exp_ad_terms(alg, xw, p) for p in poly]
     out = [list(alg.zero()) for _ in range(max(b + len(chain) for b, chain in enumerate(chains)))]
     for b, chain in enumerate(chains):
         for acc, term in zip(out[b:], chain):
@@ -68,7 +71,7 @@ def reference_act(alg, word, v):
 def reference_peel_orbit(alg, v):
     rows = [list(v.basis.row(i)) for i in range(v.dim)]
     applied = []
-    for k in orbit._ordered(alg, range(alg.n)):
+    for k in alg.weight_order():
         w = alg.weights[k]
         col = alg.t_dim + k
         coefs = [rows[i][col] for i in range(len(rows))]
@@ -256,16 +259,16 @@ class TestExpRow:
         widx = data.draw(st.integers(0, alg.n - 1))
         poly = [tuple(row) for row in small_rows(data, alg, data.draw(st.integers(1, 3)))]
         z = data.draw(st.one_of(st.just(Fraction(0)), RATIONALS))
-        assert orbit._exp_row(alg, widx, z, poly) == reference_exp_row(alg, widx, z, poly)
-        assert orbit._exp_row(alg, widx, None, poly) == reference_exp_row(alg, widx, None, poly)
+        assert alg._word_rows(((widx, z),), poly) == reference_exp_row(alg, widx, z, poly)
+        assert orbit._exp_row(alg, widx, poly) == reference_exp_row(alg, widx, None, poly)
 
     @pytest.mark.parametrize("alg", FIXED[:5], ids=BUILTINS)
     def test_every_weight_and_basis_vector_of_the_builtins(self, alg):
         for widx in range(alg.n):
             for j in range(alg.dim):
                 poly = [alg.basis_vector(j), alg.basis_vector((j + 1) % alg.dim)]
-                for z in (Fraction(3, 2), None):
-                    assert orbit._exp_row(alg, widx, z, poly) == reference_exp_row(alg, widx, z, poly)
+                assert alg._word_rows(((widx, Fraction(3, 2)),), poly) == reference_exp_row(alg, widx, Fraction(3, 2), poly)
+                assert orbit._exp_row(alg, widx, poly) == reference_exp_row(alg, widx, None, poly)
 
     def test_chains_are_built_once(self):
         alg = models.borel_nilradical_a3()
@@ -504,8 +507,9 @@ class TestCounts:
     @pytest.mark.parametrize("name", UNCERTIFIED)
     def test_certified_queries_decompose_nothing(self, name, monkeypatch):
         """Certified orbit and fixed-point queries test commutativity once
-        each, and run no Jordan decomposition and no row reduction: `act`
-        reads the word's image of t off the image rows."""
+        each, and run no Jordan decomposition, no Jordan conjugation and
+        no row reduction: the orbit certificate compares the word's image
+        rows of t with V's rows."""
         alg = models.builtin(name)
         rng = random.Random(5)
         t = orbit.torus_subspace(alg)
@@ -516,11 +520,12 @@ class TestCounts:
         points += [recd.subspace for recd in orbit.torus_fixed_points(alg)]
         uncertified = orbit.Subspace.from_rows(alg, UNCERTIFIED[name])
         jordan = count_calls(monkeypatch, [WeightedLieAlgebra], "jordan_decompose")
+        conjugations = count_calls(monkeypatch, [WeightedLieAlgebra], "torus_conjugation")
         commutative = count_calls(monkeypatch, [orbit], "is_commutative_subalgebra")
         reductions = count_calls(monkeypatch, [linalg, liealg, orbit], "row_space_basis")
         verdicts = [orbit.membership(alg, v) for v in points]
         assert {v.kind for v in verdicts} == {"orbit", "limit"}
-        assert jordan == reductions == [] and len(commutative) == len(points)
+        assert jordan == conjugations == reductions == [] and len(commutative) == len(points)
         # an uncertified query decomposes each basis row
         assert orbit.membership(alg, uncertified).kind == "unknown"
         assert len(jordan) == alg.t_dim

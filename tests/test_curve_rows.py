@@ -81,7 +81,7 @@ class TestOneLayout:
             assert_one_layout(curve)
             assert curve.to_json() == padded_to_json(curve)
             if s:
-                assert curve.rows == orbit.act(alg, [(i, None) for i in orbit._ordered(alg, s)], t).rows
+                assert curve.rows == orbit.act(alg, [(i, None) for i in alg.weight_order() if i in s], t).rows
             else:
                 assert curve.rows == tuple((row,) for row in t.basis.entries)
 

@@ -136,7 +136,7 @@ class TestNamedAlgebrasMatchSympyReference:
         ]
         # A4's Plücker minors are slow in sympy: a sample of its subsets
         for s in random.Random(name).sample(subsets, min(len(subsets), 8)):
-            want = reference_act(alg, [(i, None) for i in orbit._ordered(alg, s)])
+            want = reference_act(alg, [(i, None) for i in alg.weight_order() if i in s])
             assert orbit.witness_curve(alg, s).limit() == reference_limit(alg, want)
 
 

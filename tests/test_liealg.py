@@ -276,6 +276,45 @@ class TestJordan:
             alg.jordan_decompose(F(0, 1, 0))
 
 
+class TestVectorLength:
+    """A vector whose length is not dim is refused with `AlgebraError`
+    before any work: read against the basis, a short one took zeros for
+    its missing coordinates and a long one raised `IndexError`."""
+
+    SHORT, LONG = F(1, 2, 3), F(1, 2, 0, 0, 0, 1)
+    MESSAGE = r"^a vector of r has 5 coordinates, not {}$"
+
+    def refuses(self, call, *args):
+        for v in (self.SHORT, self.LONG, F(1, 2)):
+            with pytest.raises(AlgebraError, match=self.MESSAGE.format(len(v))):
+                call(*args, v)
+
+    def test_jordan_decompose(self, monkeypatch):
+        # before the precondition check, which a short vector used to pass
+        monkeypatch.setattr(WeightedLieAlgebra, "check_jordan_preconditions", lambda alg: pytest.fail("work began"))
+        self.refuses(A2.jordan_decompose)
+
+    def test_centralizer(self):
+        self.refuses(A2.centralizer)
+
+    def test_regular_test(self):
+        self.refuses(A2.regular_test)
+
+    def test_bracket_and_ad(self):
+        self.refuses(A2.ad)
+        self.refuses(A2.bracket, A2.zero())
+        self.refuses(lambda v: A2.bracket(v, A2.zero()))
+
+    def test_commuting(self):
+        self.refuses(lambda v: A2.commuting([A2.zero(), v]))
+
+    def test_right_length_still_answers(self):
+        x = F(1, 1, 1, 0, 0)
+        assert A2.jordan_decompose(x) == (x, A2.zero())
+        assert A2.centralizer(x).rows == 2 and A2.regular_test(x)
+        assert A2.commuting([x, x]) and not A2.commuting([x, F(0, 0, 0, 1, 0)])
+
+
 class TestJordanWithoutSympy:
     """The Jordan decomposition and the routes that use it run on Fraction
     arithmetic alone: a fresh interpreter runs them and never imports

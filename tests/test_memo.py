@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from curve_limit_reference import nullspace_limit
 from curve_powers_reference import from_powers
+from exp_ad_reference import exp_ad_terms
 from linalg_reference import solve, weight_matrix, zero
 from stabilizer_reference import is_ideal
 from test_linalg import apply
@@ -160,7 +161,7 @@ def reference_torus_fixed_points(alg):
             if ws and rank(weight_matrix(alg, ws)) != len(ws) or not alg.centralizer_in_a(subset):
                 continue
             v = orbit._fixed_point_subspace(alg, subset)
-            word = [(i, None) for i in orbit._ordered(alg, subset)]
+            word = [(i, None) for i in alg.weight_order() if i in subset]
             witness = sympy_curve(alg, reference_act(alg, word))
             if subset and nullspace_limit(witness) != v:
                 raise orbit.OrbitError("witness curve limit mismatch")
@@ -387,9 +388,9 @@ class TestAdTable:
                 want = dense_chain(m, v)
             except NotNilpotentError:
                 # then the chain of some basis vector does not end
-                assert any(outcome(alg.exp_ad_terms, u, b)[0] == "raised" for b in units)
+                assert any(outcome(exp_ad_terms, alg, u, b)[0] == "raised" for b in units)
                 continue
-            assert alg.exp_ad_terms(u, v) == want
+            assert exp_ad_terms(alg, u, v) == want
         assert alg.ad_table() is alg.ad_table()
 
     @settings(max_examples=50)
@@ -419,9 +420,9 @@ class TestExpTerms:
             x = alg.weight_vector(i)
             fresh = bracket_ad(alg, x)
             for v in orbit.torus_subspace(alg).basis.entries:
-                assert alg.exp_ad_terms(x, v) == dense_chain(fresh, v)
+                assert exp_ad_terms(alg, x, v) == dense_chain(fresh, v)
                 if z is not None:
-                    assert sum_chain(alg.exp_ad_terms(x, v), z) == apply(exp_nilpotent(fresh, z), v)
+                    assert sum_chain(exp_ad_terms(alg, x, v), z) == apply(exp_nilpotent(fresh, z), v)
             assert alg.ad_table() is table
         got = orbit.act(alg, word, orbit.torus_subspace(alg))
         want = reference_act(alg, word)

@@ -45,7 +45,7 @@ DECORATED = {
     "kernel": WeightedLieAlgebra.kernel,
     "center": WeightedLieAlgebra.center,
     "jordan-preconditions": WeightedLieAlgebra.check_jordan_preconditions,
-    "weight-order": orbit._weight_order,
+    "weight-order": WeightedLieAlgebra.weight_order,
     "witness-curve": orbit.witness_curve,
     "witness-limit": orbit.witness_limit,
     "fixed-point-record": orbit.fixed_point_record,

@@ -83,7 +83,7 @@ def reference_witness_curve(alg, subset):
     t = orbit.torus_subspace(alg)
     if not subset:
         return from_powers(alg, [t.basis])
-    return orbit.act(alg, [(i, None) for i in orbit._ordered(alg, subset)], t)
+    return orbit.act(alg, [(i, None) for i in alg.weight_order() if i in subset], t)
 
 
 def generic_kernel_element(alg, lam):

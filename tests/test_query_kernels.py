@@ -3,9 +3,9 @@ kept here: `Subspace`'s one-pass check against the validator it
 replaced; `ad` and `centralizer` against the dense route (`nullspace`
 of `Matrix.from_rows`); `jordan_decompose` on homogeneous and mixed
 vectors against the full-system solve of `tests/test_memo.py` and
-against the conjugation route without its shortcut; `_exp_row` and the
-integer proportionality test of `_peel_orbit` on algebras whose weights
-are not 0 or 1.  Also: memoised
+against the conjugation route without its shortcut; `_word_rows` and
+the integer proportionality test of `_peel_orbit` on algebras whose
+weights are not 0 or 1.  Also: memoised
 exp(ad) chains are read without a call to `exp_ad_chain`, `act` refuses
 a weight index outside range(n), and `models.builtin` refuses an
 abelian size past its cap or spelled with other than ASCII digits."""
@@ -19,11 +19,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from exp_ad_reference import exp_ad_terms, vector_sum
 from test_certify_first import SCALARS, count_calls, reference_exp_row, reference_membership, reference_peel_orbit
 from test_liealg_sparse import NONZERO, RATIONALS, DenseReference, central_extensions, root_subset_algebras
 from test_memo import outcome, reference_jordan, rescaled_root_subsets
 
-from orbitvar import cli, liealg, models, orbit
+from orbitvar import cli, models, orbit
 from orbitvar.liealg import AlgebraError, WeightedLieAlgebra
 from orbitvar.linalg import Matrix, exact_div, lowered, nullspace, rref
 from orbitvar.orbit import DimensionMismatchError, NonCanonicalBasisError, OrbitError, Subspace
@@ -164,12 +165,12 @@ def conjugation_jordan(alg, x):
         if not any(u):
             break
         us.append(u)
-        v = liealg._vector_sum(alg.exp_ad_terms(u, v))
+        v = vector_sum(exp_ad_terms(alg, u, v))
     else:
         raise AlgebraError(f"jordan conjugation did not settle in {alg.n + 1} passes")
     s = xt + (0,) * alg.n
     for u in reversed(us):
-        s = liealg._vector_sum(alg.exp_ad_terms(tuple(-c for c in u), s))
+        s = vector_sum(exp_ad_terms(alg, tuple(-c for c in u), s))
     n = lowered([a - b for a, b in zip(x, s)])
     if any(c != 0 for c in alg.bracket(s, n)):
         raise AlgebraError("jordan parts fail to commute")
@@ -252,7 +253,7 @@ class TestPeelOnOtherWeights:
         widx = data.draw(st.integers(0, alg.n - 1))
         row = tuple(data.draw(st.lists(COORDINATE, min_size=alg.dim, max_size=alg.dim)))
         z = data.draw(st.one_of(RATIONALS, st.integers(-3, 3)))
-        got = orbit._exp_row(alg, widx, z, [row])
+        got = alg._word_rows(((widx, z),), [row])
         want = reference_exp_row(alg, widx, z, [row])
         assert got == want
         if got[0] is not row:  # a row the factor moves comes back lowered
@@ -302,9 +303,9 @@ class TestMemoisedChains:
         alg = WeightedLieAlgebra.build(
             1, ["a", "b", "c"], {"a": [1], "b": [2], "c": [3]}, [("a", "b", {"c": 1}), ("a", "c", {"b": 1})]
         )
-        for scalar in (1, None, 1):
+        for apply in (lambda row: alg._word_rows(((0, 1),), [row]), lambda row: orbit._exp_row(alg, 0, [row])) * 2:
             with pytest.raises(AlgebraError, match="did not end"):
-                orbit._exp_row(alg, 0, scalar, [alg.weight_vector(1)])
+                apply(alg.weight_vector(1))
             assert ("exp-ad-chain", 0, 2) not in alg._memo
 
 
@@ -326,8 +327,8 @@ class TestMemoisedValues:
     @pytest.mark.parametrize("name", BUILTINS)
     def test_each_value_is_computed_once(self, name):
         alg = models.builtin(name)
-        values = [alg.center(), alg.ad_table(), alg.fingerprint(), orbit.torus_subspace(alg), orbit._weight_order(alg)]
-        again = [alg.center(), alg.ad_table(), alg.fingerprint(), orbit.torus_subspace(alg), orbit._weight_order(alg)]
+        values = [alg.center(), alg.ad_table(), alg.fingerprint(), orbit.torus_subspace(alg), alg.weight_order()]
+        again = [alg.center(), alg.ad_table(), alg.fingerprint(), orbit.torus_subspace(alg), alg.weight_order()]
         assert all(a is b for a, b in zip(values, again))
 
 
@@ -338,12 +339,13 @@ class TestActIndices:
     @pytest.mark.parametrize("widx", [-1, -3, -4, 3, 4, 100])
     def test_out_of_range_indices_are_refused(self, widx, monkeypatch):
         alg = FIXED[1]
-        rows = count_calls(monkeypatch, [orbit], "_exp_row")
+        curves = count_calls(monkeypatch, [orbit], "_exp_row")
+        scalars = count_calls(monkeypatch, [WeightedLieAlgebra], "_word_rows")
         t = orbit.torus_subspace(alg)
         for word in ([(widx, 1)], [(widx, None)], [(0, 1), (widx, Fraction(1, 2))], [(widx, 1), (1, None)]):
             with pytest.raises(OrbitError, match=f"weight index {widx} is outside range\\(3\\)"):
                 orbit.act(alg, word, t)
-        assert rows == []
+        assert curves == scalars == []
 
 # -- the abelian builtins' cap ----------------------------------------------------
 

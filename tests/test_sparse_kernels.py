@@ -1,7 +1,9 @@
 """The exact kernels that skip zero entries, on sparse random Fraction
-matrices: `rref`, `reduce_mod_rowspace` and `_vector_sum` against the
-dense loops kept here, `exp_ad_terms` and both branches of
-`orbit._exp_row` against the dense adjoint chains of `test_memo`, and
+matrices: `rref` and `reduce_mod_rowspace` against the dense loops
+kept here; the memoised sparse chains `exp_ad_chain`, the reference
+`exp_ad_terms` and `vector_sum` (`tests/exp_ad_reference.py`), the
+scalar `_word_rows` and the formal `orbit._exp_row` against the dense
+adjoint chains of `test_memo`; and
 `act` on scalar words against the dense matrix sum of the curve kept
 here.  (`act` and `CurveSubspace.limit` are pinned to sympy in
 `test_curves`.)  Also pinned: every entry the kernels return is an int
@@ -20,13 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_powers_reference import powers
+from exp_ad_reference import exp_ad_terms, vector_sum
 from linalg_reference import solve, transpose, zero
 from test_liealg_sparse import ALGEBRAS, RATIONALS, DenseReference, sampled_from
-from test_memo import dense_chain, sum_chain
+from test_memo import dense_chain, outcome, perturbed_algebras, sum_chain
 
-from orbitvar import liealg, models, orbit
+from orbitvar import models, orbit
 from orbitvar.liealg import AlgebraError, WeightedLieAlgebra
-from orbitvar.linalg import Matrix, entry, nullspace, reduce_mod_rowspace, row_space_basis, rref
+from orbitvar.linalg import Matrix, NotNilpotentError, entry, nilpotent_terms, nullspace, reduce_mod_rowspace, row_space_basis, rref
 
 # -- dense references ---------------------------------------------------
 
@@ -179,12 +182,43 @@ class TestChains:
         u = (Fraction(0),) * alg.t_dim + data.draw(sparse_vectors(alg.n))
         v = data.draw(sparse_vectors(alg.dim))
         for x in (u, *(alg.weight_vector(k) for k in range(alg.n))):
-            assert alg.exp_ad_terms(x, v) == dense_chain(ref.ad(x), v)
+            assert exp_ad_terms(alg, x, v) == dense_chain(ref.ad(x), v)
+
+    @settings(max_examples=60)
+    @given(perturbed_algebras())
+    def test_sparse_chains_match_the_bracket_chains(self, spec):
+        """Each memoised chain, built from the `ad_table` column of a_k
+        over the previous term's nonzero entries, is the chain of
+        brackets of `exp_ad_terms`, with its entry types, and column j
+        of the dense powers of ad a_k when those end; a chain that does
+        not end raises on both routes and is not kept."""
+        alg, ref = WeightedLieAlgebra.build(*spec), DenseReference(*spec)
+        for k in range(alg.n):
+            try:
+                powers = nilpotent_terms(ref.ad(alg.weight_vector(k)))
+            except NotNilpotentError:
+                powers = None
+            for j in range(alg.dim):
+                want = outcome(exp_ad_terms, alg, alg.weight_vector(k), alg.basis_vector(j))
+                got = outcome(alg.exp_ad_chain, k, j)
+                if want[0] == "raised":
+                    assert got == want and ("exp-ad-chain", k, j) not in alg._memo
+                    continue
+                dense = [[0] * alg.dim for _ in got[1]]
+                for row, term in zip(dense, got[1]):
+                    assert [i for i, _ in term] == sorted(i for i, c in term if c)
+                    for i, c in term:
+                        row[i] = c
+                assert [tuple(row) for row in dense] == list(want[1])
+                assert all(is_entry(c) for term in got[1] for _, c in term)
+                if powers is not None:
+                    columns = [tuple(m[i, j] for i in range(alg.dim)) for m in powers]
+                    assert columns[: len(dense)] == list(want[1]) and not any(map(any, columns[len(dense) :]))
 
     @settings(max_examples=200)
     @given(st.integers(1, 7).flatmap(lambda n: st.lists(sparse_vectors(n), min_size=1, max_size=5)))
     def test_vector_sum_matches_dense(self, vectors):
-        got = liealg._vector_sum(vectors)
+        got = vector_sum(vectors)
         assert got == dense_vector_sum(vectors)
         assert all(is_entry(e) for e in got)
 
@@ -203,8 +237,8 @@ class TestChains:
             return dense_vector_sum([tuple(z**b * c for c in sum_chain(ch, z)) for b, ch in enumerate(chains)])
 
         z = data.draw(RATIONALS)
-        assert orbit._exp_row(alg, widx, z, poly) == [sum_chain(ch, z) for ch in chains]
-        formal = orbit._exp_row(alg, widx, None, poly)
+        assert alg._word_rows(((widx, z),), poly) == [sum_chain(ch, z) for ch in chains]
+        formal = orbit._exp_row(alg, widx, poly)
         assert len(formal) == 1 or any(formal[-1])
         for z in range(max(b + len(ch) for b, ch in enumerate(chains))):
             assert sum_chain(formal, z) == at(z)
@@ -318,7 +352,7 @@ class TestOneEntryRepresentation:
     @given(ALGEBRAS, st.data())
     def test_every_kernel_returns_ints_or_proper_fractions(self, spec, data):
         """rref, nullspace and solve on the adjoint matrix of a drawn
-        element, the exp(ad) terms and chains, both branches of `_exp_row`,
+        element, the exp(ad) terms and chains, `_word_rows` and `_exp_row`,
         `act` on a scalar and on a formal word and the curve's limit, the
         Jordan parts where the algebra admits them, and the word
         `_peel_orbit` reads off an orbit point."""
@@ -331,12 +365,12 @@ class TestOneEntryRepresentation:
         got += itertools.chain.from_iterable(nullspace(m).entries)
         got += solve(m, x) or ()
         u = (0,) * alg.t_dim + x[alg.t_dim :]
-        got += itertools.chain.from_iterable(alg.exp_ad_terms(u, x))
+        got += itertools.chain.from_iterable(exp_ad_terms(alg, u, x))
         for k, j in itertools.product(range(alg.n), range(alg.dim)):
             got += (c for term in alg.exp_ad_chain(k, j) for _, c in term)
         widx = data.draw(st.integers(0, alg.n - 1))
-        for scalar in (z, None):
-            got += itertools.chain.from_iterable(orbit._exp_row(alg, widx, scalar, [x, u]))
+        got += itertools.chain.from_iterable(alg._word_rows(((widx, z),), [x, u]))
+        got += itertools.chain.from_iterable(orbit._exp_row(alg, widx, [x, u]))
         t = orbit.torus_subspace(alg)
         word = data.draw(st.lists(st.tuples(st.integers(0, alg.n - 1), RATIONALS), min_size=1, max_size=3))
         point = orbit.act(alg, word, t)
@@ -394,7 +428,7 @@ def test_no_kernel_multiplies_by_a_zero_fraction(monkeypatch):
             moved.limit()
     for _ in range(10):
         u = (Fraction(0),) * alg.t_dim + point()[alg.t_dim :]
-        alg.exp_ad_terms(u, point())
+        exp_ad_terms(alg, u, point())
     for rr, piv in bases:
         reduce_mod_rowspace(point(), rr, piv)
     fresh = models.borel_nilradical_a3()  # its curves grow along the fixed-point tree

@@ -50,7 +50,7 @@ def test_two_canned_operations(traffic):
     assert (ran, failed) == (2, 0)
     assert entered["orbit.torus_fixed_points"] == 1
     assert entered["orbit.membership"] == 1
-    assert entered["orbit.act"] == 1  # membership's orbit word, re-verified
+    assert entered["liealg.WeightedLieAlgebra._word_rows"] == 1  # membership's orbit word, re-applied to t's rows
     assert "ideals._read" not in entered and "orbit.torus_fixed_points" not in traffic.traffic(ops[2:])[0]
     assert traffic.traffic(ops[2:])[1:] == (1, 1, {})
     functions = traffic.package_functions()
@@ -180,6 +180,7 @@ UNREACHED = {
     "liealg.memoised": IMPORT,
     "liealg.memoised.<locals>.decorate": IMPORT,
     "liealg.WeightedLieAlgebra.pair_bracket": BENCHMARK,
+    "liealg.WeightedLieAlgebra._length_error": FALLBACK,
     "liealg.WeightedLieAlgebra.torus_kernel": BENCHMARK,
     "liealg.WeightedLieAlgebra.restrict": API,
     "liealg.WeightedLieAlgebra.regular_test": BENCHMARK,
@@ -198,6 +199,7 @@ UNREACHED = {
     "linalg.plucker_limit": BENCHMARK,
     "orbit.Subspace.from_rows": BENCHMARK,
     "orbit.Subspace.__hash__": PROTOCOL,
+    "orbit.act": BENCHMARK,
     "orbit.MembershipVerdict.certified": BENCHMARK,
     "orbit._refutation": FALLBACK,
     "report.VerificationReport.render_markdown": API,

@@ -92,9 +92,9 @@ class _CountedMemo(dict):
     """An algebra's memo that counts its reads in `memos.reads`, per memo
     key, while `memos.counting` is set: a read that finds its value is a
     hit, one that raises `KeyError` a miss.  `liealg.memoised` reads by
-    `[]` and then computes on a miss; `orbit._exp_row` reads chains by
-    `get` and on a miss calls the memoised builder, whose `[]` counts
-    it, so `get` counts hits only."""
+    `[]` and then computes on a miss; `WeightedLieAlgebra._word_rows` and
+    `orbit._exp_row` read chains by `get` and on a miss call the
+    memoised builder, whose `[]` counts it, so `get` counts hits only."""
 
     __slots__ = ("memos",)
 
