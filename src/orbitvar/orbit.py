@@ -24,7 +24,11 @@ them.  Queries run at certificate cost: an orbit certificate is
 compared as rows, commutativity is summed over nonzero coordinates
 only (`WeightedLieAlgebra.commuting`), and the centralizer of a point
 on which no weight vanishes is its conjugation's inverse word applied
-to t (`multipoint_membership`).
+to t (`multipoint_membership`).  Queries also answer from what their
+input already certifies: a commutative torus graph on a table where it
+must be a torus is its own semisimple span (`biggest_torus`), and points
+that the torus-fixed point of their a-support holds are answered by that
+record before any centralizer is built (`multipoint_membership`).
 """
 
 from __future__ import annotations
@@ -889,24 +893,52 @@ def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
     torus inside V, found from the semisimple parts of a basis of V.  L
     is the set of weights vanishing on the torus part of every one of
     those parts; the torus parts span the projection of their span to t,
-    so no row reduction is needed to find L.  One row reduction gives
-    the dimension of their span, which the torus kernel of L must have."""
+    so no row reduction is needed to find L.  The dimension of their
+    span, which the torus kernel of L must have, takes one row reduction,
+    or none when the parts are V's own canonical rows.
+
+    A V of dimension d = t_dim with torus pivots whose rows commute is a
+    torus, on a table that passes `check_jordan_preconditions`, has no
+    zero weight and has one term in every bracket entry; its semisimple
+    parts are then its rows, whose span has dimension d.  V projects onto
+    t, so it holds an x whose torus part x_t lies on no weight's
+    hyperplane.  `torus_conjugation` settles on such a table (its
+    one-term proof) and gives g x = x_t, nothing being left on a; g is an
+    automorphism by Jacobi, so the centralizer of x is g^-1 t, of
+    dimension d.  V is commutative and holds x, so it lies in that
+    centralizer, and dimensions give V = g^-1 t, every element of which
+    is semisimple: the Jordan decomposition of each row is (row, 0),
+    unique since the center is zero, and `jordan_decompose` would return
+    exactly that.  Every
+    other V takes `jordan_decompose` row by row, including a V on a
+    multi-term table, where the conjugation can fail to settle and raise
+    `AlgebraError`, which this route must not turn into an answer."""
     _own(alg, v)
     if alg.center().rows != 0:
         raise PreconditionFailedError("biggest torus needs a trivial center")
-    s_parts = []
-    for r in range(v.dim):
-        s, _ = alg.jordan_decompose(v.basis.row(r))
-        if not v.contains(s):
-            raise NotClosedUnderJordanError(
-                "semisimple part of a basis element escapes V"
-            )
-        s_parts.append(s)
-    if not s_parts:
+    if not v.dim:
         return tuple(range(alg.n))
+    alg.check_jordan_preconditions()
+    if (
+        v.pivots == tuple(range(alg.t_dim))
+        and not any(w.is_zero() for w in alg.weights)
+        and all(len(terms) == 1 for _, _, terms in alg.brackets)
+        and alg.commuting(v.basis.entries)
+    ):
+        s_parts, rank = v.basis.entries, v.dim
+    else:
+        s_parts = []
+        for r in range(v.dim):
+            s, _ = alg.jordan_decompose(v.basis.row(r))
+            if not v.contains(s):
+                raise NotClosedUnderJordanError(
+                    "semisimple part of a basis element escapes V"
+                )
+            s_parts.append(s)
+        rank = row_space_basis(Matrix.from_rows(s_parts)).rows
     torus_parts = [s[: alg.t_dim] for s in s_parts]
     lam = tuple(i for i, w in enumerate(alg.weights) if not any(w(t) for t in torus_parts))
-    if alg.kernel(lam).rows != row_space_basis(Matrix.from_rows(s_parts)).rows:
+    if alg.kernel(lam).rows != rank:
         raise OrbitError("semisimple span does not match a torus kernel dimension")
     return lam
 
@@ -914,33 +946,64 @@ def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
 def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence]) -> tuple[str, MultiPoint]:
     """Do the given points lie in a common element of the closure?  Their
     coordinates are converted by `linalg.entry`, which refuses a float.
-    Points that do not pairwise commute are refuted
-    (`WeightedLieAlgebra.commuting`).  Then the first regular point, if
-    any, decides through its centralizer: `proven` when that holds every
-    point, `refuted` otherwise.
 
-    A point p on which no weight vanishes, on an algebra whose `validate`
-    table passes Jacobi and nilpotency, is regular, and its centralizer
-    comes from its own conjugation: `torus_conjugation` gives the word
-    of g with g p = p_t (no weight vanishes at p_t, so nothing is left
-    on a), and the centralizer of p_t is t, so that of p is g^-1 t, the
-    inverse word applied to t's basis rows (`_word_rows`).  Those rows
-    keep t's torus pivots, so they are the canonical basis: no `ad`
-    matrix and no `nullspace`.  Every other point takes `centralizer`
-    and is regular when that has t_dim rows.  `Subspace` checks either
-    basis.
+    Route order:
+    1. points that do not pairwise commute are refuted
+       (`WeightedLieAlgebra.commuting`);
+    2. when the first point has a vanishing weight and every weight of
+       the union U of the points' a-supports vanishes on every point's
+       torus part, U's torus-fixed point answers `proven` if U is
+       independent and abelian and its record holds every point;
+    3. the first regular point, if any, answers `proven` with its
+       centralizer;
+    4. otherwise U's record answers `proven` if it holds every point,
+       and the answer is `unknown` if not.
 
-    Without a regular point, the answer is the first record of
-    `torus_fixed_points`, in its (size, lexicographic) order, that holds
-    every point, and it is found without the enumeration.  A point lies
-    in z_S + a_S exactly when its a-support lies in S and the weights of
-    S vanish on its torus part.  So every record S that holds them all
-    contains the union U of the a-supports; U is then a record too, as
-    subsets of independent abelian sets are, and it holds them all,
-    since its weights are among those of S.  Being the smallest, U comes
-    first.  When U is no record, or its record misses a point, no record
-    holds them all.  The record of U is checked to contain every point
-    before `proven` is answered."""
+    Step 3 cannot answer anything else: the points pairwise commute, and
+    the bracket table is antisymmetric, so each of them lies in ker ad p
+    for every p among them.  The containment is still checked, and a
+    centralizer that misses a point raises `OrbitError`, since that is
+    a fault of the program and not a verdict.
+
+    Step 2 gives the answer of steps 3 and 4 without a centralizer.  A
+    point lies in z_U + a_U exactly when its a-support lies in U and the
+    weights of U vanish on its torus part, which is what the step tests
+    before it builds the record.  z_U + a_U is commutative (the weights
+    of U vanish on z_U and U is abelian) and has dimension d = t_dim (U
+    is independent).  So when some point p is regular, its centralizer,
+    of dimension d, contains z_U + a_U, which holds p, and equals it;
+    when none is, step 4 answers with that same record.  The step reads
+    the first point's weight values, which step 3 reads anyway, and a
+    first point on which no weight vanishes skips it: step 3 decides
+    such a point by its own centralizer, which is regular, at the cost
+    of a conjugation on an algebra that passes Jacobi and nilpotency.
+
+    In step 3, a point p on which no weight vanishes, on an algebra
+    whose `validate` table passes Jacobi and nilpotency, is regular, and
+    its centralizer comes from its own conjugation: `torus_conjugation`
+    gives the word of g with g p = p_t (no weight vanishes at p_t, so
+    nothing is left on a), and the centralizer of p_t is t, so that of p
+    is g^-1 t, the inverse word applied to t's basis rows
+    (`_word_rows`).  Those rows keep t's torus pivots, so they are the
+    canonical basis: no `ad` matrix and no `nullspace`.  Every other
+    point takes `centralizer` and is regular when that has t_dim rows.
+    `Subspace` checks either basis.
+
+    In step 4, the answer is the first record of `torus_fixed_points`,
+    in its (size, lexicographic) order, that holds every point, and it
+    is found without the enumeration.  Every record S that holds them
+    all contains U; U is then a record too, as subsets of independent
+    abelian sets are, and it holds them all, since its weights are among
+    those of S.  Being the smallest, U comes first.  When U is no
+    record, or its record misses a point, no record holds them all.  The
+    record of U is checked to contain every point before `proven` is
+    answered.  Step 2 has always settled this by the time step 4 is
+    reached, so step 4 answers `unknown` with no work of its own.  When
+    step 2 ran, it asked the same question of the same points
+    (`_record_holding`).  When it did not, no weight vanishes on the
+    first point's torus part, so U's record can hold that point only for
+    an empty U, whose record is t; the point then lies in t, its
+    centralizer is t, and step 3 has already answered with it."""
     pts = tuple(tuple(map(entry, p)) for p in points)
     if not pts:
         raise OrbitError("need at least one point")
@@ -950,7 +1013,7 @@ def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence]) -
         return "refuted", MultiPoint(pts, None)
     d, weights = alg.t_dim, alg.weights
     automorphic = None  # read from the `validate` table once a point needs it
-    for p in pts:
+    for k, p in enumerate(pts):
         cent = None
         pt = p[:d]
         lam = [w(pt) for w in weights] if any(pt) else None  # every weight vanishes at 0
@@ -959,20 +1022,40 @@ def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence]) -
                 automorphic = all(ok for name, ok, _ in alg.validate() if name in ("jacobi", "nilpotency"))
             if automorphic:
                 cent = _conjugated_centralizer(alg, p, lam)
+        elif not k:  # step 2, which settles step 4 too
+            v = _record_holding(alg, pts, lam)
+            if v is not None:
+                return "proven", MultiPoint(pts, v)
         if cent is None:
             basis = alg.centralizer(p)
             if basis.rows == d:  # p is regular
                 cent = Subspace(alg, basis)
         if cent is not None:
-            if all(cent.contains(q) for q in pts):
-                return "proven", MultiPoint(pts, cent)
-            return "refuted", MultiPoint(pts, None)
+            if not all(cent.contains(q) for q in pts):
+                raise OrbitError("the centralizer of a regular point misses a point that commutes with it")
+            return "proven", MultiPoint(pts, cent)
+    return "unknown", MultiPoint(pts, None)  # step 4
+
+
+def _record_holding(alg: WeightedLieAlgebra, pts: Sequence[tuple], lam: list | None) -> Subspace | None:
+    """The torus-fixed point z_U + a_U of the union U of the points'
+    a-supports when U is independent and abelian and z_U + a_U holds
+    every point, else None.  `lam` holds the weight values at the first
+    point's torus part, None when that is 0.  A point lies in z_U + a_U
+    exactly when the weights of U vanish on its torus part, its
+    a-support lying in U; that is tested first, from `lam` for the first
+    point, and the record is built and checked only when it passes."""
+    d, weights = alg.t_dim, alg.weights
     union = tuple(sorted({i for p in pts for i, c in enumerate(alg.a_part(p)) if c}))
+    if lam is not None and any(lam[i] for i in union):
+        return None
+    if any(weights[i](q[:d]) for q in pts[1:] for i in union):
+        return None
     if _independent_abelian(alg, union):
         v = fixed_point_record(alg, union).subspace
         if all(v.contains(p) for p in pts):
-            return "proven", MultiPoint(pts, v)
-    return "unknown", MultiPoint(pts, None)
+            return v
+    return None
 
 
 def _conjugated_centralizer(alg: WeightedLieAlgebra, p: tuple, lam: list) -> Subspace | None:

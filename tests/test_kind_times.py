@@ -1,7 +1,7 @@
 """`tools/kind_times.py`: the working tree's package loaded a second
 time under another name, both timed on a short `queries` stream with
-the same answers, the table it prints, and the arguments and refs it
-refuses."""
+the same answers, each query first on each side in turn, the table it
+prints, and the arguments and refs it refuses."""
 
 import importlib.util
 import os
@@ -57,6 +57,29 @@ def test_both_sides_time_every_kind_with_the_same_answers(kind_times):
     assert lines[0].split() == ["kind", "calls", "ref", "us", "tree", "us", "%"]
     assert [line.split()[0] for line in lines[1:]] == sorted(KINDS)
     assert all(len(line.split()) == 5 for line in lines[1:])
+
+
+def test_each_query_goes_first_on_each_side_in_turn(kind_times, monkeypatch):
+    """Over two rounds every query runs first once on each side, and the
+    first side alternates along the stream.  A stream of even length
+    (60 queries here, 300 in a benchmark run) gave each query the same
+    first side in every round when the order alternated along the stream
+    alone."""
+    ref = kind_times.load_package(os.path.join(ROOT, "src", "orbitvar"), kind_times.REF_PACKAGE)
+    sides = []
+    timed = kind_times.timed
+
+    def recording(call):
+        names = dict(zip(call.__code__.co_freevars, (cell.cell_contents for cell in call.__closure__)))
+        sides.append(type(names["alg"]).__module__.split(".")[0])
+        return timed(call)
+
+    monkeypatch.setattr(kind_times, "timed", recording)
+    kind_times.kind_times(ref, orbitvar, [1], rounds=2, seconds=4)
+    first, second = sides[0::2], sides[1::2]
+    assert len(first) == 2 * 60 and all(a != b for a, b in zip(first, second))
+    assert all(a != b for a, b in zip(first[:60], first[60:]))
+    assert all(a != b for a, b in zip(first[:59], first[1:60]))
 
 
 def test_a_changed_answer_is_counted(kind_times, monkeypatch):

@@ -181,6 +181,7 @@ UNREACHED = {
     "liealg.memoised.<locals>.decorate": IMPORT,
     "liealg.WeightedLieAlgebra.pair_bracket": BENCHMARK,
     "liealg.WeightedLieAlgebra._length_error": FALLBACK,
+    "liealg.WeightedLieAlgebra.bracket": FALLBACK,
     "liealg.WeightedLieAlgebra.torus_kernel": BENCHMARK,
     "liealg.WeightedLieAlgebra.restrict": API,
     "liealg.WeightedLieAlgebra.regular_test": BENCHMARK,

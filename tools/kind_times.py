@@ -12,10 +12,23 @@ working tree's package, for the benchmark's run budget
 its kind, its algebra's name and its recorded input (`Op.meta["input"]`),
 each side with its own algebras, built once per seed and round, as a
 benchmark run builds them once.  The queries run in stream order, each
-on both sides back to back, the side that goes first alternating from
-query to query, and only the call is timed (`time.perf_counter`).  So
-both sides see the same host, the same inputs and the same cache
+on both sides back to back, and only the call is timed
+(`time.perf_counter`).  The side that goes first alternates from query
+to query and, for each query, from round to round, so over an even
+number of rounds every query runs first on each side equally often.
+So both sides see the same host, the same inputs and the same cache
 states, and a drift of the host moves both.
+
+The order matters: the second call of a pair reads warmer caches.  An
+order that alternated only along the stream gave each query the same
+first side in every round, since a `queries` stream has an even number
+of queries (300), and an A/A run (one tree timed against a second copy
+of itself) then read the second side +7% to +9% slow on
+`biggest-torus-graded` and up to +3% on `pair-relation`; loading the
+two copies in alternating order each round left that bias as it was.
+With the order alternating from round to round, A/A runs of seeds 1-3
+over 6 rounds read within 3% on every kind (2-core host), which is the
+error left: a per-kind change inside it is not resolved.
 
 It prints, per query kind, the number of timed calls per side, the
 ref's and the working tree's median latency in microseconds and the
@@ -116,15 +129,13 @@ def kind_times(ref, tree, seeds, rounds: int, seconds: int):
 
     times: dict[str, tuple[list, list]] = {}
     differed = 0
-    turn = 0
     for seed in seeds:
         ops = workloads.query_ops(seed, seconds)
-        for _ in range(rounds):
+        for round_ in range(rounds):
             sides = (Side(ref), Side(tree))
-            for op in ops:
+            for position, op in enumerate(ops):
                 calls = [side.query(op.key, op.meta["input"]) for side in sides]
-                order = (0, 1) if turn % 2 == 0 else (1, 0)
-                turn += 1
+                order = (0, 1) if (position + round_) % 2 == 0 else (1, 0)
                 got = [None, None]
                 for i in order:
                     got[i] = timed(calls[i])
