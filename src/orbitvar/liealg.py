@@ -183,17 +183,19 @@ class WeightedLieAlgebra:
     Entries have `i < j` and are sorted by `(i, j)`; their terms are
     sorted by `k` and have `c != 0`; a pair whose bracket is zero has no
     entry.  `[a_j, a_i]` is read off by antisymmetry.  `ad_table` turns
-    the weights and this table into sparse adjoint columns once, and it
-    is the one reader of the structure constants that the arithmetic
-    uses: `bracket`, `commuting`, `ad`, `exp_ad_chain`, the Jacobi
-    check and the row-space nilpotency check all sum from it.  The
-    nilpotency check of a table whose entries have one term each reads
-    only the table's support (`_nilpotent`).
+    the weights and this table into sparse adjoint columns once:
+    `bracket`, `ad`, `exp_ad_chain`, the Jacobi check and the row-space
+    nilpotency check all sum from it.  `commuting` sums from the same
+    structure constants grouped by the coordinate they land on
+    (`bracket_coordinates`), so a pair stops at its first nonzero
+    coordinate.  The nilpotency check of a table whose entries have one
+    term each reads only the table's support (`_nilpotent`).
 
     `_memo` holds data derived from the fields, each computed once per
     instance by a function decorated with `memoised`: the fingerprint,
     the center's basis, the torus kernel of each weight subset, the
-    sparse adjoint table (`ad_table`), the `validate` table, whose
+    sparse adjoint table (`ad_table`), the structure constants by
+    output coordinate (`bracket_coordinates`), the `validate` table, whose
     Jacobi and nilpotency verdicts `jordan_decompose` also reads, a
     passed Jordan precondition check, the exp(ad) chain of each basis
     vector under each weight vector (`exp_ad_chain`, built when a row
@@ -384,33 +386,70 @@ class WeightedLieAlgebra:
         return lowered(out)
 
     def commuting(self, vectors: Sequence[Sequence]) -> bool:
-        """True when every two of the vectors commute.  Each bracket is
-        summed from `ad_table` over the nonzero coordinates of the pair
-        alone, each vector's read once, with one product per pair of
-        coordinates whose basis vectors do not commute; no bracket is
-        lowered or returned.  A vector whose length is not dim raises
-        `AlgebraError`."""
-        table = self.ad_table()
-        dim = len(table)
-        supports = []
+        """True when every two of the vectors commute.  Each bracket
+        [x, y] is summed one output coordinate at a time from the
+        structure constants that land there (`bracket_coordinates`), and
+        the first nonzero coordinate refutes the pair, so a pair that
+        does not commute stops there.  Coordinate d + k of [x, y] is
+        y_k w_k(x_t) - x_k w_k(y_t), from the torus, plus
+        c (x_i y_j - x_j y_i) for each table term c a_k of [a_i, a_j];
+        each product is taken only where both its entries are nonzero,
+        and no bracket is lowered or returned.  A vector whose length is
+        not dim raises `AlgebraError` before any pair is summed."""
+        dim = self.dim
         for v in vectors:
             if len(v) != dim:
                 raise self._length_error(v)
-            supports.append([(j, c) for j, c in enumerate(v) if c])
-        for a, xs in enumerate(supports):
-            for ys in supports[a + 1 :]:
-                out = [0] * dim
-                for i, c in xs:
-                    op = table[i]
-                    for j, e in ys:
-                        col = op[j]
-                        if col:
-                            ce = c * e
-                            for k, f in col:
-                                out[k] += ce * f
-                if any(out):
-                    return False
+        table = self.bracket_coordinates()
+        for a, x in enumerate(vectors):
+            for y in vectors[a + 1 :]:
+                for col, weight, terms in table:
+                    s = 0
+                    c = y[col]
+                    if c:
+                        for p, w in weight:
+                            e = x[p]
+                            if e:
+                                s += w * e * c
+                    c = x[col]
+                    if c:
+                        for p, w in weight:
+                            e = y[p]
+                            if e:
+                                s -= w * e * c
+                    for i, j, f in terms:
+                        e = x[i]
+                        if e:
+                            c = y[j]
+                            if c:
+                                s += f * e * c
+                        e = x[j]
+                        if e:
+                            c = y[i]
+                            if c:
+                                s -= f * e * c
+                    if s:
+                        return False
         return True
+
+    @memoised("bracket-coordinates")
+    def bracket_coordinates(self) -> tuple:
+        """The structure constants by the coordinate of r they land on,
+        built once: for each weight index k, in order, the triple
+        (d + k, the pairs (p, w_k[p]) with w_k[p] != 0, the triples
+        (d + i, d + j, c) of the table terms c a_k of [a_i, a_j], i < j).
+        [t_p, a_k] = w_k[p] a_k, and no bracket lands on the torus, so
+        these are all the nonzero structure constants of r, each pair of
+        basis vectors once; `commuting` sums from them."""
+        d = self.t_dim
+        terms: list[list] = [[] for _ in range(self.n)]
+        for i, j, entry_terms in self.brackets:
+            for k, c in entry_terms:
+                terms[k].append((d + i, d + j, c))
+        return tuple(
+            (d + k, tuple((p, c) for p, c in enumerate(w.coords) if c), tuple(terms[k]))
+            for k, w in enumerate(self.weights)
+        )
 
     @memoised("ad-table")
     def ad_table(self) -> tuple:
@@ -469,8 +508,8 @@ class WeightedLieAlgebra:
         whose chain goes past e_j) comes back as it is; every other row
         comes back with its whole Fractions lowered to ints.  A chain
         already built is read straight from the memo.  This is the one
-        route of a scalar word: `orbit.act`, `membership`'s certificate,
-        the orbit peel and the Jordan conjugation take it."""
+        route of a scalar word: `orbit.act`, `membership`'s forward
+        pass and the Jordan conjugation take it."""
         memo = self._memo
         for widx, scalar in reversed(word):
             if not scalar:
@@ -642,8 +681,30 @@ class WeightedLieAlgebra:
     def weight_order(self) -> tuple[int, ...]:
         """The weight indices by weight height, then coordinates, then
         index, sorted once per algebra: the factor order of the orbit
-        peel, the Jordan conjugation and the `boundary` walk."""
+        word, the Jordan conjugation and the `boundary` walk."""
         return tuple(sorted(range(self.n), key=lambda i: weight_sort_key(self.weights[i])))
+
+    @memoised("factor-order")
+    def factor_order(self) -> tuple[int, ...]:
+        """The weight indices by depth, then as `weight_order` has them,
+        sorted once per algebra: the factor order of the orbit word.  With
+        D^1 every index and D^(m+1) the terms of the table entries with an
+        index in D^m (as in `torus_conjugation`), the depth of k is the
+        last m <= n + 1 with k in D^m.  The sets shrink, so an entry's
+        term k lies in D^(m+1) for each index i of the entry in D^m: k is
+        deeper than i, unless both are in D^(n + 1), where the lower
+        central series has not ended.  So each term of [a_i, a_j] comes
+        after i and j in this order, whatever the weights are; by height
+        alone it can come before them when a weight has height 0 or less.
+        On a Borel nilradical in simple-root coordinates the depth of a
+        root is its height, and the order is `weight_order`."""
+        depth = {}
+        level = set(range(self.n))
+        for m in range(1, self.n + 2):
+            depth.update(dict.fromkeys(level, m))
+            level = {k for i, j, terms in self.brackets if i in level or j in level for k, _ in terms}
+        position = {k: p for p, k in enumerate(self.weight_order())}
+        return tuple(sorted(range(self.n), key=lambda k: (depth[k], position[k])))
 
     def torus_conjugation(self, x: Sequence, lam: Sequence) -> tuple[tuple, tuple] | None:
         """(v, word) with v = g x = x_t + n_0: x_t the torus part of x, n_0

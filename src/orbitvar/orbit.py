@@ -20,9 +20,10 @@ the witness limit of the empty weight set.  The group-fixed points
 are the torus records, not copies, whose weight sets pass a size test
 and a bracket-support test, which together hold exactly when z_S + a_S
 is an ideal (`group_fixed_points`), so no bracket is summed to find
-them.  Queries run at certificate cost: an orbit certificate is
-compared as rows, commutativity is summed over nonzero coordinates
-only (`WeightedLieAlgebra.commuting`), and the centralizer of a point
+them.  Queries run at certificate cost: an orbit word is found and
+verified in one forward pass from t, compared as rows (`_orbit_word`),
+commutativity stops at the first nonzero bracket coordinate
+(`WeightedLieAlgebra.commuting`), and the centralizer of a point
 on which no weight vanishes is its conjugation's inverse word applied
 to t (`multipoint_membership`).  Queries also answer from what their
 input already certifies: a commutative torus graph on a table where it
@@ -641,14 +642,8 @@ def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
     2. on a zero center, `check_jordan_preconditions` raises for an
        algebra that fails Jacobi or nilpotency, before any certificate;
     3. the certificate of V's shape.  A torus-graph V (pivots on the
-       torus) gets an orbit word, peeled weight by weight in height order
-       and re-verified: the word is applied again to t's basis rows
-       (`WeightedLieAlgebra._word_rows`, the route of `act`), and the
-       image rows are compared with V's canonical rows.  The image rows
-       keep t's torus pivots, so they are word t's canonical basis with
-       no row reduction, and the comparison is the equality of canonical
-       bases that `act(word, t) == V` tests, without building a
-       `Matrix` or a `Subspace`.  A torus-stable V is matched with the
+       torus) gets an orbit word, found and verified in one forward pass
+       from t (`_orbit_word`).  A torus-stable V is matched with the
        one fixed point it can be, z_S + a_S for S = `graded_subset(V)`
        (`fixed_point_of`), whose witness-curve limit is verified to be
        V;
@@ -660,13 +655,15 @@ def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
     Certifying first gives the verdict that refuting first gives: a
     verified certificate puts V in X, and both refutations test
     conditions that every point of X satisfies, so neither fires on a
-    certified V.  So each kind, reason, parameter word and witness is
-    the refute-first one, and a certified V skips the Jordan
-    decompositions.  On an algebra that fails `validate` with a nonzero
-    center (no precondition is checked there), an exp(ad) chain that
-    does not end raises `AlgebraError` in step 3 even for a V that
-    misses the center, which refuting first would have refuted.  A V of
-    another algebra raises `DimensionMismatchError` first (`_own`)."""
+    certified V.  So each kind, reason and witness is the refute-first
+    one, and a certified V skips the Jordan decompositions.  The orbit
+    word is the forward factorisation, lowest depth and height applied
+    first.  On
+    an algebra that fails `validate` with a nonzero center (no
+    precondition is checked there), an exp(ad) chain that does not end
+    raises `AlgebraError` in step 3 even for a V that misses the
+    center, which refuting first would have refuted.  A V of another
+    algebra raises `DimensionMismatchError` first (`_own`)."""
     _own(alg, v)
     if v.dim != alg.t_dim:
         raise DimensionMismatchError(f"dim {v.dim} != {alg.t_dim}")
@@ -675,9 +672,9 @@ def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
     if v.dim and alg.center().rows == 0:
         alg.check_jordan_preconditions()
     if v.pivots == tuple(range(alg.t_dim)):
-        params = _peel_orbit(alg, v)
-        if params is not None and tuple(alg._word_rows(params, torus_subspace(alg).basis.entries)) == v.basis.entries:
-            return MembershipVerdict("orbit", params=tuple(params))
+        params = _orbit_word(alg, v)
+        if params is not None:
+            return MembershipVerdict("orbit", params=params)
         unknown = "torus-graph subspace without orbit certificate"
     else:
         graded = graded_subset(alg, v)
@@ -707,54 +704,72 @@ def _refutation(alg: WeightedLieAlgebra, v: Subspace) -> str | None:
     return None
 
 
-def _peel_orbit(alg: WeightedLieAlgebra, v: Subspace):
-    """For a torus-graph V, whose canonical rows are e_i + phi(e_i):
-    strip one weight component per exponential factor, lowest height
-    first (`weight_order`).  Each factor leaves the torus part e_i of
-    row i, so the weight values on the rows are the coordinates of the
-    weight.  Returns the word or None; each z is one `exact_div`.
+def _orbit_word(alg: WeightedLieAlgebra, v: Subspace) -> tuple | None:
+    """A word with `act(word, t) == V` for a torus-graph V, whose
+    canonical rows are e_i + phi(e_i), or None; found and verified in
+    one forward pass.
 
-    The coefficients c_i must be z w(e_i): with f the first row where
-    w(e_f) is nonzero, z = c_f / w(e_f), and c_i = z w(e_i) is
-    c_i w(e_f) = c_f w(e_i), compared in integers through numerators and
-    denominators, which also asks c_i = 0 where w(e_i) is 0."""
+    The pass starts from t's rows e_i and walks the weights in
+    `factor_order`: by depth in the lower central series, then by
+    height.  At weight k, the gap between V's rows and the image rows in
+    column d + k must be -z w_k(e_i) in every row i, for one z: with f
+    the first row where w_k(e_f) is nonzero, z = -g_f / w_k(e_f), and
+    g_i = -z w_k(e_i) is g_i w_k(e_f) = g_f w_k(e_i), compared in
+    integers through numerators and denominators, which also asks
+    g_i = 0 where w_k(e_i) is 0.  Then exp(z ad a_k) is applied to the
+    image rows (`WeightedLieAlgebra._word_rows`), which moves row i by
+    -z w_k(e_i) a_k, since [a_k, e_i] = -w_k(e_i) a_k, plus brackets
+    [a_k, a_j] of the row's a-part.  The factor keeps the torus part
+    e_i of every row, so the weight values on the rows stay the
+    weight's coordinates.
+
+    Each term of [a_k, a_j] comes after k in `factor_order` (unless the
+    lower central series has not ended), and so does each term of the
+    higher powers of ad a_k, so each factor adds only in its own column
+    and in columns still ahead: the gap at weight k is closed by its
+    own factor, and no later factor opens it.  The pass then ends with
+    the image rows equal to V's rows exactly when V is u t for u in the
+    unipotent group, whose one-parameter subgroups in an order that
+    refines the lower central series parametrise it (Corwin and
+    Greenleaf, *Representations of Nilpotent Lie Groups*, 1.2).  Where a
+    later factor can move a column already passed (a table whose a is
+    not nilpotent), the last step catches it: the image rows are
+    compared with V's canonical rows.  They keep t's torus pivots, so
+    they are the canonical basis of word t, and the comparison is the
+    equality of canonical bases that `act(word, t) == V` tests, without
+    a `Matrix` or a `Subspace` built.  The gap test comes before each
+    factor, so a factor whose exp(ad) chain would not end is applied
+    only where V's column asks for it.
+
+    `act` applies a word's last factor first, so the word lists the
+    factors from the last of `factor_order` down."""
     d = alg.t_dim
-    rows = v.basis.entries
+    target = v.basis.entries
+    rows = torus_subspace(alg).basis.entries
     weights = alg.weights
-    applied: list[tuple[int, object]] = []
-    for k in alg.weight_order():
+    word = []
+    for k in alg.factor_order():
         col = d + k
-        wvals = weights[k].coords
-        first = None
-        for row, wv in zip(rows, wvals):
-            if wv:
-                first = row[col], wv
-                break
-        if first is None:
-            if any(row[col] for row in rows):
+        wf = 0  # w_k(e_f), once the first such row f is seen
+        for want, row, wv in zip(target, rows, weights[k].coords):
+            g, r = want[col], row[col]
+            if r:
+                g -= r
+            if not wv:
+                if g:
+                    return None
+            elif not wf:
+                wf, gf = wv, g
+                fn, fd = g.numerator, g.denominator * wv
+            elif g.numerator * fd != fn * wv * g.denominator:
                 return None
-            continue
-        cf, wf = first
-        if not cf:
-            if any(row[col] for row in rows):
-                return None
-            continue
-        # need the coefficients proportional to the weight values
-        fn, fd = cf.numerator, cf.denominator * wf
-        for row, wv in zip(rows, wvals):
-            c = row[col]
-            if c.numerator * fd != fn * wv * c.denominator if wv else c:
-                return None
-        zc = exact_div(cf, wf)
-        # E(z) t = t - z w(t) x, so E(zc) clears the column and the
-        # inverse factor E(-zc) belongs to the certificate word
-        rows = alg._word_rows(((k, zc),), rows)
-        applied.append((k, -zc))
-    if any(any(row[d:]) for row in rows):
+        if wf and gf:
+            z = exact_div(-gf, wf)
+            rows = alg._word_rows(((k, z),), rows)
+            word.append((k, z))
+    if tuple(rows) != target:
         return None
-    # exp(-z_m)...exp(-z_1) V = t, so V = exp(z_1)...exp(z_m) t: the word
-    # keeps the peel order with the signs already flipped back
-    return applied
+    return tuple(reversed(word))
 
 
 # -- property (P) consequences ----------------------------------------
@@ -1100,13 +1115,22 @@ def verify_pair_relation(
     """Sample pairs on the two affine slices attached to alpha and check
     that common-subspace membership is equivalent to the vanishing of
     the 2x2 coupling determinant between the alpha- and torus-components.
-    No samples would be no evidence, so samples < 1 is refused.  Given
-    base points are converted by `linalg.entry`, which refuses a float."""
+    No samples would be no evidence, so samples < 1 is refused.  A zero
+    alpha has no slice direction h with alpha(h) = 1, so it is refused
+    with `BadSliceError` before any base point is sampled.  Given base
+    points are converted by `linalg.entry`, which refuses a float."""
     if samples < 1:
         raise OrbitError(f"samples must be at least 1, not {samples}")
     out = rep.VerificationReport("pair-relation", alg.fingerprint(), seed=seed)
     aidx = weight_index(alg, alpha)
     alpha = alg.weights[aidx]  # equal, and holds the algebra's entries
+    # base + s h + c x_alpha with alpha(h) = 1: h has one nonzero entry,
+    # 1 / alpha[pivot] at the first coordinate where alpha is nonzero, and
+    # x_alpha has a 1 at its own basis index, so only those two entries
+    # move
+    pivot = next((i for i, c in enumerate(alpha.coords) if c != 0), None)
+    if pivot is None:
+        raise BadSliceError("the weight is zero, so its slices have no direction")
     rng = random.Random(seed)
     d = alg.t_dim
 
@@ -1124,12 +1148,6 @@ def verify_pair_relation(
         return pt
 
     x0, y0 = base_point(x0), base_point(y0)
-
-    # base + s h + c x_alpha with alpha(h) = 1: h has one nonzero entry,
-    # 1 / alpha[pivot] at the first coordinate where alpha is nonzero, and
-    # x_alpha has a 1 at its own basis index, so only those two entries
-    # move
-    pivot = next(i for i, c in enumerate(alpha.coords) if c != 0)
     h_pivot = exact_div(1, alpha.coords[pivot])
     col = d + aidx
 

@@ -360,11 +360,13 @@ FAMILIES = {
     "validate",
     "fingerprint",
     "ad-table",
+    "bracket-coordinates",
     "exp-ad-chain",
     "kernel",
     "center",
     "jordan-preconditions",
     "weight-order",
+    "factor-order",
     "witness-curve",
     "witness-limit",
     "fixed-point-record",

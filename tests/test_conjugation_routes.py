@@ -11,13 +11,16 @@ certificate cost, each pinned to the route it replaced, kept here:
 - `WeightedLieAlgebra.commuting` against the pairwise dense bracket;
 - `membership`'s comparison of the word's image rows with V's rows
   against `act(word, t) == V`, and `membership` against the version
-  that tested the latter.
+  that peeled V's word (`orbit_word_reference.peel_orbit`) and tested
+  the latter: the same kind, reason and witness, and each side's word
+  maps t to V by `test_certify_first.reference_act`.
 
 They run on the builtins, the four A4 presentations, the four central
 extensions of heisenberg-3, A5, drawn root-subset algebras and drawn
 tables that fail Jacobi or nilpotency.  Every query of the `queries`
-inputs of seeds 1-3 answers as the routes before: verdict, parameters
-and witness."""
+inputs of seeds 1-3 answers as the routes before: verdict and
+witness, and a membership's kind, reason and witness, its word
+verified on each side."""
 
 import itertools
 from fractions import Fraction
@@ -28,8 +31,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from orbit_word_reference import peel_orbit
 from test_biggest_torus import load_workloads
-from test_certify_first import INPUTS, non_jacobi_algebra, non_nilpotent_algebra
+from test_certify_first import INPUTS, non_jacobi_algebra, non_nilpotent_algebra, same_answer
 from test_liealg_sparse import RATIONALS, DenseReference, root_subset_algebras
 from test_memo import outcome, perturbed_algebras, rescaled_root_subsets
 from test_property_p import VARIANTS, borel_nilradical_a4, heisenberg_central_extension
@@ -60,7 +64,7 @@ def reference_membership(alg, v):
     if v.dim and alg.center().rows == 0:
         alg.check_jordan_preconditions()
     if v.pivots == tuple(range(alg.t_dim)):
-        params = orbit._peel_orbit(alg, v)
+        params = peel_orbit(alg, v)
         if params is not None and orbit.act(alg, params, orbit.torus_subspace(alg)) == v:
             return MembershipVerdict("orbit", params=tuple(params))
         unknown = "torus-graph subspace without orbit certificate"
@@ -364,9 +368,10 @@ class TestOrbitCertificate:
         v = drawn_input(make, data, alg)
         words = [data.draw(st.lists(st.tuples(st.integers(0, alg.n - 1), SCALAR), max_size=3))]
         if v.pivots == tuple(range(alg.t_dim)):
-            peeled = outcome(orbit._peel_orbit, alg, v)
-            if peeled[0] == "value" and peeled[1] is not None:
-                words.append(peeled[1])
+            for find in (peel_orbit, orbit._orbit_word):
+                found = outcome(find, alg, v)
+                if found[0] == "value" and found[1] is not None:
+                    words.append(found[1])
         for word in words:
             rows = outcome(lambda: tuple(alg._word_rows([(i, entry(z)) for i, z in word], t.basis.entries)) == v.basis.entries)
             assert rows == outcome(lambda: orbit.act(alg, word, t) == v)
@@ -374,22 +379,23 @@ class TestOrbitCertificate:
     @settings(max_examples=200)
     @given(ANY, st.data())
     def test_a_drawn_word_is_checked_as_act_checks_it(self, alg, data):
-        """The peel replaced by a drawn word, often the true one with one
-        factor moved: the row comparison certifies exactly when
-        `act(word, t) == V` does, so a wrong word never certifies."""
+        """The point of a drawn word, often an orbit point's forward word
+        with one factor moved: membership answers it as the peel and
+        `act(word, t) == V` do, and a word it certifies maps t to the
+        point by `reference_act`, so a wrong word never certifies."""
         v = drawn_input(orbit_point, data, alg)
-        peeled = outcome(orbit._peel_orbit, alg, v)  # a chain that does not end raises
-        true = peeled[1] if peeled[0] == "value" and peeled[1] else []
+        found = outcome(orbit._orbit_word, alg, v)  # a chain that does not end raises
+        true = list(found[1]) if found[0] == "value" and found[1] else []
         word = data.draw(st.one_of(
             st.just(true),
             st.lists(st.tuples(st.integers(0, alg.n - 1), SCALAR), max_size=3),
             st.integers(0, max(len(true) - 1, 0)).map(lambda i: [(k, z + (j == i)) for j, (k, z) in enumerate(true)]),
         ))
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(orbit, "_peel_orbit", lambda alg, v: list(word))
-            got = outcome(orbit.membership, alg, v)
-            want = outcome(reference_membership, alg, v)
-        assert got == want
+        moved = outcome(orbit.act, alg, word, orbit.torus_subspace(alg))
+        assume(moved[0] == "value")
+        u = moved[1]
+        got = outcome(orbit.membership, alg, u)
+        assert same_answer(alg, u, got, outcome(reference_membership, alg, u))
         event(got[1].kind if got[0] == "value" else "raised")
 
     @settings(max_examples=300)
@@ -398,7 +404,7 @@ class TestOrbitCertificate:
         v = drawn_input(make, data, alg)
         assume(v.dim == alg.t_dim)
         got = outcome(orbit.membership, alg, v)
-        assert got == outcome(reference_membership, alg, v)
+        assert same_answer(alg, v, got, outcome(reference_membership, alg, v))
         event(f"{make.__name__}: {got[1].kind}" if got[0] == "value" else f"{make.__name__}: raised")
 
 
@@ -414,7 +420,8 @@ def closure(call):
 def test_queries_seeds_one_to_three_answer_as_before(monkeypatch):
     """Every query of the `queries` streams of seeds 1-3, on its own
     input and its own algebra, against the routes before: the same
-    verdict, parameters and witness, or the same error."""
+    verdict and witness, or the same error; a membership's kind, reason
+    and witness, with each side's word mapping t to V."""
     workloads = load_workloads(monkeypatch)
     kinds = set()
     for seed in (1, 2, 3):
@@ -423,8 +430,11 @@ def test_queries_seeds_one_to_three_answer_as_before(monkeypatch):
             names = closure(op.call)
             alg = names["alg"]
             if kind.startswith("member-"):
-                got, want = outcome(op.call), outcome(reference_membership, alg, names["v"])
-            elif kind.startswith("multipoint-"):
+                v = names["v"]
+                assert same_answer(alg, v, outcome(op.call), outcome(reference_membership, alg, v)), op.key
+                kinds.add(kind)
+                continue
+            if kind.startswith("multipoint-"):
                 got, want = outcome(op.call), outcome(reference_multipoint, alg, names["pts"])
             elif kind.startswith("biggest-torus-"):
                 got, want = outcome(op.call), outcome(reference_biggest_torus, alg, names["member"])

@@ -1,7 +1,8 @@
 """`tools/kind_times.py`: the working tree's package loaded a second
 time under another name, both timed on a short `queries` stream with
 the same answers, each query first on each side in turn, the table it
-prints, and the arguments and refs it refuses."""
+prints, orbit words that differ but re-verify counted apart from other
+differences, and the arguments and refs it refuses."""
 
 import importlib.util
 import os
@@ -49,8 +50,8 @@ def test_a_second_copy_of_the_package_is_its_own(kind_times):
 
 def test_both_sides_time_every_kind_with_the_same_answers(kind_times):
     ref = kind_times.load_package(os.path.join(ROOT, "src", "orbitvar"), kind_times.REF_PACKAGE)
-    times, differed = kind_times.kind_times(ref, orbitvar, [1], rounds=2, seconds=4)
-    assert differed == 0 and set(times) == KINDS
+    times, differed, words = kind_times.kind_times(ref, orbitvar, [1], rounds=2, seconds=4)
+    assert differed == words == 0 and set(times) == KINDS
     assert sum(len(ref_times) for ref_times, _ in times.values()) == 2 * 60
     assert all(len(a) == len(b) and min(a + b) > 0 for a, b in times.values())
     lines = kind_times.format_table(times).splitlines()
@@ -85,8 +86,38 @@ def test_each_query_goes_first_on_each_side_in_turn(kind_times, monkeypatch):
 def test_a_changed_answer_is_counted(kind_times, monkeypatch):
     ref = kind_times.load_package(os.path.join(ROOT, "src", "orbitvar"), kind_times.REF_PACKAGE)
     monkeypatch.setattr(orbit, "biggest_torus", lambda alg, v: ())
-    times, differed = kind_times.kind_times(ref, orbitvar, [1], rounds=1, seconds=4)
+    times, differed, words = kind_times.kind_times(ref, orbitvar, [1], rounds=1, seconds=4)
     assert 0 < differed <= sum(len(times[kind][0]) for kind in ("biggest-torus-orbit", "biggest-torus-graded"))
+    assert words == 0
+
+
+def with_word(verdict, word):
+    return type(verdict)(verdict.kind, tuple(word), verdict.witness, verdict.reason)
+
+
+def test_a_reverified_word_is_counted_apart(kind_times, monkeypatch):
+    """Orbit words that differ from the ref's are counted apart when
+    each maps t to V by its own side's `act` (here each orbit word with
+    a factor of zero added, which moves nothing), and as changed
+    answers when the tree's does not (here the word of t alone)."""
+    ref = kind_times.load_package(os.path.join(ROOT, "src", "orbitvar"), kind_times.REF_PACKAGE)
+    membership = orbit.membership
+
+    def padded(alg, v):
+        verdict = membership(alg, v)
+        return with_word(verdict, verdict.params + ((0, 0),)) if verdict.kind == "orbit" else verdict
+
+    monkeypatch.setattr(orbit, "membership", padded)
+    _, differed, words = kind_times.kind_times(ref, orbitvar, [1], rounds=1, seconds=4)
+    assert differed == 0 and words > 0
+
+    def emptied(alg, v):
+        verdict = membership(alg, v)
+        return with_word(verdict, ()) if verdict.kind == "orbit" and verdict.params else verdict
+
+    monkeypatch.setattr(orbit, "membership", emptied)
+    _, differed, again = kind_times.kind_times(ref, orbitvar, [1], rounds=1, seconds=4)
+    assert differed > 0 and again == 0
 
 
 def test_bad_arguments_and_refs(kind_times, capsys):
@@ -103,5 +134,6 @@ def test_a_run_against_head(kind_times, capsys):
     status = kind_times.main(["--seeds", "1", "--rounds", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "queries, seeds 1-1, 1 rounds, HEAD -> working tree, median latency per kind"
-    assert [line.split()[0] for line in lines[2:-1]] == sorted(KINDS)
+    assert [line.split()[0] for line in lines[2:-2]] == sorted(KINDS)
+    assert lines[-2].startswith("orbit words that differed, each re-verified: ")
     assert status == (lines[-1] != "answers that differed: 0")  # 1 once a change alters an answer

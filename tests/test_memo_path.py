@@ -41,11 +41,13 @@ A2 = models.borel_nilradical_a2()
 DECORATED = {
     "fingerprint": WeightedLieAlgebra.fingerprint,
     "ad-table": WeightedLieAlgebra.ad_table,
+    "bracket-coordinates": WeightedLieAlgebra.bracket_coordinates,
     "exp-ad-chain": WeightedLieAlgebra.exp_ad_chain,
     "kernel": WeightedLieAlgebra.kernel,
     "center": WeightedLieAlgebra.center,
     "jordan-preconditions": WeightedLieAlgebra.check_jordan_preconditions,
     "weight-order": WeightedLieAlgebra.weight_order,
+    "factor-order": WeightedLieAlgebra.factor_order,
     "witness-curve": orbit.witness_curve,
     "witness-limit": orbit.witness_limit,
     "fixed-point-record": orbit.fixed_point_record,
@@ -69,6 +71,7 @@ def fill_memo(alg):
         cli.RUNNERS[command](alg, 0)
     record = orbit.torus_fixed_points(alg)[-1]
     orbit.membership(alg, record.subspace)
+    orbit.membership(alg, orbit.torus_subspace(alg))  # the orbit-word route
     orbit.multipoint_membership(alg, [record.subspace.basis.row(0)])
     alg.jordan_decompose(tuple(1 for _ in range(alg.dim)))
 

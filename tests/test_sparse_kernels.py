@@ -355,7 +355,7 @@ class TestOneEntryRepresentation:
         element, the exp(ad) terms and chains, `_word_rows` and `_exp_row`,
         `act` on a scalar and on a formal word and the curve's limit, the
         Jordan parts where the algebra admits them, and the word
-        `_peel_orbit` reads off an orbit point."""
+        `_orbit_word` finds for an orbit point."""
         alg = WeightedLieAlgebra.build(*spec)
         x = tuple(map(entry, data.draw(sparse_vectors(alg.dim))))
         z = entry(data.draw(RATIONALS))
@@ -383,7 +383,7 @@ class TestOneEntryRepresentation:
             got += s + n
         except AlgebraError:
             pass
-        got += (c for _, c in orbit._peel_orbit(alg, point) or ())
+        got += (c for _, c in orbit._orbit_word(alg, point) or ())
         assert all(is_entry(e) for e in got)
 
 
@@ -442,7 +442,8 @@ def test_membership_and_pair_relation_multiply_no_zero(monkeypatch):
     """Counts every Fraction product in A3 membership queries (orbit
     points, fixed points looked up on a fresh algebra, a point that only
     the Jordan parts decide and a non-commutative one) and in
-    `verify_pair_relation` at every weight."""
+    `verify_pair_relation` at every weight: none of the products that
+    run has a zero operand.  How many run is the kernels' business."""
     alg = models.borel_nilradical_a3()
     rng = random.Random(1)
     t = orbit.torus_subspace(alg)
@@ -473,5 +474,4 @@ def test_membership_and_pair_relation_multiply_no_zero(monkeypatch):
     monkeypatch.undo()
     assert kinds.count("orbit") == 11 and kinds.count("limit") == len(points) - 13
     assert kinds[-2:] == ["unknown", "refuted"]
-    assert products["all"] > 100
     assert products["zero"] == 0

@@ -50,7 +50,8 @@ def test_two_canned_operations(traffic):
     assert (ran, failed) == (2, 0)
     assert entered["orbit.torus_fixed_points"] == 1
     assert entered["orbit.membership"] == 1
-    assert entered["liealg.WeightedLieAlgebra._word_rows"] == 1  # membership's orbit word, re-applied to t's rows
+    assert entered["orbit._orbit_word"] == 1  # membership's forward pass from t
+    assert "liealg.WeightedLieAlgebra._word_rows" not in entered  # t is its own image: no factor applied
     assert "ideals._read" not in entered and "orbit.torus_fixed_points" not in traffic.traffic(ops[2:])[0]
     assert traffic.traffic(ops[2:])[1:] == (1, 1, {})
     functions = traffic.package_functions()

@@ -32,12 +32,17 @@ error left: a per-kind change inside it is not resolved.
 
 It prints, per query kind, the number of timed calls per side, the
 ref's and the working tree's median latency in microseconds and the
-change of the medians in percent.  A query whose two sides answer
-differently (compared by `repr`) is counted and the count printed, since
-a change that alters an answer is no speed-up.  Run as a script, it puts
-`src/`, `perfbench/` and `tools/` on `sys.path` and turns bytecode
-writing off.  Exit status: 0 after the table, 1 when an answer differed,
-2 on bad arguments or a ref that `git archive` cannot export.
+change of the medians in percent.  Answers are compared by `repr`.  Two
+orbit verdicts of a membership query whose words differ are one point
+written as two words: they are compared by kind and reason, and by
+whether each side's word maps t to the query's subspace by that side's
+own `act`; when all of that holds they are counted apart, as re-verified
+words.  Every other answer that differs is counted and the count
+printed, since a change that alters an answer is no speed-up.  Run as a
+script, it puts `src/`, `perfbench/` and `tools/` on `sys.path` and
+turns bytecode writing off.  Exit status: 0 after the table, 1 when an
+answer other than a re-verified word differed, 2 on bad arguments or a
+ref that `git archive` cannot export.
 """
 
 from __future__ import annotations
@@ -111,24 +116,40 @@ class Side:
         raise ValueError(f"unknown query kind {kind!r}")
 
 
-def timed(call) -> tuple[float, str]:
+def timed(call) -> tuple[float, object]:
     t0 = time.perf_counter()
     try:
         result = call()
     except Exception as e:  # an answer like any other, compared below
         result = e
-    return time.perf_counter() - t0, repr(result)
+    return time.perf_counter() - t0, result
+
+
+def reverified_words(sides, key: str, data, answers) -> bool:
+    """The two answers are orbit verdicts of the membership query `key`
+    with the same kind and reason, and each side's word maps t to the
+    query's subspace by that side's own `act`."""
+    if not key.startswith("member-"):
+        return False
+    if any(getattr(a, "kind", None) != "orbit" for a in answers) or answers[0].reason != answers[1].reason:
+        return False
+    for side, verdict in zip(sides, answers):
+        alg, orbit = side.algebra(key.split(" ", 1)[1]), side.orbit
+        if orbit.act(alg, list(verdict.params), orbit.torus_subspace(alg)) != side.subspace(alg, data):
+            return False
+    return True
 
 
 def kind_times(ref, tree, seeds, rounds: int, seconds: int):
     """({kind: ([ref latencies], [tree latencies])}, answers that
-    differed) over the `queries` streams of `seeds`, each run `rounds`
-    times with fresh algebras on both sides.  `ref` and `tree` are
-    imported packages; needs `perfbench/` on `sys.path`."""
+    differed, orbit words that differed and re-verified) over the
+    `queries` streams of `seeds`, each run `rounds` times with fresh
+    algebras on both sides.  `ref` and `tree` are imported packages;
+    needs `perfbench/` on `sys.path`."""
     import workloads
 
     times: dict[str, tuple[list, list]] = {}
-    differed = 0
+    differed = words = 0
     for seed in seeds:
         ops = workloads.query_ops(seed, seconds)
         for round_ in range(rounds):
@@ -142,8 +163,13 @@ def kind_times(ref, tree, seeds, rounds: int, seconds: int):
                 samples = times.setdefault(op.key.split(" ", 1)[0], ([], []))
                 samples[0].append(got[0][0])
                 samples[1].append(got[1][0])
-                differed += got[0][1] != got[1][1]
-    return times, differed
+                answers = [answer for _, answer in got]
+                if repr(answers[0]) != repr(answers[1]):
+                    if reverified_words(sides, op.key, op.meta["input"], answers):
+                        words += 1
+                    else:
+                        differed += 1
+    return times, differed, words
 
 
 def format_table(times: dict) -> str:
@@ -178,9 +204,10 @@ def main(argv: list[str] | None = None) -> int:
         ref = load_package(os.path.join(ref_root, "src", "orbitvar"), REF_PACKAGE)
         for sub in ("linalg", "liealg", "models", "orbit"):
             importlib.import_module(f"orbitvar.{sub}")
-        times, differed = kind_times(ref, orbitvar, args.seeds, args.rounds, SECONDS)
+        times, differed, words = kind_times(ref, orbitvar, args.seeds, args.rounds, SECONDS)
     print(f"queries, seeds {args.seeds[0]}-{args.seeds[-1]}, {args.rounds} rounds, {args.ref} -> working tree, median latency per kind")
     print(format_table(times))
+    print(f"orbit words that differed, each re-verified: {words}")
     print(f"answers that differed: {differed}")
     return 1 if differed else 0
 
