@@ -64,7 +64,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .liealg import Weight, WeightedLieAlgebra, weight_sort_key
-from .linalg import Matrix, bounded_fraction, entry, exact_div, rref
+from .linalg import bounded_fraction, entry, exact_div
 from .orbit import group_fixed_points, render_sum
 from . import report as rep
 
@@ -1514,13 +1514,15 @@ def chart_ideal(alg: WeightedLieAlgebra, v0) -> ChartIdeal:
         raise NotGroupFixedError("base-point weights do not form a torus basis")
     comp = _lie_order_complement(alg, base)
     m = len(comp)
-    # dual torus basis to the base weights: the columns of W^-1, W the
-    # matrix of base-weight rows, read off one rref of [W | I]; a record's
-    # weights are independent and there are d of them, so W is invertible
-    # and the pivots of [W | I] are 0..d-1
-    augmented = [list(alg.weights[b].coords) + [int(k == j) for k in range(d)] for j, b in enumerate(base)]
-    rr = rref(Matrix.from_rows(augmented))[0]
-    duals = [tuple(rr[k, d + j] for k in range(d)) for j in range(d)]
+    # dual torus basis to the base weights: dual vector j spans the
+    # memoised kernel of the other base weights, divided by the value
+    # of base weight j on it; a record's d weights are independent, so
+    # that kernel is one row on which weight j is nonzero
+    duals = []
+    for j, b in enumerate(base):
+        (row,) = alg.kernel(base[:j] + base[j + 1 :]).entries
+        scale = alg.weights[b](row)
+        duals.append(tuple(exact_div(c, scale) for c in row))
     names = tuple(f"z{i}_{j}" for i in range(1, d + 1) for j in range(1, d + 1)) + tuple(
         f"a{i}_{j}" for i in range(1, d + 1) for j in range(1, m + 1)
     )

@@ -199,12 +199,12 @@ class WeightedLieAlgebra:
     Jacobi and nilpotency verdicts `jordan_decompose` also reads, a
     passed Jordan precondition check, the exp(ad) chain of each basis
     vector under each weight vector (`exp_ad_chain`, built when a row
-    first needs it), the weight order (`weight_order`), and `orbit`'s
-    fixed-point subsets, group-fixed points and per-subset fixed-point
-    records, witness curves and limits.  The fields are immutable and
-    every memoised value is immutable, so a memoised value never goes
-    stale; the memo takes no part in `==`, `hash`, `repr`, `to_json` or
-    `fingerprint`.
+    first needs it), the order of single-weight words (`factor_order`),
+    and `orbit`'s fixed-point subsets, group-fixed points and per-subset
+    fixed-point records, witness curves and limits.  The fields are
+    immutable and every memoised value is immutable, so a memoised value
+    never goes stale; the memo takes no part in `==`, `hash`, `repr`,
+    `to_json` or `fingerprint`.
     """
 
     t_dim: int
@@ -229,6 +229,10 @@ class WeightedLieAlgebra:
             raise AlgebraError(f"t_dim must be nonnegative, not {t_dim}")
         if len(set(names)) != len(names):
             raise AlgebraError("a_basis names must be distinct")
+        if set(weights) != set(names):
+            raise AlgebraError("weights must be given for exactly the a-basis")
+        if any(len(weights[nm]) != t_dim for nm in names):
+            raise AlgebraError("weight length must equal t_dim")
         idx = {nm: i for i, nm in enumerate(names)}
         ws = tuple(Weight(tuple(map(entry, weights[nm]))) for nm in names)
         table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
@@ -677,87 +681,78 @@ class WeightedLieAlgebra:
         if not checks["nilpotency"][0]:
             raise AlgebraError("jordan decomposition needs a nilpotent a")
 
-    @memoised("weight-order")
     def weight_order(self) -> tuple[int, ...]:
         """The weight indices by weight height, then coordinates, then
-        index, sorted once per algebra: the factor order of the orbit
-        word, the Jordan conjugation and the `boundary` walk."""
+        index: `boundary`'s print order and `factor_order`'s tie-break."""
         return tuple(sorted(range(self.n), key=lambda i: weight_sort_key(self.weights[i])))
 
     @memoised("factor-order")
     def factor_order(self) -> tuple[int, ...]:
         """The weight indices by depth, then as `weight_order` has them,
-        sorted once per algebra: the factor order of the orbit word.  With
-        D^1 every index and D^(m+1) the terms of the table entries with an
-        index in D^m (as in `torus_conjugation`), the depth of k is the
-        last m <= n + 1 with k in D^m.  The sets shrink, so an entry's
-        term k lies in D^(m+1) for each index i of the entry in D^m: k is
-        deeper than i, unless both are in D^(n + 1), where the lower
-        central series has not ended.  So each term of [a_i, a_j] comes
-        after i and j in this order, whatever the weights are; by height
-        alone it can come before them when a weight has height 0 or less.
-        On a Borel nilradical in simple-root coordinates the depth of a
-        root is its height, and the order is `weight_order`."""
+        sorted once per algebra: the order of every single-weight word,
+        `membership`'s orbit word and the Jordan conjugation.  The depth
+        of k is the last m <= n + 1 with k in D^m (`_support_series`).
+
+        Each term of [a_k, .] is strictly deeper than k, so a factor
+        exp(z ad a_k) changes only its own column and columns still
+        ahead: [a_k, t] = -w_k(t) a_k, (ad a_k)^2 t = 0, and for k at
+        depth m the terms of a table entry with index k lie in D^(m+1),
+        unless m = n + 1, where the series has not emptied.  It empties
+        on a nilpotent table whose entries have one term each, where D^m
+        is the support of C^m (`_nilpotent`), as on every table that
+        passes `validate` (graded brackets and one-dimensional weight
+        spaces leave one term per entry); on a multi-term table D^m can
+        outlast C^m.  By height alone a term can come before k when a
+        weight has height 0 or less; on a Borel nilradical in simple-root
+        coordinates depth is height, and the order is `weight_order`."""
         depth = {}
-        level = set(range(self.n))
-        for m in range(1, self.n + 2):
+        for m, level in enumerate(self._support_series(), 1):
             depth.update(dict.fromkeys(level, m))
-            level = {k for i, j, terms in self.brackets if i in level or j in level for k, _ in terms}
         position = {k: p for p, k in enumerate(self.weight_order())}
         return tuple(sorted(range(self.n), key=lambda k: (depth[k], position[k])))
 
-    def torus_conjugation(self, x: Sequence, lam: Sequence) -> tuple[tuple, tuple] | None:
-        """(v, word) with v = g x = x_t + n_0: x_t the torus part of x, n_0
-        on the weights that vanish at x_t, and g the product of the
-        word's factors exp(z ad a_k), given as (k, z) pairs in the order
-        they are applied; or None when n + 1 passes leave a coordinate
-        to clear.  `lam` holds the weight values w_k(x_t), which
-        `multipoint_membership` has already computed to test them.  One
-        pass walks the weights whose value lambda_k = w_k(x_t) is not 0,
-        in `weight_order`, and clears each coordinate r_k != 0 of the
-        current v by exp(z ad a_k), z = r_k / lambda_k (`exact_div`),
-        applied with `_word_rows`: [a_k, x_t] = -lambda_k a_k, so the
-        factor takes r_k off coordinate k.  Passes repeat until one
-        finds nothing to clear.  Each factor is an automorphism of r when
-        Jacobi holds (`jacobi` in `validate`), since ad a_k is then a
-        derivation; its chains end when a is nilpotent, and a chain that
-        does not raises `AlgebraError`.
-
-        Termination: let D^1 be every weight index and D^(m+1) the
-        indices of the terms of the bracket-table entries (i, j) with i
-        or j in D^m.  Then [a_k, a] lies in a_(D^(m+1)) for k in D^m, and
-        D^(m+1) lies in D^m.  Suppose the nonvanishing coordinates of v
-        lie in D^m when a pass starts.  A factor of the pass has k in
-        D^m, and exp(z ad a_k) v = v - r_k a_k + z [a_k, r] +
-        (z ad a_k)^2 r / 2 + ..., r the a-part of v, since
-        (ad a_k)^2 x_t = -lambda_k [a_k, a_k] = 0.  The bracket terms lie
-        in a_(D^(m+1)), so the factor clears coordinate k up to
-        a_(D^(m+1)) and moves the others only inside it; a later factor
-        of the pass reads a coordinate still in D^m.  After the pass the
-        nonvanishing coordinates lie in D^(m+1), and the torus part stays
-        x_t.  When every table entry has one term, D^m is the support of
-        the lower central series term C^m (`_nilpotent`), so on a
-        nilpotent a D^(n+1) is empty and at most n passes do work.  A
-        table whose brackets respect the grading (as Jacobi forces) and
-        whose weight spaces are one-dimensional (as `validate` asks) has
-        only one-term entries.  On a table with a multi-term entry D^m
-        can outlast C^m, and the pass bound answers None."""
-        d = self.t_dim
-        order = [k for k in self.weight_order() if lam[k]]
-        v = tuple(x)
-        word = []
+    def _support_series(self):
+        """D^1, ..., D^(n+1), one set at a time: D^1 is every weight index
+        and D^(m+1) the indices of the terms of the table entries (i, j)
+        with i or j in D^m, so [a_k, a] lies in a_(D^(m+1)) for k in D^m.
+        D^2 lies in D^1, and an entry with an index in D^(m+1) has one in
+        D^m, so by induction the sets shrink; once one is empty so is
+        every later one."""
+        level = set(range(self.n))
         for _ in range(self.n + 1):
-            cleared = False
-            for k in order:
-                c = v[d + k]
-                if c:
-                    z = exact_div(c, lam[k])
-                    (v,) = self._word_rows(((k, z),), (v,))
-                    word.append((k, z))
-                    cleared = True
-            if not cleared:
-                return v, tuple(word)
-        return None
+            yield level
+            level = {k for i, j, terms in self.brackets if i in level or j in level for k, _ in terms}
+
+    def torus_conjugation(self, x: Sequence, lam: Sequence) -> tuple | None:
+        """The word of g^-1, for g x = x_t + n_0 with x_t the torus part of
+        x and n_0 on the weights that vanish at x_t; or None when a
+        coordinate is left to clear.  `lam` holds the weight values
+        lambda_k = w_k(x_t), which `multipoint_membership` has already
+        computed to test them.  One pass walks `factor_order` and clears
+        each coordinate r_k != 0 of the current vector with lambda_k != 0
+        by exp(z ad a_k), z = r_k / lambda_k (`exact_div`), applied with
+        `_word_rows`: [a_k, x_t] = -lambda_k a_k, so the factor takes r_k
+        off coordinate k, and it moves only columns still ahead, so no
+        cleared column reopens unless the support series never empties,
+        which takes a multi-term table.  g is the product of the factors,
+        the first applied first; the word of g^-1 lists (k, -z) in the
+        same order, since `_word_rows` applies a word's last factor first.
+        Each factor is an automorphism of r when Jacobi holds (`jacobi` in
+        `validate`), since ad a_k is then a derivation; its chains end
+        when a is nilpotent, and a chain that does not raises
+        `AlgebraError`."""
+        d = self.t_dim
+        v = tuple(x)
+        inverse = []
+        for k in self.factor_order():
+            c = v[d + k]
+            if c and lam[k]:
+                z = exact_div(c, lam[k])
+                (v,) = self._word_rows(((k, z),), (v,))
+                inverse.append((k, -z))
+        if any(v[d + k] for k in range(self.n) if lam[k]):
+            return None
+        return tuple(inverse)
 
     def jordan_decompose(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
         """Jordan decomposition x = s + n inside r: ad s semisimple, ad n
@@ -769,12 +764,12 @@ class WeightedLieAlgebra:
         and n_0 on the weights that vanish at x_t (de Graaf, *Lie Algebras:
         Theory and Algorithms*, 2000, the Jordan decomposition in a
         solvable algebra with a split torus), by single-weight factors
-        exp(z ad a_k), z = r_k / lambda_k, in `weight_order`
-        (`torus_conjugation`, which also proves that at most n passes do
-        work).  That gives g x = x_t + n_0, g the word's product; then s
-        is the inverse word applied to x_t (`_word_rows`), so
-        s = g^-1 x_t, and n = x - s.  Passes past n + 1 raise
-        `AlgebraError`.
+        exp(z ad a_k), z = r_k / lambda_k, in one pass over
+        `factor_order` (`torus_conjugation`).  That gives g x = x_t + n_0,
+        g the product of the factors; then s is the word of g^-1 applied
+        to x_t (`_word_rows`), so s = g^-1 x_t, and n = x - s.  A
+        coordinate left after the pass, possible only on a table whose
+        support series never empties, raises `AlgebraError`.
 
         Correctness: by Jacobi, each ad a_k is a derivation and each
         factor an automorphism of r.  So ad s is conjugate to the diagonal
@@ -800,10 +795,9 @@ class WeightedLieAlgebra:
         if not any(x[d:]) or not any(xt):
             s = xt + (0,) * self.n
             return s, lowered([a - b for a, b in zip(x, s)])
-        conjugated = self.torus_conjugation(x, [w(xt) for w in self.weights])
-        if conjugated is None:
+        inverse = self.torus_conjugation(x, [w(xt) for w in self.weights])
+        if inverse is None:
             raise AlgebraError(f"jordan conjugation did not settle in {self.n + 1} passes")
-        inverse = tuple((k, -z) for k, z in conjugated[1])
         (s,) = self._word_rows(inverse, (xt + (0,) * self.n,))
         n = lowered([a - b for a, b in zip(x, s)])
         if any(c != 0 for c in self.bracket(s, n)):
@@ -907,23 +901,19 @@ class WeightedLieAlgebra:
         C^{k+1} = [a, C^k] reaches 0 within n + 1 steps.
 
         When every entry of `brackets` has one term, as in every Borel
-        nilradical, the series is read off the table's support.  Each
-        `[a_i, a_j]` is then 0 or a nonzero multiple of one `a_p`.  If C^k
-        is spanned by the `a_q`, q in S_k, then C^{k+1} is spanned by the
-        brackets `[a_i, a_q]`, i any, q in S_k, so by the `a_p` of the
-        entries `(i, j)` with i or j in S_k (antisymmetry covers the
-        order).  S_1 is every index, so by induction each C^k is spanned
-        by the basis vectors of S_k, and C^k = 0 exactly when S_k is
-        empty; the walk takes no row reduction.  A table with a
-        multi-term entry takes `_nilpotent_by_rows`."""
+        nilradical, the series is read off the table's support
+        (`_support_series`).  Each `[a_i, a_j]` is then 0 or a nonzero
+        multiple of one `a_p`.  If C^k is spanned by the `a_q`, q in D^k,
+        then C^{k+1} is spanned by the brackets `[a_i, a_q]`, i any, q in
+        D^k, so by the `a_p` of the entries `(i, j)` with i or j in D^k
+        (antisymmetry covers the order), which is D^(k+1).  D^1 is every
+        index, so by induction each C^k is spanned by the basis vectors
+        of D^k, and C^k = 0 exactly when D^k is empty; the walk takes no
+        row reduction.  A table with a multi-term entry takes
+        `_nilpotent_by_rows`."""
         if any(len(terms) != 1 for _, _, terms in self.brackets):
             return self._nilpotent_by_rows()
-        support = set(range(self.n))
-        for _ in range(self.n + 1):
-            if not support:
-                return True
-            support = {terms[0][0] for i, j, terms in self.brackets if i in support or j in support}
-        return False
+        return not all(self._support_series())
 
     def _nilpotent_by_rows(self) -> bool:
         """The lower central series by row spaces: each C^{k+1} is

@@ -723,13 +723,11 @@ def _orbit_word(alg: WeightedLieAlgebra, v: Subspace) -> tuple | None:
     e_i of every row, so the weight values on the rows stay the
     weight's coordinates.
 
-    Each term of [a_k, a_j] comes after k in `factor_order` (unless the
-    lower central series has not ended), and so does each term of the
-    higher powers of ad a_k, so each factor adds only in its own column
-    and in columns still ahead: the gap at weight k is closed by its
-    own factor, and no later factor opens it.  The pass then ends with
-    the image rows equal to V's rows exactly when V is u t for u in the
-    unipotent group, whose one-parameter subgroups in an order that
+    Each factor adds only in its own column and in columns still ahead
+    (unless the support series has not emptied; `factor_order`): the
+    gap at weight k is closed by its own factor, and no later factor
+    opens it.  The pass then ends with the image rows equal to V's rows
+    exactly when V is u t for u in the unipotent group, whose one-parameter subgroups in an order that
     refines the lower central series parametrise it (Corwin and
     Greenleaf, *Representations of Nilpotent Lie Groups*, 1.2).  Where a
     later factor can move a column already passed (a table whose a is
@@ -917,14 +915,14 @@ def biggest_torus(alg: WeightedLieAlgebra, v: Subspace) -> tuple[int, ...]:
     zero weight and has one term in every bracket entry; its semisimple
     parts are then its rows, whose span has dimension d.  V projects onto
     t, so it holds an x whose torus part x_t lies on no weight's
-    hyperplane.  `torus_conjugation` settles on such a table (its
-    one-term proof) and gives g x = x_t, nothing being left on a; g is an
-    automorphism by Jacobi, so the centralizer of x is g^-1 t, of
-    dimension d.  V is commutative and holds x, so it lies in that
-    centralizer, and dimensions give V = g^-1 t, every element of which
-    is semisimple: the Jordan decomposition of each row is (row, 0),
-    unique since the center is zero, and `jordan_decompose` would return
-    exactly that.  Every
+    hyperplane.  `torus_conjugation` settles on such a table, whose
+    support series empties (`factor_order`), and gives g x = x_t,
+    nothing being left on a; g is an automorphism by Jacobi, so the
+    centralizer of x is g^-1 t, of dimension d.  V is commutative and
+    holds x, so it lies in that centralizer, and dimensions give
+    V = g^-1 t, every element of which is semisimple: the Jordan
+    decomposition of each row is (row, 0), unique since the center is
+    zero, and `jordan_decompose` would return exactly that.  Every
     other V takes `jordan_decompose` row by row, including a V on a
     multi-term table, where the conjugation can fail to settle and raise
     `AlgebraError`, which this route must not turn into an answer."""
@@ -996,11 +994,11 @@ def multipoint_membership(alg: WeightedLieAlgebra, points: Sequence[Sequence]) -
     In step 3, a point p on which no weight vanishes, on an algebra
     whose `validate` table passes Jacobi and nilpotency, is regular, and
     its centralizer comes from its own conjugation: `torus_conjugation`
-    gives the word of g with g p = p_t (no weight vanishes at p_t, so
+    gives the word of g^-1, for g p = p_t (no weight vanishes at p_t, so
     nothing is left on a), and the centralizer of p_t is t, so that of p
-    is g^-1 t, the inverse word applied to t's basis rows
-    (`_word_rows`).  Those rows keep t's torus pivots, so they are the
-    canonical basis: no `ad` matrix and no `nullspace`.  Every other
+    is g^-1 t, that word applied to t's basis rows (`_word_rows`).
+    Those rows keep t's torus pivots, so they are the canonical basis:
+    no `ad` matrix and no `nullspace`.  Every other
     point takes `centralizer` and is regular when that has t_dim rows.
     `Subspace` checks either basis.
 
@@ -1076,13 +1074,12 @@ def _record_holding(alg: WeightedLieAlgebra, pts: Sequence[tuple], lam: list | N
 def _conjugated_centralizer(alg: WeightedLieAlgebra, p: tuple, lam: list) -> Subspace | None:
     """The centralizer g^-1 t of a point p with g p = p_t, on an algebra
     that passes Jacobi and nilpotency, for weight values `lam` at p_t
-    none of which is 0 (see `multipoint_membership`): the inverse of the
-    word of `torus_conjugation` applied to t's basis rows, already the
+    none of which is 0 (see `multipoint_membership`): the word of g^-1
+    from `torus_conjugation` applied to t's basis rows, already the
     canonical basis.  None when the conjugation does not settle."""
-    conjugated = alg.torus_conjugation(p, lam)
-    if conjugated is None:
+    inverse = alg.torus_conjugation(p, lam)
+    if inverse is None:
         return None
-    inverse = tuple((k, -z) for k, z in conjugated[1])
     rows = alg._word_rows(inverse, torus_subspace(alg).basis.entries)
     return Subspace(alg, Matrix(alg.t_dim, alg.dim, tuple(rows)))
 

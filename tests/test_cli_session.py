@@ -365,7 +365,6 @@ FAMILIES = {
     "kernel",
     "center",
     "jordan-preconditions",
-    "weight-order",
     "factor-order",
     "witness-curve",
     "witness-limit",

@@ -175,8 +175,9 @@ def mixed_copies(draw):
     (`rescaled_root_subsets`), in the basis
     u_i = p a_i + q b_i, v_i = r a_i + s b_i of each weight space, with
     drawn invertible (p, q; r, s): repeated weights and multi-term
-    bracket entries, the tables on which the Jordan conjugation's pass
-    bound rests on no proof."""
+    bracket entries, outside the one-term tables that pass `validate`;
+    the support series still empties, since each weight space keeps
+    its depth."""
     base = WeightedLieAlgebra.build(*draw(rescaled_root_subsets().filter(lambda spec: len(spec[1]) <= 6)))
     mixes = []
     for _ in range(base.n):

@@ -43,10 +43,10 @@ from orbitvar import orbit
 from orbitvar.liealg import AlgebraError, WeightedLieAlgebra
 
 
-def applied_lowest_first(alg, params) -> bool:
+def applied_in_factor_order(alg, params) -> bool:
     """The word's factors, read last first as `act` applies them, come in
-    `weight_order`: the lowest height is applied first."""
-    position = {k: i for i, k in enumerate(alg.weight_order())}
+    `factor_order`: the shallowest is applied first."""
+    position = {k: i for i, k in enumerate(alg.factor_order())}
     places = [position[k] for k, _ in reversed(params)]
     return places == sorted(places)
 
@@ -56,7 +56,7 @@ def check_membership(alg, v):
     want = result(peel_membership, alg, v)
     assert same_answer(alg, v, got, want)
     if got[0] == "value" and got[1].kind == "orbit":
-        assert applied_lowest_first(alg, got[1].params)
+        assert applied_in_factor_order(alg, got[1].params)
         return "orbit, same word" if got[1].params == want[1].params else "orbit, another word"
     return got[1].kind if got[0] == "value" else got[1].__name__
 
@@ -106,6 +106,7 @@ def test_every_orbit_point_of_a3_in_any_signed_torus_basis():
                 v = orbit.act(alg, [(i, 2), (j, -1)], t)
                 got, want = result(orbit.membership, alg, v), result(peel_membership, alg, v)
                 assert got[1].kind == "orbit" and reference_act(alg, list(got[1].params), t) == v
+                assert applied_in_factor_order(alg, got[1].params)
                 if want[1].kind == "unknown":
                     missed += 1
                 else:

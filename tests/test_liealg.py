@@ -236,8 +236,10 @@ class TestJordan:
             alg.jordan_decompose(F(1, 0, 1))
 
     def test_element_that_needs_several_passes(self):
-        # x3 vanishes at the torus part (1, 2, 0); the first pass clears x1
-        # and x2 but leaves terms on x23 and x123, which later passes clear
+        # x3 vanishes at the torus part (1, 2, 0), so its coordinate is
+        # left; the factors of x1 and x2 put terms on x12, x23 and x123,
+        # all deeper in `factor_order`, which later factors of the one
+        # pass clear
         x = F(1, 2, 0, 1, 1, 1, 0, 0, 0)
         s, n = A3.jordan_decompose(x)
         assert s == (F(1, 2, 0, 1, 1, 0, 0) + (Fraction(1, 2), Fraction(-1, 6)))
@@ -337,6 +339,22 @@ assert orbit.membership(alg, moved).kind == "orbit"
 assert orbit.membership(alg, limit).kind == "limit"
 """
         )
+
+
+class TestBuild:
+    """`build` refuses what `from_json` refuses about the weights, with
+    `from_json`'s messages, before anything is built."""
+
+    def test_a_weight_of_the_wrong_length_is_refused(self):
+        # a weight pairs with a torus vector by `zip`, so one of another
+        # length would act cut short or padded with zeros
+        with pytest.raises(AlgebraError, match="^weight length must equal t_dim$"):
+            WeightedLieAlgebra.build(2, ["x", "y"], {"x": [1], "y": [0, 1, 5]})
+
+    def test_a_name_with_no_weight_is_refused(self):
+        for weights in ({}, {"x": [1, 0], "y": [0, 1]}):
+            with pytest.raises(AlgebraError, match="^weights must be given for exactly the a-basis$"):
+                WeightedLieAlgebra.build(2, ["x"], weights)
 
 
 class TestSerialization:

@@ -46,7 +46,6 @@ DECORATED = {
     "kernel": WeightedLieAlgebra.kernel,
     "center": WeightedLieAlgebra.center,
     "jordan-preconditions": WeightedLieAlgebra.check_jordan_preconditions,
-    "weight-order": WeightedLieAlgebra.weight_order,
     "factor-order": WeightedLieAlgebra.factor_order,
     "witness-curve": orbit.witness_curve,
     "witness-limit": orbit.witness_limit,

@@ -341,8 +341,8 @@ class TestMemoisedValues:
     @pytest.mark.parametrize("name", BUILTINS)
     def test_each_value_is_computed_once(self, name):
         alg = models.builtin(name)
-        values = [alg.center(), alg.ad_table(), alg.fingerprint(), orbit.torus_subspace(alg), alg.weight_order()]
-        again = [alg.center(), alg.ad_table(), alg.fingerprint(), orbit.torus_subspace(alg), alg.weight_order()]
+        values = [alg.center(), alg.ad_table(), alg.fingerprint(), orbit.torus_subspace(alg), alg.factor_order()]
+        again = [alg.center(), alg.ad_table(), alg.fingerprint(), orbit.torus_subspace(alg), alg.factor_order()]
         assert all(a is b for a, b in zip(values, again))
 
 

@@ -1,11 +1,16 @@
 """`tools/traffic.py` on a canned list of two operations, on a `queries`
 and a `geometry` run, on one run over both and on two runs in one
 process: which package functions the operations enter, which none
-does, and the hits and misses of each memo key."""
+does, and the hits and misses of each memo key.  Also: the listing of
+package functions comes from the loaded code and reads no source
+file."""
 
+import builtins
 import importlib.util
+import io
 import os
 import sys
+import types
 
 import pytest
 
@@ -57,6 +62,45 @@ def test_two_canned_operations(traffic):
     functions = traffic.package_functions()
     assert {"orbit.torus_fixed_points", "ideals._read", "orbit.CurveSubspace.limit"} <= set(functions)
     assert len(functions) == len(set(functions)) and set(entered) <= set(functions)
+
+
+def compiled_listing(traffic):
+    """The listing as the tool once made it: the named functions of each
+    source file under `SRC`, compiled, module by module in line order."""
+    out = []
+    for name in sorted(os.listdir(traffic.SRC)):
+        if name.endswith(".py"):
+            path = os.path.join(traffic.SRC, name)
+            with open(path) as fh:
+                todo = [compile(fh.read(), path, "exec")]
+            found = []
+            while todo:
+                code = todo.pop()
+                if traffic._named(code):
+                    found.append((code.co_firstlineno, traffic._label(code)))
+                todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            out += [label for _, label in sorted(found)]
+    return out
+
+
+def test_the_listing_reads_no_source_file(traffic, monkeypatch):
+    """The listing comes from the loaded modules' code objects, the ones
+    the trace records, so an edit under `src/` after import cannot move
+    a `name:line` label of one away from the other.  With every read of
+    a file under `SRC` refused, it equals the compiled files' listing."""
+    want = compiled_listing(traffic)
+    real_open = builtins.open
+
+    def refusing(file, *args, **kwargs):
+        if isinstance(file, (str, bytes, os.PathLike)) and os.path.abspath(os.fsdecode(file)).startswith(traffic.SRC + os.sep):
+            raise OSError(f"a read of {file} was refused")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing)
+    monkeypatch.setattr(io, "open", refusing)
+    with pytest.raises(OSError, match="was refused"):
+        compiled_listing(traffic)
+    assert traffic.package_functions() == want
 
 
 def test_an_operation_on_an_invalid_input_is_skipped(traffic):

@@ -37,8 +37,10 @@ after the listing, 2 on bad arguments.
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import os
+import pkgutil
 import sys
 import tempfile
 import types
@@ -62,24 +64,46 @@ def _label(code: types.CodeType) -> str:
     return f"{label}:{code.co_firstlineno}" if "<locals>" in code.co_qualname else label
 
 
+def _codes(value, seen: set):
+    """The code objects that a module member reaches: a function's own
+    code and the code of what it wraps (`__wrapped__`), of a static or
+    class method's function (`__func__`), a property's getter (`fget`)
+    and a `functools.cached_property`'s function (`func`), and of the
+    members of a class of the package, each class once."""
+    if isinstance(value, type):
+        if value.__module__.startswith("orbitvar") and value not in seen:
+            seen.add(value)
+            for member in vars(value).values():
+                yield from _codes(member, seen)
+        return
+    if isinstance(value, types.FunctionType):
+        yield value.__code__
+    for attr in ("__wrapped__", "__func__", "fget", "func"):
+        inner = getattr(value, attr, None)
+        if inner is not None:
+            yield from _codes(inner, seen)
+
+
 def package_functions() -> list[str]:
-    """The label of every named function under `src/orbitvar`, read from
-    the compiled modules, module by module in line order."""
-    out = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(SRC, name)
-        with open(path) as fh:
-            todo = [compile(fh.read(), path, "exec")]
-        found = []
-        while todo:
-            code = todo.pop()
-            if _named(code):
-                found.append((code.co_firstlineno, _label(code)))
+    """The label of every named function under `src/orbitvar`, module by
+    module in line order, read from the code objects of the loaded
+    modules: those the modules' members reach (`_codes`) and the code
+    nested in them (`co_consts`), kept when it lies under `SRC`.  The
+    trace labels the frames it records from the same code objects, so
+    the two agree even when a file has changed since it was imported;
+    no file is read."""
+    import orbitvar
+
+    modules = [importlib.import_module(f"orbitvar.{info.name}") for info in pkgutil.iter_modules(orbitvar.__path__)]
+    prefix, seen, found = SRC + os.sep, set(), set()
+    todo = [code for module in [orbitvar, *modules] for member in vars(module).values() for code in _codes(member, seen)]
+    while todo:
+        code = todo.pop()
+        if code not in found and code.co_filename.startswith(prefix):
+            found.add(code)
             todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        out += [label for _, label in sorted(found)]
-    return out
+    named = sorted((os.path.basename(code.co_filename), code.co_firstlineno, _label(code)) for code in found if _named(code))
+    return [label for _, _, label in named]
 
 
 def _memo_key(key) -> str:
