@@ -11,8 +11,8 @@ report is still written).
 algebra, by `--builtin`, by `--input` or in `suite`, reads the memo
 the earlier ones filled: the `validate` table, which the check before
 every other command and the Jordan preconditions read, the center, the
-adjoint table, the kernels, the fixed-point records, the witness curves
-and their limits.  A memoised value depends only on the
+adjoint table, the kernels and the fixed-point records, each with its
+witness curve and limit.  A memoised value depends only on the
 algebra's fields and is immutable, and a computation that raises is not
 kept (`liealg.memoised`), so a report built from a shared
 memo is byte-identical to one built from a fresh one.  Each witness
@@ -95,7 +95,7 @@ def load_algebra(args) -> WeightedLieAlgebra:
         try:
             with open(args.input) as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as e:  # ValueError: bad JSON, bad UTF-8, an int past Python's digit limit
+        except (OSError, ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, an int past Python's digit limit, deep nesting
             raise InputError(f"cannot read algebra: {e}") from e
         try:
             return shared_algebra(WeightedLieAlgebra.from_json(data))

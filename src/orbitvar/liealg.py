@@ -201,10 +201,10 @@ class WeightedLieAlgebra:
     vector under each weight vector (`exp_ad_chain`, built when a row
     first needs it), the order of single-weight words (`factor_order`),
     and `orbit`'s fixed-point subsets, group-fixed points and per-subset
-    fixed-point records, witness curves and limits.  The fields are
-    immutable and every memoised value is immutable, so a memoised value
-    never goes stale; the memo takes no part in `==`, `hash`, `repr`,
-    `to_json` or `fingerprint`.
+    fixed-point records, each with its witness curve and limit.  The
+    fields are immutable and every memoised value is immutable, so a
+    memoised value never goes stale; the memo takes no part in `==`,
+    `hash`, `repr`, `to_json` or `fingerprint`.
     """
 
     t_dim: int

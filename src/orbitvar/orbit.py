@@ -10,13 +10,13 @@ enumerates fixed points, and certifies (or refutes) membership of
 subspaces and point tuples in the closure.  The fixed-point subspaces
 read their torus kernels from the algebra's grown kernels
 (`WeightedLieAlgebra.kernel`) and hand `Subspace` their canonical bases
-directly; `Subspace` still checks each one.  A fixed-point record holds
-its weight set S, its subspace z_S + a_S (the memoised witness limit,
-once verified) and its witness curve; the report derives dim z_S and
-the list's name from them.  The property (P) data of a weight set read
-their center from the same kernels, render the weights once and build
-no centralizer: the precondition reads V's a-support.  The torus t is
-the witness limit of the empty weight set.  The group-fixed points
+directly; `Subspace` still checks each one.  A fixed-point record, the
+one memoised value of its weight set S, holds S, its witness curve and
+the curve's limit z_S + a_S, once verified; the report derives dim z_S
+and the list's name from them, and the torus t is the limit of the
+empty set's record.  The property (P) data of a weight set read their
+center from the same kernels, render the weights once and build no
+centralizer: the precondition reads V's a-support.  The group-fixed points
 are the torus records, not copies, whose weight sets pass a size test
 and a bracket-support test, which together hold exactly when z_S + a_S
 is an ideal (`group_fixed_points`), so no bracket is summed to find
@@ -275,7 +275,7 @@ def render_sum(terms: list) -> str:
 
 @dataclass(frozen=True)
 class FixedPointRecord:
-    subspace: Subspace  # z_S + a_S, the memoised `witness_limit` of S
+    subspace: Subspace  # z_S + a_S, the verified limit of `witness`
     r_v_set: tuple[int, ...]  # S, weight indices
     witness: CurveSubspace
 
@@ -301,9 +301,9 @@ class MultiPoint:
 
 
 def torus_subspace(alg: WeightedLieAlgebra) -> Subspace:
-    """t, spanned by the first t_dim basis vectors: the memoised
-    `witness_limit` of (), whose curve is those basis vectors."""
-    return witness_limit(alg, ())
+    """t, spanned by the first t_dim basis vectors: the subspace of the
+    record of (), whose curve is those basis vectors."""
+    return fixed_point_record(alg, ()).subspace
 
 
 def _own(alg: WeightedLieAlgebra, v: Subspace | TorusElementData) -> None:
@@ -411,39 +411,6 @@ def _fixed_point_subspace(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> S
     return Subspace(alg, Matrix(len(rows), alg.dim, rows))
 
 
-@memoised("witness-curve", grown=True)
-def witness_curve(alg: WeightedLieAlgebra, subset: Sequence[int]) -> CurveSubspace:
-    """exp(z ad x_i) ... exp(z ad x_j) t over a commuting `subset`.
-    Built once per weight subset per algebra: the fixed-point
-    enumeration, `boundary` (the curves exp(z ad x_alpha) t of one
-    weight), property (P) and membership share it, and every one of them
-    passes a subset whose weight vectors pairwise commute.
-
-    The curve of S is exp(z ad x_j) applied row by row (`_exp_row`) to
-    the memoised curve of S - {j}, j = max(S), so each curve costs one
-    factor.  That is the curve in any factor order: by Jacobi ad is a
-    map of Lie algebras, so [x_i, x_j] = 0 gives [ad x_i, ad x_j] = 0,
-    and the exponentials of commuting nilpotent maps commute.  So the
-    rows are exactly those of `act` over S in `weight_order`.
-    Precondition: the weight vectors of S pairwise commute and the
-    algebra satisfies Jacobi (the CLI validates it first); otherwise the
-    factors need not commute and the curve depends on their order."""
-    if not subset:
-        return CurveSubspace(alg, tuple((alg.basis_vector(i),) for i in range(alg.t_dim)))
-    j = subset[-1]
-    return CurveSubspace(alg, tuple(tuple(_exp_row(alg, j, row)) for row in witness_curve(alg, subset[:-1]).rows))
-
-
-@memoised("witness-limit", subset=True)
-def witness_limit(alg: WeightedLieAlgebra, subset: Sequence[int]) -> Subspace:
-    """The limit of `witness_curve(alg, subset)` at infinity, taken once
-    per weight subset per algebra.  Each caller compares it with the
-    subspace it certifies before reporting, so memoising it keeps every
-    certificate checked; a limit that raises (`RankDeficientError`) is
-    not kept and raises again on the next call."""
-    return witness_curve(alg, subset).limit()
-
-
 def _independent_abelian(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> bool:
     """The weight vectors of `subset` pairwise commute and its weights are
     linearly independent: the subsets that index torus-fixed points.  The
@@ -453,17 +420,39 @@ def _independent_abelian(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> bo
     return alg.centralizer_in_a(subset) and alg.kernel(subset).rows == alg.t_dim - len(subset)
 
 
-@memoised("fixed-point-record", subset=True)
+FIXED_POINT_RECORD = "fixed-point-record"  # memo key of `fixed_point_record`
+
+
+@memoised(FIXED_POINT_RECORD, subset=True)
 def fixed_point_record(alg: WeightedLieAlgebra, subset: tuple[int, ...]) -> FixedPointRecord:
-    """The torus-fixed point z_S + a_S of an independent abelian subset S,
-    with its witness curve, once its limit is verified to be that point;
-    built once per subset per algebra.  The record keeps the memoised
-    limit itself, so each weight set holds one `Subspace`.  A limit that
-    differs raises `OrbitError` and is not kept."""
-    limit = witness_limit(alg, subset)
+    """The torus-fixed point z_S + a_S of an independent abelian subset S
+    and its witness curve exp(z ad x_i) ... exp(z ad x_j) t, kept once the
+    curve's limit is verified to be that point.  A limit that differs
+    raises `OrbitError`; neither it nor one that raises is kept.
+
+    The curve is that of the longest prefix of S whose record is kept
+    (t's rows when none is) with exp(z ad x_k) applied row by row
+    (`_exp_row`) for each index k past it; in the fixed-point walk that
+    prefix is S less its largest index, so each curve costs one factor.
+    Any factor order gives the same curve: by Jacobi ad is a map of Lie
+    algebras, so [x_i, x_j] = 0 gives [ad x_i, ad x_j] = 0, and the
+    exponentials of commuting nilpotent maps commute.  Precondition: the
+    weight vectors of S pairwise commute and the algebra satisfies
+    Jacobi (the CLI validates it first)."""
+    memo = alg._memo
+    rows, done = tuple((alg.basis_vector(i),) for i in range(alg.t_dim)), 0
+    for size in range(len(subset) - 1, -1, -1):
+        kept = memo.get((FIXED_POINT_RECORD, subset[:size]))
+        if kept is not None:
+            rows, done = kept.witness.rows, size
+            break
+    for k in subset[done:]:
+        rows = tuple(tuple(_exp_row(alg, k, row)) for row in rows)
+    curve = CurveSubspace(alg, rows)
+    limit = curve.limit()
     if limit != _fixed_point_subspace(alg, subset):
         raise OrbitError("witness curve limit mismatch")
-    return FixedPointRecord(limit, subset, witness_curve(alg, subset))
+    return FixedPointRecord(limit, subset, curve)
 
 
 def fixed_point_of(alg: WeightedLieAlgebra, v: Subspace, graded: tuple[int, ...] | None) -> FixedPointRecord | None:
@@ -568,21 +557,22 @@ class BoundaryComponent:
 def boundary_components(alg: WeightedLieAlgebra) -> list[BoundaryComponent]:
     """One component per weight: the closed group-orbit through
     V_alpha = t_alpha + a^alpha, with its orbit dimension n - dim(N(V_alpha)
-    cap a), counted by `_stabilizer_dim`.  The base point is the limit of
-    exp(z ad x_alpha) t (`witness_limit`), checked equal to z_S + a_S for
-    S = {alpha} before the count is read.  A nonzero center, a repeated
-    weight, a bracket off the grading or a limit that is not z_S + a_S
-    (a zero weight) raises `PreconditionFailedError`; `validate` refuses
-    each of these but the first."""
+    cap a), counted by `_stabilizer_dim`.  The base point is the limit
+    z_S + a_S, S = {alpha}, of exp(z ad x_alpha) t, read from the record
+    of S: exp(z ad x_i) t_p = t_p - z w_i(t_p) x_i, whose limit is z_S + a_S
+    for every nonzero w_i.  A nonzero center, a repeated weight, a bracket
+    off the grading or a zero weight (whose curve is t) raises
+    `PreconditionFailedError`; `validate` refuses each of these but the
+    first."""
     if alg.center().rows != 0:
         raise PreconditionFailedError("boundary components need a trivial center")
     if len(set(alg.weights)) != alg.n or alg._off_grade():
         raise PreconditionFailedError("boundary orbit dimensions need one-dimensional weight spaces and graded brackets")
     out = []
     for i in alg.weight_order():
-        v_alpha = witness_limit(alg, (i,))
-        if v_alpha != _fixed_point_subspace(alg, (i,)):
+        if alg.weights[i].is_zero():
             raise PreconditionFailedError(f"the limit of exp(z ad x_{i}) t is not t_alpha + a^alpha")
+        v_alpha = fixed_point_record(alg, (i,)).subspace
         out.append(BoundaryComponent(i, v_alpha, alg.n - _stabilizer_dim(alg, (i,))))
     return out
 
@@ -645,8 +635,8 @@ def membership(alg: WeightedLieAlgebra, v: Subspace) -> MembershipVerdict:
        torus) gets an orbit word, found and verified in one forward pass
        from t (`_orbit_word`).  A torus-stable V is matched with the
        one fixed point it can be, z_S + a_S for S = `graded_subset(V)`
-       (`fixed_point_of`), whose witness-curve limit is verified to be
-       V;
+       (`fixed_point_of`), whose record verified its witness curve's
+       limit to be V;
     4. only when no certificate verifies, the refutations (`_refutation`):
        V must contain the center, and on a zero center it must hold the
        semisimple part of each of its basis vectors.  Otherwise the
@@ -847,14 +837,12 @@ def property_P_checks(
     torus-fixed record: center containment, and a witness curve through
     the centralizer when V is graded.
 
-    A graded V holding exactly the weight vectors of S is witnessed by
-    `witness_curve(alg, S)`, whose limit is taken once per algebra
-    (`witness_limit`) and compared with V here before the check is
-    proven.  For a torus-fixed point z_V + a_S that is the curve and
-    limit its enumeration verified, so sharing them keeps the
-    certificate checked without rebuilding it.  A proven witness-curve
-    check carries its `CurveSubspace` as the witness, not rendered.  A V
-    or data of another algebra raises `DimensionMismatchError`.
+    A graded V is witnessed by the curve of its torus-fixed record
+    (`fixed_point_of`), whose limit the record verified to be V; the
+    record holds the weight vectors of S, which V's a-support, and so
+    lam, then holds.  A proven witness-curve check carries that
+    `CurveSubspace` as the witness, not rendered.  A V or data of
+    another algebra raises `DimensionMismatchError`.
 
     The precondition V inside the centralizer t + a_lam, which the
     torus basis vectors and the weight vectors of lam span, is read off
@@ -878,13 +866,14 @@ def property_P_checks(
     ]
     if not ok:
         return checks
-    if graded is not None and set(graded) <= set(data.lam) and witness_limit(alg, graded) == v:
+    recd = fixed_point_of(alg, v, graded)
+    if recd is not None:
         checks.append(
             rep.Check(
                 "witness-curve",
                 rep.PROVEN,
                 "a curve inside the centralizer of s degenerates to V",
-                witness=witness_curve(alg, graded),
+                witness=recd.witness,
             )
         )
     else:

@@ -63,7 +63,7 @@ def test_boundary_components_both_builtins():
 def test_theta_limits_are_graded_subspaces():
     for alg in (A2, A3):
         for i, w in enumerate(alg.weights):
-            got = orbit.witness_limit(alg, (i,))
+            got = orbit.fixed_point_record(alg, (i,)).subspace
             ker = alg.torus_kernel([w])
             rows = [list(ker.row(r)) + [0] * alg.n for r in range(ker.rows)]
             rows.append(alg.weight_vector(i))

@@ -106,6 +106,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", "--input", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("shape", ["bare", "brackets"])
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path, shape):
+        # nesting past the interpreter's recursion limit, alone or as the
+        # "brackets" of a valid algebra; exit 1 would read "refuted"
+        deep = "[" * 200_000 + "]" * 200_000
+        if shape == "brackets":
+            data = models.borel_nilradical_a2().to_json()
+            data["brackets"] = None
+            deep = json.dumps(data).replace("null", deep)
+        p = tmp_path / "deep.json"
+        p.write_text(deep)
+        code, out, err = run(capsys, "validate", "--input", str(p))
+        assert code == 2 and not out
+        assert err.startswith("error: cannot read algebra:") and "Traceback" not in err
+
     def test_malformed_rational(self, capsys, tmp_path):
         data = models.borel_nilradical_a2().to_json()
         data["weights"]["xa"] = ["1/0", "0"]

@@ -186,9 +186,9 @@ def test_a_file_rewritten_in_place_gives_the_report_of_its_new_content(tmp_path)
 
 def test_a_limit_that_raised_is_not_kept(tmp_path, monkeypatch):
     """The third witness limit raises once: the call propagates the
-    error, the limits and records built before it stay, the failed one
-    and the group-fixed points are not kept, and the next call writes
-    the fresh report."""
+    error, the records built before it stay, the failed one and the
+    group-fixed points are not kept, and the next call writes the fresh
+    report."""
     argv, out = ["fixed-points", "--builtin", "borel-nilradical-A3"], tmp_path / "report"
     want = fresh_call("", argv, out)
     cli.shared_algebra.cache_clear()
@@ -204,8 +204,7 @@ def test_a_limit_that_raised_is_not_kept(tmp_path, monkeypatch):
     with pytest.raises(RankDeficientError):
         cli.main(argv + ["--output", str(out)])
     alg = loaded("--builtin", "borel-nilradical-A3")
-    for family in ("witness-limit", "fixed-point-record"):
-        assert sum(isinstance(k, tuple) and k[0] == family for k in alg._memo) == 2
+    assert sum(isinstance(k, tuple) and k[0] == "fixed-point-record" for k in alg._memo) == 2
     assert "group-fixed-points" not in alg._memo
     assert call("", argv, out) == want
     assert len(calls) > 3
@@ -366,8 +365,6 @@ FAMILIES = {
     "center",
     "jordan-preconditions",
     "factor-order",
-    "witness-curve",
-    "witness-limit",
     "fixed-point-record",
     "fixed-point-subsets",
     "group-fixed-points",

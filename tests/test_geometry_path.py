@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_powers_reference import from_powers
+from witness_reference import witness_curve
 from stabilizer_reference import orbit_dim_by_rank
 from test_memo import FAITHFUL, SMALL, Z
 from test_orbit import a_subspace, full_space, intersect, normalizer, reference_orbit_dims
@@ -47,7 +48,7 @@ def assert_tree_curves_match_act(alg):
         s = recd.r_v_set
         # act on the empty word returns the subspace t, not a curve
         want = orbit.act(alg, [(i, None) for i in alg.weight_order() if i in s], t) if s else from_powers(alg, [t.basis])
-        assert recd.witness.rows == orbit.witness_curve(alg, s).rows == want.rows, s
+        assert recd.witness.rows == witness_curve(alg, s).rows == want.rows, s
     return records
 
 

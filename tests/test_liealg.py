@@ -332,7 +332,7 @@ x = tuple(map(Fraction, (1, 2, 0, 1, 1, 1, 0, 0, 0)))
 s, n = alg.jordan_decompose(x)
 assert tuple(a + b for a, b in zip(s, n)) == x and not any(alg.bracket(s, n))
 assert orbit.biggest_torus(alg, orbit.torus_subspace(alg)) == ()
-moved, limit = orbit.act(alg, [(0, 2)], orbit.torus_subspace(alg)), orbit.witness_limit(alg, (0,))
+moved, limit = orbit.act(alg, [(0, 2)], orbit.torus_subspace(alg)), orbit.fixed_point_record(alg, (0,)).subspace
 assert orbit.biggest_torus(alg, moved) == ()
 assert orbit.biggest_torus(alg, limit) == (0,)
 assert orbit.membership(alg, moved).kind == "orbit"

@@ -3,8 +3,10 @@
 - a weight subset given in any order reads the value of its sorted form;
 - each decorated body runs once per key, and a body that raises keeps
   nothing;
-- a missing chain of prefixes (`kernel`, `witness_curve`) is filled by a
-  loop, so 2,000 weights need no deeper stack than one;
+- a missing chain of prefixes (`kernel`) is filled by a loop, so 2,000
+  weights need no deeper stack than one, and a fixed-point record builds
+  its curve from its longest kept prefix in a loop, one factor per index
+  past it;
 - a repeated or out-of-range index, or a weight of the wrong length, is
   refused with `AlgebraError` and keeps nothing;
 - a key that another function uses is refused when it is decorated;
@@ -26,6 +28,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import witness_reference
 from linalg_reference import weight_matrix
 from test_cli_session import FAMILIES
 from test_grown_echelons import algebra_of, weight_sequences
@@ -47,8 +50,6 @@ DECORATED = {
     "center": WeightedLieAlgebra.center,
     "jordan-preconditions": WeightedLieAlgebra.check_jordan_preconditions,
     "factor-order": WeightedLieAlgebra.factor_order,
-    "witness-curve": orbit.witness_curve,
-    "witness-limit": orbit.witness_limit,
     "fixed-point-record": orbit.fixed_point_record,
     "fixed-point-subsets": orbit._fixed_point_subsets,
     "group-fixed-points": orbit.group_fixed_points,
@@ -111,13 +112,11 @@ class TestOneValuePerKey:
         shuffled = data.draw(st.permutations(subset))
         assert alg.kernel(shuffled) is alg.kernel(tuple(sorted(subset)))
         if alg.centralizer_in_a(subset):
-            assert orbit.witness_curve(alg, shuffled) is orbit.witness_curve(alg, tuple(sorted(subset)))
+            curve = witness_reference.witness_curve
+            assert curve(alg, shuffled) is curve(alg, tuple(sorted(subset)))
         for record in orbit.torus_fixed_points(alg):
-            s = record.r_v_set
-            order = data.draw(st.permutations(s))
+            order = data.draw(st.permutations(record.r_v_set))
             assert orbit.fixed_point_record(alg, order) is record
-            assert orbit.witness_limit(alg, order) is orbit.witness_limit(alg, s)
-            assert orbit.witness_curve(alg, order) is record.witness
 
     @settings(max_examples=15, deadline=None)
     @given(spec=FAITHFUL.filter(lambda spec: len(spec[1]) >= 1 and WeightedLieAlgebra.build(*spec).is_valid()))
@@ -235,17 +234,26 @@ class TestPrefixFill:
         assert got == want and center == want and center.rows == 0
         assert all(("kernel", tuple(range(m))) in alg._memo for m in range(2001))
 
-    def test_witness_curve_needs_no_deeper_stack(self):
-        # a curve over 2,000 weights takes minutes (each prefix's rows hold
-        # every earlier weight); 200 prefixes already need more than 150
-        # frames when each costs one
-        n = 200
-        alg, ref = spread(n), spread(n)
+    def test_a_chain_of_records_needs_no_deeper_stack(self, monkeypatch):
+        # n independent weights e_i on an n-dimensional torus and no
+        # brackets, so every prefix of range(n) is a record; 160 factors
+        # already need more than 150 frames when each costs one
+        n = 160
+        names = [f"x{i}" for i in range(n)]
+        build = functools.partial(WeightedLieAlgebra.build, n, names, {nm: [int(i == j) for j in range(n)] for i, nm in enumerate(names)})
+        alg, ref = build(), build()
+        factors = []
+        real = orbit._exp_row
+        monkeypatch.setattr(orbit, "_exp_row", lambda alg, k, row: factors.append(k) or real(alg, k, row))
+        chain = [tuple(range(m)) for m in (0, 1, 70, 71, n)]
         with shallow_stack(150):
-            curve = orbit.witness_curve(alg, range(n))
+            records = [orbit.fixed_point_record(alg, s) for s in chain]
+        # each record applies one factor per row and per index past the
+        # longest prefix kept before it
+        assert factors == [k for a, b in zip(chain, chain[1:]) for k in b[len(a):] for _ in range(n)]
         want = orbit.act(ref, [(j, None) for j in range(n)], orbit.torus_subspace(ref))
-        assert curve.rows == want.rows
-        assert all(("witness-curve", tuple(range(m))) in alg._memo for m in range(n + 1))
+        assert records[-1].witness.rows == want.rows
+        assert [k[1] for k in alg._memo if k[0] == "fixed-point-record"] == chain
 
     def test_a_miss_with_its_parent_kept_takes_one_step(self, monkeypatch):
         alg = models.borel_nilradical_a3()
@@ -272,7 +280,7 @@ class TestPrefixFill:
 
 class TestBadArguments:
     @pytest.mark.parametrize("subset", [(-1,), (0, 0), (7,), (3,), (0, 1, 1), (-4, 0)])
-    @pytest.mark.parametrize("name", ["kernel", "witness_curve", "witness_limit", "fixed_point_record"])
+    @pytest.mark.parametrize("name", ["kernel", "fixed_point_record"])
     def test_bad_subsets_are_refused_and_keep_nothing(self, name, subset):
         alg = models.borel_nilradical_a2()
         fn = getattr(alg, name) if name == "kernel" else functools.partial(getattr(orbit, name), alg)
@@ -283,11 +291,10 @@ class TestBadArguments:
         assert alg._memo.keys() == before.keys()
 
     def test_a2_examples(self):
-        # the kernel of the last weight, the curve of 2 x_a, the curve of t2, an IndexError
+        # the kernel of the last weight, the record of 2 x_a, the record of t2, an IndexError
         alg = models.borel_nilradical_a2()
-        for fn, subset in ((alg.kernel, (-1,)), (functools.partial(orbit.witness_limit, alg), (0, 0)),
-                           (functools.partial(orbit.witness_curve, alg), (-1,)),
-                           (functools.partial(orbit.witness_curve, alg), (7,))):
+        record = functools.partial(orbit.fixed_point_record, alg)
+        for fn, subset in ((alg.kernel, (-1,)), (record, (0, 0)), (record, (-1,)), (record, (7,))):
             with pytest.raises(AlgebraError):
                 fn(subset)
         assert not alg._memo
@@ -304,7 +311,7 @@ class TestBadArguments:
 
 
 class TestKeyOwners:
-    @pytest.mark.parametrize("key", ["kernel", "center", "validate", liealg.EXP_AD_CHAIN, "witness-curve"])
+    @pytest.mark.parametrize("key", ["kernel", "center", "validate", liealg.EXP_AD_CHAIN, "fixed-point-record"])
     def test_a_used_key_is_refused(self, key):
         def other(alg):
             return 0
@@ -314,12 +321,12 @@ class TestKeyOwners:
 
     def test_at_import(self, tmp_path, monkeypatch):
         (tmp_path / "memo_key_clash.py").write_text(
-            "from orbitvar.liealg import memoised\n\n\n@memoised('witness-limit')\ndef limit(alg):\n    return 0\n"
+            "from orbitvar.liealg import memoised\n\n\n@memoised('fixed-point-record')\ndef record(alg):\n    return 0\n"
         )
         monkeypatch.syspath_prepend(str(tmp_path))
-        with pytest.raises(ValueError, match="orbitvar.orbit.witness_limit"):
+        with pytest.raises(ValueError, match="orbitvar.orbit.fixed_point_record"):
             importlib.import_module("memo_key_clash")
-        assert liealg._MEMO_KEYS["witness-limit"] == "orbitvar.orbit.witness_limit"
+        assert liealg._MEMO_KEYS["fixed-point-record"] == "orbitvar.orbit.fixed_point_record"
 
     def test_every_decorated_function_owns_its_key(self):
         assert set(DECORATED) == FAMILIES

@@ -8,8 +8,10 @@ presentations, the four central extensions of heisenberg-3, A5,
 `test_certified_inputs.ALL` (drawn root-subset algebras, tables that
 fail Jacobi or nilpotency, multi-term tables and tables with a zero
 weight), `test_conjugation_routes.MIXED`, a table whose support series
-never empties, and root-subset algebras in signed and permuted torus
-bases, where `factor_order` and `weight_order` part.  On the signed
+never empties and a drawn family of such tables (`unsettled_tables`),
+on which the one pass leaves a coordinate to clear, and root-subset
+algebras in signed and permuted torus bases, where `factor_order` and
+`weight_order` part.  On the signed
 family `jordan_decompose` is also pinned to the full solve
 (`test_memo.reference_jordan`), the conjugated centralizer to the
 nullspace of `ad p`, and `membership` certifies every orbit point with
@@ -107,6 +109,87 @@ class TestAgainstThePasses:
             got = pin_jordan(alg, x)
             kinds.add(got[0] if got[0] == "value" else got[2])
         assert kinds == {"value", "jordan conjugation did not settle in 4 passes"}
+
+
+# -- tables whose support series never empties ----------------------------------
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def conjugated_shift(draw, q):
+    """P J P^-1 for the q x q shift J (J e_i = e_(i+1)) and P = U L, U
+    upper and L lower unitriangular with small nonzero integers off the
+    diagonal: an integer nilpotent matrix whose support need not be
+    triangular."""
+    eye = [[int(i == j) for j in range(q)] for i in range(q)]
+    off = st.sampled_from([-2, -1, 1, 2])
+    u = [[int(i == j) or (draw(off) if j > i else 0) for j in range(q)] for i in range(q)]
+    low = [[int(i == j) or (draw(off) if j < i else 0) for j in range(q)] for i in range(q)]
+
+    def inverse(m):  # of a unitriangular m: the sum of (1 - m)^k, k < q
+        step = [[a - b for a, b in zip(r, s)] for r, s in zip(eye, m)]
+        out = power = eye
+        for _ in range(q - 1):
+            power = matmul(power, step)
+            out = [[a + b for a, b in zip(r, s)] for r, s in zip(out, power)]
+        return out
+
+    shift = [[int(i == j + 1) for j in range(q)] for i in range(q)]
+    return matmul(matmul(matmul(u, low), shift), matmul(inverse(low), inverse(u)))
+
+
+@st.composite
+def unsettled_tables(draw):
+    """Generalising [x, y] = [z, y] = z - x: groups of two or three x's
+    sharing the weight e_g on a torus of one or two dimensions, an
+    abelian ideal, and one or two y's of weight 0 acting on each group
+    by a nonzero multiple of a power of one conjugated shift N_g (so the
+    actions commute, Jacobi holds, and a is nilpotent).  Each term of
+    [y, x_i] lands on the x's of x_i's own weight, so the support series
+    never empties when N_g's support has a cycle, which is kept; the
+    Jordan preconditions are checked too."""
+    d = draw(st.integers(1, 2))
+    sizes = [draw(st.integers(2, 3)) for _ in range(d)]
+    shifts = [conjugated_shift(draw, q) for q in sizes]
+    xs = [[f"x{g}{i}" for i in range(q)] for g, q in enumerate(sizes)]
+    ys = [f"y{a}" for a in range(draw(st.integers(1, 2)))]
+    weights = {nm: [int(c == g) for c in range(d)] for g, group in enumerate(xs) for nm in group}
+    weights.update({y: [0] * d for y in ys})
+    brackets = []
+    for y in ys:
+        for g, (group, n) in enumerate(zip(xs, shifts)):
+            power, c = draw(st.integers(1, sizes[g] - 1)), draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+            m = n
+            for _ in range(power - 1):
+                m = matmul(m, n)
+            for i, x in enumerate(group):
+                terms = {group[j]: c * m[j][i] for j in range(len(group)) if m[j][i]}
+                if terms:
+                    brackets.append((y, x, terms))
+    names = draw(st.permutations([nm for group in xs for nm in group] + ys))
+    alg = WeightedLieAlgebra.build(d, names, weights, brackets)
+    assume(list(alg._support_series())[-1])
+    assume(result(alg.check_jordan_preconditions)[0] == "value")
+    return alg
+
+
+class TestUnsettledTables:
+    @settings(max_examples=150)
+    @given(unsettled_tables(), st.data())
+    def test_jordan_parts_and_centralizers(self, alg, data):
+        """Points with a torus part, a part on the y's and one on the x's,
+        where the one pass can leave a coordinate, and drawn vectors;
+        both the one pass and the passes raise, or both answer alike."""
+        for _ in range(3):
+            t = data.draw(st.lists(st.integers(-3, 3), min_size=alg.t_dim, max_size=alg.t_dim).map(lambda t: t if any(t) else [1] + t[1:]))
+            a = data.draw(st.lists(SCALAR | st.just(0), min_size=alg.n, max_size=alg.n))
+            for x in (tuple(t) + tuple(a), data.draw(shaped_vectors(alg.dim, alg.t_dim))):
+                got = pin_jordan(alg, x)
+                event(got[0] if got[0] == "value" else got[2])
+            got = pin_centralizer(alg, tuple(t) + tuple(a))
+            event(f"centralizer {'None' if got == ('value', None) else got[0]}")
 
 
 # -- root-subset algebras in signed and permuted torus bases ---------------------

@@ -34,6 +34,7 @@ from orbitvar.orbit import (
     act,
     biggest_torus,
     boundary_components,
+    fixed_point_record,
     graded_subset,
     group_fixed_points,
     is_commutative_subalgebra,
@@ -44,8 +45,6 @@ from orbitvar.orbit import (
     torus_element_data,
     torus_subspace,
     verify_pair_relation,
-    witness_curve,
-    witness_limit,
 )
 
 A2 = models.borel_nilradical_a2()
@@ -131,7 +130,7 @@ def run_without_sympy(code, blocked=False):
 
 def theta(alg, i, z=None):
     """exp(z ad x_i) t at a rational z, or its limit at infinity for None."""
-    return witness_limit(alg, (i,)) if z is None else act(alg, [(i, Fraction(z))], torus_subspace(alg))
+    return fixed_point_record(alg, (i,)).subspace if z is None else act(alg, [(i, Fraction(z))], torus_subspace(alg))
 
 
 def property_p(alg, s, v):
@@ -175,7 +174,7 @@ class TestActAndTheta:
                 assert v == span(alg, rows)
 
     def test_curve_specializes_consistently(self):
-        c = witness_curve(A2, (1,))
+        c = fixed_point_record(A2, (1,)).witness
         assert c == act(A2, [(1, None)], torus_subspace(A2))
         z = Fraction(5)
         coeffs = powers(c)
@@ -295,8 +294,8 @@ alg = models.builtin("borel-nilradical-A3")
 t = orbit.torus_subspace(alg)
 assert orbit.membership(alg, t).kind == "orbit"
 assert orbit.membership(alg, orbit.act(alg, [(0, 2)], t)).kind == "orbit"
-assert orbit.membership(alg, orbit.witness_limit(alg, (0,))).kind == "limit"
-assert orbit.membership(alg, orbit.witness_limit(alg, (0,))).witness.to_json()["basis"]
+assert orbit.membership(alg, orbit.fixed_point_record(alg, (0,)).subspace).kind == "limit"
+assert orbit.membership(alg, orbit.fixed_point_record(alg, (0,)).subspace).witness.to_json()["basis"]
 assert orbit.multipoint_membership(alg, [alg.weight_vector(0), alg.weight_vector(5)])[0] == "proven"
 assert orbit.biggest_torus(alg, t) == ()
 assert not orbit.verify_pair_relation(alg, alg.weights[0], samples=5).has_refutation()

@@ -386,10 +386,13 @@ class TestWitnessMemo:
         alg = models.builtin("borel-nilradical-A3")
         records = orbit.torus_fixed_points(alg)
         for recd in records:
-            assert orbit.witness_curve(alg, recd.r_v_set) is recd.witness
-            assert orbit.witness_limit(alg, recd.r_v_set) == recd.subspace
+            assert orbit.fixed_point_record(alg, recd.r_v_set) is recd
+            lam = alg.closure(recd.r_v_set)
+            data = orbit.torus_element_data(alg, lam)
+            checks = orbit.property_P_checks(alg, data, recd.subspace, recd.r_v_set)
+            assert checks[-1].witness is recd.witness
         (theta,) = [c for c in orbit.boundary_components(alg) if c.weight_idx == 4]
-        assert theta.base_point is orbit.witness_limit(alg, (4,))
+        assert theta.base_point is orbit.fixed_point_record(alg, (4,)).subspace
 
     def test_a_limit_that_raises_is_not_kept(self, monkeypatch):
         alg = models.builtin("borel-nilradical-A2")
@@ -403,7 +406,8 @@ class TestWitnessMemo:
             m.setattr(orbit.CurveSubspace, "limit", deficient)
             for _ in range(2):
                 with pytest.raises(RankDeficientError):
-                    orbit.witness_limit(alg, (0,))
+                    orbit.fixed_point_record(alg, (0,))
+                assert ("fixed-point-record", (0,)) not in alg._memo
         assert len(calls) == 2
         fresh = models.builtin("borel-nilradical-A2")
-        assert orbit.witness_limit(alg, (0,)) == orbit.witness_limit(fresh, (0,))
+        assert orbit.fixed_point_record(alg, (0,)).subspace == orbit.fixed_point_record(fresh, (0,)).subspace

@@ -274,7 +274,7 @@ class TestCurvePoints:
         alg = models.borel_nilradical_a3()
         t = orbit.torus_subspace(alg)
         z = Fraction(2, 3)
-        want = [dense_at(orbit.witness_curve(alg, (i,)), z) for i in range(alg.n)]
+        want = [dense_at(orbit.fixed_point_record(alg, (i,)).witness, z) for i in range(alg.n)]
         products = {"all": 0, "zero": 0}
 
         def counted(real):

@@ -27,6 +27,7 @@ from test_grown_echelons import ENTRIES, algebra_of, weight_sequences
 from test_memo import FAITHFUL, SMALL
 from test_memo_path import BodyCalls
 from test_weight_walks import borel_nilradical
+from witness_reference import witness_limit
 
 from orbitvar import liealg, models, orbit
 from orbitvar.liealg import EnumerationCapError, WeightedLieAlgebra
@@ -49,7 +50,7 @@ def assert_boundary_matches_rank(alg):
     comps = orbit.boundary_components(alg)
     assert [c.orbit_dim for c in comps] == [orbit_dim_by_rank(alg, c.base_point) for c in comps]
     for c in comps:
-        assert c.base_point is orbit.witness_limit(alg, (c.weight_idx,))
+        assert c.base_point is orbit.fixed_point_record(alg, (c.weight_idx,)).subspace
     return comps
 
 
@@ -167,7 +168,7 @@ class TestGradedSubset:
         """Fixed points, boundary base points and orbit points."""
         alg = CASES[name]()
         t = orbit.torus_subspace(alg)
-        points = [r.subspace for r in orbit.torus_fixed_points(alg)] + [orbit.witness_limit(alg, (i,)) for i in range(alg.n)]
+        points = [r.subspace for r in orbit.torus_fixed_points(alg)] + [witness_limit(alg, (i,)) for i in range(alg.n)]
         points += [orbit.act(alg, [(i, Fraction(1, 2)), (j, 3)], t) for i in range(alg.n) for j in range(alg.n)]
         got = [assert_graded_subset_matches_brackets(alg, v) for v in points]
         assert None in got and () in got

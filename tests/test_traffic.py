@@ -181,7 +181,7 @@ def test_memo_reads_are_counted_and_the_memos_put_back(traffic):
     op = workloads.Op("fixed-points A2", lambda: orbit.torus_fixed_points(alg), lambda r: (len(r) == 6, True))
     reads = traffic.traffic([op, op])[3]
     assert reads["fixed-point-subsets", "misses"] == reads["fixed-point-subsets", "hits"] == 1
-    assert reads["kernel", "misses"] > 0 and reads["witness-limit", "misses"] == len(orbit.torus_fixed_points(alg)) == 6
+    assert reads["kernel", "misses"] > 0 and reads["fixed-point-record", "misses"] == len(orbit.torus_fixed_points(alg)) == 6
     assert "_memo" not in vars(WeightedLieAlgebra) and type(alg._memo) is dict
     assert traffic.traffic([op])[3] == {("fixed-point-subsets", "hits"): 1, ("fixed-point-record", "hits"): 6}
 

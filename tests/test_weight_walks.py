@@ -28,6 +28,7 @@ from linalg_reference import weight_matrix
 from test_liealg_sparse import ALGEBRAS
 from test_memo import reference_group_fixed_points
 from test_property_p import BUILTINS, VARIANTS, borel_nilradical_a4, heisenberg_central_extension
+from witness_reference import witness_curve, witness_limit
 
 from orbitvar import models, orbit
 from orbitvar.liealg import WeightedLieAlgebra
@@ -59,7 +60,8 @@ def reference_complete_subsets(alg):
 def reference_torus_fixed_points(alg):
     """Every weight subset in (size, lexicographic) order, kept when its
     weights are independent and its weight vectors commute, with the
-    records and the limit check of `orbit`."""
+    curves and limits of `witness_reference` and the limit check that
+    `orbit.fixed_point_record` makes."""
     out = []
     for size in range(alg.n + 1):
         for subset in itertools.combinations(range(alg.n), size):
@@ -69,9 +71,9 @@ def reference_torus_fixed_points(alg):
             if not alg.centralizer_in_a(subset):
                 continue
             v = orbit._fixed_point_subspace(alg, subset)
-            if orbit.witness_limit(alg, subset) != v:
+            if witness_limit(alg, subset) != v:
                 raise orbit.OrbitError("witness curve limit mismatch")
-            out.append(orbit.FixedPointRecord(v, subset, orbit.witness_curve(alg, subset)))
+            out.append(orbit.FixedPointRecord(v, subset, witness_curve(alg, subset)))
     return tuple(out)
 
 
@@ -113,7 +115,7 @@ class TestFixedPointWalk:
     @pytest.mark.parametrize("name", CASES)
     def test_match_subset_loop(self, name):
         alg = CASES[name]()
-        # the reference reads the curves and limits the walk memoised
+        # the reference builds its curves and limits apart from the records
         got = orbit.torus_fixed_points(alg)
         assert got == reference_torus_fixed_points(alg)
 
